@@ -12,6 +12,8 @@ totals.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -247,107 +249,92 @@ class BirkhoffResult:
     sup_dev: float
     argmax_x: TorusPoint
     mean_used: float
+    # signed S_N phi / N - mean at grid index i, i.e. at x = i / grid_size
+    field: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
 
 
-def _dev_field_rotation_1d_modes(sys, phi, N, grid, mean):
-    """Mode-split deviation field for lacunary/mode-sum observables.
+def grid_point(indices, grid: int, bits: int) -> TorusPoint:
+    """The fixed-point grid point x = indices / grid."""
+    one = 1 << bits
+    return TorusPoint(
+        tuple((int(i) * one + grid // 2) // grid % one for i in indices), bits
+    )
 
-    Per mode the orbit character sum A_k = sum_j e(q_k * j * omega) is
-    accumulated by direct summation (step reduced mod 1 exactly first);
-    the grid field is then e(q_k x_g)-synthesized through one FFT, exact
-    because x_g = g/G makes e(q_k x_g) periodic with index q_k mod G.
+
+def _spectral_sums(sys, spectrum: dict, N, grid):
+    """S_N phi on the grid for phi = Re sum_k c_k e(k . x), in closed form.
+
+    Each mode's orbit sum is c_k A_k e(k . x) with A_k = N E_N(k . omega)
+    from exp_sum_avg_fp, the phase k . omega formed exactly in fixed point.
+    The grid field is then synthesized by one inverse FFT, exact because on
+    x_g = g / grid the character e(k . x_g) depends only on k mod grid.
     """
-    G = grid
+    d = sys.dim
     one = 1 << sys.bits
-    w_fp = sys.omega_fp()[0]
-    spec = np.zeros(G, dtype=complex)
-    chunk = 1 << 20
-    for q, w in zip(phi.qs, phi.weights):
-        if w == 0.0:
-            continue
-        step = ((q * w_fp) % one) / one
-        acc = 0.0 + 0.0j
-        for lo in range(0, N, chunk):
-            js = np.arange(lo, min(N, lo + chunk), dtype=float)
-            acc += complex(np.sum(np.exp(2j * math.pi * np.mod(js * step, 1.0))))
-        spec[q % G] += w * acc
-    field = np.real(np.fft.ifft(spec)) * G
-    xs = np.arange(G) / G
-    return np.abs(field / N - mean), xs
+    ws = sys.omega_fp()
+    spec = np.zeros((grid,) * d, dtype=complex)
+    for k, c in spectrum.items():
+        t = sum(ki * wi for ki, wi in zip(k, ws)) % one
+        A = N * exp_sum_avg_fp(t, sys.bits, N)
+        spec[tuple(ki % grid for ki in k)] += c * A
+    return np.real(np.fft.ifftn(spec)) * grid ** d
 
 
-def _dev_field_rotation_1d(sys, phi, N, grid, mean):
-    G = grid
-    xs = np.arange(G) / G
-    sums = np.zeros(G)
-    carry = np.zeros(G)
-    chunk = max(256, (1 << 22) // G)  # keep the (chunk, G) work array ~32 MB
+def _grid_sums_1d(sys, phi, N, grid):
+    """S_N phi on the grid by pointwise evaluation: O(N * grid)."""
+    xs = np.arange(grid) / grid
+    sums = np.zeros(grid)
+    carry = np.zeros(grid)
+    # at most 2^15 orbit points and 2^22 cells (32 MB) per chunk; the chunk
+    # fixes the summation order, and changing it moves the strongly
+    # cancelling sums at large N by up to ~1e-8 relative
+    chunk = max(256, min(1 << 15, (1 << 22) // grid))
     for buf in rotation_orbit_floats(sys, TorusPoint.zero(1, sys.bits), N,
                                      chunk=chunk):
         pts = np.mod(buf[:, None] + xs[None, :], 1.0)
-        vals = np.asarray(phi.fn(pts), dtype=float)
-        s = vals.sum(axis=0)
+        s = np.asarray(phi.fn(pts), dtype=float).sum(axis=0)
         y = s - carry
         t = sums + y
         carry = (t - sums) - y
         sums = t
-    return np.abs(sums / N - mean), xs
+    return sums
 
 
-def _dev_field_rotation_d_separable(sys, phi: SeparableObservable, N, grid, mean):
-    """Mode/axis-split measurement for rotations in dimension d.
-
-    Character sums sum_j e(k . (j omega)) are accumulated by direct
-    summation over the actual orbit; the grid field is then synthesized per
-    mode.  Axis terms reduce to 1-d orbit sums on their own axis.
-    """
+def _generic_sums(sys, phi, N, grid):
+    """S_N phi by one orbit per grid point (skew products, small grids)."""
     d = sys.dim
-    G = grid
-    field = np.zeros((G,) * d)
-    if phi.trig is not None and phi.trig.coeffs:
-        spec = np.zeros((G,) * d, dtype=complex)
-        ks = list(phi.trig.coeffs)  # constant mode included: A_0 = N exactly
-        char = {k: 0.0 + 0.0j for k in ks}
-        for buf in rotation_orbit_floats(sys, TorusPoint.zero(d, sys.bits), N):
-            for k in ks:
-                phase = buf @ np.array(k, dtype=float)
-                char[k] += np.exp(2j * math.pi * phase).sum()
-        for k in ks:
-            idx = tuple(i % G for i in k)
-            spec[idx] += phi.trig.coeffs[k] * char[k]
-        # e(k . x_g) synthesis over the uniform grid = inverse FFT
-        field += np.real(np.fft.ifftn(spec)) * G ** d
-    for axis, sub in phi.axis_terms:
-        sub_sys = SystemSpec.rotation(sys.freqs[axis], sys.bits)
-        xs = np.arange(G) / G
-        sums = np.zeros(G)
-        for buf in rotation_orbit_floats(sub_sys, TorusPoint.zero(1, sys.bits), N):
-            pts = np.mod(buf[:, None] + xs[None, :], 1.0)
-            sums += np.asarray(sub.fn(pts), dtype=float).sum(axis=0)
-        shape = [1] * d
-        shape[axis] = G
-        field += sums.reshape(shape)
-    return np.abs(field / N - mean)
-
-
-def _dev_field_generic(sys, phi, N, grid, mean):
-    """Brute-force per-grid-point orbits (skew products, small grids)."""
-    d = sys.dim
-    G = grid
-    if G ** d > GRID_POINT_BUDGET:
-        raise DimensionTooLarge(f"grid {G}^{d} exceeds the point budget")
-    one = 1 << sys.bits
-    if (one % G) != 0:
+    if (1 << sys.bits) % grid != 0:
         raise ValueError("grid must divide the fixed-point scale (power of two)")
-    unit = one // G
-    devs = np.zeros((G,) * d)
-    import itertools
+    sums = np.zeros((grid,) * d)
+    for idx in itertools.product(range(grid), repeat=d):
+        sums[idx] = birkhoff_sum(sys, phi, grid_point(idx, grid, sys.bits), N)
+    return sums
 
-    for idx in itertools.product(range(G), repeat=d):
-        x = TorusPoint(tuple(i * unit for i in idx), sys.bits)
-        s = birkhoff_sum(sys, phi, x, N)
-        devs[idx] = abs(s / N - mean)
-    return devs
+
+def _orbit_sums(sys, phi, N, grid):
+    """S_N phi on the grid, by the cheapest exact route.
+
+    Rotations of an observable with a finite spectrum take the closed form.
+    A separable observable takes it for its trig part and adds each axis
+    term as a 1-d field on its own axis.  Other 1-d rotations sum pointwise
+    over the grid; everything else runs one orbit per grid point.
+    """
+    if sys.kind == "skew":
+        return _generic_sums(sys, phi, N, grid)
+    spectrum = phi.spectrum()
+    if spectrum is not None:
+        return _spectral_sums(sys, spectrum, N, grid)
+    if isinstance(phi, SeparableObservable):
+        sums = _spectral_sums(sys, phi.trig.coeffs if phi.trig else {}, N, grid)
+        for axis, sub in phi.axis_terms:
+            shape = [1] * sys.dim
+            shape[axis] = grid
+            sub_sys = SystemSpec.rotation(sys.freqs[axis], sys.bits)
+            sums = sums + _orbit_sums(sub_sys, sub, N, grid).reshape(shape)
+        return sums
+    if sys.dim == 1:
+        return _grid_sums_1d(sys, phi, N, grid)
+    return _generic_sums(sys, phi, N, grid)
 
 
 def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int) -> BirkhoffResult:
@@ -356,6 +343,8 @@ def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int) -> Birkho
     The grid maximum is a certified lower bound of the true sup; Holder
     continuity bounds the gap by ||phi||_w * w(1/grid).
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if grid < 16:
         raise ValueError("grid must be >= 16")
     d = sys.dim
@@ -365,28 +354,10 @@ def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int) -> Birkho
             f"(d <= 3, at most {GRID_POINT_BUDGET} points)"
         )
     mean = phi.mean()
-    one = 1 << sys.bits
-
-    def grid_point(indices) -> TorusPoint:
-        return TorusPoint(
-            tuple((int(i) * one + grid // 2) // grid % one for i in indices),
-            sys.bits,
-        )
-
-    if d == 1:
-        if hasattr(phi, "qs") and hasattr(phi, "weights"):
-            devs, xs = _dev_field_rotation_1d_modes(sys, phi, N, grid, mean)
-        else:
-            devs, xs = _dev_field_rotation_1d(sys, phi, N, grid, mean)
-        arg = int(np.argmax(devs))
-        return BirkhoffResult(N, grid, float(devs[arg]), grid_point((arg,)), mean)
-    if sys.kind == "rotationd" and isinstance(phi, SeparableObservable):
-        devs = _dev_field_rotation_d_separable(sys, phi, N, grid, mean)
-    else:
-        devs = _dev_field_generic(sys, phi, N, grid, mean)
-    flat = int(np.argmax(devs))
-    idx = np.unravel_index(flat, devs.shape)
-    return BirkhoffResult(N, grid, float(devs[idx]), grid_point(idx), mean)
+    dev = _orbit_sums(sys, phi, N, grid) / N - mean
+    idx = np.unravel_index(int(np.argmax(np.abs(dev))), dev.shape)
+    return BirkhoffResult(N, grid, float(abs(dev[idx])),
+                          grid_point(idx, grid, sys.bits), mean, dev)
 
 
 # ---------------------------------------------------------------------------
@@ -413,21 +384,30 @@ def exp_sum_avg(t: float, N: int) -> complex:
 
 
 def exp_sum_avg_fp(t_fp: int, bits: int, N: int) -> complex:
-    """Same sum with t = t_fp / 2**bits; both phase reductions exact mod 1."""
+    """(1/N) sum_{j<N} e(jt) for t = t_fp / 2**bits, in the sine-ratio form
+    e((N-1)t/2) sin(pi N t) / (N sin(pi t)).
+
+    t is taken as its signed representative in (-1/2, 1/2].  N t is split
+    exactly into n + r with r centred in [-1/2, 1/2), so sin(pi N t) =
+    (-1)**n sin(pi r), and (N-1) t is reduced mod 2 for the phase.  No step
+    subtracts nearly equal doubles, so the relative error stays at a few
+    ulp even at resonance, where t or N t sits close to an integer.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     one = 1 << bits
-    t_red = t_fp % one
-    if t_red == 0:
+    half = one >> 1
+    t = fp_signed(t_fp, bits)
+    if t == 0:
         return 1.0 + 0.0j
-    nt = fp_signed(N * t_fp, bits) / one
-    tr = fp_signed(t_fp, bits) / one
-    den = 1.0 - cmath.exp(2j * math.pi * tr)
-    if abs(den) == 0.0:
-        return 1.0 + 0.0j
-    val = (1.0 - cmath.exp(2j * math.pi * nt)) / den / N
-    m = abs(val)
-    return val / m if m > 1.0 else val
+    n, r = divmod(N * t + half, one)
+    ratio = (math.sin(math.pi * ((r - half) / one))
+             / (N * math.sin(math.pi * (t / one))))
+    if n & 1:
+        ratio = -ratio
+    ratio = max(-1.0, min(1.0, ratio))
+    theta = math.pi * ((((N - 1) * t + one) % (2 * one) - one) / one)
+    return complex(ratio * math.cos(theta), ratio * math.sin(theta))
 
 
 def exp_sum_direct(t: float, N: int) -> complex:

@@ -212,6 +212,8 @@ def resolve_schedule(text: str, sys: SystemSpec) -> list[int]:
         return [int(q) for q in cf.q]
     if kind == "list":
         out = sorted({int(x) for x in body.split(",")})
+        if out[0] < 1:
+            raise ConfigError(f"schedule values must be >= 1 in {text!r}")
         return out
     raise ConfigError(f"unknown schedule {text!r}")
 
@@ -303,11 +305,14 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
     if isinstance(freq_texts, str):
         freq_texts = [freq_texts]
     N_list = [int(n) for n in cfg.require("n_values")]
+    if any(N < 1 for N in N_list):
+        raise ConfigError(f"n_values must all be >= 1, got {N_list}")
     max_q = int(cfg.get("max_q", 6765))
     cap = float(cfg.get("ratio_cap", 10.0))
     clock = _BudgetClock(cfg.get("budget_s"))
     rows = []
     max_ratio = 0.0
+    all_finite = True
     for ftext in freq_texts:
         omega = Frequency.parse(ftext, bits)
         cf = expand_cf(omega, max_q=max_q)
@@ -321,9 +326,10 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
                     "sum": r.total, "ratio": r.ratio,
                 })
                 max_ratio = max(max_ratio, r.ratio)
+                all_finite = all_finite and math.isfinite(r.ratio)
                 clock.check("kernel experiment")
     table = {"rows": rows, "max_ratio": max_ratio, "cap": cap,
-             "within_cap": max_ratio <= cap,
+             "within_cap": all_finite and max_ratio <= cap,
              "config_hash": cfg.config_hash()}
     _maybe_emit(cfg, "kernel", rows, extra={"max_ratio": max_ratio, "cap": cap})
     return table

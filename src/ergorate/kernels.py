@@ -13,6 +13,7 @@ conservation is exact rather than quadrature-approximate.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -120,7 +121,9 @@ class Observable:
     `fn` must be vectorized: for dim == 1 it maps an ndarray of positions to
     values; for dim >= 2 it takes an ndarray of shape (..., dim).  `norm_est`
     is an upper bound on the w-Holder norm when analytic (flag in
-    `norm_is_bound`), otherwise a sampled lower-bound estimate.
+    `norm_is_bound`), otherwise a sampled lower-bound estimate.  `fourier`,
+    when set, is the finite spectrum {k: c_k} (k an integer tuple of length
+    dim) with fn(x) = Re sum_k c_k e(k . x).
     """
 
     dim: int
@@ -130,9 +133,14 @@ class Observable:
     mean_hint: Optional[float] = None
     name: str = ""
     norm_is_bound: bool = True
+    fourier: Optional[dict] = None
 
     def __call__(self, x):
         return self.fn(x)
+
+    def spectrum(self) -> Optional[dict]:
+        """The finite spectrum {k: c_k}, or None when phi has none."""
+        return self.fourier
 
     def mean(self, quad_points: int = 1 << 16) -> float:
         if self.mean_hint is not None:
@@ -150,9 +158,9 @@ class Observable:
 class SeparableObservable(Observable):
     """Sum of an exact trigonometric polynomial and per-axis 1-d terms.
 
-    The split lets rotation experiments measure orbit sums mode-by-mode and
-    axis-by-axis (direct summation over the orbit in each piece) instead of
-    brute-forcing the full product grid.
+    The split lets rotation experiments take the trig part's orbit sums in
+    closed form and each axis term as a 1-d field on its own axis, instead
+    of brute-forcing the full product grid.
     """
 
     trig: Optional["TrigPoly"] = None
@@ -188,9 +196,10 @@ def make_separable(dim: int, trig: Optional["TrigPoly"],
     for _, sub in axis_terms:
         mean += sub.mean()
         norm += sub.norm_est
+    fourier = None if axis_terms else dict(trig.coeffs if trig else {})
     return SeparableObservable(
         dim=dim, fn=fn, modulus=modulus, norm_est=norm, mean_hint=mean,
-        name=name, trig=trig, axis_terms=axis_terms,
+        name=name, fourier=fourier, trig=trig, axis_terms=axis_terms,
     )
 
 
@@ -231,6 +240,7 @@ def make_cos(dim: int = 1) -> Observable:
     return Observable(
         dim=dim, fn=fn, modulus=Holder(1.0), norm_est=1.0 + TWO_PI,
         mean_hint=0.0, name="cos",
+        fourier={(s,) + (0,) * (dim - 1): 0.5 for s in (1, -1)},
     )
 
 
@@ -241,9 +251,11 @@ def make_coboundary(omega_value: float) -> Observable:
         x = np.asarray(x, dtype=float)
         return np.cos(TWO_PI * (x + omega_value)) - np.cos(TWO_PI * x)
 
+    c = (cmath.exp(2j * math.pi * omega_value) - 1.0) / 2.0
     return Observable(
         dim=1, fn=fn, modulus=Holder(1.0), norm_est=2.0 * (1.0 + TWO_PI),
         mean_hint=0.0, name="coboundary",
+        fourier={(1,): c, (-1,): c.conjugate()},
     )
 
 
@@ -265,10 +277,13 @@ def make_weierstrass(modulus: ModulusOfContinuity, base: int = 2,
         h = 2.0 ** -k
         semi = max(semi, float(np.minimum(2.0, TWO_PI * freqs * h) @ weights)
                    / modulus(h))
+    fourier = {(s * base ** m,): float(w) / 2.0
+               for m, w in enumerate(weights, start=1) for s in (1, -1)}
     return Observable(
         dim=1, fn=fn, modulus=modulus,
         norm_est=float(weights.sum()) + semi,
         mean_hint=0.0, name=f"weierstrass:{modulus.describe()}",
+        fourier=fourier,
     )
 
 
@@ -377,6 +392,7 @@ class TrigPoly:
         return Observable(
             dim=self.dim, fn=self.eval, modulus=modulus,
             norm_est=sup + semi, mean_hint=mean, name="trigpoly",
+            fourier=dict(self.coeffs),
         )
 
     def to_json(self) -> str:

@@ -16,8 +16,9 @@ import numpy as np
 from . import sharpness
 from .arithmetic import (DecimalString, Frequency, PartialQuotients,
                          expand_cf, golden_mean, sqrt2_minus_1)
-from .dynamics import (SystemSpec, TorusPoint, char_birkhoff_skew, iterate,
-                       step, sup_deviation)
+from .dynamics import (SystemSpec, TorusPoint, birkhoff_sum,
+                       char_birkhoff_skew, grid_point, iterate, step,
+                       sup_deviation)
 from .envelopes import Envelope, fit_scale
 from .errors import ErgorateError
 from .harness import (ExperimentConfig, resolve_observable, resolve_schedule,
@@ -66,6 +67,23 @@ def _test_frequencies():
         "a_m=m": Frequency(PartialQuotients((), "index")),
         "decimal": Frequency(DecimalString(PI_MINUS_3)),
     }
+
+
+# Schedule points up to this N also check the closed-form deviation field
+# against a direct orbit sum.
+ORACLE_MAX_N = 10 ** 4
+
+
+def _field_oracle_gap(res, direct, bits: int) -> float:
+    """Largest |field - (direct(x) - mean)| over the argmax and two fixed
+    grid points of a sup_deviation result; NaN if any side is NaN."""
+    G, d = res.grid_size, res.field.ndim
+    picks = [np.unravel_index(int(np.argmax(np.abs(res.field))), res.field.shape),
+             (G // 3,) * d, (2 * G // 3,) * d]
+    return float(np.max([
+        abs(res.field[idx] - (direct(grid_point(idx, G, bits)) - res.mean_used))
+        for idx in picks
+    ]))
 
 
 def scenario_cf_suite() -> dict:
@@ -154,6 +172,22 @@ def scenario_rate_envelope() -> dict:
     v.check("fitted scale dominates all points", dominated)
     v.check("tail ratio >= 0.05 (envelope within 20x at the tail)",
             series.tail_ratio >= 0.05, series.tail_ratio)
+    # measure_average sums each mode directly along the orbit with exact
+    # phases; birkhoff_sum would feed phi double-rounded orbit points, whose
+    # 2^-54 error the modes q ~ 1e25 blow up far past 1e-10
+    sys = resolve_system(cfg.require("system"))
+    phi = resolve_observable(cfg.require("observable"), sys)
+    omega = sys.freqs[0]
+    gaps = []
+    for N, _ in series.points:
+        if N <= ORACLE_MAX_N:
+            res = sup_deviation(sys, phi, N, cfg.require("grid"))
+            gaps.append(_field_oracle_gap(
+                res, lambda x: measure_average(phi, omega, x, N), sys.bits))
+    gap = float(np.max(gaps))  # NaN propagates and fails the check
+    v.details["field_vs_direct"] = gap
+    v.check("field matches the direct orbit sum for N <= 1e4 (1e-10)",
+            gap <= 1e-10, gap)
     return v.done()
 
 
@@ -369,10 +403,18 @@ def scenario_translation_2d() -> dict:
     schedule = resolve_schedule("geometric:100,100000,3.1622776601683795", sys)
     env = Envelope(kind="transd", alpha=0.5, A=3.0, d=2)
     points = []
+    gaps = []
     for N in schedule:
         res = sup_deviation(sys, phi, N, 64)
         points.append((N, res.sup_dev))
+        if N <= ORACLE_MAX_N:
+            gaps.append(_field_oracle_gap(
+                res, lambda x: birkhoff_sum(sys, phi, x, N) / N, sys.bits))
+    gap = float(np.max(gaps))  # NaN propagates and fails the check
     v.details["points"] = points
+    v.details["field_vs_direct"] = gap
+    v.check("field matches birkhoff_sum / N for N <= 1e4 (1e-10)",
+            gap <= 1e-10, gap)
     scale, tail_ratio = fit_scale(points, env)
     v.details["scale"] = scale
     v.details["tail_ratio"] = tail_ratio

@@ -105,6 +105,14 @@ class LacunaryObservable(Observable):
     def mode_q(self, m: int) -> int:
         return self.qs[m - 1]
 
+    def spectrum(self) -> dict:
+        """{(+-q_k,): w_k / 2}: w cos(2 pi q x) = Re (w/2)(e(qx) + e(-qx))."""
+        out: dict = {}
+        for q, w in zip(self.qs, self.weights):
+            for k in ((q,), (-q,)):
+                out[k] = out.get(k, 0.0) + w / 2
+        return out
+
     def phases_at(self, x: TorusPoint) -> list:
         """Exact fixed-point phases q_k * x mod 1, one per mode."""
         one = 1 << self.bits

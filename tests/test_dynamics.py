@@ -1,6 +1,7 @@
 """Orbits, Birkhoff sums, exponential sums and skew-product character sums."""
 
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -9,14 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergorate.arithmetic import Frequency, PartialQuotients, expand_cf
+from ergorate.arithmetic import (Frequency, PartialQuotients, expand_cf,
+                                 golden_mean, sqrt2_minus_1)
 from ergorate.dynamics import (SystemSpec, TorusPoint,
                                birkhoff_sum, char_birkhoff_skew, exp_sum_avg,
-                               exp_sum_avg_fp, exp_sum_direct, iterate,
-                               kernel_sum, step, sup_deviation)
+                               exp_sum_avg_fp, exp_sum_direct, grid_point,
+                               iterate, kernel_sum, rotation_orbit_floats,
+                               step, sup_deviation)
 from ergorate.errors import DimensionTooLarge
-from ergorate.kernels import Holder, Observable, make_cos, make_coboundary, \
-    make_dist_pow
+from ergorate.harness import resolve_observable, resolve_system
+from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
+                              make_cos, make_dist_pow, make_weierstrass,
+                              random_real_trigpoly)
+from ergorate.sharpness import measure_average
 
 BITS = 192
 ONE = 1 << BITS
@@ -177,6 +183,74 @@ class TestExpSum:
             assert v * N * norm_t <= 1.0 + 1e-9
 
 
+def _mp_exp_sum_avg(t_fp: int, N: int) -> complex:
+    """(1/N) sum_{j<N} e(j t) at 80 digits, for the same fixed-point t."""
+    with mpmath.workdps(80):
+        t = mpmath.mpf(t_fp % ONE) / ONE
+        if t == 0:
+            return 1.0 + 0.0j
+        return complex(mpmath.expjpi((N - 1) * t) * mpmath.sinpi(N * t)
+                       / (N * mpmath.sinpi(t)))
+
+
+def _assert_rel(t_fp: int, N: int, rel: float = 1e-14) -> None:
+    got = exp_sum_avg_fp(t_fp, BITS, N)
+    ref = _mp_exp_sum_avg(t_fp, N)
+    assert abs(got - ref) <= rel * abs(ref), (t_fp, N, got, ref)
+
+
+_RESONANT = {
+    "golden": golden_mean(),
+    "sqrt2m1": sqrt2_minus_1(),
+    "a_m=m": Frequency(PartialQuotients((), "index")),
+}
+
+
+@pytest.fixture(scope="module")
+def resonant_cfs():
+    return {k: expand_cf(f, max_q=10 ** 12) for k, f in _RESONANT.items()}
+
+
+class TestExpSumAccuracy:
+    """exp_sum_avg_fp against 80-digit mpmath at <= 1e-14 relative error."""
+
+    def test_golden_regression(self, golden):
+        # near resonance (||q omega|| ~ 3e-10) the old 1 - e(t) form lost
+        # 5.8e-9 relative accuracy to cancellation
+        t_fp = (1836311903 * golden.fixed_point(BITS)) % ONE
+        _assert_rel(t_fp, 7)
+
+    @given(st.integers(0, ONE - 1), st.integers(1, 10 ** 9))
+    @settings(max_examples=200, deadline=None)
+    def test_any_phase(self, t_fp, N):
+        _assert_rel(t_fp, N)
+
+    @given(name=st.sampled_from(sorted(_RESONANT)), n=st.integers(1, 60),
+           k=st.integers(1, 3), near=st.booleans(),
+           n_rule=st.sampled_from(["7", "q", "3q+1", "123457", "1e6",
+                                   "q_next", "q_next_minus_1", "any"]),
+           any_n=st.integers(1, 10 ** 7))
+    @settings(max_examples=300, deadline=None)
+    def test_resonant_phases(self, resonant_cfs, name, n, k, near, n_rule,
+                             any_n):
+        # t = k q_n omega sits near an integer; with N = q_{n+1} (near=False,
+        # t = k omega) N t sits near one as well
+        cf = resonant_cfs[name]
+        n = min(n, cf.certified_len - 1)
+        q, q_next = cf.q_at(n), cf.q_at(n + 1)
+        w = _RESONANT[name].fixed_point(BITS)
+        t_fp = (k * (q if near else 1) * w) % ONE
+        N = {"7": 7, "q": q, "3q+1": 3 * q + 1, "123457": 123457,
+             "1e6": 10 ** 6, "q_next": q_next, "q_next_minus_1": q_next - 1,
+             "any": any_n}[n_rule]
+        _assert_rel(t_fp, max(N, 1))
+
+    def test_constant_mode_is_exact(self):
+        for N in (1, 7, 10 ** 6):
+            for t_fp in (0, ONE, 5 * ONE):
+                assert N * exp_sum_avg_fp(t_fp, BITS, N) == N
+
+
 class TestKernelSum:
     def test_q2_single_pair(self, golden):
         f = Frequency(PartialQuotients((), "const", (2,)))  # sqrt2 - 1
@@ -264,6 +338,13 @@ class TestSupDeviation:
         with pytest.raises(DimensionTooLarge):
             sup_deviation(sys, phi, 10, 1024)
 
+    @pytest.mark.parametrize("key", ["lacunary:holder:0.5", "dist_pow:0.5",
+                                     "cos"])
+    def test_n0_fails_closed(self, rot, key):
+        phi = resolve_observable(key, rot)
+        with pytest.raises(ValueError):
+            sup_deviation(rot, phi, 0, 64)
+
     def test_skew_small_grid_runs(self, golden):
         sys = SystemSpec.skew(2, golden, BITS)
         phi = Observable(
@@ -271,6 +352,95 @@ class TestSupDeviation:
             modulus=Holder(1.0), norm_est=1 + 2 * np.pi, mean_hint=0.0)
         res = sup_deviation(sys, phi, 50, 16)
         assert 0 <= res.sup_dev <= 2.0
+
+
+def _direct_field(sys, phi, N, G):
+    """S_N phi / N - mean on the grid, summed pointwise along the orbit."""
+    d = sys.dim
+    orbit = np.concatenate(list(rotation_orbit_floats(
+        sys, TorusPoint.zero(d, BITS), N)))
+    axes = np.meshgrid(*([np.arange(G) / G] * d), indexing="ij")
+    pts = np.stack(axes, axis=-1) if d > 1 else axes[0]
+    total = np.zeros((G,) * d)
+    for lo in range(0, N, 64):
+        xs = orbit[lo:lo + 64].reshape((-1,) + (1,) * d + orbit.shape[1:])
+        total += phi.fn(np.mod(pts + xs, 1.0)).sum(axis=0)
+    return total / N - phi.mean()
+
+
+def _direct_lacunary_field(sys, phi, N, G):
+    """Direct orbit sum with exact mode phases at every grid point: the
+    double-rounded orbit points fed to phi.fn are too coarse for q ~ 1e25."""
+    return np.array([
+        measure_average(phi, sys.freqs[0], grid_point((g,), G, BITS), N)
+        for g in range(G)
+    ]) - phi.mean()
+
+
+def _spectral_case(name):
+    golden, s2 = golden_mean(), sqrt2_minus_1()
+    rot1 = SystemSpec.rotation(golden, BITS)
+    rot2 = SystemSpec.rotation_d([golden, s2], BITS)
+    if name == "trig1":
+        return rot1, random_real_trigpoly(1, 5, seed=2).to_observable()
+    if name == "trig2":
+        return rot2, random_real_trigpoly(2, 2, seed=1).to_observable()
+    if name == "cos1":
+        return rot1, make_cos(1)
+    if name == "cos2":
+        return rot2, make_cos(2)
+    if name == "coboundary":
+        return rot1, make_coboundary(golden.float_value())
+    if name == "weierstrass":
+        return rot1, make_weierstrass(Holder(0.5))
+    if name == "lacunary":
+        sys = resolve_system("rotation1d:golden")
+        return sys, resolve_observable("lacunary:holder:0.5", sys)
+    sys = resolve_system("rotationd:sqrt2m1,sqrt3m1")
+    return sys, resolve_observable("poly_plus_dist:1:0.5:5", sys)
+
+
+def _boom(x):
+    raise AssertionError("the spectral route evaluated phi pointwise")
+
+
+class TestSpectralRoute:
+    """Closed-form fields of finite-spectrum observables against direct
+    orbit sums on the same grid."""
+
+    @pytest.mark.parametrize("G", [16, 64])
+    @pytest.mark.parametrize("N", [1, 7, 100, 1000])
+    @pytest.mark.parametrize("name", ["trig1", "trig2", "cos1", "cos2",
+                                      "coboundary", "weierstrass", "lacunary",
+                                      "poly_plus_dist"])
+    def test_field_matches_direct_sum(self, name, N, G):
+        sys, phi = _spectral_case(name)
+        # the trig part of poly_plus_dist goes through the closed form, and
+        # only its axis term is evaluated pointwise
+        res = sup_deviation(sys, dataclasses.replace(phi, fn=_boom), N, G)
+        direct = (_direct_lacunary_field if name == "lacunary"
+                  else _direct_field)(sys, phi, N, G)
+        assert res.field.shape == (G,) * sys.dim
+        assert np.max(np.abs(res.field - direct)) <= 1e-10
+        assert abs(res.sup_dev - np.max(np.abs(direct))) <= 1e-10
+
+    @pytest.mark.parametrize("N", [7, 100])
+    def test_aliased_modes_add(self, rot, N):
+        # 3 and 3 + 16 share the grid index 3 mod 16
+        G = 16
+        poly = TrigPoly(1, {(3,): 0.3 - 0.2j, (-3,): 0.3 + 0.2j,
+                            (3 + G,): 0.1 + 0.4j, (-3 - G,): 0.1 - 0.4j})
+        phi = poly.to_observable()
+        res = sup_deviation(rot, phi, N, G)
+        assert np.max(np.abs(res.field - _direct_field(rot, phi, N, G))) <= 1e-10
+
+    @pytest.mark.parametrize("N", [1, 7, 1000])
+    def test_constant_mode(self, rot, N):
+        phi = TrigPoly(1, {(0,): 0.75 + 0j, (1,): 0.5, (-1,): 0.5}).to_observable()
+        res = sup_deviation(rot, phi, N, 16)
+        assert np.max(np.abs(res.field - _direct_field(rot, phi, N, 16))) <= 1e-10
+        const = TrigPoly(1, {(0,): 0.75 + 0j}).to_observable()
+        assert sup_deviation(rot, const, N, 16).sup_dev == 0.0
 
 
 class TestCharSums:

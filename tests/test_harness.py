@@ -70,6 +70,8 @@ class TestResolvers:
         assert conv == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
         lst = resolve_schedule("list:5,2,9", sys)
         assert lst == [2, 5, 9]
+        with pytest.raises(ConfigError):
+            resolve_schedule("list:0,100", sys)
 
     def test_observables(self):
         sys = resolve_system("rotation1d:golden")
@@ -162,6 +164,25 @@ class TestKernelExperiment:
         })
         out = run_kernel_experiment(cfg)
         assert out["within_cap"] and out["max_ratio"] <= 10
+
+    def test_n0_fails_closed(self):
+        # N = 0 used to give NaN ratios, max_ratio 0.0 and within_cap True
+        cfg = ExperimentConfig({"frequencies": ["golden"], "n_values": [0],
+                                "max_q": 300})
+        with pytest.raises(ConfigError):
+            run_kernel_experiment(cfg)
+
+    def test_non_finite_ratio_fails_the_cap(self, monkeypatch):
+        from ergorate import harness
+        from ergorate.dynamics import KernelSumResult
+
+        monkeypatch.setattr(harness, "kernel_sum", lambda omega, cf, idx, N:
+                            KernelSumResult(cf.q_at(idx), N, 1.0, float("nan")))
+        cfg = ExperimentConfig({"frequencies": ["golden"], "n_values": [100],
+                                "max_q": 300})
+        out = run_kernel_experiment(cfg)
+        assert out["max_ratio"] == 0.0  # max() drops the NaNs
+        assert out["within_cap"] is False
 
 
 class TestSharpnessExperiment:
