@@ -39,11 +39,6 @@ def dist_to_Z(t: float) -> float:
     return min(f, 1.0 - f)
 
 
-def fp_reduce(value: int, bits: int) -> int:
-    """Reduce an integer fixed-point value mod 1 (i.e. mod 2**bits)."""
-    return value & ((1 << bits) - 1)
-
-
 def fp_dist_to_Z(value: int, bits: int) -> float:
     """``||value / 2**bits||`` computed from the exact integer numerator."""
     one = 1 << bits

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -97,7 +98,10 @@ class SystemSpec:
         if self.kind == "skew" and (self.dim < 2 or len(self.freqs) != 1):
             raise ValueError("skew product needs dim >= 2 and a single frequency")
 
+    @functools.cached_property
     def omega_fp(self) -> tuple:
+        """The fixed-point frequencies, computed once per instance (kept out
+        of the dataclass fields, so equality and hashing ignore it)."""
         return tuple(f.fixed_point(self.bits) for f in self.freqs)
 
     @staticmethod
@@ -118,10 +122,10 @@ def step(sys: SystemSpec, x: TorusPoint) -> TorusPoint:
     one = 1 << sys.bits
     c = list(x.coords)
     if sys.kind == "rotation1d" or sys.kind == "rotationd":
-        for i, w in enumerate(sys.omega_fp()):
+        for i, w in enumerate(sys.omega_fp):
             c[i] = (c[i] + w) % one
         return TorusPoint(tuple(c), x.bits)
-    w = sys.omega_fp()[0]
+    w = sys.omega_fp[0]
     d = sys.dim
     for i in range(d - 1):
         c[i] = (c[i] + c[i + 1]) % one  # reads the pre-step value of c[i+1]
@@ -135,11 +139,11 @@ def iterate(sys: SystemSpec, x: TorusPoint, j: int) -> TorusPoint:
         raise ValueError("j must be >= 0")
     one = 1 << sys.bits
     if sys.kind in ("rotation1d", "rotationd"):
-        ws = sys.omega_fp()
+        ws = sys.omega_fp
         return TorusPoint(
             tuple((c + j * w) % one for c, w in zip(x.coords, ws)), x.bits
         )
-    w = sys.omega_fp()[0]
+    w = sys.omega_fp[0]
     d = sys.dim
     out = []
     for i in range(1, d + 1):
@@ -152,6 +156,102 @@ def iterate(sys: SystemSpec, x: TorusPoint, j: int) -> TorusPoint:
 
 
 # ---------------------------------------------------------------------------
+# fixed-point registers in uint64 limbs
+#
+# A value v / 2**bits is held left-aligned in L = ceil(bits / 32) limbs of
+# 32 bits, most significant first, one uint64 per limb: limb products and
+# sums of up to 2**31 limbs cannot overflow.  Dropping the carry out of the
+# top limb is reduction mod 1, so every operation below is exact.  Arrays
+# have shape (L, ...): axis 0 runs over the limbs of each value.
+# ---------------------------------------------------------------------------
+
+_MASK = np.uint64(0xFFFFFFFF)
+_SUB = 1 << 12  # steps per register block; bounds the transient memory
+
+
+def limbs_from_ints(values: Sequence[int], bits: int) -> np.ndarray:
+    """(L, n) limbs of the fixed-point integers values[i] in [0, 2**bits)."""
+    L = -(-bits // 32)
+    raw = b"".join((v << (32 * L - bits)).to_bytes(4 * L, "big") for v in values)
+    limbs = np.frombuffer(raw, ">u4").reshape(len(values), L)
+    return limbs.T.astype(np.uint64, order="C")
+
+
+def _carry(a: np.ndarray) -> np.ndarray:
+    """Propagate carries so each limb is below 2**32, mod 1 (in place)."""
+    for i in range(len(a) - 1, 0, -1):
+        a[i - 1] += a[i] >> 32
+        a[i] &= _MASK
+    a[0] &= _MASK
+    return a
+
+
+def limbs_advance(regs: np.ndarray, m: int) -> np.ndarray:
+    """Run regs[r] += regs[r + 1] for r < R-1 (pre-step values) m steps.
+
+    regs has shape (L, R) and is left at step m.  Returns the (L, R-1, m)
+    values of registers 0..R-2 at steps 0..m-1: register r is its start
+    value plus the exclusive running sum of register r+1.
+    """
+    L, R = regs.shape
+    seq = np.empty((L, R, m + 1), dtype=np.uint64)
+    seq[:, R - 1] = regs[:, R - 1:]
+    for r in range(R - 2, -1, -1):
+        s = seq[:, r]
+        s[:, 0] = regs[:, r]
+        np.cumsum(seq[:, r + 1, :m], axis=1, out=s[:, 1:])
+        s[:, 1:] += regs[:, r:r + 1]
+        _carry(s)
+    regs[:] = seq[:, :, m]
+    return seq[:, :R - 1, :m]
+
+
+def limbs_mul(a: np.ndarray, n: int) -> np.ndarray:
+    """n * a mod 1 for an integer n >= 0 of any size, in 32-bit pieces."""
+    L = len(a)
+    out = np.zeros_like(a)
+    for s in range(L):  # piece s of n shifts its partial product s limbs up
+        piece = (n >> (32 * s)) & 0xFFFFFFFF
+        if piece:
+            p = a[s:] * np.uint64(piece)
+            out[:L - s] += p & _MASK
+            out[:L - s - 1] += p[1:] >> 32
+    return _carry(out)
+
+
+def limbs_to_float(a: np.ndarray) -> np.ndarray:
+    """The correctly rounded doubles of the values in a (ties to even).
+
+    A 64-bit window starting at the leading one bit, with a sticky bit ORed
+    in for any nonzero bit below it, rounds to 53 bits exactly as the full
+    value does: the rule of int / int in Python.  Values below 2**-32
+    recurse on their lower limbs.
+    """
+    hi, mid, lo = (a[i] if i < len(a) else np.zeros_like(a[0]) for i in range(3))
+    e = np.frexp(hi.astype(float))[1]  # bit length of hi (exact below 2**32)
+    lz = (32 - np.maximum(e, 1)).astype(np.uint64)
+    sh = lz + np.uint64(32)
+    window = (hi << sh) | (mid << lz) | (lo >> (np.uint64(32) - lz))
+    sticky = lo << sh  # the bits of lo below the window
+    if len(a) > 3:
+        sticky |= np.bitwise_or.reduce(a[3:], axis=0)
+    window |= sticky != 0
+    out = np.ldexp(window.astype(float), e - 96)
+    small = hi == 0
+    if len(a) > 1 and small.any():
+        small &= a[1:].any(axis=0)  # exact zeros are done
+        out[small] = np.ldexp(limbs_to_float(a[1:, small]), -32)
+    return out
+
+
+def _register_floats(regs: np.ndarray, out: np.ndarray) -> None:
+    """Fill out (m, R-1) with the register values at steps 0..m-1."""
+    for lo in range(0, len(out), _SUB):
+        seq = limbs_advance(regs, min(_SUB, len(out) - lo))
+        out[lo:lo + seq.shape[2]] = limbs_to_float(seq).T
+
+
+# ---------------------------------------------------------------------------
 # orbit enumeration (rotations share one orbit shape across starting points)
 # ---------------------------------------------------------------------------
 
@@ -160,55 +260,33 @@ def rotation_orbit_floats(sys: SystemSpec, x: TorusPoint, N: int,
                           chunk: int = 1 << 15):
     """Yield float arrays of orbit positions x + j*omega, j = 0..N-1.
 
-    The underlying accumulation is exact integer fixed point; only the final
-    per-sample conversion rounds.  For rotationd the yielded array has shape
-    (chunk, d).
+    The underlying accumulation is exact fixed point (registers (c, omega)
+    per axis); only the final per-sample conversion rounds.  For rotationd
+    the yielded array has shape (chunk, d).
     """
-    one = 1 << sys.bits
-    scale = 1.0 / one
-    ws = sys.omega_fp()
-    cur = list(x.coords)
-    d = len(cur)
-    produced = 0
-    while produced < N:
-        m = min(chunk, N - produced)
-        if d == 1:
-            w = ws[0]
-            c = cur[0]
-            buf = np.empty(m, dtype=float)
-            for i in range(m):
-                buf[i] = c * scale
-                c = (c + w) % one
-            cur[0] = c
-        else:
-            buf = np.empty((m, d), dtype=float)
-            for i in range(m):
-                for a in range(d):
-                    buf[i, a] = cur[a] * scale
-                for a in range(d):
-                    cur[a] = (cur[a] + ws[a]) % one
-        produced += m
-        yield buf
-
-
-def skew_orbit_floats(sys: SystemSpec, x: TorusPoint, N: int,
-                      chunk: int = 1 << 14):
-    """Yield (chunk, d) float arrays of the skew-product orbit of x."""
-    one = 1 << sys.bits
-    scale = 1.0 / one
-    w = sys.omega_fp()[0]
-    d = sys.dim
-    cur = list(x.coords)
+    d = len(x.coords)
+    regs = [limbs_from_ints([c, w], sys.bits)
+            for c, w in zip(x.coords, sys.omega_fp)]
     produced = 0
     while produced < N:
         m = min(chunk, N - produced)
         buf = np.empty((m, d), dtype=float)
-        for i in range(m):
-            for a in range(d):
-                buf[i, a] = cur[a] * scale
-            for a in range(d - 1):
-                cur[a] = (cur[a] + cur[a + 1]) % one
-            cur[d - 1] = (cur[d - 1] + w) % one
+        for a in range(d):
+            _register_floats(regs[a], buf[:, a:a + 1])
+        produced += m
+        yield buf[:, 0] if d == 1 else buf
+
+
+def skew_orbit_floats(sys: SystemSpec, x: TorusPoint, N: int,
+                      chunk: int = 1 << 14):
+    """Yield (chunk, d) float arrays of the skew-product orbit of x, from the
+    exact registers (c_1, ..., c_d, omega)."""
+    regs = limbs_from_ints(list(x.coords) + [sys.omega_fp[0]], sys.bits)
+    produced = 0
+    while produced < N:
+        m = min(chunk, N - produced)
+        buf = np.empty((m, sys.dim), dtype=float)
+        _register_floats(regs, buf)
         produced += m
         yield buf
 
@@ -271,7 +349,7 @@ def _spectral_sums(sys, spectrum: dict, N, grid):
     """
     d = sys.dim
     one = 1 << sys.bits
-    ws = sys.omega_fp()
+    ws = sys.omega_fp
     spec = np.zeros((grid,) * d, dtype=complex)
     for k, c in spectrum.items():
         t = sum(ki * wi for ki, wi in zip(k, ws)) % one
@@ -435,24 +513,24 @@ def kernel_sum(omega: Frequency, cf: ContinuedFraction, q_index: int, N: int) ->
     if q_index > cf.certified_len:
         raise Uncertified(f"index {q_index} beyond certified prefix")
     q = cf.q_at(q_index)
-    bits = omega.fractional_bits
-    w = omega.fixed_point(bits)
-    one = 1 << bits
     if q < 2:
         return KernelSumResult(q, N, 0.0, 0.0)
     # |E_N(t)| = |sin(pi {Nt})| / (N |sin(pi {t})|), both arguments reduced
-    # exactly in fixed point before the trig evaluation
+    # exactly in fixed point before the trig evaluation; registers (k w, w)
+    # run k = 1..q-1
+    bits = omega.fractional_bits
+    w = omega.fixed_point(bits)
+    regs = limbs_from_ints([w, w], bits)
     t_frac = np.empty(q - 1, dtype=float)
     nt_frac = np.empty(q - 1, dtype=float)
-    acc = 0
-    for k in range(1, q):
-        acc = (acc + w) % one
-        t_frac[k - 1] = acc / one
-        nt_frac[k - 1] = ((N * acc) % one) / one
+    for lo in range(0, q - 1, _SUB):
+        acc = limbs_advance(regs, min(_SUB, q - 1 - lo))[:, 0]
+        t_frac[lo:lo + acc.shape[1]] = limbs_to_float(acc)
+        nt_frac[lo:lo + acc.shape[1]] = limbs_to_float(limbs_mul(acc, N))
     mags = np.abs(np.sin(math.pi * nt_frac)) / (N * np.abs(np.sin(math.pi * t_frac)))
     np.minimum(mags, 1.0, out=mags)
     total = 2.0 * float(np.sum(mags))  # |E_N(-t)| = |E_N(t)|
-    ratio = total * N / (q * math.log(q)) if q > 1 else 0.0
+    ratio = total * N / (q * math.log(q))
     return KernelSumResult(q, N, total, ratio)
 
 
@@ -510,20 +588,12 @@ def char_birkhoff_skew(d: int, omega: Frequency, k: Sequence[int], x: TorusPoint
     for r in range(deg + 1):
         regs.append(table[0])
         table = [(table[i + 1] - table[i]) % one for i in range(len(table) - 1)]
+    regs = limbs_from_ints(regs, bits)
     total = 0.0 + 0.0j
-    chunk = 1 << 12
-    buf = np.empty(chunk, dtype=float)
-    filled = 0
-    for _ in range(N):
-        buf[filled] = regs[0] / one
-        filled += 1
-        if filled == chunk:
-            total += complex(np.sum(np.exp(2j * math.pi * buf)))
-            filled = 0
-        for r in range(deg):
-            regs[r] = (regs[r] + regs[r + 1]) % one
-    if filled:
-        total += complex(np.sum(np.exp(2j * math.pi * buf[:filled])))
+    chunk = 1 << 12  # one exp-sum per chunk: this fixes the summation order
+    for lo in range(0, N, chunk):
+        phase = limbs_to_float(limbs_advance(regs, min(chunk, N - lo))[:, 0])
+        total += complex(np.sum(np.exp(2j * math.pi * phase)))
     first = next(i for i, ki in enumerate(k) if ki)
     return CharSumResult(
         value=total,

@@ -182,7 +182,10 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
         return make_separable(
             sys.dim, poly, [(0, dist)], name=key, modulus=Holder(float(alpha)),
         )
-    return make_observable(key, sys.dim)
+    try:
+        return make_observable(key, sys.dim)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
 
 
 def _lacunary_reach(weight: HolderWeight, tol: float) -> int:

@@ -16,7 +16,7 @@ from ergorate.dynamics import (SystemSpec, TorusPoint,
                                birkhoff_sum, char_birkhoff_skew, exp_sum_avg,
                                exp_sum_avg_fp, exp_sum_direct, grid_point,
                                iterate, kernel_sum, rotation_orbit_floats,
-                               step, sup_deviation)
+                               skew_orbit_floats, step, sup_deviation)
 from ergorate.errors import DimensionTooLarge
 from ergorate.harness import resolve_observable, resolve_system
 from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
@@ -46,6 +46,29 @@ class TestTorusPoint:
     def test_rejects_unreduced(self):
         with pytest.raises(ValueError):
             TorusPoint((ONE,), BITS)
+
+
+class TestSystemSpec:
+    def test_omega_fp_computed_once(self, golden, monkeypatch):
+        calls = []
+        fixed_point = Frequency.fixed_point
+
+        def counted(self, bits=None):
+            calls.append(bits)
+            return fixed_point(self, bits)
+
+        monkeypatch.setattr(Frequency, "fixed_point", counted)
+        sys = SystemSpec.skew(3, golden, BITS)
+        x = TorusPoint.zero(3, BITS)
+        for _ in range(5):
+            x = step(sys, x)
+        iterate(sys, x, 7)
+        list(skew_orbit_floats(sys, x, 10))
+        assert calls == [BITS]
+        # the cached value is not a field: equality and hashing ignore it
+        fresh = SystemSpec.skew(3, golden, BITS)
+        assert fresh == sys and hash(fresh) == hash(sys)
+        assert fresh.omega_fp == sys.omega_fp
 
 
 class TestIterate:

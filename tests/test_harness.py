@@ -10,7 +10,8 @@ from ergorate.errors import ConfigError, Timeout
 from ergorate.harness import (ExperimentConfig, emit_csv,
                               resolve_observable, resolve_schedule,
                               resolve_system, run_kernel_experiment,
-                              run_rate_experiment, run_sharpness_experiment)
+                              run_rate_experiment, run_sharpness_experiment,
+                              run_skew_experiment)
 
 
 class TestConfig:
@@ -82,6 +83,8 @@ class TestResolvers:
         sys2 = resolve_system("rotationd:sqrt2m1,sqrt3m1")
         sep = resolve_observable("poly_plus_dist:4:0.5:3", sys2)
         assert sep.dim == 2 and sep.trig is not None
+        with pytest.raises(ConfigError, match="nosuch"):
+            resolve_observable("nosuch", sys)
 
 
 class TestRateExperiment:
@@ -211,24 +214,39 @@ class TestSharpnessExperiment:
 
 
 class TestEmission:
+    @staticmethod
+    def _run_twice(tmp_path, kind, cfg_text, run):
+        outs = []
+        for n in (1, 2):
+            out_dir = tmp_path / f"{kind}{n}"
+            cfg = ExperimentConfig.parse(cfg_text)
+            cfg.values["out_dir"] = str(out_dir)
+            run(cfg)
+            csvs = sorted(out_dir.glob(f"{kind}-*.csv"))
+            assert len(csvs) == 1
+            outs.append(csvs[0].read_bytes())
+        assert outs[0] == outs[1]
+
     def test_csv_deterministic(self, tmp_path):
-        cfg_text = (
+        self._run_twice(tmp_path, "rate", (
             "system = rotation1d:golden\n"
             "observable = dist_pow:0.5\n"
             "schedule = list:100,200\n"
             "grid = 64\n"
             "format = both\n"
-        )
-        outs = []
-        for run in (1, 2):
-            out_dir = tmp_path / f"run{run}"
-            cfg = ExperimentConfig.parse(cfg_text)
-            cfg.values["out_dir"] = str(out_dir)
-            run_rate_experiment(cfg)
-            csvs = sorted(out_dir.glob("rate-*.csv"))
-            assert len(csvs) == 1
-            outs.append(csvs[0].read_bytes())
-        assert outs[0] == outs[1]
+        ), run_rate_experiment)
+        self._run_twice(tmp_path, "kernel", (
+            "frequencies = [golden, pq:rule:index]\n"
+            "n_values = [1000, 100000]\n"
+            "max_q = 20000\n"
+        ), run_kernel_experiment)
+        self._run_twice(tmp_path, "skew", (
+            "d = 3\n"
+            "frequency = golden\n"
+            "k = [1, 0, 0]\n"
+            "n_values = [1000, 5000]\n"
+            "x_batch = 2\n"
+        ), run_skew_experiment)
 
     def test_manifest_embeds_config(self, tmp_path):
         cfg = ExperimentConfig.parse(
@@ -333,3 +351,10 @@ class TestCli:
         rc = cli_main(["cf", "--freq", "dec:0.123", "--max-q", "10"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_observable_exit_code(self, capsys):
+        rc = cli_main(["rate", "--system", "rotation1d:golden",
+                       "--observable", "nosuch", "--schedule", "list:100",
+                       "--grid", "64"])
+        assert rc == 2
+        assert "nosuch" in capsys.readouterr().err

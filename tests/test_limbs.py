@@ -1,0 +1,270 @@
+"""uint64-limb fixed-point registers against Python big-integer arithmetic.
+
+The helper's three operations are checked value by value against exact
+integers, and the four routines built on it (rotation and skew orbits,
+kernel sums, skew character sums) are checked bit for bit against the
+big-integer loops they replaced, kept here as oracles.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ergorate.arithmetic import Frequency, expand_cf
+from ergorate.dynamics import (SystemSpec, TorusPoint, char_birkhoff_skew,
+                               kernel_sum, limbs_advance, limbs_from_ints,
+                               limbs_mul, limbs_to_float,
+                               phase_polynomial_table, rotation_orbit_floats,
+                               skew_orbit_floats)
+
+BIT_WIDTHS = (192, 100, 250, 64)  # 64 bits: two limbs, no third
+DEC = ("dec:0.1415926535897932384626433832795028841971693993751058209749445"
+       "923078164062862089986280348253421170679")
+FREQS = ("surd:(-1,1,5,2)", "pq:[2,3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8]",
+         "pq:rule:index", DEC)
+
+
+def ints_from_limbs(a, bits):
+    """Big-integer values of the (L, n) limb array a."""
+    L = a.shape[0]
+    return [sum(int(a[i, j]) << (32 * (L - 1 - i)) for i in range(L))
+            >> (32 * L - bits) for j in range(a.shape[1])]
+
+
+@st.composite
+def fixed_values(draw, bits):
+    """Uniform values, values below 2**-10 and 2**-40, and the extremes."""
+    one = 1 << bits
+    return draw(st.one_of(
+        st.integers(0, one - 1),
+        st.integers(0, (one >> 10) - 1),
+        st.integers(0, one >> 40),
+        st.sampled_from([0, 1, one - 1, one >> 1, one - (one >> 60)]),
+    ))
+
+
+@st.composite
+def ties(draw, bits):
+    """Values exactly halfway between two doubles, and just off halfway."""
+    shift = draw(st.integers(1, bits - 54))
+    mant = draw(st.integers(1 << 52, (1 << 53) - 1))
+    tie = (2 * mant + 1) << (shift - 1)
+    return tie + draw(st.sampled_from([0, 0, 1, -1]))
+
+
+class TestLimbHelper:
+    @pytest.mark.parametrize("bits", BIT_WIDTHS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_to_float_matches_true_division(self, bits, data):
+        vals = data.draw(st.lists(st.one_of(fixed_values(bits), ties(bits)),
+                                  min_size=1, max_size=12))
+        a = limbs_from_ints(vals, bits)
+        assert ints_from_limbs(a, bits) == vals
+        one = 1 << bits
+        got = limbs_to_float(a)
+        assert got.tolist() == [v / one for v in vals]
+        assert got.tolist() == [v * (1.0 / one) for v in vals]
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS)
+    def test_edge_values(self, bits):
+        one = 1 << bits
+        vals = [0, 1, one - 1, one >> 11, (one >> 53) * 3 // 2]
+        assert limbs_to_float(limbs_from_ints(vals, bits))[2] == 1.0
+        assert (limbs_to_float(limbs_from_ints(vals, bits)).tolist()
+                == [v / one for v in vals])
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mul_any_size(self, bits, data):
+        one = 1 << bits
+        vals = data.draw(st.lists(fixed_values(bits), min_size=1, max_size=6))
+        n = data.draw(st.one_of(st.integers(0, (1 << 32) - 1),
+                                st.integers(1 << 32, 1 << 300)))
+        got = limbs_mul(limbs_from_ints(vals, bits), n)
+        assert ints_from_limbs(got, bits) == [n * v % one for v in vals]
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_advance_matches_register_loop(self, bits, data):
+        one = 1 << bits
+        regs = data.draw(st.lists(fixed_values(bits), min_size=2, max_size=5))
+        m = data.draw(st.integers(1, 300))
+        limbs = limbs_from_ints(regs, bits)
+        seq = limbs_advance(limbs, m)
+        cur = list(regs)
+        for j in range(m):
+            assert [ints_from_limbs(seq[:, r, j:j + 1], bits)[0]
+                    for r in range(len(cur) - 1)] == cur[:-1]
+            for r in range(len(cur) - 1):
+                cur[r] = (cur[r] + cur[r + 1]) % one
+        assert ints_from_limbs(limbs, bits) == cur
+
+    def test_advance_long_block_carries(self):
+        # 4096 steps of a register just below 1: every limb column carries
+        bits = 192
+        one = 1 << bits
+        w = one - 3
+        seq = limbs_advance(limbs_from_ints([one - 1, w], bits), 4096)
+        got = ints_from_limbs(seq[:, 0], bits)
+        assert got == [(one - 1 + j * w) % one for j in range(4096)]
+
+
+# ---------------------------------------------------------------------------
+# the big-integer loops the limb registers replaced
+# ---------------------------------------------------------------------------
+
+
+def rotation_orbit_oracle(sys, x, N, chunk=1 << 15):
+    one = 1 << sys.bits
+    scale = 1.0 / one
+    ws = sys.omega_fp
+    cur = list(x.coords)
+    d = len(cur)
+    produced = 0
+    while produced < N:
+        m = min(chunk, N - produced)
+        buf = np.empty((m, d), dtype=float)
+        for i in range(m):
+            for a in range(d):
+                buf[i, a] = cur[a] * scale
+            for a in range(d):
+                cur[a] = (cur[a] + ws[a]) % one
+        produced += m
+        yield buf[:, 0] if d == 1 else buf
+
+
+def skew_orbit_oracle(sys, x, N, chunk=1 << 14):
+    one = 1 << sys.bits
+    scale = 1.0 / one
+    w = sys.omega_fp[0]
+    d = sys.dim
+    cur = list(x.coords)
+    produced = 0
+    while produced < N:
+        m = min(chunk, N - produced)
+        buf = np.empty((m, d), dtype=float)
+        for i in range(m):
+            for a in range(d):
+                buf[i, a] = cur[a] * scale
+            for a in range(d - 1):
+                cur[a] = (cur[a] + cur[a + 1]) % one
+            cur[d - 1] = (cur[d - 1] + w) % one
+        produced += m
+        yield buf
+
+
+def kernel_sum_oracle(omega, cf, q_index, N):
+    q = cf.q_at(q_index)
+    bits = omega.fractional_bits
+    w = omega.fixed_point(bits)
+    one = 1 << bits
+    t_frac = np.empty(q - 1, dtype=float)
+    nt_frac = np.empty(q - 1, dtype=float)
+    acc = 0
+    for k in range(1, q):
+        acc = (acc + w) % one
+        t_frac[k - 1] = acc / one
+        nt_frac[k - 1] = ((N * acc) % one) / one
+    mags = np.abs(np.sin(math.pi * nt_frac)) / (N * np.abs(np.sin(math.pi * t_frac)))
+    np.minimum(mags, 1.0, out=mags)
+    total = 2.0 * float(np.sum(mags))
+    return total, total * N / (q * math.log(q))
+
+
+def char_sum_oracle(d, omega, k, x, N, bits):
+    one = 1 << bits
+    table = phase_polynomial_table(SystemSpec.skew(d, omega, bits), k, x)
+    regs = []
+    for _ in range(len(table)):
+        regs.append(table[0])
+        table = [(table[i + 1] - table[i]) % one for i in range(len(table) - 1)]
+    deg = len(regs) - 1
+    total = 0.0 + 0.0j
+    chunk = 1 << 12
+    buf = np.empty(chunk, dtype=float)
+    filled = 0
+    for _ in range(N):
+        buf[filled] = regs[0] / one
+        filled += 1
+        if filled == chunk:
+            total += complex(np.sum(np.exp(2j * math.pi * buf)))
+            filled = 0
+        for r in range(deg):
+            regs[r] = (regs[r] + regs[r + 1]) % one
+    if filled:
+        total += complex(np.sum(np.exp(2j * math.pi * buf[:filled])))
+    return total
+
+
+def start_points(d, bits, seed):
+    """A random point, one with coordinates below 2**-9 and 2**-40, and 0."""
+    rng = np.random.default_rng(seed)
+    one = 1 << bits
+    pts = []
+    for below in (0, 9, 40):
+        pts.append(TorusPoint(tuple(int(v) * one >> 64 >> below for v in
+                                    rng.integers(0, 2 ** 63, d, dtype=np.uint64)),
+                              bits))
+    pts.append(TorusPoint.zero(d, bits))
+    return pts
+
+
+def same_chunks(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("ftext", FREQS)
+class TestAgainstBigIntOracles:
+    @pytest.mark.parametrize("bits", [192, 100])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rotation_orbit(self, ftext, bits, d):
+        freqs = [Frequency.parse(ftext, bits), Frequency.parse("sqrt3m1", bits)]
+        sys = (SystemSpec.rotation(freqs[0], bits) if d == 1
+               else SystemSpec.rotation_d(freqs, bits))
+        pts = start_points(d, bits, seed=d)
+        for x in pts:
+            # a chunk that is not a multiple of the 4096-step register block
+            same_chunks(rotation_orbit_floats(sys, x, 11000, chunk=5000),
+                        rotation_orbit_oracle(sys, x, 11000, chunk=5000))
+        same_chunks(rotation_orbit_floats(sys, pts[1], 40000),
+                    rotation_orbit_oracle(sys, pts[1], 40000))
+
+    @pytest.mark.parametrize("bits", [192, 250])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_skew_orbit(self, ftext, bits, d):
+        sys = SystemSpec.skew(d, Frequency.parse(ftext, bits), bits)
+        pts = start_points(d, bits, seed=d)
+        for x in pts:
+            same_chunks(skew_orbit_floats(sys, x, 9000, chunk=5000),
+                        skew_orbit_oracle(sys, x, 9000, chunk=5000))
+        same_chunks(skew_orbit_floats(sys, pts[1], 20000),
+                    skew_orbit_oracle(sys, pts[1], 20000))
+
+    def test_kernel_sum(self, ftext):
+        omega = Frequency.parse(ftext)
+        cf = expand_cf(omega, max_q=20000)
+        for idx in range(1, cf.certified_len + 1):
+            if cf.q_at(idx) < 2:
+                continue
+            for N in (7, 1000, 10 ** 5, (1 << 40) + 3, 3 ** 90):
+                res = kernel_sum(omega, cf, idx, N)
+                assert (res.total, res.ratio) == kernel_sum_oracle(omega, cf, idx, N)
+
+    @pytest.mark.parametrize("d,k", [(2, (1, 0)), (3, (1, 0, 0)),
+                                     (3, (2, -1, 1)), (4, (0, 1, 0, 2))])
+    def test_char_sum(self, ftext, d, k):
+        omega = Frequency.parse(ftext)
+        for x in start_points(d, 192, seed=d):
+            for N in (1, 4096, 6000, 9000):
+                res = char_birkhoff_skew(d, omega, k, x, N, 192)
+                assert res.value == char_sum_oracle(d, omega, k, x, N, 192)
