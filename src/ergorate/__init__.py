@@ -11,10 +11,10 @@ from .arithmetic import (ContinuedFraction, DecimalString, DiophantineReport,
                          is_best_approximation, ostrowski_digits,
                          ostrowski_value, sqrt2_minus_1, sqrt3_minus_1)
 from .dynamics import (BirkhoffResult, SystemSpec, TorusPoint, birkhoff_sum,
-                       char_birkhoff_skew, exp_sum_avg, exp_sum_avg_fp,
-                       iterate, kernel_sum, step, sup_deviation)
-from .envelopes import (Envelope, envelope_value, fit_scale, skew_exponent,
-                        sum_qs_bound, weyl_bound)
+                       char_birkhoff_skew, exp_sum_avg_fp, iterate,
+                       kernel_sum, step, sup_deviation)
+from .envelopes import (Envelope, fit_scale, skew_exponent, sum_qs_bound,
+                        weyl_bound)
 from .errors import (ConfigError, DimensionTooLarge, DomainError,
                      ErgorateError, HypothesisNotMet, NotIrrational,
                      PrecisionExhausted, Timeout, Uncertified)

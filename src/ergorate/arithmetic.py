@@ -24,6 +24,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import NotIrrational, PrecisionExhausted, Uncertified
 
 DEFAULT_BITS = 192
@@ -33,10 +35,10 @@ DEFAULT_BITS = 192
 _Q_CEILING = 10 ** 1600
 
 
-def dist_to_Z(t: float) -> float:
-    """Distance from t to the nearest integer, in [0, 1/2]."""
-    f = t - math.floor(t)
-    return min(f, 1.0 - f)
+def dist_to_Z(t):
+    """Distance from t to the nearest integer, in [0, 1/2]; elementwise."""
+    f = np.mod(t, 1.0)
+    return np.minimum(f, 1.0 - f)
 
 
 def fp_dist_to_Z(value: int, bits: int) -> float:
@@ -263,11 +265,12 @@ class Frequency:
     # -- derived values -----------------------------------------------------
 
     def fixed_point(self, bits: Optional[int] = None) -> int:
-        """round(value * 2**bits), certified from the exact enclosure."""
+        """round(value * 2**bits), certified from the exact enclosure once
+        per instance (memo in __dict__, not a field: eq/hash/repr ignore it)."""
         bits = bits or self.fractional_bits
-        cached = _fp_cache.get((self, bits))
-        if cached is not None:
-            return cached
+        memo = self.__dict__.setdefault("_fixed_points", {})
+        if bits in memo:
+            return memo[bits]
         lo, hi = self.interval(bits)
         n_lo = _round_div(lo.numerator << bits, lo.denominator)
         n_hi = _round_div(hi.numerator << bits, hi.denominator)
@@ -287,7 +290,7 @@ class Frequency:
                     n_hi = _round_div(hi.numerator << bits, hi.denominator)
             if n_lo != n_hi:
                 raise PrecisionExhausted("cannot certify fixed-point rounding")
-        _fp_cache[(self, bits)] = n_lo
+        memo[bits] = n_lo
         return n_lo
 
     def float_value(self) -> float:
@@ -343,9 +346,6 @@ class Frequency:
         if text.startswith("dec:"):
             return Frequency(DecimalString(text[4:]), fractional_bits)
         raise ValueError(f"cannot parse frequency {text!r}")
-
-
-_fp_cache: dict = {}
 
 
 def golden_mean(bits: int = DEFAULT_BITS) -> Frequency:

@@ -9,7 +9,6 @@ verification scenarios.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 from .arithmetic import Frequency, classify, expand_cf, ostrowski_digits
 from .errors import ErgorateError
 from .harness import (CONFIG_GRAMMAR, ExperimentConfig, emit_csv, emit_json,
-                      resolve_observable, resolve_system,
+                      json_text, resolve_observable, resolve_system,
                       run_kernel_experiment, run_rate_experiment,
                       run_sharpness_experiment, run_skew_experiment)
 from .kernels import approximate
@@ -43,7 +42,7 @@ def _load_config(args, overrides: dict) -> ExperimentConfig:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True, default=str))
+    print(json_text(obj))
 
 
 def cmd_cf(args) -> int:

@@ -443,24 +443,6 @@ def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int) -> Birkho
 # ---------------------------------------------------------------------------
 
 
-def exp_sum_avg(t: float, N: int) -> complex:
-    """(1/N) sum_{j<N} e(jt) by the closed geometric form; |result| <= 1."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    tr = t - round(t)
-    if tr == 0.0:
-        return 1.0 + 0.0j
-    nt = math.fmod(N * tr, 1.0)
-    den = 1.0 - cmath.exp(2j * math.pi * tr)
-    if abs(den) < 1e-12:
-        # t within rounding of an integer: all terms effectively 1
-        return 1.0 + 0.0j
-    num = 1.0 - cmath.exp(2j * math.pi * nt)
-    val = num / den / N
-    m = abs(val)
-    return val / m if m > 1.0 else val
-
-
 def exp_sum_avg_fp(t_fp: int, bits: int, N: int) -> complex:
     """(1/N) sum_{j<N} e(jt) for t = t_fp / 2**bits, in the sine-ratio form
     e((N-1)t/2) sin(pi N t) / (N sin(pi t)).

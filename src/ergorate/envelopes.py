@@ -90,11 +90,6 @@ class Envelope:
         return Envelope(kind=kind.strip(), **kwargs)
 
 
-def envelope_value(env: Envelope, N: int) -> float:
-    """Scaled envelope at N; DomainError below N = 3."""
-    return env.value(N)
-
-
 def skew_exponent(alpha: float, d: int) -> float:
     """alpha * delta / (delta + d) with delta = 2**(1-d)."""
     delta = 2.0 ** (1 - d)

@@ -236,9 +236,6 @@ class RateSeries:
     rows: list                   # CSV rows
     config_hash: str = ""
 
-    def positive_points(self):
-        return [(n, v) for n, v in self.points if v > 0]
-
 
 class _BudgetClock:
     def __init__(self, budget_s: Optional[float]):
@@ -248,9 +245,6 @@ class _BudgetClock:
     def check(self, label: str):
         if self.budget is not None and time.monotonic() - self.t0 > self.budget:
             raise Timeout(f"{label} exceeded budget of {self.budget}s")
-
-    def elapsed_ms(self) -> float:
-        return 1000.0 * (time.monotonic() - self.t0)
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateSeries:
@@ -341,20 +335,12 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
 def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     """Decomposition identity plus window and aggregate lower bounds."""
     bits = int(cfg.get("precision_bits", 192))
-    omega = Frequency.parse(cfg.require("frequency"), bits)
-    alpha = float(cfg.get("alpha", 0.5))
-    weight_kind = cfg.get("weight", "holder")
-    tol = float(cfg.get("tol", 1e-12))
-    if weight_kind == "holder":
-        weight = HolderWeight(alpha)
-        reach = _lacunary_reach(weight, tol)
-    elif weight_kind == "analytic":
-        weight = AnalyticWeight()
-        reach = 10 ** 12
-    else:
-        raise ConfigError(f"unknown weight {weight_kind!r}")
-    cf = expand_cf(omega, max_q=reach)
-    phi = build_lacunary(cf, weight, tol=tol, bits=bits)
+    weight = cfg.get("weight", "holder")
+    params = f"{float(cfg.get('alpha', 0.5))}:" if weight == "holder" else ""
+    phi = resolve_observable(
+        f"lacunary:{weight}:{params}{float(cfg.get('tol', 1e-12))}",
+        resolve_system("rotation1d:" + cfg.require("frequency"), bits))
+    omega, cf = phi.cf.omega, phi.cf
     gap_c = float(cfg.get("gap_constant", 10.0))
     range_c = float(cfg.get("range_constant", 0.125))
     ratio_floor = float(cfg.get("ratio_floor", 0.1))
@@ -461,8 +447,25 @@ def emit_csv(rows: Sequence[dict], path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def json_text(obj) -> str:
+    """Strict JSON: every NaN or infinite float, numpy floats included,
+    becomes null, so no bare NaN/Infinity token is ever written."""
+
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+            return None
+        return v
+
+    return json.dumps(finite(obj), indent=2, sort_keys=True, allow_nan=False,
+                      default=str)
+
+
 def emit_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(obj) + "\n")
 
 
 def _maybe_emit(cfg: ExperimentConfig, kind: str, rows, extra: dict) -> None:

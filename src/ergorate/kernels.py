@@ -21,6 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .arithmetic import dist_to_Z
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -203,22 +205,13 @@ def make_separable(dim: int, trig: Optional["TrigPoly"],
     )
 
 
-def dist_to_nearest_int(x):
-    f = np.mod(x, 1.0)
-    return np.minimum(f, 1.0 - f)
-
-
 def make_dist_pow(alpha: float, dim: int = 1) -> Observable:
     """phi(x) = ||x||**alpha (distance to the nearest integer, first axis)."""
 
-    if dim == 1:
-        def fn(x):
-            u = dist_to_nearest_int(np.asarray(x, dtype=float))
-            return np.sqrt(u) if alpha == 0.5 else u ** alpha
-    else:
-        def fn(x):
-            u = dist_to_nearest_int(np.asarray(x, dtype=float)[..., 0])
-            return np.sqrt(u) if alpha == 0.5 else u ** alpha
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        u = dist_to_Z(x if dim == 1 else x[..., 0])
+        return np.sqrt(u) if alpha == 0.5 else u ** alpha
 
     # sup = (1/2)^alpha; Holder seminorm is exactly 1 (attained at 0)
     norm = 0.5 ** alpha + 1.0

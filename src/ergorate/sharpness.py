@@ -233,20 +233,25 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     return total / N
 
 
-def closed_form_average(phi: LacunaryObservable, omega: Frequency,
-                        x: TorusPoint, N: int) -> float:
-    """Same average via the geometric closed form of each mode's sum."""
+def _mode_averages(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
+                   N: int) -> list:
+    """Each mode's share w_k Re e(q_k x) E_N(q_k omega) of (1/N) S_N phi(x),
+    from the geometric closed form of the mode's sum."""
     one = 1 << phi.bits
     w_fp = omega.fixed_point(phi.bits)
-    total = 0.0
+    out = []
     for q, w in zip(phi.qs, phi.weights):
-        if w == 0.0:
-            continue
         t_fp = (q * w_fp) % one
         ph = ((q * x.coords[0]) % one) / one
         e = exp_sum_avg_fp(t_fp, phi.bits, N)
-        total += w * (e * np.exp(2j * math.pi * ph)).real
-    return total
+        out.append(w * (e * np.exp(2j * math.pi * ph)).real)
+    return out
+
+
+def closed_form_average(phi: LacunaryObservable, omega: Frequency,
+                        x: TorusPoint, N: int) -> float:
+    """Same average via the geometric closed form of each mode's sum."""
+    return sum(_mode_averages(phi, omega, x, N))
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +283,11 @@ def decompose(phi: LacunaryObservable, m: int, x: TorusPoint,
     if not 1 <= m <= phi.n_modes:
         raise ValueError(f"mode index m={m} outside 1..{phi.n_modes}")
     omega = omega or phi.cf.omega
-    one = 1 << phi.bits
-    w_fp = omega.fixed_point(phi.bits)
     qm = phi.mode_q(m)
-
-    def term(k: int) -> float:
-        q, w = phi.mode_q(k), phi.mode_weight(k)
-        t_fp = (q * w_fp) % one
-        ph = ((q * x.coords[0]) % one) / one
-        e = exp_sum_avg_fp(t_fp, phi.bits, qm)
-        return w * (e * np.exp(2j * math.pi * ph)).real
-
-    sigma_m = term(m)
-    sigma_gt = sum(term(k) for k in range(m + 1, phi.n_modes + 1))
-    sigma_lt = sum(term(k) for k in range(1, m))
+    terms = _mode_averages(phi, omega, x, qm)
+    sigma_m = terms[m - 1]
+    sigma_gt = sum(terms[m:])
+    sigma_lt = sum(terms[:m - 1])
     measured = measure_average(phi, omega, x, qm)
     return SharpnessReport(
         m=m,

@@ -8,10 +8,12 @@ independent oracle (mpmath at 80 digits, brute-force scans, greedy replay).
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergorate import arithmetic
 from ergorate.arithmetic import (ContinuedFraction, DecimalString,
                                  Frequency,
                                  PartialQuotients, QuadraticSurd, classify,
@@ -42,6 +44,13 @@ class TestDistToZ:
         v = dist_to_Z(t)
         assert 0.0 <= v <= 0.5
         assert abs(dist_to_Z(t + 1.0) - v) < 1e-9
+
+    @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=1,
+                    max_size=40))
+    def test_array_matches_scalars(self, ts):
+        got = dist_to_Z(np.array(ts).reshape(-1, 1))
+        assert got.shape == (len(ts), 1)
+        assert got.ravel().tolist() == [dist_to_Z(t) for t in ts]
 
 
 class TestExpandCf:
@@ -350,6 +359,27 @@ class TestFrequency:
             fp = golden.fixed_point(bits)
             err = abs(mpmath.mpf(fp) / mpmath.mpf(2) ** bits - w)
             assert err <= mpmath.mpf(2) ** -(bits + 1) * (1 + mpmath.mpf(1e-9))
+
+    def test_fixed_point_certified_once_per_instance(self, monkeypatch):
+        calls = []
+        interval = Frequency.interval
+
+        def counted(self, bits=None):
+            calls.append(bits)
+            return interval(self, bits)
+
+        monkeypatch.setattr(Frequency, "interval", counted)
+        f = Frequency.parse("pq:rule:exp_gap:5")
+        first = f.fixed_point(192)
+        assert f.fixed_point(192) == first and calls == [192]
+        f.fixed_point(128)
+        assert calls == [192, 128]
+
+    def test_memo_is_not_part_of_the_value(self):
+        assert not hasattr(arithmetic, "_fp_cache")
+        a, b = Frequency.parse("sqrt2m1"), Frequency.parse("sqrt2m1")
+        a.fixed_point(192)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
     def test_norm_k_omega_matches_mpmath(self, golden):
         mpmath.mp.dps = 80

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ergorate.arithmetic import (Frequency, PartialQuotients, expand_cf,
                                  golden_mean, sqrt2_minus_1)
 from ergorate.dynamics import (SystemSpec, TorusPoint,
-                               birkhoff_sum, char_birkhoff_skew, exp_sum_avg,
+                               birkhoff_sum, char_birkhoff_skew,
                                exp_sum_avg_fp, exp_sum_direct, grid_point,
                                iterate, kernel_sum, rotation_orbit_floats,
                                skew_orbit_floats, step, sup_deviation)
@@ -175,17 +175,22 @@ class TestBirkhoffSum:
         assert whole == pytest.approx(part, rel=1e-10)
 
 
+def _t_fp(t: float) -> int:
+    """t * 2**192 as an integer; exact for any double t."""
+    return int(t * 2.0 ** BITS)
+
+
 class TestExpSum:
     def test_integer_t(self):
-        assert exp_sum_avg(3.0, 7) == 1.0 + 0.0j
+        assert exp_sum_avg_fp(_t_fp(3.0), BITS, 7) == 1.0 + 0.0j
 
     def test_half(self):
-        assert abs(exp_sum_avg(0.5, 2)) < 1e-15
+        assert abs(exp_sum_avg_fp(_t_fp(0.5), BITS, 2)) < 1e-15
 
     def test_closed_vs_direct(self, rng):
         for t in rng.random(20):
             for N in (3, 100, 1000):
-                d = abs(exp_sum_avg(t, N) - exp_sum_direct(t, N))
+                d = abs(exp_sum_avg_fp(_t_fp(t), BITS, N) - exp_sum_direct(t, N))
                 assert d < 1e-10
 
     def test_fp_variant_matches(self, golden):
@@ -198,7 +203,7 @@ class TestExpSum:
     @given(st.floats(1e-6, 0.999999), st.integers(1, 10 ** 5))
     @settings(max_examples=200, deadline=None)
     def test_bounds(self, t, N):
-        v = abs(exp_sum_avg(t, N))
+        v = abs(exp_sum_avg_fp(_t_fp(t), BITS, N))
         assert v <= 1.0
         norm_t = min(t, 1 - t)
         if norm_t >= 1e-6:

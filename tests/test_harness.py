@@ -1,17 +1,27 @@
 """Config round-trips, experiment orchestration, emission and the CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ergorate.cli import main as cli_main
 from ergorate.errors import ConfigError, Timeout
-from ergorate.harness import (ExperimentConfig, emit_csv,
+from ergorate.harness import (ExperimentConfig, emit_csv, json_text,
                               resolve_observable, resolve_schedule,
                               resolve_system, run_kernel_experiment,
                               run_rate_experiment, run_sharpness_experiment,
                               run_skew_experiment)
+
+
+def _strict_json(text: str):
+    """json.loads that rejects the NaN / Infinity tokens JSON does not have."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestConfig:
@@ -212,6 +222,22 @@ class TestSharpnessExperiment:
         assert rep["passed"] is None
         assert "not met" in rep["hypothesis"]
 
+    def test_unknown_weight(self):
+        cfg = ExperimentConfig({"frequency": "golden", "weight": "nosuch",
+                                "m_values": [2]})
+        with pytest.raises(ConfigError):
+            run_sharpness_experiment(cfg)
+
+    def test_analytic_weight_matches_resolver(self):
+        freq = "pq:rule:exp_gap:5"
+        out = run_sharpness_experiment(ExperimentConfig({
+            "frequency": freq, "weight": "analytic", "m_values": [5],
+        }))
+        phi = resolve_observable("lacunary:analytic",
+                                 resolve_system("rotation1d:" + freq))
+        assert out["n_modes"] == phi.n_modes
+        assert out["tail_bound"] == phi.tail_bound
+
 
 class TestEmission:
     @staticmethod
@@ -247,6 +273,12 @@ class TestEmission:
             "n_values = [1000, 5000]\n"
             "x_batch = 2\n"
         ), run_skew_experiment)
+
+    def test_json_text_maps_non_finite_to_null(self):
+        obj = {"a": [np.float64("nan"), np.float32("inf"), (1.5, -math.inf)],
+               "b": {"c": np.float64(0.25)}}
+        assert _strict_json(json_text(obj)) == {"a": [None, None, [1.5, None]],
+                                                "b": {"c": 0.25}}
 
     def test_manifest_embeds_config(self, tmp_path):
         cfg = ExperimentConfig.parse(
@@ -351,6 +383,18 @@ class TestCli:
         rc = cli_main(["cf", "--freq", "dec:0.123", "--max-q", "10"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_finite_summary_is_strict_json(self, capsys, tmp_path):
+        # one schedule point leaves the slope and the envelope fit undefined
+        rc = cli_main(["--out-dir", str(tmp_path), "rate",
+                       "--system", "rotation1d:golden", "--observable", "cos",
+                       "--schedule", "list:100", "--grid", "64"])
+        assert rc == 0
+        out = _strict_json(capsys.readouterr().out)
+        assert out["fitted_slope"] is None
+        (manifest,) = tmp_path.glob("rate-*-manifest.json")
+        summary = _strict_json(manifest.read_text())["summary"]
+        assert summary["fitted_slope"] is None and summary["tail_ratio"] is None
 
     def test_unknown_observable_exit_code(self, capsys):
         rc = cli_main(["rate", "--system", "rotation1d:golden",
