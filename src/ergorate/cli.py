@@ -41,6 +41,12 @@ def _load_config(args, overrides: dict) -> ExperimentConfig:
     return cfg
 
 
+def _int_list(text):
+    """Comma-separated integers, or None when absent.  Parsed in the command,
+    not by argparse, so a malformed list exits 2 through main."""
+    return None if text is None else [int(x) for x in text.split(",")]
+
+
 def _print_json(obj) -> None:
     print(json_text(obj))
 
@@ -86,11 +92,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    cfg = _load_config(args, {})
-    if args.frequency:
-        cfg.values["frequencies"] = args.frequency
-    if args.n_values:
-        cfg.values["n_values"] = [int(x) for x in args.n_values.split(",")]
+    cfg = _load_config(args, {"frequencies": args.frequency,
+                              "n_values": _int_list(args.n_values)})
     if args.max_q:
         cfg.values["max_q"] = args.max_q
     out = run_kernel_experiment(cfg)
@@ -106,7 +109,7 @@ def cmd_approx(args) -> int:
     rows = []
     grid = np.arange(1 << 13) / (1 << 13)
     ref = phi.fn(grid)
-    for n in (int(x) for x in args.n_values.split(",")):
+    for n in _int_list(args.n_values):
         poly = approximate(phi, n)
         err = float(np.max(np.abs(ref - poly.eval(grid))))
         rows.append({"n": n, "sup_error": err, "n_coeffs": len(poly.coeffs)})
@@ -117,20 +120,17 @@ def cmd_approx(args) -> int:
 
 
 def cmd_sharp(args) -> int:
-    cfg = _load_config(args, {"frequency": args.frequency, "alpha": args.alpha})
-    if args.m_values:
-        cfg.values["m_values"] = [int(x) for x in args.m_values.split(",")]
+    cfg = _load_config(args, {"frequency": args.frequency, "alpha": args.alpha,
+                              "m_values": _int_list(args.m_values)})
     out = run_sharpness_experiment(cfg)
     _print_json(out)
     return 0
 
 
 def cmd_skew(args) -> int:
-    cfg = _load_config(args, {"frequency": args.frequency, "d": args.d})
-    if args.k:
-        cfg.values["k"] = [int(x) for x in args.k.split(",")]
-    if args.n_values:
-        cfg.values["n_values"] = [int(x) for x in args.n_values.split(",")]
+    cfg = _load_config(args, {"frequency": args.frequency, "d": args.d,
+                              "k": _int_list(args.k),
+                              "n_values": _int_list(args.n_values)})
     out = run_skew_experiment(cfg)
     _print_json({"scale": out["scale"], "tail_ratio": out["tail_ratio"],
                  "rows": out["rows"]})

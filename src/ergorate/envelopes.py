@@ -30,14 +30,11 @@ class Envelope:
     eps: float = 0.05
     modulus: Optional[object] = None
     scale: float = 1.0
-    convergents_only: bool = False  # shape valid only at best-approx times
 
     def __post_init__(self):
         shapes = {"dk", "sdc", "dc", "beta", "modulus", "transd", "skew"}
         if self.kind not in shapes:
             raise ValueError(f"unknown envelope kind {self.kind!r}")
-        if self.kind == "dk":
-            self.convergents_only = True
 
     def shape(self, N: int) -> float:
         if N < 3:
@@ -111,13 +108,16 @@ def fit_scale(series: Sequence, env: Envelope,
     Returns (scale, tail_ratio) where tail_ratio is the max of
     value / (scale * shape) over the trailing `tail_fraction` of points:
     1.0 means the binding point sits in the tail, small values mean the
-    envelope has gone slack there.
+    envelope has gone slack there.  Any non-finite value gives (nan, nan),
+    so every `0 < scale < inf` gate fails.
     """
     pts = [(int(n), float(v)) for n, v in series]
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit a scale")
     pts.sort()
     ratios = [v / env.shape(n) for n, v in pts]
+    if not all(math.isfinite(r) for r in ratios):
+        return math.nan, math.nan
     scale = max(ratios)
     if scale <= 0:
         return 0.0, 0.0

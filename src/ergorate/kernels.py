@@ -122,10 +122,10 @@ class Observable:
 
     `fn` must be vectorized: for dim == 1 it maps an ndarray of positions to
     values; for dim >= 2 it takes an ndarray of shape (..., dim).  `norm_est`
-    is an upper bound on the w-Holder norm when analytic (flag in
-    `norm_is_bound`), otherwise a sampled lower-bound estimate.  `fourier`,
-    when set, is the finite spectrum {k: c_k} (k an integer tuple of length
-    dim) with fn(x) = Re sum_k c_k e(k . x).
+    is an upper bound on the w-Holder norm when known analytically, otherwise
+    a sampled lower-bound estimate.  `fourier`, when set, is the finite
+    spectrum {k: c_k} (k an integer tuple of length dim) with
+    fn(x) = Re sum_k c_k e(k . x).
     """
 
     dim: int
@@ -134,7 +134,6 @@ class Observable:
     norm_est: float
     mean_hint: Optional[float] = None
     name: str = ""
-    norm_is_bound: bool = True
     fourier: Optional[dict] = None
 
     def __call__(self, x):

@@ -20,11 +20,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arithmetic import ContinuedFraction, Frequency
-from .dynamics import TorusPoint, exp_sum_avg_fp
+from .dynamics import (TorusPoint, exp_sum_avg_fp, limbs_from_ints,
+                       limbs_mul, limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified
 from .kernels import Holder, ModulusOfContinuity, Observable
 
 TWO_PI = 2.0 * math.pi
+
+# steps per vectorized block of measure_average; fixes its summation order
+_AVERAGE_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -113,19 +117,6 @@ class LacunaryObservable(Observable):
                 out[k] = out.get(k, 0.0) + w / 2
         return out
 
-    def phases_at(self, x: TorusPoint) -> list:
-        """Exact fixed-point phases q_k * x mod 1, one per mode."""
-        one = 1 << self.bits
-        c = x.coords[0]
-        return [(q * c) % one for q in self.qs]
-
-    def eval_point(self, x: TorusPoint) -> float:
-        one = 1 << self.bits
-        return float(sum(
-            w * math.cos(TWO_PI * (ph / one))
-            for w, ph in zip(self.weights, self.phases_at(x))
-        ))
-
 
 def _lacunary_fn(qs, weights, bits):
     one = 1 << bits
@@ -133,13 +124,12 @@ def _lacunary_fn(qs, weights, bits):
     def fn(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         flat = xs.reshape(-1)
+        # each point in fixed point once; q * u mod 1 is exact on the limbs
+        u = limbs_from_ints(
+            [round((v % 1.0) * one) % one for v in flat.tolist()], bits)
         out = np.zeros(flat.shape)
         for q, w in zip(qs, weights):
-            # exact mod-1 reduction of q * x through fixed point
-            phases = np.array(
-                [((q * int(round((v % 1.0) * one))) % one) / one for v in flat]
-            )
-            out += w * np.cos(TWO_PI * phases)
+            out += w * np.cos(TWO_PI * limbs_to_float(limbs_mul(u, q)))
         out = out.reshape(xs.shape)
         return out if np.ndim(x) else float(out[0])
 
@@ -208,7 +198,7 @@ def build_lacunary(cf: ContinuedFraction, weight, tol: float = 1e-12,
 
 
 def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
-                    N: int, chunk: int = 1 << 20) -> float:
+                    N: int) -> float:
     """(1/N) S_N phi(x) by direct trigonometric summation along the orbit.
 
     Per mode, the initial phase and the per-step increment are reduced mod 1
@@ -225,8 +215,8 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
         ph0 = (q * x.coords[0]) % one
         step_f, ph0_f = step / one, ph0 / one
         mode_sum = 0.0
-        for lo in range(0, N, chunk):
-            hi = min(N, lo + chunk)
+        for lo in range(0, N, _AVERAGE_CHUNK):
+            hi = min(N, lo + _AVERAGE_CHUNK)
             js = np.arange(lo, hi, dtype=float)
             mode_sum += float(np.sum(np.cos(TWO_PI * np.mod(ph0_f + js * step_f, 1.0))))
         total += w * mode_sum
@@ -375,11 +365,10 @@ class NmBoundResult:
 
 def verify_Nm_bound(phi: LacunaryObservable, m: int,
                     lower: Optional[LowerBoundResult] = None,
-                    ratio_floor: float = 0.1,
                     omega: Optional[Frequency] = None,
                     **kwargs) -> NmBoundResult:
-    """Aggregate the passing windows: N_m = (l_bar + 1) q_m and the measured
-    N_m-step average at 0 must clear ratio_floor * w_m."""
+    """Aggregate the passing windows: N_m = (l_bar + 1) q_m and the ratio of
+    the measured N_m-step average at 0 to w_m."""
     omega = omega or phi.cf.omega
     if lower is None:
         lower = verify_lower_bound(phi, m, omega=omega, **kwargs)

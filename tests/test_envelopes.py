@@ -94,6 +94,16 @@ class TestFitScale:
         with pytest.raises(ValueError):
             fit_scale([(10, 1.0), (20, 0.5)], env)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_non_finite_fails_closed(self, bad, where):
+        env = Envelope(kind="dk", alpha=0.5)
+        pts = [(10, 1.0), (20, 0.9), (30, 0.5), (40, 0.4)]
+        pts[where] = (pts[where][0], bad)
+        scale, tail = fit_scale(pts, env)
+        assert math.isnan(scale) and math.isnan(tail)
+        assert not 0 < scale < math.inf
+
 
 class TestSumQs:
     def test_single_term(self, golden_cf):

@@ -402,3 +402,16 @@ class TestCli:
                        "--grid", "64"])
         assert rc == 2
         assert "nosuch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--frequency", "golden", "--n-values", "1,a"],
+        ["sharp", "--frequency", "golden", "--m-values", "1,a"],
+        ["skew", "--frequency", "golden", "--d", "2", "--k", "1,a"],
+        ["skew", "--frequency", "golden", "--d", "2", "--k", "1,0",
+         "--n-values", "1,a"],
+        ["approx", "--n-values", "1,a"],
+    ])
+    def test_malformed_int_list_exit_code(self, capsys, argv):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'a'" in err

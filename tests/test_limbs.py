@@ -1,9 +1,10 @@
 """uint64-limb fixed-point registers against Python big-integer arithmetic.
 
 The helper's three operations are checked value by value against exact
-integers, and the four routines built on it (rotation and skew orbits,
-kernel sums, skew character sums) are checked bit for bit against the
-big-integer loops they replaced, kept here as oracles.
+integers, and the five routines built on it (rotation and skew orbits,
+kernel sums, skew character sums, lacunary series evaluation) are checked
+bit for bit against the big-integer loops they replaced, kept here as
+oracles.
 """
 
 import math
@@ -19,6 +20,7 @@ from ergorate.dynamics import (SystemSpec, TorusPoint, char_birkhoff_skew,
                                limbs_mul, limbs_to_float,
                                phase_polynomial_table, rotation_orbit_floats,
                                skew_orbit_floats)
+from ergorate.harness import resolve_observable, resolve_system
 
 BIT_WIDTHS = (192, 100, 250, 64)  # 64 bits: two limbs, no third
 DEC = ("dec:0.1415926535897932384626433832795028841971693993751058209749445"
@@ -202,6 +204,25 @@ def char_sum_oracle(d, omega, k, x, N, bits):
     return total
 
 
+def lacunary_fn_oracle(qs, weights, bits):
+    one = 1 << bits
+
+    def fn(x):
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        flat = xs.reshape(-1)
+        out = np.zeros(flat.shape)
+        for q, w in zip(qs, weights):
+            # exact mod-1 reduction of q * x through fixed point
+            phases = np.array(
+                [((q * int(round((v % 1.0) * one))) % one) / one for v in flat]
+            )
+            out += w * np.cos(2 * math.pi * phases)
+        out = out.reshape(xs.shape)
+        return out if np.ndim(x) else float(out[0])
+
+    return fn
+
+
 def start_points(d, bits, seed):
     """A random point, one with coordinates below 2**-9 and 2**-40, and 0."""
     rng = np.random.default_rng(seed)
@@ -268,3 +289,33 @@ class TestAgainstBigIntOracles:
             for N in (1, 4096, 6000, 9000):
                 res = char_birkhoff_skew(d, omega, k, x, N, 192)
                 assert res.value == char_sum_oracle(d, omega, k, x, N, 192)
+
+
+@pytest.mark.parametrize("bits", [192, 100])
+@pytest.mark.parametrize("system,key", [
+    ("rotation1d:golden", "lacunary:holder:0.5"),
+    ("rotation1d:pq:rule:index", "lacunary:holder:0.5"),
+    ("rotation1d:golden", "lacunary:analytic"),
+])
+def test_lacunary_fn(system, key, bits):
+    phi = resolve_observable(key, resolve_system(system, bits))
+    oracle = lacunary_fn_oracle(phi.qs, phi.weights, bits)
+    rng = np.random.default_rng(bits)
+    xs = np.concatenate([
+        rng.random(400),
+        [0.0, 2.0 ** -40, 2.0 ** -12, 1 - 2.0 ** -53, -1e-20],
+        # full mantissas far below 1: every bit of q counts, and below
+        # 2**-48 the 100-bit conversion rounds
+        rng.random(20) * 2.0 ** -40,
+        rng.random(20) * 2.0 ** -70,
+        1 + 3 * rng.random(20),     # above 1
+        -3 * rng.random(20),        # negative
+    ])
+    assert phi.fn(xs).tobytes() == oracle(xs).tobytes()
+    grid = rng.random((64, 3))
+    assert phi.fn(grid).shape == (64, 3)
+    assert phi.fn(grid).tobytes() == oracle(grid).tobytes()
+    for v in (0.0, 0.3, -1e-20, 2.5):
+        got = phi.fn(v)
+        assert type(got) is float
+        assert got == oracle(v)

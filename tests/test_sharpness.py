@@ -49,8 +49,7 @@ class TestBuild:
         phi = build_lacunary(golden_deep_cf, HolderWeight(1.0), tol=1e-10)
         assert phi.weights[:4] == (1.0, 0.5, 1 / 3, 0.2)
         # phi(0) = sum of weights (all cosines are 1 at 0)
-        assert phi.eval_point(TorusPoint.zero(1, BITS)) == pytest.approx(
-            sum(phi.weights))
+        assert phi.fn(0.0) == pytest.approx(sum(phi.weights))
 
     def test_tail_below_tolerance(self, golden_lac):
         assert golden_lac.tail_bound <= 1e-12
