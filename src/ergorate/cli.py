@@ -32,7 +32,7 @@ def _load_config(args, overrides: dict) -> ExperimentConfig:
     for key, val in overrides.items():
         if val is not None:
             cfg.values[key] = val
-    if args.precision_bits:
+    if args.precision_bits is not None:
         cfg.values["precision_bits"] = args.precision_bits
     if args.out_dir:
         cfg.values["out_dir"] = args.out_dir
@@ -47,19 +47,23 @@ def _int_list(text):
     return None if text is None else [int(x) for x in text.split(",")]
 
 
+def _bits(args) -> int:
+    return 192 if args.precision_bits is None else args.precision_bits
+
+
 def _print_json(obj) -> None:
     print(json_text(obj))
 
 
 def cmd_cf(args) -> int:
-    omega = Frequency.parse(args.freq, args.precision_bits or 192)
+    omega = Frequency.parse(args.freq, _bits(args))
     cf = expand_cf(omega, max_q=args.max_q)
     print(cf.to_json())
     return 0
 
 
 def cmd_classify(args) -> int:
-    omega = Frequency.parse(args.freq, args.precision_bits or 192)
+    omega = Frequency.parse(args.freq, _bits(args))
     cf = expand_cf(omega, max_q=args.max_q)
     rep = classify(omega, cf, k_max=args.k_max, witness_constant=args.witness_constant)
     _print_json({
@@ -94,7 +98,7 @@ def cmd_rate(args) -> int:
 def cmd_kernel(args) -> int:
     cfg = _load_config(args, {"frequencies": args.frequency,
                               "n_values": _int_list(args.n_values)})
-    if args.max_q:
+    if args.max_q is not None:
         cfg.values["max_q"] = args.max_q
     out = run_kernel_experiment(cfg)
     _print_json({"max_ratio": out["max_ratio"], "within_cap": out["within_cap"],
@@ -103,8 +107,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    sys_spec = resolve_system(args.system or "rotation1d:golden",
-                              args.precision_bits or 192)
+    sys_spec = resolve_system(args.system or "rotation1d:golden", _bits(args))
     phi = resolve_observable(args.observable, sys_spec)
     rows = []
     grid = np.arange(1 << 13) / (1 << 13)
@@ -114,7 +117,9 @@ def cmd_approx(args) -> int:
         err = float(np.max(np.abs(ref - poly.eval(grid))))
         rows.append({"n": n, "sup_error": err, "n_coeffs": len(poly.coeffs)})
     if args.out_dir:
-        emit_csv(rows, Path(args.out_dir) / "approx.csv")
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        emit_csv(rows, out / "approx.csv")
     _print_json(rows)
     return 0
 
@@ -138,7 +143,7 @@ def cmd_skew(args) -> int:
 
 
 def cmd_ostrowski(args) -> int:
-    omega = Frequency.parse(args.freq, args.precision_bits or 192)
+    omega = Frequency.parse(args.freq, _bits(args))
     cf = expand_cf(omega, max_q=max(args.n, 2))
     digits = ostrowski_digits(cf, args.n)
     _print_json({"N": args.n, "digits": digits,

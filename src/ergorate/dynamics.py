@@ -11,13 +11,11 @@ totals.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -67,12 +65,6 @@ class TorusPoint:
         one = float(1 << self.bits)
         return np.array([c / one for c in self.coords])
 
-    def translate(self, deltas: Sequence[int]) -> "TorusPoint":
-        one = 1 << self.bits
-        return TorusPoint(
-            tuple((c + d) % one for c, d in zip(self.coords, deltas)), self.bits
-        )
-
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -104,6 +96,17 @@ class SystemSpec:
         of the dataclass fields, so equality and hashing ignore it)."""
         return tuple(f.fixed_point(self.bits) for f in self.freqs)
 
+    def chains(self, x: TorusPoint) -> list:
+        """The map at x as register chains: a step adds to each register the
+        pre-step value of its successor; a chain's last register (a
+        frequency) stays fixed.  A rotation is d chains (x_i, omega_i), the
+        skew product one chain (x_1, ..., x_d, omega); the chains without
+        their last registers are the coordinates, in order.
+        """
+        if self.kind == "skew":
+            return [tuple(x.coords) + self.omega_fp]
+        return [(c, w) for c, w in zip(x.coords, self.omega_fp)]
+
     @staticmethod
     def rotation(omega: Frequency, bits: int = 192) -> "SystemSpec":
         return SystemSpec("rotation1d", (omega,), 1, bits)
@@ -120,38 +123,29 @@ class SystemSpec:
 def step(sys: SystemSpec, x: TorusPoint) -> TorusPoint:
     """Single application of the map, exact in fixed point."""
     one = 1 << sys.bits
-    c = list(x.coords)
-    if sys.kind == "rotation1d" or sys.kind == "rotationd":
-        for i, w in enumerate(sys.omega_fp):
-            c[i] = (c[i] + w) % one
-        return TorusPoint(tuple(c), x.bits)
-    w = sys.omega_fp[0]
-    d = sys.dim
-    for i in range(d - 1):
-        c[i] = (c[i] + c[i + 1]) % one  # reads the pre-step value of c[i+1]
-    c[d - 1] = (c[d - 1] + w) % one
-    return TorusPoint(tuple(c), x.bits)
+    out = []
+    for chain in sys.chains(x):
+        for r in range(len(chain) - 1):
+            out.append((chain[r] + chain[r + 1]) % one)
+    return TorusPoint(tuple(out), x.bits)
 
 
 def iterate(sys: SystemSpec, x: TorusPoint, j: int) -> TorusPoint:
-    """Closed-form j-th iterate (binomial weights for the skew product)."""
+    """Closed-form j-th iterate: register r of each chain becomes
+    sum_l C(j, l) * register r+l."""
     if j < 0:
         raise ValueError("j must be >= 0")
     one = 1 << sys.bits
-    if sys.kind in ("rotation1d", "rotationd"):
-        ws = sys.omega_fp
-        return TorusPoint(
-            tuple((c + j * w) % one for c, w in zip(x.coords, ws)), x.bits
-        )
-    w = sys.omega_fp[0]
-    d = sys.dim
     out = []
-    for i in range(1, d + 1):
-        acc = 0
-        for l in range(0, d - i + 1):
-            acc += comb(j, l) * x.coords[i + l - 1]
-        acc += comb(j, d - i + 1) * w
-        out.append(acc % one)
+    for chain in sys.chains(x):
+        n = len(chain)
+        for r in range(n - 1):
+            acc = chain[r]
+            b = 1
+            for l in range(1, n - r):
+                b = b * (j - l + 1) // l  # C(j, l): exact, and 0 once l > j
+                acc += b * chain[r + l]
+            out.append(acc % one)
     return TorusPoint(tuple(out), x.bits)
 
 
@@ -252,49 +246,33 @@ def _register_floats(regs: np.ndarray, out: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# orbit enumeration (rotations share one orbit shape across starting points)
+# orbit enumeration
 # ---------------------------------------------------------------------------
 
 
-def rotation_orbit_floats(sys: SystemSpec, x: TorusPoint, N: int,
-                          chunk: int = 1 << 15):
-    """Yield float arrays of orbit positions x + j*omega, j = 0..N-1.
+def orbit_floats(sys: SystemSpec, x: TorusPoint, N: int,
+                 chunk: int | None = None):
+    """Yield (chunk, d) float arrays of the orbit T^j x, j = 0..N-1, from the
+    exact register chains of sys.chains(x); only the final per-sample
+    conversion rounds.  A one-dimensional orbit yields flat arrays.
 
-    The underlying accumulation is exact fixed point (registers (c, omega)
-    per axis); only the final per-sample conversion rounds.  For rotationd
-    the yielded array has shape (chunk, d).
+    The default chunk (2**15 rotation steps, 2**14 skew steps) fixes the
+    summation order of the Birkhoff sums.
     """
-    d = len(x.coords)
-    regs = [limbs_from_ints([c, w], sys.bits)
-            for c, w in zip(x.coords, sys.omega_fp)]
-    produced = 0
-    while produced < N:
-        m = min(chunk, N - produced)
-        buf = np.empty((m, d), dtype=float)
-        for a in range(d):
-            _register_floats(regs[a], buf[:, a:a + 1])
-        produced += m
-        yield buf[:, 0] if d == 1 else buf
-
-
-def skew_orbit_floats(sys: SystemSpec, x: TorusPoint, N: int,
-                      chunk: int = 1 << 14):
-    """Yield (chunk, d) float arrays of the skew-product orbit of x, from the
-    exact registers (c_1, ..., c_d, omega)."""
-    regs = limbs_from_ints(list(x.coords) + [sys.omega_fp[0]], sys.bits)
+    if chunk is None:
+        chunk = 1 << 14 if sys.kind == "skew" else 1 << 15
+    regs = [limbs_from_ints(c, sys.bits) for c in sys.chains(x)]
     produced = 0
     while produced < N:
         m = min(chunk, N - produced)
         buf = np.empty((m, sys.dim), dtype=float)
-        _register_floats(regs, buf)
+        col = 0
+        for r in regs:
+            width = r.shape[1] - 1
+            _register_floats(r, buf[:, col:col + width])
+            col += width
         produced += m
-        yield buf
-
-
-def _orbit_chunks(sys: SystemSpec, x: TorusPoint, N: int):
-    if sys.kind in ("rotation1d", "rotationd"):
-        return rotation_orbit_floats(sys, x, N)
-    return skew_orbit_floats(sys, x, N)
+        yield buf[:, 0] if sys.dim == 1 else buf
 
 
 def birkhoff_sum(sys: SystemSpec, phi: Observable, x: TorusPoint, N: int) -> float:
@@ -305,7 +283,7 @@ def birkhoff_sum(sys: SystemSpec, phi: Observable, x: TorusPoint, N: int) -> flo
         raise ValueError("observable dimension does not match the system")
     total = 0.0
     carry = 0.0
-    for buf in _orbit_chunks(sys, x, N):
+    for buf in orbit_floats(sys, x, N):
         s = float(np.sum(phi.fn(buf)))
         # Kahan accumulation of chunk totals
         y = s - carry
@@ -367,8 +345,7 @@ def _grid_sums_1d(sys, phi, N, grid):
     # fixes the summation order, and changing it moves the strongly
     # cancelling sums at large N by up to ~1e-8 relative
     chunk = max(256, min(1 << 15, (1 << 22) // grid))
-    for buf in rotation_orbit_floats(sys, TorusPoint.zero(1, sys.bits), N,
-                                     chunk=chunk):
+    for buf in orbit_floats(sys, TorusPoint.zero(1, sys.bits), N, chunk):
         pts = np.mod(buf[:, None] + xs[None, :], 1.0)
         s = np.asarray(phi.fn(pts), dtype=float).sum(axis=0)
         y = s - carry
@@ -470,14 +447,6 @@ def exp_sum_avg_fp(t_fp: int, bits: int, N: int) -> complex:
     return complex(ratio * math.cos(theta), ratio * math.sin(theta))
 
 
-def exp_sum_direct(t: float, N: int) -> complex:
-    """Brute-force oracle for the geometric form."""
-    acc = 0.0 + 0.0j
-    for j in range(N):
-        acc += cmath.exp(2j * math.pi * math.fmod(j * t, 1.0))
-    return acc / N
-
-
 @dataclass
 class KernelSumResult:
     q: int
@@ -530,22 +499,6 @@ class CharSumResult:
     N: int
 
 
-def phase_polynomial_table(sys: SystemSpec, k: Sequence[int], x: TorusPoint) -> list:
-    """p(0..deg) where p(j) = k . S^j x, as exact fixed-point integers."""
-    d = sys.dim
-    first = next(i for i, ki in enumerate(k) if ki)  # 0-based index of k_i != 0
-    deg = d - first
-    one = 1 << sys.bits
-    vals = []
-    for j in range(deg + 1):
-        y = iterate(sys, x, j)
-        acc = 0
-        for ki, c in zip(k, y.coords):
-            acc += ki * c
-        vals.append(acc % one)
-    return vals
-
-
 def char_birkhoff_skew(d: int, omega: Frequency, k: Sequence[int], x: TorusPoint,
                        N: int, bits: int = 192) -> CharSumResult:
     """sum_{j<N} e(k . S^j x) via exact finite differences of the phase.
@@ -560,23 +513,17 @@ def char_birkhoff_skew(d: int, omega: Frequency, k: Sequence[int], x: TorusPoint
         raise ValueError("k must have length d and a nonzero entry")
     if x.bits != bits:
         raise ValueError("x and the phase registers must share the bit budget")
-    sys = SystemSpec.skew(d, omega, bits)
     one = 1 << bits
-    vals = phase_polynomial_table(sys, k, x)
-    deg = len(vals) - 1
-    # forward-difference table at j = 0
-    table = list(vals)
-    regs = []
-    for r in range(deg + 1):
-        regs.append(table[0])
-        table = [(table[i + 1] - table[i]) % one for i in range(len(table) - 1)]
-    regs = limbs_from_ints(regs, bits)
+    (chain,) = SystemSpec.skew(d, omega, bits).chains(x)
+    first = next(i for i, ki in enumerate(k) if ki)
+    # forward differences at j = 0: the r-th is k . (chain shifted r places)
+    regs = limbs_from_ints([sum(ki * c for ki, c in zip(k, chain[r:])) % one
+                            for r in range(d - first + 1)], bits)
     total = 0.0 + 0.0j
     chunk = 1 << 12  # one exp-sum per chunk: this fixes the summation order
     for lo in range(0, N, chunk):
         phase = limbs_to_float(limbs_advance(regs, min(chunk, N - lo))[:, 0])
         total += complex(np.sum(np.exp(2j * math.pi * phase)))
-    first = next(i for i, ki in enumerate(k) if ki)
     return CharSumResult(
         value=total,
         degree=d - first,

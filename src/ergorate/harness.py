@@ -305,6 +305,8 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
     if any(N < 1 for N in N_list):
         raise ConfigError(f"n_values must all be >= 1, got {N_list}")
     max_q = int(cfg.get("max_q", 6765))
+    if max_q < 2:
+        raise ConfigError(f"max_q must be >= 2, got {max_q}")
     cap = float(cfg.get("ratio_cap", 10.0))
     clock = _BudgetClock(cfg.get("budget_s"))
     rows = []

@@ -14,9 +14,8 @@ from ergorate.arithmetic import (Frequency, PartialQuotients, expand_cf,
                                  golden_mean, sqrt2_minus_1)
 from ergorate.dynamics import (SystemSpec, TorusPoint,
                                birkhoff_sum, char_birkhoff_skew,
-                               exp_sum_avg_fp, exp_sum_direct, grid_point,
-                               iterate, kernel_sum, rotation_orbit_floats,
-                               skew_orbit_floats, step, sup_deviation)
+                               exp_sum_avg_fp, grid_point, iterate,
+                               kernel_sum, orbit_floats, step, sup_deviation)
 from ergorate.errors import DimensionTooLarge
 from ergorate.harness import resolve_observable, resolve_system
 from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
@@ -34,10 +33,10 @@ def rot(golden):
 
 
 class TestTorusPoint:
-    def test_wraparound_exact(self):
+    def test_wraparound_exact(self, rot, golden):
         x = TorusPoint((ONE - 1,), BITS)
-        y = x.translate((2,))
-        assert y.coords == (1,)
+        y = step(rot, x)
+        assert y.coords == (golden.fixed_point(BITS) - 1,)
 
     def test_from_floats_reduces(self):
         x = TorusPoint.from_floats([1.25, -0.25], BITS)
@@ -63,7 +62,7 @@ class TestSystemSpec:
         for _ in range(5):
             x = step(sys, x)
         iterate(sys, x, 7)
-        list(skew_orbit_floats(sys, x, 10))
+        list(orbit_floats(sys, x, 10))
         assert calls == [BITS]
         # the cached value is not a field: equality and hashing ignore it
         fresh = SystemSpec.skew(3, golden, BITS)
@@ -98,13 +97,11 @@ class TestIterate:
         assert c == (x0 + N * w) % ONE
 
     def test_orbit_generator_matches_wide_product(self, rot, golden):
-        from ergorate.dynamics import rotation_orbit_floats
-
         w = golden.fixed_point(BITS)
         x = TorusPoint.from_floats([0.375], BITS)
         N = 10 ** 6
         last = None
-        for buf in rotation_orbit_floats(rot, x, N):
+        for buf in orbit_floats(rot, x, N):
             last = buf[-1]
         expect = ((x.coords[0] + (N - 1) * w) % ONE) / ONE
         assert last == expect  # same exact integer, same rounding
@@ -173,6 +170,14 @@ class TestBirkhoffSum:
         part = birkhoff_sum(rot, phi, x, N) + \
             birkhoff_sum(rot, phi, iterate(rot, x, N), M)
         assert whole == pytest.approx(part, rel=1e-10)
+
+
+def exp_sum_direct(t: float, N: int) -> complex:
+    """Brute-force oracle for the geometric form."""
+    acc = 0.0 + 0.0j
+    for j in range(N):
+        acc += cmath.exp(2j * math.pi * math.fmod(j * t, 1.0))
+    return acc / N
 
 
 def _t_fp(t: float) -> int:
@@ -385,8 +390,7 @@ class TestSupDeviation:
 def _direct_field(sys, phi, N, G):
     """S_N phi / N - mean on the grid, summed pointwise along the orbit."""
     d = sys.dim
-    orbit = np.concatenate(list(rotation_orbit_floats(
-        sys, TorusPoint.zero(d, BITS), N)))
+    orbit = np.concatenate(list(orbit_floats(sys, TorusPoint.zero(d, BITS), N)))
     axes = np.meshgrid(*([np.arange(G) / G] * d), indexing="ij")
     pts = np.stack(axes, axis=-1) if d > 1 else axes[0]
     total = np.zeros((G,) * d)

@@ -415,3 +415,26 @@ class TestCli:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'a'" in err
+
+    def test_approx_creates_out_dir(self, capsys, tmp_path):
+        out = tmp_path / "new" / "dir"
+        rc = cli_main(["--out-dir", str(out), "approx",
+                       "--observable", "dist_pow:0.5", "--n-values", "16"])
+        assert rc == 0
+        assert (out / "approx.csv").read_text().startswith("n,")
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["kernel", "--frequency", "golden", "--n-values", "1000",
+          "--max-q", "0"], "max_q"),
+        (["kernel", "--frequency", "golden", "--n-values", "1000",
+          "--max-q", "1"], "max_q"),
+        (["--precision-bits", "0", "cf", "--freq", "golden"], "bits"),
+        (["--precision-bits", "0", "rate", "--system", "rotation1d:golden",
+          "--observable", "cos", "--schedule", "list:100", "--grid", "64"],
+         "bits"),
+    ])
+    def test_zero_valued_flags_exit_code(self, capsys, argv, needle):
+        # 0 and 1 are explicit values, not "flag absent"
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err

@@ -1,10 +1,11 @@
 """uint64-limb fixed-point registers against Python big-integer arithmetic.
 
 The helper's three operations are checked value by value against exact
-integers, and the five routines built on it (rotation and skew orbits,
-kernel sums, skew character sums, lacunary series evaluation) are checked
-bit for bit against the big-integer loops they replaced, kept here as
-oracles.
+integers, and the routines built on it (rotation and skew orbits, kernel
+sums, skew character sums, lacunary series evaluation) are checked bit for
+bit against the big-integer loops they replaced, kept here as oracles.  The
+register-chain closed-form iterate is checked against the per-kind
+binomial formula it replaced.
 """
 
 import math
@@ -16,10 +17,9 @@ from hypothesis import strategies as st
 
 from ergorate.arithmetic import Frequency, expand_cf
 from ergorate.dynamics import (SystemSpec, TorusPoint, char_birkhoff_skew,
-                               kernel_sum, limbs_advance, limbs_from_ints,
-                               limbs_mul, limbs_to_float,
-                               phase_polynomial_table, rotation_orbit_floats,
-                               skew_orbit_floats)
+                               iterate, kernel_sum, limbs_advance,
+                               limbs_from_ints, limbs_mul, limbs_to_float,
+                               orbit_floats)
 from ergorate.harness import resolve_observable, resolve_system
 
 BIT_WIDTHS = (192, 100, 250, 64)  # 64 bits: two limbs, no third
@@ -120,6 +120,37 @@ class TestLimbHelper:
 # ---------------------------------------------------------------------------
 # the big-integer loops the limb registers replaced
 # ---------------------------------------------------------------------------
+
+
+def iterate_oracle(sys, x, j):
+    one = 1 << sys.bits
+    if sys.kind in ("rotation1d", "rotationd"):
+        ws = sys.omega_fp
+        return TorusPoint(
+            tuple((c + j * w) % one for c, w in zip(x.coords, ws)), x.bits
+        )
+    w = sys.omega_fp[0]
+    d = sys.dim
+    out = []
+    for i in range(1, d + 1):
+        acc = 0
+        for l in range(0, d - i + 1):
+            acc += math.comb(j, l) * x.coords[i + l - 1]
+        acc += math.comb(j, d - i + 1) * w
+        out.append(acc % one)
+    return TorusPoint(tuple(out), x.bits)
+
+
+def phase_polynomial_table(sys, k, x):
+    """p(0..deg) where p(j) = k . S^j x, as exact fixed-point integers."""
+    d = sys.dim
+    first = next(i for i, ki in enumerate(k) if ki)
+    one = 1 << sys.bits
+    vals = []
+    for j in range(d - first + 1):
+        y = iterate_oracle(sys, x, j)
+        vals.append(sum(ki * c for ki, c in zip(k, y.coords)) % one)
+    return vals
 
 
 def rotation_orbit_oracle(sys, x, N, chunk=1 << 15):
@@ -247,17 +278,17 @@ def same_chunks(got, want):
 @pytest.mark.parametrize("ftext", FREQS)
 class TestAgainstBigIntOracles:
     @pytest.mark.parametrize("bits", [192, 100])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rotation_orbit(self, ftext, bits, d):
-        freqs = [Frequency.parse(ftext, bits), Frequency.parse("sqrt3m1", bits)]
+        freqs = [Frequency.parse(t, bits) for t in (ftext, "sqrt3m1", "sqrt2m1")]
         sys = (SystemSpec.rotation(freqs[0], bits) if d == 1
-               else SystemSpec.rotation_d(freqs, bits))
+               else SystemSpec.rotation_d(freqs[:d], bits))
         pts = start_points(d, bits, seed=d)
         for x in pts:
             # a chunk that is not a multiple of the 4096-step register block
-            same_chunks(rotation_orbit_floats(sys, x, 11000, chunk=5000),
+            same_chunks(orbit_floats(sys, x, 11000, chunk=5000),
                         rotation_orbit_oracle(sys, x, 11000, chunk=5000))
-        same_chunks(rotation_orbit_floats(sys, pts[1], 40000),
+        same_chunks(orbit_floats(sys, pts[1], 40000),
                     rotation_orbit_oracle(sys, pts[1], 40000))
 
     @pytest.mark.parametrize("bits", [192, 250])
@@ -266,9 +297,9 @@ class TestAgainstBigIntOracles:
         sys = SystemSpec.skew(d, Frequency.parse(ftext, bits), bits)
         pts = start_points(d, bits, seed=d)
         for x in pts:
-            same_chunks(skew_orbit_floats(sys, x, 9000, chunk=5000),
+            same_chunks(orbit_floats(sys, x, 9000, chunk=5000),
                         skew_orbit_oracle(sys, x, 9000, chunk=5000))
-        same_chunks(skew_orbit_floats(sys, pts[1], 20000),
+        same_chunks(orbit_floats(sys, pts[1], 20000),
                     skew_orbit_oracle(sys, pts[1], 20000))
 
     def test_kernel_sum(self, ftext):
@@ -289,6 +320,24 @@ class TestAgainstBigIntOracles:
             for N in (1, 4096, 6000, 9000):
                 res = char_birkhoff_skew(d, omega, k, x, N, 192)
                 assert res.value == char_sum_oracle(d, omega, k, x, N, 192)
+
+
+@pytest.mark.parametrize("system", [
+    "rotation1d:golden", "rotationd:golden,sqrt2m1",
+    "rotationd:golden,sqrt2m1,pq:rule:index", "skew:2:golden",
+    "skew:3:sqrt3m1", "skew:4:pq:rule:index", "skew:5:golden",
+])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_chain_iterate(system, data):
+    sys = resolve_system(system)
+    one = 1 << sys.bits
+    x = TorusPoint(tuple(data.draw(st.lists(
+        st.one_of(st.integers(0, one - 1), st.sampled_from([0, one - 1])),
+        min_size=sys.dim, max_size=sys.dim))), sys.bits)
+    # j <= d leaves zeros in the binomial row; large j wraps every register
+    j = data.draw(st.one_of(st.integers(0, sys.dim), st.integers(0, 1 << 80)))
+    assert iterate(sys, x, j) == iterate_oracle(sys, x, j)
 
 
 @pytest.mark.parametrize("bits", [192, 100])
