@@ -9,7 +9,7 @@ from .arithmetic import (ContinuedFraction, DecimalString, DiophantineReport,
                          dist_to_Z, expand_cf, find_convergent_at_scale,
                          gap_lower_bound_check, golden_mean,
                          is_best_approximation, ostrowski_digits,
-                         ostrowski_value, sqrt2_minus_1, sqrt3_minus_1)
+                         ostrowski_value, sqrt2_minus_1)
 from .dynamics import (BirkhoffResult, SystemSpec, TorusPoint, birkhoff_sum,
                        char_birkhoff_skew, exp_sum_avg_fp, iterate,
                        kernel_sum, step, sup_deviation)

@@ -30,22 +30,14 @@ from .errors import NotIrrational, PrecisionExhausted, Uncertified
 
 DEFAULT_BITS = 192
 
-# Generators stop once denominators pass this size; far beyond any precision
-# or tail-tolerance requirement we ever certify against.
-_Q_CEILING = 10 ** 1600
+# Longest prefix expand_cf stores, whatever max_q or stop_product ask for.
+_MAX_TERMS = 5000
 
 
 def dist_to_Z(t):
     """Distance from t to the nearest integer, in [0, 1/2]; elementwise."""
     f = np.mod(t, 1.0)
     return np.minimum(f, 1.0 - f)
-
-
-def fp_dist_to_Z(value: int, bits: int) -> float:
-    """``||value / 2**bits||`` computed from the exact integer numerator."""
-    one = 1 << bits
-    v = value & (one - 1)
-    return min(v, one - v) / one
 
 
 def fp_signed(value: int, bits: int) -> int:
@@ -271,30 +263,23 @@ class Frequency:
         memo = self.__dict__.setdefault("_fixed_points", {})
         if bits in memo:
             return memo[bits]
-        lo, hi = self.interval(bits)
-        n_lo = _round_div(lo.numerator << bits, lo.denominator)
-        n_hi = _round_div(hi.numerator << bits, hi.denominator)
-        if n_lo != n_hi:
+        # an enclosure that straddles a rounding boundary is tightened by
+        # asking for one that certifies twice the bits, then twice again
+        tighter = bits
+        while True:
+            lo, hi = self.interval(tighter)
+            n_lo = _round_div(lo.numerator << bits, lo.denominator)
+            if n_lo == _round_div(hi.numerator << bits, hi.denominator):
+                break
             if isinstance(self.rep, DecimalString):
                 raise PrecisionExhausted(
                     f"decimal digits cannot certify {bits} fractional bits"
                 )
-            # widen the surd guard until the rounding is determined
-            if isinstance(self.rep, QuadraticSurd):
-                s = self.rep.normalized()
-                g = bits + 64
-                while n_lo != n_hi and g < bits + 1024:
-                    g *= 2
-                    lo, hi = _surd_enclosure(s.p, s.q, s.d, s.r, g)
-                    n_lo = _round_div(lo.numerator << bits, lo.denominator)
-                    n_hi = _round_div(hi.numerator << bits, hi.denominator)
-            if n_lo != n_hi:
+            if tighter > bits + 1024:
                 raise PrecisionExhausted("cannot certify fixed-point rounding")
+            tighter *= 2
         memo[bits] = n_lo
         return n_lo
-
-    def float_value(self) -> float:
-        return self.fixed_point(64) / 2.0 ** 64
 
     def is_rational(self) -> bool:
         rep = self.rep
@@ -357,10 +342,6 @@ def sqrt2_minus_1(bits: int = DEFAULT_BITS) -> Frequency:
     return Frequency(QuadraticSurd(-1, 1, 2, 1), bits)
 
 
-def sqrt3_minus_1(bits: int = DEFAULT_BITS) -> Frequency:
-    return Frequency(QuadraticSurd(-1, 1, 3, 1), bits)
-
-
 # ---------------------------------------------------------------------------
 # continued fractions
 # ---------------------------------------------------------------------------
@@ -377,9 +358,6 @@ class ContinuedFraction:
     certified_len: int
     terminated: bool = False
     max_q_searched: Optional[int] = None  # denominators <= this are all present
-
-    def __len__(self) -> int:
-        return len(self.a)
 
     def a_at(self, n: int) -> int:
         if not 1 <= n <= len(self.a):
@@ -404,17 +382,6 @@ class ContinuedFraction:
         return json.dumps(
             {"a": list(self.a), "p": list(self.p), "q": list(self.q),
              "certified_len": self.certified_len}
-        )
-
-    @staticmethod
-    def from_json(text: str, omega: Optional[Frequency] = None) -> "ContinuedFraction":
-        obj = json.loads(text)
-        return ContinuedFraction(
-            omega=omega,
-            a=tuple(obj["a"]),
-            p=tuple(obj["p"]),
-            q=tuple(obj["q"]),
-            certified_len=int(obj["certified_len"]),
         )
 
 
@@ -451,8 +418,7 @@ def _exact_floor_surd(P: int, D: int, Q: int) -> int:
 
 
 def expand_cf(omega: Frequency, max_q: Optional[int], *,
-              stop_product: Optional[int] = None,
-              max_terms: int = 5000) -> ContinuedFraction:
+              stop_product: Optional[int] = None) -> ContinuedFraction:
     """All convergents with q_n <= max_q (or until q_n * q_{n+1} >= stop_product).
 
     Quadratic surds and rule-generated partial quotients expand by exact
@@ -493,7 +459,7 @@ def expand_cf(omega: Frequency, max_q: Optional[int], *,
     if isinstance(rep, PartialQuotients):
         q_hist = [1]
         m = 1
-        while len(a_list) < max_terms and not done():
+        while len(a_list) < _MAX_TERMS and not done():
             a = rep.term(m, q_hist)
             if a is None:
                 terminated = rep.rule is None
@@ -508,7 +474,7 @@ def expand_cf(omega: Frequency, max_q: Optional[int], *,
         if (D - P * P) % Q != 0:
             P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
         # iterate y = 1/x, a = floor(y), x = y - a
-        while len(a_list) < max_terms and not done():
+        while len(a_list) < _MAX_TERMS and not done():
             # reciprocal: 1 / ((P + sqrt(D)) / Q) = (-P + sqrt(D)) / ((D - P^2)/Q)
             P, Q = -P, (D - P * P) // Q
             a = _exact_floor_surd(P, D, Q)
@@ -517,7 +483,7 @@ def expand_cf(omega: Frequency, max_q: Optional[int], *,
             P = P - a * Q
     elif isinstance(rep, DecimalString):
         lo, hi = rep.interval()
-        while len(a_list) < max_terms and not done():
+        while len(a_list) < _MAX_TERMS and not done():
             if lo <= 0:  # interval touches 0: next quotient uncertifiable
                 raise PrecisionExhausted(
                     "decimal precision exhausted before reaching max_q",
@@ -560,13 +526,6 @@ def _freeze(omega, a_list, p_list, q_list, terminated,
 # ---------------------------------------------------------------------------
 # best approximations and gaps
 # ---------------------------------------------------------------------------
-
-
-def norm_k_omega(omega: Frequency, k: int, bits: Optional[int] = None) -> float:
-    """||k * omega|| from the exact fixed-point product."""
-    bits = bits or omega.fractional_bits
-    w = omega.fixed_point(bits)
-    return fp_dist_to_Z(k * w, bits)
 
 
 def is_best_approximation(omega: Frequency, q: int, cf: ContinuedFraction) -> bool:

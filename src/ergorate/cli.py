@@ -97,9 +97,8 @@ def cmd_rate(args) -> int:
 
 def cmd_kernel(args) -> int:
     cfg = _load_config(args, {"frequencies": args.frequency,
-                              "n_values": _int_list(args.n_values)})
-    if args.max_q is not None:
-        cfg.values["max_q"] = args.max_q
+                              "n_values": _int_list(args.n_values),
+                              "max_q": args.max_q})
     out = run_kernel_experiment(cfg)
     _print_json({"max_ratio": out["max_ratio"], "within_cap": out["within_cap"],
                  "rows": len(out["rows"])})

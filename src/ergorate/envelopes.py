@@ -16,6 +16,9 @@ from typing import Optional, Sequence
 from .arithmetic import ContinuedFraction
 from .errors import DomainError, Uncertified
 
+# fit_scale's tail: the trailing third of the points
+_TAIL_FRACTION = 1.0 / 3.0
+
 
 @dataclass
 class Envelope:
@@ -101,12 +104,11 @@ def weyl_bound(d: int, q: int, N: int, eps: float = 0.05) -> float:
     return N ** (1 + eps) * (1.0 / q + 1.0 / N + q / N ** d) ** delta
 
 
-def fit_scale(series: Sequence, env: Envelope,
-              tail_fraction: float = 1.0 / 3.0) -> tuple[float, float]:
+def fit_scale(series: Sequence, env: Envelope) -> tuple[float, float]:
     """Smallest scale whose envelope dominates every (N, value) point.
 
     Returns (scale, tail_ratio) where tail_ratio is the max of
-    value / (scale * shape) over the trailing `tail_fraction` of points:
+    value / (scale * shape) over the trailing third of the points:
     1.0 means the binding point sits in the tail, small values mean the
     envelope has gone slack there.  Any non-finite value gives (nan, nan),
     so every `0 < scale < inf` gate fails.
@@ -121,7 +123,7 @@ def fit_scale(series: Sequence, env: Envelope,
     scale = max(ratios)
     if scale <= 0:
         return 0.0, 0.0
-    tail = max(1, int(len(pts) * tail_fraction))
+    tail = max(1, int(len(pts) * _TAIL_FRACTION))
     tail_ratio = max(ratios[-tail:]) / scale
     return scale, tail_ratio
 

@@ -162,7 +162,12 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
         parts = key.split(":")
         tol = 1e-12
         if parts[1] == "holder":
-            weight = HolderWeight(float(parts[2]))
+            if len(parts) < 3:
+                raise ConfigError(f"{key!r} needs an exponent: lacunary:holder:<alpha>")
+            alpha = float(parts[2])
+            if not 0 < alpha <= 1:
+                raise ConfigError(f"Holder exponent must be in (0, 1], got {alpha}")
+            weight = HolderWeight(alpha)
             if len(parts) > 3:
                 tol = float(parts[3])
             target = _lacunary_reach(weight, tol)
@@ -342,7 +347,7 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     phi = resolve_observable(
         f"lacunary:{weight}:{params}{float(cfg.get('tol', 1e-12))}",
         resolve_system("rotation1d:" + cfg.require("frequency"), bits))
-    omega, cf = phi.cf.omega, phi.cf
+    cf = phi.cf
     gap_c = float(cfg.get("gap_constant", 10.0))
     range_c = float(cfg.get("range_constant", 0.125))
     ratio_floor = float(cfg.get("ratio_floor", 0.1))
@@ -357,15 +362,14 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     reports = []
     for m in ms:
         entry = {"m": m, "q_m": phi.mode_q(m)}
-        rep = sharpness.decompose(phi, m, TorusPoint.zero(1, bits), omega=omega)
+        rep = sharpness.decompose(phi, m, TorusPoint.zero(1, bits))
         entry["identity_gap"] = rep.identity_gap
         entry["lower_dev_at_0"] = rep.lower_dev
         try:
             lb = sharpness.verify_lower_bound(
-                phi, m, gap_constant=gap_c, range_constant=range_c,
-                l_cap=l_cap, omega=omega,
+                phi, m, gap_constant=gap_c, range_constant=range_c, l_cap=l_cap,
             )
-            nm = sharpness.verify_Nm_bound(phi, m, lower=lb, omega=omega)
+            nm = sharpness.verify_Nm_bound(phi, m, lower=lb)
             entry.update({
                 "hypothesis": "ok",
                 "min_ratio": lb.min_ratio,
@@ -390,6 +394,8 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
     d = int(cfg.get("d", 2))
     omega = Frequency.parse(cfg.require("frequency"), bits)
     k = tuple(int(v) for v in cfg.require("k"))
+    if len(k) != d or not any(k):
+        raise ConfigError(f"k must have length d={d} and a nonzero entry, got {list(k)}")
     N_list = [int(n) for n in cfg.require("n_values")]
     eps = float(cfg.get("eps", 0.05))
     n_points = int(cfg.get("x_batch", 4))

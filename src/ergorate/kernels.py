@@ -14,7 +14,6 @@ conservation is exact rather than quadrature-approximate.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -24,6 +23,9 @@ import numpy as np
 from .arithmetic import dist_to_Z
 
 TWO_PI = 2.0 * math.pi
+
+# quadrature points of Observable.mean when no exact mean is declared
+_MEAN_QUAD_POINTS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +99,6 @@ class LogHolder(ModulusOfContinuity):
         return "log_holder"
 
 
-class CustomModulus(ModulusOfContinuity):
-    kind = "custom"
-
-    def __init__(self, fn: Callable[[float], float], name: str = "custom"):
-        self.fn = fn
-        self.name = name
-
-    def __call__(self, h):
-        return self.fn(h) if h > 0 else 0.0
-
-    def describe(self):
-        return self.name
-
-
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------
@@ -143,13 +131,13 @@ class Observable:
         """The finite spectrum {k: c_k}, or None when phi has none."""
         return self.fourier
 
-    def mean(self, quad_points: int = 1 << 16) -> float:
+    def mean(self) -> float:
         if self.mean_hint is not None:
             return self.mean_hint
         if self.dim == 1:
-            xs = (np.arange(quad_points) + 0.5) / quad_points
+            xs = (np.arange(_MEAN_QUAD_POINTS) + 0.5) / _MEAN_QUAD_POINTS
             return float(np.mean(self.fn(xs)))
-        side = max(64, int(round(quad_points ** (1.0 / self.dim))))
+        side = max(64, int(round(_MEAN_QUAD_POINTS ** (1.0 / self.dim))))
         axes = [(np.arange(side) + 0.5) / side] * self.dim
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         return float(np.mean(self.fn(mesh)))
@@ -297,25 +285,6 @@ def make_observable(key: str, dim: int = 1) -> Observable:
     )
 
 
-def sampled_holder_quotient(phi: Observable, alpha: float, n_pairs: int = 1000,
-                            seed: int = 11) -> float:
-    """Max sampled |phi(x+h) - phi(x)| / h**alpha over dyadic h."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for k in range(4, 21):
-        h = 2.0 ** -k
-        if phi.dim == 1:
-            xs = rng.random(n_pairs)
-            d = np.abs(phi.fn(xs + h) - phi.fn(xs))
-        else:
-            xs = rng.random((n_pairs, phi.dim))
-            shift = np.zeros(phi.dim)
-            shift[0] = h
-            d = np.abs(phi.fn(xs + shift) - phi.fn(xs))
-        worst = max(worst, float(d.max()) / h ** alpha)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # trigonometric polynomials
 # ---------------------------------------------------------------------------
@@ -359,13 +328,6 @@ class TrigPoly:
             out = out + c * np.exp(2j * math.pi * phase)
         return np.real(out)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        for k, c in self.coeffs.items():
-            mk = tuple(-i for i in k)
-            if abs(np.conj(self.coeffs.get(mk, 0.0)) - c) > tol:
-                return False
-        return True
-
     def to_observable(self, modulus: Optional[ModulusOfContinuity] = None) -> Observable:
         """Wrap as a real observable with an analytic Holder-norm bound."""
         modulus = modulus or Holder(1.0)
@@ -386,21 +348,6 @@ class TrigPoly:
             norm_est=sup + semi, mean_hint=mean, name="trigpoly",
             fourier=dict(self.coeffs),
         )
-
-    def to_json(self) -> str:
-        rows = [
-            {"k": list(k), "re": float(np.real(c)), "im": float(np.imag(c))}
-            for k, c in sorted(self.coeffs.items())
-        ]
-        return json.dumps({"dim": self.dim, "degree": self.degree, "coeffs": rows})
-
-    @staticmethod
-    def from_json(text: str) -> "TrigPoly":
-        obj = json.loads(text)
-        coeffs = {
-            tuple(row["k"]): complex(row["re"], row["im"]) for row in obj["coeffs"]
-        }
-        return TrigPoly(dim=int(obj["dim"]), coeffs=coeffs)
 
 
 def random_real_trigpoly(dim: int, degree: int, seed: int = 0,

@@ -24,7 +24,7 @@ from .errors import ErgorateError
 from .harness import (ExperimentConfig, resolve_observable, resolve_schedule,
                       resolve_system, run_kernel_experiment,
                       run_skew_experiment)
-from .kernels import (Holder, dirichlet, dirichlet_coeff_sum, fejer,
+from .kernels import (dirichlet, dirichlet_coeff_sum, fejer,
                       fejer_coeff_sum, jackson, jackson_closed_form,
                       make_dist_pow, approximate)
 from .sharpness import (AnalyticWeight, HolderWeight, build_lacunary,
@@ -317,17 +317,17 @@ def scenario_sharpness() -> dict:
     cf = expand_cf(omega, max_q=10 ** 27)
     phi = build_lacunary(cf, HolderWeight(0.5), tol=1e-12)
     m = 6
-    rep = sharpness.decompose(phi, m, TorusPoint.zero(1, 192), omega=omega)
+    rep = sharpness.decompose(phi, m, TorusPoint.zero(1, 192))
     v.details["identity_gap"] = rep.identity_gap
     v.check("decomposition identity (1e-10)", rep.identity_gap < 1e-10,
             rep.identity_gap)
     l_max = (cf.q_at(m + 1) // (8 * cf.q_at(m)))
-    lb = verify_lower_bound(phi, m, l_values=range(l_max + 1), omega=omega)
+    lb = verify_lower_bound(phi, m, l_values=range(l_max + 1))
     v.details["min_ratio"] = lb.min_ratio
     v.details["l_max"] = l_max
     v.check(f"window averages: dev * q_m^a >= 0.1 for l <= {l_max}",
             lb.min_ratio >= 0.1, lb.min_ratio)
-    nm = verify_Nm_bound(phi, m, lower=lb, omega=omega)
+    nm = verify_Nm_bound(phi, m, lower=lb)
     v.details["N_m"] = nm.N_m
     v.details["ratio_Nm"] = nm.ratio
     v.check("aggregate bound at N_m: ratio >= 0.1", nm.ratio >= 0.1, nm.ratio)
@@ -382,7 +382,7 @@ def scenario_liouville_slow_rate() -> dict:
     cf = expand_cf(omega, max_q=None, stop_product=1 << 420)
     phi = build_lacunary(cf, AnalyticWeight(), tol=1e-12)
     for m in (3, 4, 5):
-        r = slow_rate_point(phi, m, omega=omega)
+        r = slow_rate_point(phi, m)
         threshold = 0.1 * math.exp(-r.q_m)
         v.details[f"m={m}"] = {
             "q_m": r.q_m, "N_m": r.N_m, "dev": r.lower_dev_Nm,

@@ -30,6 +30,11 @@ TWO_PI = 2.0 * math.pi
 # steps per vectorized block of measure_average; fixes its summation order
 _AVERAGE_CHUNK = 1 << 20
 
+# admitted windows: l <= _RANGE_CONSTANT * q_{m+1} / q_m
+_RANGE_CONSTANT = 0.125
+# slow_rate_point's window-count cap, for q_{m+1}/q_m astronomically large
+_SLOW_RATE_L_CAP = 64
+
 
 # ---------------------------------------------------------------------------
 # weights
@@ -259,12 +264,9 @@ class SharpnessReport:
     sigma_lt: float
     lower_dev: float        # measured (1/q_m) S_{q_m} phi(x) - mean
     identity_gap: float     # |sigma_m + sigma_gt + sigma_lt - lower_dev|
-    N_m: Optional[int] = None
-    lower_dev_Nm: Optional[float] = None
 
 
-def decompose(phi: LacunaryObservable, m: int, x: TorusPoint,
-              omega: Optional[Frequency] = None) -> SharpnessReport:
+def decompose(phi: LacunaryObservable, m: int, x: TorusPoint) -> SharpnessReport:
     """Split (1/q_m) S_{q_m} phi(x) - mean into the resonant mode m, the
     higher modes and the lower modes; the three parts are closed-form
     geometric sums, and their total must reproduce the directly measured
@@ -272,7 +274,7 @@ def decompose(phi: LacunaryObservable, m: int, x: TorusPoint,
     """
     if not 1 <= m <= phi.n_modes:
         raise ValueError(f"mode index m={m} outside 1..{phi.n_modes}")
-    omega = omega or phi.cf.omega
+    omega = phi.cf.omega
     qm = phi.mode_q(m)
     terms = _mode_averages(phi, omega, x, qm)
     sigma_m = terms[m - 1]
@@ -299,13 +301,11 @@ class LowerBoundResult:
     entries: list           # (l, lower_dev)
     min_ratio: float        # min over l of lower_dev / w_m
     l_bar: int              # largest l with every window up to it positive
-    hypothesis_ok: bool
 
 
-def start_points(phi: LacunaryObservable, omega: Frequency, m: int,
-                 ls: Sequence[int]) -> list:
+def start_points(phi: LacunaryObservable, m: int, ls: Sequence[int]) -> list:
     one = 1 << phi.bits
-    w_fp = omega.fixed_point(phi.bits)
+    w_fp = phi.cf.omega.fixed_point(phi.bits)
     qm = phi.mode_q(m)
     return [TorusPoint(((l * qm * w_fp) % one,), phi.bits) for l in ls]
 
@@ -313,16 +313,15 @@ def start_points(phi: LacunaryObservable, omega: Frequency, m: int,
 def verify_lower_bound(phi: LacunaryObservable, m: int,
                        l_values: Optional[Sequence[int]] = None,
                        gap_constant: float = 10.0,
-                       range_constant: float = 0.125,
-                       l_cap: int = 256,
-                       omega: Optional[Frequency] = None) -> LowerBoundResult:
+                       range_constant: float = _RANGE_CONSTANT,
+                       l_cap: int = 256) -> LowerBoundResult:
     """Measure the q_m-step averages at x = l q_m omega across the admitted
     range of l and check they stay positive (the resonant mode dominates).
 
     Requires the gap q_{m+1} >= gap_constant * m * q_m; raises
     HypothesisNotMet otherwise so harnesses can report instead of assert.
     """
-    omega = omega or phi.cf.omega
+    omega = phi.cf.omega
     qm = phi.mode_q(m)
     if m + 1 > phi.cf.certified_len:
         raise Uncertified(f"q_{m + 1} not certified")
@@ -340,7 +339,7 @@ def verify_lower_bound(phi: LacunaryObservable, m: int,
     min_ratio = math.inf
     l_bar = -1
     prefix_positive = True
-    for l, x in zip(ls, start_points(phi, omega, m, ls)):
+    for l, x in zip(ls, start_points(phi, m, ls)):
         dev = measure_average(phi, omega, x, qm)
         entries.append((l, dev))
         min_ratio = min(min_ratio, dev / w_m)
@@ -350,7 +349,7 @@ def verify_lower_bound(phi: LacunaryObservable, m: int,
             prefix_positive = False
     return LowerBoundResult(
         m=m, q_m=qm, q_m1=qm1, entries=entries, min_ratio=min_ratio,
-        l_bar=l_bar, hypothesis_ok=True,
+        l_bar=l_bar,
     )
 
 
@@ -364,38 +363,30 @@ class NmBoundResult:
 
 
 def verify_Nm_bound(phi: LacunaryObservable, m: int,
-                    lower: Optional[LowerBoundResult] = None,
-                    omega: Optional[Frequency] = None,
-                    **kwargs) -> NmBoundResult:
-    """Aggregate the passing windows: N_m = (l_bar + 1) q_m and the ratio of
-    the measured N_m-step average at 0 to w_m."""
-    omega = omega or phi.cf.omega
-    if lower is None:
-        lower = verify_lower_bound(phi, m, omega=omega, **kwargs)
+                    lower: LowerBoundResult) -> NmBoundResult:
+    """Aggregate the passing windows of `lower`: N_m = (l_bar + 1) q_m and
+    the ratio of the measured N_m-step average at 0 to w_m."""
     if lower.l_bar < 0:
         raise HypothesisNotMet(f"no positive window at m={m}")
     N_m = (lower.l_bar + 1) * lower.q_m
-    dev = measure_average(phi, omega, TorusPoint.zero(1, phi.bits), N_m)
+    dev = measure_average(phi, phi.cf.omega, TorusPoint.zero(1, phi.bits), N_m)
     return NmBoundResult(
         m=m, q_m=lower.q_m, N_m=N_m, lower_dev_Nm=dev,
         ratio=dev / phi.mode_weight(m),
     )
 
 
-def slow_rate_point(phi: LacunaryObservable, m: int,
-                    range_constant: float = 0.125, l_cap: int = 64,
-                    omega: Optional[Frequency] = None) -> NmBoundResult:
+def slow_rate_point(phi: LacunaryObservable, m: int) -> NmBoundResult:
     """The Liouville slow-rate measurement: N_m ~ q_{m+1} built from the
     admitted window count (capped for tractability when q_{m+1}/q_m is
     astronomically large), no gap-hypothesis gate."""
-    omega = omega or phi.cf.omega
     qm = phi.mode_q(m)
     if m + 1 > phi.cf.certified_len:
         raise Uncertified(f"q_{m + 1} not certified")
     qm1 = phi.cf.q_at(m + 1)
-    l_bar = max(0, min(int(range_constant * qm1 / qm), l_cap))
+    l_bar = max(0, min(int(_RANGE_CONSTANT * qm1 / qm), _SLOW_RATE_L_CAP))
     N_m = (l_bar + 1) * qm
-    dev = measure_average(phi, omega, TorusPoint.zero(1, phi.bits), N_m)
+    dev = measure_average(phi, phi.cf.omega, TorusPoint.zero(1, phi.bits), N_m)
     return NmBoundResult(
         m=m, q_m=qm, N_m=N_m, lower_dev_Nm=dev, ratio=dev / phi.mode_weight(m),
     )

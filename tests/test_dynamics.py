@@ -22,6 +22,7 @@ from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
                               make_cos, make_dist_pow, make_weierstrass,
                               random_real_trigpoly)
 from ergorate.sharpness import measure_average
+from oracles import float_value
 
 BITS = 192
 ONE = 1 << BITS
@@ -202,7 +203,7 @@ class TestExpSum:
         w = golden.fixed_point(BITS)
         for k in (1, 5, 89):
             a = exp_sum_avg_fp((k * w) % ONE, BITS, 500)
-            b = exp_sum_direct(k * golden.float_value(), 500)
+            b = exp_sum_direct(k * float_value(golden), 500)
             assert abs(a - b) < 1e-9
 
     @given(st.floats(1e-6, 0.999999), st.integers(1, 10 ** 5))
@@ -338,7 +339,7 @@ class TestSupDeviation:
         assert sup_deviation(rot, phi, 100, 64).sup_dev == 0.0
 
     def test_coboundary_rate(self, rot, golden):
-        phi = make_coboundary(golden.float_value())
+        phi = make_coboundary(float_value(golden))
         for N in (100, 1000):
             res = sup_deviation(rot, phi, N, 128)
             assert res.sup_dev <= 2.0 / N + 1e-12
@@ -422,7 +423,7 @@ def _spectral_case(name):
     if name == "cos2":
         return rot2, make_cos(2)
     if name == "coboundary":
-        return rot1, make_coboundary(golden.float_value())
+        return rot1, make_coboundary(float_value(golden))
     if name == "weierstrass":
         return rot1, make_weierstrass(Holder(0.5))
     if name == "lacunary":
@@ -482,7 +483,7 @@ class TestCharSums:
         k = (0, 3)
         N = 200
         res = char_birkhoff_skew(d, golden, k, x, N, BITS)
-        wv = golden.float_value()
+        wv = float_value(golden)
         expect = abs((1 - cmath.exp(2j * math.pi * N * 3 * wv))
                      / (1 - cmath.exp(2j * math.pi * 3 * wv)))
         assert abs(res.value) == pytest.approx(expect, abs=1e-6)

@@ -432,9 +432,16 @@ class TestCli:
         (["--precision-bits", "0", "rate", "--system", "rotation1d:golden",
           "--observable", "cos", "--schedule", "list:100", "--grid", "64"],
          "bits"),
+        (["rate", "--system", "rotation1d:golden", "--observable",
+          "lacunary:holder", "--schedule", "list:100"], "exponent"),
+        (["rate", "--system", "rotation1d:golden", "--observable",
+          "lacunary:holder:0", "--schedule", "list:100"], "exponent"),
+        (["skew", "--frequency", "golden", "--d", "2", "--k", "0,0",
+          "--n-values", "1000"], "nonzero"),
     ])
     def test_zero_valued_flags_exit_code(self, capsys, argv, needle):
-        # 0 and 1 are explicit values, not "flag absent"
+        # 0 and 1 are explicit values, not "flag absent"; a missing or zero
+        # Holder exponent and an all-zero k fail closed, not with a traceback
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err

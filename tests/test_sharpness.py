@@ -8,13 +8,14 @@ import pytest
 from ergorate.arithmetic import Frequency, PartialQuotients, expand_cf
 from ergorate.dynamics import SystemSpec, TorusPoint, birkhoff_sum
 from ergorate.errors import HypothesisNotMet, Uncertified
-from ergorate.kernels import LogHolder, WeakHolder, sampled_holder_quotient
+from ergorate.kernels import LogHolder, WeakHolder
 from ergorate.sharpness import (AnalyticWeight, HolderWeight,
                                 LacunaryObservable, ModulusWeight,
                                 borel_bernstein_schedule, build_lacunary,
                                 closed_form_average, decompose,
                                 measure_average, slow_rate_point,
                                 verify_Nm_bound, verify_lower_bound)
+from oracles import sampled_holder_quotient
 
 BITS = 192
 
@@ -88,28 +89,26 @@ class TestBuild:
 
 
 class TestDecompose:
-    def test_identity_at_zero(self, spike_lac, spike_freq):
-        rep = decompose(spike_lac, 6, TorusPoint.zero(1, BITS), omega=spike_freq)
+    def test_identity_at_zero(self, spike_lac):
+        rep = decompose(spike_lac, 6, TorusPoint.zero(1, BITS))
         assert rep.identity_gap < 1e-10
 
-    def test_identity_random_points(self, golden_lac, golden, rng):
+    def test_identity_random_points(self, golden_lac, rng):
         for m in (3, 5, 8, 10):
             x = TorusPoint.from_floats([rng.random()], BITS)
-            rep = decompose(golden_lac, m, x, omega=golden)
+            rep = decompose(golden_lac, m, x)
             assert rep.identity_gap < 1e-10
 
-    def test_top_mode_has_empty_high_tail(self, golden_deep_cf, golden):
+    def test_top_mode_has_empty_high_tail(self, golden_deep_cf):
         # analytic weights truncate within a handful of modes, so the q_K-step
         # window at the top mode stays computable
         phi = build_lacunary(golden_deep_cf, AnalyticWeight(), tol=1e-12)
-        rep = decompose(phi, phi.n_modes, TorusPoint.from_floats([0.3], BITS),
-                        omega=golden)
+        rep = decompose(phi, phi.n_modes, TorusPoint.from_floats([0.3], BITS))
         assert rep.sigma_gt == 0.0
         assert rep.identity_gap < 1e-10
 
-    def test_first_mode_has_empty_low_tail(self, golden_lac, golden):
-        rep = decompose(golden_lac, 1, TorusPoint.from_floats([0.3], BITS),
-                        omega=golden)
+    def test_first_mode_has_empty_low_tail(self, golden_lac):
+        rep = decompose(golden_lac, 1, TorusPoint.from_floats([0.3], BITS))
         assert rep.sigma_lt == 0.0
 
     def test_against_generic_birkhoff_sum(self, golden, golden_deep_cf):
@@ -131,23 +130,21 @@ class TestDecompose:
 
 
 class TestTailBounds:
-    def test_high_tail_domination(self, golden_lac, golden):
+    def test_high_tail_domination(self, golden_lac):
         # |Sigma_{>m}| <= C / q_{m+1}^alpha over a grid of x; for all-ones
         # tails the true constant is sum phi^{-j/2} = 4.67, so 5 is sharp-ish
         for m in (4, 7, 10):
             qm1 = golden_lac.mode_q(m + 1)
             bound = 5.0 * qm1 ** -0.5
             for xv in np.linspace(0, 1, 17, endpoint=False):
-                rep = decompose(golden_lac, m,
-                                TorusPoint.from_floats([xv], BITS), omega=golden)
+                rep = decompose(golden_lac, m, TorusPoint.from_floats([xv], BITS))
                 assert abs(rep.sigma_gt) <= bound
 
-    def test_low_tail_scale(self, spike_lac, spike_freq):
+    def test_low_tail_scale(self, spike_lac):
         # |Sigma_{<m}| <= scale * m q_{m-1}^{1-alpha} / q_{m+1}, stable scale
         scales = []
         for m in (5, 6, 7):
-            rep = decompose(spike_lac, m, TorusPoint.zero(1, BITS),
-                            omega=spike_freq)
+            rep = decompose(spike_lac, m, TorusPoint.zero(1, BITS))
             qm1 = spike_lac.mode_q(m + 1)
             qprev = spike_lac.mode_q(m - 1)
             shape = m * qprev ** 0.5 / qm1
@@ -156,14 +153,13 @@ class TestTailBounds:
 
 
 class TestLowerBounds:
-    def test_spike_window_positivity(self, spike_lac, spike_freq):
-        lb = verify_lower_bound(spike_lac, 6, omega=spike_freq)
-        assert lb.hypothesis_ok
+    def test_spike_window_positivity(self, spike_lac):
+        lb = verify_lower_bound(spike_lac, 6)
         assert lb.min_ratio >= 0.1
         assert lb.l_bar == lb.entries[-1][0]  # every window positive
 
-    def test_spike_l0_near_one(self, spike_lac, spike_freq):
-        lb = verify_lower_bound(spike_lac, 6, l_values=[0], omega=spike_freq)
+    def test_spike_l0_near_one(self, spike_lac):
+        lb = verify_lower_bound(spike_lac, 6, l_values=[0])
         # at l = 0 the resonant mode contributes nearly its full weight
         assert lb.min_ratio >= 0.4
 
@@ -190,23 +186,22 @@ class TestLowerBounds:
             expect = w * (e * np.exp(2j * np.pi * phase)).real
             assert measured == pytest.approx(expect, abs=1e-12)
 
-    def test_golden_hypothesis_not_met(self, golden_lac, golden):
+    def test_golden_hypothesis_not_met(self, golden_lac):
         with pytest.raises(HypothesisNotMet):
-            verify_lower_bound(golden_lac, 6, omega=golden)
+            verify_lower_bound(golden_lac, 6)
 
-    def test_positivity_breaks_beyond_range(self, spike_lac, spike_freq):
+    def test_positivity_breaks_beyond_range(self, spike_lac):
         # sweep far past the admitted range: positivity must eventually fail,
         # and the breakdown point sits beyond the certified range constant
         q6, q7 = spike_lac.mode_q(6), spike_lac.mode_q(7)
         l_hi = int(0.6 * q7 / q6)
-        lb = verify_lower_bound(spike_lac, 6, l_values=range(l_hi),
-                                omega=spike_freq)
+        lb = verify_lower_bound(spike_lac, 6, l_values=range(l_hi))
         negatives = [l for l, dev in lb.entries if dev <= 0]
         assert negatives, "window averages should fail far beyond the range"
         assert min(negatives) > q7 / (8 * q6)
 
-    def test_nm_bound(self, spike_lac, spike_freq):
-        nm = verify_Nm_bound(spike_lac, 6, omega=spike_freq)
+    def test_nm_bound(self, spike_lac):
+        nm = verify_Nm_bound(spike_lac, 6, lower=verify_lower_bound(spike_lac, 6))
         assert nm.ratio >= 0.1
         assert nm.N_m % spike_lac.mode_q(6) == 0
 
@@ -254,7 +249,7 @@ class TestSlowRate:
         cf = expand_cf(f, max_q=None, stop_product=1 << 420)
         phi = build_lacunary(cf, AnalyticWeight(), tol=1e-12)
         for m in (3, 4, 5):
-            r = slow_rate_point(phi, m, omega=f)
+            r = slow_rate_point(phi, m)
             assert r.lower_dev_Nm > 0.1 * math.exp(-r.q_m)
 
     def test_matched_rate_interpretation(self):
@@ -264,6 +259,6 @@ class TestSlowRate:
         cf = expand_cf(f, max_q=None, stop_product=1 << 420)
         phi = build_lacunary(cf, AnalyticWeight(), tol=1e-12)
         m = 5
-        r = slow_rate_point(phi, m, omega=f)
+        r = slow_rate_point(phi, m)
         rho_at_gap_scale = 1.0 / cf.q_at(m + 1)  # rho(t) = e^{-Gamma^{-1}(t)}
         assert r.lower_dev_Nm >= 0.1 * rho_at_gap_scale
