@@ -29,6 +29,9 @@ TWO_PI = 2.0 * math.pi
 # Grid sweeps refuse to enumerate more than this many points.
 GRID_POINT_BUDGET = 1 << 18
 
+# Cells per block of the pointwise grid route: 512 KB of doubles stay in cache.
+_BLOCK_CELLS = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # state and systems
@@ -281,16 +284,17 @@ def birkhoff_sum(sys: SystemSpec, phi: Observable, x: TorusPoint, N: int) -> flo
         raise ValueError("N must be >= 1")
     if phi.dim != sys.dim:
         raise ValueError("observable dimension does not match the system")
-    total = 0.0
-    carry = 0.0
+    total = carry = 0.0
     for buf in orbit_floats(sys, x, N):
-        s = float(np.sum(phi.fn(buf)))
-        # Kahan accumulation of chunk totals
-        y = s - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
+        total, carry = _kahan_add(total, carry, float(np.sum(phi.fn(buf))))
     return total
+
+
+def _kahan_add(total, carry, s):
+    """One step of the compensated (Kahan) accumulation of chunk totals."""
+    y = s - carry
+    t = total + y
+    return t, (t - total) - y
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +340,71 @@ def _spectral_sums(sys, spectrum: dict, N, grid):
     return np.real(np.fft.ifftn(spec)) * grid ** d
 
 
-def _grid_sums_1d(sys, phi, N, grid):
-    """S_N phi on the grid by pointwise evaluation: O(N * grid)."""
-    xs = np.arange(grid) / grid
-    sums = np.zeros(grid)
-    carry = np.zeros(grid)
-    # at most 2^15 orbit points and 2^22 cells (32 MB) per chunk; the chunk
-    # fixes the summation order, and changing it moves the strongly
-    # cancelling sums at large N by up to ~1e-8 relative
-    chunk = max(256, min(1 << 15, (1 << 22) // grid))
-    for buf in orbit_floats(sys, TorusPoint.zero(1, sys.bits), N, chunk):
-        pts = np.mod(buf[:, None] + xs[None, :], 1.0)
-        s = np.asarray(phi.fn(pts), dtype=float).sum(axis=0)
-        y = s - carry
-        t = sums + y
-        carry = (t - sums) - y
-        sums = t
-    return sums
+class GridSweep:
+    """S_j phi on a uniform grid for a 1-d rotation, by pointwise evaluation
+    along the one orbit of 0: O(j * grid), resumable in j.
+
+    sup_deviation advances the sweep from its step j to each N it is given,
+    so a rising schedule walks the orbit once.  The summation order is that
+    of one fresh pass to N: the orbit is cut into chunks of at most 2**15
+    rows and 2**22 cells (32 MB), each chunk is summed over its rows one row
+    after another (numpy's order along axis 0 of a C-ordered array), and
+    the chunk totals are accumulated with Kahan compensation.  The chunk
+    fixes the summation order; changing it moves the strongly cancelling
+    sums at large N by up to ~1e-8 relative.  Rows are evaluated in blocks
+    of about 2**16 cells that stay in cache, and each block carries the
+    running total of its chunk in through its first row, which keeps the
+    row-by-row order bit for bit.  phi.fn must return a fresh array, since
+    that first row is added to in place.
+
+    `check`, when given, is called with no arguments once per completed
+    chunk: a wall-clock budget can stop a single long N there.
+    """
+
+    def __init__(self, sys: SystemSpec, phi: Observable, grid: int, check=None):
+        self.sys, self.phi, self.grid, self.check = sys, phi, grid, check
+        self.chunk = max(256, min(1 << 15, (1 << 22) // grid))
+        self.j = 0
+        self._xs = np.arange(grid) / grid
+        self._sums = np.zeros(grid)  # Kahan state of the completed chunks
+        self._carry = np.zeros(grid)
+        self._open = None  # row total of the open chunk, once it has rows
+        # the orbit's registers at step j, built on the first advance: a
+        # sweep handed to another route never walks
+        self._regs = None
+
+    def sums(self, N: int) -> np.ndarray:
+        """S_N phi on the grid, advancing the orbit from step j to N."""
+        if N < self.j:
+            raise ValueError(f"the sweep is at step {self.j}, past N = {N}")
+        if self._regs is None:
+            bits = self.sys.bits
+            (chain,) = self.sys.chains(TorusPoint.zero(1, bits))
+            self._regs = limbs_from_ints(chain, bits)
+        rows = max(1, _BLOCK_CELLS // self.grid)
+        while self.j < N:
+            m = min(N, (self.j // self.chunk + 1) * self.chunk) - self.j
+            orbit = np.empty((m, 1))
+            _register_floats(self._regs, orbit)
+            for lo in range(0, m, rows):
+                pts = orbit[lo:lo + rows] + self._xs
+                # mod 1 of a sum in [0, 2): s - 1 is exact for s in [1, 2),
+                # so this equals np.mod(pts, 1.0) bit for bit, far cheaper
+                pts -= pts >= 1.0
+                vals = np.asarray(self.phi.fn(pts), dtype=float)
+                if self._open is not None:
+                    vals[0] += self._open
+                self._open = vals.sum(axis=0)
+            self.j += m
+            if self.j % self.chunk == 0:
+                self._sums, self._carry = _kahan_add(self._sums, self._carry,
+                                                     self._open)
+                self._open = None
+                if self.check is not None:
+                    self.check()
+        if self._open is None:
+            return self._sums.copy()
+        return _kahan_add(self._sums, self._carry, self._open)[0]
 
 
 def _generic_sums(sys, phi, N, grid):
@@ -366,13 +418,14 @@ def _generic_sums(sys, phi, N, grid):
     return sums
 
 
-def _orbit_sums(sys, phi, N, grid):
+def _orbit_sums(sys, phi, N, grid, sweep=None):
     """S_N phi on the grid, by the cheapest exact route.
 
     Rotations of an observable with a finite spectrum take the closed form.
     A separable observable takes it for its trig part and adds each axis
     term as a 1-d field on its own axis.  Other 1-d rotations sum pointwise
-    over the grid; everything else runs one orbit per grid point.
+    over the grid, resuming `sweep` (or a fresh GridSweep); everything else
+    runs one orbit per grid point.
     """
     if sys.kind == "skew":
         return _generic_sums(sys, phi, N, grid)
@@ -388,20 +441,29 @@ def _orbit_sums(sys, phi, N, grid):
             sums = sums + _orbit_sums(sub_sys, sub, N, grid).reshape(shape)
         return sums
     if sys.dim == 1:
-        return _grid_sums_1d(sys, phi, N, grid)
+        if sweep is None:
+            sweep = GridSweep(sys, phi, grid)
+        return sweep.sums(N)
     return _generic_sums(sys, phi, N, grid)
 
 
-def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int) -> BirkhoffResult:
+def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int,
+                  sweep: GridSweep | None = None) -> BirkhoffResult:
     """Max over a uniform grid of |S_N phi / N - mean(phi)|.
 
     The grid maximum is a certified lower bound of the true sup; Holder
-    continuity bounds the gap by ||phi||_w * w(1/grid).
+    continuity bounds the gap by ||phi||_w * w(1/grid).  A GridSweep built
+    for (sys, phi, grid) lets a rising schedule of N resume the pointwise
+    route where the last call stopped; the other routes ignore it.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if grid < 16:
         raise ValueError("grid must be >= 16")
+    if sweep is not None and (sweep.sys is not sys or sweep.phi is not phi
+                              or sweep.grid != grid):
+        raise ValueError("the sweep was built for another system, "
+                         "observable or grid")
     d = sys.dim
     if d > 3 or grid ** d > GRID_POINT_BUDGET:
         raise DimensionTooLarge(
@@ -409,7 +471,7 @@ def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int) -> Birkho
             f"(d <= 3, at most {GRID_POINT_BUDGET} points)"
         )
     mean = phi.mean()
-    dev = _orbit_sums(sys, phi, N, grid) / N - mean
+    dev = _orbit_sums(sys, phi, N, grid, sweep) / N - mean
     idx = np.unravel_index(int(np.argmax(np.abs(dev))), dev.shape)
     return BirkhoffResult(N, grid, float(abs(dev[idx])),
                           grid_point(idx, grid, sys.bits), mean, dev)

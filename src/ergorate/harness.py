@@ -8,6 +8,7 @@ CSV when explicitly enabled.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import sharpness
 from .arithmetic import Frequency, expand_cf, find_convergent_at_scale
-from .dynamics import (SystemSpec, TorusPoint, char_birkhoff_skew, kernel_sum,
-                       sup_deviation)
+from .dynamics import (GridSweep, SystemSpec, TorusPoint, char_birkhoff_skew,
+                       kernel_sum, sup_deviation)
 from .envelopes import Envelope, fit_scale, weyl_bound
 from .errors import ConfigError, Timeout
 from .kernels import (Holder, Observable, make_dist_pow, make_observable,
@@ -160,7 +161,6 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
     """
     if key.startswith("lacunary:"):
         parts = key.split(":")
-        tol = 1e-12
         if parts[1] == "holder":
             if len(parts) < 3:
                 raise ConfigError(f"{key!r} needs an exponent: lacunary:holder:<alpha>")
@@ -168,13 +168,11 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
             if not 0 < alpha <= 1:
                 raise ConfigError(f"Holder exponent must be in (0, 1], got {alpha}")
             weight = HolderWeight(alpha)
-            if len(parts) > 3:
-                tol = float(parts[3])
+            tol = _lacunary_tol(parts[3:])
             target = _lacunary_reach(weight, tol)
         elif parts[1] == "analytic":
             weight = AnalyticWeight()
-            if len(parts) > 2:
-                tol = float(parts[2])
+            tol = _lacunary_tol(parts[2:])
             target = 10 ** 12
         else:
             raise ConfigError(f"unknown lacunary weight {parts[1]!r}")
@@ -193,10 +191,28 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
         raise ConfigError(exc.args[0]) from None
 
 
+def _lacunary_tol(rest: list) -> float:
+    """The truncation tolerance after a lacunary key's weight parameters:
+    1e-12 when absent, else a number in (0, inf)."""
+    if not rest:
+        return 1e-12
+    try:
+        tol = float(rest[0])
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"lacunary tolerance must be in (0, inf), got {rest[0]!r}")
+    return tol
+
+
 def _lacunary_reach(weight: HolderWeight, tol: float) -> int:
     # tail ~ C * q^-alpha below tol/4 leaves margin for the doubling bound
     geo = 1.0 / (1.0 - 2.0 ** -weight.alpha)
-    return int((8 * geo / tol) ** (1.0 / weight.alpha)) + 10
+    try:
+        return int((8 * geo / tol) ** (1.0 / weight.alpha)) + 10
+    except OverflowError:
+        raise ConfigError(f"lacunary tolerance {tol} is too small: the series "
+                          f"would need modes beyond any double") from None
 
 
 def resolve_schedule(text: str, sys: SystemSpec) -> list[int]:
@@ -262,11 +278,14 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateSeries:
            if "envelope" in cfg.values else None)
     timings = bool(cfg.get("timings", False))
     clock = _BudgetClock(cfg.get("budget_s"))
+    # one orbit for the whole schedule, checked against the budget per chunk
+    sweep = GridSweep(sys, phi, grid,
+                      check=functools.partial(clock.check, "rate experiment"))
 
     points, rows = [], []
     for N in schedule:
         t0 = time.monotonic()
-        res = sup_deviation(sys, phi, N, grid)
+        res = sup_deviation(sys, phi, N, grid, sweep)
         wall = (time.monotonic() - t0) * 1000.0
         points.append((N, res.sup_dev))
         rows.append({
@@ -412,19 +431,18 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
 
     rows = []
     for N in N_list:
-        best = 0.0
-        for x in xs:
-            res = char_birkhoff_skew(d, omega, k, x, N, bits)
-            best = max(best, abs(res.value))
+        # np.max, unlike max, propagates a NaN, so the gates below fail on it
+        best = float(np.max([abs(char_birkhoff_skew(d, omega, k, x, N, bits).value)
+                             for x in xs]))
         _, q = find_convergent_at_scale(lead_cf, N)
         rows.append({
             "N": N, "q": q, "max_char_sum": best,
             "weyl_shape": weyl_bound(d, q, N, eps),
         })
         clock.check("skew experiment")
-    shapes = [(r["N"], r["max_char_sum"] / r["weyl_shape"]) for r in rows]
-    scale = max(v for _, v in shapes)
-    tail = max(v for _, v in shapes[-max(1, len(shapes) // 3):]) / scale
+    shapes = [r["max_char_sum"] / r["weyl_shape"] for r in rows]
+    scale = float(np.max(shapes))
+    tail = float(np.max(shapes[-max(1, len(shapes) // 3):])) / scale
     out = {"rows": rows, "scale": scale, "tail_ratio": tail, "d": d, "eps": eps,
            "config_hash": cfg.config_hash()}
     _maybe_emit(cfg, "skew", rows, extra={"scale": scale, "tail_ratio": tail})
@@ -438,7 +456,7 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
 
 def _format_cell(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # a numpy float64 would print as np.float64(...)
     return str(v)
 
 

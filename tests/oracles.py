@@ -3,8 +3,9 @@
 Each is a direct, unoptimised computation that tests compare library
 output against or build inputs from: the distance to the nearest integer
 from an exact fixed-point numerator, ||k omega||, a frequency as a double,
-a sampled Holder quotient and the Hermitian symmetry of
-trigonometric-polynomial coefficients.
+a sampled Holder quotient, the Hermitian symmetry of
+trigonometric-polynomial coefficients and the pointwise grid field of a
+1-d rotation in one fresh pass.
 """
 
 from typing import Optional
@@ -12,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ergorate.arithmetic import Frequency
+from ergorate.dynamics import SystemSpec, TorusPoint, orbit_floats
 from ergorate.kernels import Observable, TrigPoly
 
 
@@ -60,3 +62,23 @@ def is_hermitian(tp: TrigPoly, tol: float = 1e-12) -> bool:
         if abs(np.conj(tp.coeffs.get(mk, 0.0)) - c) > tol:
             return False
     return True
+
+
+def grid_sums_one_pass(sys: SystemSpec, phi: Observable, N: int,
+                       grid: int) -> np.ndarray:
+    """S_N phi on the grid x = g / grid for a 1-d rotation, in the summation
+    order of the library's pointwise route written as one fresh pass: each
+    whole orbit chunk is evaluated at once and summed along the orbit axis,
+    and the chunk totals are Kahan-accumulated."""
+    xs = np.arange(grid) / grid
+    sums = np.zeros(grid)
+    carry = np.zeros(grid)
+    chunk = max(256, min(1 << 15, (1 << 22) // grid))
+    for buf in orbit_floats(sys, TorusPoint.zero(1, sys.bits), N, chunk):
+        s = np.asarray(phi.fn(np.mod(buf[:, None] + xs[None, :], 1.0)),
+                       dtype=float).sum(axis=0)
+        y = s - carry
+        t = sums + y
+        carry = (t - sums) - y
+        sums = t
+    return sums

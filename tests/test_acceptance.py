@@ -7,8 +7,11 @@ its wall-clock budget.  Run the whole gate with:
     pytest tests/test_acceptance.py -v -s
 """
 
+import math
+
 import pytest
 
+from ergorate import scenarios
 from ergorate.scenarios import SCENARIOS, run_scenario
 
 CRITERIA = [
@@ -44,3 +47,19 @@ def test_criterion(number, name, headline):
 
 def test_every_scenario_is_registered():
     assert {name for _, name, _ in CRITERIA} == set(SCENARIOS)
+
+
+def test_denjoy_koksma_fails_closed_on_nan(monkeypatch):
+    real = scenarios.sup_deviation
+
+    def nan_at_q_5(sys, phi, q, *args):
+        res = real(sys, phi, q, *args)
+        if q == 5:
+            res.sup_dev = math.nan
+        return res
+
+    monkeypatch.setattr(scenarios, "sup_deviation", nan_at_q_5)
+    verdict = run_scenario("denjoy_koksma")
+    assert not verdict["passed"]
+    bounds = [c for c in verdict["checks"] if "sup_dev * q^a" in c["label"]]
+    assert len(bounds) == 3 and not any(c["ok"] for c in bounds)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ergorate.arithmetic import (Frequency, PartialQuotients, expand_cf,
                                  golden_mean, sqrt2_minus_1)
-from ergorate.dynamics import (SystemSpec, TorusPoint,
+from ergorate.dynamics import (GridSweep, SystemSpec, TorusPoint,
                                birkhoff_sum, char_birkhoff_skew,
                                exp_sum_avg_fp, grid_point, iterate,
                                kernel_sum, orbit_floats, step, sup_deviation)
@@ -22,7 +22,7 @@ from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
                               make_cos, make_dist_pow, make_weierstrass,
                               random_real_trigpoly)
 from ergorate.sharpness import measure_average
-from oracles import float_value
+from oracles import float_value, grid_sums_one_pass
 
 BITS = 192
 ONE = 1 << BITS
@@ -386,6 +386,60 @@ class TestSupDeviation:
             modulus=Holder(1.0), norm_est=1 + 2 * np.pi, mean_hint=0.0)
         res = sup_deviation(sys, phi, 50, 16)
         assert 0 <= res.sup_dev <= 2.0
+
+
+class TestGridSweep:
+    """One orbit per schedule on the pointwise grid route: each field equals
+    that of a fresh pass to its N, bit for bit."""
+
+    @pytest.mark.parametrize("G", [16, 64, 1024])
+    def test_fields_equal_fresh_passes(self, rot, G):
+        phi = make_dist_pow(0.5)
+        sweep = GridSweep(rot, phi, G)
+        c = sweep.chunk  # 2**15 rows at G = 16 and 64, 4096 at G = 1024
+        # 1 is repeated as in a convergent schedule; the rest straddle the
+        # first and second chunk boundaries and repeat a point
+        for N in [1, 1, 63, c - 1, c, c, c + 1, 2 * c + 5]:
+            res = sup_deviation(rot, phi, N, G, sweep)
+            fresh = sup_deviation(rot, phi, N, G)
+            assert sweep.j == N
+            assert np.array_equal(res.field, fresh.field)
+            assert res.sup_dev == fresh.sup_dev
+            assert res.argmax_x == fresh.argmax_x
+            assert np.array_equal(grid_sums_one_pass(rot, phi, N, G) / N
+                                  - phi.mean(), res.field)
+
+    def test_resuming_behind_the_sweep_fails_closed(self, rot):
+        phi = make_dist_pow(0.5)
+        sweep = GridSweep(rot, phi, 64)
+        sup_deviation(rot, phi, 100, 64, sweep)
+        with pytest.raises(ValueError, match="past"):
+            sup_deviation(rot, phi, 99, 64, sweep)
+
+    def test_sweep_of_another_run_fails_closed(self, rot, sqrt2m1):
+        phi = make_dist_pow(0.5)
+        sweep = GridSweep(rot, phi, 64)
+        other_sys = SystemSpec.rotation(sqrt2m1, BITS)
+        for args in [(other_sys, phi, 100, 64), (rot, make_dist_pow(0.3), 100, 64),
+                     (rot, phi, 100, 128)]:
+            with pytest.raises(ValueError, match="built for another"):
+                sup_deviation(*args, sweep)
+        assert sweep.j == 0
+
+    def test_budget_check_runs_per_chunk(self, rot):
+        calls = []
+        sweep = GridSweep(rot, make_dist_pow(0.5), 1024,
+                          check=lambda: calls.append(sweep.j))
+        c = sweep.chunk
+        sup_deviation(rot, sweep.phi, 3 * c + 7, 1024, sweep)
+        assert calls == [c, 2 * c, 3 * c]
+
+    def test_other_routes_ignore_the_sweep(self, rot):
+        phi = make_cos()
+        sweep = GridSweep(rot, phi, 64)
+        res = sup_deviation(rot, phi, 1000, 64, sweep)
+        assert sweep.j == 0
+        assert np.array_equal(res.field, sup_deviation(rot, phi, 1000, 64).field)
 
 
 def _direct_field(sys, phi, N, G):

@@ -1,11 +1,14 @@
 """Config round-trips, experiment orchestration, emission and the CLI."""
 
+import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from ergorate import harness
 from ergorate.cli import main as cli_main
 from ergorate.errors import ConfigError, Timeout
 from ergorate.harness import (ExperimentConfig, emit_csv, json_text,
@@ -151,6 +154,40 @@ class TestRateExperiment:
         with pytest.raises(Timeout):
             run_rate_experiment(cfg)
 
+    def test_budget_stops_a_single_huge_n(self):
+        # the budget is checked per orbit chunk, not only between points
+        cfg = ExperimentConfig({
+            "system": "rotation1d:golden",
+            "observable": "dist_pow:0.5",
+            "schedule": "list:10000000",
+            "budget_s": 0.5,
+        })
+        t0 = time.monotonic()
+        with pytest.raises(Timeout):
+            run_rate_experiment(cfg)
+        assert time.monotonic() - t0 < 2.0
+
+    def test_golden_bytes_of_the_grid_route(self, tmp_path, monkeypatch):
+        # recorded before the route resumed one orbit per run: the pointwise
+        # grid field keeps its summation order bit for bit
+        monkeypatch.chdir(tmp_path)
+        run_rate_experiment(ExperimentConfig({
+            "system": "rotation1d:golden",
+            "observable": "dist_pow:0.5",
+            "schedule": "convergents:10000",
+            "grid": 1024,
+            "envelope": "dk:alpha=0.5",
+            "out_dir": "out",
+        }))
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in (tmp_path / "out").iterdir()}
+        assert digests == {
+            "rate-d517dba324bb019c.csv":
+                "054efac0cffc855f7de5e4da7859387acf4914b84ada3108379e8bc16930081b",
+            "rate-d517dba324bb019c-manifest.json":
+                "c01b60c1ee75e180226531bda1963b334da539407da7753068eb32e4e3170354",
+        }
+
 
 class TestKernelExperiment:
     def test_q2_exact_single_pair(self):
@@ -196,6 +233,27 @@ class TestKernelExperiment:
         out = run_kernel_experiment(cfg)
         assert out["max_ratio"] == 0.0  # max() drops the NaNs
         assert out["within_cap"] is False
+
+
+class TestSkewExperiment:
+    def test_nan_character_sum_fails_the_gates(self, monkeypatch):
+        real = harness.char_birkhoff_skew
+        calls = []
+
+        def nan_on_a_later_call(*args):
+            res = real(*args)
+            calls.append(1)
+            if len(calls) == 4:  # neither the first x nor the first N
+                res.value = complex(math.nan, 0.0)
+            return res
+
+        monkeypatch.setattr(harness, "char_birkhoff_skew", nan_on_a_later_call)
+        out = run_skew_experiment(ExperimentConfig({
+            "d": 2, "frequency": "golden", "k": [1, 0],
+            "n_values": [100, 200, 400], "x_batch": 1,
+        }))
+        assert math.isnan(out["rows"][1]["max_char_sum"])
+        assert math.isnan(out["scale"]) and math.isnan(out["tail_ratio"])
 
 
 class TestSharpnessExperiment:
@@ -273,6 +331,12 @@ class TestEmission:
             "n_values = [1000, 5000]\n"
             "x_batch = 2\n"
         ), run_skew_experiment)
+
+    def test_numpy_float_cells_print_as_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        emit_csv([{"gap": np.float64(2.5e-16), "n": np.int64(3), "x": 0.1}],
+                 path)
+        assert path.read_text() == "gap,n,x\n2.5e-16,3,0.1\n"
 
     def test_json_text_maps_non_finite_to_null(self):
         obj = {"a": [np.float64("nan"), np.float32("inf"), (1.5, -math.inf)],
@@ -438,10 +502,19 @@ class TestCli:
           "lacunary:holder:0", "--schedule", "list:100"], "exponent"),
         (["skew", "--frequency", "golden", "--d", "2", "--k", "0,0",
           "--n-values", "1000"], "nonzero"),
+    ] + [
+        (["rate", "--system", "rotation1d:golden", "--observable", key,
+          "--schedule", "list:100"], "tolerance")
+        for key in ("lacunary:holder:0.5:0", "lacunary:holder:0.5:nan",
+                    "lacunary:holder:0.5:-1", "lacunary:holder:0.5:inf",
+                    "lacunary:holder:0.5:x", "lacunary:holder:0.5:1e-300",
+                    "lacunary:analytic:0",
+                    "lacunary:analytic:-1e-12")
     ])
     def test_zero_valued_flags_exit_code(self, capsys, argv, needle):
         # 0 and 1 are explicit values, not "flag absent"; a missing or zero
-        # Holder exponent and an all-zero k fail closed, not with a traceback
+        # Holder exponent, an all-zero k and a lacunary tolerance outside
+        # (0, inf) fail closed, not with a traceback
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
