@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -203,6 +202,22 @@ def limbs_advance(regs: np.ndarray, m: int) -> np.ndarray:
     return seq[:, :R - 1, :m]
 
 
+def _lanes_advance(lanes: np.ndarray, m: int, grid: int) -> np.ndarray:
+    """limbs_advance for (cells, R) lanes of integers mod grid, each lane a
+    chain whose last register stays fixed, laid out step-major: returns the
+    (m, cells, R) values at steps 0..m-1 and leaves lanes at step m."""
+    R = lanes.shape[1]
+    seq = np.empty((m + 1,) + lanes.shape, dtype=lanes.dtype)
+    seq[:, :, R - 1] = lanes[:, R - 1]
+    for r in range(R - 2, -1, -1):
+        seq[0, :, r] = lanes[:, r]
+        np.cumsum(seq[:m, :, r + 1], axis=0, out=seq[1:, :, r])
+        seq[1:, :, r] += lanes[:, r]
+        seq[1:, :, r] %= grid
+    lanes[:] = seq[m]
+    return seq[:m]
+
+
 def limbs_mul(a: np.ndarray, n: int) -> np.ndarray:
     """n * a mod 1 for an integer n >= 0 of any size, in 32-bit pieces."""
     L = len(a)
@@ -241,11 +256,16 @@ def limbs_to_float(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _register_floats(regs: np.ndarray, out: np.ndarray) -> None:
-    """Fill out (m, R-1) with the register values at steps 0..m-1."""
-    for lo in range(0, len(out), _SUB):
-        seq = limbs_advance(regs, min(_SUB, len(out) - lo))
-        out[lo:lo + seq.shape[2]] = limbs_to_float(seq).T
+def _chain_floats(chains: list, out: np.ndarray) -> None:
+    """Fill out (m, d) with the correctly rounded coordinates at steps
+    0..m-1 of the (L, R) limb register chains, left at step m."""
+    col = 0
+    for regs in chains:
+        width = regs.shape[1] - 1
+        for lo in range(0, len(out), _SUB):
+            seq = limbs_advance(regs, min(_SUB, len(out) - lo))
+            out[lo:lo + seq.shape[2], col:col + width] = limbs_to_float(seq).T
+        col += width
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +284,12 @@ def orbit_floats(sys: SystemSpec, x: TorusPoint, N: int,
     """
     if chunk is None:
         chunk = 1 << 14 if sys.kind == "skew" else 1 << 15
-    regs = [limbs_from_ints(c, sys.bits) for c in sys.chains(x)]
+    chains = [limbs_from_ints(c, sys.bits) for c in sys.chains(x)]
     produced = 0
     while produced < N:
         m = min(chunk, N - produced)
         buf = np.empty((m, sys.dim), dtype=float)
-        col = 0
-        for r in regs:
-            width = r.shape[1] - 1
-            _register_floats(r, buf[:, col:col + width])
-            col += width
+        _chain_floats(chains, buf)
         produced += m
         yield buf[:, 0] if sys.dim == 1 else buf
 
@@ -341,57 +357,75 @@ def _spectral_sums(sys, spectrum: dict, N, grid):
 
 
 class GridSweep:
-    """S_j phi on a uniform grid for a 1-d rotation, by pointwise evaluation
-    along the one orbit of 0: O(j * grid), resumable in j.
+    """S_j phi on a uniform grid of any system, by pointwise evaluation
+    along the one orbit of 0: O(j * grid**d), resumable in j.
+
+    Each map is affine with an integer linear part A, so the grid point
+    g / grid has the orbit T^j(0) + (A^j g mod grid) / grid.  The cell
+    offsets A^j g mod grid run the chains of SystemSpec.chains without
+    their frequencies, as integers mod grid, one lane per cell; a
+    rotation's never move.  The orbit point is rounded once from its exact
+    registers, and the offset is added in double.
 
     sup_deviation advances the sweep from its step j to each N it is given,
-    so a rising schedule walks the orbit once.  The summation order is that
-    of one fresh pass to N: the orbit is cut into chunks of at most 2**15
-    rows and 2**22 cells (32 MB), each chunk is summed over its rows one row
-    after another (numpy's order along axis 0 of a C-ordered array), and
-    the chunk totals are accumulated with Kahan compensation.  The chunk
-    fixes the summation order; changing it moves the strongly cancelling
-    sums at large N by up to ~1e-8 relative.  Rows are evaluated in blocks
-    of about 2**16 cells that stay in cache, and each block carries the
-    running total of its chunk in through its first row, which keeps the
-    row-by-row order bit for bit.  phi.fn must return a fresh array, since
-    that first row is added to in place.
-
-    `check`, when given, is called with no arguments once per completed
-    chunk: a wall-clock budget can stop a single long N there.
+    so a rising schedule walks the orbit once, in the summation order of
+    one fresh pass to N: chunks of at most 2**15 rows and 2**22 cells are
+    summed row after row (numpy's order along axis 0 of a C-ordered array)
+    and Kahan-accumulated.  The chunk fixes the order; changing it moves
+    strongly cancelling sums at large N by up to ~1e-8 relative.  Rows are
+    evaluated in blocks of about 2**16 cells that stay in cache, each
+    carrying its chunk's running total in through its first row, so phi.fn
+    must return a fresh array.  `check`, when given, is called with no
+    arguments once per completed chunk: a wall-clock budget can stop a
+    single long N there.
     """
 
     def __init__(self, sys: SystemSpec, phi: Observable, grid: int, check=None):
+        d = sys.dim
+        if grid < 16:
+            raise ValueError("grid must be >= 16")
+        if d > 3 or grid ** d > GRID_POINT_BUDGET:
+            raise DimensionTooLarge(f"{d} * log2({grid}) exceeds the grid budget "
+                                    f"(d <= 3, at most {GRID_POINT_BUDGET} points)")
         self.sys, self.phi, self.grid, self.check = sys, phi, grid, check
-        self.chunk = max(256, min(1 << 15, (1 << 22) // grid))
+        cells = grid ** d
+        self.chunk = max(256, min(1 << 15, (1 << 22) // cells))
         self.j = 0
-        self._xs = np.arange(grid) / grid
-        self._sums = np.zeros(grid)  # Kahan state of the completed chunks
-        self._carry = np.zeros(grid)
+        chains = sys.chains(TorusPoint.zero(d, sys.bits))
+        self._chains = [limbs_from_ints(c, sys.bits) for c in chains]
+        index = np.indices((grid,) * d).reshape(d, cells).T
+        # per chain, (cells, R - 1) lanes of its coordinates' grid indices
+        cuts = np.cumsum([len(c) - 1 for c in chains])[:-1]
+        self._offsets = [part.copy() for part in np.split(index, cuts, axis=1)]
+        # chains of one coordinate (rotations) never move their lanes
+        self._xs = (np.ascontiguousarray(index) / grid
+                    if all(len(c) == 2 for c in chains) else None)
+        self._sums = np.zeros(cells)  # Kahan state of the completed chunks
+        self._carry = np.zeros(cells)
         self._open = None  # row total of the open chunk, once it has rows
-        # the orbit's registers at step j, built on the first advance: a
-        # sweep handed to another route never walks
-        self._regs = None
 
     def sums(self, N: int) -> np.ndarray:
         """S_N phi on the grid, advancing the orbit from step j to N."""
         if N < self.j:
             raise ValueError(f"the sweep is at step {self.j}, past N = {N}")
-        if self._regs is None:
-            bits = self.sys.bits
-            (chain,) = self.sys.chains(TorusPoint.zero(1, bits))
-            self._regs = limbs_from_ints(chain, bits)
-        rows = max(1, _BLOCK_CELLS // self.grid)
+        d, grid = self.sys.dim, self.grid
+        rows = max(1, _BLOCK_CELLS // len(self._sums))
         while self.j < N:
             m = min(N, (self.j // self.chunk + 1) * self.chunk) - self.j
-            orbit = np.empty((m, 1))
-            _register_floats(self._regs, orbit)
+            orbit = np.empty((m, 1, d))
+            _chain_floats(self._chains, orbit[:, 0])
             for lo in range(0, m, rows):
-                pts = orbit[lo:lo + rows] + self._xs
+                n = min(rows, m - lo)
+                xs = self._xs
+                if xs is None:
+                    xs = np.concatenate([_lanes_advance(o, n, grid)
+                                         for o in self._offsets], axis=2) / grid
+                pts = orbit[lo:lo + n] + xs
                 # mod 1 of a sum in [0, 2): s - 1 is exact for s in [1, 2),
                 # so this equals np.mod(pts, 1.0) bit for bit, far cheaper
                 pts -= pts >= 1.0
-                vals = np.asarray(self.phi.fn(pts), dtype=float)
+                vals = np.asarray(self.phi.fn(pts if d > 1 else pts[..., 0]),
+                                  dtype=float)
                 if self._open is not None:
                     vals[0] += self._open
                 self._open = vals.sum(axis=0)
@@ -403,48 +437,36 @@ class GridSweep:
                 if self.check is not None:
                     self.check()
         if self._open is None:
-            return self._sums.copy()
-        return _kahan_add(self._sums, self._carry, self._open)[0]
+            out = self._sums.copy()
+        else:
+            out = _kahan_add(self._sums, self._carry, self._open)[0]
+        return out.reshape((grid,) * d)
 
 
-def _generic_sums(sys, phi, N, grid):
-    """S_N phi by one orbit per grid point (skew products, small grids)."""
-    d = sys.dim
-    if (1 << sys.bits) % grid != 0:
-        raise ValueError("grid must divide the fixed-point scale (power of two)")
-    sums = np.zeros((grid,) * d)
-    for idx in itertools.product(range(grid), repeat=d):
-        sums[idx] = birkhoff_sum(sys, phi, grid_point(idx, grid, sys.bits), N)
-    return sums
-
-
-def _orbit_sums(sys, phi, N, grid, sweep=None):
-    """S_N phi on the grid, by the cheapest exact route.
+def _orbit_sums(sweep: GridSweep, N: int) -> np.ndarray:
+    """S_N phi on the grid of `sweep`, by one of two exact routes.
 
     Rotations of an observable with a finite spectrum take the closed form.
     A separable observable takes it for its trig part and adds each axis
-    term as a 1-d field on its own axis.  Other 1-d rotations sum pointwise
-    over the grid, resuming `sweep` (or a fresh GridSweep); everything else
-    runs one orbit per grid point.
+    term as a 1-d field on its own axis.  Every other field is summed
+    pointwise along the orbit of 0 by resuming the sweep.
     """
-    if sys.kind == "skew":
-        return _generic_sums(sys, phi, N, grid)
-    spectrum = phi.spectrum()
-    if spectrum is not None:
-        return _spectral_sums(sys, spectrum, N, grid)
-    if isinstance(phi, SeparableObservable):
-        sums = _spectral_sums(sys, phi.trig.coeffs if phi.trig else {}, N, grid)
-        for axis, sub in phi.axis_terms:
-            shape = [1] * sys.dim
-            shape[axis] = grid
-            sub_sys = SystemSpec.rotation(sys.freqs[axis], sys.bits)
-            sums = sums + _orbit_sums(sub_sys, sub, N, grid).reshape(shape)
-        return sums
-    if sys.dim == 1:
-        if sweep is None:
-            sweep = GridSweep(sys, phi, grid)
-        return sweep.sums(N)
-    return _generic_sums(sys, phi, N, grid)
+    sys, phi, grid = sweep.sys, sweep.phi, sweep.grid
+    if sys.kind != "skew":
+        spectrum = phi.spectrum()
+        if spectrum is not None:
+            return _spectral_sums(sys, spectrum, N, grid)
+        if isinstance(phi, SeparableObservable):
+            sums = _spectral_sums(sys, phi.trig.coeffs if phi.trig else {},
+                                  N, grid)
+            for axis, sub in phi.axis_terms:
+                shape = [1] * sys.dim
+                shape[axis] = grid
+                sub_sys = SystemSpec.rotation(sys.freqs[axis], sys.bits)
+                sums = sums + _orbit_sums(GridSweep(sub_sys, sub, grid),
+                                          N).reshape(shape)
+            return sums
+    return sweep.sums(N)
 
 
 def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int,
@@ -454,24 +476,18 @@ def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int,
     The grid maximum is a certified lower bound of the true sup; Holder
     continuity bounds the gap by ||phi||_w * w(1/grid).  A GridSweep built
     for (sys, phi, grid) lets a rising schedule of N resume the pointwise
-    route where the last call stopped; the other routes ignore it.
+    route, which serves every system, where the last call stopped; the
+    closed forms of rotations ignore it.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if grid < 16:
-        raise ValueError("grid must be >= 16")
-    if sweep is not None and (sweep.sys is not sys or sweep.phi is not phi
-                              or sweep.grid != grid):
+    if sweep is None:
+        sweep = GridSweep(sys, phi, grid)
+    elif sweep.sys is not sys or sweep.phi is not phi or sweep.grid != grid:
         raise ValueError("the sweep was built for another system, "
                          "observable or grid")
-    d = sys.dim
-    if d > 3 or grid ** d > GRID_POINT_BUDGET:
-        raise DimensionTooLarge(
-            f"{d} * log2({grid}) exceeds the grid budget "
-            f"(d <= 3, at most {GRID_POINT_BUDGET} points)"
-        )
     mean = phi.mean()
-    dev = _orbit_sums(sys, phi, N, grid, sweep) / N - mean
+    dev = _orbit_sums(sweep, N) / N - mean
     idx = np.unravel_index(int(np.argmax(np.abs(dev))), dev.shape)
     return BirkhoffResult(N, grid, float(abs(dev[idx])),
                           grid_point(idx, grid, sys.bits), mean, dev)

@@ -14,6 +14,7 @@ conservation is exact rather than quadrature-approximate.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -304,13 +305,8 @@ class TrigPoly:
         return max(max(abs(i) for i in k) for k in self.coeffs)
 
     def coeff(self, k) -> complex:
-        k = self._key(k)
-        return self.coeffs.get(k, 0.0 + 0.0j)
-
-    def _key(self, k):
-        if isinstance(k, int):
-            k = (k,)
-        return tuple(int(i) for i in k)
+        k = (k,) if isinstance(k, int) else k
+        return self.coeffs.get(tuple(int(i) for i in k), 0.0 + 0.0j)
 
     def eval(self, x):
         """Direct coefficient-sum evaluation; x is scalar/array (dim 1) or
@@ -356,8 +352,6 @@ def random_real_trigpoly(dim: int, degree: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     coeffs: dict = {}
     ranges = [range(-degree, degree + 1)] * dim
-    import itertools
-
     for k in itertools.product(*ranges):
         if k in coeffs or tuple(-i for i in k) in coeffs:
             continue
@@ -375,17 +369,14 @@ def random_real_trigpoly(dim: int, degree: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def _sinc(t):
-    return np.sinc(t)  # sin(pi t)/(pi t), 1 at t = 0
-
-
 def dirichlet(n: int, x) -> np.ndarray | float:
     """D_n(x) = sum_{|k|<=n} e(kx) = sin((2n+1) pi x)/sin(pi x)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     x = np.asarray(x, dtype=float)
     xr = x - np.round(x)  # the ratio form is invariant under x -> x +- 1
-    out = (2 * n + 1) * _sinc((2 * n + 1) * xr) / _sinc(xr)
+    # np.sinc(t) = sin(pi t) / (pi t), 1 at t = 0
+    out = (2 * n + 1) * np.sinc((2 * n + 1) * xr) / np.sinc(xr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -410,7 +401,7 @@ def fejer(n: int, x) -> np.ndarray | float:
         raise ValueError("n must be >= 1")
     x = np.asarray(x, dtype=float)
     xr = x - np.round(x)
-    ratio = _sinc(n * xr) / _sinc(xr)
+    ratio = np.sinc(n * xr) / np.sinc(xr)
     out = n * ratio * ratio
     return float(out) if out.ndim == 0 else out
 
@@ -470,8 +461,6 @@ def jackson_d(n: int, d: int) -> TrigPoly:
         return TrigPoly(dim=1, coeffs=base)
     coeffs: dict = {}
     keys = sorted(base)
-    import itertools
-
     for combo in itertools.product(keys, repeat=d):
         k = tuple(c[0] for c in combo)
         v = 1.0
@@ -569,8 +558,6 @@ def fc_decay_check(phi: Observable, k_max: int,
                 if ratio > worst:
                     worst, argmax = ratio, (kk,)
     else:
-        import itertools
-
         rng = range(-k_max, k_max + 1)
         for k in itertools.product(*([rng] * phi.dim)):
             kn = max(abs(i) for i in k)

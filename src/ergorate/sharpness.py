@@ -108,11 +108,17 @@ class LacunaryObservable(Observable):
     def n_modes(self) -> int:
         return len(self.qs)
 
+    def _mode(self, m: int) -> int:
+        """The list index of mode m, which must lie in 1..n_modes."""
+        if not 1 <= m <= self.n_modes:
+            raise ValueError(f"mode index m={m} outside 1..{self.n_modes}")
+        return m - 1
+
     def mode_weight(self, m: int) -> float:
-        return self.weights[m - 1]
+        return self.weights[self._mode(m)]
 
     def mode_q(self, m: int) -> int:
-        return self.qs[m - 1]
+        return self.qs[self._mode(m)]
 
     def spectrum(self) -> dict:
         """{(+-q_k,): w_k / 2}: w cos(2 pi q x) = Re (w/2)(e(qx) + e(-qx))."""
@@ -181,7 +187,7 @@ def build_lacunary(cf: ContinuedFraction, weight, tol: float = 1e-12,
         bound = sum(w * min(2.0, TWO_PI * float(min(q, 10 ** 200)) * h)
                     for q, w in zip(qs, weights))
         semi = max(semi, bound / modulus(h))
-    obs = LacunaryObservable(
+    return LacunaryObservable(
         dim=1,
         fn=_lacunary_fn(qs, weights, bits),
         modulus=modulus,
@@ -194,7 +200,6 @@ def build_lacunary(cf: ContinuedFraction, weight, tol: float = 1e-12,
         tail_bound=total_tail,
         bits=bits,
     )
-    return obs
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +277,6 @@ def decompose(phi: LacunaryObservable, m: int, x: TorusPoint) -> SharpnessReport
     geometric sums, and their total must reproduce the directly measured
     deviation exactly (up to roundoff) for the truncated series.
     """
-    if not 1 <= m <= phi.n_modes:
-        raise ValueError(f"mode index m={m} outside 1..{phi.n_modes}")
     omega = phi.cf.omega
     qm = phi.mode_q(m)
     terms = _mode_averages(phi, omega, x, qm)

@@ -4,16 +4,19 @@ Each is a direct, unoptimised computation that tests compare library
 output against or build inputs from: the distance to the nearest integer
 from an exact fixed-point numerator, ||k omega||, a frequency as a double,
 a sampled Holder quotient, the Hermitian symmetry of
-trigonometric-polynomial coefficients and the pointwise grid field of a
-1-d rotation in one fresh pass.
+trigonometric-polynomial coefficients, the pointwise grid field of a
+1-d rotation in one fresh pass, and the grid field of any system by one
+exact orbit per grid point.
 """
 
+import itertools
 from typing import Optional
 
 import numpy as np
 
 from ergorate.arithmetic import Frequency
-from ergorate.dynamics import SystemSpec, TorusPoint, orbit_floats
+from ergorate.dynamics import (SystemSpec, TorusPoint, birkhoff_sum,
+                               grid_point, orbit_floats)
 from ergorate.kernels import Observable, TrigPoly
 
 
@@ -82,3 +85,18 @@ def grid_sums_one_pass(sys: SystemSpec, phi: Observable, N: int,
         carry = (t - sums) - y
         sums = t
     return sums
+
+
+def grid_sums_per_point(sys: SystemSpec, phi: Observable, N: int, grid: int,
+                        cells=None) -> np.ndarray:
+    """S_N phi at the grid points x = g / grid of any system, by one exact
+    orbit (birkhoff_sum) per point.  With `cells`, a sequence of index
+    tuples, it returns the sums at those points only, in order; without,
+    the whole (grid,) * d field.  A grid that does not divide 2**bits gets
+    each point rounded to the nearest fixed-point value."""
+    whole = cells is None
+    if whole:
+        cells = list(itertools.product(range(grid), repeat=sys.dim))
+    sums = np.array([birkhoff_sum(sys, phi, grid_point(idx, grid, sys.bits), N)
+                     for idx in cells])
+    return sums.reshape((grid,) * sys.dim) if whole else sums

@@ -63,3 +63,19 @@ def test_denjoy_koksma_fails_closed_on_nan(monkeypatch):
     assert not verdict["passed"]
     bounds = [c for c in verdict["checks"] if "sup_dev * q^a" in c["label"]]
     assert len(bounds) == 3 and not any(c["ok"] for c in bounds)
+
+
+def test_translation_2d_fails_closed_on_nan(monkeypatch):
+    real = scenarios.sup_deviation
+
+    def nan_at_last_n(sys, phi, N, *args):
+        res = real(sys, phi, N, *args)
+        if N == 100000:  # last of the tail, where max would drop it
+            res.sup_dev = math.nan
+        return res
+
+    monkeypatch.setattr(scenarios, "sup_deviation", nan_at_last_n)
+    verdict = run_scenario("translation_2d")
+    assert not verdict["passed"]
+    stable = [c for c in verdict["checks"] if "scale stable" in c["label"]]
+    assert len(stable) == 1 and not stable[0]["ok"]

@@ -22,7 +22,7 @@ from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
                               make_cos, make_dist_pow, make_weierstrass,
                               random_real_trigpoly)
 from ergorate.sharpness import measure_average
-from oracles import float_value, grid_sums_one_pass
+from oracles import float_value, grid_sums_one_pass, grid_sums_per_point
 
 BITS = 192
 ONE = 1 << BITS
@@ -440,6 +440,92 @@ class TestGridSweep:
         res = sup_deviation(rot, phi, 1000, 64, sweep)
         assert sweep.j == 0
         assert np.array_equal(res.field, sup_deviation(rot, phi, 1000, 64).field)
+
+
+def _pointwise_case(name):
+    golden, s2 = golden_mean(), sqrt2_minus_1()
+    if name == "rot2":
+        return SystemSpec.rotation_d([golden, s2], BITS), make_dist_pow(0.5, 2)
+    d = int(name[-1])
+    return SystemSpec.skew(d, golden, BITS), make_dist_pow(0.5, d)
+
+
+def _sampled_cells(G, d, n=14, seed=3):
+    """The corner cells and n random ones of the (G,) * d grid."""
+    rng = np.random.default_rng(seed)
+    picks = [tuple(c) for c in rng.integers(0, G, size=(n, d))]
+    return [(0,) * d, (G - 1,) * d] + picks
+
+
+class TestGridSweepEverySystem:
+    """The one pointwise route on skew products and d-dim rotations: each
+    cell rides the orbit of 0 plus an exact integer offset mod grid.  The
+    fields agree with one exact orbit per grid point to 1e-12 and resume
+    bit for bit."""
+
+    @pytest.mark.parametrize("G", [16, 64])
+    @pytest.mark.parametrize("name", ["skew2", "skew3", "rot2"])
+    def test_fields_match_per_point_orbits(self, name, G):
+        sys, phi = _pointwise_case(name)
+        sweep = GridSweep(sys, phi, G)
+        c = sweep.chunk
+        # skew3 at grid 64 has 2**18 cells a row, so it stops after a few
+        # rows; the chunk boundaries are straddled at grid 16
+        Ns = ([1, 7] if name == "skew3" and G == 64
+              else [1, c - 1, c, c + 1, 2 * c + 5])
+        cells = _sampled_cells(G, sys.dim)
+        for N in Ns:
+            res = sup_deviation(sys, phi, N, G, sweep)
+            fresh = sup_deviation(sys, phi, N, G)
+            assert sweep.j == N
+            assert res.field.shape == (G,) * sys.dim
+            assert np.array_equal(res.field, fresh.field)
+            assert res.argmax_x == fresh.argmax_x
+            expect = grid_sums_per_point(sys, phi, N, G, cells) / N - phi.mean()
+            got = np.array([res.field[idx] for idx in cells])
+            assert np.max(np.abs(got - expect)) <= 1e-12
+
+    def test_grid_not_a_power_of_two(self):
+        sys, phi = _pointwise_case("skew2")
+        G = 24
+        N = GridSweep(sys, phi, G).chunk + 1
+        res = sup_deviation(sys, phi, N, G)
+        expect = grid_sums_per_point(sys, phi, N, G) / N - phi.mean()
+        assert np.max(np.abs(res.field - expect)) <= 1e-12
+
+    def test_skew_offsets_follow_the_chains(self, golden):
+        # after j steps the cell g sits at iterate(g / G, j) - iterate(0, j)
+        sys = SystemSpec.skew(3, golden, BITS)
+        G = 16
+        sweep = GridSweep(sys, make_dist_pow(0.5, 3), G)
+        j = 1000
+        sweep.sums(j)
+        base = iterate(sys, TorusPoint.zero(3, BITS), j)
+        for cell in _sampled_cells(G, 3):
+            start = TorusPoint(tuple(int(g) * (ONE // G) for g in cell), BITS)
+            x = iterate(sys, start, j)
+            want = [((a - b) % ONE) // (ONE // G)
+                    for a, b in zip(x.coords, base.coords)]
+            flat = np.ravel_multi_index(cell, (G,) * 3)
+            assert list(sweep._offsets[0][flat]) == want
+
+    def test_budget_check_runs_per_chunk(self):
+        sys, phi = _pointwise_case("skew2")
+        calls = []
+        sweep = GridSweep(sys, phi, 64, check=lambda: calls.append(sweep.j))
+        c = sweep.chunk
+        sup_deviation(sys, phi, 3 * c + 7, 64, sweep)
+        assert calls == [c, 2 * c, 3 * c]
+
+    def test_closed_forms_stay_rotation_only(self, golden):
+        # a finite spectrum on a skew product is summed pointwise
+        sys = SystemSpec.skew(2, golden, BITS)
+        phi = make_cos(2)
+        sweep = GridSweep(sys, phi, 16)
+        res = sup_deviation(sys, phi, 50, 16, sweep)
+        assert sweep.j == 50
+        expect = grid_sums_per_point(sys, phi, 50, 16) / 50 - phi.mean()
+        assert np.max(np.abs(res.field - expect)) <= 1e-12
 
 
 def _direct_field(sys, phi, N, G):

@@ -167,6 +167,20 @@ class TestRateExperiment:
             run_rate_experiment(cfg)
         assert time.monotonic() - t0 < 2.0
 
+    def test_budget_stops_a_single_huge_n_on_a_skew_product(self):
+        # skew products take the same resumable route, checked per chunk
+        cfg = ExperimentConfig({
+            "system": "skew:2:golden",
+            "observable": "dist_pow:0.5",
+            "schedule": "list:10000000",
+            "grid": 16,
+            "budget_s": 0.5,
+        })
+        t0 = time.monotonic()
+        with pytest.raises(Timeout):
+            run_rate_experiment(cfg)
+        assert time.monotonic() - t0 < 2.0
+
     def test_golden_bytes_of_the_grid_route(self, tmp_path, monkeypatch):
         # recorded before the route resumed one orbit per run: the pointwise
         # grid field keeps its summation order bit for bit
@@ -479,6 +493,14 @@ class TestCli:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'a'" in err
+
+    def test_mode_index_past_the_series_exit_code(self, capsys):
+        rc = cli_main(["sharp", "--frequency", "golden", "--alpha", "0.5",
+                       "--m-values", "1000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "m=1000" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_approx_creates_out_dir(self, capsys, tmp_path):
         out = tmp_path / "new" / "dir"

@@ -88,6 +88,25 @@ class TestBuild:
         assert q <= golden_lac.norm_est
 
 
+class TestModeIndex:
+    @pytest.mark.parametrize("where", ["zero", "past_top"])
+    def test_out_of_range_fails_closed(self, spike_lac, where):
+        # m = 0 once read the last mode, and verify_lower_bound then ran a
+        # window average of about 1e25 steps
+        m = 0 if where == "zero" else spike_lac.n_modes + 1
+        for call in (spike_lac.mode_q, spike_lac.mode_weight,
+                     lambda m: verify_lower_bound(spike_lac, m),
+                     lambda m: decompose(spike_lac, m, TorusPoint.zero(1, BITS))):
+            with pytest.raises(ValueError, match="outside 1.."):
+                call(m)
+
+    def test_ends_of_the_range(self, spike_lac):
+        K = spike_lac.n_modes
+        assert spike_lac.mode_q(1) == spike_lac.qs[0]
+        assert spike_lac.mode_q(K) == spike_lac.qs[-1]
+        assert spike_lac.mode_weight(K) == spike_lac.weights[-1]
+
+
 class TestDecompose:
     def test_identity_at_zero(self, spike_lac):
         rep = decompose(spike_lac, 6, TorusPoint.zero(1, BITS))
