@@ -388,6 +388,14 @@ class GridSweep:
             raise DimensionTooLarge(f"{d} * log2({grid}) exceeds the grid budget "
                                     f"(d <= 3, at most {GRID_POINT_BUDGET} points)")
         self.sys, self.phi, self.grid, self.check = sys, phi, grid, check
+        # a separable observable on a rotation: one 1-d sweep per axis term,
+        # on that term's axis, resumed with this one by _orbit_sums
+        terms = (phi.axis_terms if sys.kind != "skew"
+                 and isinstance(phi, SeparableObservable) else ())
+        self._axes = [(axis, GridSweep(SystemSpec.rotation(sys.freqs[axis],
+                                                           sys.bits),
+                                       sub, grid, check))
+                      for axis, sub in terms]
         cells = grid ** d
         self.chunk = max(256, min(1 << 15, (1 << 22) // cells))
         self.j = 0
@@ -448,8 +456,9 @@ def _orbit_sums(sweep: GridSweep, N: int) -> np.ndarray:
 
     Rotations of an observable with a finite spectrum take the closed form.
     A separable observable takes it for its trig part and adds each axis
-    term as a 1-d field on its own axis.  Every other field is summed
-    pointwise along the orbit of 0 by resuming the sweep.
+    term as a 1-d field on its own axis, by resuming that term's sweep.
+    Every other field is summed pointwise along the orbit of 0 by resuming
+    the sweep.
     """
     sys, phi, grid = sweep.sys, sweep.phi, sweep.grid
     if sys.kind != "skew":
@@ -459,12 +468,10 @@ def _orbit_sums(sweep: GridSweep, N: int) -> np.ndarray:
         if isinstance(phi, SeparableObservable):
             sums = _spectral_sums(sys, phi.trig.coeffs if phi.trig else {},
                                   N, grid)
-            for axis, sub in phi.axis_terms:
+            for axis, sub in sweep._axes:
                 shape = [1] * sys.dim
                 shape[axis] = grid
-                sub_sys = SystemSpec.rotation(sys.freqs[axis], sys.bits)
-                sums = sums + _orbit_sums(GridSweep(sub_sys, sub, grid),
-                                          N).reshape(shape)
+                sums = sums + _orbit_sums(sub, N).reshape(shape)
             return sums
     return sweep.sums(N)
 
@@ -476,8 +483,9 @@ def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int,
     The grid maximum is a certified lower bound of the true sup; Holder
     continuity bounds the gap by ||phi||_w * w(1/grid).  A GridSweep built
     for (sys, phi, grid) lets a rising schedule of N resume the pointwise
-    route, which serves every system, where the last call stopped; the
-    closed forms of rotations ignore it.
+    route, which serves every system and the axis terms of a separable
+    observable, where the last call stopped; the closed forms of rotations
+    ignore it.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

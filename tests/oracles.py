@@ -2,11 +2,11 @@
 
 Each is a direct, unoptimised computation that tests compare library
 output against or build inputs from: the distance to the nearest integer
-from an exact fixed-point numerator, ||k omega||, a frequency as a double,
-a sampled Holder quotient, the Hermitian symmetry of
-trigonometric-polynomial coefficients, the pointwise grid field of a
-1-d rotation in one fresh pass, and the grid field of any system by one
-exact orbit per grid point.
+from an exact fixed-point numerator and from a double by np.mod,
+||k omega||, a frequency as a double, a sampled Holder quotient, the
+Hermitian symmetry of trigonometric-polynomial coefficients, the pointwise
+grid field of a 1-d rotation in one fresh pass, and the grid field of any
+system by one exact orbit per grid point.
 """
 
 import itertools
@@ -25,6 +25,13 @@ def fp_dist_to_Z(value: int, bits: int) -> float:
     one = 1 << bits
     v = value & (one - 1)
     return min(v, one - v) / one
+
+
+def dist_to_Z_mod(t):
+    """Distance from t to the nearest integer with the fractional part
+    taken by np.mod, elementwise."""
+    f = np.mod(t, 1.0)
+    return np.minimum(f, 1.0 - f)
 
 
 def norm_k_omega(omega: Frequency, k: int, bits: Optional[int] = None) -> float:

@@ -65,6 +65,25 @@ def test_denjoy_koksma_fails_closed_on_nan(monkeypatch):
     assert len(bounds) == 3 and not any(c["ok"] for c in bounds)
 
 
+def test_skew_exactness_fails_closed_on_nan(monkeypatch):
+    real = scenarios.char_birkhoff_skew
+    calls = []
+
+    def nan_on_second_call(*args):
+        res = real(*args)
+        calls.append(res)
+        if len(calls) == 2:  # past the first, where max would drop it
+            res.value = complex(math.nan)
+        return res
+
+    monkeypatch.setattr(scenarios, "char_birkhoff_skew", nan_on_second_call)
+    verdict = run_scenario("skew_exactness")
+    assert not verdict["passed"]
+    assert math.isnan(verdict["details"]["char_vs_direct_worst"])
+    sums = [c for c in verdict["checks"] if "character sums" in c["label"]]
+    assert len(sums) == 1 and not sums[0]["ok"]
+
+
 def test_translation_2d_fails_closed_on_nan(monkeypatch):
     real = scenarios.sup_deviation
 

@@ -23,7 +23,7 @@ from ergorate.arithmetic import (DecimalString, Frequency,
                                  ostrowski_digits, ostrowski_value,
                                  sqrt2_minus_1)
 from ergorate.errors import (NotIrrational, PrecisionExhausted, Uncertified)
-from oracles import float_value, norm_k_omega
+from oracles import dist_to_Z_mod, float_value, norm_k_omega
 
 PI100 = ("0.1415926535897932384626433832795028841971693993751"
          "058209749445923078164062862089986280348253421170679")
@@ -51,6 +51,69 @@ class TestDistToZ:
         got = dist_to_Z(np.array(ts).reshape(-1, 1))
         assert got.shape == (len(ts), 1)
         assert got.ravel().tolist() == [dist_to_Z(t) for t in ts]
+
+
+def _assert_same_doubles(got, want):
+    """Equal values, NaN where NaN, and equal sign bits elsewhere."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    num = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
+
+
+# integral, tiny, half-integral near the end of the fractional doubles
+# (2**52 - 0.5 is the largest; 2**52 + 0.5 rounds to 2**52), huge, and the
+# double just below 1
+EDGES = [s * v for v in (0.0, 1e-20, 2.0 ** 52 - 0.5, 2.0 ** 52 + 0.5,
+                         2.0 ** 53, 1e300, math.inf) for s in (1.0, -1.0)]
+EDGES += [1.0 - 2.0 ** -53, 0.5, math.nan]
+
+
+class TestDistToZMatchesMod:
+    """dist_to_Z takes the fractional part as t - floor(t); it equals the
+    np.mod form of tests/oracles.py bit for bit, sign bit included."""
+
+    @given(st.floats(allow_nan=True, allow_infinity=True,
+                     allow_subnormal=True))
+    def test_every_double(self, t):
+        with np.errstate(invalid="ignore"):
+            _assert_same_doubles(dist_to_Z(t), dist_to_Z_mod(t))
+
+    @given(st.lists(st.floats(allow_subnormal=True), min_size=1,
+                    max_size=40))
+    def test_column_arrays(self, ts):
+        t = np.array(ts).reshape(-1, 1)
+        with np.errstate(invalid="ignore"):
+            _assert_same_doubles(dist_to_Z(t), dist_to_Z_mod(t))
+
+    def test_edges(self):
+        t = np.array(EDGES)
+        with np.errstate(invalid="ignore"):
+            got = dist_to_Z(t)
+            _assert_same_doubles(got, dist_to_Z_mod(t))
+        assert not np.signbit(got[:2]).any()  # +-0.0 give +0.0
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(5).integers(0, 2 ** 64, size=1 << 16,
+                                                 dtype=np.uint64)
+        t = bits.view(np.float64)
+        with np.errstate(invalid="ignore"):
+            _assert_same_doubles(dist_to_Z(t), dist_to_Z_mod(t))
+
+    def test_strided_first_coordinate(self):
+        # the skew route's input: the first coordinate of a (rows, cells, d)
+        # block, a view with a stride of d doubles
+        x = np.random.default_rng(9).uniform(-3.0, 3.0, size=(5, 64, 3))
+        t = x[..., 0]
+        assert not t.flags.contiguous
+        _assert_same_doubles(dist_to_Z(t), dist_to_Z_mod(t))
+
+    @pytest.mark.parametrize("t", [0.25, -0.75, 3, -0.0, np.float64(0.6)])
+    def test_scalars_keep_their_type(self, t):
+        got, want = dist_to_Z(t), dist_to_Z_mod(t)
+        assert type(got) is type(want) is np.float64
+        _assert_same_doubles(got, want)
 
 
 class TestExpandCf:

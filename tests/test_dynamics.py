@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergorate import kernels
 from ergorate.arithmetic import (Frequency, PartialQuotients, expand_cf,
                                  golden_mean, sqrt2_minus_1)
 from ergorate.dynamics import (GridSweep, SystemSpec, TorusPoint,
@@ -22,7 +23,8 @@ from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
                               make_cos, make_dist_pow, make_weierstrass,
                               random_real_trigpoly)
 from ergorate.sharpness import measure_average
-from oracles import float_value, grid_sums_one_pass, grid_sums_per_point
+from oracles import (dist_to_Z_mod, float_value, grid_sums_one_pass,
+                     grid_sums_per_point)
 
 BITS = 192
 ONE = 1 << BITS
@@ -526,6 +528,86 @@ class TestGridSweepEverySystem:
         assert sweep.j == 50
         expect = grid_sums_per_point(sys, phi, 50, 16) / 50 - phi.mean()
         assert np.max(np.abs(res.field - expect)) <= 1e-12
+
+
+class TestSeparableAxisSweeps:
+    """A separable observable on a rotation sums each axis term on its own
+    1-d sweep, built with the parent sweep and resumed with it."""
+
+    @staticmethod
+    def _case():
+        sys = resolve_system("rotationd:sqrt2m1,sqrt3m1")
+        return sys, resolve_observable("poly_plus_dist:8:0.5:5", sys)
+
+    def test_resumed_fields_equal_fresh_ones(self):
+        sys, phi = self._case()
+        sweep = GridSweep(sys, phi, 64)
+        ((axis, sub),) = sweep._axes
+        assert axis == 0 and sub.sys.dim == 1
+        c = sub.chunk
+        for N in [1, 1, 100, c - 1, c, c + 1, 2 * c + 5]:
+            res = sup_deviation(sys, phi, N, 64, sweep)
+            assert sub.j == N and sweep.j == 0
+            fresh = sup_deviation(sys, phi, N, 64)
+            assert np.array_equal(res.field, fresh.field)
+            assert res.argmax_x == fresh.argmax_x
+
+    def test_axis_sweeps_take_the_budget_check(self):
+        sys, phi = self._case()
+        calls = []
+        sweep = GridSweep(sys, phi, 64, check=lambda: calls.append(sub.j))
+        ((_, sub),) = sweep._axes
+        c = sub.chunk
+        sup_deviation(sys, phi, 2 * c + 3, 64, sweep)
+        assert calls == [c, 2 * c]
+
+    def test_skew_products_sum_the_whole_observable(self, golden):
+        sys = SystemSpec.skew(2, golden, BITS)
+        phi = resolve_observable("poly_plus_dist:2:0.5:5", sys)
+        sweep = GridSweep(sys, phi, 16)
+        assert sweep._axes == []
+        sup_deviation(sys, phi, 10, 16, sweep)
+        assert sweep.j == 10
+
+
+def _floor_case(name):
+    golden = golden_mean()
+    if name == "rotation1d":
+        return SystemSpec.rotation(golden, BITS), make_dist_pow(0.5), 1024
+    if name == "skew2":
+        return SystemSpec.skew(2, golden, BITS), make_dist_pow(0.5, 2), 16
+    sys = resolve_system("rotationd:sqrt2m1,sqrt3m1")
+    return sys, resolve_observable("poly_plus_dist:8:0.5:5", sys), 64
+
+
+class TestFieldsUnderTheModOracle:
+    """dist_to_Z takes the fractional part as t - floor(t); with the np.mod
+    form in its place every pointwise field is the same bit for bit."""
+
+    @pytest.mark.parametrize("name", ["rotation1d", "skew2", "poly_plus_dist2"])
+    def test_fields_equal_np_mod_fields(self, name, monkeypatch):
+        sys, phi, G = _floor_case(name)
+        probe = GridSweep(sys, phi, G)
+        # the sweep that evaluates dist_to_Z: a separable term's own axis
+        c = (probe._axes[0][1] if probe._axes else probe).chunk
+        Ns = [1, c - 1, c, c + 1]
+
+        def fields():
+            sweep = GridSweep(sys, phi, G)
+            return [sup_deviation(sys, phi, N, G, sweep).field for N in Ns]
+
+        floor_fields = fields()
+        calls = []
+
+        def oracle(t):
+            calls.append(1)
+            return dist_to_Z_mod(t)
+
+        monkeypatch.setattr(kernels, "dist_to_Z", oracle)
+        mod_fields = fields()
+        assert calls, "the field route never called dist_to_Z"
+        for got, want in zip(floor_fields, mod_fields):
+            assert np.array_equal(got, want)
 
 
 def _direct_field(sys, phi, N, G):

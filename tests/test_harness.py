@@ -10,6 +10,7 @@ import pytest
 
 from ergorate import harness
 from ergorate.cli import main as cli_main
+from ergorate.dynamics import GridSweep
 from ergorate.errors import ConfigError, Timeout
 from ergorate.harness import (ExperimentConfig, emit_csv, json_text,
                               resolve_observable, resolve_schedule,
@@ -180,6 +181,44 @@ class TestRateExperiment:
         with pytest.raises(Timeout):
             run_rate_experiment(cfg)
         assert time.monotonic() - t0 < 2.0
+
+    def test_budget_stops_a_single_huge_n_on_a_separable_axis_term(self):
+        # the axis term's 1-d sweep shares the run's budget check
+        cfg = ExperimentConfig({
+            "system": "rotationd:sqrt2m1,sqrt3m1",
+            "observable": "poly_plus_dist:8:0.5:5",
+            "schedule": "list:10000000",
+            "grid": 64,
+            "budget_s": 0.5,
+        })
+        t0 = time.monotonic()
+        with pytest.raises(Timeout):
+            run_rate_experiment(cfg)
+        assert time.monotonic() - t0 < 2.0
+
+    def test_separable_axis_terms_walk_one_orbit(self, monkeypatch):
+        # the translation_2d schedule tops out at N = 100,000; each axis
+        # term's 1-d sweep resumes from the last point instead of
+        # restarting at j = 0 for every one
+        real = GridSweep.sums
+        steps = {}
+
+        def counting(self, N):
+            j = self.j
+            out = real(self, N)
+            if self.sys.dim == 1:
+                key = self.sys.freqs
+                steps[key] = steps.get(key, 0) + self.j - j
+            return out
+
+        monkeypatch.setattr(GridSweep, "sums", counting)
+        run_rate_experiment(ExperimentConfig({
+            "system": "rotationd:sqrt2m1,sqrt3m1",
+            "observable": "poly_plus_dist:8:0.5:5",
+            "schedule": "geometric:100,100000,3.1622776601683795",
+            "grid": 64,
+        }))
+        assert list(steps.values()) == [100000]
 
     def test_golden_bytes_of_the_grid_route(self, tmp_path, monkeypatch):
         # recorded before the route resumed one orbit per run: the pointwise
