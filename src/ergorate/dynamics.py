@@ -28,8 +28,10 @@ TWO_PI = 2.0 * math.pi
 # Grid sweeps refuse to enumerate more than this many points.
 GRID_POINT_BUDGET = 1 << 18
 
-# Cells per block of the pointwise grid route: 512 KB of doubles stay in cache.
-_BLOCK_CELLS = 1 << 16
+# Values per block of the pointwise grid route (GridSweep): 128 KB of
+# doubles.  Temporaries of this size reuse freed heap memory, where larger
+# ones get fresh pages from the kernel and fault them in on every block.
+_BLOCK_CELLS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +50,16 @@ class TorusPoint:
         one = 1 << self.bits
         if any(not 0 <= c < one for c in self.coords):
             raise ValueError("coordinates must already be reduced mod 1")
+
+    @classmethod
+    def _reduced(cls, coords: tuple, bits: int) -> "TorusPoint":
+        """A point from coordinates the caller has just reduced mod 2**bits,
+        built without the check: step and iterate, which skew-product
+        oracles call about 3e5 times each, reduce their own results."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "coords", coords)
+        object.__setattr__(x, "bits", bits)
+        return x
 
     @property
     def dim(self) -> int:
@@ -129,7 +141,7 @@ def step(sys: SystemSpec, x: TorusPoint) -> TorusPoint:
     for chain in sys.chains(x):
         for r in range(len(chain) - 1):
             out.append((chain[r] + chain[r + 1]) % one)
-    return TorusPoint(tuple(out), x.bits)
+    return TorusPoint._reduced(tuple(out), x.bits)
 
 
 def iterate(sys: SystemSpec, x: TorusPoint, j: int) -> TorusPoint:
@@ -148,7 +160,7 @@ def iterate(sys: SystemSpec, x: TorusPoint, j: int) -> TorusPoint:
                 b = b * (j - l + 1) // l  # C(j, l): exact, and 0 once l > j
                 acc += b * chain[r + l]
             out.append(acc % one)
-    return TorusPoint(tuple(out), x.bits)
+    return TorusPoint._reduced(tuple(out), x.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +215,20 @@ def limbs_advance(regs: np.ndarray, m: int) -> np.ndarray:
 
 
 def _lanes_advance(lanes: np.ndarray, m: int, grid: int) -> np.ndarray:
-    """limbs_advance for (cells, R) lanes of integers mod grid, each lane a
-    chain whose last register stays fixed, laid out step-major: returns the
-    (m, cells, R) values at steps 0..m-1 and leaves lanes at step m."""
-    R = lanes.shape[1]
-    seq = np.empty((m + 1,) + lanes.shape, dtype=lanes.dtype)
-    seq[:, :, R - 1] = lanes[:, R - 1]
+    """limbs_advance for (R, cells) lanes of integers mod grid, each cell a
+    chain whose last register stays fixed: returns the (m, R, cells) values
+    at steps 0..m-1 and leaves lanes at step m."""
+    R = lanes.shape[0]
+    seq = np.empty((m,) + lanes.shape, dtype=lanes.dtype)
+    seq[:, R - 1] = lanes[R - 1]
     for r in range(R - 2, -1, -1):
-        seq[0, :, r] = lanes[:, r]
-        np.cumsum(seq[:m, :, r + 1], axis=0, out=seq[1:, :, r])
-        seq[1:, :, r] += lanes[:, r]
-        seq[1:, :, r] %= grid
-    lanes[:] = seq[m]
-    return seq[:m]
+        seq[0, r] = lanes[r]
+        np.cumsum(seq[:m - 1, r + 1], axis=0, out=seq[1:, r])
+        seq[1:, r] += lanes[r]
+        seq[1:, r] %= grid
+    np.add(seq[m - 1, :-1], seq[m - 1, 1:], out=lanes[:-1])
+    lanes[:-1] %= grid
+    return seq
 
 
 def limbs_mul(a: np.ndarray, n: int) -> np.ndarray:
@@ -373,11 +386,13 @@ class GridSweep:
     summed row after row (numpy's order along axis 0 of a C-ordered array)
     and Kahan-accumulated.  The chunk fixes the order; changing it moves
     strongly cancelling sums at large N by up to ~1e-8 relative.  Rows are
-    evaluated in blocks of about 2**16 cells that stay in cache, each
-    carrying its chunk's running total in through its first row, so phi.fn
-    must return a fresh array.  `check`, when given, is called with no
-    arguments once per completed chunk: a wall-clock budget can stop a
-    single long N there.
+    evaluated in blocks within a budget of _BLOCK_CELLS values: as many
+    whole rows as fit, or, when one row is larger, column tiles of one row.
+    A block carries its cells' running total of the open chunk in through
+    its first row, so phi.fn must return a fresh array, and each cell's
+    sum is formed in the same order whatever the block shape.  `check`,
+    when given, is called with no arguments once per completed chunk: a
+    wall-clock budget can stop a single long N there.
     """
 
     def __init__(self, sys: SystemSpec, phi: Observable, grid: int, check=None):
@@ -396,18 +411,29 @@ class GridSweep:
                                                            sys.bits),
                                        sub, grid, check))
                       for axis, sub in terms]
-        cells = grid ** d
-        self.chunk = max(256, min(1 << 15, (1 << 22) // cells))
+        self.chunk = max(256, min(1 << 15, (1 << 22) // grid ** d))
         self.j = 0
+        self._sums = None  # the G**d pointwise state, built by the first sums
+
+    def _start(self) -> None:
+        """Build the pointwise state: the orbit registers, the cell offsets
+        and the Kahan sums of every cell."""
+        sys, grid = self.sys, self.grid
+        d = sys.dim
+        cells = grid ** d
         chains = sys.chains(TorusPoint.zero(d, sys.bits))
         self._chains = [limbs_from_ints(c, sys.bits) for c in chains]
-        index = np.indices((grid,) * d).reshape(d, cells).T
-        # per chain, (cells, R - 1) lanes of its coordinates' grid indices
+        index = np.indices((grid,) * d).reshape(d, cells)
+        # per chain, (R - 1, cells) lanes of its coordinates' grid indices
         cuts = np.cumsum([len(c) - 1 for c in chains])[:-1]
-        self._offsets = [part.copy() for part in np.split(index, cuts, axis=1)]
+        self._offsets = [part.copy() for part in np.split(index, cuts)]
         # chains of one coordinate (rotations) never move their lanes
-        self._xs = (np.ascontiguousarray(index) / grid
-                    if all(len(c) == 2 for c in chains) else None)
+        self._xs = (index / grid if all(len(c) == 2 for c in chains)
+                    else None)
+        # a block of n rows and t cells holds n * t * d values in its points
+        # and, when the lanes move, in their table
+        self._tile = min(cells, _BLOCK_CELLS // d)
+        self._rows = max(1, _BLOCK_CELLS // (self._tile * d))
         self._sums = np.zeros(cells)  # Kahan state of the completed chunks
         self._carry = np.zeros(cells)
         self._open = None  # row total of the open chunk, once it has rows
@@ -416,27 +442,42 @@ class GridSweep:
         """S_N phi on the grid, advancing the orbit from step j to N."""
         if N < self.j:
             raise ValueError(f"the sweep is at step {self.j}, past N = {N}")
+        if self._sums is None:
+            self._start()
         d, grid = self.sys.dim, self.grid
-        rows = max(1, _BLOCK_CELLS // len(self._sums))
+        cells, rows, tile = len(self._sums), self._rows, self._tile
         while self.j < N:
             m = min(N, (self.j // self.chunk + 1) * self.chunk) - self.j
             orbit = np.empty((m, 1, d))
             _chain_floats(self._chains, orbit[:, 0])
-            for lo in range(0, m, rows):
-                n = min(rows, m - lo)
-                xs = self._xs
-                if xs is None:
-                    xs = np.concatenate([_lanes_advance(o, n, grid)
-                                         for o in self._offsets], axis=2) / grid
-                pts = orbit[lo:lo + n] + xs
-                # mod 1 of a sum in [0, 2): s - 1 is exact for s in [1, 2),
-                # so this equals np.mod(pts, 1.0) bit for bit, far cheaper
-                pts -= pts >= 1.0
-                vals = np.asarray(self.phi.fn(pts if d > 1 else pts[..., 0]),
-                                  dtype=float)
-                if self._open is not None:
-                    vals[0] += self._open
-                self._open = vals.sum(axis=0)
+            fresh = self._open is None
+            if fresh:
+                self._open = np.empty(cells)
+            for c0 in range(0, cells, tile):
+                cut = slice(c0, c0 + tile)
+                total = self._open[cut]
+                for lo in range(0, m, rows):
+                    n = min(rows, m - lo)
+                    if self._xs is None:  # (n, d, t) offsets of moving lanes
+                        xs = np.concatenate([_lanes_advance(o[:, cut], n, grid)
+                                             for o in self._offsets],
+                                            axis=1) / grid
+                    else:
+                        xs = self._xs[:, cut]
+                    # one coordinate at a time, so every loop runs over cells
+                    pts = np.empty((n, len(total), d))
+                    for i in range(d):
+                        np.add(orbit[lo:lo + n, :, i], xs[..., i, :],
+                               out=pts[..., i])
+                    # mod 1 of a sum in [0, 2): s - 1 is exact for s in
+                    # [1, 2), so this equals np.mod(pts, 1.0) bit for bit,
+                    # far cheaper
+                    pts -= pts >= 1.0
+                    vals = np.asarray(self.phi.fn(pts if d > 1 else pts[..., 0]),
+                                      dtype=float)
+                    if lo or not fresh:
+                        vals[0] += total
+                    np.sum(vals, axis=0, out=total)
             self.j += m
             if self.j % self.chunk == 0:
                 self._sums, self._carry = _kahan_add(self._sums, self._carry,

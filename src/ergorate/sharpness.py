@@ -181,12 +181,13 @@ def build_lacunary(cf: ContinuedFraction, weight, tol: float = 1e-12,
         weight.modulus if isinstance(weight, ModulusWeight) else Holder(1.0)
     )
     # rigorous seminorm bound: |phi(x+h)-phi(x)| <= sum w_k min(2, 2 pi q_k h)
+    # (np.max, not max: a NaN at any scale makes the bound NaN)
     semi = 0.0
     for j in range(2, 60):
         h = 2.0 ** -j
         bound = sum(w * min(2.0, TWO_PI * float(min(q, 10 ** 200)) * h)
                     for q, w in zip(qs, weights))
-        semi = max(semi, bound / modulus(h))
+        semi = float(np.max([semi, bound / modulus(h)]))
     return LacunaryObservable(
         dim=1,
         fn=_lacunary_fn(qs, weights, bits),
@@ -345,7 +346,8 @@ def verify_lower_bound(phi: LacunaryObservable, m: int,
     for l, x in zip(ls, start_points(phi, m, ls)):
         dev = measure_average(phi, omega, x, qm)
         entries.append((l, dev))
-        min_ratio = min(min_ratio, dev / w_m)
+        # np.min, not min: a NaN window makes min_ratio NaN and fails it
+        min_ratio = float(np.min([min_ratio, dev / w_m]))
         if prefix_positive and dev > 0:
             l_bar = l
         else:

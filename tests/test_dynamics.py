@@ -2,7 +2,14 @@
 
 import cmath
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergorate import kernels
+from ergorate import dynamics, kernels
 from ergorate.arithmetic import (Frequency, PartialQuotients, expand_cf,
                                  golden_mean, sqrt2_minus_1)
 from ergorate.dynamics import (GridSweep, SystemSpec, TorusPoint,
@@ -48,6 +55,21 @@ class TestTorusPoint:
     def test_rejects_unreduced(self):
         with pytest.raises(ValueError):
             TorusPoint((ONE,), BITS)
+
+    def test_only_outside_coordinates_are_checked(self, golden, monkeypatch):
+        # step and iterate reduce their own results, so they skip the check
+        checked = []
+        check = TorusPoint.__post_init__
+        monkeypatch.setattr(TorusPoint, "__post_init__",
+                            lambda self: (checked.append(self), check(self)))
+        x = TorusPoint((ONE - 1, 5, 7), BITS)
+        TorusPoint.from_floats([0.5], BITS)
+        assert len(checked) == 2
+        skew = SystemSpec.skew(3, golden, BITS)
+        y, z = step(skew, x), iterate(skew, x, 12)
+        assert len(checked) == 2
+        assert y == iterate(skew, x, 1)
+        assert z == TorusPoint(z.coords, BITS)
 
 
 class TestSystemSpec:
@@ -443,6 +465,20 @@ class TestGridSweep:
         assert sweep.j == 0
         assert np.array_equal(res.field, sup_deviation(rot, phi, 1000, 64).field)
 
+    def test_closed_forms_build_no_pointwise_state(self):
+        # the G**3 cell state (about 17 MB here) waits for the first sums
+        sys = resolve_system("rotationd:sqrt2m1,sqrt3m1,golden")
+        phi = resolve_observable("poly_plus_dist:2:0.5:5", sys)
+        tracemalloc.start()
+        try:
+            sweep = GridSweep(sys, phi, 64)
+            sup_deviation(sys, phi, 1000, 64, sweep)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sweep.j == 0
+        assert held < 1 << 20
+
 
 def _pointwise_case(name):
     golden, s2 = golden_mean(), sqrt2_minus_1()
@@ -509,7 +545,7 @@ class TestGridSweepEverySystem:
             want = [((a - b) % ONE) // (ONE // G)
                     for a, b in zip(x.coords, base.coords)]
             flat = np.ravel_multi_index(cell, (G,) * 3)
-            assert list(sweep._offsets[0][flat]) == want
+            assert list(sweep._offsets[0][:, flat]) == want
 
     def test_budget_check_runs_per_chunk(self):
         sys, phi = _pointwise_case("skew2")
@@ -528,6 +564,64 @@ class TestGridSweepEverySystem:
         assert sweep.j == 50
         expect = grid_sums_per_point(sys, phi, 50, 16) / 50 - phi.mean()
         assert np.max(np.abs(res.field - expect)) <= 1e-12
+
+
+class TestBlockBudget:
+    """Blocks of the pointwise route hold at most _BLOCK_CELLS values, in
+    column tiles when one row holds more: every cell's sum keeps its order,
+    so the fields keep the bytes of whole-row blocks of 2**16 cells."""
+
+    # sha256 of sums(N) over a rising schedule of one sweep, recorded with
+    # whole-row blocks; the chunk is 256 rows in all three cases
+    DIGESTS = {
+        ("skew:2:golden", 256): [
+            (1, "1c0504af64c5d70de84dba6bb56792a6557621c0df09f1595d085c34e0d338a2"),
+            (255, "7d3d0906b0d384d7f955eb3113a15cb9cdb5b669a198824620b3305739a96197"),
+            (256, "c12592bf149f2654460d377f6c3d07daf4c86bb0eedf03b96422fec4e8c2a6e5"),
+            (300, "6e3b834c138df946a033a85eb044d7c940884d3ffb6e2219fb3c0860a33c4e78"),
+        ],
+        ("skew:3:golden", 64): [
+            (1, "44662bcce08308e86328bc8942746b9c8d1bacff4beb42cfc73b6dc3a5b952d4"),
+            (100, "6b5d60ef9e6e8c009e3a25758a0be88f3169f187edb8971c6a86a816b0394308"),
+            (257, "b93ec255a70bc68607c6af69e28f418da0116e43f0d61f30c284d4c856753921"),
+        ],
+        ("rotationd:golden,sqrt2m1", 256): [
+            (1, "1c0504af64c5d70de84dba6bb56792a6557621c0df09f1595d085c34e0d338a2"),
+            (255, "dd5175cd35b079ebafba80a61e513d352941b7126bd2e655482140c0d5ddd806"),
+            (256, "e7cb57de4c1ea83a493e53cfe684502c974e353a0a03be924aa93e4993cb364d"),
+            (300, "3ecded777ff6327de37df6e74263489a501005fda6a768a44ec418184248bf36"),
+        ],
+    }
+
+    @pytest.mark.parametrize("name, G", list(DIGESTS))
+    def test_tiled_rows_keep_their_bytes(self, name, G):
+        sys = resolve_system(name)
+        sweep = GridSweep(sys, resolve_observable("dist_pow:0.5", sys), G)
+        got = [(N, hashlib.sha256(sweep.sums(N).tobytes()).hexdigest())
+               for N, _ in self.DIGESTS[name, G]]
+        assert got == self.DIGESTS[name, G]
+        assert sweep._tile * sys.dim <= dynamics._BLOCK_CELLS < G ** sys.dim
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux minor page faults")
+    def test_a_fresh_sweep_reuses_its_block_memory(self):
+        # about 35,600 faults with blocks of 2**16 cells: each 512 KB
+        # temporary was a fresh mapping
+        code = textwrap.dedent("""
+            import resource
+            from ergorate.dynamics import GridSweep
+            from ergorate.harness import resolve_observable, resolve_system
+            rot = resolve_system("rotation1d:golden")
+            sweep = GridSweep(rot, resolve_observable("dist_pow:0.5", rot), 1024)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            sweep.sums(10000)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = str(Path(dynamics.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert int(run.stdout) < 2000
 
 
 class TestSeparableAxisSweeps:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from ergorate import harness
+from ergorate import harness, sharpness
 from ergorate.cli import main as cli_main
 from ergorate.dynamics import GridSweep
 from ergorate.errors import ConfigError, Timeout
@@ -321,6 +321,26 @@ class TestSharpnessExperiment:
         assert rep["hypothesis"] == "ok"
         assert rep["passed"] is True
         assert rep["identity_gap"] < 1e-10
+
+    def test_a_nan_window_fails_the_verdict(self, monkeypatch):
+        # window l = 1 of m = 6, after the finite l = 0: min() kept the
+        # finite ratio and the report passed
+        phi = resolve_observable("lacunary:holder:0.5:1e-12",
+                                 resolve_system("rotation1d:pq:rule:spike:7,1000"))
+        (x1,) = sharpness.start_points(phi, 6, [1])
+        real = sharpness.measure_average
+
+        def measure(phi, omega, x, N):
+            return math.nan if x == x1 else real(phi, omega, x, N)
+
+        monkeypatch.setattr(sharpness, "measure_average", measure)
+        out = run_sharpness_experiment(ExperimentConfig({
+            "frequency": "pq:rule:spike:7,1000", "alpha": 0.5,
+            "m_values": [6],
+        }))
+        rep = out["reports"][0]
+        assert math.isnan(rep["min_ratio"])
+        assert rep["passed"] is False
 
     def test_golden_reports_hypothesis(self):
         cfg = ExperimentConfig({

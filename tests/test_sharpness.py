@@ -8,7 +8,7 @@ import pytest
 from ergorate.arithmetic import Frequency, PartialQuotients, expand_cf
 from ergorate.dynamics import SystemSpec, TorusPoint, birkhoff_sum
 from ergorate.errors import HypothesisNotMet, Uncertified
-from ergorate.kernels import LogHolder, WeakHolder
+from ergorate.kernels import LogHolder, ModulusOfContinuity, WeakHolder
 from ergorate.sharpness import (AnalyticWeight, HolderWeight,
                                 LacunaryObservable, ModulusWeight,
                                 borel_bernstein_schedule, build_lacunary,
@@ -60,6 +60,16 @@ class TestBuild:
         assert phi.n_modes <= 40
         # smallest dropped mode weight is already below tolerance
         assert math.exp(-golden_deep_cf.q_at(phi.n_modes + 1)) < 1e-12
+
+    def test_nan_modulus_fails_closed(self, golden_deep_cf):
+        # a NaN at one scale of the seminorm bound, after finite ones
+        # (max() dropped it), makes the norm estimate NaN
+        class Gappy(ModulusOfContinuity):
+            def __call__(self, h):
+                return math.nan if h == 2.0 ** -10 else h ** 0.5
+
+        phi = build_lacunary(golden_deep_cf, ModulusWeight(Gappy()), tol=1e-6)
+        assert math.isnan(phi.norm_est)
 
     def test_log_holder_tail_diverges(self, golden_deep_cf):
         with pytest.raises(Uncertified):
