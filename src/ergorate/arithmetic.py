@@ -230,36 +230,15 @@ class Frequency:
     def __post_init__(self):
         if self.fractional_bits < 64:
             raise ValueError("fractional_bits must be >= 64")
-        lo, hi = self._interval_quick()
+        # the enclosure fixed_point starts from, so a finite list of partial
+        # quotients is exact however large its terms
+        lo, hi = _enclosure(self, self.fractional_bits)
         if lo <= 0 or hi >= 1:
             raise ValueError("frequency must lie strictly inside (0, 1)")
 
-    # -- interval machinery ------------------------------------------------
-
-    def _interval_quick(self):
-        """A (possibly loose) rational enclosure, for validation."""
-        rep = self.rep
-        if isinstance(rep, QuadraticSurd):
-            s = rep.normalized()
-            return _surd_enclosure(s.p, s.q, s.d, s.r, 64)
-        if isinstance(rep, DecimalString):
-            return rep.interval()
-        cf = expand_cf(self, max_q=10 ** 6)
-        return _cf_enclosure(cf)
-
     def interval(self, bits: Optional[int] = None):
         """Rational enclosure tight enough to certify `bits` of fixed point."""
-        bits = bits or self.fractional_bits
-        rep = self.rep
-        if isinstance(rep, QuadraticSurd):
-            s = rep.normalized()
-            return _surd_enclosure(s.p, s.q, s.d, s.r, bits + 64)
-        if isinstance(rep, DecimalString):
-            return rep.interval()
-        # partial quotients: consecutive convergents bracket the value
-        target = 1 << (bits + 4)
-        cf = expand_cf(self, max_q=None, stop_product=target)
-        return _cf_enclosure(cf)
+        return _enclosure(self, bits or self.fractional_bits)
 
     # -- derived values -----------------------------------------------------
 
@@ -403,6 +382,20 @@ def _cf_enclosure(cf: ContinuedFraction):
     x = Fraction(cf.p[-2], cf.q[-2])
     y = Fraction(cf.p[-1], cf.q[-1])
     return (x, y) if x < y else (y, x)
+
+
+def _enclosure(omega: Frequency, bits: int):
+    """Rational enclosure of omega tight enough to certify `bits` of fixed
+    point."""
+    rep = omega.rep
+    if isinstance(rep, QuadraticSurd):
+        s = rep.normalized()
+        return _surd_enclosure(s.p, s.q, s.d, s.r, bits + 64)
+    if isinstance(rep, DecimalString):
+        return rep.interval()
+    # partial quotients: consecutive convergents bracket the value
+    cf = expand_cf(omega, max_q=None, stop_product=1 << (bits + 4))
+    return _cf_enclosure(cf)
 
 
 def _lt_sqrt(c: int, D: int) -> bool:

@@ -12,15 +12,13 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .arithmetic import Frequency, classify, expand_cf, ostrowski_digits
 from .errors import ErgorateError
 from .harness import (CONFIG_GRAMMAR, ExperimentConfig, emit_csv, emit_json,
                       json_text, resolve_observable, resolve_system,
                       run_kernel_experiment, run_rate_experiment,
                       run_sharpness_experiment, run_skew_experiment)
-from .kernels import approximate
+from .kernels import approximation_errors
 from .scenarios import SCENARIOS, run_scenario
 
 
@@ -108,13 +106,7 @@ def cmd_kernel(args) -> int:
 def cmd_approx(args) -> int:
     sys_spec = resolve_system(args.system or "rotation1d:golden", _bits(args))
     phi = resolve_observable(args.observable, sys_spec)
-    rows = []
-    grid = np.arange(1 << 13) / (1 << 13)
-    ref = phi.fn(grid)
-    for n in _int_list(args.n_values):
-        poly = approximate(phi, n)
-        err = float(np.max(np.abs(ref - poly.eval(grid))))
-        rows.append({"n": n, "sup_error": err, "n_coeffs": len(poly.coeffs)})
+    rows = approximation_errors(phi, _int_list(args.n_values))
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)

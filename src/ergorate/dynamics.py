@@ -370,8 +370,16 @@ def _spectral_sums(sys, spectrum: dict, N, grid):
 
 
 class GridSweep:
-    """S_j phi on a uniform grid of any system, by pointwise evaluation
-    along the one orbit of 0: O(j * grid**d), resumable in j.
+    """S_N phi on a uniform grid of any system, by the one exact route
+    chosen when the sweep is built:
+
+    - a rotation whose phi.fourier is set takes the closed form of
+      _spectral_sums, O(modes + grid**d log grid) whatever N;
+    - a SeparableObservable on a rotation takes the closed form of its
+      trig part, plus each axis term from that term's own 1-d sweep on
+      its axis;
+    - every other field is summed pointwise along the one orbit of 0,
+      O(j * grid**d), resumable in j.
 
     Each map is affine with an integer linear part A, so the grid point
     g / grid has the orbit T^j(0) + (A^j g mod grid) / grid.  The cell
@@ -403,10 +411,16 @@ class GridSweep:
             raise DimensionTooLarge(f"{d} * log2({grid}) exceeds the grid budget "
                                     f"(d <= 3, at most {GRID_POINT_BUDGET} points)")
         self.sys, self.phi, self.grid, self.check = sys, phi, grid, check
-        # a separable observable on a rotation: one 1-d sweep per axis term,
-        # on that term's axis, resumed with this one by _orbit_sums
-        terms = (phi.axis_terms if sys.kind != "skew"
-                 and isinstance(phi, SeparableObservable) else ())
+        # the route: the spectrum a rotation sums in closed form (None for
+        # the pointwise route) and, for a separable observable, one 1-d
+        # sweep per axis term, on that term's axis
+        self._spectrum, terms = None, ()
+        if sys.kind != "skew":
+            if phi.fourier is not None:
+                self._spectrum = phi.fourier
+            elif isinstance(phi, SeparableObservable):
+                self._spectrum = phi.trig.coeffs if phi.trig else {}
+                terms = phi.axis_terms
         self._axes = [(axis, GridSweep(SystemSpec.rotation(sys.freqs[axis],
                                                            sys.bits),
                                        sub, grid, check))
@@ -439,12 +453,20 @@ class GridSweep:
         self._open = None  # row total of the open chunk, once it has rows
 
     def sums(self, N: int) -> np.ndarray:
-        """S_N phi on the grid, advancing the orbit from step j to N."""
+        """S_N phi on the grid, by the route chosen at construction; the
+        pointwise route advances the orbit from step j to N."""
         if N < self.j:
             raise ValueError(f"the sweep is at step {self.j}, past N = {N}")
+        d, grid = self.sys.dim, self.grid
+        if self._spectrum is not None:
+            out = _spectral_sums(self.sys, self._spectrum, N, grid)
+            for axis, sub in self._axes:
+                shape = [1] * d
+                shape[axis] = grid
+                out = out + sub.sums(N).reshape(shape)
+            return out
         if self._sums is None:
             self._start()
-        d, grid = self.sys.dim, self.grid
         cells, rows, tile = len(self._sums), self._rows, self._tile
         while self.j < N:
             m = min(N, (self.j // self.chunk + 1) * self.chunk) - self.j
@@ -492,41 +514,15 @@ class GridSweep:
         return out.reshape((grid,) * d)
 
 
-def _orbit_sums(sweep: GridSweep, N: int) -> np.ndarray:
-    """S_N phi on the grid of `sweep`, by one of two exact routes.
-
-    Rotations of an observable with a finite spectrum take the closed form.
-    A separable observable takes it for its trig part and adds each axis
-    term as a 1-d field on its own axis, by resuming that term's sweep.
-    Every other field is summed pointwise along the orbit of 0 by resuming
-    the sweep.
-    """
-    sys, phi, grid = sweep.sys, sweep.phi, sweep.grid
-    if sys.kind != "skew":
-        spectrum = phi.spectrum()
-        if spectrum is not None:
-            return _spectral_sums(sys, spectrum, N, grid)
-        if isinstance(phi, SeparableObservable):
-            sums = _spectral_sums(sys, phi.trig.coeffs if phi.trig else {},
-                                  N, grid)
-            for axis, sub in sweep._axes:
-                shape = [1] * sys.dim
-                shape[axis] = grid
-                sums = sums + _orbit_sums(sub, N).reshape(shape)
-            return sums
-    return sweep.sums(N)
-
-
 def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int,
                   sweep: GridSweep | None = None) -> BirkhoffResult:
     """Max over a uniform grid of |S_N phi / N - mean(phi)|.
 
     The grid maximum is a certified lower bound of the true sup; Holder
-    continuity bounds the gap by ||phi||_w * w(1/grid).  A GridSweep built
-    for (sys, phi, grid) lets a rising schedule of N resume the pointwise
-    route, which serves every system and the axis terms of a separable
-    observable, where the last call stopped; the closed forms of rotations
-    ignore it.
+    continuity bounds the gap by ||phi||_w * w(1/grid).  The field comes
+    from sweep.sums(N), by the route the sweep chose when it was built; a
+    GridSweep built for (sys, phi, grid) lets a rising schedule of N resume
+    its pointwise sums where the last call stopped.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -536,7 +532,7 @@ def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int,
         raise ValueError("the sweep was built for another system, "
                          "observable or grid")
     mean = phi.mean()
-    dev = _orbit_sums(sweep, N) / N - mean
+    dev = sweep.sums(N) / N - mean
     idx = np.unravel_index(int(np.argmax(np.abs(dev))), dev.shape)
     return BirkhoffResult(N, grid, float(abs(dev[idx])),
                           grid_point(idx, grid, sys.bits), mean, dev)

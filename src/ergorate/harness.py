@@ -298,7 +298,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateSeries:
         })
         clock.check("rate experiment")
 
-    pos = [(n, v) for n, v in points if v > 0]
+    # not v <= 0, unlike v > 0, keeps a NaN point, so the fits turn NaN
+    pos = [(n, v) for n, v in points if not v <= 0]
     if len(pos) >= 2:
         slope = float(np.polyfit(np.log([n for n, _ in pos]),
                                  np.log([v for _, v in pos]), 1)[0])

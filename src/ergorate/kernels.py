@@ -128,10 +128,6 @@ class Observable:
     def __call__(self, x):
         return self.fn(x)
 
-    def spectrum(self) -> Optional[dict]:
-        """The finite spectrum {k: c_k}, or None when phi has none."""
-        return self.fourier
-
     def mean(self) -> float:
         if self.mean_hint is not None:
             return self.mean_hint
@@ -457,8 +453,6 @@ def jackson_d(n: int, d: int) -> TrigPoly:
     if d < 1:
         raise ValueError("d must be >= 1")
     base = jackson_coeffs(n)
-    if d == 1:
-        return TrigPoly(dim=1, coeffs=base)
     coeffs: dict = {}
     keys = sorted(base)
     for combo in itertools.product(keys, repeat=d):
@@ -522,13 +516,26 @@ def approximate(phi: Observable, n: int, quad_points: Optional[int] = None) -> T
     if n < 2:
         raise ValueError("n must be >= 2")
     Q = quad_points or 8 * n * phi.dim
-    kern = jackson_d(n, phi.dim) if phi.dim > 1 else jackson(n)
+    kern = jackson_d(n, phi.dim)
     spec = _grid_spectrum(phi, Q)
     coeffs = {}
     for k, jc in kern.coeffs.items():
         idx = tuple(i % Q for i in k)
         coeffs[k] = complex(spec[idx]) * jc
     return TrigPoly(dim=phi.dim, coeffs=coeffs)
+
+
+def approximation_errors(phi: Observable, ns: Sequence[int]) -> list:
+    """One row {n, sup_error, n_coeffs} per degree n: the sup distance
+    from phi to approximate(phi, n) over 2**13 uniform points."""
+    xs = np.arange(1 << 13) / (1 << 13)
+    ref = phi.fn(xs)
+    rows = []
+    for n in ns:
+        poly = approximate(phi, n)
+        err = float(np.max(np.abs(ref - poly.eval(xs))))
+        rows.append({"n": n, "sup_error": err, "n_coeffs": len(poly.coeffs)})
+    return rows
 
 
 @dataclass

@@ -120,14 +120,6 @@ class LacunaryObservable(Observable):
     def mode_q(self, m: int) -> int:
         return self.qs[self._mode(m)]
 
-    def spectrum(self) -> dict:
-        """{(+-q_k,): w_k / 2}: w cos(2 pi q x) = Re (w/2)(e(qx) + e(-qx))."""
-        out: dict = {}
-        for q, w in zip(self.qs, self.weights):
-            for k in ((q,), (-q,)):
-                out[k] = out.get(k, 0.0) + w / 2
-        return out
-
 
 def _lacunary_fn(qs, weights, bits):
     one = 1 << bits
@@ -195,6 +187,8 @@ def build_lacunary(cf: ContinuedFraction, weight, tol: float = 1e-12,
         norm_est=float(sum(weights)) + semi,
         mean_hint=0.0,
         name=f"lacunary:{weight.describe()}",
+        # w cos(2 pi q x) = Re (w/2)(e(qx) + e(-qx)); the qs are distinct
+        fourier={(s * q,): w / 2 for q, w in zip(qs, weights) for s in (1, -1)},
         cf=cf,
         qs=qs,
         weights=weights,
@@ -327,9 +321,7 @@ def verify_lower_bound(phi: LacunaryObservable, m: int,
     """
     omega = phi.cf.omega
     qm = phi.mode_q(m)
-    if m + 1 > phi.cf.certified_len:
-        raise Uncertified(f"q_{m + 1} not certified")
-    qm1 = phi.cf.q_at(m + 1)
+    qm1 = phi.cf.q_at(m + 1)  # raises Uncertified beyond the certified prefix
     if qm1 < gap_constant * m * qm:
         raise HypothesisNotMet(
             f"q_{m + 1}={qm1} < {gap_constant} * {m} * q_{m}={qm}"
@@ -373,12 +365,7 @@ def verify_Nm_bound(phi: LacunaryObservable, m: int,
     the ratio of the measured N_m-step average at 0 to w_m."""
     if lower.l_bar < 0:
         raise HypothesisNotMet(f"no positive window at m={m}")
-    N_m = (lower.l_bar + 1) * lower.q_m
-    dev = measure_average(phi, phi.cf.omega, TorusPoint.zero(1, phi.bits), N_m)
-    return NmBoundResult(
-        m=m, q_m=lower.q_m, N_m=N_m, lower_dev_Nm=dev,
-        ratio=dev / phi.mode_weight(m),
-    )
+    return _aggregate(phi, m, lower.l_bar)
 
 
 def slow_rate_point(phi: LacunaryObservable, m: int) -> NmBoundResult:
@@ -386,10 +373,15 @@ def slow_rate_point(phi: LacunaryObservable, m: int) -> NmBoundResult:
     admitted window count (capped for tractability when q_{m+1}/q_m is
     astronomically large), no gap-hypothesis gate."""
     qm = phi.mode_q(m)
-    if m + 1 > phi.cf.certified_len:
-        raise Uncertified(f"q_{m + 1} not certified")
-    qm1 = phi.cf.q_at(m + 1)
+    qm1 = phi.cf.q_at(m + 1)  # raises Uncertified beyond the certified prefix
     l_bar = max(0, min(int(_RANGE_CONSTANT * qm1 / qm), _SLOW_RATE_L_CAP))
+    return _aggregate(phi, m, l_bar)
+
+
+def _aggregate(phi: LacunaryObservable, m: int, l_bar: int) -> NmBoundResult:
+    """The measured N_m-step average at 0, N_m = (l_bar + 1) q_m, and its
+    ratio to w_m."""
+    qm = phi.mode_q(m)
     N_m = (l_bar + 1) * qm
     dev = measure_average(phi, phi.cf.omega, TorusPoint.zero(1, phi.bits), N_m)
     return NmBoundResult(

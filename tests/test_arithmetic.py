@@ -6,6 +6,7 @@ independent oracle (mpmath at 80 digits, brute-force scans, greedy replay).
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -409,6 +410,15 @@ class TestFrequency:
                      f"dec:{PI100}", "golden", "sqrt2m1"):
             f = Frequency.parse(text)
             assert 0 < float_value(f) < 1
+
+    def test_finite_lists_with_large_terms_parse(self):
+        # validation takes the enclosure fixed_point starts from, so the
+        # list is exact however far its second denominator lies
+        for text, num, den in (("pq:[1,1000000000]", 10 ** 9, 10 ** 9 + 1),
+                               ("pq:[2,3000000]", 3 * 10 ** 6, 6 * 10 ** 6 + 1)):
+            f = Frequency.parse(text)
+            assert f.interval() == (Fraction(num, den), Fraction(num, den))
+            assert f.fixed_point(192) == round(Fraction(num << 192, den))
 
     def test_fixed_point_certified_against_mpmath(self, golden):
         mpmath.mp.dps = 80

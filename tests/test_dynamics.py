@@ -465,6 +465,17 @@ class TestGridSweep:
         assert sweep.j == 0
         assert np.array_equal(res.field, sup_deviation(rot, phi, 1000, 64).field)
 
+    def test_the_route_is_chosen_when_the_sweep_is_built(self, rot):
+        # sums(N) serves the closed form it read from phi.fourier at
+        # construction, and never evaluates phi.fn on it
+        phi = dataclasses.replace(make_cos(), fn=_boom)
+        sweep = GridSweep(rot, phi, 64)
+        phi.fourier = None
+        got = sweep.sums(1000) / 1000
+        assert sweep.j == 0
+        want = _direct_field(rot, make_cos(), 1000, 64)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
     def test_closed_forms_build_no_pointwise_state(self):
         # the G**3 cell state (about 17 MB here) waits for the first sums
         sys = resolve_system("rotationd:sqrt2m1,sqrt3m1,golden")

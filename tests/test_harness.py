@@ -220,6 +220,34 @@ class TestRateExperiment:
         }))
         assert list(steps.values()) == [100000]
 
+    def test_a_nan_point_makes_the_fits_nan(self, tmp_path, monkeypatch):
+        # a NaN sup_dev must not drop out of the slope and envelope fits
+        real = harness.sup_deviation
+
+        def nan_at_89(sys, phi, N, *args):
+            res = real(sys, phi, N, *args)
+            if N == 89:
+                res.sup_dev = math.nan
+            return res
+
+        monkeypatch.setattr(harness, "sup_deviation", nan_at_89)
+        monkeypatch.chdir(tmp_path)
+        series = run_rate_experiment(ExperimentConfig({
+            "system": "rotation1d:golden",
+            "observable": "dist_pow:0.5",
+            "schedule": "convergents:10000",
+            "grid": 1024,
+            "envelope": "dk:alpha=0.5",
+            "out_dir": "out",
+        }))
+        assert math.isnan(series.fitted_slope)
+        assert math.isnan(series.envelope_scale)
+        assert math.isnan(series.tail_ratio)
+        (manifest,) = (tmp_path / "out").glob("*-manifest.json")
+        summary = _strict_json(manifest.read_text())["summary"]
+        assert summary == {"fitted_slope": None, "envelope_scale": None,
+                           "tail_ratio": None}
+
     def test_golden_bytes_of_the_grid_route(self, tmp_path, monkeypatch):
         # recorded before the route resumed one orbit per run: the pointwise
         # grid field keeps its summation order bit for bit

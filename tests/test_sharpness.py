@@ -52,6 +52,13 @@ class TestBuild:
         # phi(0) = sum of weights (all cosines are 1 at 0)
         assert phi.fn(0.0) == pytest.approx(sum(phi.weights))
 
+    def test_fourier_is_set_once_from_the_modes(self, golden_lac):
+        # w cos(2 pi q x) = Re (w/2)(e(qx) + e(-qx)), mode after mode
+        want = [((s * q,), w / 2)
+                for q, w in zip(golden_lac.qs, golden_lac.weights)
+                for s in (1, -1)]
+        assert list(golden_lac.fourier.items()) == want
+
     def test_tail_below_tolerance(self, golden_lac):
         assert golden_lac.tail_bound <= 1e-12
 
