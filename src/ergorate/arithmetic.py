@@ -232,13 +232,23 @@ class Frequency:
             raise ValueError("fractional_bits must be >= 64")
         # the enclosure fixed_point starts from, so a finite list of partial
         # quotients is exact however large its terms
-        lo, hi = _enclosure(self, self.fractional_bits)
+        lo, hi = self._enclosure_at(self.fractional_bits)
         if lo <= 0 or hi >= 1:
             raise ValueError("frequency must lie strictly inside (0, 1)")
 
+    def _enclosure_at(self, bits: int):
+        """_enclosure(self, bits), computed once per instance and bit width
+        (memo in __dict__, like fixed_point's): a partial-quotient
+        frequency expands its continued fraction once, for validation and
+        for its first fixed_point."""
+        memo = self.__dict__.setdefault("_enclosures", {})
+        if bits not in memo:
+            memo[bits] = _enclosure(self, bits)
+        return memo[bits]
+
     def interval(self, bits: Optional[int] = None):
         """Rational enclosure tight enough to certify `bits` of fixed point."""
-        return _enclosure(self, bits or self.fractional_bits)
+        return self._enclosure_at(bits or self.fractional_bits)
 
     # -- derived values -----------------------------------------------------
 

@@ -578,32 +578,70 @@ class KernelSumResult:
     ratio: float  # total * N / (q log q)
 
 
-def kernel_sum(omega: Frequency, cf: ContinuedFraction, q_index: int, N: int) -> KernelSumResult:
+@dataclass
+class KernelTable:
+    """|E_N(k omega)| for k = 1..len(mags): every kernel sum over a ladder
+    q_1 < q_2 < ... at this omega and N adds a prefix of it."""
+
+    omega: Frequency
+    N: int
+    mags: np.ndarray
+
+
+def kernel_table(omega: Frequency, N: int, terms: int) -> KernelTable:
+    """The table of |E_N(k omega)| = |sin(pi {Nk omega})| / (N |sin(pi {k
+    omega})|), capped at 1, for k = 1..terms.
+
+    Both arguments are reduced exactly in fixed point before the trig
+    evaluation, from two register chains: (k w, w) and (k Nw, Nw) with
+    Nw = N w mod 1, since k (N w mod 1) = N (k w mod 1) mod 1 exactly, so
+    no step multiplies by N.  The magnitudes are formed in place, so at
+    most two float arrays of `terms` values are alive.
+    """
+    bits = omega.fractional_bits
+    w = omega.fixed_point(bits)
+    nw = N * w % (1 << bits)
+    chains = limbs_from_ints([w, w], bits), limbs_from_ints([nw, nw], bits)
+    t, nt = np.empty(terms), np.empty(terms)
+    for lo in range(0, terms, _SUB):
+        m = min(_SUB, terms - lo)
+        for regs, out in zip(chains, (t, nt)):
+            out[lo:lo + m] = limbs_to_float(limbs_advance(regs, m)[:, 0])
+    # |sin(pi nt)| / (N |sin(pi t)|) one operation at a time: the roundings
+    # of the expression, without its temporaries
+    for a in (nt, t):
+        np.multiply(math.pi, a, out=a)
+        np.sin(a, out=a)
+        np.abs(a, out=a)
+    np.multiply(N, t, out=t)
+    np.divide(nt, t, out=nt)
+    np.minimum(nt, 1.0, out=nt)
+    return KernelTable(omega, N, nt)
+
+
+def kernel_sum(omega: Frequency, cf: ContinuedFraction, q_index: int, N: int,
+               table: KernelTable | None = None) -> KernelSumResult:
     """sum_{1 <= |k| < q_n} |E_N(k omega)| with exact fixed-point phases.
 
     Returns the sum and its ratio against q log(q) / N, the shape the
-    best-approximation gap structure forces on it.
+    best-approximation gap structure forces on it.  The sum adds the first
+    q_n - 1 terms of `table`, one kernel_table(omega, N, terms) built for a
+    whole ladder; without one it builds a table of exactly those terms.  A
+    table of another omega or N, or one too short, raises ValueError.
     """
     if q_index > cf.certified_len:
         raise Uncertified(f"index {q_index} beyond certified prefix")
     q = cf.q_at(q_index)
+    if table is not None and (table.omega != omega or table.N != N):
+        raise ValueError("the table was built for another omega or N")
     if q < 2:
         return KernelSumResult(q, N, 0.0, 0.0)
-    # |E_N(t)| = |sin(pi {Nt})| / (N |sin(pi {t})|), both arguments reduced
-    # exactly in fixed point before the trig evaluation; registers (k w, w)
-    # run k = 1..q-1
-    bits = omega.fractional_bits
-    w = omega.fixed_point(bits)
-    regs = limbs_from_ints([w, w], bits)
-    t_frac = np.empty(q - 1, dtype=float)
-    nt_frac = np.empty(q - 1, dtype=float)
-    for lo in range(0, q - 1, _SUB):
-        acc = limbs_advance(regs, min(_SUB, q - 1 - lo))[:, 0]
-        t_frac[lo:lo + acc.shape[1]] = limbs_to_float(acc)
-        nt_frac[lo:lo + acc.shape[1]] = limbs_to_float(limbs_mul(acc, N))
-    mags = np.abs(np.sin(math.pi * nt_frac)) / (N * np.abs(np.sin(math.pi * t_frac)))
-    np.minimum(mags, 1.0, out=mags)
-    total = 2.0 * float(np.sum(mags))  # |E_N(-t)| = |E_N(t)|
+    if table is None:
+        table = kernel_table(omega, N, q - 1)
+    elif len(table.mags) < q - 1:
+        raise ValueError(f"the table holds {len(table.mags)} terms, "
+                         f"fewer than q - 1 = {q - 1}")
+    total = 2.0 * float(np.sum(table.mags[:q - 1]))  # |E_N(-t)| = |E_N(t)|
     ratio = total * N / (q * math.log(q))
     return KernelSumResult(q, N, total, ratio)
 
@@ -622,33 +660,75 @@ class CharSumResult:
     N: int
 
 
-def char_birkhoff_skew(d: int, omega: Frequency, k: Sequence[int], x: TorusPoint,
-                       N: int, bits: int = 192) -> CharSumResult:
-    """sum_{j<N} e(k . S^j x) via exact finite differences of the phase.
+class CharSweep:
+    """The resumable state of sum_{j<N} e(k . S^j x) for one start point x
+    of the d-dim skew product: the phase registers at step j, the end of
+    the completed chunks, and the running total of those chunks.
 
     The phase is a degree-<=d integer-coefficient polynomial in j once
     reduced mod 1; deg+1 fixed-point registers advance it with deg exact
-    additions per step.  Also classifies the polynomial degree and leading
-    coefficient (k_i / (d-i+1)!) * omega.
+    additions per step.  Each chunk of 2**12 steps adds one exp-sum to the
+    total, which fixes the summation order.
+    """
+
+    CHUNK = 1 << 12
+
+    def __init__(self, d: int, omega: Frequency, k: Sequence[int],
+                 x: TorusPoint, bits: int = 192):
+        k = tuple(int(v) for v in k)
+        if len(k) != d or not any(k):
+            raise ValueError("k must have length d and a nonzero entry")
+        if x.bits != bits:
+            raise ValueError("x and the phase registers must share the bit budget")
+        self.d, self.omega, self.k, self.x, self.bits = d, omega, k, x, bits
+        one = 1 << bits
+        (chain,) = SystemSpec.skew(d, omega, bits).chains(x)
+        first = next(i for i, ki in enumerate(k) if ki)
+        # forward differences at j = 0: the r-th is k . (chain shifted r places)
+        self._regs = limbs_from_ints([sum(ki * c for ki, c in zip(k, chain[r:])) % one
+                                      for r in range(d - first + 1)], bits)
+        self.j = 0
+        self._total = 0.0 + 0.0j
+
+    def value(self, N: int) -> complex:
+        """The sum to N, in the summation order of a fresh sweep: whole
+        chunks advance the sweep, and the open one is summed on a copy of
+        the registers."""
+        if N < self.j:
+            raise ValueError(f"the sweep is at step {self.j}, past N = {N}")
+        while N - self.j >= self.CHUNK:
+            self._total += self._chunk(self._regs, self.CHUNK)
+            self.j += self.CHUNK
+        if N == self.j:
+            return self._total
+        return self._total + self._chunk(self._regs.copy(), N - self.j)
+
+    @staticmethod
+    def _chunk(regs: np.ndarray, m: int) -> complex:
+        phase = limbs_to_float(limbs_advance(regs, m)[:, 0])
+        return complex(np.sum(np.exp(2j * math.pi * phase)))
+
+
+def char_birkhoff_skew(d: int, omega: Frequency, k: Sequence[int], x: TorusPoint,
+                       N: int, bits: int = 192,
+                       sweep: CharSweep | None = None) -> CharSumResult:
+    """sum_{j<N} e(k . S^j x) via exact finite differences of the phase.
+
+    Also classifies the polynomial degree and leading coefficient
+    (k_i / (d-i+1)!) * omega.  The sum comes from sweep.value(N): a
+    CharSweep built for (d, omega, k, x, bits) lets a rising schedule of N
+    resume where the last call stopped, bit for bit equal to a fresh sweep;
+    without one a fresh sweep runs.  A sweep built for another start point
+    or phase, or already past N, raises ValueError.
     """
     k = tuple(int(v) for v in k)
-    if len(k) != d or not any(k):
-        raise ValueError("k must have length d and a nonzero entry")
-    if x.bits != bits:
-        raise ValueError("x and the phase registers must share the bit budget")
-    one = 1 << bits
-    (chain,) = SystemSpec.skew(d, omega, bits).chains(x)
+    if sweep is None:
+        sweep = CharSweep(d, omega, k, x, bits)
+    elif (sweep.d, sweep.omega, sweep.k, sweep.x, sweep.bits) != (d, omega, k, x, bits):
+        raise ValueError("the sweep was built for another d, omega, k or x")
     first = next(i for i, ki in enumerate(k) if ki)
-    # forward differences at j = 0: the r-th is k . (chain shifted r places)
-    regs = limbs_from_ints([sum(ki * c for ki, c in zip(k, chain[r:])) % one
-                            for r in range(d - first + 1)], bits)
-    total = 0.0 + 0.0j
-    chunk = 1 << 12  # one exp-sum per chunk: this fixes the summation order
-    for lo in range(0, N, chunk):
-        phase = limbs_to_float(limbs_advance(regs, min(chunk, N - lo))[:, 0])
-        total += complex(np.sum(np.exp(2j * math.pi * phase)))
     return CharSumResult(
-        value=total,
+        value=sweep.value(N),
         degree=d - first,
         leading_num=k[first],
         leading_den=math.factorial(d - first),

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import sharpness
 from .arithmetic import Frequency, expand_cf, find_convergent_at_scale
-from .dynamics import (GridSweep, SystemSpec, TorusPoint, char_birkhoff_skew,
-                       kernel_sum, sup_deviation)
+from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
+                       char_birkhoff_skew, kernel_sum, kernel_table,
+                       sup_deviation)
 from .envelopes import Envelope, fit_scale, weyl_bound
 from .errors import ConfigError, Timeout
 from .kernels import (Holder, Observable, make_dist_pow, make_observable,
@@ -340,18 +341,29 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
     for ftext in freq_texts:
         omega = Frequency.parse(ftext, bits)
         cf = expand_cf(omega, max_q=max_q)
-        for idx in range(1, cf.certified_len + 1):
-            if cf.q_at(idx) < 2:
-                continue
-            for N in N_list:
-                r = kernel_sum(omega, cf, idx, N)
+        ladder = [idx for idx in range(1, cf.certified_len + 1)
+                  if cf.q_at(idx) >= 2]
+        if not ladder:
+            continue
+        # one table per N serves the whole ladder; it is released before
+        # the next N's is built
+        columns = []
+        for N in N_list:
+            mags = kernel_table(omega, N, cf.q_at(ladder[-1]) - 1)
+            column = []
+            for idx in ladder:
+                column.append(kernel_sum(omega, cf, idx, N, mags))
+                clock.check("kernel experiment")
+            columns.append(column)
+            del mags
+        for rung in zip(*columns):  # rows in (q, N) order
+            for r in rung:
                 rows.append({
                     "frequency": ftext, "q": r.q, "N": r.N,
                     "sum": r.total, "ratio": r.ratio,
                 })
                 max_ratio = max(max_ratio, r.ratio)
                 all_finite = all_finite and math.isfinite(r.ratio)
-                clock.check("kernel experiment")
     table = {"rows": rows, "max_ratio": max_ratio, "cap": cap,
              "within_cap": all_finite and max_ratio <= cap,
              "config_hash": cfg.config_hash()}
@@ -417,6 +429,8 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
     if len(k) != d or not any(k):
         raise ConfigError(f"k must have length d={d} and a nonzero entry, got {list(k)}")
     N_list = [int(n) for n in cfg.require("n_values")]
+    if any(N < 1 for N in N_list):
+        raise ConfigError(f"n_values must all be >= 1, got {N_list}")
     eps = float(cfg.get("eps", 0.05))
     n_points = int(cfg.get("x_batch", 4))
     seed = int(cfg.get("seed", 7))
@@ -431,10 +445,15 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
     lead_cf = expand_cf(lead, max_q=max(N_list) * 64)
 
     rows = []
+    sweeps = []
     for N in N_list:
+        # one sweep per start point; a schedule that steps back restarts them
+        if not sweeps or N < sweeps[0].j:
+            sweeps = [CharSweep(d, omega, k, x, bits) for x in xs]
         # np.max, unlike max, propagates a NaN, so the gates below fail on it
-        best = float(np.max([abs(char_birkhoff_skew(d, omega, k, x, N, bits).value)
-                             for x in xs]))
+        best = float(np.max([
+            abs(char_birkhoff_skew(d, omega, k, x, N, bits, sweep).value)
+            for x, sweep in zip(xs, sweeps)]))
         _, q = find_convergent_at_scale(lead_cf, N)
         rows.append({
             "N": N, "q": q, "max_char_sum": best,

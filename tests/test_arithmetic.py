@@ -443,6 +443,22 @@ class TestFrequency:
         f.fixed_point(128)
         assert calls == [192, 128]
 
+    def test_validation_and_fixed_point_share_one_expansion(self, monkeypatch):
+        calls = []
+        real = arithmetic.expand_cf
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(arithmetic, "expand_cf", counted)
+        f = Frequency.parse("pq:rule:spike:7,1000")
+        f.fixed_point()
+        assert len(calls) == 1
+        assert f == Frequency.parse("pq:rule:spike:7,1000")
+        assert repr(f) == ("Frequency(rep=PartialQuotients(terms=(), rule='spike', "
+                           "rule_params=(7, 1000)), fractional_bits=192)")
+
     def test_partial_quotients_tighten_their_enclosure(self):
         # sqrt(26) - 5 = [0; 10, 10, ...] sits within 2^-196 of a 192-bit
         # rounding boundary, so the first convergent enclosure straddles it

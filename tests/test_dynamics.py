@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from ergorate import dynamics, kernels
 from ergorate.arithmetic import (Frequency, PartialQuotients, expand_cf,
                                  golden_mean, sqrt2_minus_1)
-from ergorate.dynamics import (GridSweep, SystemSpec, TorusPoint,
+from ergorate.dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                                birkhoff_sum, char_birkhoff_skew,
                                exp_sum_avg_fp, grid_point, iterate,
                                kernel_sum, orbit_floats, step, sup_deviation)
@@ -843,3 +843,33 @@ class TestCharSums:
         res = char_birkhoff_skew(4, golden, (0, 2, 0, 1), x, 10, BITS)
         assert res.degree == 3
         assert (res.leading_num, res.leading_den) == (2, math.factorial(3))
+
+
+class TestCharSweep:
+    @pytest.mark.parametrize("d,k", [(2, (1, 0)), (3, (1, 0, 0)),
+                                     (3, (2, -1, 1))])
+    def test_resumed_sums_equal_fresh_ones(self, d, k, golden, rng):
+        # N on both sides of the 4096-step chunk, and the same N twice
+        for x in (TorusPoint.from_floats(rng.random(d), BITS),
+                  TorusPoint.zero(d, BITS)):
+            sweep = CharSweep(d, golden, k, x, BITS)
+            for N in (1, 4095, 4096, 4097, 8192, 8192, 100000):
+                got = char_birkhoff_skew(d, golden, k, x, N, BITS, sweep)
+                want = char_birkhoff_skew(d, golden, k, x, N, BITS)
+                assert got == want
+                assert sweep.j == N // CharSweep.CHUNK * CharSweep.CHUNK
+
+    def test_a_sweep_past_n_or_for_another_sum_is_refused(self, golden, rng):
+        x = TorusPoint.from_floats(rng.random(2), BITS)
+        sweep = CharSweep(2, golden, (1, 0), x, BITS)
+        char_birkhoff_skew(2, golden, (1, 0), x, 5000, BITS, sweep)
+        with pytest.raises(ValueError, match="past N"):
+            char_birkhoff_skew(2, golden, (1, 0), x, 4095, BITS, sweep)
+        # behind the open chunk, not behind the sweep
+        char_birkhoff_skew(2, golden, (1, 0), x, 4500, BITS, sweep)
+        y = TorusPoint.from_floats(rng.random(3), BITS)
+        for args in ((3, golden, (1, 0, 0), y), (2, golden, (0, 1), x),
+                     (2, golden, (1, 0), TorusPoint.zero(2, BITS)),
+                     (2, sqrt2_minus_1(), (1, 0), x)):
+            with pytest.raises(ValueError, match="another"):
+                char_birkhoff_skew(*args, 5000, BITS, sweep)

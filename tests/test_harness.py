@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,12 @@ from ergorate.harness import (ExperimentConfig, emit_csv, json_text,
                               resolve_system, run_kernel_experiment,
                               run_rate_experiment, run_sharpness_experiment,
                               run_skew_experiment)
+
+
+KERNEL_RUN = {"frequencies": ["golden", "pq:rule:index"],
+              "n_values": [1000, 100000], "max_q": 317811}
+SKEW_RUN = {"d": 2, "frequency": "golden", "k": [1, 0],
+            "n_values": [1000, 3162, 10000, 31623, 100000], "x_batch": 4}
 
 
 def _strict_json(text: str):
@@ -303,11 +310,36 @@ class TestKernelExperiment:
         with pytest.raises(ConfigError):
             run_kernel_experiment(cfg)
 
+    def test_golden_bytes_of_the_ladder(self, tmp_path, monkeypatch):
+        # recorded while every rung summed its own terms: the table per N
+        # keeps every sum bit for bit, and the rows keep their (q, N) order
+        monkeypatch.chdir(tmp_path)
+        run_kernel_experiment(ExperimentConfig(dict(KERNEL_RUN, out_dir="out")))
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in (tmp_path / "out").iterdir()}
+        assert digests == {
+            "kernel-bb6927fb3cd829c8.csv":
+                "956140c53d35e74ed603f396df0548c3349904b7291d1a4dae441d0bbca81a48",
+            "kernel-bb6927fb3cd829c8-manifest.json":
+                "75461538a468c10514c7499dfff9fe819700107dfc27fddf8687bd619f7c6103",
+        }
+
+    def test_one_table_alive_at_a_time(self):
+        # two float arrays of q_top - 1 = 317,810 values are 5.1 MB; a
+        # ladder that summed each rung afresh peaked at 12.4 MB
+        tracemalloc.start()
+        try:
+            run_kernel_experiment(ExperimentConfig(dict(KERNEL_RUN)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
     def test_non_finite_ratio_fails_the_cap(self, monkeypatch):
         from ergorate import harness
         from ergorate.dynamics import KernelSumResult
 
-        monkeypatch.setattr(harness, "kernel_sum", lambda omega, cf, idx, N:
+        monkeypatch.setattr(harness, "kernel_sum", lambda omega, cf, idx, N, table:
                             KernelSumResult(cf.q_at(idx), N, 1.0, float("nan")))
         cfg = ExperimentConfig({"frequencies": ["golden"], "n_values": [100],
                                 "max_q": 300})
@@ -317,6 +349,31 @@ class TestKernelExperiment:
 
 
 class TestSkewExperiment:
+    def test_golden_bytes_of_the_resumed_sums(self, tmp_path, monkeypatch):
+        # recorded while every N summed from j = 0
+        monkeypatch.chdir(tmp_path)
+        run_skew_experiment(ExperimentConfig(dict(SKEW_RUN, out_dir="out")))
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in (tmp_path / "out").iterdir()}
+        assert digests == {
+            "skew-621cbfd272c7bff4.csv":
+                "92534dfd3f23d362a4f19b7af944a855091edcc63b7ec2b34ac2e435c1d1ed40",
+            "skew-621cbfd272c7bff4-manifest.json":
+                "c8e79bac2b3d86d9282c1662256b38f1d20aa9f2e2e63673c74d272207f02ab1",
+        }
+
+    @pytest.mark.parametrize("n_values", [[0, 1000], [1000, -5]])
+    def test_n_below_1_fails_at_the_boundary(self, n_values):
+        with pytest.raises(ConfigError, match="n_values"):
+            run_skew_experiment(ExperimentConfig(dict(SKEW_RUN, n_values=n_values)))
+
+    def test_a_schedule_that_steps_back_restarts_its_sweeps(self):
+        back = run_skew_experiment(ExperimentConfig(dict(
+            SKEW_RUN, n_values=[100000, 1000, 31623])))
+        rows = {r["N"]: r for r in run_skew_experiment(
+            ExperimentConfig(dict(SKEW_RUN)))["rows"]}
+        assert back["rows"] == [rows[N] for N in (100000, 1000, 31623)]
+
     def test_nan_character_sum_fails_the_gates(self, monkeypatch):
         real = harness.char_birkhoff_skew
         calls = []

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ergorate.arithmetic import Frequency, expand_cf
 from ergorate.dynamics import (SystemSpec, TorusPoint, char_birkhoff_skew,
-                               iterate, kernel_sum, limbs_advance,
+                               iterate, kernel_sum, kernel_table, limbs_advance,
                                limbs_from_ints, limbs_mul, limbs_to_float,
                                orbit_floats)
 from ergorate.harness import resolve_observable, resolve_system
@@ -312,6 +312,18 @@ class TestAgainstBigIntOracles:
                 res = kernel_sum(omega, cf, idx, N)
                 assert (res.total, res.ratio) == kernel_sum_oracle(omega, cf, idx, N)
 
+    def test_kernel_sum_from_one_table(self, ftext):
+        # one table to the top of the ladder serves every rung, bit for bit
+        omega = Frequency.parse(ftext)
+        cf = expand_cf(omega, max_q=20000)
+        ladder = [idx for idx in range(1, cf.certified_len + 1)
+                  if cf.q_at(idx) >= 2]
+        for N in (7, 1000, 10 ** 5, (1 << 40) + 3, 3 ** 90):
+            table = kernel_table(omega, N, cf.q_at(ladder[-1]) - 1)
+            for idx in ladder:
+                res = kernel_sum(omega, cf, idx, N, table)
+                assert (res.total, res.ratio) == kernel_sum_oracle(omega, cf, idx, N)
+
     @pytest.mark.parametrize("d,k", [(2, (1, 0)), (3, (1, 0, 0)),
                                      (3, (2, -1, 1)), (4, (0, 1, 0, 2))])
     def test_char_sum(self, ftext, d, k):
@@ -320,6 +332,18 @@ class TestAgainstBigIntOracles:
             for N in (1, 4096, 6000, 9000):
                 res = char_birkhoff_skew(d, omega, k, x, N, 192)
                 assert res.value == char_sum_oracle(d, omega, k, x, N, 192)
+
+
+def test_kernel_table_of_another_sum_is_refused():
+    omega, other = Frequency.parse("golden"), Frequency.parse("sqrt2m1")
+    cf = expand_cf(omega, max_q=1000)
+    idx = cf.certified_len
+    q = cf.q_at(idx)
+    assert kernel_sum(omega, cf, idx, 1000, kernel_table(omega, 1000, q - 1)).q == q
+    for table in (kernel_table(other, 1000, q), kernel_table(omega, 999, q),
+                  kernel_table(omega, 1000, q - 2)):
+        with pytest.raises(ValueError):
+            kernel_sum(omega, cf, idx, 1000, table)
 
 
 @pytest.mark.parametrize("system", [
