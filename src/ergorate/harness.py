@@ -374,16 +374,25 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
 def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     """Decomposition identity plus window and aggregate lower bounds."""
     bits = int(cfg.get("precision_bits", 192))
+    # comparisons written so that NaN fails them
+    gap_c = float(cfg.get("gap_constant", 10.0))
+    range_c = float(cfg.get("range_constant", 0.125))
+    for key, v in (("gap_constant", gap_c), ("range_constant", range_c)):
+        if not 0 < v < math.inf:
+            raise ConfigError(f"{key} must be in (0, inf), got {v}")
+    ratio_floor = float(cfg.get("ratio_floor", 0.1))
+    if not math.isfinite(ratio_floor):
+        raise ConfigError(f"ratio_floor must be finite, got {ratio_floor}")
+    l_cap = cfg.get("l_cap", 256)
+    if not 0 <= l_cap < math.inf:
+        raise ConfigError(f"l_cap must be a finite count >= 0, got {l_cap}")
+    l_cap = int(l_cap)
     weight = cfg.get("weight", "holder")
     params = f"{float(cfg.get('alpha', 0.5))}:" if weight == "holder" else ""
     phi = resolve_observable(
         f"lacunary:{weight}:{params}{float(cfg.get('tol', 1e-12))}",
         resolve_system("rotation1d:" + cfg.require("frequency"), bits))
     cf = phi.cf
-    gap_c = float(cfg.get("gap_constant", 10.0))
-    range_c = float(cfg.get("range_constant", 0.125))
-    ratio_floor = float(cfg.get("ratio_floor", 0.1))
-    l_cap = int(cfg.get("l_cap", 256))
     if "m_values" in cfg.values:
         ms = [int(m) for m in cfg.require("m_values")]
     else:

@@ -5,8 +5,9 @@ output against or build inputs from: the distance to the nearest integer
 from an exact fixed-point numerator and from a double by np.mod,
 ||k omega||, a frequency as a double, a sampled Holder quotient, the
 Hermitian symmetry of trigonometric-polynomial coefficients, the pointwise
-grid field of a 1-d rotation in one fresh pass, and the grid field of any
-system by one exact orbit per grid point.
+grid field of a 1-d rotation in one fresh pass, the grid field of any
+system by one exact orbit per grid point, and the lacunary direct sum one
+mode at a time.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from ergorate.arithmetic import Frequency
 from ergorate.dynamics import (SystemSpec, TorusPoint, birkhoff_sum,
                                grid_point, orbit_floats)
 from ergorate.kernels import Observable, TrigPoly
+from ergorate.sharpness import _AVERAGE_CHUNK, TWO_PI, LacunaryObservable
 
 
 def fp_dist_to_Z(value: int, bits: int) -> float:
@@ -107,3 +109,24 @@ def grid_sums_per_point(sys: SystemSpec, phi: Observable, N: int, grid: int,
     sums = np.array([birkhoff_sum(sys, phi, grid_point(idx, grid, sys.bits), N)
                      for idx in cells])
     return sums.reshape((grid,) * sys.dim) if whole else sums
+
+
+def measure_average_per_mode(phi: LacunaryObservable, omega: Frequency,
+                             x: TorusPoint, N: int) -> float:
+    """(1/N) S_N phi(x) for a lacunary series, one mode after another: each
+    _AVERAGE_CHUNK of steps builds a fresh index ramp and its cosines by
+    np.mod, and each mode's chunk totals are added before the next mode."""
+    one = 1 << phi.bits
+    w_fp = omega.fixed_point(phi.bits)
+    total = 0.0
+    for q, w in zip(phi.qs, phi.weights):
+        if w == 0.0:
+            continue
+        step_f = ((q * w_fp) % one) / one
+        ph0_f = ((q * x.coords[0]) % one) / one
+        mode_sum = 0.0
+        for lo in range(0, N, _AVERAGE_CHUNK):
+            js = np.arange(lo, min(N, lo + _AVERAGE_CHUNK), dtype=float)
+            mode_sum += float(np.sum(np.cos(TWO_PI * np.mod(ph0_f + js * step_f, 1.0))))
+        total += w * mode_sum
+    return total / N

@@ -438,6 +438,51 @@ class TestSharpnessExperiment:
         assert rep["passed"] is None
         assert "not met" in rep["hypothesis"]
 
+    @pytest.mark.parametrize("key,value", [
+        ("gap_constant", math.nan), ("gap_constant", 0.0),
+        ("gap_constant", -1.0), ("gap_constant", math.inf),
+        ("range_constant", math.nan), ("range_constant", 0.0),
+        ("range_constant", math.inf), ("ratio_floor", math.nan),
+        ("ratio_floor", -math.inf), ("l_cap", -1), ("l_cap", math.nan),
+        ("l_cap", math.inf),
+    ])
+    def test_bad_knobs_fail_at_the_boundary(self, key, value):
+        # a NaN gap_constant passed the gap gate (qm1 < nan is False), a NaN
+        # range_constant died converting to int, l_cap = -1 reported "no
+        # positive window"
+        cfg = ExperimentConfig({"frequency": "golden", "alpha": 0.5,
+                                "m_values": [5], key: value})
+        with pytest.raises(ConfigError, match=key):
+            run_sharpness_experiment(cfg)
+
+    def test_a_nan_gap_constant_fails_the_gate(self):
+        phi = resolve_observable("lacunary:holder:0.5:1e-12",
+                                 resolve_system("rotation1d:golden"))
+        with pytest.raises(sharpness.HypothesisNotMet):
+            sharpness.verify_lower_bound(phi, 5, gap_constant=math.nan)
+
+    def test_golden_bytes_of_the_sharp_route(self, tmp_path, monkeypatch):
+        # recorded while each mode built its own index ramp and temporaries:
+        # the shared ramp and in-place buffers keep every window bit for bit
+        monkeypatch.chdir(tmp_path)
+        for freq, ms in (("pq:rule:spike:7,1000", [6]),
+                         ("pq:rule:index", [4, 5, 6, 7, 8])):
+            run_sharpness_experiment(ExperimentConfig({
+                "frequency": freq, "alpha": 0.5, "m_values": ms,
+                "out_dir": "out"}))
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in (tmp_path / "out").iterdir()}
+        assert digests == {
+            "sharp-d0c53ac9bd265d1b.csv":
+                "93359740345095808aaaa5d1441f5aac1a1fdb39a1569b42f136c13ab22bb58b",
+            "sharp-d0c53ac9bd265d1b-manifest.json":
+                "8db420003b5b4526fc30cf11ad18712bda9b93f42237ed0aec301a10690ed100",
+            "sharp-5ef339079e12cbb0.csv":
+                "cc05031362d94e71189c9b09d4b0722ce1a08886afe6f02a816e4c5db8c53cf9",
+            "sharp-5ef339079e12cbb0-manifest.json":
+                "382505a729874e5a849aa8a166a438c85b9fab68a4c97400b7a03d53b8c475a4",
+        }
+
     def test_unknown_weight(self):
         cfg = ExperimentConfig({"frequency": "golden", "weight": "nosuch",
                                 "m_values": [2]})
@@ -600,6 +645,13 @@ class TestCli:
             "schedule = list:100\ngrid = 64\n"
         )
         assert cli_main(["--config", str(cfg), "rate"]) == 0
+
+    def test_nan_gap_constant_exit_code(self, capsys, tmp_path):
+        # golden m = 5 reported "hypothesis: ok" and passed with this file
+        cfg = tmp_path / "sharp.cfg"
+        cfg.write_text("frequency = golden\nm_values = [5]\ngap_constant = nan\n")
+        assert cli_main(["--config", str(cfg), "sharp"]) == 2
+        assert "gap_constant" in capsys.readouterr().err
 
     def test_error_exit_code(self, capsys):
         rc = cli_main(["cf", "--freq", "dec:0.123", "--max-q", "10"])

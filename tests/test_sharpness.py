@@ -1,5 +1,6 @@
 """Lacunary lower-bound constructions and the three-part decomposition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from ergorate.sharpness import (AnalyticWeight, HolderWeight,
                                 closed_form_average, decompose,
                                 measure_average, slow_rate_point,
                                 verify_Nm_bound, verify_lower_bound)
-from oracles import sampled_holder_quotient
+from oracles import measure_average_per_mode, sampled_holder_quotient
 
 BITS = 192
 
@@ -163,6 +164,39 @@ class TestDecompose:
             a = measure_average(golden_lac, golden, x, N)
             b = closed_form_average(golden_lac, golden, x, N)
             assert a == pytest.approx(b, abs=1e-10)
+
+    @pytest.mark.parametrize("N", [1, 13, 4181])
+    def test_direct_sum_equals_the_per_mode_oracle(self, golden_lac, golden, N):
+        # one shared ramp and in-place buffers keep every mode's sum bit for bit
+        for x in (TorusPoint.zero(1, BITS), TorusPoint.from_floats([0.37], BITS)):
+            assert (measure_average(golden_lac, golden, x, N)
+                    == measure_average_per_mode(golden_lac, golden, x, N))
+
+    def test_direct_sum_across_a_chunk_boundary(self, golden, golden_deep_cf):
+        # two chunks of the index ramp, the second one short
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+        x = TorusPoint.from_floats([0.61], BITS)
+        N = (1 << 20) + 12345
+        assert (measure_average(phi, golden, x, N)
+                == measure_average_per_mode(phi, golden, x, N))
+
+    def test_direct_sum_of_analytic_weights(self, golden, golden_deep_cf):
+        # truncation drops the weights that underflow to 0.0; a zero left
+        # inside the series is skipped, not summed as 0 * mode_sum
+        phi = build_lacunary(golden_deep_cf, AnalyticWeight(), tol=1e-12)
+        holed = dataclasses.replace(
+            phi, weights=phi.weights[:2] + (0.0,) + phi.weights[3:])
+        x = TorusPoint.from_floats([0.2], BITS)
+        for series in (phi, holed):
+            for N in (1, 89, 4181):
+                assert (measure_average(series, golden, x, N)
+                        == measure_average_per_mode(series, golden, x, N))
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_direct_sum_needs_one_step(self, golden_lac, golden, N):
+        # N = 0 divided by zero and N = -3 returned -0.0
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            measure_average(golden_lac, golden, TorusPoint.zero(1, BITS), N)
 
 
 class TestTailBounds:
