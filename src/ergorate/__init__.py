@@ -5,8 +5,9 @@ lower-bound constructions, with an experiment harness tying them together.
 """
 
 from .arithmetic import (ContinuedFraction, DecimalString, DiophantineReport,
-                         Frequency, PartialQuotients, QuadraticSurd, classify,
-                         dist_to_Z, expand_cf, find_convergent_at_scale,
+                         Frequency, PartialQuotients, QuadraticSurd,
+                         borel_bernstein_schedule, classify, dist_to_Z,
+                         expand_cf, find_convergent_at_scale,
                          gap_lower_bound_check, golden_mean,
                          is_best_approximation, ostrowski_digits,
                          ostrowski_value, sqrt2_minus_1)
@@ -27,8 +28,7 @@ from .kernels import (Holder, LogHolder, ModulusOfContinuity, Observable,
                       jackson_d, make_observable)
 from .scenarios import SCENARIOS, run_scenario
 from .sharpness import (AnalyticWeight, HolderWeight, LacunaryObservable,
-                        ModulusWeight, SharpnessReport, borel_bernstein_schedule,
-                        build_lacunary, decompose, verify_Nm_bound,
-                        verify_lower_bound)
+                        ModulusWeight, SharpnessReport, build_lacunary,
+                        decompose, verify_Nm_bound, verify_lower_bound)
 
 __version__ = "0.1.0"

@@ -643,11 +643,17 @@ class DiophantineReport:
     beta_estimate: float
     bb_witnesses: tuple
     k_max: int
-    witness_constant: float
 
 
-def classify(omega: Frequency, cf: ContinuedFraction, k_max: int,
-             witness_constant: float = 1.0) -> DiophantineReport:
+def borel_bernstein_schedule(cf: ContinuedFraction) -> tuple:
+    """Indices m with a_{m+1} >= m: where the gap law holds."""
+    if cf.certified_len == 0:
+        raise Uncertified("empty certified prefix")
+    return tuple(m for m in range(1, cf.certified_len) if cf.a_at(m + 1) >= m)
+
+
+def classify(omega: Frequency, cf: ContinuedFraction,
+             k_max: int) -> DiophantineReport:
     """Fit the arithmetic quality of omega over the certified prefix.
 
     gamma_sdc  exact min over 1 <= k <= k_max of ||k w|| * k * log^2(k+1)
@@ -656,12 +662,13 @@ def classify(omega: Frequency, cf: ContinuedFraction, k_max: int,
                third of the certified prefix (a max over the full prefix
                never decays, which would misreport bounded-quotient
                frequencies as strongly Liouville)
-    witnesses  indices m with a_{m+1} >= witness_constant * m
+    witnesses  borel_bernstein_schedule(cf)
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     if omega.is_rational() or cf.terminated:
         raise NotIrrational("Diophantine classification needs an irrational frequency")
+    witnesses = borel_bernstein_schedule(cf)
     bits = omega.fractional_bits
     w = omega.fixed_point(bits)
     one = 1 << bits
@@ -698,9 +705,6 @@ def classify(omega: Frequency, cf: ContinuedFraction, k_max: int,
     for n in range(tail_start, M):
         beta = max(beta, math.log(cf.q_at(n + 1)) / cf.q_at(n))
 
-    witnesses = tuple(
-        m for m in range(1, M) if cf.a_at(m + 1) >= witness_constant * m
-    )
     return DiophantineReport(
         gamma_sdc=gamma_sdc,
         sdc_argmin_k=argmin_k,
@@ -709,7 +713,6 @@ def classify(omega: Frequency, cf: ContinuedFraction, k_max: int,
         beta_estimate=beta,
         bb_witnesses=witnesses,
         k_max=k_max,
-        witness_constant=witness_constant,
     )
 
 

@@ -63,7 +63,7 @@ def cmd_cf(args) -> int:
 def cmd_classify(args) -> int:
     omega = Frequency.parse(args.freq, _bits(args))
     cf = expand_cf(omega, max_q=args.max_q)
-    rep = classify(omega, cf, k_max=args.k_max, witness_constant=args.witness_constant)
+    rep = classify(omega, cf, k_max=args.k_max)
     _print_json({
         "gamma_sdc": rep.gamma_sdc,
         "sdc_argmin_k": rep.sdc_argmin_k,
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", required=True)
     p.add_argument("--max-q", type=int, default=10 ** 6)
     p.add_argument("--k-max", type=int, default=10 ** 4)
-    p.add_argument("--witness-constant", type=float, default=1.0)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("rate", help="Birkhoff-rate sweep against an envelope")

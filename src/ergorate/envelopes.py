@@ -19,6 +19,10 @@ from .errors import DomainError, Uncertified
 # fit_scale's tail: the trailing third of the points
 _TAIL_FRACTION = 1.0 / 3.0
 
+# each envelope kind and the parameters its shape needs besides alpha and eps
+_NEEDS = {"dk": (), "sdc": (), "dc": ("A",), "beta": (), "modulus": ("modulus",),
+          "transd": ("A", "d"), "skew": ("d",)}
+
 
 @dataclass
 class Envelope:
@@ -35,9 +39,11 @@ class Envelope:
     scale: float = 1.0
 
     def __post_init__(self):
-        shapes = {"dk", "sdc", "dc", "beta", "modulus", "transd", "skew"}
-        if self.kind not in shapes:
+        if self.kind not in _NEEDS:
             raise ValueError(f"unknown envelope kind {self.kind!r}")
+        missing = [p for p in _NEEDS[self.kind] if getattr(self, p) is None]
+        if missing:
+            raise ValueError(f"{self.kind} envelope needs {', '.join(missing)}")
 
     def shape(self, N: int) -> float:
         if N < 3:
@@ -66,14 +72,6 @@ class Envelope:
     def value(self, N: int) -> float:
         return self.scale * self.shape(N)
 
-    def describe(self) -> str:
-        parts = [f"alpha={self.alpha}"]
-        for name in ("gamma", "A", "beta", "d", "eps"):
-            v = getattr(self, name)
-            if v is not None and not (name == "eps" and self.kind != "skew"):
-                parts.append(f"{name}={v}")
-        return f"{self.kind}:" + ",".join(parts)
-
     @staticmethod
     def parse(text: str) -> "Envelope":
         """Parse e.g. "sdc:alpha=0.5,gamma=0.1" or "skew:alpha=0.5,d=2,eps=0.05"."""
@@ -83,6 +81,10 @@ class Envelope:
             for item in body.split(","):
                 key, _, val = item.partition("=")
                 key = key.strip()
+                # every field but kind and modulus, which text cannot supply
+                if key not in ("alpha", "gamma", "A", "beta", "d", "eps", "scale"):
+                    raise ValueError(f"unknown envelope parameter {key!r} "
+                                     f"in {text!r}")
                 if key == "d":
                     kwargs[key] = int(val)
                 else:
@@ -137,8 +139,7 @@ class SumQsResult:
 
 
 def sum_qs_bound(cf: ContinuedFraction, s: int, alpha: float,
-                 regime: str, gamma: Optional[float] = None,
-                 A: Optional[float] = None,
+                 regime: str, A: Optional[float] = None,
                  beta: Optional[float] = None) -> SumQsResult:
     """Exact partial sums sum_{j<=s} q_{j+1} log q_{j+1} / q_j**alpha
     against the regime's closed-form growth shape at n = q_s.

@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import sharpness
-from .arithmetic import Frequency, expand_cf, find_convergent_at_scale
+from .arithmetic import (Frequency, borel_bernstein_schedule, expand_cf,
+                         find_convergent_at_scale)
 from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                        char_birkhoff_skew, kernel_sum, kernel_table,
                        sup_deviation)
@@ -194,9 +195,9 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
 
 def _lacunary_tol(rest: list) -> float:
     """The truncation tolerance after a lacunary key's weight parameters:
-    1e-12 when absent, else a number in (0, inf)."""
+    sharpness.TAIL_TOL when absent, else a number in (0, inf)."""
     if not rest:
-        return 1e-12
+        return sharpness.TAIL_TOL
     try:
         tol = float(rest[0])
     except ValueError:
@@ -234,6 +235,8 @@ def resolve_schedule(text: str, sys: SystemSpec) -> list[int]:
         return out
     if kind == "convergents":
         cf = expand_cf(sys.freqs[0], max_q=int(body))
+        if not cf.q:
+            raise ConfigError(f"schedule {text!r} has no points")
         return [int(q) for q in cf.q]
     if kind == "list":
         out = sorted({int(x) for x in body.split(",")})
@@ -261,6 +264,11 @@ class RateSeries:
 
 class _BudgetClock:
     def __init__(self, budget_s: Optional[float]):
+        # None is no budget; a budget is a number of seconds in (0, inf)
+        if budget_s is not None and (isinstance(budget_s, bool) or not (
+                isinstance(budget_s, (int, float)) and 0 < budget_s < math.inf)):
+            raise ConfigError(f"budget_s must be a number of seconds in "
+                              f"(0, inf), got {budget_s!r}")
         self.budget = budget_s
         self.t0 = time.monotonic()
 
@@ -327,9 +335,11 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
     freq_texts = cfg.require("frequencies")
     if isinstance(freq_texts, str):
         freq_texts = [freq_texts]
+    if not freq_texts:
+        raise ConfigError("frequencies must name at least one frequency")
     N_list = [int(n) for n in cfg.require("n_values")]
-    if any(N < 1 for N in N_list):
-        raise ConfigError(f"n_values must all be >= 1, got {N_list}")
+    if not N_list or min(N_list) < 1:
+        raise ConfigError(f"n_values must be nonempty and >= 1, got {N_list}")
     max_q = int(cfg.get("max_q", 6765))
     if max_q < 2:
         raise ConfigError(f"max_q must be >= 2, got {max_q}")
@@ -365,39 +375,32 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
                 max_ratio = max(max_ratio, r.ratio)
                 all_finite = all_finite and math.isfinite(r.ratio)
     table = {"rows": rows, "max_ratio": max_ratio, "cap": cap,
-             "within_cap": all_finite and max_ratio <= cap,
+             "within_cap": bool(rows) and all_finite and max_ratio <= cap,
              "config_hash": cfg.config_hash()}
     _maybe_emit(cfg, "kernel", rows, extra={"max_ratio": max_ratio, "cap": cap})
     return table
 
 
+# keys that once overrode the sharpness constants: refused, never ignored
+_SHARPNESS_CONSTANTS = ("gap_constant", "range_constant", "ratio_floor",
+                        "l_cap", "witness_constant", "tol")
+
+
 def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     """Decomposition identity plus window and aggregate lower bounds."""
     bits = int(cfg.get("precision_bits", 192))
-    # comparisons written so that NaN fails them
-    gap_c = float(cfg.get("gap_constant", 10.0))
-    range_c = float(cfg.get("range_constant", 0.125))
-    for key, v in (("gap_constant", gap_c), ("range_constant", range_c)):
-        if not 0 < v < math.inf:
-            raise ConfigError(f"{key} must be in (0, inf), got {v}")
-    ratio_floor = float(cfg.get("ratio_floor", 0.1))
-    if not math.isfinite(ratio_floor):
-        raise ConfigError(f"ratio_floor must be finite, got {ratio_floor}")
-    l_cap = cfg.get("l_cap", 256)
-    if not 0 <= l_cap < math.inf:
-        raise ConfigError(f"l_cap must be a finite count >= 0, got {l_cap}")
-    l_cap = int(l_cap)
+    for key in _SHARPNESS_CONSTANTS:
+        if key in cfg.values:
+            raise ConfigError(f"{key} is fixed in ergorate.sharpness")
     weight = cfg.get("weight", "holder")
-    params = f"{float(cfg.get('alpha', 0.5))}:" if weight == "holder" else ""
+    observable = (f"lacunary:holder:{float(cfg.get('alpha', 0.5))}"
+                  if weight == "holder" else f"lacunary:{weight}")
     phi = resolve_observable(
-        f"lacunary:{weight}:{params}{float(cfg.get('tol', 1e-12))}",
-        resolve_system("rotation1d:" + cfg.require("frequency"), bits))
-    cf = phi.cf
+        observable, resolve_system("rotation1d:" + cfg.require("frequency"), bits))
     if "m_values" in cfg.values:
         ms = [int(m) for m in cfg.require("m_values")]
     else:
-        witness_c = float(cfg.get("witness_constant", 1.0))
-        ms = [m for m in sharpness.borel_bernstein_schedule(cf, witness_c)
+        ms = [m for m in borel_bernstein_schedule(phi.cf)
               if 2 <= m < phi.n_modes]
     clock = _BudgetClock(cfg.get("budget_s"))
     reports = []
@@ -407,9 +410,7 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
         entry["identity_gap"] = rep.identity_gap
         entry["lower_dev_at_0"] = rep.lower_dev
         try:
-            lb = sharpness.verify_lower_bound(
-                phi, m, gap_constant=gap_c, range_constant=range_c, l_cap=l_cap,
-            )
+            lb = sharpness.verify_lower_bound(phi, m)
             nm = sharpness.verify_Nm_bound(phi, m, lower=lb)
             entry.update({
                 "hypothesis": "ok",
@@ -417,7 +418,8 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
                 "l_bar": lb.l_bar,
                 "N_m": nm.N_m,
                 "ratio_Nm": nm.ratio,
-                "passed": bool(lb.min_ratio > 0 and nm.ratio >= ratio_floor),
+                "passed": bool(lb.min_ratio > 0
+                               and nm.ratio >= sharpness.RATIO_FLOOR),
             })
         except sharpness.HypothesisNotMet as exc:
             entry.update({"hypothesis": f"not met: {exc}", "passed": None})
@@ -438,8 +440,8 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
     if len(k) != d or not any(k):
         raise ConfigError(f"k must have length d={d} and a nonzero entry, got {list(k)}")
     N_list = [int(n) for n in cfg.require("n_values")]
-    if any(N < 1 for N in N_list):
-        raise ConfigError(f"n_values must all be >= 1, got {N_list}")
+    if not N_list or min(N_list) < 1:
+        raise ConfigError(f"n_values must be nonempty and >= 1, got {N_list}")
     eps = float(cfg.get("eps", 0.05))
     n_points = int(cfg.get("x_batch", 4))
     seed = int(cfg.get("seed", 7))

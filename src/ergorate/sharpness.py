@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arithmetic import ContinuedFraction, Frequency
+from .arithmetic import borel_bernstein_schedule  # noqa: F401 (re-export)
 from .dynamics import (TorusPoint, exp_sum_avg_fp, limbs_from_ints,
                        limbs_mul, limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified
@@ -30,8 +31,12 @@ TWO_PI = 2.0 * math.pi
 # steps per vectorized block of measure_average; fixes its summation order
 _AVERAGE_CHUNK = 1 << 20
 
-# admitted windows: l <= _RANGE_CONSTANT * q_{m+1} / q_m
-_RANGE_CONSTANT = 0.125
+# The constants of the sharpness construction; no config sets them.
+GAP_CONSTANT = 10.0     # gap law: q_{m+1} >= GAP_CONSTANT * m * q_m
+RANGE_CONSTANT = 0.125  # admitted windows: l <= RANGE_CONSTANT * q_{m+1} / q_m
+L_CAP = 256             # and l <= L_CAP
+RATIO_FLOOR = 0.1       # a passing aggregate: N_m-average / w_m >= RATIO_FLOOR
+TAIL_TOL = 1e-12        # truncation tolerance of the lacunary series
 # slow_rate_point's window-count cap, for q_{m+1}/q_m astronomically large
 _SLOW_RATE_L_CAP = 64
 
@@ -139,7 +144,7 @@ def _lacunary_fn(qs, weights, bits):
     return fn
 
 
-def build_lacunary(cf: ContinuedFraction, weight, tol: float = 1e-12,
+def build_lacunary(cf: ContinuedFraction, weight, tol: float = TAIL_TOL,
                    bits: int = 192) -> LacunaryObservable:
     """Truncate the series so the dropped tail is provably below tol.
 
@@ -323,25 +328,23 @@ def start_points(phi: LacunaryObservable, m: int, ls: Sequence[int]) -> list:
 
 
 def verify_lower_bound(phi: LacunaryObservable, m: int,
-                       l_values: Optional[Sequence[int]] = None,
-                       gap_constant: float = 10.0,
-                       range_constant: float = _RANGE_CONSTANT,
-                       l_cap: int = 256) -> LowerBoundResult:
+                       l_values: Optional[Sequence[int]] = None
+                       ) -> LowerBoundResult:
     """Measure the q_m-step averages at x = l q_m omega across the admitted
     range of l and check they stay positive (the resonant mode dominates).
 
-    Requires the gap q_{m+1} >= gap_constant * m * q_m; raises
+    Requires the gap q_{m+1} >= GAP_CONSTANT * m * q_m; raises
     HypothesisNotMet otherwise so harnesses can report instead of assert.
     """
     omega = phi.cf.omega
     qm = phi.mode_q(m)
     qm1 = phi.cf.q_at(m + 1)  # raises Uncertified beyond the certified prefix
-    if not qm1 >= gap_constant * m * qm:  # a NaN constant fails the gate
+    if qm1 < GAP_CONSTANT * m * qm:
         raise HypothesisNotMet(
-            f"q_{m + 1}={qm1} < {gap_constant} * {m} * q_{m}={qm}"
+            f"q_{m + 1}={qm1} < {GAP_CONSTANT} * {m} * q_{m}={qm}"
         )
     if l_values is None:
-        l_max = min(int(range_constant * qm1 / qm), l_cap)
+        l_max = min(int(RANGE_CONSTANT * qm1 / qm), L_CAP)
         l_values = range(0, l_max + 1)
     ls = list(l_values)
     w_m = phi.mode_weight(m)
@@ -388,7 +391,7 @@ def slow_rate_point(phi: LacunaryObservable, m: int) -> NmBoundResult:
     astronomically large), no gap-hypothesis gate."""
     qm = phi.mode_q(m)
     qm1 = phi.cf.q_at(m + 1)  # raises Uncertified beyond the certified prefix
-    l_bar = max(0, min(int(_RANGE_CONSTANT * qm1 / qm), _SLOW_RATE_L_CAP))
+    l_bar = max(0, min(int(RANGE_CONSTANT * qm1 / qm), _SLOW_RATE_L_CAP))
     return _aggregate(phi, m, l_bar)
 
 
@@ -402,12 +405,3 @@ def _aggregate(phi: LacunaryObservable, m: int, l_bar: int) -> NmBoundResult:
         m=m, q_m=qm, N_m=N_m, lower_dev_Nm=dev, ratio=dev / phi.mode_weight(m),
     )
 
-
-def borel_bernstein_schedule(cf: ContinuedFraction, constant: float = 1.0) -> tuple:
-    """Indices m with a_{m+1} >= constant * m: where the gap law holds."""
-    if cf.certified_len == 0:
-        raise Uncertified("empty certified prefix")
-    return tuple(
-        m for m in range(1, cf.certified_len)
-        if cf.a_at(m + 1) >= constant * m
-    )

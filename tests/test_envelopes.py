@@ -67,6 +67,19 @@ class TestEnvelopeValues:
         env2 = Envelope.parse("skew:alpha=0.3,d=3,eps=0.01")
         assert env2.d == 3 and env2.eps == 0.01
 
+    @pytest.mark.parametrize("kind,needs", [
+        ("dc", "A"), ("transd", "A, d"), ("skew", "d"), ("modulus", "modulus"),
+    ])
+    def test_a_missing_parameter_fails_at_construction(self, kind, needs):
+        # each raised a TypeError from its first shape call
+        with pytest.raises(ValueError, match=f"{kind} envelope needs {needs}$"):
+            Envelope.parse(f"{kind}:alpha=0.5")
+
+    @pytest.mark.parametrize("text", ["sdc:foo=1", "dk:alpha=0.5,", "modulus:modulus=1"])
+    def test_parse_refuses_unknown_names(self, text):
+        with pytest.raises(ValueError, match="unknown envelope parameter"):
+            Envelope.parse(text)
+
     def test_weyl_bound_cell(self):
         v = weyl_bound(2, 1000, 1000, eps=0.0)
         expect = 1000 * (1 / 1000 + 1 / 1000 + 1000 / 1000 ** 2) ** 0.5

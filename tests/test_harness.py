@@ -24,6 +24,17 @@ KERNEL_RUN = {"frequencies": ["golden", "pq:rule:index"],
               "n_values": [1000, 100000], "max_q": 317811}
 SKEW_RUN = {"d": 2, "frequency": "golden", "k": [1, 0],
             "n_values": [1000, 3162, 10000, 31623, 100000], "x_batch": 4}
+# one small run of each kind
+SMALL_RUNS = {
+    "rate": (run_rate_experiment, {"system": "rotation1d:golden",
+                                   "observable": "cos", "schedule": "list:100",
+                                   "grid": 64}),
+    "kernel": (run_kernel_experiment, {"frequencies": ["golden"],
+                                       "n_values": [100], "max_q": 300}),
+    "sharp": (run_sharpness_experiment, {"frequency": "pq:rule:spike:7,1000",
+                                         "alpha": 0.5, "m_values": [6]}),
+    "skew": (run_skew_experiment, dict(SKEW_RUN, n_values=[100])),
+}
 
 
 def _strict_json(text: str):
@@ -33,6 +44,21 @@ def _strict_json(text: str):
         raise ValueError(f"non-standard JSON token {token}")
 
     return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
+@pytest.mark.parametrize("budget", ["abc", math.nan, 0.0, -1.0, math.inf, True])
+def test_bad_budget_fails_at_the_boundary(kind, budget):
+    # "abc" died with a TypeError traceback, NaN turned the budget off
+    run, values = SMALL_RUNS[kind]
+    with pytest.raises(ConfigError, match="budget_s"):
+        run(ExperimentConfig(dict(values, budget_s=budget)))
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
+def test_a_whole_number_budget_runs(kind):
+    run, values = SMALL_RUNS[kind]
+    run(ExperimentConfig(dict(values, budget_s=300)))
 
 
 class TestConfig:
@@ -94,6 +120,9 @@ class TestResolvers:
         assert lst == [2, 5, 9]
         with pytest.raises(ConfigError):
             resolve_schedule("list:0,100", sys)
+        # no convergent denominator is <= 0: this exited 0 with no points
+        with pytest.raises(ConfigError, match="schedule"):
+            resolve_schedule("convergents:0", sys)
 
     def test_observables(self):
         sys = resolve_system("rotation1d:golden")
@@ -347,6 +376,20 @@ class TestKernelExperiment:
         assert out["max_ratio"] == 0.0  # max() drops the NaNs
         assert out["within_cap"] is False
 
+    @pytest.mark.parametrize("key", ["frequencies", "n_values"])
+    def test_an_empty_list_fails_at_the_boundary(self, key):
+        # reported within_cap: true over 0 rows
+        cfg = ExperimentConfig({"frequencies": ["golden"], "n_values": [100],
+                                key: []})
+        with pytest.raises(ConfigError, match=key):
+            run_kernel_experiment(cfg)
+
+    def test_no_row_is_not_within_the_cap(self):
+        # 1/5 has no convergent denominator in 2..max_q
+        out = run_kernel_experiment(ExperimentConfig({
+            "frequencies": ["pq:[5,2]"], "n_values": [10], "max_q": 2}))
+        assert out["rows"] == [] and out["within_cap"] is False
+
 
 class TestSkewExperiment:
     def test_golden_bytes_of_the_resumed_sums(self, tmp_path, monkeypatch):
@@ -362,7 +405,7 @@ class TestSkewExperiment:
                 "c8e79bac2b3d86d9282c1662256b38f1d20aa9f2e2e63673c74d272207f02ab1",
         }
 
-    @pytest.mark.parametrize("n_values", [[0, 1000], [1000, -5]])
+    @pytest.mark.parametrize("n_values", [[0, 1000], [1000, -5], []])
     def test_n_below_1_fails_at_the_boundary(self, n_values):
         with pytest.raises(ConfigError, match="n_values"):
             run_skew_experiment(ExperimentConfig(dict(SKEW_RUN, n_values=n_values)))
@@ -444,22 +487,18 @@ class TestSharpnessExperiment:
         ("range_constant", math.nan), ("range_constant", 0.0),
         ("range_constant", math.inf), ("ratio_floor", math.nan),
         ("ratio_floor", -math.inf), ("l_cap", -1), ("l_cap", math.nan),
-        ("l_cap", math.inf),
+        ("l_cap", math.inf), ("witness_constant", math.nan), ("tol", math.nan),
+        ("gap_constant", 10.0), ("range_constant", 0.125),
+        ("ratio_floor", 0.1), ("l_cap", 256), ("witness_constant", 1.0),
+        ("tol", 1e-12),
     ])
     def test_bad_knobs_fail_at_the_boundary(self, key, value):
-        # a NaN gap_constant passed the gap gate (qm1 < nan is False), a NaN
-        # range_constant died converting to int, l_cap = -1 reported "no
-        # positive window"
+        # these keys are constants of ergorate.sharpness: a config naming one,
+        # even at its value, is refused rather than silently ignored
         cfg = ExperimentConfig({"frequency": "golden", "alpha": 0.5,
                                 "m_values": [5], key: value})
         with pytest.raises(ConfigError, match=key):
             run_sharpness_experiment(cfg)
-
-    def test_a_nan_gap_constant_fails_the_gate(self):
-        phi = resolve_observable("lacunary:holder:0.5:1e-12",
-                                 resolve_system("rotation1d:golden"))
-        with pytest.raises(sharpness.HypothesisNotMet):
-            sharpness.verify_lower_bound(phi, 5, gap_constant=math.nan)
 
     def test_golden_bytes_of_the_sharp_route(self, tmp_path, monkeypatch):
         # recorded while each mode built its own index ramp and temporaries:
@@ -585,6 +624,33 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["gamma_sdc"] > 0
+
+    def test_classify_has_no_witness_constant(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["classify", "--freq", "golden", "--witness-constant", "2"])
+        assert exc.value.code == 2
+        assert "--witness-constant" in capsys.readouterr().err
+
+    def test_classify_of_an_empty_prefix_exit_code(self, capsys):
+        # printed a report over no convergents
+        assert cli_main(["classify", "--freq", "golden", "--max-q", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty certified prefix" in captured.err
+
+    @pytest.mark.parametrize("envelope", [
+        "dc:alpha=0.5", "transd:alpha=0.5", "transd:alpha=0.5,A=3.0",
+        "skew:alpha=0.5", "modulus:alpha=0.5", "sdc:foo=1",
+        "sdc:alpha=0.5,modulus=1",
+    ])
+    def test_bad_envelope_exit_code(self, capsys, envelope):
+        # each died with a TypeError traceback at the first shape call
+        rc = cli_main(["rate", "--system", "rotation1d:golden",
+                       "--observable", "cos", "--schedule", "list:100,200,300",
+                       "--grid", "64", "--envelope", envelope])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_ostrowski(self, capsys):
         assert cli_main(["ostrowski", "--freq", "sqrt2m1", "-n", "29"]) == 0

@@ -301,6 +301,12 @@ class TestSchedule:
     def test_golden_only_first(self, golden_cf):
         assert borel_bernstein_schedule(golden_cf) == (1,)
 
+    def test_one_rule_behind_every_import(self):
+        import ergorate
+        from ergorate import arithmetic
+        assert (borel_bernstein_schedule is arithmetic.borel_bernstein_schedule
+                is ergorate.borel_bernstein_schedule)
+
     def test_alternating_square_rule(self):
         f = Frequency(PartialQuotients((), "square_even"))
         cf = expand_cf(f, max_q=10 ** 12)
