@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,16 +64,6 @@ def _round_div(num: int, den: int) -> int:
 # ---------------------------------------------------------------------------
 # partial-quotient rules
 # ---------------------------------------------------------------------------
-
-# A rule maps (m, q_hist) -> a_m or None (sequence ends / leaves the storable
-# range).  q_hist holds [q_0, q_1, ..., q_{m-1}].  Rules live in a registry so
-# Frequency stays hashable and serializable.
-_RULES: dict[str, Callable[..., Optional[int]]] = {}
-
-
-def register_rule(name: str, fn: Callable[..., Optional[int]]) -> None:
-    _RULES[name] = fn
-
 
 def _rule_const(m, q_hist, c):
     return int(c)
@@ -123,12 +113,14 @@ def _rule_exp_gap(m, q_hist, m0):
     return max(1, a)
 
 
-register_rule("const", _rule_const)
-register_rule("index", _rule_index)
-register_rule("square_even", _rule_square_even)
-register_rule("double_exp", _rule_double_exp)
-register_rule("spike", _rule_spike)
-register_rule("exp_gap", _rule_exp_gap)
+# name -> (rule, number of integer parameters).  A rule maps (m, q_hist,
+# *params) to a_m, or to None when the sequence ends or leaves the storable
+# range; q_hist holds [q_0, ..., q_{m-1}].  A frequency names its rule, so it
+# stays hashable and serializable.
+_RULES = {"const": (_rule_const, 1), "index": (_rule_index, 0),
+          "square_even": (_rule_square_even, 0),
+          "double_exp": (_rule_double_exp, 0), "spike": (_rule_spike, 2),
+          "exp_gap": (_rule_exp_gap, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +177,9 @@ class PartialQuotients:
             raise ValueError("partial quotients must be >= 1")
         if self.rule is not None and self.rule not in _RULES:
             raise ValueError(f"unknown rule {self.rule!r}")
+        if self.rule is not None and len(self.rule_params) != _RULES[self.rule][1]:
+            raise ValueError(f"rule {self.rule!r} takes {_RULES[self.rule][1]} "
+                             f"parameter(s), got {len(self.rule_params)}")
 
     def term(self, m: int, q_hist: Sequence[int]) -> Optional[int]:
         """a_m (1-based) or None when the sequence ends."""
@@ -192,7 +187,11 @@ class PartialQuotients:
             return int(self.terms[m - 1])
         if self.rule is None:
             return None
-        return _RULES[self.rule](m, list(q_hist), *self.rule_params)
+        a = _RULES[self.rule][0](m, list(q_hist), *self.rule_params)
+        if a is not None and a < 1:
+            raise ValueError(f"rule {self.rule!r} gives a_{m} = {a}; partial "
+                             f"quotients must be >= 1")
+        return a
 
 
 @dataclass(frozen=True)
@@ -313,12 +312,8 @@ class Frequency:
             p, q, d, r = (int(x) for x in body.split(","))
             return Frequency(QuadraticSurd(p, q, d, r), fractional_bits)
         if text.startswith("pq:rule:"):
-            body = text[8:]
-            if ":" in body:
-                name, params = body.split(":", 1)
-                params = tuple(int(x) for x in params.split(","))
-            else:
-                name, params = body, ()
+            name, _, params = text[8:].partition(":")
+            params = tuple(int(x) for x in params.split(",")) if params else ()
             return Frequency(PartialQuotients((), name, params), fractional_bits)
         if text.startswith("pq:"):
             body = text[3:].strip().lstrip("[").rstrip("]")

@@ -54,6 +54,8 @@ def _print_json(obj) -> None:
 
 
 def cmd_cf(args) -> int:
+    if args.max_q < 1:
+        raise ValueError(f"--max-q must be >= 1, got {args.max_q}")
     omega = Frequency.parse(args.freq, _bits(args))
     cf = expand_cf(omega, max_q=args.max_q)
     print(cf.to_json())

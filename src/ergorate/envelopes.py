@@ -19,9 +19,11 @@ from .errors import DomainError, Uncertified
 # fit_scale's tail: the trailing third of the points
 _TAIL_FRACTION = 1.0 / 3.0
 
-# each envelope kind and the parameters its shape needs besides alpha and eps
-_NEEDS = {"dk": (), "sdc": (), "dc": ("A",), "beta": (), "modulus": ("modulus",),
-          "transd": ("A", "d"), "skew": ("d",)}
+# each envelope kind and the parameters its shape reads; a text key may
+# set only these, and `modulus`, an object, never comes from text
+_READS = {"dk": ("alpha",), "sdc": ("alpha",), "beta": ("alpha",),
+          "dc": ("alpha", "A"), "transd": ("alpha", "A", "d"),
+          "skew": ("alpha", "d", "eps"), "modulus": ("modulus",)}
 
 
 @dataclass
@@ -30,20 +32,28 @@ class Envelope:
 
     kind: str
     alpha: float = 0.5
-    gamma: Optional[float] = None
     A: Optional[float] = None
-    beta: Optional[float] = None
     d: Optional[int] = None
     eps: float = 0.05
     modulus: Optional[object] = None
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _NEEDS:
+        if self.kind not in _READS:
             raise ValueError(f"unknown envelope kind {self.kind!r}")
-        missing = [p for p in _NEEDS[self.kind] if getattr(self, p) is None]
+        missing = [p for p in _READS[self.kind] if getattr(self, p) is None]
         if missing:
             raise ValueError(f"{self.kind} envelope needs {', '.join(missing)}")
+        # NaN fails every comparison, so it is refused with the rest
+        # eps stops at 1: a skew shape N^(eps - beta) overflows from eps ~ 50
+        for p, ok, domain in (
+                ("alpha", 0 < self.alpha <= 1, "(0, 1]"),
+                ("eps", 0 <= self.eps <= 1, "[0, 1]"),
+                ("A", self.A is None or 0 < self.A < math.inf, "(0, inf)"),
+                ("d", self.d is None or self.d >= 1, "[1, inf)")):
+            if not ok:
+                raise ValueError(f"{self.kind} envelope: {p} must be in {domain}, "
+                                 f"got {getattr(self, p)!r}")
 
     def shape(self, N: int) -> float:
         if N < 3:
@@ -74,22 +84,27 @@ class Envelope:
 
     @staticmethod
     def parse(text: str) -> "Envelope":
-        """Parse e.g. "sdc:alpha=0.5,gamma=0.1" or "skew:alpha=0.5,d=2,eps=0.05"."""
+        """Parse e.g. "sdc:alpha=0.5" or "skew:alpha=0.5,d=2,eps=0.05"; a
+        name the kind's shape does not read is refused."""
         kind, _, body = text.partition(":")
+        textual = {p for reads in _READS.values() for p in reads} - {"modulus"}
         kwargs = {}
-        if body:
-            for item in body.split(","):
-                key, _, val = item.partition("=")
-                key = key.strip()
-                # every field but kind and modulus, which text cannot supply
-                if key not in ("alpha", "gamma", "A", "beta", "d", "eps", "scale"):
-                    raise ValueError(f"unknown envelope parameter {key!r} "
-                                     f"in {text!r}")
-                if key == "d":
-                    kwargs[key] = int(val)
-                else:
-                    kwargs[key] = float(val)
-        return Envelope(kind=kind.strip(), **kwargs)
+        for item in body.split(",") if body else ():
+            key, _, val = item.partition("=")
+            key = key.strip()
+            if key not in textual:
+                raise ValueError(f"unknown envelope parameter {key!r} "
+                                 f"in {text!r}")
+            if key in kwargs:
+                raise ValueError(f"envelope parameter {key} given twice "
+                                 f"in {text!r}")
+            kwargs[key] = int(val) if key == "d" else float(val)
+        env = Envelope(kind=kind.strip(), **kwargs)
+        unread = [k for k in kwargs if k not in _READS[env.kind]]
+        if unread:
+            raise ValueError(f"{env.kind} envelope does not read "
+                             f"{', '.join(unread)} in {text!r}")
+        return env
 
 
 def skew_exponent(alpha: float, d: int) -> float:

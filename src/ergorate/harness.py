@@ -27,7 +27,7 @@ from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                        sup_deviation)
 from .envelopes import Envelope, fit_scale, weyl_bound
 from .errors import ConfigError, Timeout
-from .kernels import (Holder, Observable, make_dist_pow, make_observable,
+from .kernels import (Observable, make_dist_pow, make_observable,
                       make_separable, random_real_trigpoly)
 from .sharpness import AnalyticWeight, HolderWeight, build_lacunary
 
@@ -157,64 +157,42 @@ def resolve_system(text: str, bits: int = 192) -> SystemSpec:
 def resolve_observable(key: str, sys: SystemSpec) -> Observable:
     """Registry keys plus system-coupled constructions.
 
-    lacunary:holder:<alpha>[:<tol>]   lacunary series on the system frequency
-    lacunary:analytic[:<tol>]
+    lacunary:holder:<alpha>   lacunary series on the system frequency,
+    lacunary:analytic         truncated at sharpness.TAIL_TOL
     poly_plus_dist:<deg>:<alpha>:<seed>  fixed random trig poly + ||x_1||^alpha
     """
-    if key.startswith("lacunary:"):
-        parts = key.split(":")
-        if parts[1] == "holder":
-            if len(parts) < 3:
-                raise ConfigError(f"{key!r} needs an exponent: lacunary:holder:<alpha>")
-            alpha = float(parts[2])
+    name, *params = key.split(":")
+    match name, params:
+        case "lacunary", ["holder", alpha]:
+            alpha = float(alpha)
             if not 0 < alpha <= 1:
                 raise ConfigError(f"Holder exponent must be in (0, 1], got {alpha}")
+            # a tail ~ C q^-alpha below TAIL_TOL/4 leaves the doubling bound room
+            geo = 1.0 / (1.0 - 2.0 ** -alpha)
+            try:
+                target = int((8 * geo / sharpness.TAIL_TOL) ** (1 / alpha)) + 10
+            except OverflowError:
+                raise ConfigError(f"Holder exponent {alpha} is too small: the series"
+                                  f" would need modes beyond any double") from None
             weight = HolderWeight(alpha)
-            tol = _lacunary_tol(parts[3:])
-            target = _lacunary_reach(weight, tol)
-        elif parts[1] == "analytic":
-            weight = AnalyticWeight()
-            tol = _lacunary_tol(parts[2:])
-            target = 10 ** 12
-        else:
-            raise ConfigError(f"unknown lacunary weight {parts[1]!r}")
-        cf = expand_cf(sys.freqs[0], max_q=target)
-        return build_lacunary(cf, weight, tol=tol, bits=sys.bits)
-    if key.startswith("poly_plus_dist:"):
-        _, deg, alpha, seed = key.split(":")
-        poly = random_real_trigpoly(sys.dim, int(deg), seed=int(seed), scale=0.25)
-        dist = make_dist_pow(float(alpha), dim=1)
-        return make_separable(
-            sys.dim, poly, [(0, dist)], name=key, modulus=Holder(float(alpha)),
-        )
-    try:
-        return make_observable(key, sys.dim)
-    except KeyError as exc:
-        raise ConfigError(exc.args[0]) from None
-
-
-def _lacunary_tol(rest: list) -> float:
-    """The truncation tolerance after a lacunary key's weight parameters:
-    sharpness.TAIL_TOL when absent, else a number in (0, inf)."""
-    if not rest:
-        return sharpness.TAIL_TOL
-    try:
-        tol = float(rest[0])
-    except ValueError:
-        tol = math.nan
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"lacunary tolerance must be in (0, inf), got {rest[0]!r}")
-    return tol
-
-
-def _lacunary_reach(weight: HolderWeight, tol: float) -> int:
-    # tail ~ C * q^-alpha below tol/4 leaves margin for the doubling bound
-    geo = 1.0 / (1.0 - 2.0 ** -weight.alpha)
-    try:
-        return int((8 * geo / tol) ** (1.0 / weight.alpha)) + 10
-    except OverflowError:
-        raise ConfigError(f"lacunary tolerance {tol} is too small: the series "
-                          f"would need modes beyond any double") from None
+        case "lacunary", ["analytic"]:
+            weight, target = AnalyticWeight(), 10 ** 12
+        case "lacunary", _:
+            raise ConfigError(f"{key!r} is neither lacunary:holder:<exponent> nor "
+                              f"lacunary:analytic (the tolerance is fixed at "
+                              f"sharpness.TAIL_TOL = {sharpness.TAIL_TOL})")
+        case "poly_plus_dist", [deg, alpha, seed]:
+            poly = random_real_trigpoly(sys.dim, int(deg), seed=int(seed), scale=0.25)
+            dist = make_dist_pow(float(alpha), dim=1)
+            return make_separable(sys.dim, poly, [(0, dist)], name=key,
+                                  modulus=dist.modulus)
+        case _:
+            try:
+                return make_observable(key, sys.dim)
+            except KeyError as exc:
+                raise ConfigError(exc.args[0]) from None
+    cf = expand_cf(sys.freqs[0], max_q=target)
+    return build_lacunary(cf, weight, bits=sys.bits)
 
 
 def resolve_schedule(text: str, sys: SystemSpec) -> list[int]:
@@ -393,6 +371,9 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
         if key in cfg.values:
             raise ConfigError(f"{key} is fixed in ergorate.sharpness")
     weight = cfg.get("weight", "holder")
+    if weight != "holder" and "alpha" in cfg.values:
+        raise ConfigError(f"alpha is read only with weight = holder, "
+                          f"got weight = {weight}")
     observable = (f"lacunary:holder:{float(cfg.get('alpha', 0.5))}"
                   if weight == "holder" else f"lacunary:{weight}")
     phi = resolve_observable(
@@ -402,6 +383,9 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     else:
         ms = [m for m in borel_bernstein_schedule(phi.cf)
               if 2 <= m < phi.n_modes]
+    if not ms:
+        raise ConfigError(f"nothing to measure: m_values is empty, or absent and "
+                          f"the witness schedule has no m in [2, {phi.n_modes})")
     clock = _BudgetClock(cfg.get("budget_s"))
     reports = []
     for m in ms:

@@ -53,7 +53,7 @@ class Holder(ModulusOfContinuity):
 
     def __init__(self, alpha: float):
         if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
 
     def __call__(self, h):
@@ -197,11 +197,12 @@ def make_dist_pow(alpha: float, dim: int = 1) -> Observable:
         u = dist_to_Z(x if dim == 1 else x[..., 0])
         return np.sqrt(u) if alpha == 0.5 else u ** alpha
 
+    modulus = Holder(alpha)  # checks alpha before the mean divides by 1 + alpha
     # sup = (1/2)^alpha; Holder seminorm is exactly 1 (attained at 0)
     norm = 0.5 ** alpha + 1.0
     mean = 0.5 ** alpha / (1.0 + alpha)
     return Observable(
-        dim=dim, fn=fn, modulus=Holder(alpha), norm_est=norm,
+        dim=dim, fn=fn, modulus=modulus, norm_est=norm,
         mean_hint=mean, name=f"dist_pow:{alpha}",
     )
 
@@ -221,8 +222,10 @@ def make_cos(dim: int = 1) -> Observable:
     )
 
 
-def make_coboundary(omega_value: float) -> Observable:
+def make_coboundary(omega_value: float = 0.5 * (5 ** 0.5 - 1)) -> Observable:
     """psi(x + omega) - psi(x) with psi = cos(2 pi x); Birkhoff sums telescope."""
+    if not math.isfinite(omega_value):
+        raise ValueError(f"coboundary omega must be finite, got {omega_value}")
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -265,17 +268,17 @@ def make_weierstrass(modulus: ModulusOfContinuity, base: int = 2,
 
 
 def make_observable(key: str, dim: int = 1) -> Observable:
-    """Registry lookup: "dist_pow:a", "cos", "coboundary:omega", "weierstrass_w:a"."""
-    if key.startswith("dist_pow:"):
-        return make_dist_pow(float(key.split(":")[1]), dim)
-    if key == "cos":
-        return make_cos(dim)
-    if key.startswith("coboundary"):
-        parts = key.split(":")
-        omega = float(parts[1]) if len(parts) > 1 else 0.5 * (5 ** 0.5 - 1)
-        return make_coboundary(omega)
-    if key.startswith("weierstrass_w:"):
-        return make_weierstrass(Holder(float(key.split(":")[1])))
+    """Registry lookup: "dist_pow:a", "cos", "coboundary[:omega]", "weierstrass_w:a"."""
+    name, *params = key.split(":")
+    match name, params:
+        case "dist_pow", [alpha]:
+            return make_dist_pow(float(alpha), dim)
+        case "cos", []:
+            return make_cos(dim)
+        case "coboundary", [] | [_]:
+            return make_coboundary(*map(float, params))
+        case "weierstrass_w", [alpha]:
+            return make_weierstrass(Holder(float(alpha)))
     raise KeyError(
         f"unknown observable {key!r} (frequency-coupled keys like "
         f"'lacunary:...' resolve through the experiment harness)"

@@ -62,8 +62,8 @@ class TestEnvelopeValues:
             assert all(v > 0 for v in vals)
 
     def test_parse_round_trip(self):
-        env = Envelope.parse("sdc:alpha=0.5,gamma=0.1")
-        assert env.kind == "sdc" and env.alpha == 0.5 and env.gamma == 0.1
+        env = Envelope.parse("sdc:alpha=0.5")
+        assert env.kind == "sdc" and env.alpha == 0.5
         env2 = Envelope.parse("skew:alpha=0.3,d=3,eps=0.01")
         assert env2.d == 3 and env2.eps == 0.01
 

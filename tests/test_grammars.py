@@ -1,0 +1,192 @@
+"""The text grammars: envelope strings, observable keys and `pq:rule:`
+frequencies.  Every parameter a key accepts is one the run reads; anything
+else is refused at parse with exit code 2 and a one-line error naming it."""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ergorate.arithmetic import Frequency, expand_cf
+from ergorate.cli import main as cli_main
+from ergorate.envelopes import Envelope
+from ergorate.errors import ErgorateError
+from ergorate.harness import resolve_observable, resolve_system
+
+RATE = ["rate", "--system", "rotation1d:golden", "--schedule",
+        "list:100,200,300,400", "--grid", "64"]
+
+
+def _sharp_config(tmp_path, text):
+    cfg = tmp_path / "sharp.cfg"
+    cfg.write_text(text)
+    return ["--config", str(cfg), "sharp"]
+
+
+def _refused(capsys, argv, needle):
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert len(err.strip().splitlines()) == 1
+
+
+class TestRefusedAtParse:
+    # each exited 0 and dropped the value, or ended in a traceback (exit 1)
+    @pytest.mark.parametrize("envelope,needle", [
+        ("sdc:alpha=0.5,gamma=0.1", "gamma"),
+        ("sdc:alpha=0.5,scale=7", "scale"),
+        ("dk:alpha=0.5,eps=0.3", "eps"),
+        ("sdc:alpha=0.5,alpha=0.3", "alpha"),
+        ("sdc:alpha=nan", "alpha"),
+        ("dk:alpha=0", "alpha"),
+        ("dc:alpha=0.5,A=0", "A"),
+        ("dc:alpha=0.5,A=inf", "A"),
+        ("transd:alpha=0.5,A=3.0,d=0", "d"),
+        ("skew:alpha=0.5,d=2.5", "'2.5'"),
+        ("skew:alpha=0.5,d=2,eps=-1", "eps"),
+        ("skew:alpha=0.5,d=2,eps=nan", "eps"),
+        ("skew:alpha=0.5,d=2,eps=inf", "eps"),
+        ("skew:alpha=0.5,d=2,eps=1000", "eps"),  # OverflowError in the shape
+    ])
+    def test_envelope(self, capsys, envelope, needle):
+        _refused(capsys, RATE + ["--observable", "cos", "--envelope", envelope],
+                 needle)
+
+    @pytest.mark.parametrize("key,needle", [
+        ("dist_pow:0.5:junk", "dist_pow:0.5:junk"),
+        ("dist_pow:-1", "alpha"),  # ZeroDivisionError in the mean
+        ("coboundaryX", "coboundaryX"),
+        ("weierstrass_w:0.5:9", "weierstrass_w:0.5:9"),
+        ("lacunary:holder:0.5:1e-12:junk", "tolerance"),
+        ("lacunary:holder:0.5:1e-12", "tolerance"),
+        ("poly_plus_dist:8:0.5", "poly_plus_dist:8:0.5"),
+        ("coboundary:nan", "omega"),  # every point came out null, exit 0
+        ("coboundary:inf", "omega"),
+    ])
+    def test_observable(self, capsys, key, needle):
+        _refused(capsys, RATE + ["--observable", key], needle)
+
+    @pytest.mark.parametrize("freq,needle", [
+        ("pq:rule:index:5", "'index' takes 0"),
+        ("pq:rule:spike:7", "'spike' takes 2"),
+        ("pq:rule:const", "'const' takes 1"),
+        ("pq:rule:spike:7,1000,2", "'spike' takes 2"),
+        ("pq:rule:spike:7,0", "a_7 = 0"),  # was printed as certified
+        ("pq:rule:const:0", "a_1 = 0"),    # ZeroDivisionError
+        ("pq:rule:const:-3", "a_1 = -3"),
+        ("pq:rule:nosuch", "nosuch"),
+    ])
+    def test_rule(self, capsys, freq, needle):
+        _refused(capsys, ["cf", "--freq", freq], needle)
+
+    def test_cf_with_nothing_to_expand(self, capsys):
+        _refused(capsys, ["cf", "--freq", "golden", "--max-q", "-5"], "--max-q")
+
+    def test_sharp_alpha_without_holder_weight(self, capsys, tmp_path):
+        _refused(capsys, _sharp_config(
+            tmp_path, "frequency = pq:rule:exp_gap:5\nweight = analytic\n"
+                      "alpha = 0.9\nm_values = [3]\n"), "alpha")
+
+    def test_sharp_empty_m_values(self, capsys, tmp_path):
+        _refused(capsys, _sharp_config(
+            tmp_path, "frequency = pq:rule:spike:7,1000\nm_values = []\n"),
+            "m_values")
+
+    def test_sharp_empty_witness_schedule(self, capsys):
+        # golden has no a_{m+1} >= m with m >= 2: the run measured nothing
+        _refused(capsys, ["sharp", "--frequency", "golden", "--alpha", "0.5"],
+                 "witness schedule")
+
+
+class TestStillAccepted:
+    @pytest.mark.parametrize("envelope", [
+        "skew:alpha=0.5,d=2,eps=0.1", "transd:alpha=0.5,A=3.0,d=2",
+        "dc:alpha=1,A=2", "skew:alpha=0.5,d=1,eps=1", "dk:alpha=0.5",
+    ])
+    def test_envelope(self, capsys, envelope):
+        assert cli_main(RATE + ["--observable", "cos",
+                                "--envelope", envelope]) == 0
+
+    @pytest.mark.parametrize("key", [
+        "coboundary", "coboundary:0.3", "lacunary:holder:0.5",
+        "lacunary:analytic", "weierstrass_w:0.5", "dist_pow:1",
+    ])
+    def test_observable(self, capsys, key):
+        assert cli_main(RATE + ["--observable", key]) == 0
+
+    @pytest.mark.parametrize("freq", [
+        "pq:rule:spike:7,1000", "pq:rule:exp_gap:5", "pq:rule:index",
+        "pq:rule:const:2",
+    ])
+    def test_rule(self, capsys, freq):
+        assert cli_main(["cf", "--freq", freq, "--max-q", "1000"]) == 0
+
+    def test_cf_max_q_one(self, capsys):
+        assert cli_main(["cf", "--freq", "golden", "--max-q", "1"]) == 0
+
+
+# generated inputs: names from the real ones plus junk, 0-3 parameters from
+# valid values, NaN, +-inf, zero, negatives, empty strings and words
+VALUES = ["0.5", "1", "0.3", "2", "7", "1000", "nan", "inf", "-inf", "0",
+          "-1", "", "junk"]
+ENVELOPE_KINDS = ["dk", "sdc", "dc", "beta", "modulus", "transd", "skew",
+                  "junk", ""]
+ENVELOPE_NAMES = ["alpha", "A", "d", "eps", "gamma", "beta", "scale",
+                  "modulus", "junk"]
+OBSERVABLE_NAMES = ["dist_pow", "cos", "coboundary", "weierstrass_w",
+                    "poly_plus_dist", "lacunary", "lacunary:holder",
+                    "lacunary:analytic", "lacunary:junk", "junk"]
+RULE_NAMES = ["const", "index", "square_even", "double_exp", "spike",
+              "exp_gap", "junk", ""]
+GOLDEN = resolve_system("rotation1d:golden")
+GENERATED = settings(derandomize=True, max_examples=150, deadline=None,
+                     database=None)
+
+# a value the shape reads, moved inside its domain
+_MOVED = {"alpha": lambda a: a / 2, "A": lambda A: A + 1,
+          "d": lambda d: d + 1, "eps": lambda e: (e + 1) / 2}
+
+
+@GENERATED
+@given(st.sampled_from(ENVELOPE_KINDS),
+       st.lists(st.tuples(st.sampled_from(ENVELOPE_NAMES),
+                          st.sampled_from(VALUES)), max_size=3))
+def test_generated_envelopes(kind, params):
+    text = kind + (":" if params else "") + ",".join(
+        f"{name}={val}" for name, val in params)
+    try:
+        env = Envelope.parse(text)
+    except (ErgorateError, ValueError):
+        return
+    shape = env.shape(1000)
+    assert 0 < shape < math.inf
+    # every name given is read: moving its value moves the curve
+    for name, _ in params:
+        moved = dataclasses.replace(
+            env, **{name: _MOVED[name](getattr(env, name))})
+        assert moved.shape(1000) != shape, (text, name)
+
+
+@GENERATED
+@given(st.sampled_from(OBSERVABLE_NAMES),
+       st.lists(st.sampled_from(VALUES), max_size=3))
+def test_generated_observable_keys(name, params):
+    try:
+        resolve_observable(":".join([name, *params]), GOLDEN)
+    except (ErgorateError, ValueError):
+        pass
+
+
+@GENERATED
+@given(st.sampled_from(RULE_NAMES),
+       st.lists(st.sampled_from(VALUES), max_size=3))
+def test_generated_rule_frequencies(name, params):
+    text = "pq:rule:" + name + (":" + ",".join(params) if params else "")
+    try:
+        cf = expand_cf(Frequency.parse(text), max_q=1000)
+    except (ErgorateError, ValueError):
+        return
+    assert all(a >= 1 for a in cf.a)
+    assert all(q0 < q1 for q0, q1 in zip(cf.q, cf.q[1:]))

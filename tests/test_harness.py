@@ -453,7 +453,7 @@ class TestSharpnessExperiment:
     def test_a_nan_window_fails_the_verdict(self, monkeypatch):
         # window l = 1 of m = 6, after the finite l = 0: min() kept the
         # finite ratio and the report passed
-        phi = resolve_observable("lacunary:holder:0.5:1e-12",
+        phi = resolve_observable("lacunary:holder:0.5",
                                  resolve_system("rotation1d:pq:rule:spike:7,1000"))
         (x1,) = sharpness.start_points(phi, 6, [1])
         real = sharpness.measure_average
