@@ -10,6 +10,7 @@ the envelope stays on the tail of the series.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -46,11 +47,13 @@ class Envelope:
             raise ValueError(f"{self.kind} envelope needs {', '.join(missing)}")
         # NaN fails every comparison, so it is refused with the rest
         # eps stops at 1: a skew shape N^(eps - beta) overflows from eps ~ 50
+        # d stops at the largest double: the shapes take it to float
         for p, ok, domain in (
                 ("alpha", 0 < self.alpha <= 1, "(0, 1]"),
                 ("eps", 0 <= self.eps <= 1, "[0, 1]"),
                 ("A", self.A is None or 0 < self.A < math.inf, "(0, inf)"),
-                ("d", self.d is None or self.d >= 1, "[1, inf)")):
+                ("d", self.d is None or 1 <= self.d <= sys.float_info.max,
+                 f"[1, {sys.float_info.max:.4g}]")):
             if not ok:
                 raise ValueError(f"{self.kind} envelope: {p} must be in {domain}, "
                                  f"got {getattr(self, p)!r}")

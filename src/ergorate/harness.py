@@ -182,7 +182,10 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
                               f"lacunary:analytic (the tolerance is fixed at "
                               f"sharpness.TAIL_TOL = {sharpness.TAIL_TOL})")
         case "poly_plus_dist", [deg, alpha, seed]:
-            poly = random_real_trigpoly(sys.dim, int(deg), seed=int(seed), scale=0.25)
+            deg = int(deg)
+            if deg < 0:
+                raise ConfigError(f"poly_plus_dist degree must be >= 0, got {deg}")
+            poly = random_real_trigpoly(sys.dim, deg, seed=int(seed), scale=0.25)
             dist = make_dist_pow(float(alpha), dim=1)
             return make_separable(sys.dim, poly, [(0, dist)], name=key,
                                   modulus=dist.modulus)

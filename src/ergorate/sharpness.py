@@ -21,14 +21,14 @@ import numpy as np
 
 from .arithmetic import ContinuedFraction, Frequency
 from .arithmetic import borel_bernstein_schedule  # noqa: F401 (re-export)
-from .dynamics import (TorusPoint, exp_sum_avg_fp, limbs_from_ints,
-                       limbs_mul, limbs_to_float)
+from .dynamics import (_BLOCK_CELLS, TorusPoint, exp_sum_avg_fp,
+                       limbs_from_ints, limbs_mul, limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified
 from .kernels import Holder, ModulusOfContinuity, Observable
 
 TWO_PI = 2.0 * math.pi
 
-# steps per vectorized block of measure_average; fixes its summation order
+# steps per chunk of measure_average; fixes its summation order
 _AVERAGE_CHUNK = 1 << 20
 
 # The constants of the sharpness construction; no config sets them.
@@ -215,34 +215,47 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     exactly in fixed point; the j-sweep then runs vectorized in doubles
     (error ~ N * 2^-53 per mode, irrelevant at the N this route serves).
 
-    Each chunk of steps builds its index ramp once for every mode, and each
-    mode's cosines are formed in place in two reused buffers, the fractional
-    part as `t - floor(t)` (bit for bit `np.mod(t, 1.0)`).  Every mode still
-    sums chunk by chunk and the modes are added in order, so the result
-    keeps the summation order of one mode at a time.
+    The steps run in chunks of _AVERAGE_CHUNK, each with one index ramp for
+    every mode, and the cosines are formed in place in blocks of at most
+    _BLOCK_CELLS values (the fractional part as `t - floor(t)`, bit for bit
+    `np.mod(t, 1.0)`): a chunk row that fits holds as many whole mode rows
+    as the budget allows, in one C-contiguous (rows, n) block; a longer one
+    is one mode's row filled in column tiles.  Either way each mode's chunk
+    row is reduced by a single `np.sum` over the whole row, every mode sums
+    chunk by chunk and the modes are added in order, so the result keeps the
+    summation order of one mode at a time.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     one = 1 << phi.bits
     w_fp = omega.fixed_point(phi.bits)
-    modes = [(w, ((q * w_fp) % one) / one, ((q * x.coords[0]) % one) / one)
-             for q, w in zip(phi.qs, phi.weights) if w != 0.0]
-    mode_sums = [0.0] * len(modes)
+    live = [(q, w) for q, w in zip(phi.qs, phi.weights) if w != 0.0]
+    steps = np.array([((q * w_fp) % one) / one for q, _ in live])
+    ph0 = np.array([((q * x.coords[0]) % one) / one for q, _ in live])
+    mode_sums = np.zeros(len(live))
+    # a block holds whole rows within _BLOCK_CELLS, or one longer chunk row
     size = min(N, _AVERAGE_CHUNK)
-    buf, fl = np.empty(size), np.empty(size)
+    buf = np.empty(max(size, min(len(live) * size, _BLOCK_CELLS)))
+    fl = np.empty(min(buf.size, _BLOCK_CELLS))
     for lo in range(0, N, _AVERAGE_CHUNK):
         js = np.arange(lo, min(N, lo + _AVERAGE_CHUNK), dtype=float)
-        b, f = buf[:js.size], fl[:js.size]
-        for i, (_, step_f, ph0_f) in enumerate(modes):
-            np.multiply(js, step_f, out=b)
-            b += ph0_f
-            np.floor(b, out=f)
-            b -= f
-            b *= TWO_PI
-            np.cos(b, out=b)
-            mode_sums[i] += float(np.sum(b))
+        n = js.size
+        rows, cols = max(1, _BLOCK_CELLS // n), min(n, _BLOCK_CELLS)
+        for i in range(0, len(live), rows):
+            r = min(rows, len(live) - i)
+            block = buf[:r * n].reshape(r, n)
+            for c in range(0, n, cols):
+                b = block[:, c:c + cols]
+                f = fl[:b.size].reshape(b.shape)
+                np.multiply(js[c:c + cols], steps[i:i + r, None], out=b)
+                b += ph0[i:i + r, None]
+                np.floor(b, out=f)
+                b -= f
+                b *= TWO_PI
+                np.cos(b, out=b)
+            mode_sums[i:i + r] += np.sum(block, axis=1)
     total = 0.0
-    for (w, _, _), mode_sum in zip(modes, mode_sums):
+    for (_, w), mode_sum in zip(live, mode_sums.tolist()):
         total += w * mode_sum
     return total / N
 

@@ -49,6 +49,7 @@ class TestRefusedAtParse:
         ("skew:alpha=0.5,d=2,eps=nan", "eps"),
         ("skew:alpha=0.5,d=2,eps=inf", "eps"),
         ("skew:alpha=0.5,d=2,eps=1000", "eps"),  # OverflowError in the shape
+        ("transd:alpha=0.5,A=2,d=1" + "0" * 400, "d"),  # OverflowError too
     ])
     def test_envelope(self, capsys, envelope, needle):
         _refused(capsys, RATE + ["--observable", "cos", "--envelope", envelope],
@@ -62,6 +63,7 @@ class TestRefusedAtParse:
         ("lacunary:holder:0.5:1e-12:junk", "tolerance"),
         ("lacunary:holder:0.5:1e-12", "tolerance"),
         ("poly_plus_dist:8:0.5", "poly_plus_dist:8:0.5"),
+        ("poly_plus_dist:-3:0.5:7", "degree"),  # measured dist_pow alone
         ("coboundary:nan", "omega"),  # every point came out null, exit 0
         ("coboundary:inf", "omega"),
     ])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ergorate.arithmetic import Frequency, PartialQuotients, expand_cf
-from ergorate.dynamics import SystemSpec, TorusPoint, birkhoff_sum
+from ergorate.dynamics import _BLOCK_CELLS, SystemSpec, TorusPoint, birkhoff_sum
 from ergorate.errors import HypothesisNotMet, Uncertified
 from ergorate.kernels import LogHolder, ModulusOfContinuity, WeakHolder
 from ergorate.sharpness import (AnalyticWeight, HolderWeight,
@@ -191,6 +191,25 @@ class TestDecompose:
             for N in (1, 89, 4181):
                 assert (measure_average(series, golden, x, N)
                         == measure_average_per_mode(series, golden, x, N))
+
+    # N = B/64 and B/2: 64 and 2 whole rows of the 122 modes fill a block
+    # exactly; one step past each; rows around B, where B + 1 takes two tiles
+    @pytest.mark.parametrize("N", [
+        _BLOCK_CELLS // 64, _BLOCK_CELLS // 64 + 1, _BLOCK_CELLS // 2,
+        _BLOCK_CELLS // 2 + 1, _BLOCK_CELLS - 1, _BLOCK_CELLS,
+        _BLOCK_CELLS + 1])
+    def test_direct_sum_at_block_boundaries(self, golden_lac, golden,
+                                            golden_deep_cf, N):
+        analytic = build_lacunary(golden_deep_cf, AnalyticWeight(), tol=1e-12)
+        holed = dataclasses.replace(
+            analytic, weights=analytic.weights[:2] + (0.0,) + analytic.weights[3:])
+        single = dataclasses.replace(golden_lac, qs=golden_lac.qs[:1],
+                                     weights=golden_lac.weights[:1])
+        assert golden_lac.n_modes == 122
+        x = TorusPoint.from_floats([0.43], BITS)
+        for series in (golden_lac, single, holed):
+            assert (measure_average(series, golden, x, N)
+                    == measure_average_per_mode(series, golden, x, N))
 
     @pytest.mark.parametrize("N", [0, -3])
     def test_direct_sum_needs_one_step(self, golden_lac, golden, N):
