@@ -54,6 +54,19 @@ def fp_signed(value: int, bits: int) -> int:
     return v - one if v > one >> 1 else v
 
 
+def fp_from_float(v: float, bits: int) -> int:
+    """round((v % 1.0) * 2**bits) mod 2**bits, ties to even, exact at any
+    width: the double v % 1.0 is n / 2**e, so the product is an integer or
+    a quotient by a power of two, rounded here from its remainder."""
+    n, d = (v % 1.0).as_integer_ratio()
+    shift = d.bit_length() - 1 - bits
+    if shift <= 0:
+        return (n << -shift) % (1 << bits)
+    q, r = divmod(n, 1 << shift)
+    half = 1 << (shift - 1)
+    return (q + (r > half or (r == half and q & 1))) % (1 << bits)
+
+
 def _round_div(num: int, den: int) -> int:
     """round(num / den) for den > 0, ties away from zero (never hit here)."""
     if num >= 0:
@@ -251,13 +264,13 @@ class Frequency:
 
     # -- derived values -----------------------------------------------------
 
-    def fixed_point(self, bits: Optional[int] = None) -> int:
-        """round(value * 2**bits), certified from the exact enclosure once
-        per instance (memo in __dict__, not a field: eq/hash/repr ignore it)."""
-        bits = bits or self.fractional_bits
-        memo = self.__dict__.setdefault("_fixed_points", {})
-        if bits in memo:
-            return memo[bits]
+    def fixed_point(self) -> int:
+        """round(value * 2**fractional_bits), certified from the exact
+        enclosure once per instance (memo in __dict__, not a field:
+        eq/hash/repr ignore it)."""
+        if "_fixed_point" in self.__dict__:
+            return self.__dict__["_fixed_point"]
+        bits = self.fractional_bits
         # an enclosure that straddles a rounding boundary is tightened by
         # asking for one that certifies twice the bits, then twice again
         tighter = bits
@@ -273,7 +286,7 @@ class Frequency:
             if tighter > bits + 1024:
                 raise PrecisionExhausted("cannot certify fixed-point rounding")
             tighter *= 2
-        memo[bits] = n_lo
+        self.__dict__["_fixed_point"] = n_lo
         return n_lo
 
     def is_rational(self) -> bool:
@@ -551,9 +564,8 @@ def is_best_approximation(omega: Frequency, q: int, cf: ContinuedFraction) -> bo
 
 def exhaustive_best_check(omega: Frequency, q: int) -> bool:
     """Direct scan: ||j*omega|| > ||q*omega|| for all 1 <= j < q."""
-    bits = omega.fractional_bits
-    w = omega.fixed_point(bits)
-    one = 1 << bits
+    w = omega.fixed_point()
+    one = 1 << omega.fractional_bits
     half = one >> 1
 
     def num(j):
@@ -581,9 +593,8 @@ def gap_lower_bound_check(cf: ContinuedFraction, n: int, *,
     if n > cf.certified_len:
         raise Uncertified(f"index {n} beyond certified prefix")
     omega = cf.omega
-    bits = omega.fractional_bits
-    w = omega.fixed_point(bits)
-    one = 1 << bits
+    w = omega.fixed_point()
+    one = 1 << omega.fractional_bits
     qn = cf.q_at(n)
     bound_num = one // (2 * qn)  # compare numerators: ||j w|| > 1/(2 q_n)
 
@@ -664,9 +675,8 @@ def classify(omega: Frequency, cf: ContinuedFraction,
     if omega.is_rational() or cf.terminated:
         raise NotIrrational("Diophantine classification needs an irrational frequency")
     witnesses = borel_bernstein_schedule(cf)
-    bits = omega.fractional_bits
-    w = omega.fixed_point(bits)
-    one = 1 << bits
+    w = omega.fixed_point()
+    one = 1 << omega.fractional_bits
 
     gamma_sdc = math.inf
     argmin_k = 1

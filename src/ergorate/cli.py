@@ -12,7 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .arithmetic import Frequency, classify, expand_cf, ostrowski_digits
+from .arithmetic import (DEFAULT_BITS, Frequency, classify, expand_cf,
+                         ostrowski_digits)
 from .errors import ErgorateError
 from .harness import (CONFIG_GRAMMAR, ExperimentConfig, emit_csv, emit_json,
                       json_text, resolve_observable, resolve_system,
@@ -46,7 +47,7 @@ def _int_list(text):
 
 
 def _bits(args) -> int:
-    return 192 if args.precision_bits is None else args.precision_bits
+    return DEFAULT_BITS if args.precision_bits is None else args.precision_bits
 
 
 def _print_json(obj) -> None:

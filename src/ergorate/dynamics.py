@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arithmetic import ContinuedFraction, Frequency, fp_signed
+from .arithmetic import ContinuedFraction, Frequency, fp_from_float, fp_signed
 from .errors import DimensionTooLarge, Uncertified
 from .kernels import Observable, SeparableObservable
 
@@ -67,16 +67,14 @@ class TorusPoint:
 
     @staticmethod
     def from_floats(xs: Sequence[float], bits: int) -> "TorusPoint":
-        one = 1 << bits
-        coords = tuple(int(round((x % 1.0) * one)) % one for x in xs)
-        return TorusPoint(coords, bits)
+        return TorusPoint(tuple(fp_from_float(x, bits) for x in xs), bits)
 
     @staticmethod
     def zero(dim: int, bits: int) -> "TorusPoint":
         return TorusPoint((0,) * dim, bits)
 
     def to_floats(self) -> np.ndarray:
-        one = float(1 << self.bits)
+        one = 1 << self.bits
         return np.array([c / one for c in self.coords])
 
 
@@ -87,12 +85,13 @@ class SystemSpec:
     rotation1d: x -> x + omega on the circle
     rotationd:  x -> x + (omega_1, ..., omega_d) on the d-torus
     skew:       (x_1, ..., x_d) -> (x_1 + x_2, ..., x_{d-1} + x_d, x_d + omega)
+
+    The fixed-point width is the frequencies' own, which they must share.
     """
 
     kind: str
     freqs: tuple
     dim: int
-    bits: int = 192
 
     def __post_init__(self):
         if self.kind not in ("rotation1d", "rotationd", "skew"):
@@ -103,12 +102,18 @@ class SystemSpec:
             raise ValueError("rotationd needs one frequency per axis")
         if self.kind == "skew" and (self.dim < 2 or len(self.freqs) != 1):
             raise ValueError("skew product needs dim >= 2 and a single frequency")
+        if len({f.fractional_bits for f in self.freqs}) > 1:
+            raise ValueError("the frequencies of a system must share one width")
+
+    @functools.cached_property
+    def bits(self) -> int:
+        return self.freqs[0].fractional_bits
 
     @functools.cached_property
     def omega_fp(self) -> tuple:
         """The fixed-point frequencies, computed once per instance (kept out
         of the dataclass fields, so equality and hashing ignore it)."""
-        return tuple(f.fixed_point(self.bits) for f in self.freqs)
+        return tuple(f.fixed_point() for f in self.freqs)
 
     def chains(self, x: TorusPoint) -> list:
         """The map at x as register chains: a step adds to each register the
@@ -122,16 +127,16 @@ class SystemSpec:
         return [(c, w) for c, w in zip(x.coords, self.omega_fp)]
 
     @staticmethod
-    def rotation(omega: Frequency, bits: int = 192) -> "SystemSpec":
-        return SystemSpec("rotation1d", (omega,), 1, bits)
+    def rotation(omega: Frequency) -> "SystemSpec":
+        return SystemSpec("rotation1d", (omega,), 1)
 
     @staticmethod
-    def rotation_d(omegas: Sequence[Frequency], bits: int = 192) -> "SystemSpec":
-        return SystemSpec("rotationd", tuple(omegas), len(tuple(omegas)), bits)
+    def rotation_d(omegas: Sequence[Frequency]) -> "SystemSpec":
+        return SystemSpec("rotationd", tuple(omegas), len(tuple(omegas)))
 
     @staticmethod
-    def skew(dim: int, omega: Frequency, bits: int = 192) -> "SystemSpec":
-        return SystemSpec("skew", (omega,), dim, bits)
+    def skew(dim: int, omega: Frequency) -> "SystemSpec":
+        return SystemSpec("skew", (omega,), dim)
 
 
 def step(sys: SystemSpec, x: TorusPoint) -> TorusPoint:
@@ -421,8 +426,7 @@ class GridSweep:
             elif isinstance(phi, SeparableObservable):
                 self._spectrum = phi.trig.coeffs if phi.trig else {}
                 terms = phi.axis_terms
-        self._axes = [(axis, GridSweep(SystemSpec.rotation(sys.freqs[axis],
-                                                           sys.bits),
+        self._axes = [(axis, GridSweep(SystemSpec.rotation(sys.freqs[axis]),
                                        sub, grid, check))
                       for axis, sub in terms]
         self.chunk = max(256, min(1 << 15, (1 << 22) // grid ** d))
@@ -599,7 +603,7 @@ def kernel_table(omega: Frequency, N: int, terms: int) -> KernelTable:
     most two float arrays of `terms` values are alive.
     """
     bits = omega.fractional_bits
-    w = omega.fixed_point(bits)
+    w = omega.fixed_point()
     nw = N * w % (1 << bits)
     chains = limbs_from_ints([w, w], bits), limbs_from_ints([nw, nw], bits)
     t, nt = np.empty(terms), np.empty(terms)
@@ -674,15 +678,16 @@ class CharSweep:
     CHUNK = 1 << 12
 
     def __init__(self, d: int, omega: Frequency, k: Sequence[int],
-                 x: TorusPoint, bits: int = 192):
+                 x: TorusPoint):
         k = tuple(int(v) for v in k)
         if len(k) != d or not any(k):
             raise ValueError("k must have length d and a nonzero entry")
+        bits = omega.fractional_bits
         if x.bits != bits:
             raise ValueError("x and the phase registers must share the bit budget")
-        self.d, self.omega, self.k, self.x, self.bits = d, omega, k, x, bits
+        self.d, self.omega, self.k, self.x = d, omega, k, x
         one = 1 << bits
-        (chain,) = SystemSpec.skew(d, omega, bits).chains(x)
+        (chain,) = SystemSpec.skew(d, omega).chains(x)
         first = next(i for i, ki in enumerate(k) if ki)
         # forward differences at j = 0: the r-th is k . (chain shifted r places)
         self._regs = limbs_from_ints([sum(ki * c for ki, c in zip(k, chain[r:])) % one
@@ -710,21 +715,20 @@ class CharSweep:
 
 
 def char_birkhoff_skew(d: int, omega: Frequency, k: Sequence[int], x: TorusPoint,
-                       N: int, bits: int = 192,
-                       sweep: CharSweep | None = None) -> CharSumResult:
+                       N: int, sweep: CharSweep | None = None) -> CharSumResult:
     """sum_{j<N} e(k . S^j x) via exact finite differences of the phase.
 
     Also classifies the polynomial degree and leading coefficient
     (k_i / (d-i+1)!) * omega.  The sum comes from sweep.value(N): a
-    CharSweep built for (d, omega, k, x, bits) lets a rising schedule of N
+    CharSweep built for (d, omega, k, x) lets a rising schedule of N
     resume where the last call stopped, bit for bit equal to a fresh sweep;
     without one a fresh sweep runs.  A sweep built for another start point
     or phase, or already past N, raises ValueError.
     """
     k = tuple(int(v) for v in k)
     if sweep is None:
-        sweep = CharSweep(d, omega, k, x, bits)
-    elif (sweep.d, sweep.omega, sweep.k, sweep.x, sweep.bits) != (d, omega, k, x, bits):
+        sweep = CharSweep(d, omega, k, x)
+    elif (sweep.d, sweep.omega, sweep.k, sweep.x) != (d, omega, k, x):
         raise ValueError("the sweep was built for another d, omega, k or x")
     first = next(i for i, ki in enumerate(k) if ki)
     return CharSumResult(

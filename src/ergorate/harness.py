@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import sharpness
-from .arithmetic import (Frequency, borel_bernstein_schedule, expand_cf,
-                         find_convergent_at_scale)
+from .arithmetic import (DEFAULT_BITS, Frequency, borel_bernstein_schedule,
+                         expand_cf, find_convergent_at_scale)
 from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                        char_birkhoff_skew, kernel_sum, kernel_table,
                        sup_deviation)
@@ -140,17 +140,26 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def resolve_system(text: str, bits: int = 192) -> SystemSpec:
-    """"rotation1d:<freq>", "rotationd:<freq>,<freq>,..." or "skew:<d>:<freq>"."""
+def precision_bits(cfg: ExperimentConfig) -> int:
+    """The run's fixed-point width: an int of at least 64 (a bool is not)."""
+    bits = cfg.get("precision_bits", DEFAULT_BITS)
+    if type(bits) is not int or bits < 64:
+        raise ConfigError(f"precision_bits must be an integer >= 64, got {bits!r}")
+    return bits
+
+
+def resolve_system(text: str, bits: int = DEFAULT_BITS) -> SystemSpec:
+    """"rotation1d:<freq>", "rotationd:<freq>,<freq>,..." or "skew:<d>:<freq>",
+    every frequency at `bits` fractional bits."""
     kind, _, body = text.partition(":")
     if kind == "rotation1d":
-        return SystemSpec.rotation(Frequency.parse(body, bits), bits)
+        return SystemSpec.rotation(Frequency.parse(body, bits))
     if kind == "rotationd":
-        freqs = [Frequency.parse(p, bits) for p in body.split(",")]
-        return SystemSpec.rotation_d(freqs, bits)
+        return SystemSpec.rotation_d([Frequency.parse(p, bits)
+                                      for p in body.split(",")])
     if kind == "skew":
         d_text, _, freq_text = body.partition(":")
-        return SystemSpec.skew(int(d_text), Frequency.parse(freq_text, bits), bits)
+        return SystemSpec.skew(int(d_text), Frequency.parse(freq_text, bits))
     raise ConfigError(f"unknown system {text!r}")
 
 
@@ -187,15 +196,14 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
                 raise ConfigError(f"poly_plus_dist degree must be >= 0, got {deg}")
             poly = random_real_trigpoly(sys.dim, deg, seed=int(seed), scale=0.25)
             dist = make_dist_pow(float(alpha), dim=1)
-            return make_separable(sys.dim, poly, [(0, dist)], name=key,
-                                  modulus=dist.modulus)
+            return make_separable(sys.dim, poly, [(0, dist)], modulus=dist.modulus)
         case _:
             try:
                 return make_observable(key, sys.dim)
             except KeyError as exc:
                 raise ConfigError(exc.args[0]) from None
     cf = expand_cf(sys.freqs[0], max_q=target)
-    return build_lacunary(cf, weight, bits=sys.bits)
+    return build_lacunary(cf, weight)
 
 
 def resolve_schedule(text: str, sys: SystemSpec) -> list[int]:
@@ -259,8 +267,7 @@ class _BudgetClock:
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateSeries:
-    bits = int(cfg.get("precision_bits", 192))
-    sys = resolve_system(cfg.require("system"), bits)
+    sys = resolve_system(cfg.require("system"), precision_bits(cfg))
     phi = resolve_observable(cfg.require("observable"), sys)
     schedule = resolve_schedule(cfg.require("schedule"), sys)
     grid = int(cfg.get("grid", 1024 if sys.dim == 1 else 64))
@@ -312,7 +319,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateSeries:
 
 def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
     """Sweep (q_n, N), recording sum_{1<=|k|<q} |E_N(k omega)| ratios."""
-    bits = int(cfg.get("precision_bits", 192))
+    bits = precision_bits(cfg)
     freq_texts = cfg.require("frequencies")
     if isinstance(freq_texts, str):
         freq_texts = [freq_texts]
@@ -369,7 +376,6 @@ _SHARPNESS_CONSTANTS = ("gap_constant", "range_constant", "ratio_floor",
 
 def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     """Decomposition identity plus window and aggregate lower bounds."""
-    bits = int(cfg.get("precision_bits", 192))
     for key in _SHARPNESS_CONSTANTS:
         if key in cfg.values:
             raise ConfigError(f"{key} is fixed in ergorate.sharpness")
@@ -379,8 +385,8 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
                           f"got weight = {weight}")
     observable = (f"lacunary:holder:{float(cfg.get('alpha', 0.5))}"
                   if weight == "holder" else f"lacunary:{weight}")
-    phi = resolve_observable(
-        observable, resolve_system("rotation1d:" + cfg.require("frequency"), bits))
+    phi = resolve_observable(observable, resolve_system(
+        "rotation1d:" + cfg.require("frequency"), precision_bits(cfg)))
     if "m_values" in cfg.values:
         ms = [int(m) for m in cfg.require("m_values")]
     else:
@@ -393,7 +399,7 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     reports = []
     for m in ms:
         entry = {"m": m, "q_m": phi.mode_q(m)}
-        rep = sharpness.decompose(phi, m, TorusPoint.zero(1, bits))
+        rep = sharpness.decompose(phi, m, TorusPoint.zero(1, phi.bits))
         entry["identity_gap"] = rep.identity_gap
         entry["lower_dev_at_0"] = rep.lower_dev
         try:
@@ -420,7 +426,7 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
 
 def run_skew_experiment(cfg: ExperimentConfig) -> dict:
     """Character-sum magnitudes against the Weyl envelope across N."""
-    bits = int(cfg.get("precision_bits", 192))
+    bits = precision_bits(cfg)
     d = int(cfg.get("d", 2))
     omega = Frequency.parse(cfg.require("frequency"), bits)
     k = tuple(int(v) for v in cfg.require("k"))
@@ -447,10 +453,10 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
     for N in N_list:
         # one sweep per start point; a schedule that steps back restarts them
         if not sweeps or N < sweeps[0].j:
-            sweeps = [CharSweep(d, omega, k, x, bits) for x in xs]
+            sweeps = [CharSweep(d, omega, k, x) for x in xs]
         # np.max, unlike max, propagates a NaN, so the gates below fail on it
         best = float(np.max([
-            abs(char_birkhoff_skew(d, omega, k, x, N, bits, sweep).value)
+            abs(char_birkhoff_skew(d, omega, k, x, N, sweep).value)
             for x, sweep in zip(xs, sweeps)]))
         _, q = find_convergent_at_scale(lead_cf, N)
         rows.append({

@@ -37,19 +37,12 @@ _MEAN_QUAD_POINTS = 1 << 16
 class ModulusOfContinuity:
     """Strictly increasing, sub-additive gauge with w(0) = 0."""
 
-    kind = "custom"
-
     def __call__(self, h: float) -> float:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.kind
 
 
 class Holder(ModulusOfContinuity):
     """w(h) = h**alpha, 0 < alpha <= 1."""
-
-    kind = "holder"
 
     def __init__(self, alpha: float):
         if not 0 < alpha <= 1:
@@ -59,14 +52,9 @@ class Holder(ModulusOfContinuity):
     def __call__(self, h):
         return h ** self.alpha if h > 0 else 0.0
 
-    def describe(self):
-        return f"holder:{self.alpha}"
-
 
 class WeakHolder(ModulusOfContinuity):
     """w(h) = exp(-alpha * log(1/h)**kappa), valid for h in [0, 1)."""
-
-    kind = "weak_holder"
 
     def __init__(self, alpha: float, kappa: float):
         if not (0 < alpha <= 1 and 0 < kappa <= 1):
@@ -81,23 +69,15 @@ class WeakHolder(ModulusOfContinuity):
             return 1.0
         return math.exp(-self.alpha * math.log(1.0 / h) ** self.kappa)
 
-    def describe(self):
-        return f"weak_holder:{self.alpha},{self.kappa}"
-
 
 class LogHolder(ModulusOfContinuity):
     """w(h) = 1 / log(1/h); increasing and concave for h <= e**-2."""
-
-    kind = "log_holder"
 
     def __call__(self, h):
         if h <= 0:
             return 0.0
         h = min(h, math.exp(-2.0))
         return 1.0 / math.log(1.0 / h)
-
-    def describe(self):
-        return "log_holder"
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +102,6 @@ class Observable:
     modulus: ModulusOfContinuity
     norm_est: float
     mean_hint: Optional[float] = None
-    name: str = ""
     fourier: Optional[dict] = None
 
     def __call__(self, x):
@@ -153,8 +132,7 @@ class SeparableObservable(Observable):
     axis_terms: tuple = ()  # tuple of (axis index, 1-d Observable)
 
 
-def make_separable(dim: int, trig: Optional["TrigPoly"],
-                   axis_terms: Sequence, name: str = "separable",
+def make_separable(dim: int, trig: Optional["TrigPoly"], axis_terms: Sequence,
                    modulus: Optional[ModulusOfContinuity] = None) -> "SeparableObservable":
     """Combine a trig polynomial and per-axis 1-d observables by summation.
 
@@ -185,7 +163,7 @@ def make_separable(dim: int, trig: Optional["TrigPoly"],
     fourier = None if axis_terms else dict(trig.coeffs if trig else {})
     return SeparableObservable(
         dim=dim, fn=fn, modulus=modulus, norm_est=norm, mean_hint=mean,
-        name=name, fourier=fourier, trig=trig, axis_terms=axis_terms,
+        fourier=fourier, trig=trig, axis_terms=axis_terms,
     )
 
 
@@ -201,10 +179,8 @@ def make_dist_pow(alpha: float, dim: int = 1) -> Observable:
     # sup = (1/2)^alpha; Holder seminorm is exactly 1 (attained at 0)
     norm = 0.5 ** alpha + 1.0
     mean = 0.5 ** alpha / (1.0 + alpha)
-    return Observable(
-        dim=dim, fn=fn, modulus=modulus, norm_est=norm,
-        mean_hint=mean, name=f"dist_pow:{alpha}",
-    )
+    return Observable(dim=dim, fn=fn, modulus=modulus, norm_est=norm,
+                      mean_hint=mean)
 
 
 def make_cos(dim: int = 1) -> Observable:
@@ -217,7 +193,7 @@ def make_cos(dim: int = 1) -> Observable:
 
     return Observable(
         dim=dim, fn=fn, modulus=Holder(1.0), norm_est=1.0 + TWO_PI,
-        mean_hint=0.0, name="cos",
+        mean_hint=0.0,
         fourier={(s,) + (0,) * (dim - 1): 0.5 for s in (1, -1)},
     )
 
@@ -234,7 +210,7 @@ def make_coboundary(omega_value: float = 0.5 * (5 ** 0.5 - 1)) -> Observable:
     c = (cmath.exp(2j * math.pi * omega_value) - 1.0) / 2.0
     return Observable(
         dim=1, fn=fn, modulus=Holder(1.0), norm_est=2.0 * (1.0 + TWO_PI),
-        mean_hint=0.0, name="coboundary",
+        mean_hint=0.0,
         fourier={(1,): c, (-1,): c.conjugate()},
     )
 
@@ -262,7 +238,7 @@ def make_weierstrass(modulus: ModulusOfContinuity, base: int = 2,
     return Observable(
         dim=1, fn=fn, modulus=modulus,
         norm_est=float(weights.sum()) + semi,
-        mean_hint=0.0, name=f"weierstrass:{modulus.describe()}",
+        mean_hint=0.0,
         fourier=fourier,
     )
 
@@ -340,7 +316,7 @@ class TrigPoly:
         mean = float(np.real(self.coeff((0,) * self.dim)))
         return Observable(
             dim=self.dim, fn=self.eval, modulus=modulus,
-            norm_est=sup + semi, mean_hint=mean, name="trigpoly",
+            norm_est=sup + semi, mean_hint=mean,
             fourier=dict(self.coeffs),
         )
 

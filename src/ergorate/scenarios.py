@@ -73,10 +73,10 @@ def _test_frequencies():
 ORACLE_MAX_N = 10 ** 4
 
 
-def _field_oracle_gap(res, direct, bits: int) -> float:
+def _field_oracle_gap(res, direct) -> float:
     """Largest |field - (direct(x) - mean)| over the argmax and two fixed
     grid points of a sup_deviation result; NaN if any side is NaN."""
-    G, d = res.grid_size, res.field.ndim
+    G, d, bits = res.grid_size, res.field.ndim, res.argmax_x.bits
     picks = [np.unravel_index(int(np.argmax(np.abs(res.field))), res.field.shape),
              (G // 3,) * d, (2 * G // 3,) * d]
     return float(np.max([
@@ -104,9 +104,8 @@ def scenario_cf_suite() -> dict:
         doubling = all(cf.q_at(n + 2) >= 2 * cf.q_at(n) for n in range(1, M - 1))
         v.check(f"{label}: doubling q_(n+2) >= 2 q_n", doubling)
         if not cf.terminated:
-            bits = omega.fractional_bits
-            w = omega.fixed_point(bits)
-            one = 1 << bits
+            w = omega.fixed_point()
+            one = 1 << omega.fractional_bits
             sandwich = True
             for n in range(1, M):
                 err = abs(cf.q_at(n) * w - cf.p_at(n) * one)  # |q_n w - p_n| * 2^bits
@@ -132,7 +131,7 @@ def scenario_denjoy_koksma() -> dict:
     fresh exact orbit from each grid point."""
     v = _Verdict("denjoy_koksma", budget_s=60.0)
     omega = golden_mean()
-    sys = SystemSpec.rotation(omega, 192)
+    sys = SystemSpec.rotation(omega)
     cf = expand_cf(omega, max_q=10 ** 4)
     qs = [int(q) for q in cf.q]
     for alpha in (0.3, 0.5, 1.0):
@@ -145,7 +144,7 @@ def scenario_denjoy_koksma() -> dict:
             scaled.append(res.sup_dev * q ** alpha)
             if q <= ORACLE_MAX_N:
                 gaps.append(_field_oracle_gap(
-                    res, lambda x: birkhoff_sum(sys, phi, x, q) / q, sys.bits))
+                    res, lambda x: birkhoff_sum(sys, phi, x, q) / q))
         # np.max, unlike max, propagates a NaN, which then fails the checks
         worst, gap = float(np.max(scaled)), float(np.max(gaps))
         v.details[f"alpha={alpha}"] = {"max_dev_qalpha": worst, "norm": norm,
@@ -195,7 +194,7 @@ def scenario_rate_envelope() -> dict:
         if N <= ORACLE_MAX_N:
             res = sup_deviation(sys, phi, N, cfg.require("grid"))
             gaps.append(_field_oracle_gap(
-                res, lambda x: measure_average(phi, omega, x, N), sys.bits))
+                res, lambda x: measure_average(phi, omega, x, N)))
     gap = float(np.max(gaps))  # NaN propagates and fails the check
     v.details["field_vs_direct"] = gap
     v.check("field matches the direct orbit sum for N <= 1e4 (1e-10)",
@@ -254,10 +253,10 @@ def scenario_skew_exactness() -> dict:
     omega = golden_mean()
     rng = np.random.default_rng(17)
     for d in (2, 3, 4):
-        sys = SystemSpec.skew(d, omega, 192)
+        sys = SystemSpec.skew(d, omega)
         ok = True
         for s in range(100):
-            x = TorusPoint.from_floats(rng.random(d), 192)
+            x = TorusPoint.from_floats(rng.random(d), sys.bits)
             z = x
             for j in range(1, 1001):
                 z = step(sys, z)
@@ -270,14 +269,14 @@ def scenario_skew_exactness() -> dict:
     # character sums vs direct summation
     gaps = []
     for d in (2, 3):
-        sys = SystemSpec.skew(d, omega, 192)
+        sys = SystemSpec.skew(d, omega)
         for trial in range(3):
-            x = TorusPoint.from_floats(rng.random(d), 192)
+            x = TorusPoint.from_floats(rng.random(d), sys.bits)
             k = tuple(int(v_) for v_ in rng.integers(-3, 4, size=d))
             if not any(k):
                 k = (1,) + (0,) * (d - 1)
             N = 1000
-            res = char_birkhoff_skew(d, omega, k, x, N, 192)
+            res = char_birkhoff_skew(d, omega, k, x, N)
             acc = 0.0 + 0.0j
             z = x
             kv = np.array(k, dtype=float)
@@ -354,7 +353,7 @@ def scenario_limitations_schedule() -> dict:
     witnesses = sharpness.borel_bernstein_schedule(cf)
     v.check("witness schedule covers [4, 12]",
             all(m in witnesses for m in range(4, 13)))
-    x0 = TorusPoint.zero(1, 192)
+    x0 = TorusPoint.zero(1, phi.bits)
     devs = {m: closed_form_average(phi, omega, x0, phi.mode_q(m))
             for m in range(4, 13)}
     # np.max, unlike max, propagates a NaN, which then fails the check
@@ -395,7 +394,7 @@ def scenario_translation_2d() -> dict:
     under a translation envelope with a scale that is stable in N.  One
     sweep serves the schedule, so the axis term walks one orbit."""
     v = _Verdict("translation_2d", budget_s=180.0)
-    sys = resolve_system("rotationd:sqrt2m1,sqrt3m1", 192)
+    sys = resolve_system("rotationd:sqrt2m1,sqrt3m1")
     phi = resolve_observable("poly_plus_dist:8:0.5:5", sys)
     schedule = resolve_schedule("geometric:100,100000,3.1622776601683795", sys)
     env = Envelope(kind="transd", alpha=0.5, A=3.0, d=2)
@@ -407,7 +406,7 @@ def scenario_translation_2d() -> dict:
         points.append((N, res.sup_dev))
         if N <= ORACLE_MAX_N:
             gaps.append(_field_oracle_gap(
-                res, lambda x: birkhoff_sum(sys, phi, x, N) / N, sys.bits))
+                res, lambda x: birkhoff_sum(sys, phi, x, N) / N))
     gap = float(np.max(gaps))  # NaN propagates and fails the check
     v.details["points"] = points
     v.details["field_vs_direct"] = gap

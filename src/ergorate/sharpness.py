@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arithmetic import ContinuedFraction, Frequency
+from .arithmetic import ContinuedFraction, Frequency, fp_from_float
 from .arithmetic import borel_bernstein_schedule  # noqa: F401 (re-export)
 from .dynamics import (_BLOCK_CELLS, TorusPoint, exp_sum_avg_fp,
                        limbs_from_ints, limbs_mul, limbs_to_float)
@@ -53,9 +53,6 @@ class HolderWeight:
     def __call__(self, q: int) -> float:
         return float(q) ** -self.alpha if q < 10 ** 300 else 0.0
 
-    def describe(self) -> str:
-        return f"holder:{self.alpha}"
-
 
 @dataclass(frozen=True)
 class ModulusWeight:
@@ -64,17 +61,11 @@ class ModulusWeight:
     def __call__(self, q: int) -> float:
         return self.modulus(1.0 / q) if q < 10 ** 300 else 0.0
 
-    def describe(self) -> str:
-        return f"modulus:{self.modulus.describe()}"
-
 
 @dataclass(frozen=True)
 class AnalyticWeight:
     def __call__(self, q: int) -> float:
         return math.exp(-q) if q < 700 else 0.0
-
-    def describe(self) -> str:
-        return "analytic"
 
 
 def _tail_bound(weight, q_next: int, q_next2: Optional[int]) -> float:
@@ -101,13 +92,17 @@ def _tail_bound(weight, q_next: int, q_next2: Optional[int]) -> float:
 
 @dataclass
 class LacunaryObservable(Observable):
-    """Truncated lacunary cosine series on the convergent denominators."""
+    """Truncated lacunary cosine series on the convergent denominators, in
+    the fixed-point width of their frequency."""
 
     cf: ContinuedFraction = None
     qs: tuple = ()
     weights: tuple = ()
     tail_bound: float = 0.0
-    bits: int = 192
+
+    @property
+    def bits(self) -> int:
+        return self.cf.omega.fractional_bits
 
     @property
     def n_modes(self) -> int:
@@ -127,14 +122,11 @@ class LacunaryObservable(Observable):
 
 
 def _lacunary_fn(qs, weights, bits):
-    one = 1 << bits
-
     def fn(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         flat = xs.reshape(-1)
         # each point in fixed point once; q * u mod 1 is exact on the limbs
-        u = limbs_from_ints(
-            [round((v % 1.0) * one) % one for v in flat.tolist()], bits)
+        u = limbs_from_ints([fp_from_float(v, bits) for v in flat.tolist()], bits)
         out = np.zeros(flat.shape)
         for q, w in zip(qs, weights):
             out += w * np.cos(TWO_PI * limbs_to_float(limbs_mul(u, q)))
@@ -144,12 +136,14 @@ def _lacunary_fn(qs, weights, bits):
     return fn
 
 
-def build_lacunary(cf: ContinuedFraction, weight, tol: float = TAIL_TOL,
-                   bits: int = 192) -> LacunaryObservable:
+def build_lacunary(cf: ContinuedFraction, weight,
+                   tol: float = TAIL_TOL) -> LacunaryObservable:
     """Truncate the series so the dropped tail is provably below tol.
 
     The certified prefix must reach far enough for the doubling-law tail
-    bound; raises Uncertified otherwise.
+    bound, and the frequency's width must certify every kept phase: the
+    phase q * omega errs by up to q * 2^-(bits+1), so a kept q needs at most
+    bits - 64 bits.  Raises Uncertified otherwise.
     """
     L = cf.certified_len
     if L < 3:
@@ -170,6 +164,11 @@ def build_lacunary(cf: ContinuedFraction, weight, tol: float = TAIL_TOL,
         suffix += ws[K - 1]
         K -= 1
     qs = tuple(cf.q_at(k) for k in range(1, K + 1))
+    bits, q_bits = cf.omega.fractional_bits, qs[-1].bit_length()
+    if q_bits > bits - 64:
+        raise Uncertified(f"{bits}-bit fixed point cannot certify the lacunary "
+                          f"mode q = {qs[-1]} ({q_bits} bits); "
+                          f"precision_bits >= {q_bits + 64} would")
     weights = tuple(ws[:K])
     total_tail = sum(ws[K:]) + beyond
 
@@ -191,14 +190,12 @@ def build_lacunary(cf: ContinuedFraction, weight, tol: float = TAIL_TOL,
         modulus=modulus,
         norm_est=float(sum(weights)) + semi,
         mean_hint=0.0,
-        name=f"lacunary:{weight.describe()}",
         # w cos(2 pi q x) = Re (w/2)(e(qx) + e(-qx)); the qs are distinct
         fourier={(s * q,): w / 2 for q, w in zip(qs, weights) for s in (1, -1)},
         cf=cf,
         qs=qs,
         weights=weights,
         tail_bound=total_tail,
-        bits=bits,
     )
 
 
@@ -227,8 +224,8 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    one = 1 << phi.bits
-    w_fp = omega.fixed_point(phi.bits)
+    one = 1 << omega.fractional_bits
+    w_fp = omega.fixed_point()
     live = [(q, w) for q, w in zip(phi.qs, phi.weights) if w != 0.0]
     steps = np.array([((q * w_fp) % one) / one for q, _ in live])
     ph0 = np.array([((q * x.coords[0]) % one) / one for q, _ in live])
@@ -264,13 +261,13 @@ def _mode_averages(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
                    N: int) -> list:
     """Each mode's share w_k Re e(q_k x) E_N(q_k omega) of (1/N) S_N phi(x),
     from the geometric closed form of the mode's sum."""
-    one = 1 << phi.bits
-    w_fp = omega.fixed_point(phi.bits)
+    bits = omega.fractional_bits
+    one, w_fp = 1 << bits, omega.fixed_point()
     out = []
     for q, w in zip(phi.qs, phi.weights):
         t_fp = (q * w_fp) % one
         ph = ((q * x.coords[0]) % one) / one
-        e = exp_sum_avg_fp(t_fp, phi.bits, N)
+        e = exp_sum_avg_fp(t_fp, bits, N)
         out.append(w * (e * np.exp(2j * math.pi * ph)).real)
     return out
 
@@ -335,7 +332,7 @@ class LowerBoundResult:
 
 def start_points(phi: LacunaryObservable, m: int, ls: Sequence[int]) -> list:
     one = 1 << phi.bits
-    w_fp = phi.cf.omega.fixed_point(phi.bits)
+    w_fp = phi.cf.omega.fixed_point()
     qm = phi.mode_q(m)
     return [TorusPoint(((l * qm * w_fp) % one,), phi.bits) for l in ls]
 

@@ -11,7 +11,6 @@ mode at a time.
 """
 
 import itertools
-from typing import Optional
 
 import numpy as np
 
@@ -29,6 +28,13 @@ def fp_dist_to_Z(value: int, bits: int) -> float:
     return min(v, one - v) / one
 
 
+def fp_from_float_double(v: float, bits: int) -> int:
+    """round((v % 1.0) * 2**bits) mod 2**bits through a double product:
+    exact while 2**bits is a double (bits < 1024), an OverflowError above."""
+    one = 1 << bits
+    return int(round((v % 1.0) * one)) % one
+
+
 def dist_to_Z_mod(t):
     """Distance from t to the nearest integer with the fractional part
     taken by np.mod, elementwise."""
@@ -36,16 +42,14 @@ def dist_to_Z_mod(t):
     return np.minimum(f, 1.0 - f)
 
 
-def norm_k_omega(omega: Frequency, k: int, bits: Optional[int] = None) -> float:
+def norm_k_omega(omega: Frequency, k: int) -> float:
     """||k * omega|| from the exact fixed-point product."""
-    bits = bits or omega.fractional_bits
-    w = omega.fixed_point(bits)
-    return fp_dist_to_Z(k * w, bits)
+    return fp_dist_to_Z(k * omega.fixed_point(), omega.fractional_bits)
 
 
 def float_value(omega: Frequency) -> float:
     """omega as a double, from its certified 64-bit fixed-point value."""
-    return omega.fixed_point(64) / 2.0 ** 64
+    return Frequency(omega.rep, 64).fixed_point() / 2.0 ** 64
 
 
 def sampled_holder_quotient(phi: Observable, alpha: float, n_pairs: int = 1000,
@@ -117,7 +121,7 @@ def measure_average_per_mode(phi: LacunaryObservable, omega: Frequency,
     _AVERAGE_CHUNK of steps builds a fresh index ramp and its cosines by
     np.mod, and each mode's chunk totals are added before the next mode."""
     one = 1 << phi.bits
-    w_fp = omega.fixed_point(phi.bits)
+    w_fp = omega.fixed_point()
     total = 0.0
     for q, w in zip(phi.qs, phi.weights):
         if w == 0.0:

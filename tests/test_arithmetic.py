@@ -18,13 +18,14 @@ from ergorate import arithmetic
 from ergorate.arithmetic import (DecimalString, Frequency,
                                  PartialQuotients, QuadraticSurd, classify,
                                  dist_to_Z, exhaustive_best_check, expand_cf,
-                                 find_convergent_at_scale,
+                                 find_convergent_at_scale, fp_from_float,
                                  gap_lower_bound_check, golden_mean,
                                  is_best_approximation,
                                  ostrowski_digits, ostrowski_value,
                                  sqrt2_minus_1)
 from ergorate.errors import (NotIrrational, PrecisionExhausted, Uncertified)
-from oracles import dist_to_Z_mod, float_value, norm_k_omega
+from oracles import (dist_to_Z_mod, float_value, fp_from_float_double,
+                     norm_k_omega)
 
 PI100 = ("0.1415926535897932384626433832795028841971693993751"
          "058209749445923078164062862089986280348253421170679")
@@ -225,7 +226,7 @@ class TestInvariants:
     def test_approximation_sandwich_and_alternation(self, cf):
         omega = cf.omega
         bits = omega.fractional_bits
-        w = omega.fixed_point(bits)
+        w = omega.fixed_point()
         one = 1 << bits
         errs = []
         signs = []
@@ -404,6 +405,38 @@ class TestOstrowski:
             ostrowski_digits(cf, 10 ** 6)
 
 
+def _conversion_values() -> list:
+    """24,000 doubles: edge values, uniform draws in [0, 1), full mantissas
+    far below 1 (where a narrow width rounds), values above 1 and below 0,
+    and random bit patterns of every exponent."""
+    rng = np.random.default_rng(23)
+    edges = [0.0, -0.0, 1 - 2.0 ** -53, 2.0 ** -40, 2.0 ** -70, 2.0 ** -1074,
+             -1e-20, 1e300, -1e300, 0.5, 1.0, 1.5, 3.75, -2.5, 2.0 ** -1022]
+    tiny = rng.random(4000) * 2.0 ** -rng.integers(1, 1075, 4000).astype(float)
+    raw = np.frombuffer(rng.bytes(8 * 4200), dtype=np.float64)
+    return (edges + rng.random(12000).tolist() + tiny.tolist()
+            + (1 + 1e6 * rng.random(2000)).tolist()
+            + (-1e6 * rng.random(2000)).tolist()
+            + raw[np.isfinite(raw)][:4000 - len(edges)].tolist())
+
+
+class TestFloatToFixed:
+    VALUES = _conversion_values()
+
+    @pytest.mark.parametrize("bits", [64, 100, 192, 250, 1000, 1023])
+    def test_matches_the_double_product(self, bits):
+        assert len(self.VALUES) >= 20000
+        for v in self.VALUES:
+            assert fp_from_float(v, bits) == fp_from_float_double(v, bits), v
+
+    @pytest.mark.parametrize("bits", [1100, 4096])
+    def test_exact_beyond_the_double_range(self, bits):
+        # (v % 1.0) * 2**bits overflows a double from 1,024 bits
+        one = 1 << bits
+        for v in self.VALUES[:6000]:
+            assert fp_from_float(v, bits) == round(Fraction(v % 1.0) * one) % one, v
+
+
 class TestFrequency:
     def test_parse_round_trips(self):
         for text in ("surd:(-1,1,5,2)", "pq:[1,2,3]", "pq:rule:index",
@@ -418,13 +451,13 @@ class TestFrequency:
                                ("pq:[2,3000000]", 3 * 10 ** 6, 6 * 10 ** 6 + 1)):
             f = Frequency.parse(text)
             assert f.interval() == (Fraction(num, den), Fraction(num, den))
-            assert f.fixed_point(192) == round(Fraction(num << 192, den))
+            assert f.fixed_point() == round(Fraction(num << 192, den))
 
     def test_fixed_point_certified_against_mpmath(self, golden):
         mpmath.mp.dps = 80
         w = (mpmath.sqrt(5) - 1) / 2
         for bits in (64, 128, 192):
-            fp = golden.fixed_point(bits)
+            fp = golden_mean(bits).fixed_point()
             err = abs(mpmath.mpf(fp) / mpmath.mpf(2) ** bits - w)
             assert err <= mpmath.mpf(2) ** -(bits + 1) * (1 + mpmath.mpf(1e-9))
 
@@ -438,10 +471,8 @@ class TestFrequency:
 
         monkeypatch.setattr(Frequency, "interval", counted)
         f = Frequency.parse("pq:rule:exp_gap:5")
-        first = f.fixed_point(192)
-        assert f.fixed_point(192) == first and calls == [192]
-        f.fixed_point(128)
-        assert calls == [192, 128]
+        first = f.fixed_point()
+        assert f.fixed_point() == first and calls == [192]
 
     def test_validation_and_fixed_point_share_one_expansion(self, monkeypatch):
         calls = []
@@ -471,7 +502,7 @@ class TestFrequency:
     def test_memo_is_not_part_of_the_value(self):
         assert not hasattr(arithmetic, "_fp_cache")
         a, b = Frequency.parse("sqrt2m1"), Frequency.parse("sqrt2m1")
-        a.fixed_point(192)
+        a.fixed_point()
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
     def test_norm_k_omega_matches_mpmath(self, golden):

@@ -39,14 +39,14 @@ ONE = 1 << BITS
 
 @pytest.fixture(scope="module")
 def rot(golden):
-    return SystemSpec.rotation(golden, BITS)
+    return SystemSpec.rotation(golden)
 
 
 class TestTorusPoint:
     def test_wraparound_exact(self, rot, golden):
         x = TorusPoint((ONE - 1,), BITS)
         y = step(rot, x)
-        assert y.coords == (golden.fixed_point(BITS) - 1,)
+        assert y.coords == (golden.fixed_point() - 1,)
 
     def test_from_floats_reduces(self):
         x = TorusPoint.from_floats([1.25, -0.25], BITS)
@@ -65,7 +65,7 @@ class TestTorusPoint:
         x = TorusPoint((ONE - 1, 5, 7), BITS)
         TorusPoint.from_floats([0.5], BITS)
         assert len(checked) == 2
-        skew = SystemSpec.skew(3, golden, BITS)
+        skew = SystemSpec.skew(3, golden)
         y, z = step(skew, x), iterate(skew, x, 12)
         assert len(checked) == 2
         assert y == iterate(skew, x, 1)
@@ -77,12 +77,12 @@ class TestSystemSpec:
         calls = []
         fixed_point = Frequency.fixed_point
 
-        def counted(self, bits=None):
-            calls.append(bits)
-            return fixed_point(self, bits)
+        def counted(self):
+            calls.append(self.fractional_bits)
+            return fixed_point(self)
 
         monkeypatch.setattr(Frequency, "fixed_point", counted)
-        sys = SystemSpec.skew(3, golden, BITS)
+        sys = SystemSpec.skew(3, golden)
         x = TorusPoint.zero(3, BITS)
         for _ in range(5):
             x = step(sys, x)
@@ -90,9 +90,14 @@ class TestSystemSpec:
         list(orbit_floats(sys, x, 10))
         assert calls == [BITS]
         # the cached value is not a field: equality and hashing ignore it
-        fresh = SystemSpec.skew(3, golden, BITS)
+        fresh = SystemSpec.skew(3, golden)
         assert fresh == sys and hash(fresh) == hash(sys)
         assert fresh.omega_fp == sys.omega_fp
+
+
+    def test_frequencies_share_one_width(self, golden):
+        with pytest.raises(ValueError, match="width"):
+            SystemSpec.rotation_d([golden, sqrt2_minus_1(256)])
 
 
 class TestIterate:
@@ -102,7 +107,7 @@ class TestIterate:
 
     def test_rotation_matches_wide_product(self, rot, golden):
         # orbit advanced step by step equals frac(x + N*omega) exactly
-        w = golden.fixed_point(BITS)
+        w = golden.fixed_point()
         x = TorusPoint.from_floats([0.123], BITS)
         z = x
         N = 10 ** 5
@@ -113,7 +118,7 @@ class TestIterate:
     def test_orbit_accumulation_drift_free_1e7(self, golden):
         # the accumulation scheme used by the orbit generators carries zero
         # drift: after 1e7 exact additions the state equals the wide product
-        w = golden.fixed_point(BITS)
+        w = golden.fixed_point()
         x0 = TorusPoint.from_floats([0.123], BITS).coords[0]
         c = x0
         N = 10 ** 7
@@ -122,7 +127,7 @@ class TestIterate:
         assert c == (x0 + N * w) % ONE
 
     def test_orbit_generator_matches_wide_product(self, rot, golden):
-        w = golden.fixed_point(BITS)
+        w = golden.fixed_point()
         x = TorusPoint.from_floats([0.375], BITS)
         N = 10 ** 6
         last = None
@@ -132,8 +137,8 @@ class TestIterate:
         assert last == expect  # same exact integer, same rounding
 
     def test_skew_two_steps_manual(self, golden):
-        sys = SystemSpec.skew(2, golden, BITS)
-        w = golden.fixed_point(BITS)
+        sys = SystemSpec.skew(2, golden)
+        w = golden.fixed_point()
         x = TorusPoint.from_floats([0.3, 0.7], BITS)
         got = iterate(sys, x, 2)
         expect = ((x.coords[0] + 2 * x.coords[1] + w) % ONE,
@@ -141,7 +146,7 @@ class TestIterate:
         assert got.coords == expect
 
     def test_skew_d3_j7_composition(self, golden, rng):
-        sys = SystemSpec.skew(3, golden, BITS)
+        sys = SystemSpec.skew(3, golden)
         x = TorusPoint.from_floats(rng.random(3), BITS)
         z = x
         for _ in range(7):
@@ -152,11 +157,11 @@ class TestIterate:
                                           ("skew", 3)])
     def test_closed_form_equals_composition(self, kind, dim, golden, sqrt2m1, rng):
         if kind == "rotation1d":
-            sys = SystemSpec.rotation(golden, BITS)
+            sys = SystemSpec.rotation(golden)
         elif kind == "rotationd":
-            sys = SystemSpec.rotation_d([golden, sqrt2m1], BITS)
+            sys = SystemSpec.rotation_d([golden, sqrt2m1])
         else:
-            sys = SystemSpec.skew(dim, golden, BITS)
+            sys = SystemSpec.skew(dim, golden)
         for _ in range(20):
             x = TorusPoint.from_floats(rng.random(dim), BITS)
             z = x
@@ -224,7 +229,7 @@ class TestExpSum:
                 assert d < 1e-10
 
     def test_fp_variant_matches(self, golden):
-        w = golden.fixed_point(BITS)
+        w = golden.fixed_point()
         for k in (1, 5, 89):
             a = exp_sum_avg_fp((k * w) % ONE, BITS, 500)
             b = exp_sum_direct(k * float_value(golden), 500)
@@ -275,7 +280,7 @@ class TestExpSumAccuracy:
     def test_golden_regression(self, golden):
         # near resonance (||q omega|| ~ 3e-10) the old 1 - e(t) form lost
         # 5.8e-9 relative accuracy to cancellation
-        t_fp = (1836311903 * golden.fixed_point(BITS)) % ONE
+        t_fp = (1836311903 * golden.fixed_point()) % ONE
         _assert_rel(t_fp, 7)
 
     @given(st.integers(0, ONE - 1), st.integers(1, 10 ** 9))
@@ -296,7 +301,7 @@ class TestExpSumAccuracy:
         cf = resonant_cfs[name]
         n = min(n, cf.certified_len - 1)
         q, q_next = cf.q_at(n), cf.q_at(n + 1)
-        w = _RESONANT[name].fixed_point(BITS)
+        w = _RESONANT[name].fixed_point()
         t_fp = (k * (q if near else 1) * w) % ONE
         N = {"7": 7, "q": q, "3q+1": 3 * q + 1, "123457": 123457,
              "1e6": 10 ** 6, "q_next": q_next, "q_next_minus_1": q_next - 1,
@@ -314,7 +319,7 @@ class TestKernelSum:
         f = Frequency(PartialQuotients((), "const", (2,)))  # sqrt2 - 1
         cf = expand_cf(f, max_q=100)
         res = kernel_sum(f, cf, 1, 50)  # q_1 = 2
-        expect = 2 * abs(exp_sum_avg_fp(f.fixed_point(BITS), BITS, 50))
+        expect = 2 * abs(exp_sum_avg_fp(f.fixed_point(), BITS, 50))
         assert res.total == pytest.approx(expect, abs=1e-12)
 
     def test_golden_q89_ratio(self, golden, golden_cf):
@@ -339,7 +344,7 @@ class TestThreeGapStructure:
     def test_arc_occupancy(self, freq_name, golden, sqrt2m1):
         omega = golden if freq_name == "golden" else sqrt2m1
         cf = expand_cf(omega, max_q=1000)
-        w = omega.fixed_point(BITS)
+        w = omega.fixed_point()
         for n in range(1, cf.certified_len + 1):
             q = cf.q_at(n)
             if q < 2 or q > 1000:
@@ -390,7 +395,7 @@ class TestSupDeviation:
         assert res.sup_dev == pytest.approx(expect, abs=1e-12)
 
     def test_grid_budget(self, golden, sqrt2m1):
-        sys = SystemSpec.rotation_d([golden, sqrt2m1, golden], BITS)
+        sys = SystemSpec.rotation_d([golden, sqrt2m1, golden])
         phi = Observable(dim=3, fn=lambda x: x[..., 0] * 0.0,
                          modulus=Holder(1.0), norm_est=0.0, mean_hint=0.0)
         with pytest.raises(DimensionTooLarge):
@@ -404,7 +409,7 @@ class TestSupDeviation:
             sup_deviation(rot, phi, 0, 64)
 
     def test_skew_small_grid_runs(self, golden):
-        sys = SystemSpec.skew(2, golden, BITS)
+        sys = SystemSpec.skew(2, golden)
         phi = Observable(
             dim=2, fn=lambda x: np.cos(2 * np.pi * np.asarray(x)[..., 0]),
             modulus=Holder(1.0), norm_est=1 + 2 * np.pi, mean_hint=0.0)
@@ -443,7 +448,7 @@ class TestGridSweep:
     def test_sweep_of_another_run_fails_closed(self, rot, sqrt2m1):
         phi = make_dist_pow(0.5)
         sweep = GridSweep(rot, phi, 64)
-        other_sys = SystemSpec.rotation(sqrt2m1, BITS)
+        other_sys = SystemSpec.rotation(sqrt2m1)
         for args in [(other_sys, phi, 100, 64), (rot, make_dist_pow(0.3), 100, 64),
                      (rot, phi, 100, 128)]:
             with pytest.raises(ValueError, match="built for another"):
@@ -494,9 +499,9 @@ class TestGridSweep:
 def _pointwise_case(name):
     golden, s2 = golden_mean(), sqrt2_minus_1()
     if name == "rot2":
-        return SystemSpec.rotation_d([golden, s2], BITS), make_dist_pow(0.5, 2)
+        return SystemSpec.rotation_d([golden, s2]), make_dist_pow(0.5, 2)
     d = int(name[-1])
-    return SystemSpec.skew(d, golden, BITS), make_dist_pow(0.5, d)
+    return SystemSpec.skew(d, golden), make_dist_pow(0.5, d)
 
 
 def _sampled_cells(G, d, n=14, seed=3):
@@ -544,7 +549,7 @@ class TestGridSweepEverySystem:
 
     def test_skew_offsets_follow_the_chains(self, golden):
         # after j steps the cell g sits at iterate(g / G, j) - iterate(0, j)
-        sys = SystemSpec.skew(3, golden, BITS)
+        sys = SystemSpec.skew(3, golden)
         G = 16
         sweep = GridSweep(sys, make_dist_pow(0.5, 3), G)
         j = 1000
@@ -568,7 +573,7 @@ class TestGridSweepEverySystem:
 
     def test_closed_forms_stay_rotation_only(self, golden):
         # a finite spectrum on a skew product is summed pointwise
-        sys = SystemSpec.skew(2, golden, BITS)
+        sys = SystemSpec.skew(2, golden)
         phi = make_cos(2)
         sweep = GridSweep(sys, phi, 16)
         res = sup_deviation(sys, phi, 50, 16, sweep)
@@ -667,7 +672,7 @@ class TestSeparableAxisSweeps:
         assert calls == [c, 2 * c]
 
     def test_skew_products_sum_the_whole_observable(self, golden):
-        sys = SystemSpec.skew(2, golden, BITS)
+        sys = SystemSpec.skew(2, golden)
         phi = resolve_observable("poly_plus_dist:2:0.5:5", sys)
         sweep = GridSweep(sys, phi, 16)
         assert sweep._axes == []
@@ -678,9 +683,9 @@ class TestSeparableAxisSweeps:
 def _floor_case(name):
     golden = golden_mean()
     if name == "rotation1d":
-        return SystemSpec.rotation(golden, BITS), make_dist_pow(0.5), 1024
+        return SystemSpec.rotation(golden), make_dist_pow(0.5), 1024
     if name == "skew2":
-        return SystemSpec.skew(2, golden, BITS), make_dist_pow(0.5, 2), 16
+        return SystemSpec.skew(2, golden), make_dist_pow(0.5, 2), 16
     sys = resolve_system("rotationd:sqrt2m1,sqrt3m1")
     return sys, resolve_observable("poly_plus_dist:8:0.5:5", sys), 64
 
@@ -739,8 +744,8 @@ def _direct_lacunary_field(sys, phi, N, G):
 
 def _spectral_case(name):
     golden, s2 = golden_mean(), sqrt2_minus_1()
-    rot1 = SystemSpec.rotation(golden, BITS)
-    rot2 = SystemSpec.rotation_d([golden, s2], BITS)
+    rot1 = SystemSpec.rotation(golden)
+    rot2 = SystemSpec.rotation_d([golden, s2])
     if name == "trig1":
         return rot1, random_real_trigpoly(1, 5, seed=2).to_observable()
     if name == "trig2":
@@ -809,7 +814,7 @@ class TestCharSums:
         x = TorusPoint.from_floats(rng.random(d), BITS)
         k = (0, 3)
         N = 200
-        res = char_birkhoff_skew(d, golden, k, x, N, BITS)
+        res = char_birkhoff_skew(d, golden, k, x, N)
         wv = float_value(golden)
         expect = abs((1 - cmath.exp(2j * math.pi * N * 3 * wv))
                      / (1 - cmath.exp(2j * math.pi * 3 * wv)))
@@ -819,17 +824,17 @@ class TestCharSums:
 
     def test_n1(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(2), BITS)
-        res = char_birkhoff_skew(2, golden, (1, 2), x, 1, BITS)
+        res = char_birkhoff_skew(2, golden, (1, 2), x, 1)
         f = x.to_floats()
         assert res.value == pytest.approx(
             cmath.exp(2j * math.pi * (f[0] + 2 * f[1])), abs=1e-12)
 
     @pytest.mark.parametrize("d,k", [(2, (1, 0)), (3, (2, -1, 1)), (4, (0, 1, 0, 2))])
     def test_matches_composition_oracle(self, d, k, golden, rng):
-        sys = SystemSpec.skew(d, golden, BITS)
+        sys = SystemSpec.skew(d, golden)
         x = TorusPoint.from_floats(rng.random(d), BITS)
         N = 300
-        res = char_birkhoff_skew(d, golden, k, x, N, BITS)
+        res = char_birkhoff_skew(d, golden, k, x, N)
         acc = 0.0 + 0.0j
         z = x
         kv = np.array(k, dtype=float)
@@ -840,7 +845,7 @@ class TestCharSums:
 
     def test_degree_classification(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(4), BITS)
-        res = char_birkhoff_skew(4, golden, (0, 2, 0, 1), x, 10, BITS)
+        res = char_birkhoff_skew(4, golden, (0, 2, 0, 1), x, 10)
         assert res.degree == 3
         assert (res.leading_num, res.leading_den) == (2, math.factorial(3))
 
@@ -852,24 +857,24 @@ class TestCharSweep:
         # N on both sides of the 4096-step chunk, and the same N twice
         for x in (TorusPoint.from_floats(rng.random(d), BITS),
                   TorusPoint.zero(d, BITS)):
-            sweep = CharSweep(d, golden, k, x, BITS)
+            sweep = CharSweep(d, golden, k, x)
             for N in (1, 4095, 4096, 4097, 8192, 8192, 100000):
-                got = char_birkhoff_skew(d, golden, k, x, N, BITS, sweep)
-                want = char_birkhoff_skew(d, golden, k, x, N, BITS)
+                got = char_birkhoff_skew(d, golden, k, x, N, sweep)
+                want = char_birkhoff_skew(d, golden, k, x, N)
                 assert got == want
                 assert sweep.j == N // CharSweep.CHUNK * CharSweep.CHUNK
 
     def test_a_sweep_past_n_or_for_another_sum_is_refused(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(2), BITS)
-        sweep = CharSweep(2, golden, (1, 0), x, BITS)
-        char_birkhoff_skew(2, golden, (1, 0), x, 5000, BITS, sweep)
+        sweep = CharSweep(2, golden, (1, 0), x)
+        char_birkhoff_skew(2, golden, (1, 0), x, 5000, sweep)
         with pytest.raises(ValueError, match="past N"):
-            char_birkhoff_skew(2, golden, (1, 0), x, 4095, BITS, sweep)
+            char_birkhoff_skew(2, golden, (1, 0), x, 4095, sweep)
         # behind the open chunk, not behind the sweep
-        char_birkhoff_skew(2, golden, (1, 0), x, 4500, BITS, sweep)
+        char_birkhoff_skew(2, golden, (1, 0), x, 4500, sweep)
         y = TorusPoint.from_floats(rng.random(3), BITS)
         for args in ((3, golden, (1, 0, 0), y), (2, golden, (0, 1), x),
                      (2, golden, (1, 0), TorusPoint.zero(2, BITS)),
                      (2, sqrt2_minus_1(), (1, 0), x)):
             with pytest.raises(ValueError, match="another"):
-                char_birkhoff_skew(*args, 5000, BITS, sweep)
+                char_birkhoff_skew(*args, 5000, sweep)

@@ -12,7 +12,7 @@ import pytest
 from ergorate import harness, sharpness
 from ergorate.cli import main as cli_main
 from ergorate.dynamics import GridSweep
-from ergorate.errors import ConfigError, Timeout
+from ergorate.errors import ConfigError, Timeout, Uncertified
 from ergorate.harness import (ExperimentConfig, emit_csv, json_text,
                               resolve_observable, resolve_schedule,
                               resolve_system, run_kernel_experiment,
@@ -53,6 +53,15 @@ def test_bad_budget_fails_at_the_boundary(kind, budget):
     run, values = SMALL_RUNS[kind]
     with pytest.raises(ConfigError, match="budget_s"):
         run(ExperimentConfig(dict(values, budget_s=budget)))
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
+@pytest.mark.parametrize("bits", [200.7, 63, True, "256"])
+def test_bad_precision_fails_at_the_boundary(kind, bits):
+    # 200.7 ran silently at 200 bits
+    run, values = SMALL_RUNS[kind]
+    with pytest.raises(ConfigError, match="precision_bits"):
+        run(ExperimentConfig(dict(values, precision_bits=bits)))
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
@@ -128,16 +137,43 @@ class TestResolvers:
         sys = resolve_system("rotation1d:golden")
         lac = resolve_observable("lacunary:holder:0.5", sys)
         assert lac.n_modes > 50
-        cos = resolve_observable("cos", sys)
-        assert cos.name == "cos"
+        resolve_observable("cos", sys)
         sys2 = resolve_system("rotationd:sqrt2m1,sqrt3m1")
         sep = resolve_observable("poly_plus_dist:4:0.5:3", sys2)
         assert sep.dim == 2 and sep.trig is not None
         with pytest.raises(ConfigError, match="nosuch"):
             resolve_observable("nosuch", sys)
 
+    def test_a_width_that_cannot_certify_the_modes_is_refused(self):
+        # a kept mode q errs by up to q * 2^-(bits+1) in its phase: at 192
+        # bits the alpha = 0.3 series keeps a 143-bit q, and alpha = 0.15
+        # measured sup_dev 6.1e-8 off, far above its 1e-12 tail
+        for alpha, need in ((0.3, 207), (0.15, 356)):
+            key = f"lacunary:holder:{alpha}"
+            with pytest.raises(Uncertified, match=f"precision_bits >= {need}"):
+                resolve_observable(key, resolve_system("rotation1d:golden"))
+            with pytest.raises(Uncertified):
+                resolve_observable(key, resolve_system("rotation1d:golden", need - 1))
+            phi = resolve_observable(key, resolve_system("rotation1d:golden", need))
+            assert phi.bits == need and max(phi.qs).bit_length() == need - 64
+
 
 class TestRateExperiment:
+    def test_the_run_width_reaches_system_observable_and_points(self, monkeypatch):
+        seen = []
+        real = harness.sup_deviation
+
+        def recording(sys, phi, N, grid, sweep=None):
+            res = real(sys, phi, N, grid, sweep)
+            seen.append((sys.bits, phi.bits, res.argmax_x.bits))
+            return res
+
+        monkeypatch.setattr(harness, "sup_deviation", recording)
+        run_rate_experiment(ExperimentConfig({
+            "system": "rotation1d:golden", "observable": "lacunary:holder:0.5",
+            "schedule": "list:100,200", "grid": 64, "precision_bits": 256}))
+        assert seen == [(256, 256, 256)] * 2
+
     def test_coboundary_rate_slope(self):
         cfg = ExperimentConfig({
             "system": "rotation1d:golden",
@@ -165,7 +201,7 @@ class TestRateExperiment:
                                        char_birkhoff_skew, sup_deviation)
         from ergorate.kernels import Holder, Observable
 
-        sys = SystemSpec.skew(2, golden, 192)
+        sys = SystemSpec.skew(2, golden)
         phi = Observable(
             dim=2, fn=lambda x: np.cos(2 * np.pi * np.asarray(x)[..., 0]),
             modulus=Holder(1.0), norm_est=1 + 2 * np.pi, mean_hint=0.0)
@@ -176,7 +212,7 @@ class TestRateExperiment:
         for i in range(G):
             for j in range(G):
                 x = TorusPoint((i * (one // G), j * (one // G)), 192)
-                c = char_birkhoff_skew(2, golden, (1, 0), x, N, 192)
+                c = char_birkhoff_skew(2, golden, (1, 0), x, N)
                 best = max(best, abs(c.value.real) / N)
         assert res.sup_dev == pytest.approx(best, abs=1e-9)
 
@@ -320,7 +356,7 @@ class TestKernelExperiment:
         assert len(out["rows"]) == 1
         row = out["rows"][0]
         f = Frequency.parse("sqrt2m1")
-        expect = 2 * abs(exp_sum_avg_fp(f.fixed_point(192), 192, 50))
+        expect = 2 * abs(exp_sum_avg_fp(f.fixed_point(), 192, 50))
         assert row["sum"] == pytest.approx(expect, abs=1e-12)
 
     def test_cap_holds_small_sweep(self):
@@ -703,6 +739,32 @@ class TestCli:
         rc = cli_main(["scenario", "cf_suite"])
         assert rc == 0
         assert "[PASS] cf_suite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--system", "rotation1d:golden", "--observable", "cos",
+         "--schedule", "list:100", "--grid", "64"],
+        ["skew", "--frequency", "golden", "--d", "2", "--k", "1,0",
+         "--n-values", "1000"],
+        ["approx", "--observable", "lacunary:holder:0.5", "--n-values", "16"],
+    ])
+    def test_any_width_runs(self, argv, capsys):
+        # from 1,024 bits 2**bits is no double: each died with OverflowError
+        assert cli_main(["--precision-bits", "1100", *argv]) == 0
+
+    def test_an_uncertified_series_exits_2(self, capsys):
+        # at 64 bits this printed lower_dev_at_0 4.3e-9 off and passed: both
+        # routes share the rounded omega, so identity_gap read 0.0
+        rc = cli_main(["--precision-bits", "64", "sharp", "--frequency",
+                       "pq:rule:spike:7,1000", "--alpha", "0.5", "--m-values", "6"])
+        assert rc == 2
+        assert "precision_bits >= 149" in capsys.readouterr().err
+
+    def test_a_fractional_width_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("precision_bits = 200.7\nsystem = rotation1d:golden\n"
+                       "observable = cos\nschedule = list:100\ngrid = 64\n")
+        assert cli_main(["--config", str(cfg), "rate"]) == 2
+        assert "precision_bits" in capsys.readouterr().err
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

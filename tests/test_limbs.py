@@ -195,7 +195,7 @@ def skew_orbit_oracle(sys, x, N, chunk=1 << 14):
 def kernel_sum_oracle(omega, cf, q_index, N):
     q = cf.q_at(q_index)
     bits = omega.fractional_bits
-    w = omega.fixed_point(bits)
+    w = omega.fixed_point()
     one = 1 << bits
     t_frac = np.empty(q - 1, dtype=float)
     nt_frac = np.empty(q - 1, dtype=float)
@@ -212,7 +212,7 @@ def kernel_sum_oracle(omega, cf, q_index, N):
 
 def char_sum_oracle(d, omega, k, x, N, bits):
     one = 1 << bits
-    table = phase_polynomial_table(SystemSpec.skew(d, omega, bits), k, x)
+    table = phase_polynomial_table(SystemSpec.skew(d, omega), k, x)
     regs = []
     for _ in range(len(table)):
         regs.append(table[0])
@@ -281,8 +281,8 @@ class TestAgainstBigIntOracles:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rotation_orbit(self, ftext, bits, d):
         freqs = [Frequency.parse(t, bits) for t in (ftext, "sqrt3m1", "sqrt2m1")]
-        sys = (SystemSpec.rotation(freqs[0], bits) if d == 1
-               else SystemSpec.rotation_d(freqs[:d], bits))
+        sys = (SystemSpec.rotation(freqs[0]) if d == 1
+               else SystemSpec.rotation_d(freqs[:d]))
         pts = start_points(d, bits, seed=d)
         for x in pts:
             # a chunk that is not a multiple of the 4096-step register block
@@ -294,7 +294,7 @@ class TestAgainstBigIntOracles:
     @pytest.mark.parametrize("bits", [192, 250])
     @pytest.mark.parametrize("d", [2, 3])
     def test_skew_orbit(self, ftext, bits, d):
-        sys = SystemSpec.skew(d, Frequency.parse(ftext, bits), bits)
+        sys = SystemSpec.skew(d, Frequency.parse(ftext, bits))
         pts = start_points(d, bits, seed=d)
         for x in pts:
             same_chunks(orbit_floats(sys, x, 9000, chunk=5000),
@@ -330,7 +330,7 @@ class TestAgainstBigIntOracles:
         omega = Frequency.parse(ftext)
         for x in start_points(d, 192, seed=d):
             for N in (1, 4096, 6000, 9000):
-                res = char_birkhoff_skew(d, omega, k, x, N, 192)
+                res = char_birkhoff_skew(d, omega, k, x, N)
                 assert res.value == char_sum_oracle(d, omega, k, x, N, 192)
 
 
@@ -364,11 +364,16 @@ def test_chain_iterate(system, data):
     assert iterate(sys, x, j) == iterate_oracle(sys, x, j)
 
 
-@pytest.mark.parametrize("bits", [192, 100])
-@pytest.mark.parametrize("system,key", [
-    ("rotation1d:golden", "lacunary:holder:0.5"),
-    ("rotation1d:pq:rule:index", "lacunary:holder:0.5"),
-    ("rotation1d:golden", "lacunary:analytic"),
+# a Holder series keeps modes of up to 85 bits, which 100 bits cannot
+# certify (build_lacunary refuses the series); 150 bits can, and like 100
+# it leaves the top limb partly filled
+@pytest.mark.parametrize("system,key,bits", [
+    (system, key, bits)
+    for system, key, widths in (
+        ("rotation1d:golden", "lacunary:holder:0.5", (150, 192)),
+        ("rotation1d:pq:rule:index", "lacunary:holder:0.5", (150, 192)),
+        ("rotation1d:golden", "lacunary:analytic", (100, 192)))
+    for bits in widths
 ])
 def test_lacunary_fn(system, key, bits):
     phi = resolve_observable(key, resolve_system(system, bits))

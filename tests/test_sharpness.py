@@ -151,7 +151,7 @@ class TestDecompose:
     def test_against_generic_birkhoff_sum(self, golden, golden_deep_cf):
         # the per-mode measurement route equals the generic orbit route
         phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
-        sys = SystemSpec.rotation(golden, BITS)
+        sys = SystemSpec.rotation(golden)
         x = TorusPoint.from_floats([0.37], BITS)
         N = 144
         generic = birkhoff_sum(sys, phi, x, N) / N
@@ -262,10 +262,9 @@ class TestLowerBounds:
         w = full.mode_weight(m)
         solo = LacunaryObservable(
             dim=1, fn=full.fn, modulus=full.modulus, norm_est=w,
-            mean_hint=0.0, name="solo", cf=spike_cf, qs=(q,), weights=(w,),
-            tail_bound=0.0, bits=BITS,
+            mean_hint=0.0, cf=spike_cf, qs=(q,), weights=(w,), tail_bound=0.0,
         )
-        w_fp = spike_freq.fixed_point(BITS)
+        w_fp = spike_freq.fixed_point()
         one = 1 << BITS
         for l in (0, 3, 11):
             x = TorusPoint(((l * q * w_fp) % one,), BITS)
@@ -299,7 +298,7 @@ class TestLowerBounds:
         # is exactly the mean of the window averages
         m, L = 6, 9
         q = spike_lac.mode_q(m)
-        w_fp = spike_freq.fixed_point(BITS)
+        w_fp = spike_freq.fixed_point()
         one = 1 << BITS
         windows = [
             measure_average(spike_lac, spike_freq,
