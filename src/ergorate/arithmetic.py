@@ -546,8 +546,8 @@ def _freeze(omega, a_list, p_list, q_list, terminated,
 # ---------------------------------------------------------------------------
 
 
-def is_best_approximation(omega: Frequency, q: int, cf: ContinuedFraction) -> bool:
-    """True iff q is a certified convergent denominator of omega.
+def is_best_approximation(cf: ContinuedFraction, q: int) -> bool:
+    """True iff q is a certified convergent denominator of cf.omega.
 
     q = 1 is vacuously a best approximation (no smaller candidates).
     """
@@ -658,9 +658,8 @@ def borel_bernstein_schedule(cf: ContinuedFraction) -> tuple:
     return tuple(m for m in range(1, cf.certified_len) if cf.a_at(m + 1) >= m)
 
 
-def classify(omega: Frequency, cf: ContinuedFraction,
-             k_max: int) -> DiophantineReport:
-    """Fit the arithmetic quality of omega over the certified prefix.
+def classify(cf: ContinuedFraction, k_max: int) -> DiophantineReport:
+    """Fit the arithmetic quality of cf.omega over the certified prefix.
 
     gamma_sdc  exact min over 1 <= k <= k_max of ||k w|| * k * log^2(k+1)
     (gamma, A) least-squares fit of log q_{n+1} = log(1/gamma) + A log q_n
@@ -672,6 +671,7 @@ def classify(omega: Frequency, cf: ContinuedFraction,
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    omega = cf.omega
     if omega.is_rational() or cf.terminated:
         raise NotIrrational("Diophantine classification needs an irrational frequency")
     witnesses = borel_bernstein_schedule(cf)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .arithmetic import (DEFAULT_BITS, Frequency, classify, expand_cf,
                          ostrowski_digits)
-from .errors import ErgorateError
+from .errors import ConfigError, ErgorateError
 from .harness import (CONFIG_GRAMMAR, ExperimentConfig, emit_csv, emit_json,
                       json_text, resolve_observable, resolve_system,
                       run_kernel_experiment, run_rate_experiment,
@@ -24,20 +24,17 @@ from .scenarios import SCENARIOS, run_scenario
 
 
 def _load_config(args, overrides: dict) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.load(args.config)
-    else:
-        cfg = ExperimentConfig({})
+    values = ExperimentConfig.load(args.config).values if args.config else {}
     for key, val in overrides.items():
         if val is not None:
-            cfg.values[key] = val
+            values[key] = val
     if args.precision_bits is not None:
-        cfg.values["precision_bits"] = args.precision_bits
+        values["precision_bits"] = args.precision_bits
     if args.out_dir:
-        cfg.values["out_dir"] = args.out_dir
+        values["out_dir"] = args.out_dir
     if args.format:
-        cfg.values["format"] = args.format
-    return cfg
+        values["format"] = args.format
+    return ExperimentConfig(values)
 
 
 def _int_list(text):
@@ -64,9 +61,8 @@ def cmd_cf(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    omega = Frequency.parse(args.freq, _bits(args))
-    cf = expand_cf(omega, max_q=args.max_q)
-    rep = classify(omega, cf, k_max=args.k_max)
+    cf = expand_cf(Frequency.parse(args.freq, _bits(args)), max_q=args.max_q)
+    rep = classify(cf, k_max=args.k_max)
     _print_json({
         "gamma_sdc": rep.gamma_sdc,
         "sdc_argmin_k": rep.sdc_argmin_k,
@@ -108,6 +104,9 @@ def cmd_kernel(args) -> int:
 
 def cmd_approx(args) -> int:
     sys_spec = resolve_system(args.system or "rotation1d:golden", _bits(args))
+    if sys_spec.dim > 1:
+        raise ConfigError(f"approx samples one-dimensional points only; --system "
+                          f"{args.system} has dimension {sys_spec.dim}")
     phi = resolve_observable(args.observable, sys_spec)
     rows = approximation_errors(phi, _int_list(args.n_values))
     if args.out_dir:

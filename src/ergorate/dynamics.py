@@ -122,6 +122,8 @@ class SystemSpec:
         skew product one chain (x_1, ..., x_d, omega); the chains without
         their last registers are the coordinates, in order.
         """
+        if x.bits != self.bits:
+            raise ValueError(f"a {x.bits}-bit point on a {self.bits}-bit system")
         if self.kind == "skew":
             return [tuple(x.coords) + self.omega_fp]
         return [(c, w) for c, w in zip(x.coords, self.omega_fp)]
@@ -584,17 +586,17 @@ class KernelSumResult:
 
 @dataclass
 class KernelTable:
-    """|E_N(k omega)| for k = 1..len(mags): every kernel sum over a ladder
-    q_1 < q_2 < ... at this omega and N adds a prefix of it."""
+    """|E_N(k omega)| for k = 1..len(mags), omega = cf.omega: every kernel
+    sum over the ladder q_1 < q_2 < ... of cf at this N adds a prefix of it."""
 
-    omega: Frequency
+    cf: ContinuedFraction
     N: int
     mags: np.ndarray
 
 
-def kernel_table(omega: Frequency, N: int, terms: int) -> KernelTable:
+def kernel_table(cf: ContinuedFraction, N: int, terms: int) -> KernelTable:
     """The table of |E_N(k omega)| = |sin(pi {Nk omega})| / (N |sin(pi {k
-    omega})|), capped at 1, for k = 1..terms.
+    omega})|), capped at 1, for k = 1..terms and omega = cf.omega.
 
     Both arguments are reduced exactly in fixed point before the trig
     evaluation, from two register chains: (k w, w) and (k Nw, Nw) with
@@ -602,8 +604,8 @@ def kernel_table(omega: Frequency, N: int, terms: int) -> KernelTable:
     no step multiplies by N.  The magnitudes are formed in place, so at
     most two float arrays of `terms` values are alive.
     """
-    bits = omega.fractional_bits
-    w = omega.fixed_point()
+    bits = cf.omega.fractional_bits
+    w = cf.omega.fixed_point()
     nw = N * w % (1 << bits)
     chains = limbs_from_ints([w, w], bits), limbs_from_ints([nw, nw], bits)
     t, nt = np.empty(terms), np.empty(terms)
@@ -620,29 +622,25 @@ def kernel_table(omega: Frequency, N: int, terms: int) -> KernelTable:
     np.multiply(N, t, out=t)
     np.divide(nt, t, out=nt)
     np.minimum(nt, 1.0, out=nt)
-    return KernelTable(omega, N, nt)
+    return KernelTable(cf, N, nt)
 
 
-def kernel_sum(omega: Frequency, cf: ContinuedFraction, q_index: int, N: int,
-               table: KernelTable | None = None) -> KernelSumResult:
-    """sum_{1 <= |k| < q_n} |E_N(k omega)| with exact fixed-point phases.
+def kernel_sum(table: KernelTable, q_index: int) -> KernelSumResult:
+    """sum_{1 <= |k| < q_n} |E_N(k omega)| with exact fixed-point phases,
+    for q_n = table.cf.q_at(q_index) and the table's omega and N.
 
     Returns the sum and its ratio against q log(q) / N, the shape the
     best-approximation gap structure forces on it.  The sum adds the first
-    q_n - 1 terms of `table`, one kernel_table(omega, N, terms) built for a
-    whole ladder; without one it builds a table of exactly those terms.  A
-    table of another omega or N, or one too short, raises ValueError.
+    q_n - 1 terms of the table, in the order of a table of exactly those
+    terms; a table too short raises ValueError.
     """
+    cf, N = table.cf, table.N
     if q_index > cf.certified_len:
         raise Uncertified(f"index {q_index} beyond certified prefix")
     q = cf.q_at(q_index)
-    if table is not None and (table.omega != omega or table.N != N):
-        raise ValueError("the table was built for another omega or N")
     if q < 2:
         return KernelSumResult(q, N, 0.0, 0.0)
-    if table is None:
-        table = kernel_table(omega, N, q - 1)
-    elif len(table.mags) < q - 1:
+    if len(table.mags) < q - 1:
         raise ValueError(f"the table holds {len(table.mags)} terms, "
                          f"fewer than q - 1 = {q - 1}")
     total = 2.0 * float(np.sum(table.mags[:q - 1]))  # |E_N(-t)| = |E_N(t)|
@@ -666,32 +664,32 @@ class CharSumResult:
 
 class CharSweep:
     """The resumable state of sum_{j<N} e(k . S^j x) for one start point x
-    of the d-dim skew product: the phase registers at step j, the end of
-    the completed chunks, and the running total of those chunks.
+    of the skew product of dimension d = len(k) = x.dim: the phase
+    registers at step j, the end of the completed chunks and their total.
 
-    The phase is a degree-<=d integer-coefficient polynomial in j once
-    reduced mod 1; deg+1 fixed-point registers advance it with deg exact
-    additions per step.  Each chunk of 2**12 steps adds one exp-sum to the
-    total, which fixes the summation order.
+    The phase is a polynomial in j of degree d - i at the first nonzero k_i
+    (i from 0), leading coefficient (k_i / (d-i)!) * omega; degree+1
+    fixed-point registers advance it with degree exact additions per step.
+    Each chunk of 2**12 steps adds one exp-sum to the total, which fixes
+    the summation order.
     """
 
     CHUNK = 1 << 12
 
-    def __init__(self, d: int, omega: Frequency, k: Sequence[int],
-                 x: TorusPoint):
+    def __init__(self, omega: Frequency, k: Sequence[int], x: TorusPoint):
         k = tuple(int(v) for v in k)
-        if len(k) != d or not any(k):
-            raise ValueError("k must have length d and a nonzero entry")
-        bits = omega.fractional_bits
-        if x.bits != bits:
-            raise ValueError("x and the phase registers must share the bit budget")
-        self.d, self.omega, self.k, self.x = d, omega, k, x
+        if len(k) != x.dim or not any(k):
+            raise ValueError("k must have one entry per coordinate of x "
+                             "and a nonzero entry")
+        d, bits = len(k), omega.fractional_bits
         one = 1 << bits
         (chain,) = SystemSpec.skew(d, omega).chains(x)
         first = next(i for i, ki in enumerate(k) if ki)
+        self.degree, self.leading_num = d - first, k[first]
+        self.leading_den = math.factorial(self.degree)
         # forward differences at j = 0: the r-th is k . (chain shifted r places)
         self._regs = limbs_from_ints([sum(ki * c for ki, c in zip(k, chain[r:])) % one
-                                      for r in range(d - first + 1)], bits)
+                                      for r in range(self.degree + 1)], bits)
         self.j = 0
         self._total = 0.0 + 0.0j
 
@@ -714,27 +712,13 @@ class CharSweep:
         return complex(np.sum(np.exp(2j * math.pi * phase)))
 
 
-def char_birkhoff_skew(d: int, omega: Frequency, k: Sequence[int], x: TorusPoint,
-                       N: int, sweep: CharSweep | None = None) -> CharSumResult:
-    """sum_{j<N} e(k . S^j x) via exact finite differences of the phase.
+def char_birkhoff_skew(sweep: CharSweep, N: int) -> CharSumResult:
+    """sum_{j<N} e(k . S^j x) via exact finite differences of the phase,
+    with the polynomial degree and leading coefficient of the sweep.
 
-    Also classifies the polynomial degree and leading coefficient
-    (k_i / (d-i+1)!) * omega.  The sum comes from sweep.value(N): a
-    CharSweep built for (d, omega, k, x) lets a rising schedule of N
-    resume where the last call stopped, bit for bit equal to a fresh sweep;
-    without one a fresh sweep runs.  A sweep built for another start point
-    or phase, or already past N, raises ValueError.
+    The sum is sweep.value(N): a rising schedule of N resumes where the
+    last call stopped, bit for bit equal to a fresh sweep; a sweep already
+    past N raises ValueError.
     """
-    k = tuple(int(v) for v in k)
-    if sweep is None:
-        sweep = CharSweep(d, omega, k, x)
-    elif (sweep.d, sweep.omega, sweep.k, sweep.x) != (d, omega, k, x):
-        raise ValueError("the sweep was built for another d, omega, k or x")
-    first = next(i for i, ki in enumerate(k) if ki)
-    return CharSumResult(
-        value=sweep.value(N),
-        degree=d - first,
-        leading_num=k[first],
-        leading_den=math.factorial(d - first),
-        N=N,
-    )
+    return CharSumResult(sweep.value(N), sweep.degree, sweep.leading_num,
+                         sweep.leading_den, N)

@@ -81,17 +81,35 @@ def _format_scalar(v) -> str:
     return str(v)
 
 
+_LIST_KEYS = ("frequencies", "k", "m_values", "n_values")
+_TEXT_KEYS = ("envelope", "format", "frequencies", "frequency", "observable",
+              "out_dir", "schedule", "system", "weight")
+
+
 @dataclass
 class ExperimentConfig:
     values: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # read only when a run ends, so refused when it starts
+        self.get("out_dir"), self.get("format", "csv")
+
     def get(self, key: str, default=None):
-        return self.values.get(key, default)
+        """The value of key, or default.  A list key takes a lone value as a
+        list of one; any other shape than the key's raises ConfigError."""
+        v = self.values.get(key, default)
+        items = [] if v is None else v if isinstance(v, list) else [v]
+        if (isinstance(v, list) and key not in _LIST_KEYS
+                or key in _TEXT_KEYS and not all(isinstance(i, str) for i in items)
+                or key == "format" and v not in ("csv", "json", "both")
+                or key == "timings" and not isinstance(v, bool)):
+            raise ConfigError(f"config key {key} cannot be {v!r}")
+        return items if key in _LIST_KEYS else v
 
     def require(self, key: str):
         if key not in self.values:
             raise ConfigError(f"missing required config key {key!r}")
-        return self.values[key]
+        return self.get(key)
 
     def serialize(self) -> str:
         lines = []
@@ -196,7 +214,7 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
                 raise ConfigError(f"poly_plus_dist degree must be >= 0, got {deg}")
             poly = random_real_trigpoly(sys.dim, deg, seed=int(seed), scale=0.25)
             dist = make_dist_pow(float(alpha), dim=1)
-            return make_separable(sys.dim, poly, [(0, dist)], modulus=dist.modulus)
+            return make_separable(sys.dim, poly, [(0, dist)])
         case _:
             try:
                 return make_observable(key, sys.dim)
@@ -271,9 +289,9 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateSeries:
     phi = resolve_observable(cfg.require("observable"), sys)
     schedule = resolve_schedule(cfg.require("schedule"), sys)
     grid = int(cfg.get("grid", 1024 if sys.dim == 1 else 64))
-    env = (Envelope.parse(cfg.values["envelope"])
+    env = (Envelope.parse(cfg.get("envelope"))
            if "envelope" in cfg.values else None)
-    timings = bool(cfg.get("timings", False))
+    timings = cfg.get("timings", False)
     clock = _BudgetClock(cfg.get("budget_s"))
     # one orbit for the whole schedule, checked against the budget per chunk
     sweep = GridSweep(sys, phi, grid,
@@ -321,8 +339,6 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
     """Sweep (q_n, N), recording sum_{1<=|k|<q} |E_N(k omega)| ratios."""
     bits = precision_bits(cfg)
     freq_texts = cfg.require("frequencies")
-    if isinstance(freq_texts, str):
-        freq_texts = [freq_texts]
     if not freq_texts:
         raise ConfigError("frequencies must name at least one frequency")
     N_list = [int(n) for n in cfg.require("n_values")]
@@ -347,13 +363,13 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
         # the next N's is built
         columns = []
         for N in N_list:
-            mags = kernel_table(omega, N, cf.q_at(ladder[-1]) - 1)
+            table = kernel_table(cf, N, cf.q_at(ladder[-1]) - 1)
             column = []
             for idx in ladder:
-                column.append(kernel_sum(omega, cf, idx, N, mags))
+                column.append(kernel_sum(table, idx))
                 clock.check("kernel experiment")
             columns.append(column)
-            del mags
+            del table
         for rung in zip(*columns):  # rows in (q, N) order
             for r in rung:
                 rows.append({
@@ -404,7 +420,7 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
         entry["lower_dev_at_0"] = rep.lower_dev
         try:
             lb = sharpness.verify_lower_bound(phi, m)
-            nm = sharpness.verify_Nm_bound(phi, m, lower=lb)
+            nm = sharpness.verify_Nm_bound(phi, lb)
             entry.update({
                 "hypothesis": "ok",
                 "min_ratio": lb.min_ratio,
@@ -444,20 +460,18 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
     xs = [TorusPoint.from_floats(rng.random(d), bits) for _ in range(n_points)]
     xs.append(TorusPoint.zero(d, bits))
 
-    first = next(i for i, ki in enumerate(k) if ki)
-    lead = omega.scale(k[first], math.factorial(d - first))
+    # one sweep per start point; a schedule that steps back restarts them
+    sweeps = [CharSweep(omega, k, x) for x in xs]
+    lead = omega.scale(sweeps[0].leading_num, sweeps[0].leading_den)
     lead_cf = expand_cf(lead, max_q=max(N_list) * 64)
 
     rows = []
-    sweeps = []
     for N in N_list:
-        # one sweep per start point; a schedule that steps back restarts them
-        if not sweeps or N < sweeps[0].j:
-            sweeps = [CharSweep(d, omega, k, x) for x in xs]
+        if N < sweeps[0].j:
+            sweeps = [CharSweep(omega, k, x) for x in xs]
         # np.max, unlike max, propagates a NaN, so the gates below fail on it
-        best = float(np.max([
-            abs(char_birkhoff_skew(d, omega, k, x, N, sweep).value)
-            for x, sweep in zip(xs, sweeps)]))
+        best = float(np.max([abs(char_birkhoff_skew(sweep, N).value)
+                             for sweep in sweeps]))
         _, q = find_convergent_at_scale(lead_cf, N)
         rows.append({
             "N": N, "q": q, "max_char_sum": best,
@@ -519,12 +533,11 @@ def emit_json(obj, path) -> None:
 
 
 def _maybe_emit(cfg: ExperimentConfig, kind: str, rows, extra: dict) -> None:
-    out_dir = cfg.get("out_dir")
+    out_dir, fmt = cfg.get("out_dir"), cfg.get("format", "csv")
     if not out_dir:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fmt = cfg.get("format", "csv")
     stem = f"{kind}-{cfg.config_hash()}"
     if fmt in ("csv", "both"):
         emit_csv(rows, out / f"{stem}.csv")

@@ -132,15 +132,15 @@ class SeparableObservable(Observable):
     axis_terms: tuple = ()  # tuple of (axis index, 1-d Observable)
 
 
-def make_separable(dim: int, trig: Optional["TrigPoly"], axis_terms: Sequence,
-                   modulus: Optional[ModulusOfContinuity] = None) -> "SeparableObservable":
+def make_separable(dim: int, trig: Optional["TrigPoly"],
+                   axis_terms: Sequence) -> "SeparableObservable":
     """Combine a trig polynomial and per-axis 1-d observables by summation.
 
     Norm estimates add (triangle inequality in the common modulus); the mean
     is the polynomial's constant coefficient plus the axis means.
     """
     axis_terms = tuple(axis_terms)
-    modulus = modulus or (axis_terms[0][1].modulus if axis_terms else Holder(1.0))
+    modulus = axis_terms[0][1].modulus if axis_terms else Holder(1.0)
 
     def fn(x):
         x = np.asarray(x, dtype=float)

@@ -16,9 +16,9 @@ import numpy as np
 from . import sharpness
 from .arithmetic import (DecimalString, Frequency, PartialQuotients,
                          expand_cf, golden_mean, sqrt2_minus_1)
-from .dynamics import (GridSweep, SystemSpec, TorusPoint, birkhoff_sum,
-                       char_birkhoff_skew, grid_point, iterate, step,
-                       sup_deviation)
+from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
+                       birkhoff_sum, char_birkhoff_skew, grid_point, iterate,
+                       step, sup_deviation)
 from .envelopes import Envelope, fit_scale
 from .errors import ErgorateError
 from .harness import (ExperimentConfig, resolve_observable, resolve_schedule,
@@ -188,13 +188,12 @@ def scenario_rate_envelope() -> dict:
     # 2^-54 error the modes q ~ 1e25 blow up far past 1e-10
     sys = resolve_system(cfg.require("system"))
     phi = resolve_observable(cfg.require("observable"), sys)
-    omega = sys.freqs[0]
     gaps = []
     for N, _ in series.points:
         if N <= ORACLE_MAX_N:
             res = sup_deviation(sys, phi, N, cfg.require("grid"))
             gaps.append(_field_oracle_gap(
-                res, lambda x: measure_average(phi, omega, x, N)))
+                res, lambda x: measure_average(phi, phi.cf.omega, x, N)))
     gap = float(np.max(gaps))  # NaN propagates and fails the check
     v.details["field_vs_direct"] = gap
     v.check("field matches the direct orbit sum for N <= 1e4 (1e-10)",
@@ -276,7 +275,7 @@ def scenario_skew_exactness() -> dict:
             if not any(k):
                 k = (1,) + (0,) * (d - 1)
             N = 1000
-            res = char_birkhoff_skew(d, omega, k, x, N)
+            res = char_birkhoff_skew(CharSweep(omega, k, x), N)
             acc = 0.0 + 0.0j
             z = x
             kv = np.array(k, dtype=float)
@@ -354,7 +353,7 @@ def scenario_limitations_schedule() -> dict:
     v.check("witness schedule covers [4, 12]",
             all(m in witnesses for m in range(4, 13)))
     x0 = TorusPoint.zero(1, phi.bits)
-    devs = {m: closed_form_average(phi, omega, x0, phi.mode_q(m))
+    devs = {m: closed_form_average(phi, x0, phi.mode_q(m))
             for m in range(4, 13)}
     # np.max, unlike max, propagates a NaN, which then fails the check
     agree = float(np.max([

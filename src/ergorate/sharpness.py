@@ -220,10 +220,15 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     is one mode's row filled in column tiles.  Either way each mode's chunk
     row is reduced by a single `np.sum` over the whole row, every mode sums
     chunk by chunk and the modes are added in order, so the result keeps the
-    summation order of one mode at a time.
+    summation order of one mode at a time.  omega must be phi.cf.omega, and
+    x must share its width (ValueError).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if omega != phi.cf.omega:
+        raise ValueError("omega is not the frequency of the series")
+    if x.bits != phi.bits:
+        raise ValueError(f"a {x.bits}-bit point on a {phi.bits}-bit series")
     one = 1 << omega.fractional_bits
     w_fp = omega.fixed_point()
     live = [(q, w) for q, w in zip(phi.qs, phi.weights) if w != 0.0]
@@ -257,12 +262,13 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     return total / N
 
 
-def _mode_averages(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
-                   N: int) -> list:
+def _mode_averages(phi: LacunaryObservable, x: TorusPoint, N: int) -> list:
     """Each mode's share w_k Re e(q_k x) E_N(q_k omega) of (1/N) S_N phi(x),
-    from the geometric closed form of the mode's sum."""
-    bits = omega.fractional_bits
-    one, w_fp = 1 << bits, omega.fixed_point()
+    omega = phi.cf.omega, from the geometric closed form of the mode's sum."""
+    bits = phi.bits
+    if x.bits != bits:
+        raise ValueError(f"a {x.bits}-bit point on a {bits}-bit series")
+    one, w_fp = 1 << bits, phi.cf.omega.fixed_point()
     out = []
     for q, w in zip(phi.qs, phi.weights):
         t_fp = (q * w_fp) % one
@@ -272,10 +278,10 @@ def _mode_averages(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     return out
 
 
-def closed_form_average(phi: LacunaryObservable, omega: Frequency,
-                        x: TorusPoint, N: int) -> float:
+def closed_form_average(phi: LacunaryObservable, x: TorusPoint,
+                        N: int) -> float:
     """Same average via the geometric closed form of each mode's sum."""
-    return sum(_mode_averages(phi, omega, x, N))
+    return sum(_mode_averages(phi, x, N))
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +307,12 @@ def decompose(phi: LacunaryObservable, m: int, x: TorusPoint) -> SharpnessReport
     geometric sums, and their total must reproduce the directly measured
     deviation exactly (up to roundoff) for the truncated series.
     """
-    omega = phi.cf.omega
     qm = phi.mode_q(m)
-    terms = _mode_averages(phi, omega, x, qm)
+    terms = _mode_averages(phi, x, qm)
     sigma_m = terms[m - 1]
     sigma_gt = sum(terms[m:])
     sigma_lt = sum(terms[:m - 1])
-    measured = measure_average(phi, omega, x, qm)
+    measured = measure_average(phi, phi.cf.omega, x, qm)
     return SharpnessReport(
         m=m,
         q_m=qm,
@@ -346,7 +351,6 @@ def verify_lower_bound(phi: LacunaryObservable, m: int,
     Requires the gap q_{m+1} >= GAP_CONSTANT * m * q_m; raises
     HypothesisNotMet otherwise so harnesses can report instead of assert.
     """
-    omega = phi.cf.omega
     qm = phi.mode_q(m)
     qm1 = phi.cf.q_at(m + 1)  # raises Uncertified beyond the certified prefix
     if qm1 < GAP_CONSTANT * m * qm:
@@ -363,7 +367,7 @@ def verify_lower_bound(phi: LacunaryObservable, m: int,
     l_bar = -1
     prefix_positive = True
     for l, x in zip(ls, start_points(phi, m, ls)):
-        dev = measure_average(phi, omega, x, qm)
+        dev = measure_average(phi, phi.cf.omega, x, qm)
         entries.append((l, dev))
         # np.min, not min: a NaN window makes min_ratio NaN and fails it
         min_ratio = float(np.min([min_ratio, dev / w_m]))
@@ -386,13 +390,13 @@ class NmBoundResult:
     ratio: float            # lower_dev_Nm / w_m
 
 
-def verify_Nm_bound(phi: LacunaryObservable, m: int,
+def verify_Nm_bound(phi: LacunaryObservable,
                     lower: LowerBoundResult) -> NmBoundResult:
-    """Aggregate the passing windows of `lower`: N_m = (l_bar + 1) q_m and
-    the ratio of the measured N_m-step average at 0 to w_m."""
+    """Aggregate the passing windows of `lower` at its m: N_m = (l_bar + 1)
+    q_m and the ratio of the measured N_m-step average at 0 to w_m."""
     if lower.l_bar < 0:
-        raise HypothesisNotMet(f"no positive window at m={m}")
-    return _aggregate(phi, m, lower.l_bar)
+        raise HypothesisNotMet(f"no positive window at m={lower.m}")
+    return _aggregate(phi, lower.m, lower.l_bar)
 
 
 def slow_rate_point(phi: LacunaryObservable, m: int) -> NmBoundResult:

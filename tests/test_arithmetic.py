@@ -251,20 +251,20 @@ class TestBestApproximation:
         assert abs(norms[2] - 0.236068) < 1e-6
         assert abs(norms[3] - 0.145898) < 1e-6
         assert norms[3] < norms[2] < norms[1]
-        assert is_best_approximation(golden, 3, golden_cf)
+        assert is_best_approximation(golden_cf, 3)
         assert exhaustive_best_check(golden, 3)
 
     def test_golden_q4_false(self, golden, golden_cf):
-        assert not is_best_approximation(golden, 4, golden_cf)
+        assert not is_best_approximation(golden_cf, 4)
         assert not exhaustive_best_check(golden, 4)
 
     def test_q1_vacuous(self, golden, golden_cf):
-        assert is_best_approximation(golden, 1, golden_cf)
+        assert is_best_approximation(golden_cf, 1)
 
     def test_uncertified(self, golden):
         cf = expand_cf(golden, max_q=13)
         with pytest.raises(Uncertified):
-            is_best_approximation(golden, 10 ** 6, cf)
+            is_best_approximation(cf, 10 ** 6)
 
     def test_exhaustive_scan_matches_membership(self, golden, golden_cf):
         qs = set(golden_cf.q)
@@ -300,10 +300,10 @@ class TestGapLowerBound:
 
 class TestClassify:
     def test_golden_beta_small_and_gamma_stable(self, golden, golden_cf):
-        rep = classify(golden, golden_cf, k_max=2000)
+        rep = classify(golden_cf, k_max=2000)
         assert rep.beta_estimate <= 1e-3
         assert rep.gamma_sdc > 0
-        rep2 = classify(golden, golden_cf, k_max=4000)
+        rep2 = classify(golden_cf, k_max=4000)
         # enlarging the k-range can only lower the min, and not by much
         assert 0 < rep2.gamma_sdc <= rep.gamma_sdc
         assert rep2.gamma_sdc > 0.5 * rep.gamma_sdc
@@ -311,28 +311,28 @@ class TestClassify:
     def test_beta_estimate_positive_double_exponential(self):
         f = Frequency(PartialQuotients((), "double_exp"))
         cf = expand_cf(f, max_q=10 ** 40)
-        rep = classify(f, cf, k_max=100)
+        rep = classify(cf, k_max=100)
         assert rep.beta_estimate > 0
 
     def test_exp_gap_beta_near_one(self):
         f = Frequency(PartialQuotients((), "exp_gap", (5,)))
         cf = expand_cf(f, max_q=None, stop_product=1 << 420)
-        rep = classify(f, cf, k_max=100)
+        rep = classify(cf, k_max=100)
         assert 0.5 <= rep.beta_estimate <= 1.5
 
     def test_index_rule_witnesses_all(self, index_rule_freq):
         cf = expand_cf(index_rule_freq, max_q=10 ** 8)
-        rep = classify(index_rule_freq, cf, k_max=100)
+        rep = classify(cf, k_max=100)
         assert rep.bb_witnesses == tuple(range(1, cf.certified_len))
 
     def test_rational_raises(self):
         third = Frequency(PartialQuotients((3,)))
         cf = expand_cf(third, max_q=10)
         with pytest.raises(NotIrrational):
-            classify(third, cf, k_max=10)
+            classify(cf, k_max=10)
 
     def test_golden_dc_fit(self, golden, golden_cf):
-        rep = classify(golden, golden_cf, k_max=100)
+        rep = classify(golden_cf, k_max=100)
         # q_{n+1} ~ phi * q_n: slope A ~ 1
         assert 0.9 <= rep.A_dc <= 1.1
 
@@ -347,7 +347,7 @@ class TestFindConvergentAtScale:
         assert find_convergent_at_scale(cf, 11)[1] == 43
 
     def test_scale_bound_under_sdc(self, golden, golden_cf):
-        rep = classify(golden, golden_cf, k_max=10 ** 4)
+        rep = classify(golden_cf, k_max=10 ** 4)
         gamma = rep.gamma_sdc
         for N in (2, 10, 100, 1000, 10 ** 4):
             _, q = find_convergent_at_scale(golden_cf, N)

@@ -23,13 +23,14 @@ from ergorate.arithmetic import (Frequency, PartialQuotients, expand_cf,
 from ergorate.dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                                birkhoff_sum, char_birkhoff_skew,
                                exp_sum_avg_fp, grid_point, iterate,
-                               kernel_sum, orbit_floats, step, sup_deviation)
+                               kernel_sum, kernel_table, orbit_floats, step,
+                               sup_deviation)
 from ergorate.errors import DimensionTooLarge
 from ergorate.harness import resolve_observable, resolve_system
 from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
                               make_cos, make_dist_pow, make_weierstrass,
                               random_real_trigpoly)
-from ergorate.sharpness import measure_average
+from ergorate.sharpness import closed_form_average, measure_average
 from oracles import (dist_to_Z_mod, float_value, grid_sums_one_pass,
                      grid_sums_per_point)
 
@@ -98,6 +99,33 @@ class TestSystemSpec:
     def test_frequencies_share_one_width(self, golden):
         with pytest.raises(ValueError, match="width"):
             SystemSpec.rotation_d([golden, sqrt2_minus_1(256)])
+
+    @pytest.mark.parametrize("case", [
+        "measure_average", "closed_form_average", "birkhoff_sum", "iterate",
+        "step", "CharSweep", "another omega", "omega at another width"])
+    def test_a_point_or_frequency_of_another_width_is_refused(self, case):
+        # a 256-bit point on the 192-bit golden rotation: measure_average read
+        # 0.10819 where the 192-bit point gives 0.00922, birkhoff_sum died
+        # with an OverflowError, and iterate reduced the point mod 2^192
+        sys = resolve_system("rotation1d:golden")
+        phi = resolve_observable("lacunary:holder:0.5", sys)
+        x, x192 = (TorusPoint.from_floats([0.3], b) for b in (256, BITS))
+        calls = {
+            "measure_average": lambda: measure_average(phi, sys.freqs[0], x, 1000),
+            "closed_form_average": lambda: closed_form_average(phi, x, 1000),
+            "birkhoff_sum": lambda: birkhoff_sum(sys, phi, x, 1000),
+            "iterate": lambda: iterate(sys, x, 5),
+            "step": lambda: step(sys, x),
+            "CharSweep": lambda: CharSweep(sys.freqs[0], (1, 0),
+                                           TorusPoint.zero(2, 256)),
+            "another omega": lambda: measure_average(phi, sqrt2_minus_1(),
+                                                     x192, 1000),
+            "omega at another width": lambda: measure_average(
+                phi, golden_mean(256), x192, 1000),
+        }
+        match = "frequency of the series" if "omega" in case else "256-bit point"
+        with pytest.raises(ValueError, match=match):
+            calls[case]()
 
 
 class TestIterate:
@@ -318,13 +346,13 @@ class TestKernelSum:
     def test_q2_single_pair(self, golden):
         f = Frequency(PartialQuotients((), "const", (2,)))  # sqrt2 - 1
         cf = expand_cf(f, max_q=100)
-        res = kernel_sum(f, cf, 1, 50)  # q_1 = 2
+        res = kernel_sum(kernel_table(cf, 50, 1), 1)  # q_1 = 2
         expect = 2 * abs(exp_sum_avg_fp(f.fixed_point(), BITS, 50))
         assert res.total == pytest.approx(expect, abs=1e-12)
 
     def test_golden_q89_ratio(self, golden, golden_cf):
         idx = list(golden_cf.q).index(89) + 1
-        res = kernel_sum(golden, golden_cf, idx, 10 ** 4)
+        res = kernel_sum(kernel_table(golden_cf, 10 ** 4, 88), idx)
         assert res.ratio <= 8.0
 
     def test_ratio_sweep_bounded(self, golden, golden_cf):
@@ -333,7 +361,8 @@ class TestKernelSum:
             q = golden_cf.q_at(idx)
             if q < 13 or q > 6765:
                 continue
-            ratios.append(kernel_sum(golden, golden_cf, idx, 10 ** 5).ratio)
+            table = kernel_table(golden_cf, 10 ** 5, q - 1)
+            ratios.append(kernel_sum(table, idx).ratio)
         assert ratios and max(ratios) <= 10.0
         assert min(ratios) > 0
         assert max(ratios) / min(ratios) < 50  # spread recorded and finite
@@ -814,7 +843,7 @@ class TestCharSums:
         x = TorusPoint.from_floats(rng.random(d), BITS)
         k = (0, 3)
         N = 200
-        res = char_birkhoff_skew(d, golden, k, x, N)
+        res = char_birkhoff_skew(CharSweep(golden, k, x), N)
         wv = float_value(golden)
         expect = abs((1 - cmath.exp(2j * math.pi * N * 3 * wv))
                      / (1 - cmath.exp(2j * math.pi * 3 * wv)))
@@ -824,7 +853,7 @@ class TestCharSums:
 
     def test_n1(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(2), BITS)
-        res = char_birkhoff_skew(2, golden, (1, 2), x, 1)
+        res = char_birkhoff_skew(CharSweep(golden, (1, 2), x), 1)
         f = x.to_floats()
         assert res.value == pytest.approx(
             cmath.exp(2j * math.pi * (f[0] + 2 * f[1])), abs=1e-12)
@@ -834,7 +863,7 @@ class TestCharSums:
         sys = SystemSpec.skew(d, golden)
         x = TorusPoint.from_floats(rng.random(d), BITS)
         N = 300
-        res = char_birkhoff_skew(d, golden, k, x, N)
+        res = char_birkhoff_skew(CharSweep(golden, k, x), N)
         acc = 0.0 + 0.0j
         z = x
         kv = np.array(k, dtype=float)
@@ -845,7 +874,7 @@ class TestCharSums:
 
     def test_degree_classification(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(4), BITS)
-        res = char_birkhoff_skew(4, golden, (0, 2, 0, 1), x, 10)
+        res = char_birkhoff_skew(CharSweep(golden, (0, 2, 0, 1), x), 10)
         assert res.degree == 3
         assert (res.leading_num, res.leading_den) == (2, math.factorial(3))
 
@@ -857,24 +886,25 @@ class TestCharSweep:
         # N on both sides of the 4096-step chunk, and the same N twice
         for x in (TorusPoint.from_floats(rng.random(d), BITS),
                   TorusPoint.zero(d, BITS)):
-            sweep = CharSweep(d, golden, k, x)
+            sweep = CharSweep(golden, k, x)
             for N in (1, 4095, 4096, 4097, 8192, 8192, 100000):
-                got = char_birkhoff_skew(d, golden, k, x, N, sweep)
-                want = char_birkhoff_skew(d, golden, k, x, N)
+                got = char_birkhoff_skew(sweep, N)
+                want = char_birkhoff_skew(CharSweep(golden, k, x), N)
                 assert got == want
                 assert sweep.j == N // CharSweep.CHUNK * CharSweep.CHUNK
 
     def test_a_sweep_past_n_or_for_another_sum_is_refused(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(2), BITS)
-        sweep = CharSweep(2, golden, (1, 0), x)
-        char_birkhoff_skew(2, golden, (1, 0), x, 5000, sweep)
+        sweep = CharSweep(golden, (1, 0), x)
+        char_birkhoff_skew(sweep, 5000)
         with pytest.raises(ValueError, match="past N"):
-            char_birkhoff_skew(2, golden, (1, 0), x, 4095, sweep)
+            char_birkhoff_skew(sweep, 4095)
         # behind the open chunk, not behind the sweep
-        char_birkhoff_skew(2, golden, (1, 0), x, 4500, sweep)
-        y = TorusPoint.from_floats(rng.random(3), BITS)
-        for args in ((3, golden, (1, 0, 0), y), (2, golden, (0, 1), x),
-                     (2, golden, (1, 0), TorusPoint.zero(2, BITS)),
-                     (2, sqrt2_minus_1(), (1, 0), x)):
-            with pytest.raises(ValueError, match="another"):
-                char_birkhoff_skew(*args, 5000, sweep)
+        char_birkhoff_skew(sweep, 4500)
+
+    @pytest.mark.parametrize("k", [(1, 0, 0), (1,), (0, 0), (0, 0, 0)])
+    def test_a_k_of_another_length_or_of_zeros_is_refused(self, golden, k):
+        # d is len(k); it must be the dimension of the start point
+        x = TorusPoint.from_floats([0.25, 0.5], BITS)
+        with pytest.raises(ValueError, match="k must have one entry"):
+            CharSweep(golden, k, x)

@@ -138,7 +138,7 @@ class TestSumQs:
 
     def test_beta_regime_dominates(self, index_rule_freq):
         cf = expand_cf(index_rule_freq, max_q=10 ** 12)
-        rep = classify(index_rule_freq, cf, k_max=100)
+        rep = classify(cf, k_max=100)
         beta = max(rep.beta_estimate, 1e-9)
         scales = []
         for s in range(2, cf.certified_len):

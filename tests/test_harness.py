@@ -64,6 +64,46 @@ def test_bad_precision_fails_at_the_boundary(kind, bits):
         run(ExperimentConfig(dict(values, precision_bits=bits)))
 
 
+_RATE_TEXT = "observable = cos\nschedule = list:100\ngrid = 64\n"
+
+
+@pytest.mark.parametrize("command,text,key", [
+    # AttributeError, TypeError and TypeError tracebacks (exit 1)
+    ("rate", "system = [rotation1d:golden]\n" + _RATE_TEXT, "system"),
+    ("sharp", "frequency = pq:rule:spike:7,1000\nalpha = [0.5]\nm_values = 6\n",
+     "alpha"),
+    ("kernel", "frequencies = golden\nn_values = 100\nmax_q = 300\nout_dir = true\n",
+     "out_dir"),
+    # k = 10 was not iterable; as a list of one it has the wrong length
+    ("skew", "frequency = golden\nk = 10\nn_values = 100\n", "k must have length"),
+    # exit 0: wall times in the CSV, and no CSV at all
+    ("rate", "system = rotation1d:golden\ntimings = no\n" + _RATE_TEXT, "timings"),
+    ("rate", "system = rotation1d:golden\nformat = xml\n" + _RATE_TEXT, "format"),
+])
+def test_a_value_of_the_wrong_shape_exits_2(tmp_path, monkeypatch, capsys,
+                                            command, text, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(text + "out_dir = out\n" * ("out_dir" not in text))
+    assert cli_main(["--config", "run.cfg", command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,key", [("kernel", "frequencies"),
+                                      ("kernel", "n_values"),
+                                      ("skew", "n_values"), ("sharp", "m_values")])
+def test_a_lone_value_of_a_list_key_is_a_list_of_one(kind, key):
+    # n_values = 1000 and m_values = 6 died with a TypeError, while
+    # frequencies = golden already ran
+    run, values = SMALL_RUNS[kind]
+    (lone,) = values[key]
+    got = run(ExperimentConfig(dict(values, **{key: lone})))
+    want = run(ExperimentConfig(values))
+    assert got.pop("config_hash") != want.pop("config_hash")
+    assert got == want
+
+
 @pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
 def test_a_whole_number_budget_runs(kind):
     run, values = SMALL_RUNS[kind]
@@ -197,7 +237,7 @@ class TestRateExperiment:
         assert series.envelope_scale <= 1.0 + 0.5 ** 0.5
 
     def test_skew_single_mode_cross_check(self, golden):
-        from ergorate.dynamics import (SystemSpec, TorusPoint,
+        from ergorate.dynamics import (CharSweep, SystemSpec, TorusPoint,
                                        char_birkhoff_skew, sup_deviation)
         from ergorate.kernels import Holder, Observable
 
@@ -212,7 +252,7 @@ class TestRateExperiment:
         for i in range(G):
             for j in range(G):
                 x = TorusPoint((i * (one // G), j * (one // G)), 192)
-                c = char_birkhoff_skew(2, golden, (1, 0), x, N)
+                c = char_birkhoff_skew(CharSweep(golden, (1, 0), x), N)
                 best = max(best, abs(c.value.real) / N)
         assert res.sup_dev == pytest.approx(best, abs=1e-9)
 
@@ -404,8 +444,8 @@ class TestKernelExperiment:
         from ergorate import harness
         from ergorate.dynamics import KernelSumResult
 
-        monkeypatch.setattr(harness, "kernel_sum", lambda omega, cf, idx, N, table:
-                            KernelSumResult(cf.q_at(idx), N, 1.0, float("nan")))
+        monkeypatch.setattr(harness, "kernel_sum", lambda table, idx: KernelSumResult(
+            table.cf.q_at(idx), table.N, 1.0, float("nan")))
         cfg = ExperimentConfig({"frequencies": ["golden"], "n_values": [100],
                                 "max_q": 300})
         out = run_kernel_experiment(cfg)
@@ -660,6 +700,13 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["gamma_sdc"] > 0
+
+    @pytest.mark.parametrize("system", ["rotationd:sqrt2m1,sqrt3m1",
+                                        "skew:2:golden"])
+    def test_approx_refuses_a_system_above_one_dimension(self, capsys, system):
+        # exited 2 with numpy's "shape-mismatch for sum"
+        assert cli_main(["approx", "--system", system]) == 2
+        assert "one-dimensional" in capsys.readouterr().err
 
     def test_classify_has_no_witness_constant(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -275,7 +275,7 @@ class TestObservableRegistry:
     def test_separable_mean_and_eval(self):
         tp = random_real_trigpoly(2, 2, seed=13)
         dist = make_dist_pow(0.5)
-        phi = make_separable(2, tp, [(0, dist)], modulus=Holder(0.5))
+        phi = make_separable(2, tp, [(0, dist)])
         pts = np.random.default_rng(1).random((64, 2))
         expect = tp.eval(pts) + dist.fn(pts[:, 0])
         assert np.max(np.abs(phi.fn(pts) - expect)) < 1e-12

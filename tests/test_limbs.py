@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergorate.arithmetic import Frequency, expand_cf
-from ergorate.dynamics import (SystemSpec, TorusPoint, char_birkhoff_skew,
-                               iterate, kernel_sum, kernel_table, limbs_advance,
-                               limbs_from_ints, limbs_mul, limbs_to_float,
-                               orbit_floats)
+from ergorate.dynamics import (CharSweep, SystemSpec, TorusPoint,
+                               char_birkhoff_skew, iterate, kernel_sum,
+                               kernel_table, limbs_advance, limbs_from_ints,
+                               limbs_mul, limbs_to_float, orbit_floats)
 from ergorate.harness import resolve_observable, resolve_system
 
 BIT_WIDTHS = (192, 100, 250, 64)  # 64 bits: two limbs, no third
@@ -309,7 +309,7 @@ class TestAgainstBigIntOracles:
             if cf.q_at(idx) < 2:
                 continue
             for N in (7, 1000, 10 ** 5, (1 << 40) + 3, 3 ** 90):
-                res = kernel_sum(omega, cf, idx, N)
+                res = kernel_sum(kernel_table(cf, N, cf.q_at(idx) - 1), idx)
                 assert (res.total, res.ratio) == kernel_sum_oracle(omega, cf, idx, N)
 
     def test_kernel_sum_from_one_table(self, ftext):
@@ -319,9 +319,9 @@ class TestAgainstBigIntOracles:
         ladder = [idx for idx in range(1, cf.certified_len + 1)
                   if cf.q_at(idx) >= 2]
         for N in (7, 1000, 10 ** 5, (1 << 40) + 3, 3 ** 90):
-            table = kernel_table(omega, N, cf.q_at(ladder[-1]) - 1)
+            table = kernel_table(cf, N, cf.q_at(ladder[-1]) - 1)
             for idx in ladder:
-                res = kernel_sum(omega, cf, idx, N, table)
+                res = kernel_sum(table, idx)
                 assert (res.total, res.ratio) == kernel_sum_oracle(omega, cf, idx, N)
 
     @pytest.mark.parametrize("d,k", [(2, (1, 0)), (3, (1, 0, 0)),
@@ -330,20 +330,17 @@ class TestAgainstBigIntOracles:
         omega = Frequency.parse(ftext)
         for x in start_points(d, 192, seed=d):
             for N in (1, 4096, 6000, 9000):
-                res = char_birkhoff_skew(d, omega, k, x, N)
+                res = char_birkhoff_skew(CharSweep(omega, k, x), N)
                 assert res.value == char_sum_oracle(d, omega, k, x, N, 192)
 
 
-def test_kernel_table_of_another_sum_is_refused():
-    omega, other = Frequency.parse("golden"), Frequency.parse("sqrt2m1")
-    cf = expand_cf(omega, max_q=1000)
+def test_a_kernel_table_too_short_is_refused():
+    cf = expand_cf(Frequency.parse("golden"), max_q=1000)
     idx = cf.certified_len
     q = cf.q_at(idx)
-    assert kernel_sum(omega, cf, idx, 1000, kernel_table(omega, 1000, q - 1)).q == q
-    for table in (kernel_table(other, 1000, q), kernel_table(omega, 999, q),
-                  kernel_table(omega, 1000, q - 2)):
-        with pytest.raises(ValueError):
-            kernel_sum(omega, cf, idx, 1000, table)
+    assert kernel_sum(kernel_table(cf, 1000, q - 1), idx).q == q
+    with pytest.raises(ValueError, match="fewer than q - 1"):
+        kernel_sum(kernel_table(cf, 1000, q - 2), idx)
 
 
 @pytest.mark.parametrize("system", [

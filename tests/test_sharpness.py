@@ -162,7 +162,7 @@ class TestDecompose:
         x = TorusPoint.from_floats([rng.random()], BITS)
         for N in (13, 233, 4181):
             a = measure_average(golden_lac, golden, x, N)
-            b = closed_form_average(golden_lac, golden, x, N)
+            b = closed_form_average(golden_lac, x, N)
             assert a == pytest.approx(b, abs=1e-10)
 
     @pytest.mark.parametrize("N", [1, 13, 4181])
@@ -289,7 +289,7 @@ class TestLowerBounds:
         assert min(negatives) > q7 / (8 * q6)
 
     def test_nm_bound(self, spike_lac):
-        nm = verify_Nm_bound(spike_lac, 6, lower=verify_lower_bound(spike_lac, 6))
+        nm = verify_Nm_bound(spike_lac, verify_lower_bound(spike_lac, 6))
         assert nm.ratio >= 0.1
         assert nm.N_m % spike_lac.mode_q(6) == 0
 
