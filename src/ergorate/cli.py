@@ -9,6 +9,7 @@ verification scenarios.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -24,16 +25,11 @@ from .scenarios import SCENARIOS, run_scenario
 
 
 def _load_config(args, overrides: dict) -> ExperimentConfig:
-    values = ExperimentConfig.load(args.config).values if args.config else {}
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    if args.precision_bits is not None:
-        values["precision_bits"] = args.precision_bits
-    if args.out_dir:
-        values["out_dir"] = args.out_dir
-    if args.format:
-        values["format"] = args.format
+    values = (ExperimentConfig.parse(Path(args.config).read_text()).values
+              if args.config else {})
+    overrides.update(precision_bits=args.precision_bits, out_dir=args.out_dir,
+                     format=args.format)
+    values.update((k, v) for k, v in overrides.items() if v is not None)
     return ExperimentConfig(values)
 
 
@@ -47,8 +43,14 @@ def _bits(args) -> int:
     return DEFAULT_BITS if args.precision_bits is None else args.precision_bits
 
 
-def _print_json(obj) -> None:
-    print(json_text(obj))
+def _print(out) -> None:
+    """Print text, or any other value as strict JSON.  Once a reader has
+    closed stdout early, print to devnull: the command still finishes its run,
+    writes its files and exits cleanly."""
+    try:
+        print(out if isinstance(out, str) else json_text(out), flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_cf(args) -> int:
@@ -56,14 +58,14 @@ def cmd_cf(args) -> int:
         raise ValueError(f"--max-q must be >= 1, got {args.max_q}")
     omega = Frequency.parse(args.freq, _bits(args))
     cf = expand_cf(omega, max_q=args.max_q)
-    print(cf.to_json())
+    _print(cf.to_json())
     return 0
 
 
 def cmd_classify(args) -> int:
     cf = expand_cf(Frequency.parse(args.freq, _bits(args)), max_q=args.max_q)
     rep = classify(cf, k_max=args.k_max)
-    _print_json({
+    _print({
         "gamma_sdc": rep.gamma_sdc,
         "sdc_argmin_k": rep.sdc_argmin_k,
         "gamma_dc": rep.gamma_dc,
@@ -82,7 +84,7 @@ def cmd_rate(args) -> int:
         "envelope": args.envelope,
     })
     series = run_rate_experiment(cfg)
-    _print_json({
+    _print({
         "points": series.points,
         "fitted_slope": series.fitted_slope,
         "envelope_scale": series.envelope_scale,
@@ -97,8 +99,8 @@ def cmd_kernel(args) -> int:
                               "n_values": _int_list(args.n_values),
                               "max_q": args.max_q})
     out = run_kernel_experiment(cfg)
-    _print_json({"max_ratio": out["max_ratio"], "within_cap": out["within_cap"],
-                 "rows": len(out["rows"])})
+    _print({"max_ratio": out["max_ratio"], "within_cap": out["within_cap"],
+            "rows": len(out["rows"])})
     return 0
 
 
@@ -113,7 +115,7 @@ def cmd_approx(args) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         emit_csv(rows, out / "approx.csv")
-    _print_json(rows)
+    _print(rows)
     return 0
 
 
@@ -121,7 +123,7 @@ def cmd_sharp(args) -> int:
     cfg = _load_config(args, {"frequency": args.frequency, "alpha": args.alpha,
                               "m_values": _int_list(args.m_values)})
     out = run_sharpness_experiment(cfg)
-    _print_json(out)
+    _print(out)
     return 0
 
 
@@ -130,8 +132,8 @@ def cmd_skew(args) -> int:
                               "k": _int_list(args.k),
                               "n_values": _int_list(args.n_values)})
     out = run_skew_experiment(cfg)
-    _print_json({"scale": out["scale"], "tail_ratio": out["tail_ratio"],
-                 "rows": out["rows"]})
+    _print({"scale": out["scale"], "tail_ratio": out["tail_ratio"],
+            "rows": out["rows"]})
     return 0
 
 
@@ -139,8 +141,8 @@ def cmd_ostrowski(args) -> int:
     omega = Frequency.parse(args.freq, _bits(args))
     cf = expand_cf(omega, max_q=max(args.n, 2))
     digits = ostrowski_digits(cf, args.n)
-    _print_json({"N": args.n, "digits": digits,
-                 "q": [int(q) for q in cf.q[: len(digits)]]})
+    _print({"N": args.n, "digits": digits,
+            "q": [int(q) for q in cf.q[: len(digits)]]})
     return 0
 
 
@@ -150,9 +152,9 @@ def cmd_scenario(args) -> int:
     for name in names:
         verdict = run_scenario(name)
         status = "PASS" if verdict["passed"] else "FAIL"
-        print(f"[{status}] {name} ({verdict['elapsed_s']}s)")
+        _print(f"[{status}] {name} ({verdict['elapsed_s']}s)")
         if args.verbose:
-            _print_json(verdict)
+            _print(verdict)
         if args.out_dir:
             out = Path(args.out_dir)
             out.mkdir(parents=True, exist_ok=True)

@@ -8,13 +8,13 @@ CSV when explicitly enabled.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from sys import float_info
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,8 +43,8 @@ Keys are [a-z_][a-z0-9_]* strings.  Values are typed by shape:
     true / false         -> bool
     [v1, v2, ...]        -> list of the above
     anything else        -> string (quotes optional, stripped)
-Unknown keys are carried through untouched; serialization orders keys
-alphabetically, so parse(serialize(cfg)) == cfg.
+A key appears once.  Serialization orders keys alphabetically, so
+parse(serialize(cfg)) == cfg.
 """
 
 
@@ -54,14 +54,11 @@ def _parse_scalar(text: str):
         return t[1:-1]
     if t in ("true", "false"):
         return t == "true"
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
+    for cast in (int, float):
+        try:
+            return cast(t)
+        except ValueError:
+            pass
     return t
 
 
@@ -81,30 +78,77 @@ def _format_scalar(v) -> str:
     return str(v)
 
 
-_LIST_KEYS = ("frequencies", "k", "m_values", "n_values")
-_TEXT_KEYS = ("envelope", "format", "frequencies", "frequency", "observable",
-              "out_dir", "schedule", "system", "weight")
+# Each config key: its type and domain, and the runs that read it.  A number is
+# read as a float; a list key takes a lone value as a list of one, each item in
+# the domain.
+_EVERY_RUN = "rate kernel sharp skew"
+_KEYS = {
+    "precision_bits": ("int in [64, inf)", _EVERY_RUN),
+    "budget_s": ("number in (0, inf)", _EVERY_RUN),
+    "out_dir": ("text", _EVERY_RUN),
+    "format": ("text in {csv, json, both}", _EVERY_RUN),
+    "system": ("text", "rate"), "observable": ("text", "rate"),
+    "schedule": ("text", "rate"), "envelope": ("text", "rate"),
+    "grid": ("int in [16, inf)", "rate"), "timings": ("bool", "rate"),
+    "frequencies": ("nonempty text list", "kernel"),
+    "n_values": ("nonempty int list in [1, inf)", "kernel skew"),
+    "max_q": ("int in [2, inf)", "kernel"),
+    "ratio_cap": ("number in (0, inf)", "kernel"),
+    "frequency": ("text", "sharp skew"),
+    "weight": ("text in {holder, analytic}", "sharp"),
+    "alpha": ("number in (0, 1]", "sharp"),
+    "m_values": ("nonempty int list in [1, inf)", "sharp"),
+    "d": ("int in [2, inf)", "skew"), "k": ("nonempty int list", "skew"),
+    "eps": ("number in [0, 1]", "skew"), "x_batch": ("int in [0, inf)", "skew"),
+    "seed": ("int in [0, inf)", "skew"),
+}
+
+
+def _fits(v, kind: str, domain: str) -> bool:
+    """Whether v is of kind (an int, a number, a bool or text) and inside
+    domain: an interval such as "(0, 1]", a set such as "{csv, json}", or ""."""
+    if type(v) not in {"int": (int,), "number": (int, float), "bool": (bool,),
+                       "text": (str,)}[kind]:
+        return False
+    if domain[:1] not in ("[", "("):
+        return not domain or v in domain[1:-1].split(", ")
+    lo, hi = (float(b) for b in domain[1:-1].split(","))
+    return (lo <= v if domain[0] == "[" else lo < v) and (
+        v <= hi if domain[-1] == "]" else v < hi) and (
+        kind == "int" or abs(v) <= float_info.max)  # a number is a double
 
 
 @dataclass
 class ExperimentConfig:
     values: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        # read only when a run ends, so refused when it starts
-        self.get("out_dir"), self.get("format", "csv")
+    def start(self, run: str):
+        """Refuse a key that `run` does not read, and a value outside its
+        key's type and domain, before the run does any work.  Returns the
+        run's budget check, which raises Timeout once budget_s has passed."""
+        for key in self.values:
+            if run not in _KEYS.get(key, ("", ""))[1].split():
+                raise ConfigError(f"a {run} run does not read config key {key}")
+            self.get(key)
+        budget, t0 = self.get("budget_s"), time.monotonic()
+
+        def check_budget():
+            if budget is not None and time.monotonic() - t0 > budget:
+                raise Timeout(f"{run} run exceeded budget of {budget}s")
+        return check_budget
 
     def get(self, key: str, default=None):
-        """The value of key, or default.  A list key takes a lone value as a
-        list of one; any other shape than the key's raises ConfigError."""
-        v = self.values.get(key, default)
-        items = [] if v is None else v if isinstance(v, list) else [v]
-        if (isinstance(v, list) and key not in _LIST_KEYS
-                or key in _TEXT_KEYS and not all(isinstance(i, str) for i in items)
-                or key == "format" and v not in ("csv", "json", "both")
-                or key == "timings" and not isinstance(v, bool)):
-            raise ConfigError(f"config key {key} cannot be {v!r}")
-        return items if key in _LIST_KEYS else v
+        """The value of key, checked against its type and domain in _KEYS,
+        or default when the key is absent."""
+        if key not in self.values:
+            return default
+        v, (shape, _) = self.values[key], _KEYS[key]
+        kind, _, domain = shape.removeprefix("nonempty ").partition(" in ")
+        many = kind.endswith(" list")
+        items = v if many and isinstance(v, list) else [v]
+        if not items or not all(_fits(i, kind.split()[0], domain) for i in items):
+            raise ConfigError(f"config key {key} must be {shape}, got {v!r}")
+        return items if many else float(v) if kind == "number" else v
 
     def require(self, key: str):
         if key not in self.values:
@@ -134,11 +178,11 @@ class ExperimentConfig:
                 continue
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            key, _, body = line.partition("=")
-            key = key.strip()
-            body = body.strip()
+            key, _, body = (part.strip() for part in line.partition("="))
             if not key.isidentifier():
                 raise ConfigError(f"line {lineno}: bad key {key!r}")
+            if key in values:
+                raise ConfigError(f"line {lineno}: config key {key} given twice")
             if body.startswith("[") and body.endswith("]"):
                 inner = body[1:-1].strip()
                 values[key] = (
@@ -148,22 +192,10 @@ class ExperimentConfig:
                 values[key] = _parse_scalar(body)
         return ExperimentConfig(values)
 
-    @staticmethod
-    def load(path) -> "ExperimentConfig":
-        return ExperimentConfig.parse(Path(path).read_text())
-
 
 # ---------------------------------------------------------------------------
 # resolution: systems, observables, schedules
 # ---------------------------------------------------------------------------
-
-
-def precision_bits(cfg: ExperimentConfig) -> int:
-    """The run's fixed-point width: an int of at least 64 (a bool is not)."""
-    bits = cfg.get("precision_bits", DEFAULT_BITS)
-    if type(bits) is not int or bits < 64:
-        raise ConfigError(f"precision_bits must be an integer >= 64, got {bits!r}")
-    return bits
 
 
 def resolve_system(text: str, bits: int = DEFAULT_BITS) -> SystemSpec:
@@ -269,33 +301,18 @@ class RateSeries:
     config_hash: str = ""
 
 
-class _BudgetClock:
-    def __init__(self, budget_s: Optional[float]):
-        # None is no budget; a budget is a number of seconds in (0, inf)
-        if budget_s is not None and (isinstance(budget_s, bool) or not (
-                isinstance(budget_s, (int, float)) and 0 < budget_s < math.inf)):
-            raise ConfigError(f"budget_s must be a number of seconds in "
-                              f"(0, inf), got {budget_s!r}")
-        self.budget = budget_s
-        self.t0 = time.monotonic()
-
-    def check(self, label: str):
-        if self.budget is not None and time.monotonic() - self.t0 > self.budget:
-            raise Timeout(f"{label} exceeded budget of {self.budget}s")
-
-
 def run_rate_experiment(cfg: ExperimentConfig) -> RateSeries:
-    sys = resolve_system(cfg.require("system"), precision_bits(cfg))
+    check_budget = cfg.start("rate")
+    sys = resolve_system(cfg.require("system"),
+                         cfg.get("precision_bits", DEFAULT_BITS))
     phi = resolve_observable(cfg.require("observable"), sys)
     schedule = resolve_schedule(cfg.require("schedule"), sys)
-    grid = int(cfg.get("grid", 1024 if sys.dim == 1 else 64))
+    grid = cfg.get("grid", 1024 if sys.dim == 1 else 64)
     env = (Envelope.parse(cfg.get("envelope"))
            if "envelope" in cfg.values else None)
     timings = cfg.get("timings", False)
-    clock = _BudgetClock(cfg.get("budget_s"))
     # one orbit for the whole schedule, checked against the budget per chunk
-    sweep = GridSweep(sys, phi, grid,
-                      check=functools.partial(clock.check, "rate experiment"))
+    sweep = GridSweep(sys, phi, grid, check=check_budget)
 
     points, rows = [], []
     for N in schedule:
@@ -311,7 +328,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateSeries:
             "argmax": ";".join(f"{v:.9f}" for v in res.argmax_x.to_floats()),
             "wall_ms": round(wall, 3) if timings else 0.0,
         })
-        clock.check("rate experiment")
+        check_budget()
 
     # not v <= 0, unlike v > 0, keeps a NaN point, so the fits turn NaN
     pos = [(n, v) for n, v in points if not v <= 0]
@@ -337,22 +354,15 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateSeries:
 
 def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
     """Sweep (q_n, N), recording sum_{1<=|k|<q} |E_N(k omega)| ratios."""
-    bits = precision_bits(cfg)
-    freq_texts = cfg.require("frequencies")
-    if not freq_texts:
-        raise ConfigError("frequencies must name at least one frequency")
-    N_list = [int(n) for n in cfg.require("n_values")]
-    if not N_list or min(N_list) < 1:
-        raise ConfigError(f"n_values must be nonempty and >= 1, got {N_list}")
-    max_q = int(cfg.get("max_q", 6765))
-    if max_q < 2:
-        raise ConfigError(f"max_q must be >= 2, got {max_q}")
-    cap = float(cfg.get("ratio_cap", 10.0))
-    clock = _BudgetClock(cfg.get("budget_s"))
+    check_budget = cfg.start("kernel")
+    bits = cfg.get("precision_bits", DEFAULT_BITS)
+    N_list = cfg.require("n_values")
+    max_q = cfg.get("max_q", 6765)
+    cap = cfg.get("ratio_cap", 10.0)
     rows = []
     max_ratio = 0.0
     all_finite = True
-    for ftext in freq_texts:
+    for ftext in cfg.require("frequencies"):
         omega = Frequency.parse(ftext, bits)
         cf = expand_cf(omega, max_q=max_q)
         ladder = [idx for idx in range(1, cf.certified_len + 1)
@@ -367,7 +377,7 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
             column = []
             for idx in ladder:
                 column.append(kernel_sum(table, idx))
-                clock.check("kernel experiment")
+                check_budget()
             columns.append(column)
             del table
         for rung in zip(*columns):  # rows in (q, N) order
@@ -385,33 +395,23 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
     return table
 
 
-# keys that once overrode the sharpness constants: refused, never ignored
-_SHARPNESS_CONSTANTS = ("gap_constant", "range_constant", "ratio_floor",
-                        "l_cap", "witness_constant", "tol")
-
-
 def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     """Decomposition identity plus window and aggregate lower bounds."""
-    for key in _SHARPNESS_CONSTANTS:
-        if key in cfg.values:
-            raise ConfigError(f"{key} is fixed in ergorate.sharpness")
+    check_budget = cfg.start("sharp")
     weight = cfg.get("weight", "holder")
     if weight != "holder" and "alpha" in cfg.values:
         raise ConfigError(f"alpha is read only with weight = holder, "
                           f"got weight = {weight}")
-    observable = (f"lacunary:holder:{float(cfg.get('alpha', 0.5))}"
+    observable = (f"lacunary:holder:{cfg.get('alpha', 0.5)}"
                   if weight == "holder" else f"lacunary:{weight}")
     phi = resolve_observable(observable, resolve_system(
-        "rotation1d:" + cfg.require("frequency"), precision_bits(cfg)))
-    if "m_values" in cfg.values:
-        ms = [int(m) for m in cfg.require("m_values")]
-    else:
-        ms = [m for m in borel_bernstein_schedule(phi.cf)
-              if 2 <= m < phi.n_modes]
+        "rotation1d:" + cfg.require("frequency"),
+        cfg.get("precision_bits", DEFAULT_BITS)))
+    ms = cfg.get("m_values") or [m for m in borel_bernstein_schedule(phi.cf)
+                                 if 2 <= m < phi.n_modes]
     if not ms:
-        raise ConfigError(f"nothing to measure: m_values is empty, or absent and "
-                          f"the witness schedule has no m in [2, {phi.n_modes})")
-    clock = _BudgetClock(cfg.get("budget_s"))
+        raise ConfigError(f"nothing to measure: without m_values, the witness "
+                          f"schedule has no m in [2, {phi.n_modes})")
     reports = []
     for m in ms:
         entry = {"m": m, "q_m": phi.mode_q(m)}
@@ -433,7 +433,7 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
         except sharpness.HypothesisNotMet as exc:
             entry.update({"hypothesis": f"not met: {exc}", "passed": None})
         reports.append(entry)
-        clock.check("sharpness experiment")
+        check_budget()
     out = {"reports": reports, "config_hash": cfg.config_hash(),
            "n_modes": phi.n_modes, "tail_bound": phi.tail_bound}
     _maybe_emit(cfg, "sharp", reports, extra={"n_modes": phi.n_modes})
@@ -442,21 +442,18 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
 
 def run_skew_experiment(cfg: ExperimentConfig) -> dict:
     """Character-sum magnitudes against the Weyl envelope across N."""
-    bits = precision_bits(cfg)
-    d = int(cfg.get("d", 2))
+    check_budget = cfg.start("skew")
+    bits = cfg.get("precision_bits", DEFAULT_BITS)
+    d = cfg.get("d", 2)
     omega = Frequency.parse(cfg.require("frequency"), bits)
-    k = tuple(int(v) for v in cfg.require("k"))
+    k = tuple(cfg.require("k"))
     if len(k) != d or not any(k):
         raise ConfigError(f"k must have length d={d} and a nonzero entry, got {list(k)}")
-    N_list = [int(n) for n in cfg.require("n_values")]
-    if not N_list or min(N_list) < 1:
-        raise ConfigError(f"n_values must be nonempty and >= 1, got {N_list}")
-    eps = float(cfg.get("eps", 0.05))
-    n_points = int(cfg.get("x_batch", 4))
-    seed = int(cfg.get("seed", 7))
-    clock = _BudgetClock(cfg.get("budget_s"))
+    N_list = cfg.require("n_values")
+    eps = cfg.get("eps", 0.05)
+    n_points = cfg.get("x_batch", 4)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.get("seed", 7))
     xs = [TorusPoint.from_floats(rng.random(d), bits) for _ in range(n_points)]
     xs.append(TorusPoint.zero(d, bits))
 
@@ -477,7 +474,7 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
             "N": N, "q": q, "max_char_sum": best,
             "weyl_shape": weyl_bound(d, q, N, eps),
         })
-        clock.check("skew experiment")
+        check_budget()
     shapes = [r["max_char_sum"] / r["weyl_shape"] for r in rows]
     scale = float(np.max(shapes))
     tail = float(np.max(shapes[-max(1, len(shapes) // 3):])) / scale

@@ -1,9 +1,13 @@
-"""The text grammars: envelope strings, observable keys and `pq:rule:`
-frequencies.  Every parameter a key accepts is one the run reads; anything
-else is refused at parse with exit code 2 and a one-line error naming it."""
+"""The text grammars: envelope strings, observable keys, `pq:rule:`
+frequencies and config files.  Every parameter a key accepts is one the run
+reads, and every config key one its run reads, inside the key's domain;
+anything else is refused with exit code 2 and a one-line error naming it."""
 
 import dataclasses
+import io
 import math
+import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,31 @@ from ergorate.harness import resolve_observable, resolve_system
 
 RATE = ["rate", "--system", "rotation1d:golden", "--schedule",
         "list:100,200,300,400", "--grid", "64"]
+
+
+# one cheap run of each kind, naming every key the run reads
+RUNS = {
+    "rate": {"system": "rotation1d:golden", "observable": "cos",
+             "schedule": "list:100", "grid": "16",
+             "envelope": "dk:alpha=0.5", "timings": "false"},
+    "kernel": {"frequencies": "[golden]", "n_values": "[100]",
+               "max_q": "300", "ratio_cap": "10.0"},
+    "sharp": {"frequency": "pq:rule:spike:7,1000", "weight": "holder",
+              "alpha": "0.5", "m_values": "[6]"},
+    "skew": {"frequency": "golden", "d": "2", "k": "[1, 0]",
+             "n_values": "[100]", "eps": "0.05", "x_batch": "1", "seed": "7"},
+}
+EVERY_RUN = {"precision_bits": "192", "budget_s": "60", "out_dir": "out",
+             "format": "both"}
+
+
+def _config_argv(directory, run, key, value):
+    """argv of `run` from a config file in directory: the run's cheap
+    values with key set to value."""
+    values = {**EVERY_RUN, **RUNS[run], key: value}
+    path = directory / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    return ["--config", str(path), run]
 
 
 def _sharp_config(tmp_path, text):
@@ -91,10 +120,48 @@ class TestRefusedAtParse:
             tmp_path, "frequency = pq:rule:exp_gap:5\nweight = analytic\n"
                       "alpha = 0.9\nm_values = [3]\n"), "alpha")
 
+    def test_sharp_weight_outside_its_set(self, capsys, tmp_path):
+        # ran the lacunary:holder:0.3 series, an alpha the config never set
+        _refused(capsys, _sharp_config(
+            tmp_path, "frequency = pq:rule:spike:7,1000\nweight = holder:0.3\n"
+                      "m_values = [6]\n"), "config key weight")
+
     def test_sharp_empty_m_values(self, capsys, tmp_path):
         _refused(capsys, _sharp_config(
             tmp_path, "frequency = pq:rule:spike:7,1000\nm_values = []\n"),
             "m_values")
+
+    @pytest.mark.parametrize("run,key,value,needle", [
+        # each exited 0: it ran as n_values = [100, 1], as max_q = 300, with
+        # within_cap false, at grid 64, at d = 2, from the origin only, with
+        # a null scale, at m = 6, or ignored the key (no budget, no cap on q)
+        ("kernel", "n_values", "[100.9, true]", "n_values"),
+        ("kernel", "max_q", "300.5", "max_q"),
+        ("kernel", "ratio_cap", "nan", "ratio_cap"),
+        ("kernel", "max_qq", "5", "max_qq"),
+        ("rate", "grid", "64.9", "grid"),
+        ("rate", "budget", "0.001", "budget"),
+        ("rate", "sytem", "x", "sytem"),
+        ("skew", "d", "2.9", "config key d "),
+        ("skew", "seed", "2.7", "seed"),
+        ("skew", "x_batch", "-3", "x_batch"),
+        ("skew", "eps", "nan", "eps"),
+        ("skew", "eps", "1000", "eps"),  # OverflowError in weyl_bound
+        ("sharp", "m_values", "[6.7]", "m_values"),
+    ])
+    def test_config(self, capsys, tmp_path, monkeypatch, run, key, value,
+                    needle):
+        monkeypatch.chdir(tmp_path)
+        _refused(capsys, _config_argv(tmp_path, run, key, value), needle)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_key_given_twice(self, capsys, tmp_path):
+        # ran at max_q = 20000
+        cfg = tmp_path / "kernel.cfg"
+        cfg.write_text("frequencies = golden\nn_values = 100\nmax_q = 300\n"
+                       "max_q = 20000\n")
+        _refused(capsys, ["--config", str(cfg), "kernel"],
+                 "line 4: config key max_q given twice")
 
     def test_sharp_empty_witness_schedule(self, capsys):
         # golden has no a_{m+1} >= m with m >= 2: the run measured nothing
@@ -192,3 +259,34 @@ def test_generated_rule_frequencies(name, params):
         return
     assert all(a >= 1 for a in cf.a)
     assert all(q0 < q1 for q0, q1 in zip(cf.q, cf.q[1:]))
+
+
+# one key per run, from the keys it reads and unread names, set to a cheap
+# valid value or a malformed one
+UNREAD = ["gap_constant", "budget", "sytem", "junk"]
+CONFIG_VALUES = ["1", "2", "0.5", "2.5", "true", "nan", "inf", "-inf", "0",
+                 "-1", "", "junk", "[]", "[1]"]
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_generated_configs(tmp_path_factory, run, data):
+    reads = {**EVERY_RUN, **RUNS[run]}
+    key = data.draw(st.sampled_from(sorted(reads) + UNREAD))
+    own = [reads[key]] if key in reads else []
+    value = data.draw(st.sampled_from(own + CONFIG_VALUES))
+    directory = tmp_path_factory.mktemp(run)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            rc = cli_main(_config_argv(directory, run, key, value))
+    finally:
+        os.chdir(cwd)
+    err = err.getvalue()
+    assert rc in (0, 2), (key, value, rc)
+    assert "Traceback" not in err
+    if rc == 2:
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+        assert sorted(os.listdir(directory)) == ["run.cfg"]

@@ -3,12 +3,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergorate
 from ergorate import harness, sharpness
 from ergorate.cli import main as cli_main
 from ergorate.dynamics import GridSweep
@@ -827,6 +832,30 @@ class TestCli:
         cfg.write_text("frequency = golden\nm_values = [5]\ngap_constant = nan\n")
         assert cli_main(["--config", str(cfg), "sharp"]) == 2
         assert "gap_constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text", [
+        ("rate", "system = rotation1d:golden\nobservable = cos\n"
+                 "schedule = list:100,200,300\ngrid = 64\n"),
+        ("sharp", "frequency = pq:rule:spike:7,1000\nalpha = 0.5\n"
+                  "m_values = [6]\n"),
+    ], ids=["rate", "sharp"])
+    def test_a_closed_stdout_is_no_error(self, tmp_path, command, text):
+        # `ergorate ... | head -3` ended in a BrokenPipeError traceback, exit 1
+        (tmp_path / "run.cfg").write_text(text + "out_dir = out\n")
+        src = str(Path(ergorate.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ergorate.cli", "--config", "run.cfg",
+                 command], cwd=tmp_path, stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert len(list((tmp_path / "out").glob(f"{command}-*"))) == 2
 
     def test_error_exit_code(self, capsys):
         rc = cli_main(["cf", "--freq", "dec:0.123", "--max-q", "10"])
