@@ -357,22 +357,20 @@ def grid_point(indices, grid: int, bits: int) -> TorusPoint:
     )
 
 
-def _spectral_sums(sys, spectrum: dict, N, grid):
+def _spectral_sums(sys, modes: list, N, grid):
     """S_N phi on the grid for phi = Re sum_k c_k e(k . x), in closed form.
 
-    Each mode's orbit sum is c_k A_k e(k . x) with A_k = N E_N(k . omega)
-    from exp_sum_avg_fp, the phase k . omega formed exactly in fixed point.
-    The grid field is then synthesized by one inverse FFT, exact because on
-    x_g = g / grid the character e(k . x_g) depends only on k mod grid.
+    Each mode of `modes` is (t, cell, c_k), as GridSweep forms it once: its
+    exact phase t = k . omega mod 1 in fixed point and its grid cell k mod
+    grid.  Its orbit sum is c_k A_k e(k . x), A_k = N E_N(k . omega) from
+    exp_sum_avg_fp.  One inverse FFT synthesizes the grid field, exact because
+    on x_g = g / grid the character e(k . x_g) depends only on k mod grid.
     """
     d = sys.dim
-    one = 1 << sys.bits
-    ws = sys.omega_fp
     spec = np.zeros((grid,) * d, dtype=complex)
-    for k, c in spectrum.items():
-        t = sum(ki * wi for ki, wi in zip(k, ws)) % one
+    for t, cell, c in modes:
         A = N * exp_sum_avg_fp(t, sys.bits, N)
-        spec[tuple(ki % grid for ki in k)] += c * A
+        spec[cell] += c * A
     return np.real(np.fft.ifftn(spec)) * grid ** d
 
 
@@ -381,7 +379,8 @@ class GridSweep:
     chosen when the sweep is built:
 
     - a rotation whose phi.fourier is set takes the closed form of
-      _spectral_sums, O(modes + grid**d log grid) whatever N;
+      _spectral_sums, O(modes + grid**d log grid) whatever N, from each
+      mode's exact phase k . omega and grid cell, formed once here;
     - a SeparableObservable on a rotation takes the closed form of its
       trig part, plus each axis term from that term's own 1-d sweep on
       its axis;
@@ -421,13 +420,17 @@ class GridSweep:
         # the route: the spectrum a rotation sums in closed form (None for
         # the pointwise route) and, for a separable observable, one 1-d
         # sweep per axis term, on that term's axis
-        self._spectrum, terms = None, ()
+        spectrum, terms = None, ()
         if sys.kind != "skew":
             if phi.fourier is not None:
-                self._spectrum = phi.fourier
+                spectrum = phi.fourier
             elif isinstance(phi, SeparableObservable):
-                self._spectrum = phi.trig.coeffs if phi.trig else {}
+                spectrum = phi.trig.coeffs if phi.trig else {}
                 terms = phi.axis_terms
+        # per mode, the exact phase k . omega mod 1 and the cell k mod grid
+        self._modes = None if spectrum is None else [
+            (sum(ki * wi for ki, wi in zip(k, sys.omega_fp)) % (1 << sys.bits),
+             tuple(ki % grid for ki in k), c) for k, c in spectrum.items()]
         self._axes = [(axis, GridSweep(SystemSpec.rotation(sys.freqs[axis]),
                                        sub, grid, check))
                       for axis, sub in terms]
@@ -464,8 +467,8 @@ class GridSweep:
         if N < self.j:
             raise ValueError(f"the sweep is at step {self.j}, past N = {N}")
         d, grid = self.sys.dim, self.grid
-        if self._spectrum is not None:
-            out = _spectral_sums(self.sys, self._spectrum, N, grid)
+        if self._modes is not None:
+            out = _spectral_sums(self.sys, self._modes, N, grid)
             for axis, sub in self._axes:
                 shape = [1] * d
                 shape[axis] = grid

@@ -13,6 +13,7 @@ precision on the raw product q_k * x would be garbage past q_k ~ 1e15.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -120,6 +121,17 @@ class LacunaryObservable(Observable):
     def mode_q(self, m: int) -> int:
         return self.qs[self._mode(m)]
 
+    @functools.cached_property
+    def _steps(self) -> tuple:
+        """Each mode's exact step (q_k omega) mod 1 in fixed point, the live
+        (nonzero-weight) modes as (q, w) and their steps as doubles: once per
+        instance, and not a field, so dataclasses.replace derives them afresh."""
+        one, w_fp = 1 << self.bits, self.cf.omega.fixed_point()
+        steps = [q * w_fp % one for q in self.qs]
+        live = [k for k, w in enumerate(self.weights) if w != 0.0]
+        return (steps, [(self.qs[k], self.weights[k]) for k in live],
+                np.array([steps[k] / one for k in live]))
+
 
 def _lacunary_fn(qs, weights, bits):
     def fn(x):
@@ -176,13 +188,13 @@ def build_lacunary(cf: ContinuedFraction, weight,
     modulus = Holder(alpha) if alpha else (
         weight.modulus if isinstance(weight, ModulusWeight) else Holder(1.0)
     )
-    # rigorous seminorm bound: |phi(x+h)-phi(x)| <= sum w_k min(2, 2 pi q_k h)
-    # (np.max, not max: a NaN at any scale makes the bound NaN)
+    # rigorous seminorm bound: |phi(x+h)-phi(x)| <= sum w_k min(2, 2 pi q_k h),
+    # summed left to right (np.max, not max: a NaN at any scale makes it NaN)
+    q_f, w_f = np.array([float(min(q, 10 ** 200)) for q in qs]), np.array(weights)
     semi = 0.0
     for j in range(2, 60):
         h = 2.0 ** -j
-        bound = sum(w * min(2.0, TWO_PI * float(min(q, 10 ** 200)) * h)
-                    for q, w in zip(qs, weights))
+        bound = np.cumsum(w_f * np.minimum(2.0, TWO_PI * q_f * h))[-1]
         semi = float(np.max([semi, bound / modulus(h)]))
     return LacunaryObservable(
         dim=1,
@@ -220,8 +232,9 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     is one mode's row filled in column tiles.  Either way each mode's chunk
     row is reduced by a single `np.sum` over the whole row, every mode sums
     chunk by chunk and the modes are added in order, so the result keeps the
-    summation order of one mode at a time.  omega must be phi.cf.omega, and
-    x must share its width (ValueError).
+    summation order of one mode at a time.  The steps are the series' own
+    (phi._steps); a call forms only its start phases.  omega must be
+    phi.cf.omega, and x must share its width (ValueError).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -230,9 +243,7 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     if x.bits != phi.bits:
         raise ValueError(f"a {x.bits}-bit point on a {phi.bits}-bit series")
     one = 1 << omega.fractional_bits
-    w_fp = omega.fixed_point()
-    live = [(q, w) for q, w in zip(phi.qs, phi.weights) if w != 0.0]
-    steps = np.array([((q * w_fp) % one) / one for q, _ in live])
+    _, live, steps = phi._steps
     ph0 = np.array([((q * x.coords[0]) % one) / one for q, _ in live])
     mode_sums = np.zeros(len(live))
     # a block holds whole rows within _BLOCK_CELLS, or one longer chunk row
@@ -268,10 +279,9 @@ def _mode_averages(phi: LacunaryObservable, x: TorusPoint, N: int) -> list:
     bits = phi.bits
     if x.bits != bits:
         raise ValueError(f"a {x.bits}-bit point on a {bits}-bit series")
-    one, w_fp = 1 << bits, phi.cf.omega.fixed_point()
+    one = 1 << bits
     out = []
-    for q, w in zip(phi.qs, phi.weights):
-        t_fp = (q * w_fp) % one
+    for q, w, t_fp in zip(phi.qs, phi.weights, phi._steps[0]):
         ph = ((q * x.coords[0]) % one) / one
         e = exp_sum_avg_fp(t_fp, bits, N)
         out.append(w * (e * np.exp(2j * math.pi * ph)).real)
@@ -336,10 +346,8 @@ class LowerBoundResult:
 
 
 def start_points(phi: LacunaryObservable, m: int, ls: Sequence[int]) -> list:
-    one = 1 << phi.bits
-    w_fp = phi.cf.omega.fixed_point()
-    qm = phi.mode_q(m)
-    return [TorusPoint(((l * qm * w_fp) % one,), phi.bits) for l in ls]
+    one, step = 1 << phi.bits, phi._steps[0][phi._mode(m)]
+    return [TorusPoint((l * step % one,), phi.bits) for l in ls]
 
 
 def verify_lower_bound(phi: LacunaryObservable, m: int,

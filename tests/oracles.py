@@ -6,8 +6,9 @@ from an exact fixed-point numerator and from a double by np.mod,
 ||k omega||, a frequency as a double, a sampled Holder quotient, the
 Hermitian symmetry of trigonometric-polynomial coefficients, the pointwise
 grid field of a 1-d rotation in one fresh pass, the grid field of any
-system by one exact orbit per grid point, and the lacunary direct sum one
-mode at a time.
+system by one exact orbit per grid point, the closed-form grid field with
+every mode phase formed afresh, the lacunary direct sum one mode at a time
+and the lacunary seminorm bound by a scalar loop.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 
 from ergorate.arithmetic import Frequency
 from ergorate.dynamics import (SystemSpec, TorusPoint, birkhoff_sum,
-                               grid_point, orbit_floats)
+                               exp_sum_avg_fp, grid_point, orbit_floats)
 from ergorate.kernels import Observable, TrigPoly
 from ergorate.sharpness import _AVERAGE_CHUNK, TWO_PI, LacunaryObservable
 
@@ -115,6 +116,21 @@ def grid_sums_per_point(sys: SystemSpec, phi: Observable, N: int, grid: int,
     return sums.reshape((grid,) * sys.dim) if whole else sums
 
 
+def spectral_sums_per_N(sys: SystemSpec, spectrum: dict, N: int,
+                        grid: int) -> np.ndarray:
+    """S_N phi on the grid x = g / grid for phi = Re sum_k c_k e(k . x) on a
+    rotation, in closed form, with every mode's exact phase k . omega mod 1
+    and grid cell k mod grid formed from scratch at this N: the frequencies
+    are rebuilt here, so no fixed-point memo is read."""
+    one = 1 << sys.bits
+    ws = [Frequency(f.rep, f.fractional_bits).fixed_point() for f in sys.freqs]
+    spec = np.zeros((grid,) * sys.dim, dtype=complex)
+    for k, c in spectrum.items():
+        t = sum(ki * wi for ki, wi in zip(k, ws)) % one
+        spec[tuple(ki % grid for ki in k)] += c * (N * exp_sum_avg_fp(t, sys.bits, N))
+    return np.real(np.fft.ifftn(spec)) * grid ** sys.dim
+
+
 def measure_average_per_mode(phi: LacunaryObservable, omega: Frequency,
                              x: TorusPoint, N: int) -> float:
     """(1/N) S_N phi(x) for a lacunary series, one mode after another: each
@@ -134,3 +150,18 @@ def measure_average_per_mode(phi: LacunaryObservable, omega: Frequency,
             mode_sum += float(np.sum(np.cos(TWO_PI * np.mod(ph0_f + js * step_f, 1.0))))
         total += w * mode_sum
     return total / N
+
+
+def lacunary_seminorm(phi: LacunaryObservable) -> float:
+    """The Holder seminorm bound of a lacunary series by a scalar loop: at
+    each dyadic h = 2**-j, j = 2..59, sum_k w_k min(2, 2 pi q_k h) is added
+    one mode at a time, left to right, and divided by phi.modulus(h); the
+    bound is the largest quotient, NaN if any quotient is NaN."""
+    semi = 0.0
+    for j in range(2, 60):
+        h = 2.0 ** -j
+        bound = 0.0
+        for q, w in zip(phi.qs, phi.weights):
+            bound += w * min(2.0, TWO_PI * float(min(q, 10 ** 200)) * h)
+        semi = float(np.max([semi, bound / phi.modulus(h)]))
+    return semi

@@ -32,7 +32,7 @@ from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
                               random_real_trigpoly)
 from ergorate.sharpness import closed_form_average, measure_average
 from oracles import (dist_to_Z_mod, float_value, grid_sums_one_pass,
-                     grid_sums_per_point)
+                     grid_sums_per_point, spectral_sums_per_N)
 
 BITS = 192
 ONE = 1 << BITS
@@ -817,6 +817,40 @@ class TestSpectralRoute:
         assert res.field.shape == (G,) * sys.dim
         assert np.max(np.abs(res.field - direct)) <= 1e-10
         assert abs(res.sup_dev - np.max(np.abs(direct))) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["rotation1d", "rotationd",
+                                      "poly_plus_dist"])
+    def test_fields_equal_phases_formed_at_every_N(self, name):
+        # the sweep forms each mode's phase k . omega and cell k mod G once;
+        # every field, over a schedule that repeats an N, equals the closed
+        # form with both formed from scratch at that N, bit for bit
+        G = 16
+        golden, s2 = golden_mean(), sqrt2_minus_1()
+        if name == "rotation1d":  # 3 and 3 + G share cell 3
+            sys = SystemSpec.rotation(golden)
+            phi = TrigPoly(1, {(3,): 0.3 - 0.2j, (-3,): 0.3 + 0.2j,
+                               (3 + G,): 0.1 + 0.4j, (-3 - G,): 0.1 - 0.4j,
+                               (5,): 0.25}).to_observable()
+        elif name == "rotationd":  # (1, 2) and (1 + G, 2 - G) share a cell
+            sys = SystemSpec.rotation_d([golden, s2])
+            phi = TrigPoly(2, {(1, 2): 0.2 + 0.1j, (-1, -2): 0.2 - 0.1j,
+                               (1 + G, 2 - G): 0.3j, (-1 - G, G - 2): -0.3j,
+                               (0, 7): 0.5}).to_observable()
+        else:  # degree 8 at G = 16: the modes 8 and -8 of an axis share a cell
+            sys = resolve_system("rotationd:sqrt2m1,sqrt3m1")
+            phi = resolve_observable("poly_plus_dist:8:0.5:5", sys)
+        spectrum = phi.trig.coeffs if name == "poly_plus_dist" else phi.fourier
+        cells = [tuple(ki % G for ki in k) for k in spectrum]
+        assert len(set(cells)) < len(cells)
+        sweep = GridSweep(sys, phi, G)
+        for N in [1, 7, 7, 100, 1000]:
+            want = spectral_sums_per_N(sys, spectrum, N, G)
+            for axis, term in getattr(phi, "axis_terms", ()):
+                shape = [1] * sys.dim
+                shape[axis] = G
+                axis_sys = SystemSpec.rotation(sys.freqs[axis])
+                want = want + grid_sums_one_pass(axis_sys, term, N, G).reshape(shape)
+            assert np.array_equal(sweep.sums(N), want)
 
     @pytest.mark.parametrize("N", [7, 100])
     def test_aliased_modes_add(self, rot, N):

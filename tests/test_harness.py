@@ -798,6 +798,8 @@ class TestCli:
         ["skew", "--frequency", "golden", "--d", "2", "--k", "1,0",
          "--n-values", "1000"],
         ["approx", "--observable", "lacunary:holder:0.5", "--n-values", "16"],
+        ["sharp", "--alpha", "0.5", "--frequency", "pq:rule:spike:7,1000",
+         "--m-values", "6"],
     ])
     def test_any_width_runs(self, argv, capsys):
         # from 1,024 bits 2**bits is no double: each died with OverflowError

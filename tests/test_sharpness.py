@@ -9,14 +9,17 @@ import pytest
 from ergorate.arithmetic import Frequency, PartialQuotients, expand_cf
 from ergorate.dynamics import _BLOCK_CELLS, SystemSpec, TorusPoint, birkhoff_sum
 from ergorate.errors import HypothesisNotMet, Uncertified
+from ergorate.harness import resolve_observable, resolve_system
 from ergorate.kernels import LogHolder, ModulusOfContinuity, WeakHolder
 from ergorate.sharpness import (AnalyticWeight, HolderWeight,
                                 LacunaryObservable, ModulusWeight,
                                 borel_bernstein_schedule, build_lacunary,
                                 closed_form_average, decompose,
                                 measure_average, slow_rate_point,
-                                verify_Nm_bound, verify_lower_bound)
-from oracles import measure_average_per_mode, sampled_holder_quotient
+                                start_points, verify_Nm_bound,
+                                verify_lower_bound)
+from oracles import (lacunary_seminorm, measure_average_per_mode,
+                     sampled_holder_quotient)
 
 BITS = 192
 
@@ -78,6 +81,17 @@ class TestBuild:
 
         phi = build_lacunary(golden_deep_cf, ModulusWeight(Gappy()), tol=1e-6)
         assert math.isnan(phi.norm_est)
+
+    @pytest.mark.parametrize("frequency", ["golden", "pq:rule:index",
+                                           "pq:rule:spike:7,1000"])
+    @pytest.mark.parametrize("weight", ["holder:0.5", "analytic"])
+    def test_norm_estimate_equals_the_scalar_loop(self, frequency, weight):
+        # the seminorm bound sums each scale over mode arrays, in the order
+        # of the loop that adds one mode at a time
+        phi = resolve_observable(f"lacunary:{weight}",
+                                 resolve_system(f"rotation1d:{frequency}"))
+        assert phi.n_modes >= 3
+        assert phi.norm_est == float(sum(phi.weights)) + lacunary_seminorm(phi)
 
     def test_log_holder_tail_diverges(self, golden_deep_cf):
         with pytest.raises(Uncertified):
@@ -210,6 +224,30 @@ class TestDecompose:
         for series in (golden_lac, single, holed):
             assert (measure_average(series, golden, x, N)
                     == measure_average_per_mode(series, golden, x, N))
+
+    def test_a_replaced_series_derives_its_own_steps(self, golden,
+                                                      golden_deep_cf):
+        # the mode steps are kept per instance, out of the fields: a series
+        # made by dataclasses.replace from a measured one derives its own
+        phi = build_lacunary(golden_deep_cf, AnalyticWeight(), tol=1e-12)
+        x = TorusPoint.from_floats([0.29], BITS)
+        measure_average(phi, golden, x, 89)
+        one, w_fp = 1 << BITS, golden.fixed_point()
+        single = dataclasses.replace(phi, qs=phi.qs[1:2],
+                                     weights=phi.weights[1:2])
+        holed = dataclasses.replace(
+            phi, weights=phi.weights[:2] + (0.0,) + phi.weights[3:])
+        for series in (single, holed):
+            steps, live, live_steps = series._steps
+            assert steps == [q * w_fp % one for q in series.qs]
+            assert live == [(q, w) for q, w in zip(series.qs, series.weights)
+                            if w != 0.0]
+            assert live_steps.tolist() == [q * w_fp % one / one for q, _ in live]
+            (x3,) = start_points(series, 1, [3])
+            assert x3.coords == (3 * series.qs[0] * w_fp % one,)
+            for N in (1, 89, 4181):
+                assert (measure_average(series, golden, x, N)
+                        == measure_average_per_mode(series, golden, x, N))
 
     @pytest.mark.parametrize("N", [0, -3])
     def test_direct_sum_needs_one_step(self, golden_lac, golden, N):
