@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Subcommands map onto the library's main surfaces: continued fractions,
-Diophantine classification, rate/kernel/sharpness/skew experiments,
-trigonometric approximation tables, Ostrowski digits, and the named
-verification scenarios.
+Diophantine classification, Ostrowski digits, the named verification
+scenarios, and the five runs (rate, kernel, approx, sharp, skew).  A run's
+flags are its config keys (harness._KEYS): `--n-values` sets `n_values`, and
+takes the value a config file would.
 """
 
 from __future__ import annotations
@@ -16,31 +17,52 @@ from pathlib import Path
 from .arithmetic import (DEFAULT_BITS, Frequency, classify, expand_cf,
                          ostrowski_digits)
 from .errors import ConfigError, ErgorateError
-from .harness import (CONFIG_GRAMMAR, ExperimentConfig, emit_csv, emit_json,
-                      json_text, resolve_observable, resolve_system,
-                      run_kernel_experiment, run_rate_experiment,
-                      run_sharpness_experiment, run_skew_experiment)
-from .kernels import approximation_errors
+from .harness import (_KEYS, CONFIG_GRAMMAR, ExperimentConfig, _parse_scalar,
+                      emit_json, json_text,
+                      run_approx_experiment, run_kernel_experiment,
+                      run_rate_experiment, run_sharpness_experiment,
+                      run_skew_experiment)
 from .scenarios import SCENARIOS, run_scenario
 
+# each run: its help line, its runner, and the part of its result it prints
+_RUNS = {
+    "rate": ("Birkhoff-rate sweep against an envelope", run_rate_experiment,
+             lambda s: {"points": s.points, "fitted_slope": s.fitted_slope,
+                        "envelope_scale": s.envelope_scale,
+                        "tail_ratio": s.tail_ratio,
+                        "config_hash": s.config_hash}),
+    "kernel": ("averaged exponential-sum ratios", run_kernel_experiment,
+               lambda out: {"max_ratio": out["max_ratio"],
+                            "within_cap": out["within_cap"],
+                            "rows": len(out["rows"])}),
+    "approx": ("trigonometric approximation errors", run_approx_experiment,
+               lambda rows: rows),
+    "sharp": ("lacunary lower-bound measurements", run_sharpness_experiment,
+              lambda out: out),
+    "skew": ("skew-product character sums vs envelope", run_skew_experiment,
+             lambda out: {"scale": out["scale"], "tail_ratio": out["tail_ratio"],
+                          "rows": out["rows"]}),
+}
+# the keys every run reads are top-level flags
+_TOP_KEYS = [key for key, (_, runs) in _KEYS.items()
+             if set(_RUNS) <= set(runs.split())]
 
-def _load_config(args, overrides: dict) -> ExperimentConfig:
-    values = (ExperimentConfig.parse(Path(args.config).read_text()).values
-              if args.config else {})
-    overrides.update(precision_bits=args.precision_bits, out_dir=args.out_dir,
-                     format=args.format)
-    values.update((k, v) for k, v in overrides.items() if v is not None)
-    return ExperimentConfig(values)
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _int_list(text):
-    """Comma-separated integers, or None when absent.  Parsed in the command,
-    not by argparse, so a malformed list exits 2 through main."""
-    return None if text is None else [int(x) for x in text.split(",")]
-
-
-def _bits(args) -> int:
-    return DEFAULT_BITS if args.precision_bits is None else args.precision_bits
+def _add_key_flag(parser, key: str) -> None:
+    """--<key>, whose value is parsed as a config file's: a text list takes
+    one item per flag, any other list comma-separated items."""
+    shape = _KEYS[key][0]
+    if "text list" in shape:
+        kw = {"type": _parse_scalar, "action": "append"}
+    elif " list" in shape:
+        kw = {"type": lambda t: [_parse_scalar(x) for x in t.split(",")]}
+    else:
+        kw = {"type": _parse_scalar}
+    parser.add_argument(_flag(key), dest=key, help=shape, **kw)
 
 
 def _print(out) -> None:
@@ -53,17 +75,29 @@ def _print(out) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def cmd_run(args) -> int:
+    """The run named by the command: config file values, then flags."""
+    values = (ExperimentConfig.parse(Path(args.config).read_text()).values
+              if args.config else {})
+    values.update((k, v) for k, v in vars(args).items()
+                  if k in _KEYS and v is not None)
+    _, runner, shown = _RUNS[args.command]
+    _print(shown(runner(ExperimentConfig(values))))
+    return 0
+
+
 def cmd_cf(args) -> int:
     if args.max_q < 1:
         raise ValueError(f"--max-q must be >= 1, got {args.max_q}")
-    omega = Frequency.parse(args.freq, _bits(args))
+    omega = Frequency.parse(args.frequency, args.precision_bits or DEFAULT_BITS)
     cf = expand_cf(omega, max_q=args.max_q)
     _print(cf.to_json())
     return 0
 
 
 def cmd_classify(args) -> int:
-    cf = expand_cf(Frequency.parse(args.freq, _bits(args)), max_q=args.max_q)
+    omega = Frequency.parse(args.frequency, args.precision_bits or DEFAULT_BITS)
+    cf = expand_cf(omega, max_q=args.max_q)
     rep = classify(cf, k_max=args.k_max)
     _print({
         "gamma_sdc": rep.gamma_sdc,
@@ -77,68 +111,8 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_rate(args) -> int:
-    cfg = _load_config(args, {
-        "system": args.system, "observable": args.observable,
-        "schedule": args.schedule, "grid": args.grid,
-        "envelope": args.envelope,
-    })
-    series = run_rate_experiment(cfg)
-    _print({
-        "points": series.points,
-        "fitted_slope": series.fitted_slope,
-        "envelope_scale": series.envelope_scale,
-        "tail_ratio": series.tail_ratio,
-        "config_hash": series.config_hash,
-    })
-    return 0
-
-
-def cmd_kernel(args) -> int:
-    cfg = _load_config(args, {"frequencies": args.frequency,
-                              "n_values": _int_list(args.n_values),
-                              "max_q": args.max_q})
-    out = run_kernel_experiment(cfg)
-    _print({"max_ratio": out["max_ratio"], "within_cap": out["within_cap"],
-            "rows": len(out["rows"])})
-    return 0
-
-
-def cmd_approx(args) -> int:
-    sys_spec = resolve_system(args.system or "rotation1d:golden", _bits(args))
-    if sys_spec.dim > 1:
-        raise ConfigError(f"approx samples one-dimensional points only; --system "
-                          f"{args.system} has dimension {sys_spec.dim}")
-    phi = resolve_observable(args.observable, sys_spec)
-    rows = approximation_errors(phi, _int_list(args.n_values))
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        emit_csv(rows, out / "approx.csv")
-    _print(rows)
-    return 0
-
-
-def cmd_sharp(args) -> int:
-    cfg = _load_config(args, {"frequency": args.frequency, "alpha": args.alpha,
-                              "m_values": _int_list(args.m_values)})
-    out = run_sharpness_experiment(cfg)
-    _print(out)
-    return 0
-
-
-def cmd_skew(args) -> int:
-    cfg = _load_config(args, {"frequency": args.frequency, "d": args.d,
-                              "k": _int_list(args.k),
-                              "n_values": _int_list(args.n_values)})
-    out = run_skew_experiment(cfg)
-    _print({"scale": out["scale"], "tail_ratio": out["tail_ratio"],
-            "rows": out["rows"]})
-    return 0
-
-
 def cmd_ostrowski(args) -> int:
-    omega = Frequency.parse(args.freq, _bits(args))
+    omega = Frequency.parse(args.frequency, args.precision_bits or DEFAULT_BITS)
     cf = expand_cf(omega, max_q=max(args.n, 2))
     digits = ostrowski_digits(cf, args.n)
     _print({"N": args.n, "digits": digits,
@@ -170,58 +144,31 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=CONFIG_GRAMMAR,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("--config", help="flat key=value config file")
-    ap.add_argument("--precision-bits", type=int, dest="precision_bits")
-    ap.add_argument("--out-dir", dest="out_dir")
-    ap.add_argument("--format", choices=["csv", "json", "both"])
+    ap.add_argument("--config", help="flat key=value config file of a run")
+    for key in _TOP_KEYS:
+        _add_key_flag(ap, key)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cf", help="continued-fraction expansion")
-    p.add_argument("--freq", required=True)
+    p.add_argument("--frequency", required=True)
     p.add_argument("--max-q", type=int, default=10 ** 4)
     p.set_defaults(fn=cmd_cf)
 
     p = sub.add_parser("classify", help="Diophantine classification report")
-    p.add_argument("--freq", required=True)
+    p.add_argument("--frequency", required=True)
     p.add_argument("--max-q", type=int, default=10 ** 6)
     p.add_argument("--k-max", type=int, default=10 ** 4)
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("rate", help="Birkhoff-rate sweep against an envelope")
-    p.add_argument("--system")
-    p.add_argument("--observable")
-    p.add_argument("--schedule")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--envelope")
-    p.set_defaults(fn=cmd_rate)
-
-    p = sub.add_parser("kernel", help="averaged exponential-sum ratios")
-    p.add_argument("--frequency", action="append")
-    p.add_argument("--n-values")
-    p.add_argument("--max-q", type=int)
-    p.set_defaults(fn=cmd_kernel)
-
-    p = sub.add_parser("approx", help="trigonometric approximation errors")
-    p.add_argument("--observable", default="dist_pow:0.5")
-    p.add_argument("--system")
-    p.add_argument("--n-values", default="16,32,64,128")
-    p.set_defaults(fn=cmd_approx)
-
-    p = sub.add_parser("sharp", help="lacunary lower-bound measurements")
-    p.add_argument("--frequency")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--m-values")
-    p.set_defaults(fn=cmd_sharp)
-
-    p = sub.add_parser("skew", help="skew-product character sums vs envelope")
-    p.add_argument("--frequency")
-    p.add_argument("--d", type=int)
-    p.add_argument("--k")
-    p.add_argument("--n-values")
-    p.set_defaults(fn=cmd_skew)
+    for run, (help_text, _, _) in _RUNS.items():
+        p = sub.add_parser(run, help=help_text)
+        for key, (_, runs) in _KEYS.items():
+            if run in runs.split() and key not in _TOP_KEYS:
+                _add_key_flag(p, key)
+        p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("ostrowski", help="mixed-radix digits of an integer")
-    p.add_argument("--freq", required=True)
+    p.add_argument("--frequency", required=True)
     p.add_argument("-n", type=int, required=True)
     p.set_defaults(fn=cmd_ostrowski)
 
@@ -235,6 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a top-level flag the command does not read is refused, not dropped,
+        # and one it reads is checked as its config key
+        for key in ("config", *_TOP_KEYS):
+            readers = _RUNS if key == "config" else _KEYS[key][1].split()
+            if getattr(args, key) is not None and args.command not in readers:
+                raise ConfigError(f"{args.command} does not read {_flag(key)}")
+        ExperimentConfig({k: getattr(args, k) for k in _TOP_KEYS
+                          if getattr(args, k) is not None}).start(args.command)
         return args.fn(args)
     except (ErgorateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

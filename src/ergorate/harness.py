@@ -27,8 +27,8 @@ from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                        sup_deviation)
 from .envelopes import Envelope, fit_scale, weyl_bound
 from .errors import ConfigError, Timeout
-from .kernels import (Observable, make_dist_pow, make_observable,
-                      make_separable, random_real_trigpoly)
+from .kernels import (Observable, approximation_errors, make_dist_pow,
+                      make_observable, make_separable, random_real_trigpoly)
 from .sharpness import AnalyticWeight, HolderWeight, build_lacunary
 
 CONFIG_GRAMMAR = """\
@@ -43,7 +43,10 @@ Keys are [a-z_][a-z0-9_]* strings.  Values are typed by shape:
     true / false         -> bool
     [v1, v2, ...]        -> list of the above
     anything else        -> string (quotes optional, stripped)
-A key appears once.  Serialization orders keys alphabetically, so
+A comma or # inside double quotes is text: a list splits only at commas,
+and a comment starts only at a #, outside them.  Inside quotes, "" is one
+". Text holds no line break.  A key appears once.  Serialization orders
+keys alphabetically and quotes text where needed, so
 parse(serialize(cfg)) == cfg.
 """
 
@@ -51,7 +54,7 @@ parse(serialize(cfg)) == cfg.
 def _parse_scalar(text: str):
     t = text.strip()
     if t.startswith('"') and t.endswith('"') and len(t) >= 2:
-        return t[1:-1]
+        return t[1:-1].replace('""', '"')
     if t in ("true", "false"):
         return t == "true"
     for cast in (int, float):
@@ -67,31 +70,42 @@ def _format_scalar(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, str):
-        needs_quote = v != v.strip() or v in ("true", "false") or "," in v
-        try:
-            float(v)
-            needs_quote = True
-        except ValueError:
-            pass
-        return f'"{v}"' if needs_quote else v
+    if isinstance(v, str):  # quoted where it would read back as another value
+        if (v and _parse_scalar(v) == v and v[:1] + v[-1:] != "[]"
+                and not any(c in v for c in ',"#')):
+            return v
+        return '"' + v.replace('"', '""') + '"'
     return str(v)
 
 
-# Each config key: its type and domain, and the runs that read it.  A number is
-# read as a float; a list key takes a lone value as a list of one, each item in
-# the domain.
-_EVERY_RUN = "rate kernel sharp skew"
+def _split_unquoted(text: str, sep: str) -> list:
+    """text cut at each sep that lies outside double quotes."""
+    parts, start, quoted = [], 0, False
+    for i, c in enumerate(text):
+        if c == '"':
+            quoted = not quoted
+        elif c == sep and not quoted:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
+
+
+# Each config key: its type and domain, and the commands that read it.  A
+# number is read as a float; a list key takes a lone value as a list of one,
+# each item in the domain.  Each key is also the flag --<key> (with _ as -) of
+# the runs that read it; a key every run reads is a top-level flag, which the
+# other commands in its row read too.
+_EVERY_RUN = "rate kernel approx sharp skew"
 _KEYS = {
-    "precision_bits": ("int in [64, inf)", _EVERY_RUN),
+    "precision_bits": ("int in [64, inf)", _EVERY_RUN + " cf classify ostrowski"),
     "budget_s": ("number in (0, inf)", _EVERY_RUN),
-    "out_dir": ("text", _EVERY_RUN),
+    "out_dir": ("text", _EVERY_RUN + " scenario"),
     "format": ("text in {csv, json, both}", _EVERY_RUN),
-    "system": ("text", "rate"), "observable": ("text", "rate"),
+    "system": ("text", "rate approx"), "observable": ("text", "rate approx"),
     "schedule": ("text", "rate"), "envelope": ("text", "rate"),
     "grid": ("int in [16, inf)", "rate"), "timings": ("bool", "rate"),
     "frequencies": ("nonempty text list", "kernel"),
-    "n_values": ("nonempty int list in [1, inf)", "kernel skew"),
+    "n_values": ("nonempty int list in [1, inf)", "kernel approx skew"),
     "max_q": ("int in [2, inf)", "kernel"),
     "ratio_cap": ("number in (0, inf)", "kernel"),
     "frequency": ("text", "sharp skew"),
@@ -128,7 +142,7 @@ class ExperimentConfig:
         run's budget check, which raises Timeout once budget_s has passed."""
         for key in self.values:
             if run not in _KEYS.get(key, ("", ""))[1].split():
-                raise ConfigError(f"a {run} run does not read config key {key}")
+                raise ConfigError(f"{run} does not read config key {key}")
             self.get(key)
         budget, t0 = self.get("budget_s"), time.monotonic()
 
@@ -173,7 +187,7 @@ class ExperimentConfig:
     def parse(text: str) -> "ExperimentConfig":
         values: dict = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _split_unquoted(raw, "#")[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -186,7 +200,8 @@ class ExperimentConfig:
             if body.startswith("[") and body.endswith("]"):
                 inner = body[1:-1].strip()
                 values[key] = (
-                    [_parse_scalar(x) for x in inner.split(",")] if inner else []
+                    [_parse_scalar(x) for x in _split_unquoted(inner, ",")]
+                    if inner else []
                 )
             else:
                 values[key] = _parse_scalar(body)
@@ -393,6 +408,24 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
              "config_hash": cfg.config_hash()}
     _maybe_emit(cfg, "kernel", rows, extra={"max_ratio": max_ratio, "cap": cap})
     return table
+
+
+def run_approx_experiment(cfg: ExperimentConfig) -> list:
+    """The sup distance from the observable to its degree-n Jackson
+    smoothing (kernels.approximate), one row per n."""
+    check_budget = cfg.start("approx")
+    system = cfg.get("system", "rotation1d:golden")
+    sys = resolve_system(system, cfg.get("precision_bits", DEFAULT_BITS))
+    if sys.dim > 1:
+        raise ConfigError(f"approx samples one-dimensional points only; system "
+                          f"{system} has dimension {sys.dim}")
+    phi = resolve_observable(cfg.get("observable", "dist_pow:0.5"), sys)
+    rows = []
+    for n in cfg.get("n_values", [16, 32, 64, 128]):
+        rows += approximation_errors(phi, [n])
+        check_budget()
+    _maybe_emit(cfg, "approx", rows, extra={})
+    return rows
 
 
 def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:

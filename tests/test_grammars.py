@@ -3,10 +3,12 @@ frequencies and config files.  Every parameter a key accepts is one the run
 reads, and every config key one its run reads, inside the key's domain;
 anything else is refused with exit code 2 and a one-line error naming it."""
 
+import argparse
 import dataclasses
 import io
 import math
 import os
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -14,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergorate.arithmetic import Frequency, expand_cf
+from ergorate.cli import build_parser
 from ergorate.cli import main as cli_main
 from ergorate.envelopes import Envelope
 from ergorate.errors import ErgorateError
-from ergorate.harness import resolve_observable, resolve_system
+from ergorate.harness import (_EVERY_RUN, _KEYS, ExperimentConfig,
+                              resolve_observable, resolve_system)
 
 RATE = ["rate", "--system", "rotation1d:golden", "--schedule",
         "list:100,200,300,400", "--grid", "64"]
@@ -34,9 +38,57 @@ RUNS = {
               "alpha": "0.5", "m_values": "[6]"},
     "skew": {"frequency": "golden", "d": "2", "k": "[1, 0]",
              "n_values": "[100]", "eps": "0.05", "x_batch": "1", "seed": "7"},
+    "approx": {"system": "rotation1d:golden", "observable": "dist_pow:0.5",
+               "n_values": "[16, 32]"},
 }
 EVERY_RUN = {"precision_bits": "192", "budget_s": "60", "out_dir": "out",
              "format": "both"}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _flags(values):
+    """{flag: text} that sets each key to its config-file text: a list's
+    items comma-separated, so the text list of RUNS holds one item."""
+    return {_flag(k): ",".join(v[1:-1].split(", ")) if v.startswith("[") else v
+            for k, v in values.items()}
+
+
+TOP_FLAGS = _flags(EVERY_RUN)
+
+
+def _argv(command, flags):
+    """argv from {flag: value}: top-level flags first, a None value a bare
+    flag, a None flag the positional, and each value after `=`, so that a
+    value such as -inf is not read as an option."""
+    top = [f"{f}={v}" for f, v in flags.items() if f in TOP_FLAGS]
+    own = [v if f is None else f if v is None else f"{f}={v}"
+           for f, v in flags.items() if f not in TOP_FLAGS]
+    return top + [command] + own
+
+
+def _capped_main(directory, argv, cap_s=60):
+    """cli.main(argv) run in directory under a SIGALRM cap: its exit code,
+    argparse's included, and its stderr."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} outlasted its {cap_s} s cap")
+
+    cwd, handler = os.getcwd(), signal.signal(signal.SIGALRM, expire)
+    os.chdir(directory)
+    signal.alarm(cap_s)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            try:
+                rc = cli_main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+        os.chdir(cwd)
+    return rc, err.getvalue()
 
 
 def _config_argv(directory, run, key, value):
@@ -277,16 +329,121 @@ def test_generated_configs(tmp_path_factory, run, data):
     own = [reads[key]] if key in reads else []
     value = data.draw(st.sampled_from(own + CONFIG_VALUES))
     directory = tmp_path_factory.mktemp(run)
-    cwd = os.getcwd()
-    os.chdir(directory)
-    try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-            rc = cli_main(_config_argv(directory, run, key, value))
-    finally:
-        os.chdir(cwd)
-    err = err.getvalue()
+    rc, err = _capped_main(directory, _config_argv(directory, run, key, value))
     assert rc in (0, 2), (key, value, rc)
     assert "Traceback" not in err
     if rc == 2:
         assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
         assert sorted(os.listdir(directory)) == ["run.cfg"]
+
+
+# the flags of the commands that are not runs, each with a cheap valid value;
+# None is scenario's positional name
+OTHER_COMMANDS = {
+    "cf": {"--frequency": "golden", "--max-q": "100"},
+    "classify": {"--frequency": "golden", "--max-q": "1000", "--k-max": "100"},
+    "ostrowski": {"--frequency": "golden", "-n": "29"},
+    "scenario": {None: "cf_suite", "--verbose": None},
+}
+ARGV_VALUES = ["1", "2", "0.5", "2.5", "true", "nan", "inf", "-inf", "0",
+               "-1", "", "junk", "1,a", "1,2", "golden"]
+# flags of no command, and a flag and an abbreviation of some commands only
+OTHER_FLAGS = ["--gap-constant", "--sytem", "--junk", "--alpha", "--freq"]
+
+
+@pytest.mark.parametrize("command", sorted(RUNS) + sorted(OTHER_COMMANDS))
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(data=st.data())
+def test_generated_argv(tmp_path_factory, command, data):
+    # one flag of the command, a top-level flag or an unread one, set to a
+    # cheap valid value or a malformed one, on top of a cheap valid argv
+    flags = (_flags({**EVERY_RUN, **RUNS[command]}) if command in RUNS
+             else dict(OTHER_COMMANDS[command]))
+    flag = data.draw(st.sampled_from(
+        sorted(flags, key=str) + sorted(set(TOP_FLAGS) - set(flags))
+        + OTHER_FLAGS))
+    own = [v for v in (flags.get(flag), TOP_FLAGS.get(flag)) if v is not None]
+    flags[flag] = data.draw(st.sampled_from(own + ARGV_VALUES))
+    directory = tmp_path_factory.mktemp(command)
+    argv = _argv(command, flags)
+    rc, err = _capped_main(directory, argv)
+    assert rc in (0, 2), (argv, rc)
+    assert "Traceback" not in err
+    if rc == 2:
+        assert err.count("error:") == 1, err
+        assert os.listdir(directory) == [], argv
+
+
+@pytest.mark.parametrize("run,change", [(run, {}) for run in sorted(RUNS)]
+                         + [("sharp", {"alpha": "1"})],
+                         ids=sorted(RUNS) + ["sharp-alpha-1"])
+def test_argv_and_config_file_write_the_same_files(tmp_path, run, change):
+    # --alpha 1 was the float 1.0 and the config's alpha = 1 the int 1, so
+    # the two runs wrote the same rows under two hashes
+    values = {**EVERY_RUN, **RUNS[run], **change}
+    written = []
+    for name, argv in [("argv", _argv(run, _flags(values))),
+                       ("config", ["--config", "run.cfg", run])]:
+        (tmp_path / name).mkdir()
+        if name == "config":
+            (tmp_path / name / "run.cfg").write_text(
+                "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert _capped_main(tmp_path / name, argv)[0] == 0, argv
+        out = tmp_path / name / "out"
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+    assert len(written[0]) == 3  # csv, json and the manifest
+
+
+def test_every_key_is_a_flag_of_exactly_the_runs_that_read_it():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(RUNS) == set(_EVERY_RUN.split())
+    for key, (_, readers) in _KEYS.items():
+        flag = _flag(key)
+        has = {run for run in RUNS if flag in parser._option_string_actions
+               or flag in commands[run]._option_string_actions}
+        assert has == set(readers.split()) & set(RUNS), key
+
+
+@pytest.mark.parametrize("argv,flag", [
+    # each exited 0 and dropped the flag
+    (["--config", "nosuch.cfg", "cf", "--freq", "golden"], "--config"),
+    (["--out-dir", "out", "cf", "--freq", "golden"], "--out-dir"),
+    (["--out-dir", "out", "classify", "--freq", "golden", "--max-q", "100"],
+     "--out-dir"),
+    (["--out-dir", "out", "ostrowski", "--freq", "golden", "-n", "5"],
+     "--out-dir"),
+    (["--format", "json", "scenario", "cf_suite"], "--format"),
+    (["--precision-bits", "256", "scenario", "cf_suite"], "--precision-bits"),
+    (["--config", "nosuch.cfg", "scenario", "cf_suite"], "--config"),
+    (["--budget-s", "10", "cf", "--freq", "golden"], "--budget-s"),
+])
+def test_a_top_level_flag_the_command_does_not_read(capsys, tmp_path,
+                                                    monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    _refused(capsys, argv, flag)
+    assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == []
+
+
+TEXT = st.text(alphabet='ab1.,"#[] =-\t', max_size=8)
+
+
+@GENERATED
+@given(st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                       st.one_of(TEXT, st.lists(TEXT, max_size=4))))
+def test_generated_text_round_trips(values):
+    # a list item with a comma was cut in two, and a # in a text ended it
+    cfg = ExperimentConfig(values)
+    assert ExperimentConfig.parse(cfg.serialize()).values == values
+
+
+def test_a_kernel_config_lists_frequencies_with_commas(capsys, tmp_path):
+    # each item was cut at its commas, so both exited 2
+    cfg = tmp_path / "kernel.cfg"
+    cfg.write_text('frequencies = [golden, "pq:rule:spike:7,1000", '
+                   '"surd:(-1,1,5,2)"]\nn_values = [100]\nmax_q = 300\n')
+    assert cli_main(["--config", str(cfg), "kernel"]) == 0
+    assert capsys.readouterr().err == ""

@@ -20,9 +20,9 @@ from ergorate.dynamics import GridSweep
 from ergorate.errors import ConfigError, Timeout, Uncertified
 from ergorate.harness import (ExperimentConfig, emit_csv, json_text,
                               resolve_observable, resolve_schedule,
-                              resolve_system, run_kernel_experiment,
-                              run_rate_experiment, run_sharpness_experiment,
-                              run_skew_experiment)
+                              resolve_system, run_approx_experiment,
+                              run_kernel_experiment, run_rate_experiment,
+                              run_sharpness_experiment, run_skew_experiment)
 
 
 KERNEL_RUN = {"frequencies": ["golden", "pq:rule:index"],
@@ -39,6 +39,7 @@ SMALL_RUNS = {
     "sharp": (run_sharpness_experiment, {"frequency": "pq:rule:spike:7,1000",
                                          "alpha": 0.5, "m_values": [6]}),
     "skew": (run_skew_experiment, dict(SKEW_RUN, n_values=[100])),
+    "approx": (run_approx_experiment, {"n_values": [16]}),
 }
 
 
@@ -518,6 +519,43 @@ class TestSkewExperiment:
         assert math.isnan(out["scale"]) and math.isnan(out["tail_ratio"])
 
 
+class TestApproxExperiment:
+    def test_the_budget_is_checked_once_per_degree(self, monkeypatch):
+        # approx read no budget: a huge degree ran on past any budget_s
+        degrees = []
+
+        def errors(phi, ns):
+            degrees.extend(ns)
+            return [{"n": n} for n in ns]
+
+        monkeypatch.setattr(harness, "approximation_errors", errors)
+        with pytest.raises(Timeout, match="approx"):
+            run_approx_experiment(ExperimentConfig(
+                {"n_values": [16, 32], "budget_s": 1e-9}))
+        assert degrees == [16]
+
+    def test_rows_and_manifest_are_emitted(self, tmp_path):
+        # approx wrote an unhashed approx.csv and no manifest
+        cfg = ExperimentConfig({"observable": "dist_pow:0.5",
+                                "n_values": [16, 32], "out_dir": str(tmp_path),
+                                "format": "both"})
+        rows = run_approx_experiment(cfg)
+        stem = f"approx-{cfg.config_hash()}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{stem}-manifest.json", f"{stem}.csv", f"{stem}.json"]
+        manifest = _strict_json((tmp_path / f"{stem}-manifest.json").read_text())
+        assert manifest["kind"] == "approx" and manifest["config"] == cfg.values
+        assert json.loads((tmp_path / f"{stem}.json").read_text()) == rows
+        assert [r["n"] for r in rows] == [16, 32]
+
+    def test_defaults(self):
+        rows = run_approx_experiment(ExperimentConfig())
+        assert [r["n"] for r in rows] == [16, 32, 64, 128]
+        assert rows == run_approx_experiment(ExperimentConfig({
+            "system": "rotation1d:golden", "observable": "dist_pow:0.5",
+            "n_values": [16, 32, 64, 128]}))
+
+
 class TestSharpnessExperiment:
     def test_spike_verdicts(self):
         cfg = ExperimentConfig({
@@ -760,7 +798,7 @@ class TestCli:
         assert list(tmp_path.glob("rate-*.csv"))
 
     def test_kernel(self, capsys):
-        rc = cli_main(["kernel", "--frequency", "golden",
+        rc = cli_main(["kernel", "--frequencies", "golden",
                        "--n-values", "1000", "--max-q", "100"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
@@ -884,7 +922,7 @@ class TestCli:
         assert "nosuch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["kernel", "--frequency", "golden", "--n-values", "1,a"],
+        ["kernel", "--frequencies", "golden", "--n-values", "1,a"],
         ["sharp", "--frequency", "golden", "--m-values", "1,a"],
         ["skew", "--frequency", "golden", "--d", "2", "--k", "1,a"],
         ["skew", "--frequency", "golden", "--d", "2", "--k", "1,0",
@@ -909,12 +947,13 @@ class TestCli:
         rc = cli_main(["--out-dir", str(out), "approx",
                        "--observable", "dist_pow:0.5", "--n-values", "16"])
         assert rc == 0
-        assert (out / "approx.csv").read_text().startswith("n,")
+        (csv,) = out.glob("approx-*.csv")
+        assert csv.read_text().startswith("n,")
 
     @pytest.mark.parametrize("argv,needle", [
-        (["kernel", "--frequency", "golden", "--n-values", "1000",
+        (["kernel", "--frequencies", "golden", "--n-values", "1000",
           "--max-q", "0"], "max_q"),
-        (["kernel", "--frequency", "golden", "--n-values", "1000",
+        (["kernel", "--frequencies", "golden", "--n-values", "1000",
           "--max-q", "1"], "max_q"),
         (["--precision-bits", "0", "cf", "--freq", "golden"], "bits"),
         (["--precision-bits", "0", "rate", "--system", "rotation1d:golden",
