@@ -546,83 +546,22 @@ def _freeze(omega, a_list, p_list, q_list, terminated,
 # ---------------------------------------------------------------------------
 
 
-def is_best_approximation(cf: ContinuedFraction, q: int) -> bool:
-    """True iff q is a certified convergent denominator of cf.omega.
+def closest_return(omega: Frequency, q: int) -> int:
+    """min over 1 <= j < q of ||j omega||, by an exact scan, as a numerator
+    over 2**bits; 2**bits (a distance of 1) when q = 1 leaves no j.
 
-    q = 1 is vacuously a best approximation (no smaller candidates).
+    q is a best approximation iff this exceeds ||q omega||, and the gap
+    lemma ||j omega|| > 1/(2 q) holds iff it exceeds 2**bits / (2 q).
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    top = cf.q[cf.certified_len - 1] if cf.certified_len else 0
-    top = max(top, cf.max_q_searched or 0)
-    if q == 1:
-        return True
-    if q > top and not cf.terminated:
-        raise Uncertified(f"q={q} exceeds certified denominators (max {top})")
-    return q in set(cf.q[: cf.certified_len])
-
-
-def exhaustive_best_check(omega: Frequency, q: int) -> bool:
-    """Direct scan: ||j*omega|| > ||q*omega|| for all 1 <= j < q."""
     w = omega.fixed_point()
     one = 1 << omega.fractional_bits
-    half = one >> 1
-
-    def num(j):
-        v = (j * w) & (one - 1)
-        return min(v, one - v)
-
-    target = num(q)
+    closest = one
     t = 0
-    for j in range(1, q):
-        t = t + w  # exact accumulation of j*w
+    for _ in range(1, q):
+        t += w  # exact accumulation of j*w
         v = t & (one - 1)
-        if min(v, one - v) <= target:
-            return False
-    return True
-
-
-def gap_lower_bound_check(cf: ContinuedFraction, n: int, *,
-                          exhaustive_limit: int = 20000,
-                          samples: int = 4096, seed: int = 7) -> dict:
-    """Check ||j*omega|| > 1/(2 q_n) for 1 <= |j| < q_n.
-
-    Exhaustive below `exhaustive_limit`; above it a seeded sample of j values
-    is scanned and the threshold is recorded in the report.
-    """
-    if n > cf.certified_len:
-        raise Uncertified(f"index {n} beyond certified prefix")
-    omega = cf.omega
-    w = omega.fixed_point()
-    one = 1 << omega.fractional_bits
-    qn = cf.q_at(n)
-    bound_num = one // (2 * qn)  # compare numerators: ||j w|| > 1/(2 q_n)
-
-    exhaustive = qn <= exhaustive_limit
-    if exhaustive:
-        js = list(range(1, qn))
-    else:
-        import random
-
-        rng = random.Random(seed)
-        js = sorted(rng.sample(range(1, qn), min(samples, qn - 1)))
-    ok = True
-    min_margin = math.inf  # min over tested j of ||j w|| * 2 q_n (must stay > 1)
-    for j in js:
-        v = (j * w) & (one - 1)
-        v = min(v, one - v)
-        min_margin = min(min_margin, v * 2 * qn / one)
-        if v * 2 * qn <= one:  # exact integer comparison
-            ok = False
-            break
-    return {
-        "ok": ok,
-        "q_n": qn,
-        "exhaustive": exhaustive,
-        "threshold": exhaustive_limit,
-        "checked": len(js),
-        "min_margin": min_margin,
-    }
+        closest = min(closest, v, one - v)
+    return closest
 
 
 def find_convergent_at_scale(cf: ContinuedFraction, N: int) -> tuple[int, int]:
@@ -749,11 +688,3 @@ def ostrowski_digits(cf: ContinuedFraction, N: int) -> list[int]:
     while len(digits) > 1 and digits[-1] == 0:
         digits.pop()
     return digits
-
-
-def ostrowski_value(cf: ContinuedFraction, digits: Sequence[int]) -> int:
-    """Reconstruct the integer encoded by Ostrowski digits."""
-    total = digits[0] if digits else 0
-    for n in range(1, len(digits)):
-        total += digits[n] * cf.q_at(n)
-    return total

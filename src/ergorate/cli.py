@@ -17,8 +17,8 @@ from pathlib import Path
 from .arithmetic import (DEFAULT_BITS, Frequency, classify, expand_cf,
                          ostrowski_digits)
 from .errors import ConfigError, ErgorateError
-from .harness import (_KEYS, CONFIG_GRAMMAR, ExperimentConfig, _parse_scalar,
-                      emit_json, json_text,
+from .harness import (_KEYS, CONFIG_GRAMMAR, ExperimentConfig, _fits,
+                      _parse_scalar, emit_json, json_text,
                       run_approx_experiment, run_kernel_experiment,
                       run_rate_experiment, run_sharpness_experiment,
                       run_skew_experiment)
@@ -65,6 +65,19 @@ def _add_key_flag(parser, key: str) -> None:
     parser.add_argument(_flag(key), dest=key, help=shape, **kw)
 
 
+def _add_int_flag(parser, flag: str, shape: str, **kw) -> None:
+    """An int flag of a command that is not a run, parsed as a run flag is.
+    A value not of `shape` ("int", or "int in <domain>") raises ConfigError,
+    which argparse lets through to main: one error line, exit code 2."""
+    def parse(text):
+        v = _parse_scalar(text)
+        if not _fits(v, "int", shape.partition(" in ")[2]):
+            raise ConfigError(f"{flag} must be {shape}, got {v!r}")
+        return v
+
+    parser.add_argument(flag, type=parse, help=shape, **kw)
+
+
 def _print(out) -> None:
     """Print text, or any other value as strict JSON.  Once a reader has
     closed stdout early, print to devnull: the command still finishes its run,
@@ -87,8 +100,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_cf(args) -> int:
-    if args.max_q < 1:
-        raise ValueError(f"--max-q must be >= 1, got {args.max_q}")
     omega = Frequency.parse(args.frequency, args.precision_bits or DEFAULT_BITS)
     cf = expand_cf(omega, max_q=args.max_q)
     _print(cf.to_json())
@@ -151,13 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf", help="continued-fraction expansion")
     p.add_argument("--frequency", required=True)
-    p.add_argument("--max-q", type=int, default=10 ** 4)
+    _add_int_flag(p, "--max-q", "int in [1, inf)", default=10 ** 4)
     p.set_defaults(fn=cmd_cf)
 
     p = sub.add_parser("classify", help="Diophantine classification report")
     p.add_argument("--frequency", required=True)
-    p.add_argument("--max-q", type=int, default=10 ** 6)
-    p.add_argument("--k-max", type=int, default=10 ** 4)
+    _add_int_flag(p, "--max-q", "int", default=10 ** 6)
+    _add_int_flag(p, "--k-max", "int", default=10 ** 4)
     p.set_defaults(fn=cmd_classify)
 
     for run, (help_text, _, _) in _RUNS.items():
@@ -169,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ostrowski", help="mixed-radix digits of an integer")
     p.add_argument("--frequency", required=True)
-    p.add_argument("-n", type=int, required=True)
+    _add_int_flag(p, "-n", "int", required=True)
     p.set_defaults(fn=cmd_ostrowski)
 
     p = sub.add_parser("scenario", help="run a named verification scenario")
@@ -180,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # a top-level flag the command does not read is refused, not dropped,
         # and one it reads is checked as its config key
         for key in ("config", *_TOP_KEYS):

@@ -14,17 +14,16 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arithmetic import ContinuedFraction
-from .errors import DomainError, Uncertified
+from .errors import DomainError
 
 # fit_scale's tail: the trailing third of the points
 _TAIL_FRACTION = 1.0 / 3.0
 
 # each envelope kind and the parameters its shape reads; a text key may
-# set only these, and `modulus`, an object, never comes from text
+# set only these
 _READS = {"dk": ("alpha",), "sdc": ("alpha",), "beta": ("alpha",),
           "dc": ("alpha", "A"), "transd": ("alpha", "A", "d"),
-          "skew": ("alpha", "d", "eps"), "modulus": ("modulus",)}
+          "skew": ("alpha", "d", "eps")}
 
 
 @dataclass
@@ -36,7 +35,6 @@ class Envelope:
     A: Optional[float] = None
     d: Optional[int] = None
     eps: float = 0.05
-    modulus: Optional[object] = None
     scale: float = 1.0
 
     def __post_init__(self):
@@ -71,15 +69,10 @@ class Envelope:
             return (ln / N) ** (a / self.A)
         if self.kind == "beta":
             return ln ** -a
-        if self.kind == "modulus":
-            # argument only drops below 1/2 near N ~ 2e4; the shape is a
-            # usable comparison curve from there, monotone from N > e^4
-            return self.modulus(ln ** 4 / N)
         if self.kind == "transd":
             return N ** (-a / (self.A + self.d))
         if self.kind == "skew":
-            delta = 2.0 ** (1 - self.d)
-            return N ** (-(a * delta / (delta + self.d)) + self.eps)
+            return N ** (-skew_exponent(a, self.d) + self.eps)
         raise AssertionError
 
     def value(self, N: int) -> float:
@@ -90,7 +83,7 @@ class Envelope:
         """Parse e.g. "sdc:alpha=0.5" or "skew:alpha=0.5,d=2,eps=0.05"; a
         name the kind's shape does not read is refused."""
         kind, _, body = text.partition(":")
-        textual = {p for reads in _READS.values() for p in reads} - {"modulus"}
+        textual = {p for reads in _READS.values() for p in reads}
         kwargs = {}
         for item in body.split(",") if body else ():
             key, _, val = item.partition("=")
@@ -146,49 +139,3 @@ def fit_scale(series: Sequence, env: Envelope) -> tuple[float, float]:
     tail = max(1, int(len(pts) * _TAIL_FRACTION))
     tail_ratio = max(ratios[-tail:]) / scale
     return scale, tail_ratio
-
-
-@dataclass
-class SumQsResult:
-    s: int
-    n: int              # q_s, the scale entering the right-hand shape
-    exact_sum: float
-    shape_value: float
-
-
-def sum_qs_bound(cf: ContinuedFraction, s: int, alpha: float,
-                 regime: str, A: Optional[float] = None,
-                 beta: Optional[float] = None) -> SumQsResult:
-    """Exact partial sums sum_{j<=s} q_{j+1} log q_{j+1} / q_j**alpha
-    against the regime's closed-form growth shape at n = q_s.
-
-    regime: "sdc" -> n^(1-alpha) log^3(n+1)
-            "dc"  -> n^(A-alpha) log(n+1)
-            "beta"-> e^(beta n) n^(1-alpha)
-    Shapes use log(n+1) (as the chain of estimates does before absorbing
-    constants), which keeps the s = 1, q_1 = 1 case nondegenerate.
-    """
-    if s + 1 > cf.certified_len:
-        raise Uncertified(f"need certified q_{s + 1}")
-    total = 0.0
-    for j in range(1, s + 1):
-        qj, qj1 = cf.q_at(j), cf.q_at(j + 1)
-        # log-space to survive huge denominators
-        expo = math.log(qj1) - alpha * math.log(qj)
-        total += math.inf if expo > 700 else math.exp(expo) * math.log(qj1)
-    n = cf.q_at(s)
-    ln1 = math.log(n + 1)
-    if regime == "sdc":
-        shape = n ** (1 - alpha) * ln1 ** 3
-    elif regime == "dc":
-        if A is None:
-            raise ValueError("dc regime needs A")
-        shape = n ** (A - alpha) * ln1
-    elif regime == "beta":
-        if beta is None:
-            raise ValueError("beta regime needs beta")
-        expo = beta * n + (1 - alpha) * math.log(n)
-        shape = math.inf if expo > 700 else math.exp(expo)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    return SumQsResult(s=s, n=n, exact_sum=total, shape_value=shape)

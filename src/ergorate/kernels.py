@@ -53,33 +53,6 @@ class Holder(ModulusOfContinuity):
         return h ** self.alpha if h > 0 else 0.0
 
 
-class WeakHolder(ModulusOfContinuity):
-    """w(h) = exp(-alpha * log(1/h)**kappa), valid for h in [0, 1)."""
-
-    def __init__(self, alpha: float, kappa: float):
-        if not (0 < alpha <= 1 and 0 < kappa <= 1):
-            raise ValueError("alpha, kappa must be in (0, 1]")
-        self.alpha = alpha
-        self.kappa = kappa
-
-    def __call__(self, h):
-        if h <= 0:
-            return 0.0
-        if h >= 1:
-            return 1.0
-        return math.exp(-self.alpha * math.log(1.0 / h) ** self.kappa)
-
-
-class LogHolder(ModulusOfContinuity):
-    """w(h) = 1 / log(1/h); increasing and concave for h <= e**-2."""
-
-    def __call__(self, h):
-        if h <= 0:
-            return 0.0
-        h = min(h, math.exp(-2.0))
-        return 1.0 / math.log(1.0 / h)
-
-
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------
@@ -448,32 +421,6 @@ def jackson_d(n: int, d: int) -> TrigPoly:
 # ---------------------------------------------------------------------------
 
 
-def fourier_coefficient(phi: Observable, k, quad_points: Optional[int] = None) -> complex:
-    """Uniform-grid quadrature of the defining integral (approximate).
-
-    Exact for trig polynomials whenever quad_points outruns the spectrum
-    (no aliasing); O(w(1/Q)) error otherwise.
-    """
-    if isinstance(k, int):
-        k = (k,)
-    k = tuple(int(i) for i in k)
-    kmax = max((abs(i) for i in k), default=0)
-    Q = quad_points or max(64, 8 * max(kmax, 1))
-    if Q < 4 * max(kmax, 1):
-        raise ValueError("quad_points must be >= 4 * max(|k|, 1) per dimension")
-    if phi.dim == 1:
-        xs = np.arange(Q) / Q
-        vals = np.asarray(phi.fn(xs), dtype=float)
-        return complex(np.sum(vals * np.exp(-2j * math.pi * k[0] * xs)) / Q)
-    axes = [np.arange(Q) / Q] * phi.dim
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = np.asarray(phi.fn(mesh), dtype=float)
-    phase = np.zeros(vals.shape)
-    for i, ki in enumerate(k):
-        phase = phase + ki * mesh[..., i]
-    return complex(np.sum(vals * np.exp(-2j * math.pi * phase)) / Q ** phi.dim)
-
-
 def _grid_spectrum(phi: Observable, Q: int) -> np.ndarray:
     """All Fourier coefficients at once from an FFT of the sample grid."""
     if phi.dim == 1:
@@ -515,44 +462,3 @@ def approximation_errors(phi: Observable, ns: Sequence[int]) -> list:
         err = float(np.max(np.abs(ref - poly.eval(xs))))
         rows.append({"n": n, "sup_error": err, "n_coeffs": len(poly.coeffs)})
     return rows
-
-
-@dataclass
-class DecayReport:
-    max_ratio: float
-    argmax_k: tuple
-    k_max: int
-    ratios_checked: int
-
-
-def fc_decay_check(phi: Observable, k_max: int,
-                   quad_points: Optional[int] = None) -> DecayReport:
-    """Max over 2 <= |k| <= k_max of |phi_hat(k)| / (norm_est * w(1/|k|))."""
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
-    Q = quad_points or max(8 * k_max, 64)
-    spec = _grid_spectrum(phi, Q)
-    w = phi.modulus
-    worst = 0.0
-    argmax = (0,) * phi.dim
-    checked = 0
-    if phi.dim == 1:
-        for k in range(2, k_max + 1):
-            for kk in (k, -k):
-                ratio = abs(spec[kk % Q]) / (phi.norm_est * w(1.0 / k))
-                checked += 1
-                if ratio > worst:
-                    worst, argmax = ratio, (kk,)
-    else:
-        rng = range(-k_max, k_max + 1)
-        for k in itertools.product(*([rng] * phi.dim)):
-            kn = max(abs(i) for i in k)
-            if kn < 2:
-                continue
-            idx = tuple(i % Q for i in k)
-            ratio = abs(spec[idx]) / (phi.norm_est * w(1.0 / kn))
-            checked += 1
-            if ratio > worst:
-                worst, argmax = ratio, k
-    return DecayReport(max_ratio=worst, argmax_k=argmax, k_max=k_max,
-                       ratios_checked=checked)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import sharpness
 from .arithmetic import (DecimalString, Frequency, PartialQuotients,
-                         expand_cf, golden_mean, sqrt2_minus_1)
+                         closest_return, expand_cf, golden_mean, sqrt2_minus_1)
 from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                        birkhoff_sum, char_birkhoff_skew, grid_point, iterate,
                        step, sup_deviation)
@@ -24,9 +24,9 @@ from .errors import ErgorateError
 from .harness import (ExperimentConfig, resolve_observable, resolve_schedule,
                       resolve_system, run_kernel_experiment,
                       run_sharpness_experiment, run_skew_experiment)
-from .kernels import (approximation_errors, dirichlet, dirichlet_coeff_sum,
-                      fejer, fejer_coeff_sum, jackson, jackson_closed_form,
-                      make_dist_pow)
+from .kernels import (_grid_spectrum, approximation_errors, dirichlet,
+                      dirichlet_coeff_sum, fejer, fejer_coeff_sum, jackson,
+                      jackson_closed_form, make_dist_pow)
 from .sharpness import (HolderWeight, build_lacunary, closed_form_average,
                         measure_average, slow_rate_point)
 
@@ -86,14 +86,16 @@ def _field_oracle_gap(res, direct) -> float:
 
 
 def scenario_cf_suite() -> dict:
-    """Recurrences, approximation sandwich, doubling and exhaustive best-
-    approximation minimality over every certified q_n <= 1e4."""
+    """Recurrences, approximation sandwich, doubling, and over every
+    certified q_n <= 1e4 one exact scan of ||j w||, 1 <= j < q_n, for both
+    best-approximation minimality and the gap lemma ||j w|| > 1/(2 q_n)."""
     v = _Verdict("cf_suite", budget_s=10.0)
-    from .arithmetic import exhaustive_best_check
 
     for label, omega in _test_frequencies().items():
         cf = expand_cf(omega, max_q=10 ** 4)
         M = cf.certified_len
+        w = omega.fixed_point()
+        one = 1 << omega.fractional_bits
         v.details[label] = {"certified_len": M, "q_max": cf.q[-1] if M else 0}
         rec_ok = all(
             cf.p_at(n + 1) == cf.a_at(n + 1) * cf.p_at(n) + cf.p_at(n - 1)
@@ -104,8 +106,6 @@ def scenario_cf_suite() -> dict:
         doubling = all(cf.q_at(n + 2) >= 2 * cf.q_at(n) for n in range(1, M - 1))
         v.check(f"{label}: doubling q_(n+2) >= 2 q_n", doubling)
         if not cf.terminated:
-            w = omega.fixed_point()
-            one = 1 << omega.fractional_bits
             sandwich = True
             for n in range(1, M):
                 err = abs(cf.q_at(n) * w - cf.p_at(n) * one)  # |q_n w - p_n| * 2^bits
@@ -115,11 +115,19 @@ def scenario_cf_suite() -> dict:
                     sandwich = False
                     break
             v.check(f"{label}: sandwich 1/(2q') < |q w - p| < 1/q'", sandwich)
-        best_ok = all(
-            exhaustive_best_check(omega, cf.q_at(n))
-            for n in range(1, M + 1)
-        )
+        best_ok = gap_ok = True
+        margin = math.inf  # min of ||j w|| * 2 q_n; 2 at q_n = 1, with no j
+        for n in range(1, M + 1):
+            q = cf.q_at(n)
+            closest = closest_return(omega, q)
+            at_q = q * w % one
+            best_ok &= closest > min(at_q, one - at_q)
+            gap_ok &= closest * 2 * q > one  # exact integer comparison
+            margin = min(margin, closest * 2 * q / one)
+        v.details[label]["gap_min_margin"] = margin
         v.check(f"{label}: exhaustive best-approximation minimality", best_ok)
+        v.check(f"{label}: gap ||j w|| > 1/(2 q_n) for 1 <= j < q_n", gap_ok,
+                margin)
     return v.done()
 
 
@@ -218,15 +226,29 @@ def scenario_kernel_lemma() -> dict:
 
 
 def scenario_jackson() -> dict:
-    """Approximation error slope for ||x||^0.5 plus kernel identities."""
+    """Approximation error slope and Fourier decay for ||x||^0.5 plus kernel
+    identities."""
     v = _Verdict("jackson", budget_s=60.0)
+    phi = make_dist_pow(0.5)
     ns = [16, 32, 64, 128, 256]
-    errs = [row["sup_error"]
-            for row in approximation_errors(make_dist_pow(0.5), ns)]
+    errs = [row["sup_error"] for row in approximation_errors(phi, ns)]
     slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
     v.details["errors"] = dict(zip(ns, errs))
     v.details["slope"] = slope
     v.check("error slope in [-0.65, -0.35]", -0.65 <= slope <= -0.35, slope)
+
+    # the decay lemma |phi_hat(k)| <= ||phi|| w(1/|k|) / 2, at k = 2, -2, 3,
+    # -3, ..., from one FFT of 8 points per degree
+    k_max = ns[-1]
+    spec = _grid_spectrum(phi, 8 * k_max)
+    ks = [k for m in range(2, k_max + 1) for k in (m, -m)]
+    ratios = np.array([abs(spec[k]) / (phi.norm_est * phi.modulus(1.0 / abs(k)))
+                       for k in ks])
+    worst = float(np.max(ratios))  # NaN propagates and fails the check
+    v.details["decay_max_ratio"] = worst
+    v.details["decay_argmax_k"] = ks[int(np.argmax(ratios))]
+    v.check(f"Fourier decay |c_k| <= ||phi|| w(1/|k|) / 2 for 2 <= |k| <= {k_max}",
+            worst <= 0.5, worst)
 
     rng = np.random.default_rng(3)
     xs = rng.random(1000)

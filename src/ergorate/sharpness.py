@@ -2,9 +2,9 @@
 
 The witness is phi(x) = Re sum_k w_k e(q_k x) with modes at the convergent
 denominators q_k of the driving frequency and decreasing weights w_k
-(Holder q_k^-alpha, a general modulus w(1/q_k), or analytic e^-q_k).  The
-infinite series is replaced by a truncation whose tail is provably below a
-tolerance that sits far under every asserted lower bound.
+(Holder q_k^-alpha or analytic e^-q_k).  The infinite series is replaced by
+a truncation whose tail is provably below a tolerance that sits far under
+every asserted lower bound.
 
 Because mode frequencies reach 1e25 and beyond, all mode phases are reduced
 mod 1 in integer fixed point before any trigonometric evaluation; double
@@ -25,7 +25,7 @@ from .arithmetic import borel_bernstein_schedule  # noqa: F401 (re-export)
 from .dynamics import (_BLOCK_CELLS, TorusPoint, exp_sum_avg_fp,
                        limbs_from_ints, limbs_mul, limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified
-from .kernels import Holder, ModulusOfContinuity, Observable
+from .kernels import Holder, Observable
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,14 +53,6 @@ class HolderWeight:
 
     def __call__(self, q: int) -> float:
         return float(q) ** -self.alpha if q < 10 ** 300 else 0.0
-
-
-@dataclass(frozen=True)
-class ModulusWeight:
-    modulus: ModulusOfContinuity
-
-    def __call__(self, q: int) -> float:
-        return self.modulus(1.0 / q) if q < 10 ** 300 else 0.0
 
 
 @dataclass(frozen=True)
@@ -185,9 +177,7 @@ def build_lacunary(cf: ContinuedFraction, weight,
     total_tail = sum(ws[K:]) + beyond
 
     alpha = weight.alpha if isinstance(weight, HolderWeight) else None
-    modulus = Holder(alpha) if alpha else (
-        weight.modulus if isinstance(weight, ModulusWeight) else Holder(1.0)
-    )
+    modulus = Holder(alpha or 1.0)
     # rigorous seminorm bound: |phi(x+h)-phi(x)| <= sum w_k min(2, 2 pi q_k h),
     # summed left to right (np.max, not max: a NaN at any scale makes it NaN)
     q_f, w_f = np.array([float(min(q, 10 ** 200)) for q in qs]), np.array(weights)

@@ -7,15 +7,18 @@ from an exact fixed-point numerator and from a double by np.mod,
 Hermitian symmetry of trigonometric-polynomial coefficients, the pointwise
 grid field of a 1-d rotation in one fresh pass, the grid field of any
 system by one exact orbit per grid point, the closed-form grid field with
-every mode phase formed afresh, the lacunary direct sum one mode at a time
-and the lacunary seminorm bound by a scalar loop.
+every mode phase formed afresh, the lacunary direct sum one mode at a time,
+the lacunary seminorm bound by a scalar loop, one Fourier coefficient by
+its own quadrature sum, and the integer that Ostrowski digits encode.
 """
 
 import itertools
+import math
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ergorate.arithmetic import Frequency
+from ergorate.arithmetic import ContinuedFraction, Frequency
 from ergorate.dynamics import (SystemSpec, TorusPoint, birkhoff_sum,
                                exp_sum_avg_fp, grid_point, orbit_floats)
 from ergorate.kernels import Observable, TrigPoly
@@ -165,3 +168,37 @@ def lacunary_seminorm(phi: LacunaryObservable) -> float:
             bound += w * min(2.0, TWO_PI * float(min(q, 10 ** 200)) * h)
         semi = float(np.max([semi, bound / phi.modulus(h)]))
     return semi
+
+
+def fourier_coefficient(phi: Observable, k, quad_points: Optional[int] = None) -> complex:
+    """Uniform-grid quadrature of the defining integral (approximate).
+
+    Exact for trig polynomials whenever quad_points outruns the spectrum
+    (no aliasing); O(w(1/Q)) error otherwise.
+    """
+    if isinstance(k, int):
+        k = (k,)
+    k = tuple(int(i) for i in k)
+    kmax = max((abs(i) for i in k), default=0)
+    Q = quad_points or max(64, 8 * max(kmax, 1))
+    if Q < 4 * max(kmax, 1):
+        raise ValueError("quad_points must be >= 4 * max(|k|, 1) per dimension")
+    if phi.dim == 1:
+        xs = np.arange(Q) / Q
+        vals = np.asarray(phi.fn(xs), dtype=float)
+        return complex(np.sum(vals * np.exp(-2j * math.pi * k[0] * xs)) / Q)
+    axes = [np.arange(Q) / Q] * phi.dim
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    vals = np.asarray(phi.fn(mesh), dtype=float)
+    phase = np.zeros(vals.shape)
+    for i, ki in enumerate(k):
+        phase = phase + ki * mesh[..., i]
+    return complex(np.sum(vals * np.exp(-2j * math.pi * phase)) / Q ** phi.dim)
+
+
+def ostrowski_value(cf: ContinuedFraction, digits: Sequence[int]) -> int:
+    """The integer b_0 + sum_n b_n q_n encoded by Ostrowski digits."""
+    total = digits[0] if digits else 0
+    for n in range(1, len(digits)):
+        total += digits[n] * cf.q_at(n)
+    return total

@@ -98,3 +98,41 @@ def test_translation_2d_fails_closed_on_nan(monkeypatch):
     assert not verdict["passed"]
     stable = [c for c in verdict["checks"] if "scale stable" in c["label"]]
     assert len(stable) == 1 and not stable[0]["ok"]
+
+
+def test_cf_suite_fails_closed_on_a_short_return(monkeypatch):
+    real = scenarios.closest_return
+
+    def short_at_q_8(omega, q):
+        # one unit above ||8 w||, so q = 8 stays a best approximation, but
+        # below 1/16: only the gap lemma fails, and only for golden
+        if q != 8:
+            return real(omega, q)
+        one = 1 << omega.fractional_bits
+        at_q = q * omega.fixed_point() % one
+        return min(at_q, one - at_q) + 1
+
+    monkeypatch.setattr(scenarios, "closest_return", short_at_q_8)
+    verdict = run_scenario("cf_suite")
+    assert not verdict["passed"]
+    failed = [c["label"] for c in verdict["checks"] if not c["ok"]]
+    assert failed == ["golden: gap ||j w|| > 1/(2 q_n) for 1 <= j < q_n"]
+    assert verdict["details"]["golden"]["gap_min_margin"] < 1
+
+
+def test_jackson_fails_closed_on_nan(monkeypatch):
+    real = scenarios._grid_spectrum
+
+    def nan_at_k_5(phi, Q):
+        spec = real(phi, Q)
+        spec[5] = math.nan  # past k = 2, 3, 4, where max would drop it
+        return spec
+
+    monkeypatch.setattr(scenarios, "_grid_spectrum", nan_at_k_5)
+    verdict = run_scenario("jackson")
+    assert not verdict["passed"]
+    failed = [c["label"] for c in verdict["checks"] if not c["ok"]]
+    assert failed == [
+        "Fourier decay |c_k| <= ||phi|| w(1/|k|) / 2 for 2 <= |k| <= 256"]
+    assert math.isnan(verdict["details"]["decay_max_ratio"])
+    assert verdict["details"]["decay_argmax_k"] == 5

@@ -17,15 +17,13 @@ from hypothesis import strategies as st
 from ergorate import arithmetic
 from ergorate.arithmetic import (DecimalString, Frequency,
                                  PartialQuotients, QuadraticSurd, classify,
-                                 dist_to_Z, exhaustive_best_check, expand_cf,
+                                 closest_return, dist_to_Z, expand_cf,
                                  find_convergent_at_scale, fp_from_float,
-                                 gap_lower_bound_check, golden_mean,
-                                 is_best_approximation,
-                                 ostrowski_digits, ostrowski_value,
+                                 golden_mean, ostrowski_digits,
                                  sqrt2_minus_1)
 from ergorate.errors import (NotIrrational, PrecisionExhausted, Uncertified)
 from oracles import (dist_to_Z_mod, float_value, fp_from_float_double,
-                     norm_k_omega)
+                     norm_k_omega, ostrowski_value)
 
 PI100 = ("0.1415926535897932384626433832795028841971693993751"
          "058209749445923078164062862089986280348253421170679")
@@ -240,6 +238,19 @@ class TestInvariants:
         assert all(s1 == -s2 for s1, s2 in zip(signs, signs[1:]))
 
 
+def _is_best(omega, q):
+    """The scan's verdict that q is a best approximation: every 1 <= j < q
+    lands farther from an integer than q does, compared exactly."""
+    one = 1 << omega.fractional_bits
+    at_q = q * omega.fixed_point() % one
+    return closest_return(omega, q) > min(at_q, one - at_q)
+
+
+def _gap_holds(omega, q):
+    """||j omega|| > 1/(2 q) for 1 <= j < q, compared exactly."""
+    return closest_return(omega, q) * 2 * q > 1 << omega.fractional_bits
+
+
 class TestBestApproximation:
     def test_golden_q3_true_with_scan_oracle(self, golden, golden_cf):
         # oracle values at 80 digits
@@ -251,51 +262,42 @@ class TestBestApproximation:
         assert abs(norms[2] - 0.236068) < 1e-6
         assert abs(norms[3] - 0.145898) < 1e-6
         assert norms[3] < norms[2] < norms[1]
-        assert is_best_approximation(golden_cf, 3)
-        assert exhaustive_best_check(golden, 3)
+        assert _is_best(golden, 3)
+        assert closest_return(golden, 3) / 2.0 ** 192 == pytest.approx(
+            norms[2], rel=1e-12)
 
-    def test_golden_q4_false(self, golden, golden_cf):
-        assert not is_best_approximation(golden_cf, 4)
-        assert not exhaustive_best_check(golden, 4)
+    def test_golden_q4_false(self, golden):
+        assert not _is_best(golden, 4)
 
-    def test_q1_vacuous(self, golden, golden_cf):
-        assert is_best_approximation(golden_cf, 1)
-
-    def test_uncertified(self, golden):
-        cf = expand_cf(golden, max_q=13)
-        with pytest.raises(Uncertified):
-            is_best_approximation(cf, 10 ** 6)
+    def test_q1_vacuous(self, golden):
+        # no j to scan: the distance reported is 1, above any ||q omega||
+        assert closest_return(golden, 1) == 1 << golden.fractional_bits
+        assert _is_best(golden, 1) and _gap_holds(golden, 1)
 
     def test_exhaustive_scan_matches_membership(self, golden, golden_cf):
         qs = set(golden_cf.q)
         for q in range(2, 200):
-            assert exhaustive_best_check(golden, q) == (q in qs)
+            assert _is_best(golden, q) == (q in qs)
 
 
 class TestGapLowerBound:
-    def test_small_q_exhaustive(self, golden_cf):
-        rep = gap_lower_bound_check(golden_cf, 4)  # q_4 = 5
-        assert rep["ok"] and rep["exhaustive"]
+    def test_small_q_exhaustive(self, golden, golden_cf):
+        assert golden_cf.q_at(4) == 5
+        assert _gap_holds(golden, 5)
 
-    def test_q2_single_j(self, golden_cf):
-        rep = gap_lower_bound_check(golden_cf, 2)  # q_2 = 2, only j = 1
-        assert rep["ok"]
+    def test_q2_single_j(self, golden):
+        # q_2 = 2 scans only j = 1
+        one = 1 << golden.fractional_bits
+        w = golden.fixed_point()
+        assert closest_return(golden, 2) == min(w, one - w)
+        assert _gap_holds(golden, 2)
 
-    def test_all_certified_indices(self, golden_cf):
+    def test_all_certified_indices(self, golden, golden_cf):
         # guaranteed for every best approximation
         for n in range(1, golden_cf.certified_len + 1):
             if golden_cf.q_at(n) > 10 ** 4:
                 break
-            assert gap_lower_bound_check(golden_cf, n)["ok"]
-
-    def test_sampled_above_threshold(self, golden_cf):
-        big_n = max(
-            n for n in range(1, golden_cf.certified_len + 1)
-            if golden_cf.q_at(n) <= 10 ** 6
-        )
-        rep = gap_lower_bound_check(golden_cf, big_n, exhaustive_limit=1000)
-        assert rep["ok"] and not rep["exhaustive"]
-        assert rep["threshold"] == 1000
+            assert _gap_holds(golden, golden_cf.q_at(n))
 
 
 class TestClassify:

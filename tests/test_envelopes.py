@@ -1,15 +1,14 @@
-"""Envelope shapes, scale fitting and the partial-sum growth bounds."""
+"""Envelope shapes and scale fitting."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ergorate.arithmetic import classify, expand_cf
-from ergorate.envelopes import (Envelope, fit_scale, skew_exponent,
-                                sum_qs_bound, weyl_bound)
-from ergorate.errors import DomainError, Uncertified
-from ergorate.kernels import Holder
+from ergorate.arithmetic import expand_cf
+from ergorate.envelopes import Envelope, fit_scale, skew_exponent, weyl_bound
+from ergorate.errors import DomainError
 
 
 class TestEnvelopeValues:
@@ -39,19 +38,29 @@ class TestEnvelopeValues:
             expect = 0.5 * delta / (delta + d)
             assert skew_exponent(0.5, d) == pytest.approx(expect, abs=1e-12)
 
+    def test_skew_shape_keeps_its_bytes(self):
+        # the shape once wrote the exponent inline; it now calls skew_exponent
+        for alpha, d, eps in itertools.product(
+                [0.05, 0.3, 1 / 3, 0.5, 1.0], [1, 2, 3, 5, 8],
+                [0.0, 0.01, 0.05, 1.0]):
+            env = Envelope(kind="skew", alpha=alpha, d=d, eps=eps)
+            delta = 2.0 ** (1 - d)
+            for N in (3, 10, 1000, 12345, 10 ** 6, 10 ** 12):
+                inline = N ** (-(alpha * delta / (delta + d)) + eps)
+                assert env.shape(N).hex() == inline.hex(), (alpha, d, eps, N)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             Envelope(kind="sdc", alpha=0.5).value(2)
 
     def test_all_shapes_decreasing(self):
-        # the log-loaded shapes (log^{3a}N/N^a, w(log^4 N/N)) genuinely turn
-        # over only at N = e^3 resp. e^4, so the sweep starts at 64
+        # the log-loaded shape log^{3a}N/N^a genuinely turns over only at
+        # N = e^3, so the sweep starts at 64
         envs = [
             Envelope(kind="dk", alpha=0.5),
             Envelope(kind="sdc", alpha=0.5),
             Envelope(kind="dc", alpha=0.5, A=2.0),
             Envelope(kind="beta", alpha=0.5),
-            Envelope(kind="modulus", alpha=0.5, modulus=Holder(0.5)),
             Envelope(kind="transd", alpha=0.5, A=3.0, d=2),
             Envelope(kind="skew", alpha=0.5, d=2),
         ]
@@ -68,7 +77,7 @@ class TestEnvelopeValues:
         assert env2.d == 3 and env2.eps == 0.01
 
     @pytest.mark.parametrize("kind,needs", [
-        ("dc", "A"), ("transd", "A, d"), ("skew", "d"), ("modulus", "modulus"),
+        ("dc", "A"), ("transd", "A, d"), ("skew", "d"),
     ])
     def test_a_missing_parameter_fails_at_construction(self, kind, needs):
         # each raised a TypeError from its first shape call
@@ -116,47 +125,6 @@ class TestFitScale:
         scale, tail = fit_scale(pts, env)
         assert math.isnan(scale) and math.isnan(tail)
         assert not 0 < scale < math.inf
-
-
-class TestSumQs:
-    def test_single_term(self, golden_cf):
-        out = sum_qs_bound(golden_cf, 1, 0.5, "sdc")
-        q1, q2 = golden_cf.q_at(1), golden_cf.q_at(2)
-        assert out.exact_sum == pytest.approx(
-            q2 * math.log(q2) / q1 ** 0.5, rel=1e-12)
-        assert out.n == q1
-
-    def test_golden_ratio_bounded(self, golden_cf):
-        for s in range(1, 21):
-            out = sum_qs_bound(golden_cf, s, 0.5, "sdc")
-            assert out.exact_sum <= 50 * out.shape_value
-
-    def test_monotone_in_s(self, golden_cf):
-        vals = [sum_qs_bound(golden_cf, s, 0.5, "sdc").exact_sum
-                for s in range(1, 15)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_beta_regime_dominates(self, index_rule_freq):
-        cf = expand_cf(index_rule_freq, max_q=10 ** 12)
-        rep = classify(cf, k_max=100)
-        beta = max(rep.beta_estimate, 1e-9)
-        scales = []
-        for s in range(2, cf.certified_len):
-            out = sum_qs_bound(cf, s, 0.5, "beta", beta=beta)
-            assert math.isfinite(out.exact_sum)
-            if math.isinf(out.shape_value):
-                continue
-            scales.append(out.exact_sum / out.shape_value)
-        assert scales and max(scales) < float("inf")
-
-    def test_dc_regime(self, golden_cf):
-        out = sum_qs_bound(golden_cf, 10, 0.5, "dc", A=1.2)
-        assert out.exact_sum <= 100 * out.shape_value
-
-    def test_uncertified(self, golden):
-        cf = expand_cf(golden, max_q=13)
-        with pytest.raises(Uncertified):
-            sum_qs_bound(cf, 10, 0.5, "sdc")
 
 
 class TestEnvelopeAgainstMeasurements:

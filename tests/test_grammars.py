@@ -345,6 +345,8 @@ OTHER_COMMANDS = {
     "ostrowski": {"--frequency": "golden", "-n": "29"},
     "scenario": {None: "cf_suite", "--verbose": None},
 }
+# their int flags, parsed as run flags are, so refused on one error line
+INT_FLAGS = {"--max-q", "--k-max", "-n"}
 ARGV_VALUES = ["1", "2", "0.5", "2.5", "true", "nan", "inf", "-inf", "0",
                "-1", "", "junk", "1,a", "1,2", "golden"]
 # flags of no command, and a flag and an abbreviation of some commands only
@@ -371,6 +373,9 @@ def test_generated_argv(tmp_path_factory, command, data):
     assert "Traceback" not in err
     if rc == 2:
         assert err.count("error:") == 1, err
+        if command in OTHER_COMMANDS and flag in INT_FLAGS:
+            assert len(err.strip().splitlines()) == 1, err
+            assert err.startswith("error:"), err
         assert os.listdir(directory) == [], argv
 
 

@@ -9,17 +9,18 @@ import pytest
 from ergorate.arithmetic import Frequency, PartialQuotients, expand_cf
 from ergorate.dynamics import _BLOCK_CELLS, SystemSpec, TorusPoint, birkhoff_sum
 from ergorate.errors import HypothesisNotMet, Uncertified
+from ergorate import sharpness
 from ergorate.harness import resolve_observable, resolve_system
-from ergorate.kernels import LogHolder, ModulusOfContinuity, WeakHolder
+from ergorate.kernels import Holder
 from ergorate.sharpness import (AnalyticWeight, HolderWeight,
-                                LacunaryObservable, ModulusWeight,
+                                LacunaryObservable,
                                 borel_bernstein_schedule, build_lacunary,
                                 closed_form_average, decompose,
                                 measure_average, slow_rate_point,
                                 start_points, verify_Nm_bound,
                                 verify_lower_bound)
-from oracles import (lacunary_seminorm, measure_average_per_mode,
-                     sampled_holder_quotient)
+from oracles import (fourier_coefficient, lacunary_seminorm,
+                     measure_average_per_mode, sampled_holder_quotient)
 
 BITS = 192
 
@@ -73,13 +74,28 @@ class TestBuild:
         assert math.exp(-golden_deep_cf.q_at(phi.n_modes + 1)) < 1e-12
 
     def test_nan_modulus_fails_closed(self, golden_deep_cf):
-        # a NaN at one scale of the seminorm bound, after finite ones
-        # (max() dropped it), makes the norm estimate NaN
-        class Gappy(ModulusOfContinuity):
-            def __call__(self, h):
-                return math.nan if h == 2.0 ** -10 else h ** 0.5
+        # a NaN weight at one mode, after finite ones (max() dropped it from
+        # the seminorm bound), makes the norm estimate NaN
+        class NanAtFive(HolderWeight):
+            def __call__(self, q):
+                return math.nan if q == 5 else super().__call__(q)
 
-        phi = build_lacunary(golden_deep_cf, ModulusWeight(Gappy()), tol=1e-6)
+        phi = build_lacunary(golden_deep_cf, NanAtFive(0.5), tol=1e-6)
+        assert 5 in phi.qs
+        assert math.isnan(phi.norm_est)
+
+    def test_nan_at_one_seminorm_scale_fails_closed(self, golden_deep_cf,
+                                                    monkeypatch):
+        # a NaN weight also makes sum(weights) NaN; a NaN modulus at one
+        # scale of the seminorm bound, after finite ones, reaches only the
+        # bound, where max() would drop it
+        class Gappy(Holder):
+            def __call__(self, h):
+                return math.nan if h == 2.0 ** -10 else super().__call__(h)
+
+        monkeypatch.setattr(sharpness, "Holder", Gappy)
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-6)
+        assert math.isfinite(sum(phi.weights))
         assert math.isnan(phi.norm_est)
 
     @pytest.mark.parametrize("frequency", ["golden", "pq:rule:index",
@@ -94,20 +110,14 @@ class TestBuild:
         assert phi.norm_est == float(sum(phi.weights)) + lacunary_seminorm(phi)
 
     def test_log_holder_tail_diverges(self, golden_deep_cf):
-        with pytest.raises(Uncertified):
-            build_lacunary(golden_deep_cf, ModulusWeight(LogHolder()), tol=1e-12)
-
-    def test_weak_holder_builds_at_loose_tol(self, golden_deep_cf):
-        phi = build_lacunary(
-            golden_deep_cf, ModulusWeight(WeakHolder(0.9, 0.9)), tol=1e-4)
-        assert phi.tail_bound <= 1e-4
+        # 400 doublings shrink q^-0.1 only by 2^-40, far above the 1e-30 stop
+        with pytest.raises(Uncertified, match="weight tail does not converge"):
+            build_lacunary(golden_deep_cf, HolderWeight(0.1), tol=1e-12)
 
     def test_mode_coefficient_is_half_weight(self, golden):
         # small truncation so quadrature sees no aliasing from far modes
         cf = expand_cf(golden, max_q=1000)
         phi = build_lacunary(cf, HolderWeight(1.0), tol=5e-3)
-        from ergorate.kernels import fourier_coefficient
-
         q2 = phi.mode_q(2)
         c = fourier_coefficient(phi, q2, quad_points=8 * phi.mode_q(phi.n_modes))
         assert c == pytest.approx(phi.mode_weight(2) / 2, abs=1e-9)
