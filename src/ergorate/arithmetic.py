@@ -10,12 +10,19 @@ exponential sums, lacunary series) consumes two products of this module:
 * a round-to-nearest fixed-point value ``round(omega * 2**bits)`` whose
   rounding is certified from an exact enclosing interval.
 
+Each representation of a frequency (``QuadraticSurd``, ``PartialQuotients``,
+``DecimalString``) yields its own certified partial quotients from
+``quotients(q_hist)``, and ``expand_cf`` alone decides where an expansion
+stops.  Surds and decimals also give an exact rational enclosure from
+``interval(bits)``; partial quotients enclose by their convergents.
+
 Double precision corrupts ``||k*omega||`` once q grows past ~1e7, hence the
 integer fixed-point discipline everywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -165,14 +172,35 @@ class QuadraticSurd:
             p, q, r = -p, -q, -r
         return QuadraticSurd(p, q, d, r)
 
+    def quotients(self, q_hist):
+        """a_1, a_2, ... by exact integer arithmetic: with x = (P +
+        sqrt(D)) / Q, iterate y = 1/x, a = floor(y), x = y - a."""
+        s = self.normalized()
+        P, D, Q = s.p, s.q * s.q * s.d, s.r
+        if (D - P * P) % Q != 0:
+            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+        while True:
+            # 1 / ((P + sqrt(D)) / Q) = (-P + sqrt(D)) / ((D - P^2) / Q)
+            P, Q = -P, (D - P * P) // Q
+            a = _exact_floor_surd(P, D, Q)
+            yield a
+            P -= a * Q
 
-def _surd_enclosure(p: int, q: int, d: int, r: int, guard_bits: int):
-    """Exact rational interval [lo, hi] containing (p + q*sqrt(d)) / r, q > 0."""
-    k = guard_bits
-    s = isqrt(d << (2 * k))  # s <= sqrt(d) * 2^k < s + 1
-    a = Fraction(p * (1 << k) + q * s, r * (1 << k))
-    b = Fraction(p * (1 << k) + q * (s + 1), r * (1 << k))
-    return (a, b) if a <= b else (b, a)
+    def interval(self, bits: int):
+        """Exact rational [lo, hi] containing the value, wide by at most
+        2^-(bits+64) |q/r|."""
+        s = self.normalized()
+        k = bits + 64
+        root = isqrt(s.d << (2 * k))  # root <= sqrt(d) * 2^k < root + 1
+        a = Fraction(s.p * (1 << k) + s.q * root, s.r * (1 << k))
+        b = Fraction(s.p * (1 << k) + s.q * (root + 1), s.r * (1 << k))
+        return (a, b) if a <= b else (b, a)
+
+
+# the named shortcuts Frequency.parse reads
+_NAMED_SURDS = {"golden": QuadraticSurd(-1, 1, 5, 2),
+                "sqrt2m1": QuadraticSurd(-1, 1, 2, 1),
+                "sqrt3m1": QuadraticSurd(-1, 1, 3, 1)}
 
 
 @dataclass(frozen=True)
@@ -194,17 +222,21 @@ class PartialQuotients:
             raise ValueError(f"rule {self.rule!r} takes {_RULES[self.rule][1]} "
                              f"parameter(s), got {len(self.rule_params)}")
 
-    def term(self, m: int, q_hist: Sequence[int]) -> Optional[int]:
-        """a_m (1-based) or None when the sequence ends."""
-        if m <= len(self.terms):
-            return int(self.terms[m - 1])
+    def quotients(self, q_hist: Sequence[int]):
+        """The listed terms, then the rule's until it gives None; the rule
+        reads q_hist = [q_0, ..., q_{m-1}] when it gives a_m."""
+        yield from (int(a) for a in self.terms)
         if self.rule is None:
-            return None
-        a = _RULES[self.rule][0](m, list(q_hist), *self.rule_params)
-        if a is not None and a < 1:
-            raise ValueError(f"rule {self.rule!r} gives a_{m} = {a}; partial "
-                             f"quotients must be >= 1")
-        return a
+            return
+        rule = _RULES[self.rule][0]
+        for m in itertools.count(len(self.terms) + 1):
+            a = rule(m, q_hist, *self.rule_params)
+            if a is None:
+                return
+            if a < 1:
+                raise ValueError(f"rule {self.rule!r} gives a_{m} = {a}; "
+                                 f"partial quotients must be >= 1")
+            yield a
 
 
 @dataclass(frozen=True)
@@ -224,12 +256,28 @@ class DecimalString:
                 f"need >= {self.min_digits} significant digits, got {significant}"
             )
 
-    def interval(self):
-        """[lo, hi] containing the true value (digits correct to half an ulp)."""
+    def interval(self, bits: int = 0):
+        """[lo, hi] containing the true value (digits correct to half an
+        ulp), the same for every bits: the digits cannot tighten it."""
         frac = self.digits.split(".")[1]
         v = Fraction(int(frac), 10 ** len(frac))
         u = Fraction(1, 2 * 10 ** len(frac))
         return v - u, v + u
+
+    def quotients(self, q_hist):
+        """The interval version of the expansion: a quotient is certified
+        while both ends of the inverted residual interval share their
+        integer part, and PrecisionExhausted is raised once they do not."""
+        lo, hi = self.interval()
+        while lo > 0:  # an interval that touches 0 certifies no quotient
+            inv_lo, inv_hi = 1 / hi, 1 / lo
+            a = inv_lo // 1
+            if inv_hi // 1 != a:
+                break
+            yield a
+            lo, hi = inv_lo - a, inv_hi - a
+        raise PrecisionExhausted(
+            "decimal precision exhausted before reaching max_q")
 
 
 @dataclass(frozen=True)
@@ -272,20 +320,20 @@ class Frequency:
             return self.__dict__["_fixed_point"]
         bits = self.fractional_bits
         # an enclosure that straddles a rounding boundary is tightened by
-        # asking for one that certifies twice the bits, then twice again
-        tighter = bits
+        # asking for one that certifies twice the bits, then twice again,
+        # until one comes back unchanged (it cannot tighten) or 1024 extra
+        # bits still straddle
+        tighter, last = bits, None
         while True:
             lo, hi = self.interval(tighter)
             n_lo = _round_div(lo.numerator << bits, lo.denominator)
             if n_lo == _round_div(hi.numerator << bits, hi.denominator):
                 break
-            if isinstance(self.rep, DecimalString):
+            if (lo, hi) == last or tighter > bits + 1024:
                 raise PrecisionExhausted(
-                    f"decimal digits cannot certify {bits} fractional bits"
-                )
-            if tighter > bits + 1024:
-                raise PrecisionExhausted("cannot certify fixed-point rounding")
-            tighter *= 2
+                    f"the enclosure cannot tighten to certify {bits} "
+                    f"fractional bits")
+            tighter, last = tighter * 2, (lo, hi)
         self.__dict__["_fixed_point"] = n_lo
         return n_lo
 
@@ -314,12 +362,8 @@ class Frequency:
         """Parse "surd:(p,q,d,r)", "pq:[a1,a2,...]", "pq:rule:name(:p1,p2)",
         "dec:<digits>", or a named shortcut (golden, sqrt2m1, sqrt3m1)."""
         text = text.strip()
-        named = {
-            "golden": "surd:(-1,1,5,2)",
-            "sqrt2m1": "surd:(-1,1,2,1)",
-            "sqrt3m1": "surd:(-1,1,3,1)",
-        }
-        text = named.get(text, text)
+        if text in _NAMED_SURDS:
+            return Frequency(_NAMED_SURDS[text], fractional_bits)
         if text.startswith("surd:"):
             body = text[5:].strip().lstrip("(").rstrip(")")
             p, q, d, r = (int(x) for x in body.split(","))
@@ -339,11 +383,11 @@ class Frequency:
 
 def golden_mean(bits: int = DEFAULT_BITS) -> Frequency:
     """(sqrt(5) - 1) / 2, the all-ones continued fraction."""
-    return Frequency(QuadraticSurd(-1, 1, 5, 2), bits)
+    return Frequency(_NAMED_SURDS["golden"], bits)
 
 
 def sqrt2_minus_1(bits: int = DEFAULT_BITS) -> Frequency:
-    return Frequency(QuadraticSurd(-1, 1, 2, 1), bits)
+    return Frequency(_NAMED_SURDS["sqrt2m1"], bits)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +403,12 @@ class ContinuedFraction:
     a: tuple
     p: tuple
     q: tuple
-    certified_len: int
     terminated: bool = False
     max_q_searched: Optional[int] = None  # denominators <= this are all present
+
+    @property
+    def certified_len(self) -> int:
+        return len(self.a)
 
     def a_at(self, n: int) -> int:
         if not 1 <= n <= len(self.a):
@@ -389,31 +436,20 @@ class ContinuedFraction:
         )
 
 
-def _cf_enclosure(cf: ContinuedFraction):
-    """Bracket omega between its last two convergents (or pin it exactly)."""
-    n = len(cf.q)
-    if cf.terminated or n < 2:
-        if cf.terminated:
-            v = Fraction(cf.p[-1], cf.q[-1])
-            return v, v
-        raise Uncertified("not enough convergents to enclose the value")
-    x = Fraction(cf.p[-2], cf.q[-2])
-    y = Fraction(cf.p[-1], cf.q[-1])
-    return (x, y) if x < y else (y, x)
-
-
 def _enclosure(omega: Frequency, bits: int):
     """Rational enclosure of omega tight enough to certify `bits` of fixed
-    point."""
-    rep = omega.rep
-    if isinstance(rep, QuadraticSurd):
-        s = rep.normalized()
-        return _surd_enclosure(s.p, s.q, s.d, s.r, bits + 64)
-    if isinstance(rep, DecimalString):
-        return rep.interval()
-    # partial quotients: consecutive convergents bracket the value
+    point: a surd's or a decimal's own interval, or the last two convergents
+    of partial quotients (the last one alone once they terminate)."""
+    if not isinstance(omega.rep, PartialQuotients):
+        return omega.rep.interval(bits)
     cf = expand_cf(omega, max_q=None, stop_product=1 << (bits + 4))
-    return _cf_enclosure(cf)
+    if cf.terminated:
+        v = Fraction(cf.p[-1], cf.q[-1])
+        return v, v
+    if len(cf.q) < 2:
+        raise Uncertified("not enough convergents to enclose the value")
+    x, y = Fraction(cf.p[-2], cf.q[-2]), Fraction(cf.p[-1], cf.q[-1])
+    return (x, y) if x < y else (y, x)
 
 
 def _lt_sqrt(c: int, D: int) -> bool:
@@ -439,106 +475,48 @@ def expand_cf(omega: Frequency, max_q: Optional[int], *,
               stop_product: Optional[int] = None) -> ContinuedFraction:
     """All convergents with q_n <= max_q (or until q_n * q_{n+1} >= stop_product).
 
-    Quadratic surds and rule-generated partial quotients expand by exact
-    integer arithmetic, so the whole output is certified.  Decimal strings run
-    an interval version of the algorithm and raise PrecisionExhausted when the
-    residual interval no longer pins down the next integer part before max_q
-    is reached.
+    The representation yields its certified partial quotients; this loop
+    alone decides where to stop: at max_q, at stop_product, at _MAX_TERMS
+    terms, or where the sequence ends.  Quadratic surds and rule-generated
+    partial quotients are exact, so the whole output is certified.  Decimal
+    strings raise PrecisionExhausted, carrying the certified prefix in
+    ``partial``, when the residual interval no longer pins down the next
+    integer part before a stopping rule is reached.
     """
     if max_q is None and stop_product is None:
         raise ValueError("need max_q or stop_product")
-    rep = omega.rep
     a_list: list[int] = []
     p_list: list[int] = []
-    q_list: list[int] = []
-    p_prev, q_prev = 1, 0  # p_{n-1}, q_{n-1} seeds: p_0=0/q_0=1 handled below
-    p_cur, q_cur = 0, 1
-    hit_max_q = False
-
-    def push(a: int) -> bool:
-        nonlocal p_prev, q_prev, p_cur, q_cur, hit_max_q
-        p_next = a * p_cur + p_prev
-        q_next = a * q_cur + q_prev
-        if max_q is not None and q_next > max_q:
-            hit_max_q = True
-            return False
-        a_list.append(a)
-        p_list.append(p_next)
-        q_list.append(q_next)
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_next, q_next
-        return True
-
-    def done() -> bool:
-        if stop_product is not None and len(q_list) >= 2:
-            return q_list[-1] * q_list[-2] >= stop_product
-        return False
-
-    terminated = False
-    if isinstance(rep, PartialQuotients):
-        q_hist = [1]
-        m = 1
-        while len(a_list) < _MAX_TERMS and not done():
-            a = rep.term(m, q_hist)
-            if a is None:
-                terminated = rep.rule is None
+    q_hist = [1]  # q_0, q_1, ..., q_n: the denominators a rule reads
+    p_prev, q_prev, p_cur = 1, 0, 0  # p_{n-1}, q_{n-1}, p_n
+    hit_max_q = terminated = False
+    try:
+        for a in omega.rep.quotients(q_hist):
+            p_next, q_next = a * p_cur + p_prev, a * q_hist[-1] + q_prev
+            if max_q is not None and q_next > max_q:
+                hit_max_q = True
                 break
-            if not push(a):
+            p_prev, q_prev, p_cur = p_cur, q_hist[-1], p_next
+            a_list.append(a)
+            p_list.append(p_next)
+            q_hist.append(q_next)
+            if len(a_list) == _MAX_TERMS or (
+                    stop_product is not None and len(a_list) >= 2
+                    and q_prev * q_next >= stop_product):
                 break
-            q_hist.append(q_list[-1])
-            m += 1
-    elif isinstance(rep, QuadraticSurd):
-        s = rep.normalized()
-        P, D, Q = s.p, s.q * s.q * s.d, s.r
-        if (D - P * P) % Q != 0:
-            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-        # iterate y = 1/x, a = floor(y), x = y - a
-        while len(a_list) < _MAX_TERMS and not done():
-            # reciprocal: 1 / ((P + sqrt(D)) / Q) = (-P + sqrt(D)) / ((D - P^2)/Q)
-            P, Q = -P, (D - P * P) // Q
-            a = _exact_floor_surd(P, D, Q)
-            if not push(a):
-                break
-            P = P - a * Q
-    elif isinstance(rep, DecimalString):
-        lo, hi = rep.interval()
-        while len(a_list) < _MAX_TERMS and not done():
-            if lo <= 0:  # interval touches 0: next quotient uncertifiable
-                raise PrecisionExhausted(
-                    "decimal precision exhausted before reaching max_q",
-                    partial=_freeze(omega, a_list, p_list, q_list, False),
-                )
-            inv_lo, inv_hi = 1 / hi, 1 / lo
-            a_lo = inv_lo.numerator // inv_lo.denominator
-            a_hi = inv_hi.numerator // inv_hi.denominator
-            if a_lo != a_hi:
-                raise PrecisionExhausted(
-                    "decimal precision exhausted before reaching max_q",
-                    partial=_freeze(omega, a_list, p_list, q_list, False),
-                )
-            if not push(a_lo):
-                break
-            lo, hi = inv_lo - a_lo, inv_hi - a_lo
-    else:
-        raise TypeError(f"unknown representation {type(rep).__name__}")
+        else:
+            terminated = omega.is_rational()
+    except PrecisionExhausted as exc:
+        exc.partial = ContinuedFraction(omega, tuple(a_list), tuple(p_list),
+                                        tuple(q_hist[1:]))
+        raise
 
     # the searched range is fully covered only if the q ceiling stopped us;
     # an exhausted rule or a stop_product cutoff certifies coverage only up
     # to the last stored denominator
-    searched = max_q if hit_max_q else (q_list[-1] if q_list else 0)
-    return _freeze(omega, a_list, p_list, q_list, terminated, searched)
-
-
-def _freeze(omega, a_list, p_list, q_list, terminated,
-            max_q=None) -> ContinuedFraction:
-    return ContinuedFraction(
-        omega=omega,
-        a=tuple(a_list),
-        p=tuple(p_list),
-        q=tuple(q_list),
-        certified_len=len(a_list),
-        terminated=terminated,
-        max_q_searched=max_q,
-    )
+    searched = max_q if hit_max_q else (q_hist[-1] if a_list else 0)
+    return ContinuedFraction(omega, tuple(a_list), tuple(p_list),
+                             tuple(q_hist[1:]), terminated, searched)
 
 
 # ---------------------------------------------------------------------------

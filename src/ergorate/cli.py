@@ -167,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="Diophantine classification report")
     p.add_argument("--frequency", required=True)
-    _add_int_flag(p, "--max-q", "int", default=10 ** 6)
-    _add_int_flag(p, "--k-max", "int", default=10 ** 4)
+    _add_int_flag(p, "--max-q", "int in [1, inf)", default=10 ** 6)
+    _add_int_flag(p, "--k-max", "int in [2, inf)", default=10 ** 4)
     p.set_defaults(fn=cmd_classify)
 
     for run, (help_text, _, _) in _RUNS.items():
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ostrowski", help="mixed-radix digits of an integer")
     p.add_argument("--frequency", required=True)
-    _add_int_flag(p, "-n", "int", required=True)
+    _add_int_flag(p, "-n", "int in [1, inf)", required=True)
     p.set_defaults(fn=cmd_ostrowski)
 
     p = sub.add_parser("scenario", help="run a named verification scenario")

@@ -5,6 +5,7 @@ expansions are asserted directly; anything subtler is recomputed here by an
 independent oracle (mpmath at 80 digits, brute-force scans, greedy replay).
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -188,6 +189,88 @@ class TestExpandCf:
             p_prev, q_prev, pc, qc = pc, qc, pn, qn
             x = y - ai
         assert list(got.a) == expect_a
+
+
+def _hexed(x):
+    """x with every int written in hex: int-to-decimal conversion refuses
+    numbers past 4,300 digits, and some q here run longer."""
+    if isinstance(x, (bool, type(None))):
+        return x
+    if isinstance(x, int):
+        return hex(x)
+    return tuple(_hexed(v) for v in x)
+
+
+def _cf_record(cf):
+    return _hexed((cf.a, cf.p, cf.q, cf.certified_len, cf.terminated,
+                   cf.max_q_searched))
+
+
+class TestExpansionDigest:
+    """Every representation keeps its expansions under every stopping rule:
+    sha256 of (a, p, q, certified_len, terminated, max_q_searched) at three
+    widths and five stopping rules, with the partial expansion of every
+    PrecisionExhausted and each width's fixed point, recorded when
+    expand_cf still ran one loop per representation."""
+
+    # max_q 1, 1e4 and 1e30, stop_product 2^200, and the 5,000-term cap
+    # (golden reaches it under stop_product 2^40000)
+    RULES = ((1, None), (10 ** 4, None), (10 ** 30, None), (None, 1 << 200),
+             (None, 1 << 40000))
+    DIGESTS = {
+        "golden":
+            "ddfe69f33425a706af3ba3d91e73e923bdb4695b08467ccc4393aa7cafd299b8",
+        "sqrt2m1":
+            "1e008f37458bf64e362afff3c84b18e6fe3ff9afcceb677f4668fc9f94d290cf",
+        "sqrt3m1":
+            "e7a86cdda313d1eb4938d86bb1140cefe92398d4ea3adaec84b9088ac192bd94",
+        "surd:(-3,1,13,2)":
+            "5b553ea3be3c67e0e1996a6c2752f3b7cb3723851dc4b8b24cafa2d5c4237b29",
+        "pq:[1,2,3]":
+            "bea18d8f4286b2eb5b74acf1c2b2158ea7da0bcb130da3d54912aa84d79d9efc",
+        "pq:[1,1000000000]":
+            "be6b70e82909715620fdec646b3904c7113637e4d67cec6669d7ce162c72ab58",
+        "pq:rule:index":
+            "04d4853500713e8dfc5f4d61b8688a9f6b5d72f80092ce2958ad3fb0d9236b89",
+        "pq:rule:spike:7,1000":
+            "5ddca31dc5220844383d5d993297332ee9e6a667812dd9f755abd464865f4bc4",
+        "pq:rule:exp_gap:5":
+            "9e8f696f601e2557f8bf27aae84a7e76d68444f4902cda43a74049016e2ee89f",
+        "pq:rule:double_exp":
+            "be635e805e4715c9e288db2cd1f9c8334e4c24dc33a266c748aa2f51fb0a7d4a",
+        "pq:rule:square_even":
+            "ae8a0204da61483f61e5f0411e5166f281181173a68951951a8d4e5673b3626a",
+        "pq:rule:const:3":
+            "5b553ea3be3c67e0e1996a6c2752f3b7cb3723851dc4b8b24cafa2d5c4237b29",
+        # q_1 = 10^61 > 2^200: stop_product waits for a second denominator
+        f"pq:rule:spike:1,{10 ** 61}":
+            "8b4e88d1f5d7fa7b97d09d71afdf50f3915ce6940d45cff821698c0bba95d0dc",
+        f"dec:{PI100}":
+            "dd5daca12913ef453b74e8b83b6a155c59515ec2cb714bee97de0e20ea46e41c",
+    }
+
+    @pytest.mark.parametrize("text", list(DIGESTS))
+    def test_expansions_keep_their_bytes(self, text):
+        h = hashlib.sha256()
+        for bits in (64, 192, 1100):
+            f = Frequency.parse(text, bits)
+            try:
+                record = ("fixed_point", hex(f.fixed_point()))
+            except PrecisionExhausted:
+                record = ("fixed_point", "PrecisionExhausted")
+            h.update(repr(record).encode())
+            for max_q, stop_product in self.RULES:
+                try:
+                    record = ("cf", _cf_record(
+                        expand_cf(f, max_q, stop_product=stop_product)))
+                except PrecisionExhausted as exc:
+                    record = ("partial", _cf_record(exc.partial))
+                h.update(repr(record).encode())
+        assert h.hexdigest() == self.DIGESTS[text]
+
+    def test_golden_reaches_the_term_cap(self, golden):
+        cf = expand_cf(golden, None, stop_product=1 << 40000)
+        assert cf.certified_len == arithmetic._MAX_TERMS
 
 
 @pytest.fixture(scope="module", params=["golden", "sqrt2m1", "index", "decimal"])
@@ -500,6 +583,14 @@ class TestFrequency:
                 pq = Frequency.parse(f"pq:rule:const:{c}", bits)
                 surd = Frequency.parse(f"surd:({-c},1,{c * c + 4},2)", bits)
                 assert pq.fixed_point() == surd.fixed_point()
+
+    def test_decimal_fixed_point_refusal(self):
+        # 100 digits enclose the value within 10^-100, about 2^-332: they
+        # certify 192 bits, and no enclosure they give certifies 1100
+        assert Frequency.parse(f"dec:{PI100}", 192).fixed_point() > 0
+        f = Frequency.parse(f"dec:{PI100}", 1100)
+        with pytest.raises(PrecisionExhausted, match="cannot tighten"):
+            f.fixed_point()
 
     def test_memo_is_not_part_of_the_value(self):
         assert not hasattr(arithmetic, "_fp_cache")

@@ -375,7 +375,7 @@ def test_generated_argv(tmp_path_factory, command, data):
         assert err.count("error:") == 1, err
         if command in OTHER_COMMANDS and flag in INT_FLAGS:
             assert len(err.strip().splitlines()) == 1, err
-            assert err.startswith("error:"), err
+            assert err.startswith(f"error: {flag} must be int"), err
         assert os.listdir(directory) == [], argv
 
 

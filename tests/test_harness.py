@@ -731,6 +731,11 @@ class TestEmission:
         assert back == rows
 
 
+# the README's 100-digit decimal frequency, pi - 3
+PI100 = ("0.1415926535897932384626433832795028841971693993751"
+         "058209749445923078164062862089986280348253421170679")
+
+
 class TestCli:
     def test_cf(self, capsys):
         assert cli_main(["cf", "--freq", "golden", "--max-q", "13"]) == 0
@@ -758,11 +763,38 @@ class TestCli:
         assert "--witness-constant" in capsys.readouterr().err
 
     def test_classify_of_an_empty_prefix_exit_code(self, capsys):
-        # printed a report over no convergents
-        assert cli_main(["classify", "--freq", "golden", "--max-q", "0"]) == 2
+        # printed a report over no convergents; q_1 = 3 > 2 leaves none
+        assert cli_main(["classify", "--freq", "pq:rule:const:3",
+                         "--max-q", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "empty certified prefix" in captured.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["classify", "--freq", "golden", "--max-q", "0"],
+         "--max-q must be int in [1, inf), got 0"),
+        (["classify", "--freq", "golden", "--k-max", "1"],
+         "--k-max must be int in [2, inf), got 1"),
+        (["ostrowski", "--freq", "golden", "-n", "0"],
+         "-n must be int in [1, inf), got 0"),
+    ])
+    def test_int_flag_refusals_name_the_flag(self, capsys, argv, message):
+        # printed "empty certified prefix", "k_max must be >= 2" and
+        # "N must be >= 1", which named no flag
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_decimal_fixed_point_refusal_exit_code(self, capsys):
+        # 100 decimal digits enclose the value within 10^-100, about 2^-332,
+        # so no enclosure they give can certify 1100 bits
+        rc = cli_main(["--precision-bits", "1100", "classify",
+                       "--freq", f"dec:{PI100}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("envelope", [
         "dc:alpha=0.5", "transd:alpha=0.5", "transd:alpha=0.5,A=3.0",
