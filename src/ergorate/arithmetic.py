@@ -500,8 +500,11 @@ def expand_cf(omega: Frequency, max_q: Optional[int], *,
             a_list.append(a)
             p_list.append(p_next)
             q_hist.append(q_next)
+            # bit lengths summing below stop_product's put the product below it
             if len(a_list) == _MAX_TERMS or (
                     stop_product is not None and len(a_list) >= 2
+                    and q_prev.bit_length() + q_next.bit_length()
+                    >= stop_product.bit_length()
                     and q_prev * q_next >= stop_product):
                 break
         else:

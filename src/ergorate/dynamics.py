@@ -204,21 +204,22 @@ def _carry(a: np.ndarray) -> np.ndarray:
 def limbs_advance(regs: np.ndarray, m: int) -> np.ndarray:
     """Run regs[r] += regs[r + 1] for r < R-1 (pre-step values) m steps.
 
-    regs has shape (L, R) and is left at step m.  Returns the (L, R-1, m)
-    values of registers 0..R-2 at steps 0..m-1: register r is its start
-    value plus the exclusive running sum of register r+1.
+    regs has shape (L, R), or (L, R, K) for K chains at once, and is left
+    at step m.  Returns the (L, R-1, [K,] m) values of registers 0..R-2 at
+    steps 0..m-1: register r is its start value plus the exclusive running
+    sum of register r+1.
     """
-    L, R = regs.shape
-    seq = np.empty((L, R, m + 1), dtype=np.uint64)
-    seq[:, R - 1] = regs[:, R - 1:]
+    R = regs.shape[1]
+    seq = np.empty(regs.shape + (m + 1,), dtype=np.uint64)
+    seq[:, R - 1] = regs[:, R - 1, ..., None]
     for r in range(R - 2, -1, -1):
         s = seq[:, r]
-        s[:, 0] = regs[:, r]
-        np.cumsum(seq[:, r + 1, :m], axis=1, out=s[:, 1:])
-        s[:, 1:] += regs[:, r:r + 1]
+        s[..., 0] = regs[:, r]
+        np.cumsum(seq[:, r + 1, ..., :m], axis=-1, out=s[..., 1:])
+        s[..., 1:] += regs[:, r, ..., None]
         _carry(s)
-    regs[:] = seq[:, :, m]
-    return seq[:, :R - 1, :m]
+    regs[:] = seq[..., m]
+    return seq[:, :R - 1, ..., :m]
 
 
 def _lanes_advance(lanes: np.ndarray, m: int, grid: int) -> np.ndarray:

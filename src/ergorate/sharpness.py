@@ -23,14 +23,12 @@ import numpy as np
 from .arithmetic import ContinuedFraction, Frequency, fp_from_float
 from .arithmetic import borel_bernstein_schedule  # noqa: F401 (re-export)
 from .dynamics import (_BLOCK_CELLS, TorusPoint, exp_sum_avg_fp,
-                       limbs_from_ints, limbs_mul, limbs_to_float)
+                       limbs_advance, limbs_from_ints, limbs_mul,
+                       limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified
 from .kernels import Holder, Observable
 
 TWO_PI = 2.0 * math.pi
-
-# steps per chunk of measure_average; fixes its summation order
-_AVERAGE_CHUNK = 1 << 20
 
 # The constants of the sharpness construction; no config sets them.
 GAP_CONSTANT = 10.0     # gap law: q_{m+1} >= GAP_CONSTANT * m * q_m
@@ -116,13 +114,18 @@ class LacunaryObservable(Observable):
     @functools.cached_property
     def _steps(self) -> tuple:
         """Each mode's exact step (q_k omega) mod 1 in fixed point, the live
-        (nonzero-weight) modes as (q, w) and their steps as doubles: once per
-        instance, and not a field, so dataclasses.replace derives them afresh."""
+        (nonzero-weight) modes as (q, w) and their steps as (L, K) limbs:
+        once per instance, and not a field, so dataclasses.replace derives
+        them afresh."""
         one, w_fp = 1 << self.bits, self.cf.omega.fixed_point()
         steps = [q * w_fp % one for q in self.qs]
         live = [k for k, w in enumerate(self.weights) if w != 0.0]
         return (steps, [(self.qs[k], self.weights[k]) for k in live],
-                np.array([steps[k] / one for k in live]))
+                limbs_from_ints([steps[k] for k in live], self.bits))
+
+    @functools.cached_property
+    def _inner_tables(self) -> dict:  # B -> measure_average's inner table
+        return {}
 
 
 def _lacunary_fn(qs, weights, bits):
@@ -206,25 +209,46 @@ def build_lacunary(cf: ContinuedFraction, weight,
 # ---------------------------------------------------------------------------
 
 
+def _phase_table(start: np.ndarray, step: np.ndarray, n: int) -> tuple:
+    """cos and sin of 2 pi ((start_k + i step_k) mod 1), i < n, as (K, n)
+    arrays, from (L, K) limbs of K start phases and steps."""
+    t = limbs_to_float(limbs_advance(np.stack([start, step], axis=1), n)[:, 0])
+    t *= TWO_PI
+    return np.cos(t), np.sin(t)
+
+
+def _row_sums(ca, sa, cb, sb, out: np.ndarray) -> None:
+    """out[k, a] = sum_b (ca[k, a] cb[k, b] - sa[k, a] sb[k, b]) by one
+    np.sum per row, formed in blocks of whole rows within _BLOCK_CELLS."""
+    (K, A), n = ca.shape, cb.shape[1]
+    ar = min(A, max(1, _BLOCK_CELLS // n))  # rows of one mode per block
+    km = max(1, _BLOCK_CELLS // (ar * n))   # modes per block
+    for k in range(0, K, km):
+        for a in range(0, A, ar):
+            t = ca[k:k + km, a:a + ar, None] * cb[k:k + km, None]
+            t -= sa[k:k + km, a:a + ar, None] * sb[k:k + km, None]
+            np.sum(t, axis=2, out=out[k:k + km, a:a + ar])
+
+
 def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
                     N: int) -> float:
     """(1/N) S_N phi(x) by direct trigonometric summation along the orbit.
 
-    Per mode, the initial phase and the per-step increment are reduced mod 1
-    exactly in fixed point; the j-sweep then runs vectorized in doubles
-    (error ~ N * 2^-53 per mode, irrelevant at the N this route serves).
+    Step j = a B + b (b < B) gives mode k the term cos alpha_a cos beta_b -
+    sin alpha_a sin beta_b, alpha_a = (q_k x + a B s_k) mod 1 and beta_b =
+    (b s_k) mod 1, s_k the mode's step (phi._steps).  Both phase tables are
+    reduced exactly on the limbs for every mode at once and rounded once to
+    doubles, so each of the N terms errs by a few ulp at any N.  The inner
+    table (beta_b, b < B) is built once per series and B and kept on it, the
+    outer one (alpha_a, a < ceil(N/B)) once per call: B = N up to N = 1024,
+    so a window family at one q_m pays only for its start phases, and
+    ceil(sqrt N) above, so O(modes sqrt N) trig calls in place of modes N.
 
-    The steps run in chunks of _AVERAGE_CHUNK, each with one index ramp for
-    every mode, and the cosines are formed in place in blocks of at most
-    _BLOCK_CELLS values (the fractional part as `t - floor(t)`, bit for bit
-    `np.mod(t, 1.0)`): a chunk row that fits holds as many whole mode rows
-    as the budget allows, in one C-contiguous (rows, n) block; a longer one
-    is one mode's row filled in column tiles.  Either way each mode's chunk
-    row is reduced by a single `np.sum` over the whole row, every mode sums
-    chunk by chunk and the modes are added in order, so the result keeps the
-    summation order of one mode at a time.  The steps are the series' own
-    (phi._steps); a call forms only its start phases.  omega must be
-    phi.cf.omega, and x must share its width (ValueError).
+    B alone fixes the summation order: each row of B terms (the last only
+    to N) is reduced by one np.sum, each mode's row sums by one np.sum and
+    the weighted modes in order.  Blocks of whole rows within _BLOCK_CELLS
+    values (one row above N = 2^28) bound the memory, not the order.  omega
+    must be phi.cf.omega, and x must share its width (ValueError).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -234,31 +258,23 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
         raise ValueError(f"a {x.bits}-bit point on a {phi.bits}-bit series")
     one = 1 << omega.fractional_bits
     _, live, steps = phi._steps
-    ph0 = np.array([((q * x.coords[0]) % one) / one for q, _ in live])
-    mode_sums = np.zeros(len(live))
-    # a block holds whole rows within _BLOCK_CELLS, or one longer chunk row
-    size = min(N, _AVERAGE_CHUNK)
-    buf = np.empty(max(size, min(len(live) * size, _BLOCK_CELLS)))
-    fl = np.empty(min(buf.size, _BLOCK_CELLS))
-    for lo in range(0, N, _AVERAGE_CHUNK):
-        js = np.arange(lo, min(N, lo + _AVERAGE_CHUNK), dtype=float)
-        n = js.size
-        rows, cols = max(1, _BLOCK_CELLS // n), min(n, _BLOCK_CELLS)
-        for i in range(0, len(live), rows):
-            r = min(rows, len(live) - i)
-            block = buf[:r * n].reshape(r, n)
-            for c in range(0, n, cols):
-                b = block[:, c:c + cols]
-                f = fl[:b.size].reshape(b.shape)
-                np.multiply(js[c:c + cols], steps[i:i + r, None], out=b)
-                b += ph0[i:i + r, None]
-                np.floor(b, out=f)
-                b -= f
-                b *= TWO_PI
-                np.cos(b, out=b)
-            mode_sums[i:i + r] += np.sum(block, axis=1)
+    B = N if N <= 1024 else math.isqrt(N - 1) + 1
+    A, tail = -(-N // B), (N - 1) % B + 1  # rows, and steps in the last
+    if B not in phi._inner_tables:
+        phi._inner_tables[B] = _phase_table(np.zeros_like(steps), steps, B)
+    cb, sb = phi._inner_tables[B]
+    ph0 = [q * x.coords[0] & (one - 1) for q, _ in live]
+    sums = np.empty((len(live), A))
+    if A == 1:  # the start phases are the outer table, rounded as int / int
+        t = TWO_PI * np.array([p / one for p in ph0])[:, None]
+        ca, sa = np.cos(t), np.sin(t)
+    else:
+        ca, sa = _phase_table(limbs_from_ints(ph0, phi.bits),
+                              limbs_mul(steps, B), A)
+        _row_sums(ca[:, :-1], sa[:, :-1], cb, sb, sums[:, :-1])
+    _row_sums(ca[:, -1:], sa[:, -1:], cb[:, :tail], sb[:, :tail], sums[:, -1:])
     total = 0.0
-    for (_, w), mode_sum in zip(live, mode_sums.tolist()):
+    for (_, w), mode_sum in zip(live, np.sum(sums, axis=1).tolist()):
         total += w * mode_sum
     return total / N
 

@@ -7,22 +7,25 @@ from an exact fixed-point numerator and from a double by np.mod,
 Hermitian symmetry of trigonometric-polynomial coefficients, the pointwise
 grid field of a 1-d rotation in one fresh pass, the grid field of any
 system by one exact orbit per grid point, the closed-form grid field with
-every mode phase formed afresh, the lacunary direct sum one mode at a time,
-the lacunary seminorm bound by a scalar loop, one Fourier coefficient by
-its own quadrature sum, and the integer that Ostrowski digits encode.
+every mode phase formed afresh, the lacunary direct sum one mode at a time
+(by the library's phase tables, by one libm cosine per term, and in
+mpmath), the lacunary seminorm bound by a scalar loop, one Fourier
+coefficient by its own quadrature sum, and the integer that Ostrowski
+digits encode.
 """
 
 import itertools
 import math
 from typing import Optional, Sequence
 
+import mpmath
 import numpy as np
 
 from ergorate.arithmetic import ContinuedFraction, Frequency
 from ergorate.dynamics import (SystemSpec, TorusPoint, birkhoff_sum,
                                exp_sum_avg_fp, grid_point, orbit_floats)
 from ergorate.kernels import Observable, TrigPoly
-from ergorate.sharpness import _AVERAGE_CHUNK, TWO_PI, LacunaryObservable
+from ergorate.sharpness import TWO_PI, LacunaryObservable
 
 
 def fp_dist_to_Z(value: int, bits: int) -> float:
@@ -136,9 +139,40 @@ def spectral_sums_per_N(sys: SystemSpec, spectrum: dict, N: int,
 
 def measure_average_per_mode(phi: LacunaryObservable, omega: Frequency,
                              x: TorusPoint, N: int) -> float:
-    """(1/N) S_N phi(x) for a lacunary series, one mode after another: each
-    _AVERAGE_CHUNK of steps builds a fresh index ramp and its cosines by
-    np.mod, and each mode's chunk totals are added before the next mode."""
+    """(1/N) S_N phi(x) for a lacunary series by measure_average's formula,
+    one mode after another, with every phase reduced by Python ints: with
+    B = N up to 1024 and ceil(sqrt N) above, step j = a B + b has the term
+    cos alpha_a cos beta_b - sin alpha_a sin beta_b, where alpha_a = (q x +
+    a B s) mod 1 and beta_b = (b s) mod 1 (s = q omega mod 1) are rounded
+    as int / int and scaled by 2 pi; each row of the term table (the last
+    one only to N) is summed by np.sum, the row sums by np.sum, and the
+    weighted mode sums are added left to right."""
+    one = 1 << phi.bits
+    w_fp = omega.fixed_point()
+    B = N if N <= 1024 else math.isqrt(N - 1) + 1
+    A = -(-N // B)
+    total = 0.0
+    for q, w in zip(phi.qs, phi.weights):
+        if w == 0.0:
+            continue
+        s, p0 = q * w_fp % one, q * x.coords[0] % one
+        beta = TWO_PI * np.array([b * s % one / one for b in range(B)])
+        alpha = TWO_PI * np.array([(p0 + a * B * s) % one / one
+                                   for a in range(A)])
+        terms = (np.outer(np.cos(alpha), np.cos(beta))
+                 - np.outer(np.sin(alpha), np.sin(beta))).reshape(-1)[:N]
+        rows = [np.sum(terms[lo:lo + B]) for lo in range(0, N, B)]
+        total += w * float(np.sum(np.array(rows)))
+    return total / N
+
+
+def measure_average_libm(phi: LacunaryObservable, omega: Frequency,
+                         x: TorusPoint, N: int) -> float:
+    """(1/N) S_N phi(x) for a lacunary series, one mode after another, by
+    one libm cosine per term: each chunk of 2^20 steps builds a fresh index
+    ramp j and the phases fl(ph0 + j * step) by np.mod from the doubles of
+    the mode's start phase and step (an error of about N 2^-53 per term),
+    and each mode's chunk totals are added before the next mode."""
     one = 1 << phi.bits
     w_fp = omega.fixed_point()
     total = 0.0
@@ -148,11 +182,29 @@ def measure_average_per_mode(phi: LacunaryObservable, omega: Frequency,
         step_f = ((q * w_fp) % one) / one
         ph0_f = ((q * x.coords[0]) % one) / one
         mode_sum = 0.0
-        for lo in range(0, N, _AVERAGE_CHUNK):
-            js = np.arange(lo, min(N, lo + _AVERAGE_CHUNK), dtype=float)
+        for lo in range(0, N, 1 << 20):
+            js = np.arange(lo, min(N, lo + (1 << 20)), dtype=float)
             mode_sum += float(np.sum(np.cos(TWO_PI * np.mod(ph0_f + js * step_f, 1.0))))
         total += w * mode_sum
     return total / N
+
+
+def measure_average_mpmath(phi: LacunaryObservable, omega: Frequency,
+                           x: TorusPoint, N: int) -> float:
+    """(1/N) S_N phi(x) for a lacunary series in mpmath at bits + 64 bits:
+    every phase (q x + j q omega) mod 1 is an exact fixed-point integer,
+    and every cosine and the whole sum are taken at that precision."""
+    one = 1 << phi.bits
+    w_fp = omega.fixed_point()
+    with mpmath.workprec(phi.bits + 64):
+        total = mpmath.mpf(0)
+        for q, w in zip(phi.qs, phi.weights):
+            s, p0 = q * w_fp % one, q * x.coords[0] % one
+            mode_sum = mpmath.fsum(
+                mpmath.cospi(mpmath.ldexp((p0 + j * s) % one, 1 - phi.bits))
+                for j in range(N))
+            total += mpmath.mpf(w) * mode_sum
+        return float(total / N)
 
 
 def lacunary_seminorm(phi: LacunaryObservable) -> float:

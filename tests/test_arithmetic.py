@@ -272,6 +272,20 @@ class TestExpansionDigest:
         cf = expand_cf(golden, None, stop_product=1 << 40000)
         assert cf.certified_len == arithmetic._MAX_TERMS
 
+    @pytest.mark.parametrize("text", ["golden", "pq:rule:index"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_stop_product_at_a_denominator_product(self, text, offset):
+        # stop_product at q_{n-1} q_n and one either side: the expansion
+        # stops at the first n >= 2 whose product reaches it
+        f = Frequency.parse(text, 192)
+        q = expand_cf(f, 10 ** 30).q
+        for n in range(2, len(q)):
+            stop = q[n - 2] * q[n - 1] + offset
+            first = next(k for k in range(2, len(q) + 1)
+                         if q[k - 2] * q[k - 1] >= stop)
+            cf = expand_cf(f, None, stop_product=stop)
+            assert cf.certified_len == first
+
 
 @pytest.fixture(scope="module", params=["golden", "sqrt2m1", "index", "decimal"])
 def cf(request):

@@ -620,8 +620,9 @@ class TestSharpnessExperiment:
             run_sharpness_experiment(cfg)
 
     def test_golden_bytes_of_the_sharp_route(self, tmp_path, monkeypatch):
-        # recorded while each mode built its own index ramp and temporaries:
-        # the shared ramp and in-place buffers keep every window bit for bit
+        # recorded when measure_average first summed its terms from exact
+        # phase tables (rows of B steps, B = N up to 1024 and ceil(sqrt N)
+        # above): every window, aggregate and oracle sum keeps its bytes
         monkeypatch.chdir(tmp_path)
         for freq, ms in (("pq:rule:spike:7,1000", [6]),
                          ("pq:rule:index", [4, 5, 6, 7, 8])):
@@ -632,11 +633,11 @@ class TestSharpnessExperiment:
                    for f in (tmp_path / "out").iterdir()}
         assert digests == {
             "sharp-d0c53ac9bd265d1b.csv":
-                "93359740345095808aaaa5d1441f5aac1a1fdb39a1569b42f136c13ab22bb58b",
+                "7a1d720f3ba2be2c900e4f105d03129aed4a9357c5245b42bd56552cb56e7a56",
             "sharp-d0c53ac9bd265d1b-manifest.json":
                 "8db420003b5b4526fc30cf11ad18712bda9b93f42237ed0aec301a10690ed100",
             "sharp-5ef339079e12cbb0.csv":
-                "cc05031362d94e71189c9b09d4b0722ce1a08886afe6f02a816e4c5db8c53cf9",
+                "09a27cdbb3d02850157c920d3d262f728d225d8a52cfc300ba4d77b8b217e90e",
             "sharp-5ef339079e12cbb0-manifest.json":
                 "382505a729874e5a849aa8a166a438c85b9fab68a4c97400b7a03d53b8c475a4",
         }

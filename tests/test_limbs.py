@@ -107,6 +107,23 @@ class TestLimbHelper:
                 cur[r] = (cur[r] + cur[r + 1]) % one
         assert ints_from_limbs(limbs, bits) == cur
 
+    @pytest.mark.parametrize("bits", BIT_WIDTHS)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_advance_of_chains_side_by_side(self, bits, data):
+        # (L, R, K) registers advance as K separate (L, R) chains
+        R = data.draw(st.integers(2, 4))
+        chains = data.draw(st.lists(
+            st.lists(fixed_values(bits), min_size=R, max_size=R),
+            min_size=1, max_size=4))
+        m = data.draw(st.integers(1, 300))
+        side = np.stack([limbs_from_ints(c, bits) for c in chains], axis=2)
+        seq = limbs_advance(side, m)
+        for k, c in enumerate(chains):
+            alone = limbs_from_ints(c, bits)
+            assert np.array_equal(seq[:, :, k], limbs_advance(alone, m))
+            assert np.array_equal(side[:, :, k], alone)
+
     def test_advance_long_block_carries(self):
         # 4096 steps of a register just below 1: every limb column carries
         bits = 192

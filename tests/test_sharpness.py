@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ergorate.arithmetic import Frequency, PartialQuotients, expand_cf
-from ergorate.dynamics import _BLOCK_CELLS, SystemSpec, TorusPoint, birkhoff_sum
+from ergorate.dynamics import (_BLOCK_CELLS, SystemSpec, TorusPoint,
+                               birkhoff_sum, limbs_from_ints)
 from ergorate.errors import HypothesisNotMet, Uncertified
 from ergorate import sharpness
 from ergorate.harness import resolve_observable, resolve_system
@@ -20,6 +21,7 @@ from ergorate.sharpness import (AnalyticWeight, HolderWeight,
                                 start_points, verify_Nm_bound,
                                 verify_lower_bound)
 from oracles import (fourier_coefficient, lacunary_seminorm,
+                     measure_average_libm, measure_average_mpmath,
                      measure_average_per_mode, sampled_holder_quotient)
 
 BITS = 192
@@ -187,17 +189,27 @@ class TestDecompose:
         for N in (13, 233, 4181):
             a = measure_average(golden_lac, golden, x, N)
             b = closed_form_average(golden_lac, x, N)
-            assert a == pytest.approx(b, abs=1e-10)
+            assert a == pytest.approx(b, abs=1e-13)
+
+    def test_identity_of_the_index_series_at_m9(self):
+        # N = q_9 = 740,785 over 25 modes, where a double ramp fl(j s) + ph0
+        # leaves a gap of 3.1e-14
+        phi = resolve_observable("lacunary:holder:0.5", resolve_system(
+            "rotation1d:pq:rule:index", BITS))
+        rep = decompose(phi, 9, TorusPoint.zero(1, BITS))
+        assert rep.q_m == 740785
+        assert rep.identity_gap < 1e-15
 
     @pytest.mark.parametrize("N", [1, 13, 4181])
     def test_direct_sum_equals_the_per_mode_oracle(self, golden_lac, golden, N):
-        # one shared ramp and in-place buffers keep every mode's sum bit for bit
+        # limb phase tables for every mode at once and blocks of several
+        # modes keep every mode's sum bit for bit
         for x in (TorusPoint.zero(1, BITS), TorusPoint.from_floats([0.37], BITS)):
             assert (measure_average(golden_lac, golden, x, N)
                     == measure_average_per_mode(golden_lac, golden, x, N))
 
     def test_direct_sum_across_a_chunk_boundary(self, golden, golden_deep_cf):
-        # two chunks of the index ramp, the second one short
+        # B = 1030: 1031 rows of one mode, 15 to a block, the last of 21 steps
         phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
         x = TorusPoint.from_floats([0.61], BITS)
         N = (1 << 20) + 12345
@@ -216,12 +228,15 @@ class TestDecompose:
                 assert (measure_average(series, golden, x, N)
                         == measure_average_per_mode(series, golden, x, N))
 
-    # N = B/64 and B/2: 64 and 2 whole rows of the 122 modes fill a block
-    # exactly; one step past each; rows around B, where B + 1 takes two tiles
+    # N = C/64 = 256 (C = _BLOCK_CELLS): one row per mode, 64 modes to a
+    # block; N = 1024, the last single row, and 1025, the first table of
+    # rows (B = 33, a last row of 2 steps); N = 1089 = 33^2, a full last
+    # row; C/2, two modes' full rows to a block, and C = 128^2, one mode's;
+    # one step off each
     @pytest.mark.parametrize("N", [
-        _BLOCK_CELLS // 64, _BLOCK_CELLS // 64 + 1, _BLOCK_CELLS // 2,
-        _BLOCK_CELLS // 2 + 1, _BLOCK_CELLS - 1, _BLOCK_CELLS,
-        _BLOCK_CELLS + 1])
+        _BLOCK_CELLS // 64, _BLOCK_CELLS // 64 + 1, 1024, 1025, 1089,
+        _BLOCK_CELLS // 2, _BLOCK_CELLS // 2 + 1, _BLOCK_CELLS - 1,
+        _BLOCK_CELLS, _BLOCK_CELLS + 1])
     def test_direct_sum_at_block_boundaries(self, golden_lac, golden,
                                             golden_deep_cf, N):
         analytic = build_lacunary(golden_deep_cf, AnalyticWeight(), tol=1e-12)
@@ -247,17 +262,37 @@ class TestDecompose:
                                      weights=phi.weights[1:2])
         holed = dataclasses.replace(
             phi, weights=phi.weights[:2] + (0.0,) + phi.weights[3:])
+        assert 89 in phi._inner_tables
         for series in (single, holed):
+            assert "_inner_tables" not in vars(series)
             steps, live, live_steps = series._steps
             assert steps == [q * w_fp % one for q in series.qs]
             assert live == [(q, w) for q, w in zip(series.qs, series.weights)
                             if w != 0.0]
-            assert live_steps.tolist() == [q * w_fp % one / one for q, _ in live]
+            assert np.array_equal(live_steps, limbs_from_ints(
+                [q * w_fp % one for q, _ in live], BITS))
             (x3,) = start_points(series, 1, [3])
             assert x3.coords == (3 * series.qs[0] * w_fp % one,)
             for N in (1, 89, 4181):
                 assert (measure_average(series, golden, x, N)
                         == measure_average_per_mode(series, golden, x, N))
+
+    @pytest.mark.parametrize("N", [1, 13, 1024, 1025, 4181, (1 << 20) + 12345])
+    def test_direct_sum_near_the_libm_sum(self, golden, golden_deep_cf, N):
+        # one libm cosine per term from the double ramp fl(j s) + ph0
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+        x = TorusPoint.from_floats([0.61], BITS)
+        assert (measure_average(phi, golden, x, N)
+                == pytest.approx(measure_average_libm(phi, golden, x, N),
+                                 abs=1e-12))
+
+    @pytest.mark.parametrize("N", [1, 2, 13, 89])
+    def test_direct_sum_near_the_mpmath_sum(self, golden_lac, golden, N):
+        # exact phases and every cosine and sum in mpmath
+        for x in (TorusPoint.zero(1, BITS), TorusPoint.from_floats([0.37], BITS)):
+            assert (measure_average(golden_lac, golden, x, N)
+                    == pytest.approx(measure_average_mpmath(golden_lac, golden,
+                                                            x, N), abs=1e-14))
 
     @pytest.mark.parametrize("N", [0, -3])
     def test_direct_sum_needs_one_step(self, golden_lac, golden, N):
