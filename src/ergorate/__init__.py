@@ -20,8 +20,7 @@ from .harness import (ExperimentConfig, RateSeries, emit_csv, emit_json,
                       run_kernel_experiment, run_rate_experiment,
                       run_sharpness_experiment, run_skew_experiment)
 from .kernels import (Holder, ModulusOfContinuity, Observable, TrigPoly,
-                      approximate, dirichlet, fejer, jackson, jackson_d,
-                      make_observable)
+                      approximate, dirichlet, fejer, make_observable)
 from .scenarios import SCENARIOS, run_scenario
 from .sharpness import (AnalyticWeight, HolderWeight, LacunaryObservable,
                         SharpnessReport, build_lacunary, decompose,

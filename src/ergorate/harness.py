@@ -27,8 +27,9 @@ from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                        sup_deviation)
 from .envelopes import Envelope, fit_scale, weyl_bound
 from .errors import ConfigError, Timeout
-from .kernels import (Observable, approximation_errors, make_dist_pow,
-                      make_observable, make_separable, random_real_trigpoly)
+from .kernels import (Observable, approximation_error, jackson_coeffs,
+                      make_dist_pow, make_observable, make_separable,
+                      random_real_trigpoly)
 from .sharpness import AnalyticWeight, HolderWeight, build_lacunary
 
 CONFIG_GRAMMAR = """\
@@ -410,10 +411,19 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
     return table
 
 
+# jackson_coeffs(n) takes O(n^2) time (1.0 s at this cap, 4.1 s at 2^16 on a
+# 2-CPU Xeon), and its int64 centre, n^3 / 12, overflows near n = 4.8e6
+APPROX_MAX_N = 1 << 15
+
+
 def run_approx_experiment(cfg: ExperimentConfig) -> list:
     """The sup distance from the observable to its degree-n Jackson
     smoothing (kernels.approximate), one row per n."""
     check_budget = cfg.start("approx")
+    ns = cfg.get("n_values", [16, 32, 64, 128])
+    if max(ns) > APPROX_MAX_N:
+        raise ConfigError(f"n must be <= APPROX_MAX_N = {APPROX_MAX_N}, "
+                          f"got {max(ns)}")
     system = cfg.get("system", "rotation1d:golden")
     sys = resolve_system(system, cfg.get("precision_bits", DEFAULT_BITS))
     if sys.dim > 1:
@@ -421,8 +431,10 @@ def run_approx_experiment(cfg: ExperimentConfig) -> list:
                           f"{system} has dimension {sys.dim}")
     phi = resolve_observable(cfg.get("observable", "dist_pow:0.5"), sys)
     rows = []
-    for n in cfg.get("n_values", [16, 32, 64, 128]):
-        rows += approximation_errors(phi, [n])
+    for n in ns:
+        kernel = jackson_coeffs(n)
+        rows.append({"n": n, "sup_error": approximation_error(phi, kernel),
+                     "n_coeffs": int(np.count_nonzero(kernel))})
         check_budget()
     _maybe_emit(cfg, "approx", rows, extra={})
     return rows

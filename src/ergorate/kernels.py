@@ -3,12 +3,8 @@
 Conventions: e(x) = exp(2*pi*i*x); the k-th Fourier coefficient of phi is
 the integral of phi(x) e(-k x) over the torus, computed here by uniform-grid
 quadrature (exact for trigonometric polynomials once the grid outruns the
-degrees involved, O(w(1/Q)) otherwise).
-
-The smoothing kernel is built by squaring the triangular-coefficient kernel
-of half the degree and renormalizing so the 0-coefficient is exactly 1; the
-normalization happens in coefficient space with integer arithmetic, so mass
-conservation is exact rather than quadrature-approximate.
+degrees involved, O(w(1/Q)) otherwise).  A degree-n kernel is the centred
+array w of its 2n + 1 coefficients, w[n + k] for k = -n..n.
 """
 
 from __future__ import annotations
@@ -317,6 +313,17 @@ def random_real_trigpoly(dim: int, degree: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
+def coeff_sum(w, x) -> np.ndarray | float:
+    """Re sum_k w_k e(kx) over a centred coefficient array, one term at a
+    time: the direct-sum oracle for the closed forms and the inverse FFT."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(np.shape(x), dtype=complex)
+    for k, c in enumerate(w, start=-(len(w) // 2)):
+        out += c * np.exp(2j * math.pi * k * x)
+    re = np.real(out)
+    return float(re) if re.ndim == 0 else re
+
+
 def dirichlet(n: int, x) -> np.ndarray | float:
     """D_n(x) = sum_{|k|<=n} e(kx) = sin((2n+1) pi x)/sin(pi x)."""
     if n < 0:
@@ -326,16 +333,6 @@ def dirichlet(n: int, x) -> np.ndarray | float:
     # np.sinc(t) = sin(pi t) / (pi t), 1 at t = 0
     out = (2 * n + 1) * np.sinc((2 * n + 1) * xr) / np.sinc(xr)
     return float(out) if out.ndim == 0 else out
-
-
-def dirichlet_coeff_sum(n: int, x) -> np.ndarray | float:
-    """Direct (2n+1)-term summation; the oracle for the closed form."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones(np.shape(x), dtype=complex)
-    for k in range(1, n + 1):
-        out += np.exp(2j * math.pi * k * x) + np.exp(-2j * math.pi * k * x)
-    re = np.real(out)
-    return float(re) if re.ndim == 0 else re
 
 
 def fejer(n: int, x) -> np.ndarray | float:
@@ -354,111 +351,72 @@ def fejer(n: int, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def fejer_coeff_sum(n: int, x) -> np.ndarray | float:
-    x = np.asarray(x, dtype=float)
-    out = np.ones(np.shape(x), dtype=complex)
-    for k in range(1, n):
-        w = 1.0 - k / n
-        out += w * (np.exp(2j * math.pi * k * x) + np.exp(-2j * math.pi * k * x))
-    re = np.real(out)
-    return float(re) if re.ndim == 0 else re
+def fejer_coeffs(n: int) -> np.ndarray:
+    """F_n's coefficients, the triangle 1 - |k|/n for k = -n..n."""
+    return 1.0 - np.abs(np.arange(-n, n + 1)) / n
 
 
-def jackson_coeffs(n: int) -> dict:
+def jackson_coeffs(n: int) -> np.ndarray:
     """Coefficients of the degree-<=n positive kernel with unit mass.
 
     Built as c_n * F_m^2 with m = n//2: the coefficient sequence is the
     autocorrelation of the triangle coefficients, normalized exactly by its
-    own 0-lag value (integer arithmetic), so coeff[0] == 1.0 exactly.
+    own 0-lag value (integer arithmetic), so the centre is 1.0 exactly.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     m = n // 2
-    tri = np.array([m - abs(j) for j in range(-(m - 1), m)], dtype=np.int64)
+    tri = m - np.abs(np.arange(1 - m, m))
     corr = np.convolve(tri, tri)  # lags -(2m-2) .. (2m-2), integer exact
-    center = len(corr) // 2
-    c0 = int(corr[center])
-    coeffs = {}
-    for i, v in enumerate(corr):
-        k = i - center
-        if v:
-            coeffs[(k,)] = complex(int(v) / c0, 0.0)
-    return coeffs
-
-
-def jackson(n: int) -> TrigPoly:
-    return TrigPoly(dim=1, coeffs=jackson_coeffs(n))
+    return np.pad(corr / corr[2 * m - 2], n - (2 * m - 2))
 
 
 def jackson_closed_form(n: int, x) -> np.ndarray | float:
-    """c_n F_m(x)^2 evaluated directly; cross-check for the coefficient form."""
+    """c_n F_m(x)^2 evaluated directly; cross-check for the coefficient form.
+    c_n = m^2 / c0, c0 = sum_{|j|<m} (m - |j|)^2 = m (2 m^2 + 1) / 3."""
     m = n // 2
-    tri = np.array([m - abs(j) for j in range(-(m - 1), m)], dtype=np.int64)
-    c0 = int(np.convolve(tri, tri)[2 * m - 2])
     f = np.asarray(fejer(m, x), dtype=float)
-    out = f * f * (m * m / c0)
+    out = f * f * (3 * m / (2 * m * m + 1))
     return float(out) if out.ndim == 0 else out
-
-
-def jackson_d(n: int, d: int) -> TrigPoly:
-    """Tensor-product kernel: coefficient at k is the product over axes."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    base = jackson_coeffs(n)
-    coeffs: dict = {}
-    keys = sorted(base)
-    for combo in itertools.product(keys, repeat=d):
-        k = tuple(c[0] for c in combo)
-        v = 1.0
-        for c in combo:
-            v *= base[c].real
-        coeffs[k] = complex(v, 0.0)
-    return TrigPoly(dim=d, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
 # quadrature and approximation
 # ---------------------------------------------------------------------------
 
+_ERROR_POINTS = 1 << 13  # where approximation_error takes its sup
+
 
 def _grid_spectrum(phi: Observable, Q: int) -> np.ndarray:
-    """All Fourier coefficients at once from an FFT of the sample grid."""
-    if phi.dim == 1:
-        xs = np.arange(Q) / Q
-        vals = np.asarray(phi.fn(xs), dtype=float)
-        return np.fft.fft(vals) / Q
-    axes = [np.arange(Q) / Q] * phi.dim
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = np.asarray(phi.fn(mesh), dtype=float)
-    return np.fft.fftn(vals) / Q ** phi.dim
+    """All Fourier coefficients at once, c_k at index k mod Q, from an FFT
+    of Q samples of the one-dimensional phi."""
+    vals = np.asarray(phi.fn(np.arange(Q) / Q), dtype=float)
+    return np.fft.fft(vals) / Q
 
 
-def approximate(phi: Observable, n: int, quad_points: Optional[int] = None) -> TrigPoly:
-    """Degree-<=n smoothing: multiply phi's coefficients by the kernel's.
+def approximate(phi: Observable, kernel: np.ndarray) -> np.ndarray:
+    """Degree-n smoothing: phi's coefficients times the kernel's, as a
+    centred array over k = -n..n.
 
-    Coefficients of phi come from one FFT over a grid of `quad_points` per
-    axis (default 8*n*dim), identical to per-k quadrature on that grid.
+    phi's coefficients come from one FFT over 8n grid points, identical to
+    per-k quadrature on that grid.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    Q = quad_points or 8 * n * phi.dim
-    kern = jackson_d(n, phi.dim)
-    spec = _grid_spectrum(phi, Q)
-    coeffs = {}
-    for k, jc in kern.coeffs.items():
-        idx = tuple(i % Q for i in k)
-        coeffs[k] = complex(spec[idx]) * jc
-    return TrigPoly(dim=phi.dim, coeffs=coeffs)
+    n = len(kernel) // 2
+    return _grid_spectrum(phi, 8 * n)[np.arange(-n, n + 1)] * kernel
 
 
-def approximation_errors(phi: Observable, ns: Sequence[int]) -> list:
-    """One row {n, sup_error, n_coeffs} per degree n: the sup distance
-    from phi to approximate(phi, n) over 2**13 uniform points."""
-    xs = np.arange(1 << 13) / (1 << 13)
-    ref = phi.fn(xs)
-    rows = []
-    for n in ns:
-        poly = approximate(phi, n)
-        err = float(np.max(np.abs(ref - poly.eval(xs))))
-        rows.append({"n": n, "sup_error": err, "n_coeffs": len(poly.coeffs)})
-    return rows
+def _fft_values(coeffs: np.ndarray) -> np.ndarray:
+    """Re sum_k c_k e(kx) at x = j / 2**13 from one inverse FFT of the
+    centred array over M >= 2n + 1 points, a power of two."""
+    n = len(coeffs) // 2
+    M = max(_ERROR_POINTS, 1 << (2 * n).bit_length())
+    buf = np.zeros(M, dtype=complex)
+    buf[np.arange(-n, n + 1)] = coeffs
+    return np.fft.ifft(buf, norm="forward")[::M // _ERROR_POINTS].real
+
+
+def approximation_error(phi: Observable, kernel: np.ndarray) -> float:
+    """The sup distance from phi to approximate(phi, kernel) over 2**13
+    uniform points."""
+    xs = np.arange(_ERROR_POINTS) / _ERROR_POINTS
+    return float(np.max(np.abs(phi.fn(xs) - _fft_values(approximate(phi, kernel)))))

@@ -24,11 +24,14 @@ from .errors import ErgorateError
 from .harness import (ExperimentConfig, resolve_observable, resolve_schedule,
                       resolve_system, run_kernel_experiment,
                       run_sharpness_experiment, run_skew_experiment)
-from .kernels import (_grid_spectrum, approximation_errors, dirichlet,
-                      dirichlet_coeff_sum, fejer, fejer_coeff_sum, jackson,
-                      jackson_closed_form, make_dist_pow)
+from .kernels import (_grid_spectrum, approximation_error, coeff_sum,
+                      dirichlet, fejer, fejer_coeffs, jackson_closed_form,
+                      jackson_coeffs, make_dist_pow)
 from .sharpness import (HolderWeight, build_lacunary, closed_form_average,
                         measure_average, slow_rate_point)
+
+# scenario_jackson's pair: Jackson's kernel, optimal, then Fejer's
+SMOOTHING_KERNELS = (jackson_coeffs, fejer_coeffs)
 
 # pi - 3 to 100 digits; any high-precision decimal in (0,1) works here
 PI_MINUS_3 = ("0.1415926535897932384626433832795028841971693993751"
@@ -226,12 +229,12 @@ def scenario_kernel_lemma() -> dict:
 
 
 def scenario_jackson() -> dict:
-    """Approximation error slope and Fourier decay for ||x||^0.5 plus kernel
-    identities."""
+    """Approximation error slope and Fourier decay for ||x||^0.5, Jackson
+    against Fejer smoothing on ||x||, plus kernel identities."""
     v = _Verdict("jackson", budget_s=60.0)
     phi = make_dist_pow(0.5)
     ns = [16, 32, 64, 128, 256]
-    errs = [row["sup_error"] for row in approximation_errors(phi, ns)]
+    errs = [approximation_error(phi, jackson_coeffs(n)) for n in ns]
     slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
     v.details["errors"] = dict(zip(ns, errs))
     v.details["slope"] = slope
@@ -250,20 +253,32 @@ def scenario_jackson() -> dict:
     v.check(f"Fourier decay |c_k| <= ||phi|| w(1/|k|) / 2 for 2 <= |k| <= {k_max}",
             worst <= 0.5, worst)
 
+    # Fejer smoothing is not optimal: on the Lipschitz ||x||, n * err stays
+    # level under Jackson's kernel but grows by ln(4) / pi^2 per 4x under Fejer's
+    lip = make_dist_pow(1.0)
+    ns4 = [16, 64, 256, 1024, 4096]
+    jack, fej = (np.array([n * approximation_error(lip, build(n)) for n in ns4])
+                 for build in SMOOTHING_KERNELS)
+    rise = math.log(4) / (2 * math.pi ** 2)
+    v.details["n_err_jackson"] = dict(zip(ns4, jack.tolist()))
+    v.details["n_err_fejer"] = dict(zip(ns4, fej.tolist()))
+    v.check("||x||: n * err spans < ln(4) / (2 pi^2) under Jackson, rises by "
+            "more per 4x under Fejer", np.ptp(jack) < rise <= np.min(np.diff(fej)),
+            [float(np.ptp(jack)), float(np.min(np.diff(fej)))])
+
     rng = np.random.default_rng(3)
     xs = rng.random(1000)
     ok_d = ok_f = True
     for n in (4, 16, 64):
-        ok_d &= bool(np.max(np.abs(dirichlet(n, xs) - dirichlet_coeff_sum(n, xs))) < 1e-10)
-        ok_f &= bool(np.max(np.abs(fejer(n, xs) - fejer_coeff_sum(n, xs))) < 1e-10)
+        ok_d &= bool(np.max(np.abs(dirichlet(n, xs) - coeff_sum(np.ones(2 * n + 1), xs))) < 1e-10)
+        ok_f &= bool(np.max(np.abs(fejer(n, xs) - coeff_sum(fejer_coeffs(n), xs))) < 1e-10)
     v.check("Dirichlet closed form == coefficient sum (1e-10)", ok_d)
     v.check("Fejer closed form == coefficient sum (1e-10)", ok_f)
-    norm_ok = all(jackson(n).coeff(0) == 1.0 for n in (2, 5, 8, 33, 256))
+    norm_ok = all(jackson_coeffs(n)[n] == 1.0 for n in (2, 5, 8, 33, 256))
     v.check("smoothing kernel mass exactly 1 in coefficient space", norm_ok)
-    jc = jackson(40)
     closed = jackson_closed_form(40, xs)
     v.check("kernel coefficient form == closed form (1e-10)",
-            bool(np.max(np.abs(jc.eval(xs) - closed)) < 1e-10))
+            bool(np.max(np.abs(coeff_sum(jackson_coeffs(40), xs) - closed)) < 1e-10))
     return v.done()
 
 

@@ -136,3 +136,14 @@ def test_jackson_fails_closed_on_nan(monkeypatch):
         "Fourier decay |c_k| <= ||phi|| w(1/|k|) / 2 for 2 <= |k| <= 256"]
     assert math.isnan(verdict["details"]["decay_max_ratio"])
     assert verdict["details"]["decay_argmax_k"] == 5
+
+
+def test_jackson_tells_the_two_smoothing_kernels_apart(monkeypatch):
+    jackson_coeffs, fejer_coeffs = scenarios.SMOOTHING_KERNELS
+    monkeypatch.setattr(scenarios, "SMOOTHING_KERNELS",
+                        (fejer_coeffs, jackson_coeffs))
+    verdict = run_scenario("jackson")
+    assert not verdict["passed"]
+    failed = [c["label"] for c in verdict["checks"] if not c["ok"]]
+    assert failed == ["||x||: n * err spans < ln(4) / (2 pi^2) under Jackson, "
+                      "rises by more per 4x under Fejer"]

@@ -524,11 +524,11 @@ class TestApproxExperiment:
         # approx read no budget: a huge degree ran on past any budget_s
         degrees = []
 
-        def errors(phi, ns):
-            degrees.extend(ns)
-            return [{"n": n} for n in ns]
+        def error(phi, kernel):
+            degrees.append(len(kernel) // 2)
+            return 0.0
 
-        monkeypatch.setattr(harness, "approximation_errors", errors)
+        monkeypatch.setattr(harness, "approximation_error", error)
         with pytest.raises(Timeout, match="approx"):
             run_approx_experiment(ExperimentConfig(
                 {"n_values": [16, 32], "budget_s": 1e-9}))
@@ -547,6 +547,24 @@ class TestApproxExperiment:
         assert manifest["kind"] == "approx" and manifest["config"] == cfg.values
         assert json.loads((tmp_path / f"{stem}.json").read_text()) == rows
         assert [r["n"] for r in rows] == [16, 32]
+
+    def test_degrees_above_the_cap_are_refused_before_any_work(self, monkeypatch):
+        # n_values = [100000000] ran on past 20 s; jackson_coeffs(n) costs
+        # O(n^2), and its int64 centre n^3 / 12 overflows near n = 4.8e6
+        def refuse(n):
+            raise AssertionError(f"built a degree-{n} kernel")
+
+        monkeypatch.setattr(harness, "jackson_coeffs", refuse)
+        cap = harness.APPROX_MAX_N
+        for ns in ([cap + 1], [16, 10 ** 8]):
+            with pytest.raises(ConfigError, match=f"APPROX_MAX_N = {cap}"):
+                run_approx_experiment(ExperimentConfig({"n_values": ns}))
+
+    def test_the_cap_itself_runs(self):
+        (row,) = run_approx_experiment(ExperimentConfig(
+            {"observable": "cos", "n_values": [harness.APPROX_MAX_N]}))
+        assert row["n_coeffs"] == 2 * harness.APPROX_MAX_N - 3
+        assert row["sup_error"] < 1e-5
 
     def test_defaults(self):
         rows = run_approx_experiment(ExperimentConfig())
@@ -756,6 +774,10 @@ class TestCli:
         # exited 2 with numpy's "shape-mismatch for sum"
         assert cli_main(["approx", "--system", system]) == 2
         assert "one-dimensional" in capsys.readouterr().err
+
+    def test_approx_refuses_a_degree_above_the_cap(self, capsys):
+        assert cli_main(["approx", "--n-values", "100000000"]) == 2
+        assert "APPROX_MAX_N" in capsys.readouterr().err
 
     def test_classify_has_no_witness_constant(self, capsys):
         with pytest.raises(SystemExit) as exc:

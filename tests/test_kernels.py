@@ -5,14 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergorate.kernels import (Holder, Observable, _grid_spectrum,
-                              approximate, dirichlet, dirichlet_coeff_sum,
-                              fejer, fejer_coeff_sum, jackson,
-                              jackson_closed_form, jackson_d, make_cos,
-                              make_dist_pow, make_observable, make_separable,
+from ergorate.kernels import (Holder, Observable, _fft_values, _grid_spectrum,
+                              approximate, approximation_error, coeff_sum,
+                              dirichlet, fejer, fejer_coeffs, jackson_coeffs,
+                              jackson_closed_form, make_cos, make_dist_pow,
+                              make_observable, make_separable,
                               make_weierstrass, random_real_trigpoly)
+from ergorate.harness import resolve_observable, resolve_system
 from oracles import (fourier_coefficient, is_hermitian,
                      sampled_holder_quotient)
+
+
+def dirichlet_coeff_sum(n, x):
+    return coeff_sum(np.ones(2 * n + 1), x)
+
+
+def fejer_coeff_sum(n, x):
+    return coeff_sum(fejer_coeffs(n), x)
 
 
 class TestModuli:
@@ -82,41 +91,30 @@ class TestFejer:
 
 class TestJackson:
     def test_degenerate_n2(self):
-        assert jackson(2).coeffs == {(0,): 1.0 + 0.0j}
+        assert jackson_coeffs(2).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_mass_exactly_one(self):
         # normalization happens in integer coefficient space
         for n in (2, 3, 8, 17, 64, 255, 256):
-            assert jackson(n).coeff(0) == 1.0
+            assert jackson_coeffs(n)[n] == 1.0
 
     def test_degree_bound(self):
         for n in (4, 9, 32, 101):
-            assert jackson(n).degree <= n
+            c = jackson_coeffs(n)
+            assert np.max(np.abs(np.flatnonzero(c) - len(c) // 2)) <= n
 
     def test_coefficients_bounded_and_positive_kernel(self):
-        j8 = jackson(8)
-        assert max(abs(c) for c in j8.coeffs.values()) <= 2.0
+        j8 = jackson_coeffs(8)
+        assert np.max(np.abs(j8)) <= 2.0
         grid = np.arange(10 ** 4) / 10 ** 4
-        assert np.min(j8.eval(grid)) >= -1e-12
+        assert np.min(coeff_sum(j8, grid)) >= -1e-12
 
     def test_coeff_vs_closed_form(self, rng):
         xs = rng.random(500)
         for n in (6, 20, 40):
-            a = jackson(n).eval(xs)
+            a = coeff_sum(jackson_coeffs(n), xs)
             b = jackson_closed_form(n, xs)
             assert np.max(np.abs(a - b)) < 1e-10
-
-    def test_tensor_product(self):
-        assert jackson_d(2, 2).coeffs == {(0, 0): 1.0 + 0.0j}
-        jd = jackson_d(6, 2)
-        j1 = jackson(6)
-        for (k1, k2), c in jd.coeffs.items():
-            assert c == pytest.approx(j1.coeff(k1) * j1.coeff(k2), abs=1e-15)
-        # approximate builds every kernel with jackson_d, so in one
-        # dimension it must give jackson's coefficients in jackson's order
-        for n in (2, 5, 6, 33, 256):
-            assert (list(jackson_d(n, 1).coeffs.items())
-                    == list(jackson(n).coeffs.items()))
 
 
 class TestFourierCoefficient:
@@ -147,18 +145,19 @@ class TestApproximate:
     def test_multiplier_form_on_trig_poly(self):
         tp = random_real_trigpoly(1, 3, seed=1)
         phi = tp.to_observable()
-        out = approximate(phi, 16)
-        jn = jackson(16)
+        out = approximate(phi, jackson_coeffs(16))
+        jn = jackson_coeffs(16)
         for k in range(-3, 4):
-            assert out.coeff(k) == pytest.approx(tp.coeff(k) * jn.coeff(k),
-                                                 abs=1e-10)
+            assert out[16 + k] == pytest.approx(tp.coeff(k) * jn[16 + k],
+                                                abs=1e-10)
 
     def test_sup_error_vanishes_for_band_limited(self):
         tp = random_real_trigpoly(1, 2, seed=5)
         phi = tp.to_observable()
         grid = np.arange(1 << 11) / (1 << 11)
         ref = tp.eval(grid)
-        errs = [float(np.max(np.abs(approximate(phi, n).eval(grid) - ref)))
+        errs = [float(np.max(np.abs(
+                    coeff_sum(approximate(phi, jackson_coeffs(n)), grid) - ref)))
                 for n in (8, 32, 128)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-2
@@ -166,48 +165,58 @@ class TestApproximate:
     def test_constant_reproduced_exactly(self):
         phi = Observable(dim=1, fn=lambda x: np.full(np.shape(x), 2.5),
                          modulus=Holder(1.0), norm_est=2.5, mean_hint=2.5)
-        out = approximate(phi, 8)
-        assert out.coeff(0) == pytest.approx(2.5, abs=1e-12)
-        for k in range(1, out.degree + 1):
-            assert abs(out.coeff(k)) < 1e-12
+        out = approximate(phi, jackson_coeffs(8))
+        assert out[8] == pytest.approx(2.5, abs=1e-12)
+        for k in range(1, 9):
+            assert abs(out[8 + k]) < 1e-12
 
     def test_dist_pow_rate(self):
         phi = make_dist_pow(0.5)
-        grid = np.arange(1 << 13) / (1 << 13)
-        ref = phi.fn(grid)
         ns = [16, 32, 64, 128]
-        errs = [float(np.max(np.abs(approximate(phi, n).eval(grid) - ref)))
-                for n in ns]
+        errs = [approximation_error(phi, jackson_coeffs(n)) for n in ns]
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert -0.65 <= slope <= -0.35
 
     def test_hermitian_output(self):
-        out = approximate(make_dist_pow(0.5), 32)
-        assert is_hermitian(out, 1e-9)
+        out = approximate(make_dist_pow(0.5), jackson_coeffs(32))
+        assert np.max(np.abs(np.conj(out[::-1]) - out)) <= 1e-9
 
     def test_multiplier_against_single_k_quadrature(self):
         # the FFT spectrum and per-k quadrature on the same grid agree, so
         # smoothing coefficients factor exactly through the kernel multiplier
         phi = make_dist_pow(0.5)
         n, Q = 16, 8 * 16
-        out = approximate(phi, n, quad_points=Q)
-        jn = jackson(n)
+        jn = jackson_coeffs(n)
+        out = approximate(phi, jn)
         for k in (-7, -2, 1, 3, 8):
-            expect = fourier_coefficient(phi, k, Q) * jn.coeff(k)
-            assert out.coeff(k) == pytest.approx(expect, abs=1e-13)
+            expect = fourier_coefficient(phi, k, Q) * jn[n + k]
+            assert out[n + k] == pytest.approx(expect, abs=1e-13)
 
     def test_quadrature_precondition(self):
         with pytest.raises(ValueError):
             fourier_coefficient(make_cos(), 32, quad_points=64)
 
-    def test_2d_multiplier(self):
-        tp = random_real_trigpoly(2, 2, seed=9)
-        phi = tp.to_observable()
-        out = approximate(phi, 8, quad_points=64)
-        jd = jackson_d(8, 2)
-        for k in ((1, 1), (2, -1), (0, 2)):
-            assert out.coeff(k) == pytest.approx(
-                tp.coeff(k) * jd.coeff(k), abs=1e-9)
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("key", ["dist_pow:0.5", "weierstrass_w:0.5",
+                                     "lacunary:holder:0.5", "trig3"])
+    def test_fft_values_match_the_direct_sum(self, key, n):
+        # the inverse FFT is the fast path; the term-by-term sum its oracle
+        if key == "trig3":
+            phi = random_real_trigpoly(1, 3, seed=4).to_observable()
+        else:
+            phi = resolve_observable(key, resolve_system("rotation1d:golden"))
+        xs = np.arange(1 << 13) / (1 << 13)
+        for kernel in (jackson_coeffs(n), fejer_coeffs(n)):
+            coeffs = approximate(phi, kernel)
+            assert np.max(np.abs(_fft_values(coeffs) - coeff_sum(coeffs, xs))) < 1e-12
+
+    def test_fft_values_pad_past_the_sample_grid(self):
+        # above n = 4095 the coefficients no longer fit 2**13 points, and the
+        # inverse FFT runs on the next power of two
+        coeffs = np.zeros(2 * 5000 + 1, dtype=complex)
+        coeffs[5000 + 4500] = coeffs[5000 - 4500] = 0.5
+        phase = 4500 * np.arange(1 << 13) % (1 << 13) / (1 << 13)  # exact
+        assert np.max(np.abs(_fft_values(coeffs) - np.cos(2 * np.pi * phase))) < 1e-12
 
 
 def _decay_ratio(phi, k_max):
