@@ -33,6 +33,9 @@ GRID_POINT_BUDGET = 1 << 18
 # ones get fresh pages from the kernel and fault them in on every block.
 _BLOCK_CELLS = 1 << 14
 
+# Row width of kernel_table: fixed, so a table is a prefix of a longer one
+_KERNEL_ROW = 1 << 10
+
 
 # ---------------------------------------------------------------------------
 # state and systems
@@ -287,6 +290,15 @@ def _chain_floats(chains: list, out: np.ndarray) -> None:
             seq = limbs_advance(regs, min(_SUB, len(out) - lo))
             out[lo:lo + seq.shape[2], col:col + width] = limbs_to_float(seq).T
         col += width
+
+
+def _phase_table(start, step, n: int, factor: float) -> tuple:
+    """cos and sin of factor ((start_k + i step_k) mod 1), i < n, as (K, n)
+    arrays, from (L, K) limbs of K start phases and steps: each phase is
+    reduced exactly and rounded once to a double before it is scaled."""
+    t = limbs_to_float(limbs_advance(np.stack([start, step], axis=1), n)[:, 0])
+    t *= factor
+    return np.cos(t), np.sin(t)
 
 
 # ---------------------------------------------------------------------------
@@ -598,35 +610,38 @@ class KernelTable:
     mags: np.ndarray
 
 
-def kernel_table(cf: ContinuedFraction, N: int, terms: int) -> KernelTable:
+def kernel_table(cf: ContinuedFraction, N: int, terms: int,
+                 check=None) -> KernelTable:
     """The table of |E_N(k omega)| = |sin(pi {Nk omega})| / (N |sin(pi {k
     omega})|), capped at 1, for k = 1..terms and omega = cf.omega.
 
-    Both arguments are reduced exactly in fixed point before the trig
-    evaluation, from two register chains: (k w, w) and (k Nw, Nw) with
-    Nw = N w mod 1, since k (N w mod 1) = N (k w mod 1) mod 1 exactly, so
-    no step multiplies by N.  The magnitudes are formed in place, so at
-    most two float arrays of `terms` values are alive.
+    For s = omega and s = N omega mod 1 (k (N w mod 1) = N k w mod 1
+    exactly), k = a C + b with b < C = min(_KERNEL_ROW, terms + 1) has
+    |sin(pi {k s})| = |sin(pi x_a) cos(pi y_b) + cos(pi x_a) sin(pi y_b)|,
+    x_a = {a C s} and y_b = {b s} from two exact phase tables; x_0 = 0, so
+    below C the term is sin(pi y_b).  Blocks of rows within _BLOCK_CELLS
+    fill the one array of `terms` values, calling check, if given, once
+    each; k = 0 and k > terms are never divided.
     """
-    bits = cf.omega.fractional_bits
-    w = cf.omega.fixed_point()
-    nw = N * w % (1 << bits)
-    chains = limbs_from_ints([w, w], bits), limbs_from_ints([nw, nw], bits)
-    t, nt = np.empty(terms), np.empty(terms)
-    for lo in range(0, terms, _SUB):
-        m = min(_SUB, terms - lo)
-        for regs, out in zip(chains, (t, nt)):
-            out[lo:lo + m] = limbs_to_float(limbs_advance(regs, m)[:, 0])
-    # |sin(pi nt)| / (N |sin(pi t)|) one operation at a time: the roundings
-    # of the expression, without its temporaries
-    for a in (nt, t):
-        np.multiply(math.pi, a, out=a)
-        np.sin(a, out=a)
-        np.abs(a, out=a)
-    np.multiply(N, t, out=t)
-    np.divide(nt, t, out=nt)
-    np.minimum(nt, 1.0, out=nt)
-    return KernelTable(cf, N, nt)
+    w, bits = cf.omega.fixed_point(), cf.omega.fractional_bits
+    steps = limbs_from_ints([w, N * w % (1 << bits)], bits)
+    C = min(_KERNEL_ROW, terms + 1)
+    cb, sb = _phase_table(np.zeros_like(steps), steps, C, math.pi)
+    ca, sa = _phase_table(np.zeros_like(steps), limbs_mul(steps, C),
+                          terms // C + 1, math.pi)
+    mags = np.empty(terms)
+    rows = max(1, _BLOCK_CELLS // (2 * C))
+    for a in range(0, terms // C + 1, rows):
+        s = sa[:, a:a + rows, None] * cb[:, None]
+        s += ca[:, a:a + rows, None] * sb[:, None]
+        lo, hi = max(1, a * C), min(terms + 1, (a + rows) * C)  # its k
+        t, nt = np.abs(s.reshape(2, -1)[:, lo - a * C:hi - a * C])
+        t *= N  # then nt / t, capped at 1, one operation at a time
+        out = mags[lo - 1:hi - 1]
+        np.minimum(np.divide(nt, t, out=out), 1.0, out=out)
+        if check is not None:
+            check()
+    return KernelTable(cf, N, mags)
 
 
 def kernel_sum(table: KernelTable, q_index: int) -> KernelSumResult:

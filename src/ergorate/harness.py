@@ -389,7 +389,7 @@ def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
         # the next N's is built
         columns = []
         for N in N_list:
-            table = kernel_table(cf, N, cf.q_at(ladder[-1]) - 1)
+            table = kernel_table(cf, N, cf.q_at(ladder[-1]) - 1, check_budget)
             column = []
             for idx in ladder:
                 column.append(kernel_sum(table, idx))

@@ -10,6 +10,7 @@ array w of its 2n + 1 coefficients, w[n + k] for k = -n..n.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -75,6 +76,10 @@ class Observable:
 
     def __call__(self, x):
         return self.fn(x)
+
+    @functools.cached_property
+    def _error_samples(self):  # fn at approximation_error's points, once
+        return self.fn(np.arange(_ERROR_POINTS) / _ERROR_POINTS)
 
     def mean(self) -> float:
         if self.mean_hint is not None:
@@ -418,5 +423,5 @@ def _fft_values(coeffs: np.ndarray) -> np.ndarray:
 def approximation_error(phi: Observable, kernel: np.ndarray) -> float:
     """The sup distance from phi to approximate(phi, kernel) over 2**13
     uniform points."""
-    xs = np.arange(_ERROR_POINTS) / _ERROR_POINTS
-    return float(np.max(np.abs(phi.fn(xs) - _fft_values(approximate(phi, kernel)))))
+    return float(np.max(np.abs(phi._error_samples
+                               - _fft_values(approximate(phi, kernel)))))

@@ -22,8 +22,8 @@ import numpy as np
 
 from .arithmetic import ContinuedFraction, Frequency, fp_from_float
 from .arithmetic import borel_bernstein_schedule  # noqa: F401 (re-export)
-from .dynamics import (_BLOCK_CELLS, TorusPoint, exp_sum_avg_fp,
-                       limbs_advance, limbs_from_ints, limbs_mul,
+from .dynamics import (_BLOCK_CELLS, TorusPoint, _phase_table,
+                       exp_sum_avg_fp, limbs_from_ints, limbs_mul,
                        limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified
 from .kernels import Holder, Observable
@@ -209,14 +209,6 @@ def build_lacunary(cf: ContinuedFraction, weight,
 # ---------------------------------------------------------------------------
 
 
-def _phase_table(start: np.ndarray, step: np.ndarray, n: int) -> tuple:
-    """cos and sin of 2 pi ((start_k + i step_k) mod 1), i < n, as (K, n)
-    arrays, from (L, K) limbs of K start phases and steps."""
-    t = limbs_to_float(limbs_advance(np.stack([start, step], axis=1), n)[:, 0])
-    t *= TWO_PI
-    return np.cos(t), np.sin(t)
-
-
 def _row_sums(ca, sa, cb, sb, out: np.ndarray) -> None:
     """out[k, a] = sum_b (ca[k, a] cb[k, b] - sa[k, a] sb[k, b]) by one
     np.sum per row, formed in blocks of whole rows within _BLOCK_CELLS."""
@@ -261,7 +253,8 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     B = N if N <= 1024 else math.isqrt(N - 1) + 1
     A, tail = -(-N // B), (N - 1) % B + 1  # rows, and steps in the last
     if B not in phi._inner_tables:
-        phi._inner_tables[B] = _phase_table(np.zeros_like(steps), steps, B)
+        phi._inner_tables[B] = _phase_table(np.zeros_like(steps), steps, B,
+                                              TWO_PI)
     cb, sb = phi._inner_tables[B]
     ph0 = [q * x.coords[0] & (one - 1) for q, _ in live]
     sums = np.empty((len(live), A))
@@ -270,7 +263,7 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
         ca, sa = np.cos(t), np.sin(t)
     else:
         ca, sa = _phase_table(limbs_from_ints(ph0, phi.bits),
-                              limbs_mul(steps, B), A)
+                              limbs_mul(steps, B), A, TWO_PI)
         _row_sums(ca[:, :-1], sa[:, :-1], cb, sb, sums[:, :-1])
     _row_sums(ca[:, -1:], sa[:, -1:], cb[:, :tail], sb[:, :tail], sums[:, -1:])
     total = 0.0

@@ -9,9 +9,10 @@ grid field of a 1-d rotation in one fresh pass, the grid field of any
 system by one exact orbit per grid point, the closed-form grid field with
 every mode phase formed afresh, the lacunary direct sum one mode at a time
 (by the library's phase tables, by one libm cosine per term, and in
-mpmath), the lacunary seminorm bound by a scalar loop, one Fourier
-coefficient by its own quadrature sum, and the integer that Ostrowski
-digits encode.
+mpmath), the kernel sums (by kernel_table's angle addition one term at a
+time, by two libm sines per term, and in mpmath), the lacunary seminorm
+bound by a scalar loop, one Fourier coefficient by its own quadrature sum,
+and the integer that Ostrowski digits encode.
 """
 
 import itertools
@@ -22,8 +23,9 @@ import mpmath
 import numpy as np
 
 from ergorate.arithmetic import ContinuedFraction, Frequency
-from ergorate.dynamics import (SystemSpec, TorusPoint, birkhoff_sum,
-                               exp_sum_avg_fp, grid_point, orbit_floats)
+from ergorate.dynamics import (_KERNEL_ROW, SystemSpec, TorusPoint,
+                               birkhoff_sum, exp_sum_avg_fp, grid_point,
+                               orbit_floats)
 from ergorate.kernels import Observable, TrigPoly
 from ergorate.sharpness import TWO_PI, LacunaryObservable
 
@@ -205,6 +207,74 @@ def measure_average_mpmath(phi: LacunaryObservable, omega: Frequency,
                 for j in range(N))
             total += mpmath.mpf(w) * mode_sum
         return float(total / N)
+
+
+def kernel_rung(mags: np.ndarray, q: int, N: int) -> tuple:
+    """The kernel sum over 1 <= |k| < q and its ratio against q log(q) / N,
+    from the first q - 1 magnitudes of a table: twice their np.sum."""
+    total = 2.0 * float(np.sum(mags[:q - 1]))
+    return total, total * N / (q * math.log(q))
+
+
+def kernel_table_oracle(omega: Frequency, N: int, terms: int) -> np.ndarray:
+    """|E_N(k omega)| for k = 1..terms by kernel_table's formula, one term
+    at a time, with every phase reduced by Python ints: for s = omega and
+    s = N omega mod 1, k = a C + b (b < C = min(_KERNEL_ROW, terms + 1)) has
+    |sin pi {k s}| = |sin(pi alpha) cos(pi beta) + cos(pi alpha) sin(pi
+    beta)|, where alpha = (a C s) mod 1 and beta = (b s) mod 1 are rounded
+    as int / int and scaled by pi; the magnitude is |sin pi {k N omega}| /
+    (N |sin pi {k omega}|), capped at 1."""
+    one = 1 << omega.fractional_bits
+    w = omega.fixed_point()
+    C = min(_KERNEL_ROW, terms + 1)
+    ks = range(1, terms + 1)
+    sines = []
+    for s in (w, N * w % one):
+        alpha = math.pi * np.array([k // C * C * s % one / one for k in ks])
+        beta = math.pi * np.array([k % C * s % one / one for k in ks])
+        sines.append(np.abs(np.sin(alpha) * np.cos(beta)
+                            + np.cos(alpha) * np.sin(beta)))
+    t, nt = sines
+    return np.minimum(nt / (N * t), 1.0)
+
+
+def kernel_sum_oracle(omega: Frequency, cf: ContinuedFraction, q_index: int,
+                      N: int) -> tuple:
+    """The kernel sum of rung q_index and its ratio, by two libm sines per
+    term: {k omega} by a running big-integer sum, {k N omega} from its
+    product, each rounded as int / int, and |sin(pi {k N omega})| / (N
+    |sin(pi {k omega})|) capped at 1."""
+    q = cf.q_at(q_index)
+    bits = omega.fractional_bits
+    w = omega.fixed_point()
+    one = 1 << bits
+    t_frac = np.empty(q - 1, dtype=float)
+    nt_frac = np.empty(q - 1, dtype=float)
+    acc = 0
+    for k in range(1, q):
+        acc = (acc + w) % one
+        t_frac[k - 1] = acc / one
+        nt_frac[k - 1] = ((N * acc) % one) / one
+    mags = np.abs(np.sin(math.pi * nt_frac)) / (N * np.abs(np.sin(math.pi * t_frac)))
+    np.minimum(mags, 1.0, out=mags)
+    return kernel_rung(mags, q, N)
+
+
+def kernel_sum_mpmath(omega: Frequency, cf: ContinuedFraction, q_index: int,
+                      N: int) -> tuple:
+    """The kernel sum of rung q_index and its ratio in mpmath at bits + 64
+    bits: every phase (k omega) mod 1 and (k N omega) mod 1 is an exact
+    fixed-point integer, and every sine, quotient and the sum are taken at
+    that precision."""
+    q = cf.q_at(q_index)
+    bits = omega.fractional_bits
+    w, one = omega.fixed_point(), 1 << bits
+    with mpmath.workprec(bits + 64):
+        total = 2 * mpmath.fsum(
+            min(1, abs(mpmath.sinpi(mpmath.ldexp(N * k * w % one, -bits)))
+                / (N * abs(mpmath.sinpi(mpmath.ldexp(k * w % one, -bits)))))
+            for k in range(1, q))
+        return float(total), float(total * N / (q * mpmath.log(q)))
 
 
 def lacunary_seminorm(phi: LacunaryObservable) -> float:

@@ -422,29 +422,44 @@ class TestKernelExperiment:
             run_kernel_experiment(cfg)
 
     def test_golden_bytes_of_the_ladder(self, tmp_path, monkeypatch):
-        # recorded while every rung summed its own terms: the table per N
-        # keeps every sum bit for bit, and the rows keep their (q, N) order
+        # re-recorded when the table's sines came from angle addition: 30 of
+        # the 66 rows moved, `sum` by at most 9.2e-13 relative (6.6e-11
+        # absolute) and `ratio` by at most 9.2e-13 relative (7.8e-13
+        # absolute), both at golden q = 317811, N = 100000; max_ratio and
+        # the manifest did not move, and the rows keep their (q, N) order
         monkeypatch.chdir(tmp_path)
         run_kernel_experiment(ExperimentConfig(dict(KERNEL_RUN, out_dir="out")))
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in (tmp_path / "out").iterdir()}
         assert digests == {
             "kernel-bb6927fb3cd829c8.csv":
-                "956140c53d35e74ed603f396df0548c3349904b7291d1a4dae441d0bbca81a48",
+                "5975adbee18510f69d201f8b51f78204febcac665d3881462a05f02e13025b04",
             "kernel-bb6927fb3cd829c8-manifest.json":
                 "75461538a468c10514c7499dfff9fe819700107dfc27fddf8687bd619f7c6103",
         }
 
     def test_one_table_alive_at_a_time(self):
-        # two float arrays of q_top - 1 = 317,810 values are 5.1 MB; a
-        # ladder that summed each rung afresh peaked at 12.4 MB
+        # one float array of q_top - 1 = 317,810 values is 2.5 MB, and the
+        # run peaked at 3.0 MB; two such arrays peaked at 5.5 MB, and a
+        # ladder that summed each rung afresh at 12.4 MB
         tracemalloc.start()
         try:
             run_kernel_experiment(ExperimentConfig(dict(KERNEL_RUN)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < 4 * 2 ** 20
+
+    def test_the_budget_stops_the_table_build(self, monkeypatch):
+        # the first budget check raises, inside the first table's build
+        built = []
+        real = harness.kernel_table
+        monkeypatch.setattr(harness, "kernel_table",
+                            lambda *args: built.append(real(*args)))
+        with pytest.raises(Timeout, match="kernel"):
+            run_kernel_experiment(ExperimentConfig(dict(KERNEL_RUN,
+                                                        budget_s=1e-9)))
+        assert built == []
 
     def test_non_finite_ratio_fails_the_cap(self, monkeypatch):
         from ergorate import harness

@@ -177,6 +177,23 @@ class TestApproximate:
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert -0.65 <= slope <= -0.35
 
+    def test_the_sup_samples_phi_once_per_observable(self):
+        # every degree compares against phi at the same 2**13 points
+        base = make_dist_pow(0.5)
+        sizes = []
+
+        def fn(x):
+            sizes.append(np.size(x))
+            return base.fn(x)
+
+        phi = Observable(dim=1, fn=fn, modulus=base.modulus,
+                         norm_est=base.norm_est)
+        ns = (16, 32, 64)  # spectra of 8n points, none of 2**13
+        errs = [approximation_error(phi, jackson_coeffs(n)) for n in ns]
+        assert sizes.count(1 << 13) == 1
+        assert errs == [approximation_error(base, jackson_coeffs(n))
+                        for n in ns]
+
     def test_hermitian_output(self):
         out = approximate(make_dist_pow(0.5), jackson_coeffs(32))
         assert np.max(np.abs(np.conj(out[::-1]) - out)) <= 1e-9

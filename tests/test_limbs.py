@@ -1,14 +1,17 @@
 """uint64-limb fixed-point registers against Python big-integer arithmetic.
 
 The helper's three operations are checked value by value against exact
-integers, and the routines built on it (rotation and skew orbits, kernel
-sums, skew character sums, lacunary series evaluation) are checked bit for
-bit against the big-integer loops they replaced, kept here as oracles.  The
-register-chain closed-form iterate is checked against the per-kind
-binomial formula it replaced.
+integers, and the routines built on it (rotation and skew orbits, skew
+character sums, lacunary series evaluation) are checked bit for bit
+against the big-integer loops they replaced, kept here as oracles.  Kernel
+tables are checked bit for bit against their formula with big-integer
+phases, and within 1e-11 against two libm sines per term and against
+mpmath (tests/oracles.py).  The register-chain closed-form iterate is
+checked against the per-kind binomial formula it replaced.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,17 +19,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergorate.arithmetic import Frequency, expand_cf
-from ergorate.dynamics import (CharSweep, SystemSpec, TorusPoint,
+from ergorate import dynamics
+from ergorate.dynamics import (_KERNEL_ROW, CharSweep, SystemSpec, TorusPoint,
                                char_birkhoff_skew, iterate, kernel_sum,
                                kernel_table, limbs_advance, limbs_from_ints,
                                limbs_mul, limbs_to_float, orbit_floats)
 from ergorate.harness import resolve_observable, resolve_system
+from oracles import (kernel_rung, kernel_sum_mpmath, kernel_sum_oracle,
+                     kernel_table_oracle)
 
 BIT_WIDTHS = (192, 100, 250, 64)  # 64 bits: two limbs, no third
 DEC = ("dec:0.1415926535897932384626433832795028841971693993751058209749445"
        "923078164062862089986280348253421170679")
 FREQS = ("surd:(-1,1,5,2)", "pq:[2,3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8]",
          "pq:rule:index", DEC)
+KERNEL_NS = (7, 1000, 10 ** 5, (1 << 40) + 3, 3 ** 90)
 
 
 def ints_from_limbs(a, bits):
@@ -209,24 +216,6 @@ def skew_orbit_oracle(sys, x, N, chunk=1 << 14):
         yield buf
 
 
-def kernel_sum_oracle(omega, cf, q_index, N):
-    q = cf.q_at(q_index)
-    bits = omega.fractional_bits
-    w = omega.fixed_point()
-    one = 1 << bits
-    t_frac = np.empty(q - 1, dtype=float)
-    nt_frac = np.empty(q - 1, dtype=float)
-    acc = 0
-    for k in range(1, q):
-        acc = (acc + w) % one
-        t_frac[k - 1] = acc / one
-        nt_frac[k - 1] = ((N * acc) % one) / one
-    mags = np.abs(np.sin(math.pi * nt_frac)) / (N * np.abs(np.sin(math.pi * t_frac)))
-    np.minimum(mags, 1.0, out=mags)
-    total = 2.0 * float(np.sum(mags))
-    return total, total * N / (q * math.log(q))
-
-
 def char_sum_oracle(d, omega, k, x, N, bits):
     one = 1 << bits
     table = phase_polynomial_table(SystemSpec.skew(d, omega), k, x)
@@ -323,11 +312,15 @@ class TestAgainstBigIntOracles:
         omega = Frequency.parse(ftext)
         cf = expand_cf(omega, max_q=20000)
         for idx in range(1, cf.certified_len + 1):
-            if cf.q_at(idx) < 2:
+            q = cf.q_at(idx)
+            if q < 2:
                 continue
-            for N in (7, 1000, 10 ** 5, (1 << 40) + 3, 3 ** 90):
-                res = kernel_sum(kernel_table(cf, N, cf.q_at(idx) - 1), idx)
-                assert (res.total, res.ratio) == kernel_sum_oracle(omega, cf, idx, N)
+            for N in KERNEL_NS:
+                table = kernel_table(cf, N, q - 1)
+                want = kernel_table_oracle(omega, N, q - 1)
+                assert table.mags.tobytes() == want.tobytes()
+                res = kernel_sum(table, idx)
+                assert (res.total, res.ratio) == kernel_rung(want, q, N)
 
     def test_kernel_sum_from_one_table(self, ftext):
         # one table to the top of the ladder serves every rung, bit for bit
@@ -335,11 +328,40 @@ class TestAgainstBigIntOracles:
         cf = expand_cf(omega, max_q=20000)
         ladder = [idx for idx in range(1, cf.certified_len + 1)
                   if cf.q_at(idx) >= 2]
-        for N in (7, 1000, 10 ** 5, (1 << 40) + 3, 3 ** 90):
+        for N in KERNEL_NS:
             table = kernel_table(cf, N, cf.q_at(ladder[-1]) - 1)
             for idx in ladder:
+                q = cf.q_at(idx)
                 res = kernel_sum(table, idx)
-                assert (res.total, res.ratio) == kernel_sum_oracle(omega, cf, idx, N)
+                assert (res.total, res.ratio) == kernel_rung(
+                    kernel_table_oracle(omega, N, q - 1), q, N)
+
+    def test_kernel_sum_near_two_sines_per_term(self, ftext):
+        # angle addition errs by a few ulp absolute in each sine, so a term
+        # whose sin(pi {k N omega}) is near zero moves by up to ~1e-9
+        # relative; each rung's sum stays within 1e-11
+        omega = Frequency.parse(ftext)
+        cf = expand_cf(omega, max_q=20000)
+        for N in KERNEL_NS:
+            table = kernel_table(cf, N, cf.q_at(cf.certified_len) - 1)
+            for idx in range(1, cf.certified_len + 1):
+                if cf.q_at(idx) < 2:
+                    continue
+                res = kernel_sum(table, idx)
+                total, ratio = kernel_sum_oracle(omega, cf, idx, N)
+                assert res.total == pytest.approx(total, rel=1e-11)
+                assert res.ratio == pytest.approx(ratio, rel=1e-11)
+
+    def test_a_kernel_table_is_a_prefix_of_a_longer_one(self, ftext):
+        omega = Frequency.parse(ftext)
+        cf = expand_cf(omega, max_q=20000)
+        C = _KERNEL_ROW
+        rungs = [cf.q_at(idx) - 1 for idx in range(1, cf.certified_len + 1)]
+        for N in (1000, 3 ** 90):
+            top = kernel_table(cf, N, 20000).mags
+            for terms in [C - 1, C, C + 1, 2 * C, 2 * C + 1] + rungs:
+                got = kernel_table(cf, N, terms).mags
+                assert got.tobytes() == top[:terms].tobytes()
 
     @pytest.mark.parametrize("d,k", [(2, (1, 0)), (3, (1, 0, 0)),
                                      (3, (2, -1, 1)), (4, (0, 1, 0, 2))])
@@ -349,6 +371,58 @@ class TestAgainstBigIntOracles:
             for N in (1, 4096, 6000, 9000):
                 res = char_birkhoff_skew(CharSweep(omega, k, x), N)
                 assert res.value == char_sum_oracle(d, omega, k, x, N, 192)
+
+
+@pytest.mark.parametrize("ftext,idx,N", [
+    ("golden", 15, 1000), ("golden", 16, 3 ** 90),
+    ("pq:rule:index", 6, 10 ** 5), (DEC, 3, (1 << 40) + 3)])
+def test_kernel_sum_near_mpmath(ftext, idx, N):
+    omega = Frequency.parse(ftext)
+    cf = expand_cf(omega, max_q=20000)
+    res = kernel_sum(kernel_table(cf, N, cf.q_at(idx) - 1), idx)
+    total, ratio = kernel_sum_mpmath(omega, cf, idx, N)
+    assert res.total == pytest.approx(total, rel=1e-11)
+    assert res.ratio == pytest.approx(ratio, rel=1e-11)
+
+
+# pq:[2,3,1,4,1,5,9] is a rational of denominator 2779, where its ladder
+# ends: k = 2779, whose sines are about zero, sits in the top table's last
+# row, one past its terms; k = 0 sits in every table's first row
+@pytest.mark.parametrize("ftext", FREQS + ("pq:[2,3,1,4,1,5,9]",))
+def test_a_kernel_table_divides_no_zero(ftext):
+    cf = expand_cf(Frequency.parse(ftext), max_q=20000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in KERNEL_NS:
+            for idx in range(1, cf.certified_len + 1):
+                mags = kernel_table(cf, N, cf.q_at(idx) - 1).mags
+                assert np.all(np.isfinite(mags))
+
+
+def test_a_kernel_table_takes_two_short_phase_tables(monkeypatch):
+    # two phase tables: C + terms // C + 1 steps of each of the two chains
+    steps = []
+
+    def counted(regs, m):
+        steps.append(m * regs[0, 0].size)
+        return limbs_advance(regs, m)
+
+    monkeypatch.setattr(dynamics, "limbs_advance", counted)
+    cf = expand_cf(Frequency.parse("golden"), max_q=317811)
+    terms = cf.q_at(cf.certified_len) - 1
+    assert terms == 317810
+    kernel_table(cf, 1000, terms)
+    C = _KERNEL_ROW
+    assert sum(steps) <= 2 * (C + terms / C) + 2
+
+
+def test_the_kernel_table_checks_once_per_block():
+    cf = expand_cf(Frequency.parse("golden"), max_q=317811)
+    terms = cf.q_at(cf.certified_len) - 1
+    calls = []
+    table = kernel_table(cf, 1000, terms, lambda: calls.append(1))
+    assert len(calls) >= terms // dynamics._BLOCK_CELLS
+    assert table.mags.tobytes() == kernel_table(cf, 1000, terms).mags.tobytes()
 
 
 def test_a_kernel_table_too_short_is_refused():
