@@ -39,6 +39,7 @@ DEFAULT_BITS = 192
 
 # Longest prefix expand_cf stores, whatever max_q or stop_product ask for.
 _MAX_TERMS = 5000
+CLASSIFY_MAX_K = 10 ** 6  # classify's scan takes about 1 us per k
 
 
 def dist_to_Z(t):
@@ -589,8 +590,8 @@ def classify(cf: ContinuedFraction, k_max: int) -> DiophantineReport:
                frequencies as strongly Liouville)
     witnesses  borel_bernstein_schedule(cf)
     """
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+    if not 2 <= k_max <= CLASSIFY_MAX_K:
+        raise ValueError(f"k_max={k_max} is not in [2, {CLASSIFY_MAX_K}]")
     omega = cf.omega
     if omega.is_rational() or cf.terminated:
         raise NotIrrational("Diophantine classification needs an irrational frequency")

@@ -14,8 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from .arithmetic import (DEFAULT_BITS, Frequency, classify, expand_cf,
-                         ostrowski_digits)
+from .arithmetic import (CLASSIFY_MAX_K, DEFAULT_BITS, Frequency, classify,
+                         expand_cf, ostrowski_digits)
 from .errors import ConfigError, ErgorateError
 from .harness import (_KEYS, CONFIG_GRAMMAR, ExperimentConfig, _fits,
                       _parse_scalar, emit_json, json_text,
@@ -107,6 +107,9 @@ def cmd_cf(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.k_max > CLASSIFY_MAX_K:
+        raise ConfigError(f"--k-max must be <= CLASSIFY_MAX_K = "
+                          f"{CLASSIFY_MAX_K}, got {args.k_max}")
     omega = Frequency.parse(args.frequency, args.precision_bits or DEFAULT_BITS)
     cf = expand_cf(omega, max_q=args.max_q)
     rep = classify(cf, k_max=args.k_max)

@@ -292,11 +292,11 @@ def _chain_floats(chains: list, out: np.ndarray) -> None:
         col += width
 
 
-def _phase_table(start, step, n: int, factor: float) -> tuple:
-    """cos and sin of factor ((start_k + i step_k) mod 1), i < n, as (K, n)
-    arrays, from (L, K) limbs of K start phases and steps: each phase is
-    reduced exactly and rounded once to a double before it is scaled."""
-    t = limbs_to_float(limbs_advance(np.stack([start, step], axis=1), n)[:, 0])
+def _phase_table(regs: np.ndarray, n: int, factor: float) -> tuple:
+    """cos and sin of factor (phase mod 1) at the next n steps of (L, 2, K)
+    limbs of K phases and steps, as (K, n) arrays, leaving regs at step n:
+    each phase is reduced exactly and rounded once before it is scaled."""
+    t = limbs_to_float(limbs_advance(regs, n)[:, 0])
     t *= factor
     return np.cos(t), np.sin(t)
 
@@ -626,8 +626,9 @@ def kernel_table(cf: ContinuedFraction, N: int, terms: int,
     w, bits = cf.omega.fixed_point(), cf.omega.fractional_bits
     steps = limbs_from_ints([w, N * w % (1 << bits)], bits)
     C = min(_KERNEL_ROW, terms + 1)
-    cb, sb = _phase_table(np.zeros_like(steps), steps, C, math.pi)
-    ca, sa = _phase_table(np.zeros_like(steps), limbs_mul(steps, C),
+    zero = np.zeros_like(steps)
+    cb, sb = _phase_table(np.stack([zero, steps], axis=1), C, math.pi)
+    ca, sa = _phase_table(np.stack([zero, limbs_mul(steps, C)], axis=1),
                           terms // C + 1, math.pi)
     mags = np.empty(terms)
     rows = max(1, _BLOCK_CELLS // (2 * C))
@@ -690,12 +691,13 @@ class CharSweep:
     (i from 0), leading coefficient (k_i / (d-i)!) * omega; degree+1
     fixed-point registers advance it with degree exact additions per step.
     Each chunk of 2**12 steps adds one exp-sum to the total, which fixes
-    the summation order.
+    the summation order; check, if given, is called once per chunk.
     """
 
     CHUNK = 1 << 12
 
-    def __init__(self, omega: Frequency, k: Sequence[int], x: TorusPoint):
+    def __init__(self, omega: Frequency, k: Sequence[int], x: TorusPoint,
+                 check=None):
         k = tuple(int(v) for v in k)
         if len(k) != x.dim or not any(k):
             raise ValueError("k must have one entry per coordinate of x "
@@ -711,6 +713,7 @@ class CharSweep:
                                       for r in range(self.degree + 1)], bits)
         self.j = 0
         self._total = 0.0 + 0.0j
+        self._check = check
 
     def value(self, N: int) -> complex:
         """The sum to N, in the summation order of a fresh sweep: whole
@@ -721,6 +724,8 @@ class CharSweep:
         while N - self.j >= self.CHUNK:
             self._total += self._chunk(self._regs, self.CHUNK)
             self.j += self.CHUNK
+            if self._check is not None:
+                self._check()
         if N == self.j:
             return self._total
         return self._total + self._chunk(self._regs.copy(), N - self.j)

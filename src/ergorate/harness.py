@@ -97,6 +97,7 @@ def _split_unquoted(text: str, sep: str) -> list:
 # the runs that read it; a key every run reads is a top-level flag, which the
 # other commands in its row read too.
 _EVERY_RUN = "rate kernel approx sharp skew"
+KERNEL_MAX_Q = 1 << 24  # a kernel table of max_q doubles is 128 MB
 _KEYS = {
     "precision_bits": ("int in [64, inf)", _EVERY_RUN + " cf classify ostrowski"),
     "budget_s": ("number in (0, inf)", _EVERY_RUN),
@@ -107,7 +108,7 @@ _KEYS = {
     "grid": ("int in [16, inf)", "rate"), "timings": ("bool", "rate"),
     "frequencies": ("nonempty text list", "kernel"),
     "n_values": ("nonempty int list in [1, inf)", "kernel approx skew"),
-    "max_q": ("int in [2, inf)", "kernel"),
+    "max_q": (f"int in [2, {KERNEL_MAX_Q}]", "kernel"),
     "ratio_cap": ("number in (0, inf)", "kernel"),
     "frequency": ("text", "sharp skew"),
     "weight": ("text in {holder, analytic}", "sharp"),
@@ -457,15 +458,14 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     if not ms:
         raise ConfigError(f"nothing to measure: without m_values, the witness "
                           f"schedule has no m in [2, {phi.n_modes})")
-    reports = []
+    reports, x0 = [], TorusPoint.zero(1, phi.bits)
     for m in ms:
-        entry = {"m": m, "q_m": phi.mode_q(m)}
-        rep = sharpness.decompose(phi, m, TorusPoint.zero(1, phi.bits))
-        entry["identity_gap"] = rep.identity_gap
-        entry["lower_dev_at_0"] = rep.lower_dev
+        rep = sharpness.decompose(phi, m, x0, check_budget)
+        entry = {"m": m, "q_m": rep.q_m, "identity_gap": rep.identity_gap,
+                 "lower_dev_at_0": rep.lower_dev}
         try:
-            lb = sharpness.verify_lower_bound(phi, m)
-            nm = sharpness.verify_Nm_bound(phi, lb)
+            lb = sharpness.verify_lower_bound(phi, m, check=check_budget)
+            nm = sharpness.verify_Nm_bound(phi, lb, check_budget)
             entry.update({
                 "hypothesis": "ok",
                 "min_ratio": lb.min_ratio,
@@ -478,7 +478,6 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
         except sharpness.HypothesisNotMet as exc:
             entry.update({"hypothesis": f"not met: {exc}", "passed": None})
         reports.append(entry)
-        check_budget()
     out = {"reports": reports, "config_hash": cfg.config_hash(),
            "n_modes": phi.n_modes, "tail_bound": phi.tail_bound}
     _maybe_emit(cfg, "sharp", reports, extra={"n_modes": phi.n_modes})
@@ -503,14 +502,14 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
     xs.append(TorusPoint.zero(d, bits))
 
     # one sweep per start point; a schedule that steps back restarts them
-    sweeps = [CharSweep(omega, k, x) for x in xs]
+    sweeps = [CharSweep(omega, k, x, check_budget) for x in xs]
     lead = omega.scale(sweeps[0].leading_num, sweeps[0].leading_den)
     lead_cf = expand_cf(lead, max_q=max(N_list) * 64)
 
     rows = []
     for N in N_list:
         if N < sweeps[0].j:
-            sweeps = [CharSweep(omega, k, x) for x in xs]
+            sweeps = [CharSweep(omega, k, x, check_budget) for x in xs]
         # np.max, unlike max, propagates a NaN, so the gates below fail on it
         best = float(np.max([abs(char_birkhoff_skew(sweep, N).value)
                              for sweep in sweeps]))

@@ -14,6 +14,7 @@ precision on the raw product q_k * x would be garbage past q_k ~ 1e15.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,9 +23,8 @@ import numpy as np
 
 from .arithmetic import ContinuedFraction, Frequency, fp_from_float
 from .arithmetic import borel_bernstein_schedule  # noqa: F401 (re-export)
-from .dynamics import (_BLOCK_CELLS, TorusPoint, _phase_table,
-                       exp_sum_avg_fp, limbs_from_ints, limbs_mul,
-                       limbs_to_float)
+from .dynamics import (_SUB, TorusPoint, _phase_table, exp_sum_avg_fp,
+                       limbs_from_ints, limbs_mul, limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified
 from .kernels import Holder, Observable
 
@@ -124,7 +124,7 @@ class LacunaryObservable(Observable):
                 limbs_from_ints([steps[k] for k in live], self.bits))
 
     @functools.cached_property
-    def _inner_tables(self) -> dict:  # B -> measure_average's inner table
+    def _inner_totals(self) -> dict:  # (B, tail) -> measure_average's totals
         return {}
 
 
@@ -209,38 +209,21 @@ def build_lacunary(cf: ContinuedFraction, weight,
 # ---------------------------------------------------------------------------
 
 
-def _row_sums(ca, sa, cb, sb, out: np.ndarray) -> None:
-    """out[k, a] = sum_b (ca[k, a] cb[k, b] - sa[k, a] sb[k, b]) by one
-    np.sum per row, formed in blocks of whole rows within _BLOCK_CELLS."""
-    (K, A), n = ca.shape, cb.shape[1]
-    ar = min(A, max(1, _BLOCK_CELLS // n))  # rows of one mode per block
-    km = max(1, _BLOCK_CELLS // (ar * n))   # modes per block
-    for k in range(0, K, km):
-        for a in range(0, A, ar):
-            t = ca[k:k + km, a:a + ar, None] * cb[k:k + km, None]
-            t -= sa[k:k + km, a:a + ar, None] * sb[k:k + km, None]
-            np.sum(t, axis=2, out=out[k:k + km, a:a + ar])
-
-
 def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
-                    N: int) -> float:
+                    N: int, check=None) -> float:
     """(1/N) S_N phi(x) by direct trigonometric summation along the orbit.
 
     Step j = a B + b (b < B) gives mode k the term cos alpha_a cos beta_b -
-    sin alpha_a sin beta_b, alpha_a = (q_k x + a B s_k) mod 1 and beta_b =
-    (b s_k) mod 1, s_k the mode's step (phi._steps).  Both phase tables are
-    reduced exactly on the limbs for every mode at once and rounded once to
-    doubles, so each of the N terms errs by a few ulp at any N.  The inner
-    table (beta_b, b < B) is built once per series and B and kept on it, the
-    outer one (alpha_a, a < ceil(N/B)) once per call: B = N up to N = 1024,
-    so a window family at one q_m pays only for its start phases, and
-    ceil(sqrt N) above, so O(modes sqrt N) trig calls in place of modes N.
-
-    B alone fixes the summation order: each row of B terms (the last only
-    to N) is reduced by one np.sum, each mode's row sums by one np.sum and
-    the weighted modes in order.  Blocks of whole rows within _BLOCK_CELLS
-    values (one row above N = 2^28) bound the memory, not the order.  omega
-    must be phi.cf.omega, and x must share its width (ValueError).
+    sin alpha_a sin beta_b (alpha_a = (q_k x + a B s_k) mod 1, beta_b = (b
+    s_k) mod 1, s_k in phi._steps), so row a sums to cos alpha_a C_k - sin
+    alpha_a S_k, C_k and S_k the totals of cos and sin beta_b over the row.
+    Both phase tables are reduced exactly on the limbs and rounded once.  B
+    is N up to 1024, else ceil(sqrt N), and the inner totals are kept on
+    the series by (B, tail), so a call costs O(modes sqrt N), and a window
+    family at one q_m only its start phases.  The tables run in blocks of
+    _SUB rows, calling check, if given, once per block; a block's sums
+    take one np.sum, and the block totals and weighted modes are added in
+    order.  omega must be phi.cf.omega, x of its width (ValueError).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -252,22 +235,37 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     _, live, steps = phi._steps
     B = N if N <= 1024 else math.isqrt(N - 1) + 1
     A, tail = -(-N // B), (N - 1) % B + 1  # rows, and steps in the last
-    if B not in phi._inner_tables:
-        phi._inner_tables[B] = _phase_table(np.zeros_like(steps), steps, B,
-                                              TWO_PI)
-    cb, sb = phi._inner_tables[B]
+    if (B, tail) not in phi._inner_totals:
+        regs = np.stack([np.zeros_like(steps), steps], axis=1)
+        tot = np.zeros((4, len(live), 1))  # C, S; C, S over the tail
+        for lo in range(0, B, _SUB):
+            cs = np.array(_phase_table(regs, min(_SUB, B - lo), TWO_PI))
+            tot[:2] += np.sum(cs, axis=2, keepdims=True)
+            if lo < tail:
+                tot[2:] += np.sum(cs[..., :tail - lo], axis=2, keepdims=True)
+            if check is not None:
+                check()
+        phi._inner_totals[B, tail] = tot
+    C, S, Ct, St = phi._inner_totals[B, tail]
     ph0 = [q * x.coords[0] & (one - 1) for q, _ in live]
-    sums = np.empty((len(live), A))
     if A == 1:  # the start phases are the outer table, rounded as int / int
         t = TWO_PI * np.array([p / one for p in ph0])[:, None]
-        ca, sa = np.cos(t), np.sin(t)
+        blocks = [(np.cos(t), np.sin(t))]
     else:
-        ca, sa = _phase_table(limbs_from_ints(ph0, phi.bits),
-                              limbs_mul(steps, B), A, TWO_PI)
-        _row_sums(ca[:, :-1], sa[:, :-1], cb, sb, sums[:, :-1])
-    _row_sums(ca[:, -1:], sa[:, -1:], cb[:, :tail], sb[:, :tail], sums[:, -1:])
+        regs = np.stack([limbs_from_ints(ph0, phi.bits), limbs_mul(steps, B)],
+                        axis=1)
+        blocks = (_phase_table(regs, min(_SUB, A - lo), TWO_PI)
+                  for lo in range(0, A, _SUB))
+    mode_sums = np.zeros(len(live))
+    for lo, (ca, sa) in zip(range(0, A, _SUB), blocks):
+        rows = ca * C - sa * S
+        if lo + _SUB >= A:  # the last row, of tail steps
+            rows[:, -1:] = ca[:, -1:] * Ct - sa[:, -1:] * St
+        mode_sums += np.sum(rows, axis=1)
+        if check is not None:
+            check()
     total = 0.0
-    for (_, w), mode_sum in zip(live, np.sum(sums, axis=1).tolist()):
+    for (_, w), mode_sum in zip(live, mode_sums.tolist()):
         total += w * mode_sum
     return total / N
 
@@ -310,18 +308,19 @@ class SharpnessReport:
     identity_gap: float     # |sigma_m + sigma_gt + sigma_lt - lower_dev|
 
 
-def decompose(phi: LacunaryObservable, m: int, x: TorusPoint) -> SharpnessReport:
+def decompose(phi: LacunaryObservable, m: int, x: TorusPoint,
+              check=None) -> SharpnessReport:
     """Split (1/q_m) S_{q_m} phi(x) - mean into the resonant mode m, the
     higher modes and the lower modes; the three parts are closed-form
     geometric sums, and their total must reproduce the directly measured
-    deviation exactly (up to roundoff) for the truncated series.
-    """
+    deviation exactly (up to roundoff) for the truncated series; check
+    goes to measure_average."""
     qm = phi.mode_q(m)
     terms = _mode_averages(phi, x, qm)
     sigma_m = terms[m - 1]
     sigma_gt = sum(terms[m:])
     sigma_lt = sum(terms[:m - 1])
-    measured = measure_average(phi, phi.cf.omega, x, qm)
+    measured = measure_average(phi, phi.cf.omega, x, qm, check)
     return SharpnessReport(
         m=m,
         q_m=qm,
@@ -350,14 +349,14 @@ def start_points(phi: LacunaryObservable, m: int, ls: Sequence[int]) -> list:
 
 
 def verify_lower_bound(phi: LacunaryObservable, m: int,
-                       l_values: Optional[Sequence[int]] = None
-                       ) -> LowerBoundResult:
+                       l_values: Optional[Sequence[int]] = None,
+                       check=None) -> LowerBoundResult:
     """Measure the q_m-step averages at x = l q_m omega across the admitted
     range of l and check they stay positive (the resonant mode dominates).
 
     Requires the gap q_{m+1} >= GAP_CONSTANT * m * q_m; raises
-    HypothesisNotMet otherwise so harnesses can report instead of assert.
-    """
+    HypothesisNotMet otherwise so harnesses can report instead of assert;
+    check goes to every measure_average call."""
     qm = phi.mode_q(m)
     qm1 = phi.cf.q_at(m + 1)  # raises Uncertified beyond the certified prefix
     if qm1 < GAP_CONSTANT * m * qm:
@@ -365,26 +364,17 @@ def verify_lower_bound(phi: LacunaryObservable, m: int,
             f"q_{m + 1}={qm1} < {GAP_CONSTANT} * {m} * q_{m}={qm}"
         )
     if l_values is None:
-        l_max = min(int(RANGE_CONSTANT * qm1 / qm), L_CAP)
-        l_values = range(0, l_max + 1)
+        l_values = range(min(int(RANGE_CONSTANT * qm1 / qm), L_CAP) + 1)
     ls = list(l_values)
-    w_m = phi.mode_weight(m)
-    entries = []
-    min_ratio = math.inf
-    l_bar = -1
-    prefix_positive = True
-    for l, x in zip(ls, start_points(phi, m, ls)):
-        dev = measure_average(phi, phi.cf.omega, x, qm)
-        entries.append((l, dev))
-        # np.min, not min: a NaN window makes min_ratio NaN and fails it
-        min_ratio = float(np.min([min_ratio, dev / w_m]))
-        if prefix_positive and dev > 0:
-            l_bar = l
-        else:
-            prefix_positive = False
+    entries = [(l, measure_average(phi, phi.cf.omega, x, qm, check))
+               for l, x in zip(ls, start_points(phi, m, ls))]
+    # np.min, not min: a NaN window makes min_ratio NaN and fails it
+    min_ratio = float(np.min([math.inf] + [dev / phi.mode_weight(m)
+                                           for _, dev in entries]))
+    positive = list(itertools.takewhile(lambda e: e[1] > 0, entries))
     return LowerBoundResult(
         m=m, q_m=qm, q_m1=qm1, entries=entries, min_ratio=min_ratio,
-        l_bar=l_bar,
+        l_bar=positive[-1][0] if positive else -1,
     )
 
 
@@ -397,13 +387,13 @@ class NmBoundResult:
     ratio: float            # lower_dev_Nm / w_m
 
 
-def verify_Nm_bound(phi: LacunaryObservable,
-                    lower: LowerBoundResult) -> NmBoundResult:
+def verify_Nm_bound(phi: LacunaryObservable, lower: LowerBoundResult,
+                    check=None) -> NmBoundResult:
     """Aggregate the passing windows of `lower` at its m: N_m = (l_bar + 1)
-    q_m and the ratio of the measured N_m-step average at 0 to w_m."""
+    q_m and the ratio to w_m of the average at 0; check as measure_average."""
     if lower.l_bar < 0:
         raise HypothesisNotMet(f"no positive window at m={lower.m}")
-    return _aggregate(phi, lower.m, lower.l_bar)
+    return _aggregate(phi, lower.m, lower.l_bar, check)
 
 
 def slow_rate_point(phi: LacunaryObservable, m: int) -> NmBoundResult:
@@ -416,12 +406,14 @@ def slow_rate_point(phi: LacunaryObservable, m: int) -> NmBoundResult:
     return _aggregate(phi, m, l_bar)
 
 
-def _aggregate(phi: LacunaryObservable, m: int, l_bar: int) -> NmBoundResult:
+def _aggregate(phi: LacunaryObservable, m: int, l_bar: int,
+               check=None) -> NmBoundResult:
     """The measured N_m-step average at 0, N_m = (l_bar + 1) q_m, and its
     ratio to w_m."""
     qm = phi.mode_q(m)
     N_m = (l_bar + 1) * qm
-    dev = measure_average(phi, phi.cf.omega, TorusPoint.zero(1, phi.bits), N_m)
+    dev = measure_average(phi, phi.cf.omega, TorusPoint.zero(1, phi.bits), N_m,
+                          check)
     return NmBoundResult(
         m=m, q_m=qm, N_m=N_m, lower_dev_Nm=dev, ratio=dev / phi.mode_weight(m),
     )

@@ -8,8 +8,8 @@ Hermitian symmetry of trigonometric-polynomial coefficients, the pointwise
 grid field of a 1-d rotation in one fresh pass, the grid field of any
 system by one exact orbit per grid point, the closed-form grid field with
 every mode phase formed afresh, the lacunary direct sum one mode at a time
-(by the library's phase tables, by one libm cosine per term, and in
-mpmath), the kernel sums (by kernel_table's angle addition one term at a
+(by the library's factored row sums, by its terms one at a time, by one
+libm cosine per term, and in mpmath), the kernel sums (by kernel_table's angle addition one term at a
 time, by two libm sines per term, and in mpmath), the lacunary seminorm
 bound by a scalar loop, one Fourier coefficient by its own quadrature sum,
 and the integer that Ostrowski digits encode.
@@ -26,6 +26,7 @@ from ergorate.arithmetic import ContinuedFraction, Frequency
 from ergorate.dynamics import (_KERNEL_ROW, SystemSpec, TorusPoint,
                                birkhoff_sum, exp_sum_avg_fp, grid_point,
                                orbit_floats)
+from ergorate import sharpness
 from ergorate.kernels import Observable, TrigPoly
 from ergorate.sharpness import TWO_PI, LacunaryObservable
 
@@ -139,16 +140,59 @@ def spectral_sums_per_N(sys: SystemSpec, spectrum: dict, N: int,
     return np.real(np.fft.ifftn(spec)) * grid ** sys.dim
 
 
+def _in_blocks(v: np.ndarray, rows: int) -> float:
+    """The total of a 1-d array by one np.sum per block of `rows` entries,
+    the block totals added left to right."""
+    total = 0.0
+    for lo in range(0, len(v), rows):
+        total += float(np.sum(v[lo:lo + rows]))
+    return total
+
+
 def measure_average_per_mode(phi: LacunaryObservable, omega: Frequency,
                              x: TorusPoint, N: int) -> float:
-    """(1/N) S_N phi(x) for a lacunary series by measure_average's formula,
-    one mode after another, with every phase reduced by Python ints: with
-    B = N up to 1024 and ceil(sqrt N) above, step j = a B + b has the term
-    cos alpha_a cos beta_b - sin alpha_a sin beta_b, where alpha_a = (q x +
-    a B s) mod 1 and beta_b = (b s) mod 1 (s = q omega mod 1) are rounded
-    as int / int and scaled by 2 pi; each row of the term table (the last
-    one only to N) is summed by np.sum, the row sums by np.sum, and the
-    weighted mode sums are added left to right."""
+    """(1/N) S_N phi(x) for a lacunary series by measure_average's factored
+    formula, one mode after another, with every phase reduced by Python
+    ints: with B = N up to 1024 and ceil(sqrt N) above, step j = a B + b has
+    the term cos alpha_a cos beta_b - sin alpha_a sin beta_b, where alpha_a
+    = (q x + a B s) mod 1 and beta_b = (b s) mod 1 (s = q omega mod 1) are
+    rounded as int / int and scaled by 2 pi.  Row a sums to cos alpha_a C -
+    sin alpha_a S, (C, S) the totals of cos beta_b and sin beta_b over b < B
+    (over the last row's steps in the last row); every total, of the inner
+    table and of the row sums, is taken by one np.sum per block of
+    sharpness._SUB entries, read at call time, and the weighted mode sums
+    are added left to right."""
+    one = 1 << phi.bits
+    w_fp = omega.fixed_point()
+    B = N if N <= 1024 else math.isqrt(N - 1) + 1
+    A, tail = -(-N // B), (N - 1) % B + 1
+    rows_per_block = sharpness._SUB
+    total = 0.0
+    for q, w in zip(phi.qs, phi.weights):
+        if w == 0.0:
+            continue
+        s, p0 = q * w_fp % one, q * x.coords[0] % one
+        beta = TWO_PI * np.array([b * s % one / one for b in range(B)])
+        cb, sb = np.cos(beta), np.sin(beta)
+        C, S, Ct, St = (_in_blocks(v, rows_per_block)
+                        for v in (cb, sb, cb[:tail], sb[:tail]))
+        alpha = TWO_PI * np.array([(p0 + a * B * s) % one / one
+                                   for a in range(A)])
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        rows = ca * C - sa * S
+        rows[-1] = ca[-1] * Ct - sa[-1] * St
+        total += w * _in_blocks(rows, rows_per_block)
+    return total / N
+
+
+def measure_average_per_term(phi: LacunaryObservable, omega: Frequency,
+                             x: TorusPoint, N: int) -> float:
+    """(1/N) S_N phi(x) for a lacunary series term by term, one mode after
+    another, with every phase reduced by Python ints: the formula of
+    measure_average_per_mode, but every one of the N terms cos alpha_a cos
+    beta_b - sin alpha_a sin beta_b formed from an outer product, each row
+    of the term table (the last one only to N) summed by np.sum, the row
+    sums by np.sum, and the weighted mode sums added left to right."""
     one = 1 << phi.bits
     w_fp = omega.fixed_point()
     B = N if N <= 1024 else math.isqrt(N - 1) + 1

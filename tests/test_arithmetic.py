@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergorate import arithmetic
-from ergorate.arithmetic import (DecimalString, Frequency,
+from ergorate.arithmetic import (CLASSIFY_MAX_K, DecimalString, Frequency,
                                  PartialQuotients, QuadraticSurd, classify,
                                  closest_return, dist_to_Z, expand_cf,
                                  find_convergent_at_scale, fp_from_float,
@@ -423,6 +423,12 @@ class TestClassify:
         cf = expand_cf(index_rule_freq, max_q=10 ** 8)
         rep = classify(cf, k_max=100)
         assert rep.bb_witnesses == tuple(range(1, cf.certified_len))
+
+    def test_k_max_outside_its_range_raises(self, golden_cf):
+        # the scan is O(k_max): 10^8 ran for minutes
+        for k_max in (1, CLASSIFY_MAX_K + 1):
+            with pytest.raises(ValueError, match=f"k_max={k_max} is not in"):
+                classify(golden_cf, k_max=k_max)
 
     def test_rational_raises(self):
         third = Frequency(PartialQuotients((3,)))

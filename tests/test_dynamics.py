@@ -927,6 +927,16 @@ class TestCharSweep:
                 assert got == want
                 assert sweep.j == N // CharSweep.CHUNK * CharSweep.CHUNK
 
+    def test_the_check_is_called_once_per_chunk(self, golden, rng):
+        # a skew run at N = 10^9 read no budget until the sweep was done
+        x = TorusPoint.from_floats(rng.random(2), BITS)
+        calls = []
+        sweep = CharSweep(golden, (1, 0), x, lambda: calls.append(sweep.j))
+        got = char_birkhoff_skew(sweep, 3 * CharSweep.CHUNK + 5)
+        assert calls == [CharSweep.CHUNK * i for i in (1, 2, 3)]
+        assert got == char_birkhoff_skew(CharSweep(golden, (1, 0), x),
+                                         3 * CharSweep.CHUNK + 5)
+
     def test_a_sweep_past_n_or_for_another_sum_is_refused(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(2), BITS)
         sweep = CharSweep(golden, (1, 0), x)

@@ -15,10 +15,12 @@ import pytest
 
 import ergorate
 from ergorate import harness, sharpness
+from ergorate.arithmetic import CLASSIFY_MAX_K
 from ergorate.cli import main as cli_main
 from ergorate.dynamics import GridSweep
 from ergorate.errors import ConfigError, Timeout, Uncertified
-from ergorate.harness import (ExperimentConfig, emit_csv, json_text,
+from ergorate.harness import (KERNEL_MAX_Q, ExperimentConfig, emit_csv,
+                              json_text,
                               resolve_observable, resolve_schedule,
                               resolve_system, run_approx_experiment,
                               run_kernel_experiment, run_rate_experiment,
@@ -450,6 +452,17 @@ class TestKernelExperiment:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
+    def test_a_max_q_above_the_cap_is_refused_before_any_work(
+            self, monkeypatch):
+        # max_q = 10^8 built a 63,245,985-term table, 536 MB peak RSS
+        monkeypatch.setattr(harness, "expand_cf", None)
+        with pytest.raises(ConfigError, match=f"max_q must be int in "
+                                              f"\\[2, {KERNEL_MAX_Q}\\]"):
+            run_kernel_experiment(ExperimentConfig(dict(
+                KERNEL_RUN, max_q=KERNEL_MAX_Q + 1)))
+        top = ExperimentConfig({"max_q": KERNEL_MAX_Q})
+        assert top.get("max_q") == KERNEL_MAX_Q
+
     def test_the_budget_stops_the_table_build(self, monkeypatch):
         # the first budget check raises, inside the first table's build
         built = []
@@ -506,6 +519,15 @@ class TestSkewExperiment:
     def test_n_below_1_fails_at_the_boundary(self, n_values):
         with pytest.raises(ConfigError, match="n_values"):
             run_skew_experiment(ExperimentConfig(dict(SKEW_RUN, n_values=n_values)))
+
+    def test_the_budget_stops_a_single_huge_n(self):
+        # the sweeps check the budget once per chunk: N = 10^9 ran past 15 s
+        # under budget_s = 2
+        t0 = time.monotonic()
+        with pytest.raises(Timeout, match="skew"):
+            run_skew_experiment(ExperimentConfig(dict(
+                SKEW_RUN, n_values=[10 ** 9], budget_s=0.5)))
+        assert time.monotonic() - t0 < 2.0
 
     def test_a_schedule_that_steps_back_restarts_its_sweeps(self):
         back = run_skew_experiment(ExperimentConfig(dict(
@@ -610,8 +632,8 @@ class TestSharpnessExperiment:
         (x1,) = sharpness.start_points(phi, 6, [1])
         real = sharpness.measure_average
 
-        def measure(phi, omega, x, N):
-            return math.nan if x == x1 else real(phi, omega, x, N)
+        def measure(phi, omega, x, N, check=None):
+            return math.nan if x == x1 else real(phi, omega, x, N, check)
 
         monkeypatch.setattr(sharpness, "measure_average", measure)
         out = run_sharpness_experiment(ExperimentConfig({
@@ -621,6 +643,23 @@ class TestSharpnessExperiment:
         rep = out["reports"][0]
         assert math.isnan(rep["min_ratio"])
         assert rep["passed"] is False
+
+    def test_the_budget_stops_a_single_huge_window(self):
+        # one window of N = q_14 = 185,066,460,993 steps read no budget
+        # until it was done, and built its tables whole (1.8 GB); the check
+        # is now read once per block of rows
+        t0 = time.monotonic()
+        tracemalloc.start()
+        try:
+            with pytest.raises(Timeout, match="sharp"):
+                run_sharpness_experiment(ExperimentConfig({
+                    "frequency": "pq:rule:index", "alpha": 0.5,
+                    "m_values": [14], "budget_s": 0.5}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - t0 < 3.0
+        assert peak < 64 * 2 ** 20
 
     def test_golden_reports_hypothesis(self):
         cfg = ExperimentConfig({
@@ -653,9 +692,10 @@ class TestSharpnessExperiment:
             run_sharpness_experiment(cfg)
 
     def test_golden_bytes_of_the_sharp_route(self, tmp_path, monkeypatch):
-        # recorded when measure_average first summed its terms from exact
-        # phase tables (rows of B steps, B = N up to 1024 and ceil(sqrt N)
-        # above): every window, aggregate and oracle sum keeps its bytes
+        # recorded when measure_average first summed each row as cos alpha_a
+        # C - sin alpha_a S from cached inner-table totals (rows of B steps,
+        # B = N up to 1024 and ceil(sqrt N) above, in blocks of _SUB rows):
+        # every window, aggregate and oracle sum keeps its bytes
         monkeypatch.chdir(tmp_path)
         for freq, ms in (("pq:rule:spike:7,1000", [6]),
                          ("pq:rule:index", [4, 5, 6, 7, 8])):
@@ -670,7 +710,7 @@ class TestSharpnessExperiment:
             "sharp-d0c53ac9bd265d1b-manifest.json":
                 "8db420003b5b4526fc30cf11ad18712bda9b93f42237ed0aec301a10690ed100",
             "sharp-5ef339079e12cbb0.csv":
-                "09a27cdbb3d02850157c920d3d262f728d225d8a52cfc300ba4d77b8b217e90e",
+                "b765d2d7839c29872fae85572e1214081f3709ee8137cc934b0d4e72402d82dd",
             "sharp-5ef339079e12cbb0-manifest.json":
                 "382505a729874e5a849aa8a166a438c85b9fab68a4c97400b7a03d53b8c475a4",
         }
@@ -822,6 +862,19 @@ class TestCli:
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_a_k_max_above_the_cap_is_refused_before_any_work(
+            self, capsys, monkeypatch):
+        # --k-max 10^8 scanned ||k omega|| one big integer at a time for
+        # minutes; the refusal names the flag and expands no fraction
+        from ergorate import cli
+        monkeypatch.setattr(cli, "expand_cf", None)
+        assert cli_main(["classify", "--freq", "golden", "--k-max",
+                         str(CLASSIFY_MAX_K + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: --k-max must be <= CLASSIFY_MAX_K = {CLASSIFY_MAX_K}, "
+            f"got {CLASSIFY_MAX_K + 1}\n")
 
     def test_decimal_fixed_point_refusal_exit_code(self, capsys):
         # 100 decimal digits enclose the value within 10^-100, about 2^-332,

@@ -22,7 +22,8 @@ from ergorate.sharpness import (AnalyticWeight, HolderWeight,
                                 verify_lower_bound)
 from oracles import (fourier_coefficient, lacunary_seminorm,
                      measure_average_libm, measure_average_mpmath,
-                     measure_average_per_mode, sampled_holder_quotient)
+                     measure_average_per_mode, measure_average_per_term,
+                     sampled_holder_quotient)
 
 BITS = 192
 
@@ -228,11 +229,9 @@ class TestDecompose:
                 assert (measure_average(series, golden, x, N)
                         == measure_average_per_mode(series, golden, x, N))
 
-    # N = C/64 = 256 (C = _BLOCK_CELLS): one row per mode, 64 modes to a
-    # block; N = 1024, the last single row, and 1025, the first table of
-    # rows (B = 33, a last row of 2 steps); N = 1089 = 33^2, a full last
-    # row; C/2, two modes' full rows to a block, and C = 128^2, one mode's;
-    # one step off each
+    # N = C/64, C/2 and C = 128^2 (C = _BLOCK_CELLS = 2^14), one step off
+    # each; N = 1024, the last single row, and 1025, the first table of
+    # rows (B = 33, a last row of 2 steps); N = 1089 = 33^2, a full last row
     @pytest.mark.parametrize("N", [
         _BLOCK_CELLS // 64, _BLOCK_CELLS // 64 + 1, 1024, 1025, 1089,
         _BLOCK_CELLS // 2, _BLOCK_CELLS // 2 + 1, _BLOCK_CELLS - 1,
@@ -262,9 +261,9 @@ class TestDecompose:
                                      weights=phi.weights[1:2])
         holed = dataclasses.replace(
             phi, weights=phi.weights[:2] + (0.0,) + phi.weights[3:])
-        assert 89 in phi._inner_tables
+        assert (89, 89) in phi._inner_totals
         for series in (single, holed):
-            assert "_inner_tables" not in vars(series)
+            assert "_inner_totals" not in vars(series)
             steps, live, live_steps = series._steps
             assert steps == [q * w_fp % one for q in series.qs]
             assert live == [(q, w) for q, w in zip(series.qs, series.weights)
@@ -276,6 +275,70 @@ class TestDecompose:
             for N in (1, 89, 4181):
                 assert (measure_average(series, golden, x, N)
                         == measure_average_per_mode(series, golden, x, N))
+
+    # B = 4098, A = 4098: two blocks of each table, a last row of 55 steps;
+    # and B = A = 4100 with a last row of 4097 steps, past the first block
+    @pytest.mark.parametrize("N", [(1 << 24) + 12345, 4100 * 4099 + 4097])
+    def test_direct_sum_across_blocks_of_rows(self, golden, golden_deep_cf,
+                                              N):
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+        x = TorusPoint.from_floats([0.61], BITS)
+        assert -(-N // (math.isqrt(N - 1) + 1)) > sharpness._SUB
+        assert (measure_average(phi, golden, x, N)
+                == measure_average_per_mode(phi, golden, x, N))
+
+    @pytest.mark.parametrize("N", [1, 13, 1024, 1025, 1089, 1200, 4181])
+    def test_direct_sum_in_blocks_of_seven_rows(self, golden_lac, golden,
+                                                monkeypatch, N):
+        # many blocks of both tables, and last rows on and off their edges
+        # (N = 1200: B = A = 35, five full blocks, a last row of 10 steps);
+        # a fresh series, whose totals are summed in these blocks
+        monkeypatch.setattr(sharpness, "_SUB", 7)
+        x = TorusPoint.from_floats([0.43], BITS)
+        for series in (dataclasses.replace(golden_lac),
+                       dataclasses.replace(golden_lac, qs=golden_lac.qs[:1],
+                                           weights=golden_lac.weights[:1])):
+            assert (measure_average(series, golden, x, N)
+                    == measure_average_per_mode(series, golden, x, N))
+
+    def test_the_check_is_called_once_per_block(self, golden_lac, golden,
+                                                monkeypatch):
+        # N = 1025: B = 33 and 32 rows, so 5 blocks of each table at 7 rows
+        # a block; the inner totals are summed once, on the first call
+        monkeypatch.setattr(sharpness, "_SUB", 7)
+        phi = dataclasses.replace(golden_lac)
+        x = TorusPoint.from_floats([0.43], BITS)
+        calls = []
+        first = measure_average(phi, golden, x, 1025, lambda: calls.append(1))
+        assert len(calls) == 5 + 5
+        calls.clear()
+        assert first == measure_average(phi, golden, x, 1025,
+                                        lambda: calls.append(1))
+        assert len(calls) == 5
+        calls.clear()
+        measure_average(phi, golden, x, 13, lambda: calls.append(1))
+        assert len(calls) == 2 + 1  # B = N = 13: one row
+
+    def test_the_series_keeps_no_inner_table(self, golden, golden_deep_cf):
+        # only each mode's four totals per (B, tail), not the B phases
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+        x = TorusPoint.from_floats([0.61], BITS)
+        for N in (1, 89, 1025, 4181, (1 << 20) + 12345):
+            measure_average(phi, golden, x, N)
+        K = len(phi._steps[1])
+        assert sorted(phi._inner_totals) == [
+            (1, 1), (33, 2), (65, 21), (89, 89), (1031, 22)]
+        assert all(t.shape == (4, K, 1) for t in phi._inner_totals.values())
+
+    @pytest.mark.parametrize("N", [1, 13, 1024, 1025, 4181, (1 << 20) + 12345])
+    def test_direct_sum_near_the_per_term_sum(self, golden, golden_deep_cf, N):
+        # every term formed and summed by rows, as before the row sums were
+        # factored through the inner totals
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+        x = TorusPoint.from_floats([0.61], BITS)
+        assert (measure_average(phi, golden, x, N)
+                == pytest.approx(measure_average_per_term(phi, golden, x, N),
+                                 abs=1e-14))
 
     @pytest.mark.parametrize("N", [1, 13, 1024, 1025, 4181, (1 << 20) + 12345])
     def test_direct_sum_near_the_libm_sum(self, golden, golden_deep_cf, N):
