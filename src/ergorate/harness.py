@@ -98,6 +98,9 @@ def _split_unquoted(text: str, sep: str) -> list:
 # other commands in its row read too.
 _EVERY_RUN = "rate kernel approx sharp skew"
 KERNEL_MAX_Q = 1 << 24  # a kernel table of max_q doubles is 128 MB
+# a sharp run without m_values measures the witnesses with q_m <= 2^32 only:
+# a window costs O(modes sqrt q_m), and pq:rule:index reaches q_24 = 1.36e24
+SHARP_MAX_Q = 1 << 32
 _KEYS = {
     "precision_bits": ("int in [64, inf)", _EVERY_RUN + " cf classify ostrowski"),
     "budget_s": ("number in (0, inf)", _EVERY_RUN),
@@ -454,10 +457,12 @@ def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
         "rotation1d:" + cfg.require("frequency"),
         cfg.get("precision_bits", DEFAULT_BITS)))
     ms = cfg.get("m_values") or [m for m in borel_bernstein_schedule(phi.cf)
-                                 if 2 <= m < phi.n_modes]
+                                 if 2 <= m < phi.n_modes
+                                 and phi.mode_q(m) <= SHARP_MAX_Q]
     if not ms:
         raise ConfigError(f"nothing to measure: without m_values, the witness "
-                          f"schedule has no m in [2, {phi.n_modes})")
+                          f"schedule has no m in [2, {phi.n_modes}) with "
+                          f"q_m <= SHARP_MAX_Q = 2^32")
     reports, x0 = [], TorusPoint.zero(1, phi.bits)
     for m in ms:
         rep = sharpness.decompose(phi, m, x0, check_budget)

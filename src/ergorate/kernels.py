@@ -22,10 +22,6 @@ from .arithmetic import dist_to_Z
 
 TWO_PI = 2.0 * math.pi
 
-# quadrature points of Observable.mean when no exact mean is declared
-_MEAN_QUAD_POINTS = 1 << 16
-
-
 # ---------------------------------------------------------------------------
 # moduli of continuity
 # ---------------------------------------------------------------------------
@@ -62,7 +58,8 @@ class Observable:
     `fn` must be vectorized: for dim == 1 it maps an ndarray of positions to
     values; for dim >= 2 it takes an ndarray of shape (..., dim).  `norm_est`
     is an upper bound on the w-Holder norm when known analytically, otherwise
-    a sampled lower-bound estimate.  `fourier`, when set, is the finite
+    a sampled lower-bound estimate.  `mean_hint` is the declared exact mean
+    over the torus, which `mean` returns.  `fourier`, when set, is the finite
     spectrum {k: c_k} (k an integer tuple of length dim) with
     fn(x) = Re sum_k c_k e(k . x).
     """
@@ -71,7 +68,7 @@ class Observable:
     fn: Callable
     modulus: ModulusOfContinuity
     norm_est: float
-    mean_hint: Optional[float] = None
+    mean_hint: float
     fourier: Optional[dict] = None
 
     def __call__(self, x):
@@ -82,15 +79,7 @@ class Observable:
         return self.fn(np.arange(_ERROR_POINTS) / _ERROR_POINTS)
 
     def mean(self) -> float:
-        if self.mean_hint is not None:
-            return self.mean_hint
-        if self.dim == 1:
-            xs = (np.arange(_MEAN_QUAD_POINTS) + 0.5) / _MEAN_QUAD_POINTS
-            return float(np.mean(self.fn(xs)))
-        side = max(64, int(round(_MEAN_QUAD_POINTS ** (1.0 / self.dim))))
-        axes = [(np.arange(side) + 0.5) / side] * self.dim
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        return float(np.mean(self.fn(mesh)))
+        return self.mean_hint
 
 
 @dataclass
@@ -246,12 +235,6 @@ class TrigPoly:
 
     dim: int
     coeffs: dict  # tuple[int,...] -> complex
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(max(abs(i) for i in k) for k in self.coeffs)
 
     def coeff(self, k) -> complex:
         k = (k,) if isinstance(k, int) else k

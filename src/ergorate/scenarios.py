@@ -13,9 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import sharpness
 from .arithmetic import (DecimalString, Frequency, PartialQuotients,
-                         closest_return, expand_cf, golden_mean, sqrt2_minus_1)
+                         borel_bernstein_schedule, closest_return, expand_cf,
+                         golden_mean, sqrt2_minus_1)
 from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                        birkhoff_sum, char_birkhoff_skew, grid_point, iterate,
                        step, sup_deviation)
@@ -27,7 +27,7 @@ from .harness import (ExperimentConfig, resolve_observable, resolve_schedule,
 from .kernels import (_grid_spectrum, approximation_error, coeff_sum,
                       dirichlet, fejer, fejer_coeffs, jackson_closed_form,
                       jackson_coeffs, make_dist_pow)
-from .sharpness import (HolderWeight, build_lacunary, closed_form_average,
+from .sharpness import (HolderWeight, build_lacunary, decompose,
                         measure_average, slow_rate_point)
 
 # scenario_jackson's pair: Jackson's kernel, optimal, then Fejer's
@@ -379,30 +379,27 @@ def scenario_limitations_schedule() -> dict:
     average at 0 clears 0.05 / q_m^alpha.
 
     Every average is the mode-by-mode geometric evaluation of the truncated
-    series; for m in [4, 9] it is checked against the direct trigonometric
+    series, and decompose checks each against the direct trigonometric
     measurement (1e-10).
     """
     v = _Verdict("limitations_schedule", budget_s=60.0)
-    omega = Frequency(PartialQuotients((), "index"))
-    cf = expand_cf(omega, max_q=10 ** 27)
-    phi = build_lacunary(cf, HolderWeight(0.5), tol=1e-12)
-    witnesses = sharpness.borel_bernstein_schedule(cf)
+    cf = expand_cf(Frequency(PartialQuotients((), "index")), max_q=10 ** 27)
+    phi = build_lacunary(cf, HolderWeight(0.5))
+    witnesses = borel_bernstein_schedule(cf)
     v.check("witness schedule covers [4, 12]",
             all(m in witnesses for m in range(4, 13)))
     x0 = TorusPoint.zero(1, phi.bits)
-    devs = {m: closed_form_average(phi, x0, phi.mode_q(m))
-            for m in range(4, 13)}
+    reps = [decompose(phi, m, x0) for m in range(4, 13)]
     # np.max, unlike max, propagates a NaN, which then fails the check
-    agree = float(np.max([
-        abs(measure_average(phi, omega, x0, phi.mode_q(m)) - devs[m])
-        for m in range(4, 10)]))
+    agree = float(np.max([rep.identity_gap for rep in reps]))
     v.details["route_agreement"] = agree
     v.check("direct and geometric routes agree (1e-10)", agree < 1e-10, agree)
-    for m, dev in devs.items():
-        qm = phi.mode_q(m)
-        floor = 0.05 * qm ** -0.5
-        v.details[f"m={m}"] = {"q_m": qm, "dev": dev, "floor": floor}
-        v.check(f"m={m}: average at 0 >= 0.05/q_m^0.5", dev >= floor, dev)
+    for rep in reps:
+        dev = rep.sigma_m + rep.sigma_gt + rep.sigma_lt
+        floor = 0.05 * rep.q_m ** -0.5
+        v.details[f"m={rep.m}"] = {"q_m": rep.q_m, "dev": dev, "floor": floor,
+                                   "identity_gap": rep.identity_gap}
+        v.check(f"m={rep.m}: average at 0 >= 0.05/q_m^0.5", dev >= floor, dev)
     return v.done()
 
 

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arithmetic import ContinuedFraction, Frequency, fp_from_float
-from .arithmetic import borel_bernstein_schedule  # noqa: F401 (re-export)
 from .dynamics import (_SUB, TorusPoint, _phase_table, exp_sum_avg_fp,
                        limbs_from_ints, limbs_mul, limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified
@@ -143,9 +142,8 @@ def _lacunary_fn(qs, weights, bits):
     return fn
 
 
-def build_lacunary(cf: ContinuedFraction, weight,
-                   tol: float = TAIL_TOL) -> LacunaryObservable:
-    """Truncate the series so the dropped tail is provably below tol.
+def build_lacunary(cf: ContinuedFraction, weight) -> LacunaryObservable:
+    """Truncate the series so the dropped tail is provably below TAIL_TOL.
 
     The certified prefix must reach far enough for the doubling-law tail
     bound, and the frequency's width must certify every kept phase: the
@@ -162,12 +160,13 @@ def build_lacunary(cf: ContinuedFraction, weight,
         # q_{L+1} >= q_L + q_{L-1} and q_{L+2} >= 2 q_L seed the two doubling
         # chains that dominate the uncomputed tail
         beyond = _tail_bound(weight, cf.q_at(L) + cf.q_at(L - 1), 2 * cf.q_at(L))
-    if beyond > tol:
-        raise Uncertified(f"certified prefix cannot meet tail tolerance {tol}")
-    # smallest K with sum_{k>K} w_k (+ beyond-prefix bound) <= tol
+    if beyond > TAIL_TOL:
+        raise Uncertified(f"certified prefix cannot meet tail tolerance "
+                          f"{TAIL_TOL}")
+    # smallest K with sum_{k>K} w_k (+ beyond-prefix bound) <= TAIL_TOL
     suffix = beyond
     K = L
-    while K > 1 and suffix + ws[K - 1] <= tol:
+    while K > 1 and suffix + ws[K - 1] <= TAIL_TOL:
         suffix += ws[K - 1]
         K -= 1
     qs = tuple(cf.q_at(k) for k in range(1, K + 1))
@@ -270,27 +269,6 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     return total / N
 
 
-def _mode_averages(phi: LacunaryObservable, x: TorusPoint, N: int) -> list:
-    """Each mode's share w_k Re e(q_k x) E_N(q_k omega) of (1/N) S_N phi(x),
-    omega = phi.cf.omega, from the geometric closed form of the mode's sum."""
-    bits = phi.bits
-    if x.bits != bits:
-        raise ValueError(f"a {x.bits}-bit point on a {bits}-bit series")
-    one = 1 << bits
-    out = []
-    for q, w, t_fp in zip(phi.qs, phi.weights, phi._steps[0]):
-        ph = ((q * x.coords[0]) % one) / one
-        e = exp_sum_avg_fp(t_fp, bits, N)
-        out.append(w * (e * np.exp(2j * math.pi * ph)).real)
-    return out
-
-
-def closed_form_average(phi: LacunaryObservable, x: TorusPoint,
-                        N: int) -> float:
-    """Same average via the geometric closed form of each mode's sum."""
-    return sum(_mode_averages(phi, x, N))
-
-
 # ---------------------------------------------------------------------------
 # decomposition and lower bounds
 # ---------------------------------------------------------------------------
@@ -300,7 +278,6 @@ def closed_form_average(phi: LacunaryObservable, x: TorusPoint,
 class SharpnessReport:
     m: int
     q_m: int
-    q_m1: int
     sigma_m: float
     sigma_gt: float
     sigma_lt: float
@@ -311,12 +288,20 @@ class SharpnessReport:
 def decompose(phi: LacunaryObservable, m: int, x: TorusPoint,
               check=None) -> SharpnessReport:
     """Split (1/q_m) S_{q_m} phi(x) - mean into the resonant mode m, the
-    higher modes and the lower modes; the three parts are closed-form
-    geometric sums, and their total must reproduce the directly measured
-    deviation exactly (up to roundoff) for the truncated series; check
-    goes to measure_average."""
-    qm = phi.mode_q(m)
-    terms = _mode_averages(phi, x, qm)
+    higher modes and the lower modes; mode k's part is the geometric closed
+    form w_k Re e(q_k x) E_{q_m}(q_k omega), and the total must reproduce
+    the directly measured deviation exactly (up to roundoff) for the
+    truncated series; check goes to measure_average, and x must have the
+    series' width (ValueError)."""
+    bits, qm = phi.bits, phi.mode_q(m)
+    if x.bits != bits:
+        raise ValueError(f"a {x.bits}-bit point on a {bits}-bit series")
+    one = 1 << bits
+    terms = []
+    for q, w, t_fp in zip(phi.qs, phi.weights, phi._steps[0]):
+        ph = ((q * x.coords[0]) % one) / one
+        e = exp_sum_avg_fp(t_fp, bits, qm)
+        terms.append(w * (e * np.exp(2j * math.pi * ph)).real)
     sigma_m = terms[m - 1]
     sigma_gt = sum(terms[m:])
     sigma_lt = sum(terms[:m - 1])
@@ -324,7 +309,6 @@ def decompose(phi: LacunaryObservable, m: int, x: TorusPoint,
     return SharpnessReport(
         m=m,
         q_m=qm,
-        q_m1=phi.cf.q_at(m + 1) if m + 1 <= phi.cf.certified_len else 0,
         sigma_m=sigma_m,
         sigma_gt=sigma_gt,
         sigma_lt=sigma_lt,
@@ -336,8 +320,6 @@ def decompose(phi: LacunaryObservable, m: int, x: TorusPoint,
 @dataclass
 class LowerBoundResult:
     m: int
-    q_m: int
-    q_m1: int
     entries: list           # (l, lower_dev)
     min_ratio: float        # min over l of lower_dev / w_m
     l_bar: int              # largest l with every window up to it positive
@@ -349,7 +331,6 @@ def start_points(phi: LacunaryObservable, m: int, ls: Sequence[int]) -> list:
 
 
 def verify_lower_bound(phi: LacunaryObservable, m: int,
-                       l_values: Optional[Sequence[int]] = None,
                        check=None) -> LowerBoundResult:
     """Measure the q_m-step averages at x = l q_m omega across the admitted
     range of l and check they stay positive (the resonant mode dominates).
@@ -363,9 +344,7 @@ def verify_lower_bound(phi: LacunaryObservable, m: int,
         raise HypothesisNotMet(
             f"q_{m + 1}={qm1} < {GAP_CONSTANT} * {m} * q_{m}={qm}"
         )
-    if l_values is None:
-        l_values = range(min(int(RANGE_CONSTANT * qm1 / qm), L_CAP) + 1)
-    ls = list(l_values)
+    ls = range(min(int(RANGE_CONSTANT * qm1 / qm), L_CAP) + 1)
     entries = [(l, measure_average(phi, phi.cf.omega, x, qm, check))
                for l, x in zip(ls, start_points(phi, m, ls))]
     # np.min, not min: a NaN window makes min_ratio NaN and fails it
@@ -373,14 +352,13 @@ def verify_lower_bound(phi: LacunaryObservable, m: int,
                                            for _, dev in entries]))
     positive = list(itertools.takewhile(lambda e: e[1] > 0, entries))
     return LowerBoundResult(
-        m=m, q_m=qm, q_m1=qm1, entries=entries, min_ratio=min_ratio,
+        m=m, entries=entries, min_ratio=min_ratio,
         l_bar=positive[-1][0] if positive else -1,
     )
 
 
 @dataclass
 class NmBoundResult:
-    m: int
     q_m: int
     N_m: int
     lower_dev_Nm: float
@@ -415,6 +393,6 @@ def _aggregate(phi: LacunaryObservable, m: int, l_bar: int,
     dev = measure_average(phi, phi.cf.omega, TorusPoint.zero(1, phi.bits), N_m,
                           check)
     return NmBoundResult(
-        m=m, q_m=qm, N_m=N_m, lower_dev_Nm=dev, ratio=dev / phi.mode_weight(m),
+        q_m=qm, N_m=N_m, lower_dev_Nm=dev, ratio=dev / phi.mode_weight(m),
     )
 

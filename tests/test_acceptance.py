@@ -49,6 +49,14 @@ def test_every_scenario_is_registered():
     assert {name for _, name, _ in CRITERIA} == set(SCENARIOS)
 
 
+def test_limitations_schedule_checks_every_witness_against_the_direct_sum():
+    # decompose compares each witness's closed form with the direct sum
+    details = run_scenario("limitations_schedule")["details"]
+    gaps = [details[f"m={m}"]["identity_gap"] for m in range(4, 13)]
+    assert all(gap < 1e-10 for gap in gaps), gaps
+    assert details["route_agreement"] == max(gaps)
+
+
 def test_denjoy_koksma_fails_closed_on_nan(monkeypatch):
     real = scenarios.sup_deviation
 

@@ -30,7 +30,7 @@ from ergorate.harness import resolve_observable, resolve_system
 from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
                               make_cos, make_dist_pow, make_weierstrass,
                               random_real_trigpoly)
-from ergorate.sharpness import closed_form_average, measure_average
+from ergorate.sharpness import decompose, measure_average
 from oracles import (dist_to_Z_mod, float_value, grid_sums_one_pass,
                      grid_sums_per_point, spectral_sums_per_N)
 
@@ -101,7 +101,7 @@ class TestSystemSpec:
             SystemSpec.rotation_d([golden, sqrt2_minus_1(256)])
 
     @pytest.mark.parametrize("case", [
-        "measure_average", "closed_form_average", "birkhoff_sum", "iterate",
+        "measure_average", "decompose", "birkhoff_sum", "iterate",
         "step", "CharSweep", "another omega", "omega at another width"])
     def test_a_point_or_frequency_of_another_width_is_refused(self, case):
         # a 256-bit point on the 192-bit golden rotation: measure_average read
@@ -112,7 +112,7 @@ class TestSystemSpec:
         x, x192 = (TorusPoint.from_floats([0.3], b) for b in (256, BITS))
         calls = {
             "measure_average": lambda: measure_average(phi, sys.freqs[0], x, 1000),
-            "closed_form_average": lambda: closed_form_average(phi, x, 1000),
+            "decompose": lambda: decompose(phi, 3, x),
             "birkhoff_sum": lambda: birkhoff_sum(sys, phi, x, 1000),
             "iterate": lambda: iterate(sys, x, 5),
             "step": lambda: step(sys, x),

@@ -134,7 +134,7 @@ class TestEnvelopeAgainstMeasurements:
         from ergorate.sharpness import HolderWeight, build_lacunary
 
         cf = expand_cf(golden, max_q=10 ** 26)
-        phi = build_lacunary(cf, HolderWeight(0.5), tol=1e-12)
+        phi = build_lacunary(cf, HolderWeight(0.5))
         sys = SystemSpec.rotation(golden)
         pts = [(N, sup_deviation(sys, phi, N, 256).sup_dev)
                for N in (100, 1000, 10 ** 4)]

@@ -661,6 +661,20 @@ class TestSharpnessExperiment:
         assert time.monotonic() - t0 < 3.0
         assert peak < 64 * 2 ** 20
 
+    def test_the_default_schedule_stops_at_the_cap(self):
+        # without m_values the index witnesses ran on to m = 24, a window of
+        # q_24 = 1.36e24 steps that only budget_s ended
+        out = run_sharpness_experiment(ExperimentConfig({
+            "frequency": "pq:rule:index", "alpha": 0.5}))
+        assert [r["m"] for r in out["reports"]] == list(range(2, 13))
+        assert out["reports"][-1]["q_m"] <= harness.SHARP_MAX_Q
+        assert out["n_modes"] == 25
+
+    def test_an_empty_default_schedule_names_the_cap(self):
+        with pytest.raises(ConfigError, match=r"q_m <= SHARP_MAX_Q = 2\^32"):
+            run_sharpness_experiment(ExperimentConfig({
+                "frequency": "golden", "alpha": 0.5}))
+
     def test_golden_reports_hypothesis(self):
         cfg = ExperimentConfig({
             "frequency": "golden",

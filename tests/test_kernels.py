@@ -187,7 +187,7 @@ class TestApproximate:
             return base.fn(x)
 
         phi = Observable(dim=1, fn=fn, modulus=base.modulus,
-                         norm_est=base.norm_est)
+                         norm_est=base.norm_est, mean_hint=base.mean_hint)
         ns = (16, 32, 64)  # spectra of 8n points, none of 2**13
         errs = [approximation_error(phi, jackson_coeffs(n)) for n in ns]
         assert sizes.count(1 << 13) == 1

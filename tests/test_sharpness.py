@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ergorate.arithmetic import Frequency, PartialQuotients, expand_cf
+from ergorate.arithmetic import (Frequency, PartialQuotients,
+                                 borel_bernstein_schedule, expand_cf)
 from ergorate.dynamics import (_BLOCK_CELLS, SystemSpec, TorusPoint,
                                birkhoff_sum, limbs_from_ints)
 from ergorate.errors import HypothesisNotMet, Uncertified
@@ -14,9 +15,7 @@ from ergorate import sharpness
 from ergorate.harness import resolve_observable, resolve_system
 from ergorate.kernels import Holder
 from ergorate.sharpness import (AnalyticWeight, HolderWeight,
-                                LacunaryObservable,
-                                borel_bernstein_schedule, build_lacunary,
-                                closed_form_average, decompose,
+                                LacunaryObservable, build_lacunary, decompose,
                                 measure_average, slow_rate_point,
                                 start_points, verify_Nm_bound,
                                 verify_lower_bound)
@@ -35,7 +34,7 @@ def golden_deep_cf(golden):
 
 @pytest.fixture(scope="module")
 def golden_lac(golden_deep_cf):
-    return build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-12)
+    return build_lacunary(golden_deep_cf, HolderWeight(0.5))
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +44,7 @@ def spike_cf(spike_freq):
 
 @pytest.fixture(scope="module")
 def spike_lac(spike_cf):
-    return build_lacunary(spike_cf, HolderWeight(0.5), tol=1e-12)
+    return build_lacunary(spike_cf, HolderWeight(0.5))
 
 
 class TestBuild:
@@ -54,8 +53,9 @@ class TestBuild:
             q = golden_deep_cf.q_at(k)
             assert golden_lac.mode_weight(k) == pytest.approx(q ** -0.5)
 
-    def test_holder1_weights(self, golden_deep_cf):
-        phi = build_lacunary(golden_deep_cf, HolderWeight(1.0), tol=1e-10)
+    def test_holder1_weights(self, golden_deep_cf, monkeypatch):
+        monkeypatch.setattr(sharpness, "TAIL_TOL", 1e-10)
+        phi = build_lacunary(golden_deep_cf, HolderWeight(1.0))
         assert phi.weights[:4] == (1.0, 0.5, 1 / 3, 0.2)
         # phi(0) = sum of weights (all cosines are 1 at 0)
         assert phi.fn(0.0) == pytest.approx(sum(phi.weights))
@@ -71,19 +71,20 @@ class TestBuild:
         assert golden_lac.tail_bound <= 1e-12
 
     def test_analytic_truncation_short(self, golden_deep_cf):
-        phi = build_lacunary(golden_deep_cf, AnalyticWeight(), tol=1e-12)
+        phi = build_lacunary(golden_deep_cf, AnalyticWeight())
         assert phi.n_modes <= 40
         # smallest dropped mode weight is already below tolerance
         assert math.exp(-golden_deep_cf.q_at(phi.n_modes + 1)) < 1e-12
 
-    def test_nan_modulus_fails_closed(self, golden_deep_cf):
+    def test_nan_modulus_fails_closed(self, golden_deep_cf, monkeypatch):
         # a NaN weight at one mode, after finite ones (max() dropped it from
         # the seminorm bound), makes the norm estimate NaN
         class NanAtFive(HolderWeight):
             def __call__(self, q):
                 return math.nan if q == 5 else super().__call__(q)
 
-        phi = build_lacunary(golden_deep_cf, NanAtFive(0.5), tol=1e-6)
+        monkeypatch.setattr(sharpness, "TAIL_TOL", 1e-6)
+        phi = build_lacunary(golden_deep_cf, NanAtFive(0.5))
         assert 5 in phi.qs
         assert math.isnan(phi.norm_est)
 
@@ -97,7 +98,8 @@ class TestBuild:
                 return math.nan if h == 2.0 ** -10 else super().__call__(h)
 
         monkeypatch.setattr(sharpness, "Holder", Gappy)
-        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-6)
+        monkeypatch.setattr(sharpness, "TAIL_TOL", 1e-6)
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5))
         assert math.isfinite(sum(phi.weights))
         assert math.isnan(phi.norm_est)
 
@@ -115,12 +117,13 @@ class TestBuild:
     def test_log_holder_tail_diverges(self, golden_deep_cf):
         # 400 doublings shrink q^-0.1 only by 2^-40, far above the 1e-30 stop
         with pytest.raises(Uncertified, match="weight tail does not converge"):
-            build_lacunary(golden_deep_cf, HolderWeight(0.1), tol=1e-12)
+            build_lacunary(golden_deep_cf, HolderWeight(0.1))
 
-    def test_mode_coefficient_is_half_weight(self, golden):
+    def test_mode_coefficient_is_half_weight(self, golden, monkeypatch):
         # small truncation so quadrature sees no aliasing from far modes
         cf = expand_cf(golden, max_q=1000)
-        phi = build_lacunary(cf, HolderWeight(1.0), tol=5e-3)
+        monkeypatch.setattr(sharpness, "TAIL_TOL", 5e-3)
+        phi = build_lacunary(cf, HolderWeight(1.0))
         q2 = phi.mode_q(2)
         c = fourier_coefficient(phi, q2, quad_points=8 * phi.mode_q(phi.n_modes))
         assert c == pytest.approx(phi.mode_weight(2) / 2, abs=1e-9)
@@ -166,7 +169,7 @@ class TestDecompose:
     def test_top_mode_has_empty_high_tail(self, golden_deep_cf):
         # analytic weights truncate within a handful of modes, so the q_K-step
         # window at the top mode stays computable
-        phi = build_lacunary(golden_deep_cf, AnalyticWeight(), tol=1e-12)
+        phi = build_lacunary(golden_deep_cf, AnalyticWeight())
         rep = decompose(phi, phi.n_modes, TorusPoint.from_floats([0.3], BITS))
         assert rep.sigma_gt == 0.0
         assert rep.identity_gap < 1e-10
@@ -175,9 +178,11 @@ class TestDecompose:
         rep = decompose(golden_lac, 1, TorusPoint.from_floats([0.3], BITS))
         assert rep.sigma_lt == 0.0
 
-    def test_against_generic_birkhoff_sum(self, golden, golden_deep_cf):
+    def test_against_generic_birkhoff_sum(self, golden, golden_deep_cf,
+                                         monkeypatch):
         # the per-mode measurement route equals the generic orbit route
-        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+        monkeypatch.setattr(sharpness, "TAIL_TOL", 1e-3)
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5))
         sys = SystemSpec.rotation(golden)
         x = TorusPoint.from_floats([0.37], BITS)
         N = 144
@@ -186,10 +191,13 @@ class TestDecompose:
         assert fast == pytest.approx(generic, abs=1e-9)
 
     def test_routes_agree(self, golden_lac, golden, rng):
+        # the direct sum against decompose's closed-form total at N = q_m
         x = TorusPoint.from_floats([rng.random()], BITS)
         for N in (13, 233, 4181):
+            rep = decompose(golden_lac, golden_lac.qs.index(N) + 1, x)
+            assert rep.q_m == N
             a = measure_average(golden_lac, golden, x, N)
-            b = closed_form_average(golden_lac, x, N)
+            b = rep.sigma_m + rep.sigma_gt + rep.sigma_lt
             assert a == pytest.approx(b, abs=1e-13)
 
     def test_identity_of_the_index_series_at_m9(self):
@@ -209,9 +217,11 @@ class TestDecompose:
             assert (measure_average(golden_lac, golden, x, N)
                     == measure_average_per_mode(golden_lac, golden, x, N))
 
-    def test_direct_sum_across_a_chunk_boundary(self, golden, golden_deep_cf):
+    def test_direct_sum_across_a_chunk_boundary(self, golden, golden_deep_cf,
+                                                monkeypatch):
         # B = 1030: 1031 rows of one mode, 15 to a block, the last of 21 steps
-        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+        monkeypatch.setattr(sharpness, "TAIL_TOL", 1e-3)
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5))
         x = TorusPoint.from_floats([0.61], BITS)
         N = (1 << 20) + 12345
         assert (measure_average(phi, golden, x, N)
@@ -220,7 +230,7 @@ class TestDecompose:
     def test_direct_sum_of_analytic_weights(self, golden, golden_deep_cf):
         # truncation drops the weights that underflow to 0.0; a zero left
         # inside the series is skipped, not summed as 0 * mode_sum
-        phi = build_lacunary(golden_deep_cf, AnalyticWeight(), tol=1e-12)
+        phi = build_lacunary(golden_deep_cf, AnalyticWeight())
         holed = dataclasses.replace(
             phi, weights=phi.weights[:2] + (0.0,) + phi.weights[3:])
         x = TorusPoint.from_floats([0.2], BITS)
@@ -238,7 +248,7 @@ class TestDecompose:
         _BLOCK_CELLS, _BLOCK_CELLS + 1])
     def test_direct_sum_at_block_boundaries(self, golden_lac, golden,
                                             golden_deep_cf, N):
-        analytic = build_lacunary(golden_deep_cf, AnalyticWeight(), tol=1e-12)
+        analytic = build_lacunary(golden_deep_cf, AnalyticWeight())
         holed = dataclasses.replace(
             analytic, weights=analytic.weights[:2] + (0.0,) + analytic.weights[3:])
         single = dataclasses.replace(golden_lac, qs=golden_lac.qs[:1],
@@ -253,7 +263,7 @@ class TestDecompose:
                                                       golden_deep_cf):
         # the mode steps are kept per instance, out of the fields: a series
         # made by dataclasses.replace from a measured one derives its own
-        phi = build_lacunary(golden_deep_cf, AnalyticWeight(), tol=1e-12)
+        phi = build_lacunary(golden_deep_cf, AnalyticWeight())
         x = TorusPoint.from_floats([0.29], BITS)
         measure_average(phi, golden, x, 89)
         one, w_fp = 1 << BITS, golden.fixed_point()
@@ -280,8 +290,9 @@ class TestDecompose:
     # and B = A = 4100 with a last row of 4097 steps, past the first block
     @pytest.mark.parametrize("N", [(1 << 24) + 12345, 4100 * 4099 + 4097])
     def test_direct_sum_across_blocks_of_rows(self, golden, golden_deep_cf,
-                                              N):
-        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+                                              monkeypatch, N):
+        monkeypatch.setattr(sharpness, "TAIL_TOL", 1e-3)
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5))
         x = TorusPoint.from_floats([0.61], BITS)
         assert -(-N // (math.isqrt(N - 1) + 1)) > sharpness._SUB
         assert (measure_average(phi, golden, x, N)
@@ -319,9 +330,11 @@ class TestDecompose:
         measure_average(phi, golden, x, 13, lambda: calls.append(1))
         assert len(calls) == 2 + 1  # B = N = 13: one row
 
-    def test_the_series_keeps_no_inner_table(self, golden, golden_deep_cf):
+    def test_the_series_keeps_no_inner_table(self, golden, golden_deep_cf,
+                                             monkeypatch):
         # only each mode's four totals per (B, tail), not the B phases
-        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+        monkeypatch.setattr(sharpness, "TAIL_TOL", 1e-3)
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5))
         x = TorusPoint.from_floats([0.61], BITS)
         for N in (1, 89, 1025, 4181, (1 << 20) + 12345):
             measure_average(phi, golden, x, N)
@@ -331,19 +344,23 @@ class TestDecompose:
         assert all(t.shape == (4, K, 1) for t in phi._inner_totals.values())
 
     @pytest.mark.parametrize("N", [1, 13, 1024, 1025, 4181, (1 << 20) + 12345])
-    def test_direct_sum_near_the_per_term_sum(self, golden, golden_deep_cf, N):
+    def test_direct_sum_near_the_per_term_sum(self, golden, golden_deep_cf,
+                                             monkeypatch, N):
         # every term formed and summed by rows, as before the row sums were
         # factored through the inner totals
-        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+        monkeypatch.setattr(sharpness, "TAIL_TOL", 1e-3)
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5))
         x = TorusPoint.from_floats([0.61], BITS)
         assert (measure_average(phi, golden, x, N)
                 == pytest.approx(measure_average_per_term(phi, golden, x, N),
                                  abs=1e-14))
 
     @pytest.mark.parametrize("N", [1, 13, 1024, 1025, 4181, (1 << 20) + 12345])
-    def test_direct_sum_near_the_libm_sum(self, golden, golden_deep_cf, N):
+    def test_direct_sum_near_the_libm_sum(self, golden, golden_deep_cf,
+                                          monkeypatch, N):
         # one libm cosine per term from the double ramp fl(j s) + ph0
-        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5), tol=1e-3)
+        monkeypatch.setattr(sharpness, "TAIL_TOL", 1e-3)
+        phi = build_lacunary(golden_deep_cf, HolderWeight(0.5))
         x = TorusPoint.from_floats([0.61], BITS)
         assert (measure_average(phi, golden, x, N)
                 == pytest.approx(measure_average_libm(phi, golden, x, N),
@@ -393,16 +410,17 @@ class TestLowerBounds:
         assert lb.min_ratio >= 0.1
         assert lb.l_bar == lb.entries[-1][0]  # every window positive
 
-    def test_spike_l0_near_one(self, spike_lac):
-        lb = verify_lower_bound(spike_lac, 6, l_values=[0])
+    def test_spike_l0_near_one(self, spike_lac, spike_freq):
+        (x,) = start_points(spike_lac, 6, [0])
+        dev = measure_average(spike_lac, spike_freq, x, spike_lac.mode_q(6))
         # at l = 0 the resonant mode contributes nearly its full weight
-        assert lb.min_ratio >= 0.4
+        assert dev / spike_lac.mode_weight(6) >= 0.4
 
     def test_single_mode_matches_formula(self, spike_freq, spike_cf):
         # truncate to one mode: the window average IS the resonant term
         from ergorate.dynamics import exp_sum_avg_fp
 
-        full = build_lacunary(spike_cf, HolderWeight(0.5), tol=1e-12)
+        full = build_lacunary(spike_cf, HolderWeight(0.5))
         m = 6
         q = full.mode_q(m)
         w = full.mode_weight(m)
@@ -424,13 +442,13 @@ class TestLowerBounds:
         with pytest.raises(HypothesisNotMet):
             verify_lower_bound(golden_lac, 6)
 
-    def test_positivity_breaks_beyond_range(self, spike_lac):
+    def test_positivity_breaks_beyond_range(self, spike_lac, spike_freq):
         # sweep far past the admitted range: positivity must eventually fail,
         # and the breakdown point sits beyond the certified range constant
         q6, q7 = spike_lac.mode_q(6), spike_lac.mode_q(7)
-        l_hi = int(0.6 * q7 / q6)
-        lb = verify_lower_bound(spike_lac, 6, l_values=range(l_hi))
-        negatives = [l for l, dev in lb.entries if dev <= 0]
+        ls = range(int(0.6 * q7 / q6))
+        negatives = [l for l, x in zip(ls, start_points(spike_lac, 6, ls))
+                     if measure_average(spike_lac, spike_freq, x, q6) <= 0]
         assert negatives, "window averages should fail far beyond the range"
         assert min(negatives) > q7 / (8 * q6)
 
@@ -470,6 +488,7 @@ class TestSchedule:
         from ergorate import arithmetic
         assert (borel_bernstein_schedule is arithmetic.borel_bernstein_schedule
                 is ergorate.borel_bernstein_schedule)
+        assert not hasattr(sharpness, "borel_bernstein_schedule")
 
     def test_alternating_square_rule(self):
         f = Frequency(PartialQuotients((), "square_even"))
@@ -487,7 +506,7 @@ class TestSlowRate:
     def test_exp_gap_points(self):
         f = Frequency(PartialQuotients((), "exp_gap", (5,)))
         cf = expand_cf(f, max_q=None, stop_product=1 << 420)
-        phi = build_lacunary(cf, AnalyticWeight(), tol=1e-12)
+        phi = build_lacunary(cf, AnalyticWeight())
         for m in (3, 4, 5):
             r = slow_rate_point(phi, m)
             assert r.lower_dev_Nm > 0.1 * math.exp(-r.q_m)
@@ -497,7 +516,7 @@ class TestSlowRate:
         # deviation at the aggregated time tracks the matched slow rate
         f = Frequency(PartialQuotients((), "exp_gap", (5,)))
         cf = expand_cf(f, max_q=None, stop_product=1 << 420)
-        phi = build_lacunary(cf, AnalyticWeight(), tol=1e-12)
+        phi = build_lacunary(cf, AnalyticWeight())
         m = 5
         r = slow_rate_point(phi, m)
         rho_at_gap_scale = 1.0 / cf.q_at(m + 1)  # rho(t) = e^{-Gamma^{-1}(t)}
