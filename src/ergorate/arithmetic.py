@@ -51,8 +51,11 @@ def dist_to_Z(t):
     t - floor(t) is that same real number under one rounding.  Both give
     +0.0 on integers (-0.0 included) and NaN on NaN and +-inf.
     """
-    f = t - np.floor(t)
-    return np.minimum(f, 1.0 - f)
+    f = np.floor(t)
+    # a new float array takes the result; scalars and integers are promoted
+    out = f if isinstance(f, np.ndarray) and f.dtype.kind == "f" else None
+    f = np.subtract(t, f, out=out)
+    return np.minimum(f, 1.0 - f, out=out)
 
 
 def fp_signed(value: int, bits: int) -> int:

@@ -404,8 +404,8 @@ class GridSweep:
     g / grid has the orbit T^j(0) + (A^j g mod grid) / grid.  The cell
     offsets A^j g mod grid run the chains of SystemSpec.chains without
     their frequencies, as integers mod grid, one lane per cell; a
-    rotation's never move.  The orbit point is rounded once from its exact
-    registers, and the offset is added in double.
+    rotation's never move.  phi.fn gets their sum in double, unreduced in
+    [0, 2)^d: the orbit point, rounded once from its registers, plus the offset.
 
     sup_deviation advances the sweep from its step j to each N it is given,
     so a rising schedule walks the orbit once, in the summation order of
@@ -424,6 +424,8 @@ class GridSweep:
 
     def __init__(self, sys: SystemSpec, phi: Observable, grid: int, check=None):
         d = sys.dim
+        if phi.dim != d:
+            raise ValueError("observable dimension does not match the system")
         if grid < 16:
             raise ValueError("grid must be >= 16")
         if d > 3 or grid ** d > GRID_POINT_BUDGET:
@@ -470,6 +472,7 @@ class GridSweep:
         # and, when the lanes move, in their table
         self._tile = min(cells, _BLOCK_CELLS // d)
         self._rows = max(1, _BLOCK_CELLS // (self._tile * d))
+        self._pts = np.empty(self._rows * self._tile * d)  # one block's points
         self._sums = np.zeros(cells)  # Kahan state of the completed chunks
         self._carry = np.zeros(cells)
         self._open = None  # row total of the open chunk, once it has rows
@@ -509,19 +512,15 @@ class GridSweep:
                     else:
                         xs = self._xs[:, cut]
                     # one coordinate at a time, so every loop runs over cells
-                    pts = np.empty((n, len(total), d))
+                    pts = self._pts[:n * len(total) * d].reshape(n, -1, d)
                     for i in range(d):
                         np.add(orbit[lo:lo + n, :, i], xs[..., i, :],
                                out=pts[..., i])
-                    # mod 1 of a sum in [0, 2): s - 1 is exact for s in
-                    # [1, 2), so this equals np.mod(pts, 1.0) bit for bit,
-                    # far cheaper
-                    pts -= pts >= 1.0
                     vals = np.asarray(self.phi.fn(pts if d > 1 else pts[..., 0]),
                                       dtype=float)
                     if lo or not fresh:
                         vals[0] += total
-                    np.sum(vals, axis=0, out=total)
+                    np.add.reduce(vals, axis=0, out=total)
             self.j += m
             if self.j % self.chunk == 0:
                 self._sums, self._carry = _kahan_add(self._sums, self._carry,

@@ -269,11 +269,14 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
             return make_separable(sys.dim, poly, [(0, dist)])
         case _:
             try:
-                return make_observable(key, sys.dim)
+                phi = make_observable(key, sys.dim)
             except KeyError as exc:
                 raise ConfigError(exc.args[0]) from None
-    cf = expand_cf(sys.freqs[0], max_q=target)
-    return build_lacunary(cf, weight)
+    if name == "lacunary":
+        phi = build_lacunary(expand_cf(sys.freqs[0], max_q=target), weight)
+    if phi.dim != sys.dim:
+        raise ConfigError(f"observable {key!r} has dimension {phi.dim}, not {sys.dim}")
+    return phi
 
 
 def resolve_schedule(text: str, sys: SystemSpec) -> list[int]:

@@ -55,9 +55,10 @@ class Holder(ModulusOfContinuity):
 class Observable:
     """A real function on the d-torus with declared regularity.
 
-    `fn` must be vectorized: for dim == 1 it maps an ndarray of positions to
-    values; for dim >= 2 it takes an ndarray of shape (..., dim).  `norm_est`
-    is an upper bound on the w-Holder norm when known analytically, otherwise
+    `fn` must be vectorized and 1-periodic (grid sweeps pass coordinates in
+    [0, 2)): for dim == 1 it maps an ndarray of positions to values; for
+    dim >= 2 it takes an ndarray of shape (..., dim).  `norm_est` is an
+    upper bound on the w-Holder norm when known analytically, otherwise
     a sampled lower-bound estimate.  `mean_hint` is the declared exact mean
     over the torus, which `mean` returns.  `fourier`, when set, is the finite
     spectrum {k: c_k} (k an integer tuple of length dim) with
@@ -135,8 +136,11 @@ def make_dist_pow(alpha: float, dim: int = 1) -> Observable:
 
     def fn(x):
         x = np.asarray(x, dtype=float)
-        u = dist_to_Z(x if dim == 1 else x[..., 0])
-        return np.sqrt(u) if alpha == 0.5 else u ** alpha
+        u = dist_to_Z(x if dim == 1 else x[..., 0])  # new, so powered in place
+        if alpha == 0.5:
+            return np.sqrt(u, out=u if u.ndim else None)
+        u **= alpha
+        return u
 
     modulus = Holder(alpha)  # checks alpha before the mean divides by 1 + alpha
     # sup = (1/2)^alpha; Holder seminorm is exactly 1 (attained at 0)

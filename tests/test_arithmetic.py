@@ -53,6 +53,18 @@ class TestDistToZ:
         assert got.shape == (len(ts), 1)
         assert got.ravel().tolist() == [dist_to_Z(t) for t in ts]
 
+    def test_an_array_input_is_left_unchanged(self):
+        # the result reuses a new array, never the caller's
+        t = np.array([-0.75, 0.3, 1.6, 2.0])
+        got = dist_to_Z(t)
+        assert t.tolist() == [-0.75, 0.3, 1.6, 2.0]
+        assert not np.shares_memory(got, t)
+        assert got.tolist() == [0.25, 0.3, dist_to_Z(1.6), 0.0]
+
+    def test_integer_arrays_give_doubles(self):
+        got = dist_to_Z(np.array([-1, 0, 3]))
+        assert got.dtype == np.float64 and got.tolist() == [0.0, 0.0, 0.0]
+
 
 def _assert_same_doubles(got, want):
     """Equal values, NaN where NaN, and equal sign bits elsewhere."""

@@ -600,6 +600,45 @@ class TestGridSweepEverySystem:
         sup_deviation(sys, phi, 3 * c + 7, 64, sweep)
         assert calls == [c, 2 * c, 3 * c]
 
+    def test_the_observable_sees_unreduced_points_in_0_2(self, golden):
+        # phi.fn is 1-periodic, so the sweep passes orbit point plus offset
+        # without reducing it mod 1
+        sys = SystemSpec.skew(2, golden)
+        dist = make_dist_pow(0.5, 2)
+        seen = []
+
+        def record(x):
+            seen.append((x.min(), x.max()))
+            return dist.fn(x)
+
+        phi = dataclasses.replace(dist, fn=record)
+        sweep = GridSweep(sys, phi, 16)
+        sweep.sums(sweep.chunk + 1)
+        assert min(lo for lo, _ in seen) >= 0.0
+        assert 1.0 <= max(hi for _, hi in seen) < 2.0
+        assert np.array_equal(sweep.sums(sweep.j),
+                              GridSweep(sys, dist, 16).sums(sweep.j))
+
+    @pytest.mark.parametrize("key", ["cos", "poly_plus_dist:1:0.5:3"])
+    def test_trig_fields_on_a_skew_product_match_per_point_orbits(self, key):
+        # cos and the trig part see x + 1 where a cell's sum passed 1
+        sys = resolve_system("skew:2:golden")
+        phi = resolve_observable(key, sys)
+        sweep = GridSweep(sys, phi, 16)
+        c = sweep.chunk
+        cells = _sampled_cells(16, 2)
+        for N in [c - 1, c + 1]:
+            res = sup_deviation(sys, phi, N, 16, sweep)
+            expect = grid_sums_per_point(sys, phi, N, 16, cells) / N - phi.mean()
+            got = np.array([res.field[idx] for idx in cells])
+            assert np.max(np.abs(got - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["skew2", "rot2"])
+    def test_a_one_dimensional_observable_is_refused(self, name):
+        sys, _ = _pointwise_case(name)
+        with pytest.raises(ValueError, match="dimension"):
+            GridSweep(sys, make_weierstrass(Holder(0.5)), 16)
+
     def test_closed_forms_stay_rotation_only(self, golden):
         # a finite spectrum on a skew product is summed pointwise
         sys = SystemSpec.skew(2, golden)

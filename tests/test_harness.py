@@ -192,6 +192,23 @@ class TestResolvers:
         with pytest.raises(ConfigError, match="nosuch"):
             resolve_observable("nosuch", sys)
 
+    @pytest.mark.parametrize("system", ["rotationd:golden,sqrt2m1",
+                                        "skew:2:golden"])
+    @pytest.mark.parametrize("key", ["weierstrass_w:0.5", "coboundary",
+                                     "lacunary:holder:0.5"])
+    def test_a_one_dimensional_observable_needs_a_one_dimensional_system(
+            self, capsys, system, key):
+        # on the rotation its 1-tuple modes each filled a whole row of the
+        # spectrum (sup_dev 16x too large at grid 16); on the skew product
+        # the sweep died in numpy
+        with pytest.raises(ConfigError, match=f"{key!r} has dimension 1, not 2"):
+            resolve_observable(key, resolve_system(system))
+        rc = cli_main(["rate", "--system", system, "--observable", key,
+                       "--schedule", "list:1000", "--grid", "16"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     def test_a_width_that_cannot_certify_the_modes_is_refused(self):
         # a kept mode q errs by up to q * 2^-(bits+1) in its phase: at 192
         # bits the alpha = 0.3 series keeps a 143-bit q, and alpha = 0.15

@@ -300,6 +300,21 @@ class TestObservableRegistry:
         with pytest.raises(KeyError):
             make_observable("nope")
 
+    @pytest.mark.parametrize("alpha, want", [(0.5, 0.5477225575051661),
+                                             (0.7, 0.4305116202499342)])
+    def test_dist_pow_of_a_scalar_is_a_double(self, alpha, want):
+        # arrays take their power in place; a scalar gets a new double
+        got = make_dist_pow(alpha)(0.3)
+        assert type(got) is np.float64 and got == want
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0])
+    def test_dist_pow_leaves_its_points_unchanged(self, alpha):
+        xs = np.array([[0.3, 1.3], [1.75, 0.5]])
+        for dim in (1, 2):
+            got = make_dist_pow(alpha, dim)(xs)
+            assert xs.tolist() == [[0.3, 1.3], [1.75, 0.5]]
+            assert not np.shares_memory(got, xs)
+
     def test_separable_mean_and_eval(self):
         tp = random_real_trigpoly(2, 2, seed=13)
         dist = make_dist_pow(0.5)
