@@ -19,8 +19,8 @@ from .errors import (ConfigError, DimensionTooLarge, DomainError,
 from .harness import (ExperimentConfig, RateSeries, emit_csv, emit_json,
                       run_kernel_experiment, run_rate_experiment,
                       run_sharpness_experiment, run_skew_experiment)
-from .kernels import (Holder, ModulusOfContinuity, Observable, TrigPoly,
-                      approximate, dirichlet, fejer, make_observable)
+from .kernels import (Holder, Observable, TrigPoly, approximate, dirichlet,
+                      fejer, make_observable)
 from .scenarios import SCENARIOS, run_scenario
 from .sharpness import (AnalyticWeight, HolderWeight, LacunaryObservable,
                         SharpnessReport, build_lacunary, decompose,

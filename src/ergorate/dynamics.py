@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .arithmetic import ContinuedFraction, Frequency, fp_from_float, fp_signed
-from .errors import DimensionTooLarge, Uncertified
+from .errors import DimensionTooLarge, Uncertified, tick
 from .kernels import Observable, SeparableObservable
 
 TWO_PI = 2.0 * math.pi
@@ -417,12 +417,12 @@ class GridSweep:
     whole rows as fit, or, when one row is larger, column tiles of one row.
     A block carries its cells' running total of the open chunk in through
     its first row, so phi.fn must return a fresh array, and each cell's
-    sum is formed in the same order whatever the block shape.  `check`,
-    when given, is called with no arguments once per completed chunk: a
-    wall-clock budget can stop a single long N there.
+    sum is formed in the same order whatever the block shape.  tick() is
+    called once per completed chunk, so a wall-clock budget can stop a
+    single long N there.
     """
 
-    def __init__(self, sys: SystemSpec, phi: Observable, grid: int, check=None):
+    def __init__(self, sys: SystemSpec, phi: Observable, grid: int):
         d = sys.dim
         if phi.dim != d:
             raise ValueError("observable dimension does not match the system")
@@ -431,7 +431,7 @@ class GridSweep:
         if d > 3 or grid ** d > GRID_POINT_BUDGET:
             raise DimensionTooLarge(f"{d} * log2({grid}) exceeds the grid budget "
                                     f"(d <= 3, at most {GRID_POINT_BUDGET} points)")
-        self.sys, self.phi, self.grid, self.check = sys, phi, grid, check
+        self.sys, self.phi, self.grid = sys, phi, grid
         # the route: the spectrum a rotation sums in closed form (None for
         # the pointwise route) and, for a separable observable, one 1-d
         # sweep per axis term, on that term's axis
@@ -447,7 +447,7 @@ class GridSweep:
             (sum(ki * wi for ki, wi in zip(k, sys.omega_fp)) % (1 << sys.bits),
              tuple(ki % grid for ki in k), c) for k, c in spectrum.items()]
         self._axes = [(axis, GridSweep(SystemSpec.rotation(sys.freqs[axis]),
-                                       sub, grid, check))
+                                       sub, grid))
                       for axis, sub in terms]
         self.chunk = max(256, min(1 << 15, (1 << 22) // grid ** d))
         self.j = 0
@@ -526,8 +526,7 @@ class GridSweep:
                 self._sums, self._carry = _kahan_add(self._sums, self._carry,
                                                      self._open)
                 self._open = None
-                if self.check is not None:
-                    self.check()
+                tick()
         if self._open is None:
             out = self._sums.copy()
         else:
@@ -609,8 +608,7 @@ class KernelTable:
     mags: np.ndarray
 
 
-def kernel_table(cf: ContinuedFraction, N: int, terms: int,
-                 check=None) -> KernelTable:
+def kernel_table(cf: ContinuedFraction, N: int, terms: int) -> KernelTable:
     """The table of |E_N(k omega)| = |sin(pi {Nk omega})| / (N |sin(pi {k
     omega})|), capped at 1, for k = 1..terms and omega = cf.omega.
 
@@ -619,8 +617,8 @@ def kernel_table(cf: ContinuedFraction, N: int, terms: int,
     |sin(pi {k s})| = |sin(pi x_a) cos(pi y_b) + cos(pi x_a) sin(pi y_b)|,
     x_a = {a C s} and y_b = {b s} from two exact phase tables; x_0 = 0, so
     below C the term is sin(pi y_b).  Blocks of rows within _BLOCK_CELLS
-    fill the one array of `terms` values, calling check, if given, once
-    each; k = 0 and k > terms are never divided.
+    fill the one array of `terms` values, calling tick() once each; k = 0
+    and k > terms are never divided.
     """
     w, bits = cf.omega.fixed_point(), cf.omega.fractional_bits
     steps = limbs_from_ints([w, N * w % (1 << bits)], bits)
@@ -639,8 +637,7 @@ def kernel_table(cf: ContinuedFraction, N: int, terms: int,
         t *= N  # then nt / t, capped at 1, one operation at a time
         out = mags[lo - 1:hi - 1]
         np.minimum(np.divide(nt, t, out=out), 1.0, out=out)
-        if check is not None:
-            check()
+        tick()
     return KernelTable(cf, N, mags)
 
 
@@ -690,13 +687,12 @@ class CharSweep:
     (i from 0), leading coefficient (k_i / (d-i)!) * omega; degree+1
     fixed-point registers advance it with degree exact additions per step.
     Each chunk of 2**12 steps adds one exp-sum to the total, which fixes
-    the summation order; check, if given, is called once per chunk.
+    the summation order; tick() is called once per chunk.
     """
 
     CHUNK = 1 << 12
 
-    def __init__(self, omega: Frequency, k: Sequence[int], x: TorusPoint,
-                 check=None):
+    def __init__(self, omega: Frequency, k: Sequence[int], x: TorusPoint):
         k = tuple(int(v) for v in k)
         if len(k) != x.dim or not any(k):
             raise ValueError("k must have one entry per coordinate of x "
@@ -712,7 +708,6 @@ class CharSweep:
                                       for r in range(self.degree + 1)], bits)
         self.j = 0
         self._total = 0.0 + 0.0j
-        self._check = check
 
     def value(self, N: int) -> complex:
         """The sum to N, in the summation order of a fresh sweep: whole
@@ -723,8 +718,7 @@ class CharSweep:
         while N - self.j >= self.CHUNK:
             self._total += self._chunk(self._regs, self.CHUNK)
             self.j += self.CHUNK
-            if self._check is not None:
-                self._check()
+            tick()
         if N == self.j:
             return self._total
         return self._total + self._chunk(self._regs.copy(), N - self.j)

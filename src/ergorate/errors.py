@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one wall-clock
+budget clock that raises Timeout."""
+
+import contextlib
+import contextvars
+import time
 
 
 class ErgorateError(Exception):
@@ -38,8 +43,37 @@ class DimensionTooLarge(ErgorateError):
 
 
 class Timeout(ErgorateError):
-    """A harness scenario exceeded its wall-clock budget."""
+    """A run or scenario exceeded its wall-clock budget (see deadline)."""
 
 
 class ConfigError(ErgorateError):
     """Config file could not be parsed; message carries line diagnostics."""
+
+
+# (end on the monotonic clock, Timeout message) of the innermost deadline
+_DEADLINE = contextvars.ContextVar("deadline", default=None)
+
+
+@contextlib.contextmanager
+def deadline(seconds, label: str):
+    """Within the block, tick() raises Timeout once `seconds` have passed.
+    A deadline inside another keeps the earlier end, so seconds = None
+    keeps the enclosing one; the enclosing one is back after the block."""
+    inner = outer = _DEADLINE.get()
+    if seconds is not None:
+        end = time.monotonic() + seconds
+        if outer is None or end < outer[0]:
+            inner = (end, f"{label} exceeded budget of {seconds}s")
+    token = _DEADLINE.set(inner)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def tick() -> None:
+    """Raise Timeout if the innermost open deadline has passed; outside
+    every deadline, do nothing.  Long loops call it once per block."""
+    current = _DEADLINE.get()
+    if current is not None and time.monotonic() > current[0]:
+        raise Timeout(current[1])

@@ -26,7 +26,7 @@ from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                        char_birkhoff_skew, kernel_sum, kernel_table,
                        sup_deviation)
 from .envelopes import Envelope, fit_scale, weyl_bound
-from .errors import ConfigError, Timeout
+from .errors import ConfigError, deadline, tick
 from .kernels import (Observable, approximation_error, jackson_coeffs,
                       make_dist_pow, make_observable, make_separable,
                       random_real_trigpoly)
@@ -144,17 +144,13 @@ class ExperimentConfig:
     def start(self, run: str):
         """Refuse a key that `run` does not read, and a value outside its
         key's type and domain, before the run does any work.  Returns the
-        run's budget check, which raises Timeout once budget_s has passed."""
+        run's deadline: within it, tick() raises Timeout once budget_s has
+        passed."""
         for key in self.values:
             if run not in _KEYS.get(key, ("", ""))[1].split():
                 raise ConfigError(f"{run} does not read config key {key}")
             self.get(key)
-        budget, t0 = self.get("budget_s"), time.monotonic()
-
-        def check_budget():
-            if budget is not None and time.monotonic() - t0 > budget:
-                raise Timeout(f"{run} run exceeded budget of {budget}s")
-        return check_budget
+        return deadline(self.get("budget_s"), f"{run} run")
 
     def get(self, key: str, default=None):
         """The value of key, checked against its type and domain in _KEYS,
@@ -325,97 +321,97 @@ class RateSeries:
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateSeries:
-    check_budget = cfg.start("rate")
-    sys = resolve_system(cfg.require("system"),
-                         cfg.get("precision_bits", DEFAULT_BITS))
-    phi = resolve_observable(cfg.require("observable"), sys)
-    schedule = resolve_schedule(cfg.require("schedule"), sys)
-    grid = cfg.get("grid", 1024 if sys.dim == 1 else 64)
-    env = (Envelope.parse(cfg.get("envelope"))
-           if "envelope" in cfg.values else None)
-    timings = cfg.get("timings", False)
-    # one orbit for the whole schedule, checked against the budget per chunk
-    sweep = GridSweep(sys, phi, grid, check=check_budget)
+    with cfg.start("rate"):
+        sys = resolve_system(cfg.require("system"),
+                             cfg.get("precision_bits", DEFAULT_BITS))
+        phi = resolve_observable(cfg.require("observable"), sys)
+        schedule = resolve_schedule(cfg.require("schedule"), sys)
+        grid = cfg.get("grid", 1024 if sys.dim == 1 else 64)
+        env = (Envelope.parse(cfg.get("envelope"))
+               if "envelope" in cfg.values else None)
+        timings = cfg.get("timings", False)
+        # one orbit for the whole schedule, checked against the budget per chunk
+        sweep = GridSweep(sys, phi, grid)
 
-    points, rows = [], []
-    for N in schedule:
-        t0 = time.monotonic()
-        res = sup_deviation(sys, phi, N, grid, sweep)
-        wall = (time.monotonic() - t0) * 1000.0
-        points.append((N, res.sup_dev))
-        rows.append({
-            "system": cfg.require("system"),
-            "N": N,
-            "grid": grid,
-            "sup_dev": res.sup_dev,
-            "argmax": ";".join(f"{v:.9f}" for v in res.argmax_x.to_floats()),
-            "wall_ms": round(wall, 3) if timings else 0.0,
+        points, rows = [], []
+        for N in schedule:
+            t0 = time.monotonic()
+            res = sup_deviation(sys, phi, N, grid, sweep)
+            wall = (time.monotonic() - t0) * 1000.0
+            points.append((N, res.sup_dev))
+            rows.append({
+                "system": cfg.require("system"),
+                "N": N,
+                "grid": grid,
+                "sup_dev": res.sup_dev,
+                "argmax": ";".join(f"{v:.9f}" for v in res.argmax_x.to_floats()),
+                "wall_ms": round(wall, 3) if timings else 0.0,
+            })
+            tick()
+
+        # not v <= 0, unlike v > 0, keeps a NaN point, so the fits turn NaN
+        pos = [(n, v) for n, v in points if not v <= 0]
+        if len(pos) >= 2:
+            slope = float(np.polyfit(np.log([n for n, _ in pos]),
+                                     np.log([v for _, v in pos]), 1)[0])
+        else:
+            slope = math.nan
+        scale, tail = (math.nan, math.nan)
+        in_domain = [(n, v) for n, v in pos if n >= 3]  # envelope domain
+        if env is not None and len(in_domain) >= 3:
+            scale, tail = fit_scale(in_domain, env)
+        series = RateSeries(
+            points=points, fitted_slope=slope, envelope=env,
+            envelope_scale=scale, tail_ratio=tail, rows=rows,
+            config_hash=cfg.config_hash(),
+        )
+        _maybe_emit(cfg, "rate", rows, extra={
+            "fitted_slope": slope, "envelope_scale": scale, "tail_ratio": tail,
         })
-        check_budget()
-
-    # not v <= 0, unlike v > 0, keeps a NaN point, so the fits turn NaN
-    pos = [(n, v) for n, v in points if not v <= 0]
-    if len(pos) >= 2:
-        slope = float(np.polyfit(np.log([n for n, _ in pos]),
-                                 np.log([v for _, v in pos]), 1)[0])
-    else:
-        slope = math.nan
-    scale, tail = (math.nan, math.nan)
-    in_domain = [(n, v) for n, v in pos if n >= 3]  # envelope domain
-    if env is not None and len(in_domain) >= 3:
-        scale, tail = fit_scale(in_domain, env)
-    series = RateSeries(
-        points=points, fitted_slope=slope, envelope=env,
-        envelope_scale=scale, tail_ratio=tail, rows=rows,
-        config_hash=cfg.config_hash(),
-    )
-    _maybe_emit(cfg, "rate", rows, extra={
-        "fitted_slope": slope, "envelope_scale": scale, "tail_ratio": tail,
-    })
-    return series
+        return series
 
 
 def run_kernel_experiment(cfg: ExperimentConfig) -> dict:
     """Sweep (q_n, N), recording sum_{1<=|k|<q} |E_N(k omega)| ratios."""
-    check_budget = cfg.start("kernel")
-    bits = cfg.get("precision_bits", DEFAULT_BITS)
-    N_list = cfg.require("n_values")
-    max_q = cfg.get("max_q", 6765)
-    cap = cfg.get("ratio_cap", 10.0)
-    rows = []
-    max_ratio = 0.0
-    all_finite = True
-    for ftext in cfg.require("frequencies"):
-        omega = Frequency.parse(ftext, bits)
-        cf = expand_cf(omega, max_q=max_q)
-        ladder = [idx for idx in range(1, cf.certified_len + 1)
-                  if cf.q_at(idx) >= 2]
-        if not ladder:
-            continue
-        # one table per N serves the whole ladder; it is released before
-        # the next N's is built
-        columns = []
-        for N in N_list:
-            table = kernel_table(cf, N, cf.q_at(ladder[-1]) - 1, check_budget)
-            column = []
-            for idx in ladder:
-                column.append(kernel_sum(table, idx))
-                check_budget()
-            columns.append(column)
-            del table
-        for rung in zip(*columns):  # rows in (q, N) order
-            for r in rung:
-                rows.append({
-                    "frequency": ftext, "q": r.q, "N": r.N,
-                    "sum": r.total, "ratio": r.ratio,
-                })
-                max_ratio = max(max_ratio, r.ratio)
-                all_finite = all_finite and math.isfinite(r.ratio)
-    table = {"rows": rows, "max_ratio": max_ratio, "cap": cap,
-             "within_cap": bool(rows) and all_finite and max_ratio <= cap,
-             "config_hash": cfg.config_hash()}
-    _maybe_emit(cfg, "kernel", rows, extra={"max_ratio": max_ratio, "cap": cap})
-    return table
+    with cfg.start("kernel"):
+        bits = cfg.get("precision_bits", DEFAULT_BITS)
+        N_list = cfg.require("n_values")
+        max_q = cfg.get("max_q", 6765)
+        cap = cfg.get("ratio_cap", 10.0)
+        rows = []
+        max_ratio = 0.0
+        all_finite = True
+        for ftext in cfg.require("frequencies"):
+            omega = Frequency.parse(ftext, bits)
+            cf = expand_cf(omega, max_q=max_q)
+            ladder = [idx for idx in range(1, cf.certified_len + 1)
+                      if cf.q_at(idx) >= 2]
+            if not ladder:
+                continue
+            # one table per N serves the whole ladder; it is released before
+            # the next N's is built
+            columns = []
+            for N in N_list:
+                table = kernel_table(cf, N, cf.q_at(ladder[-1]) - 1)
+                column = []
+                for idx in ladder:
+                    column.append(kernel_sum(table, idx))
+                    tick()
+                columns.append(column)
+                del table
+            for rung in zip(*columns):  # rows in (q, N) order
+                for r in rung:
+                    rows.append({
+                        "frequency": ftext, "q": r.q, "N": r.N,
+                        "sum": r.total, "ratio": r.ratio,
+                    })
+                    max_ratio = max(max_ratio, r.ratio)
+                    all_finite = all_finite and math.isfinite(r.ratio)
+        table = {"rows": rows, "max_ratio": max_ratio, "cap": cap,
+                 "within_cap": bool(rows) and all_finite and max_ratio <= cap,
+                 "config_hash": cfg.config_hash()}
+        _maybe_emit(cfg, "kernel", rows, extra={"max_ratio": max_ratio, "cap": cap})
+        return table
 
 
 # jackson_coeffs(n) takes O(n^2) time (1.0 s at this cap, 4.1 s at 2^16 on a
@@ -426,114 +422,115 @@ APPROX_MAX_N = 1 << 15
 def run_approx_experiment(cfg: ExperimentConfig) -> list:
     """The sup distance from the observable to its degree-n Jackson
     smoothing (kernels.approximate), one row per n."""
-    check_budget = cfg.start("approx")
-    ns = cfg.get("n_values", [16, 32, 64, 128])
-    if max(ns) > APPROX_MAX_N:
-        raise ConfigError(f"n must be <= APPROX_MAX_N = {APPROX_MAX_N}, "
-                          f"got {max(ns)}")
-    system = cfg.get("system", "rotation1d:golden")
-    sys = resolve_system(system, cfg.get("precision_bits", DEFAULT_BITS))
-    if sys.dim > 1:
-        raise ConfigError(f"approx samples one-dimensional points only; system "
-                          f"{system} has dimension {sys.dim}")
-    phi = resolve_observable(cfg.get("observable", "dist_pow:0.5"), sys)
-    rows = []
-    for n in ns:
-        kernel = jackson_coeffs(n)
-        rows.append({"n": n, "sup_error": approximation_error(phi, kernel),
-                     "n_coeffs": int(np.count_nonzero(kernel))})
-        check_budget()
-    _maybe_emit(cfg, "approx", rows, extra={})
-    return rows
+    with cfg.start("approx"):
+        ns = cfg.get("n_values", [16, 32, 64, 128])
+        if max(ns) > APPROX_MAX_N:
+            raise ConfigError(f"n must be <= APPROX_MAX_N = {APPROX_MAX_N}, "
+                              f"got {max(ns)}")
+        system = cfg.get("system", "rotation1d:golden")
+        sys = resolve_system(system, cfg.get("precision_bits", DEFAULT_BITS))
+        if sys.dim > 1:
+            raise ConfigError(f"approx samples one-dimensional points only; system "
+                              f"{system} has dimension {sys.dim}")
+        phi = resolve_observable(cfg.get("observable", "dist_pow:0.5"), sys)
+        rows = []
+        for n in ns:
+            kernel = jackson_coeffs(n)
+            rows.append({"n": n, "sup_error": approximation_error(phi, kernel),
+                         "n_coeffs": int(np.count_nonzero(kernel))})
+            tick()
+        _maybe_emit(cfg, "approx", rows, extra={})
+        return rows
 
 
 def run_sharpness_experiment(cfg: ExperimentConfig) -> dict:
     """Decomposition identity plus window and aggregate lower bounds."""
-    check_budget = cfg.start("sharp")
-    weight = cfg.get("weight", "holder")
-    if weight != "holder" and "alpha" in cfg.values:
-        raise ConfigError(f"alpha is read only with weight = holder, "
-                          f"got weight = {weight}")
-    observable = (f"lacunary:holder:{cfg.get('alpha', 0.5)}"
-                  if weight == "holder" else f"lacunary:{weight}")
-    phi = resolve_observable(observable, resolve_system(
-        "rotation1d:" + cfg.require("frequency"),
-        cfg.get("precision_bits", DEFAULT_BITS)))
-    ms = cfg.get("m_values") or [m for m in borel_bernstein_schedule(phi.cf)
-                                 if 2 <= m < phi.n_modes
-                                 and phi.mode_q(m) <= SHARP_MAX_Q]
-    if not ms:
-        raise ConfigError(f"nothing to measure: without m_values, the witness "
-                          f"schedule has no m in [2, {phi.n_modes}) with "
-                          f"q_m <= SHARP_MAX_Q = 2^32")
-    reports, x0 = [], TorusPoint.zero(1, phi.bits)
-    for m in ms:
-        rep = sharpness.decompose(phi, m, x0, check_budget)
-        entry = {"m": m, "q_m": rep.q_m, "identity_gap": rep.identity_gap,
-                 "lower_dev_at_0": rep.lower_dev}
-        try:
-            lb = sharpness.verify_lower_bound(phi, m, check=check_budget)
-            nm = sharpness.verify_Nm_bound(phi, lb, check_budget)
-            entry.update({
-                "hypothesis": "ok",
-                "min_ratio": lb.min_ratio,
-                "l_bar": lb.l_bar,
-                "N_m": nm.N_m,
-                "ratio_Nm": nm.ratio,
-                "passed": bool(lb.min_ratio > 0
-                               and nm.ratio >= sharpness.RATIO_FLOOR),
-            })
-        except sharpness.HypothesisNotMet as exc:
-            entry.update({"hypothesis": f"not met: {exc}", "passed": None})
-        reports.append(entry)
-    out = {"reports": reports, "config_hash": cfg.config_hash(),
-           "n_modes": phi.n_modes, "tail_bound": phi.tail_bound}
-    _maybe_emit(cfg, "sharp", reports, extra={"n_modes": phi.n_modes})
-    return out
+    with cfg.start("sharp"):
+        weight = cfg.get("weight", "holder")
+        if weight != "holder" and "alpha" in cfg.values:
+            raise ConfigError(f"alpha is read only with weight = holder, "
+                              f"got weight = {weight}")
+        observable = (f"lacunary:holder:{cfg.get('alpha', 0.5)}"
+                      if weight == "holder" else f"lacunary:{weight}")
+        phi = resolve_observable(observable, resolve_system(
+            "rotation1d:" + cfg.require("frequency"),
+            cfg.get("precision_bits", DEFAULT_BITS)))
+        ms = cfg.get("m_values") or [m for m in borel_bernstein_schedule(phi.cf)
+                                     if 2 <= m < phi.n_modes
+                                     and phi.mode_q(m) <= SHARP_MAX_Q]
+        if not ms:
+            raise ConfigError(f"nothing to measure: without m_values, the witness "
+                              f"schedule has no m in [2, {phi.n_modes}) with "
+                              f"q_m <= SHARP_MAX_Q = 2^32")
+        reports, x0 = [], TorusPoint.zero(1, phi.bits)
+        for m in ms:
+            rep = sharpness.decompose(phi, m, x0)
+            entry = {"m": m, "q_m": rep.q_m, "identity_gap": rep.identity_gap,
+                     "lower_dev_at_0": rep.lower_dev}
+            try:
+                lb = sharpness.verify_lower_bound(phi, m)
+                nm = sharpness.verify_Nm_bound(phi, lb)
+                entry.update({
+                    "hypothesis": "ok",
+                    "min_ratio": lb.min_ratio,
+                    "l_bar": lb.l_bar,
+                    "N_m": nm.N_m,
+                    "ratio_Nm": nm.ratio,
+                    "passed": bool(lb.min_ratio > 0
+                                   and nm.ratio >= sharpness.RATIO_FLOOR),
+                })
+            except sharpness.HypothesisNotMet as exc:
+                entry.update({"hypothesis": f"not met: {exc}", "passed": None})
+            reports.append(entry)
+        out = {"reports": reports, "config_hash": cfg.config_hash(),
+               "n_modes": phi.n_modes, "tail_bound": phi.tail_bound}
+        _maybe_emit(cfg, "sharp", reports, extra={"n_modes": phi.n_modes})
+        return out
 
 
 def run_skew_experiment(cfg: ExperimentConfig) -> dict:
     """Character-sum magnitudes against the Weyl envelope across N."""
-    check_budget = cfg.start("skew")
-    bits = cfg.get("precision_bits", DEFAULT_BITS)
-    d = cfg.get("d", 2)
-    omega = Frequency.parse(cfg.require("frequency"), bits)
-    k = tuple(cfg.require("k"))
-    if len(k) != d or not any(k):
-        raise ConfigError(f"k must have length d={d} and a nonzero entry, got {list(k)}")
-    N_list = cfg.require("n_values")
-    eps = cfg.get("eps", 0.05)
-    n_points = cfg.get("x_batch", 4)
+    with cfg.start("skew"):
+        bits = cfg.get("precision_bits", DEFAULT_BITS)
+        d = cfg.get("d", 2)
+        omega = Frequency.parse(cfg.require("frequency"), bits)
+        k = tuple(cfg.require("k"))
+        if len(k) != d or not any(k):
+            raise ConfigError(f"k must have length d={d} and a nonzero entry, "
+                              f"got {list(k)}")
+        N_list = cfg.require("n_values")
+        eps = cfg.get("eps", 0.05)
+        n_points = cfg.get("x_batch", 4)
 
-    rng = np.random.default_rng(cfg.get("seed", 7))
-    xs = [TorusPoint.from_floats(rng.random(d), bits) for _ in range(n_points)]
-    xs.append(TorusPoint.zero(d, bits))
+        rng = np.random.default_rng(cfg.get("seed", 7))
+        xs = [TorusPoint.from_floats(rng.random(d), bits) for _ in range(n_points)]
+        xs.append(TorusPoint.zero(d, bits))
 
-    # one sweep per start point; a schedule that steps back restarts them
-    sweeps = [CharSweep(omega, k, x, check_budget) for x in xs]
-    lead = omega.scale(sweeps[0].leading_num, sweeps[0].leading_den)
-    lead_cf = expand_cf(lead, max_q=max(N_list) * 64)
+        # one sweep per start point; a schedule that steps back restarts them
+        sweeps = [CharSweep(omega, k, x) for x in xs]
+        lead = omega.scale(sweeps[0].leading_num, sweeps[0].leading_den)
+        lead_cf = expand_cf(lead, max_q=max(N_list) * 64)
 
-    rows = []
-    for N in N_list:
-        if N < sweeps[0].j:
-            sweeps = [CharSweep(omega, k, x, check_budget) for x in xs]
-        # np.max, unlike max, propagates a NaN, so the gates below fail on it
-        best = float(np.max([abs(char_birkhoff_skew(sweep, N).value)
-                             for sweep in sweeps]))
-        _, q = find_convergent_at_scale(lead_cf, N)
-        rows.append({
-            "N": N, "q": q, "max_char_sum": best,
-            "weyl_shape": weyl_bound(d, q, N, eps),
-        })
-        check_budget()
-    shapes = [r["max_char_sum"] / r["weyl_shape"] for r in rows]
-    scale = float(np.max(shapes))
-    tail = float(np.max(shapes[-max(1, len(shapes) // 3):])) / scale
-    out = {"rows": rows, "scale": scale, "tail_ratio": tail, "d": d, "eps": eps,
-           "config_hash": cfg.config_hash()}
-    _maybe_emit(cfg, "skew", rows, extra={"scale": scale, "tail_ratio": tail})
-    return out
+        rows = []
+        for N in N_list:
+            if N < sweeps[0].j:
+                sweeps = [CharSweep(omega, k, x) for x in xs]
+            # np.max, unlike max, propagates a NaN, so the gates below fail on it
+            best = float(np.max([abs(char_birkhoff_skew(sweep, N).value)
+                                 for sweep in sweeps]))
+            _, q = find_convergent_at_scale(lead_cf, N)
+            rows.append({
+                "N": N, "q": q, "max_char_sum": best,
+                "weyl_shape": weyl_bound(d, q, N, eps),
+            })
+            tick()
+        shapes = [r["max_char_sum"] / r["weyl_shape"] for r in rows]
+        scale = float(np.max(shapes))
+        tail = float(np.max(shapes[-max(1, len(shapes) // 3):])) / scale
+        out = {"rows": rows, "scale": scale, "tail_ratio": tail, "d": d, "eps": eps,
+               "config_hash": cfg.config_hash()}
+        _maybe_emit(cfg, "skew", rows, extra={"scale": scale, "tail_ratio": tail})
+        return out
 
 
 # ---------------------------------------------------------------------------

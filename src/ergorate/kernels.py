@@ -27,14 +27,7 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
-class ModulusOfContinuity:
-    """Strictly increasing, sub-additive gauge with w(0) = 0."""
-
-    def __call__(self, h: float) -> float:
-        raise NotImplementedError
-
-
-class Holder(ModulusOfContinuity):
+class Holder:
     """w(h) = h**alpha, 0 < alpha <= 1."""
 
     def __init__(self, alpha: float):
@@ -67,7 +60,7 @@ class Observable:
 
     dim: int
     fn: Callable
-    modulus: ModulusOfContinuity
+    modulus: Holder
     norm_est: float
     mean_hint: float
     fourier: Optional[dict] = None
@@ -182,7 +175,7 @@ def make_coboundary(omega_value: float = 0.5 * (5 ** 0.5 - 1)) -> Observable:
     )
 
 
-def make_weierstrass(modulus: ModulusOfContinuity, base: int = 2,
+def make_weierstrass(modulus: Holder, base: int = 2,
                      terms: int = 24) -> Observable:
     """phi(x) = sum_m w(b^-m) cos(2 pi b^m x), the classical rough test function."""
 
@@ -260,7 +253,7 @@ class TrigPoly:
             out = out + c * np.exp(2j * math.pi * phase)
         return np.real(out)
 
-    def to_observable(self, modulus: Optional[ModulusOfContinuity] = None) -> Observable:
+    def to_observable(self, modulus: Optional[Holder] = None) -> Observable:
         """Wrap as a real observable with an analytic Holder-norm bound."""
         modulus = modulus or Holder(1.0)
         sup = float(sum(abs(c) for c in self.coeffs.values()))
@@ -268,7 +261,7 @@ class TrigPoly:
             TWO_PI * max((abs(i) for i in k), default=0) * abs(c)
             for k, c in self.coeffs.items()
         ))
-        if isinstance(modulus, Holder) and modulus.alpha < 1.0:
+        if modulus.alpha < 1.0:
             # |P(x)-P(y)| <= min(2 sup, L h): / h^alpha maximized at h*=2 sup/L
             semi = (2 * sup) ** (1 - modulus.alpha) * lip ** modulus.alpha \
                 if lip > 0 else 0.0

@@ -1,8 +1,10 @@
 """Named end-to-end verification scenarios.
 
-Each scenario measures one headline property at desk scale and returns a
-verdict dict: {name, passed, elapsed_s, budget_s, checks, details}.  The
-acceptance test suite runs them all; the CLI exposes them by name.
+Each scenario measures one headline property at desk scale and records
+its checks and details on a verdict.  run_scenario runs it under its
+wall-clock budget and returns the verdict dict: {name, passed, elapsed_s,
+budget_s, within_budget, checks, details}.  The acceptance test suite runs
+them all; the CLI exposes them by name.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                        birkhoff_sum, char_birkhoff_skew, grid_point, iterate,
                        step, sup_deviation)
 from .envelopes import Envelope, fit_scale
-from .errors import ErgorateError
+from .errors import ErgorateError, Timeout, deadline, tick
 from .harness import (ExperimentConfig, resolve_observable, resolve_schedule,
                       resolve_system, run_kernel_experiment,
                       run_sharpness_experiment, run_skew_experiment)
@@ -39,27 +41,15 @@ PI_MINUS_3 = ("0.1415926535897932384626433832795028841971693993751"
 
 
 class _Verdict:
-    def __init__(self, name: str, budget_s: float):
-        self.name = name
-        self.budget_s = budget_s
-        self.t0 = time.monotonic()
+    """The checks and details a scenario records; run_scenario adds the
+    name, the time and the budget."""
+
+    def __init__(self):
         self.checks: list = []
         self.details: dict = {}
 
     def check(self, label: str, ok: bool, value=None):
         self.checks.append({"label": label, "ok": bool(ok), "value": value})
-
-    def done(self) -> dict:
-        elapsed = time.monotonic() - self.t0
-        return {
-            "name": self.name,
-            "passed": all(c["ok"] for c in self.checks),
-            "elapsed_s": round(elapsed, 3),
-            "budget_s": self.budget_s,
-            "within_budget": elapsed < self.budget_s,
-            "checks": self.checks,
-            "details": self.details,
-        }
 
 
 def _test_frequencies():
@@ -88,12 +78,10 @@ def _field_oracle_gap(res, direct) -> float:
     ]))
 
 
-def scenario_cf_suite() -> dict:
+def scenario_cf_suite(v: _Verdict) -> None:
     """Recurrences, approximation sandwich, doubling, and over every
     certified q_n <= 1e4 one exact scan of ||j w||, 1 <= j < q_n, for both
     best-approximation minimality and the gap lemma ||j w|| > 1/(2 q_n)."""
-    v = _Verdict("cf_suite", budget_s=10.0)
-
     for label, omega in _test_frequencies().items():
         cf = expand_cf(omega, max_q=10 ** 4)
         M = cf.certified_len
@@ -131,16 +119,14 @@ def scenario_cf_suite() -> dict:
         v.check(f"{label}: exhaustive best-approximation minimality", best_ok)
         v.check(f"{label}: gap ||j w|| > 1/(2 q_n) for 1 <= j < q_n", gap_ok,
                 margin)
-    return v.done()
 
 
-def scenario_denjoy_koksma() -> dict:
+def scenario_denjoy_koksma(v: _Verdict) -> None:
     """sup_dev * q^alpha <= ||phi||_alpha at every convergent q <= 1e4.
 
     Each alpha walks one orbit through all the convergents; the fields at
     q <= ORACLE_MAX_N are checked against birkhoff_sum / q, which runs a
     fresh exact orbit from each grid point."""
-    v = _Verdict("denjoy_koksma", budget_s=60.0)
     omega = golden_mean()
     sys = SystemSpec.rotation(omega)
     cf = expand_cf(omega, max_q=10 ** 4)
@@ -163,14 +149,12 @@ def scenario_denjoy_koksma() -> dict:
         v.check(f"alpha={alpha}: sup_dev * q^a <= {norm:.4f}", worst <= norm, worst)
         v.check(f"alpha={alpha}: field matches birkhoff_sum / q for q <= 1e4 "
                 "(1e-10)", gap <= 1e-10, gap)
-    return v.done()
 
 
-def scenario_rate_envelope() -> dict:
+def scenario_rate_envelope(v: _Verdict) -> None:
     """Global rate for the in-class extremal observable: log-log slope in
     [-0.65, -0.40] and one envelope scale dominating all N with a tail that
     stays within 20x."""
-    v = _Verdict("rate_envelope", budget_s=300.0)
     cfg = ExperimentConfig({
         "system": "rotation1d:golden",
         "observable": "lacunary:holder:0.5",
@@ -209,12 +193,10 @@ def scenario_rate_envelope() -> dict:
     v.details["field_vs_direct"] = gap
     v.check("field matches the direct orbit sum for N <= 1e4 (1e-10)",
             gap <= 1e-10, gap)
-    return v.done()
 
 
-def scenario_kernel_lemma() -> dict:
+def scenario_kernel_lemma(v: _Verdict) -> None:
     """sum_{1<=|k|<q} |E_N(k w)| stays below 10 * q log(q) / N."""
-    v = _Verdict("kernel_lemma", budget_s=60.0)
     cfg = ExperimentConfig({
         "frequencies": ["golden", "pq:rule:index"],
         "n_values": [1000, 10000, 100000],
@@ -225,13 +207,11 @@ def scenario_kernel_lemma() -> dict:
     v.details["max_ratio"] = table["max_ratio"]
     v.details["n_rows"] = len(table["rows"])
     v.check("max ratio <= 10", table["within_cap"], table["max_ratio"])
-    return v.done()
 
 
-def scenario_jackson() -> dict:
+def scenario_jackson(v: _Verdict) -> None:
     """Approximation error slope and Fourier decay for ||x||^0.5, Jackson
     against Fejer smoothing on ||x||, plus kernel identities."""
-    v = _Verdict("jackson", budget_s=60.0)
     phi = make_dist_pow(0.5)
     ns = [16, 32, 64, 128, 256]
     errs = [approximation_error(phi, jackson_coeffs(n)) for n in ns]
@@ -279,13 +259,11 @@ def scenario_jackson() -> dict:
     closed = jackson_closed_form(40, xs)
     v.check("kernel coefficient form == closed form (1e-10)",
             bool(np.max(np.abs(coeff_sum(jackson_coeffs(40), xs) - closed)) < 1e-10))
-    return v.done()
 
 
-def scenario_skew_exactness() -> dict:
+def scenario_skew_exactness(v: _Verdict) -> None:
     """Closed-form iterates match step composition bit for bit; character
     sums match direct evaluation to 1e-9."""
-    v = _Verdict("skew_exactness", budget_s=30.0)
     omega = golden_mean()
     rng = np.random.default_rng(17)
     for d in (2, 3, 4):
@@ -323,14 +301,12 @@ def scenario_skew_exactness() -> dict:
     worst = float(np.max(gaps))  # NaN propagates and fails the check
     v.details["char_vs_direct_worst"] = worst
     v.check("character sums match direct evaluation (1e-9)", worst < 1e-9, worst)
-    return v.done()
 
 
-def scenario_weyl_envelope() -> dict:
+def scenario_weyl_envelope(v: _Verdict) -> None:
     """One fitted scale dominates the measured quadratic-phase sums under
     N^(1+eps) (1/q + 1/N + q/N^d)^delta with q the convergent scale of the
     leading coefficient."""
-    v = _Verdict("weyl_envelope", budget_s=120.0)
     cfg = ExperimentConfig({
         "d": 2,
         "frequency": "golden",
@@ -350,14 +326,12 @@ def scenario_weyl_envelope() -> dict:
     v.check("single fitted scale dominates all N", dominated, out["scale"])
     v.check("scale is finite and positive",
             0 < out["scale"] < math.inf, out["scale"])
-    return v.done()
 
 
-def scenario_sharpness() -> dict:
+def scenario_sharpness(v: _Verdict) -> None:
     """Resonant-mode lower bounds on the spiked frequency (a_7 = 1000): the
     sharpness experiment at m = 6, whose decomposition identity is checked
     against the direct trigonometric sum."""
-    v = _Verdict("sharpness", budget_s=60.0)
     (rep,) = run_sharpness_experiment(ExperimentConfig({
         "frequency": "pq:rule:spike:7,1000", "alpha": 0.5, "m_values": [6],
     }))["reports"]
@@ -371,10 +345,9 @@ def scenario_sharpness() -> dict:
             v.details["min_ratio"] >= 0.1, v.details["min_ratio"])
     v.check("aggregate bound at N_m: ratio >= 0.1",
             v.details["ratio_Nm"] >= 0.1, v.details["ratio_Nm"])
-    return v.done()
 
 
-def scenario_limitations_schedule() -> dict:
+def scenario_limitations_schedule(v: _Verdict) -> None:
     """On a_m = m every index m in [4, 12] is a witness: the q_m-step
     average at 0 clears 0.05 / q_m^alpha.
 
@@ -382,7 +355,6 @@ def scenario_limitations_schedule() -> dict:
     series, and decompose checks each against the direct trigonometric
     measurement (1e-10).
     """
-    v = _Verdict("limitations_schedule", budget_s=60.0)
     cf = expand_cf(Frequency(PartialQuotients((), "index")), max_q=10 ** 27)
     phi = build_lacunary(cf, HolderWeight(0.5))
     witnesses = borel_bernstein_schedule(cf)
@@ -400,13 +372,11 @@ def scenario_limitations_schedule() -> dict:
         v.details[f"m={rep.m}"] = {"q_m": rep.q_m, "dev": dev, "floor": floor,
                                    "identity_gap": rep.identity_gap}
         v.check(f"m={rep.m}: average at 0 >= 0.05/q_m^0.5", dev >= floor, dev)
-    return v.done()
 
 
-def scenario_liouville_slow_rate() -> dict:
+def scenario_liouville_slow_rate(v: _Verdict) -> None:
     """Exponential-gap frequency with the analytic-weight series: the
     deviation at N_m ~ q_{m+1} still exceeds 0.1 e^{-q_m}."""
-    v = _Verdict("liouville_slow_rate", budget_s=60.0)
     phi = resolve_observable("lacunary:analytic",
                              resolve_system("rotation1d:pq:rule:exp_gap:5"))
     for m in (3, 4, 5):
@@ -419,14 +389,12 @@ def scenario_liouville_slow_rate() -> dict:
         }
         v.check(f"m={m}: deviation at N_m exceeds 0.1 e^-q_m",
                 r.lower_dev_Nm > threshold, r.lower_dev_Nm)
-    return v.done()
 
 
-def scenario_translation_2d() -> dict:
+def scenario_translation_2d(v: _Verdict) -> None:
     """2-torus translation by (sqrt2-1, sqrt3-1): measured deviations sit
     under a translation envelope with a scale that is stable in N.  One
     sweep serves the schedule, so the axis term walks one orbit."""
-    v = _Verdict("translation_2d", budget_s=180.0)
     sys = resolve_system("rotationd:sqrt2m1,sqrt3m1")
     phi = resolve_observable("poly_plus_dist:8:0.5:5", sys)
     schedule = resolve_schedule("geometric:100,100000,3.1622776601683795", sys)
@@ -458,25 +426,44 @@ def scenario_translation_2d() -> dict:
     v.check("envelope scale stable: late points stay under the early fit",
             late_max <= scale_early * 1.05, late_max / scale_early)
     v.check("scale finite and positive", 0 < scale < math.inf, scale)
-    return v.done()
 
 
-SCENARIOS: dict[str, Callable[[], dict]] = {
-    "cf_suite": scenario_cf_suite,
-    "denjoy_koksma": scenario_denjoy_koksma,
-    "rate_envelope": scenario_rate_envelope,
-    "kernel_lemma": scenario_kernel_lemma,
-    "jackson": scenario_jackson,
-    "skew_exactness": scenario_skew_exactness,
-    "weyl_envelope": scenario_weyl_envelope,
-    "sharpness": scenario_sharpness,
-    "limitations_schedule": scenario_limitations_schedule,
-    "liouville_slow_rate": scenario_liouville_slow_rate,
-    "translation_2d": scenario_translation_2d,
+# each scenario with its wall-clock budget in seconds
+SCENARIOS: dict[str, tuple[Callable[[_Verdict], None], float]] = {
+    "cf_suite": (scenario_cf_suite, 10.0),
+    "denjoy_koksma": (scenario_denjoy_koksma, 60.0),
+    "rate_envelope": (scenario_rate_envelope, 300.0),
+    "kernel_lemma": (scenario_kernel_lemma, 60.0),
+    "jackson": (scenario_jackson, 60.0),
+    "skew_exactness": (scenario_skew_exactness, 30.0),
+    "weyl_envelope": (scenario_weyl_envelope, 120.0),
+    "sharpness": (scenario_sharpness, 60.0),
+    "limitations_schedule": (scenario_limitations_schedule, 60.0),
+    "liouville_slow_rate": (scenario_liouville_slow_rate, 60.0),
+    "translation_2d": (scenario_translation_2d, 180.0),
 }
 
 
 def run_scenario(name: str) -> dict:
+    """Run scenario `name` under its budget: a scenario that outlasts it
+    stops at its next tick() and fails with one more check, its Timeout."""
     if name not in SCENARIOS:
         raise ErgorateError(f"unknown scenario {name!r}; choices: {sorted(SCENARIOS)}")
-    return SCENARIOS[name]()
+    scenario, budget_s = SCENARIOS[name]
+    v, t0 = _Verdict(), time.monotonic()
+    try:
+        with deadline(budget_s, f"{name} scenario"):
+            scenario(v)
+            tick()
+    except Timeout as exc:
+        v.check(str(exc), False)
+    elapsed = time.monotonic() - t0
+    return {
+        "name": name,
+        "passed": all(c["ok"] for c in v.checks),
+        "elapsed_s": round(elapsed, 3),
+        "budget_s": budget_s,
+        "within_budget": elapsed < budget_s,
+        "checks": v.checks,
+        "details": v.details,
+    }

@@ -24,7 +24,7 @@ import numpy as np
 from .arithmetic import ContinuedFraction, Frequency, fp_from_float
 from .dynamics import (_SUB, TorusPoint, _phase_table, exp_sum_avg_fp,
                        limbs_from_ints, limbs_mul, limbs_to_float)
-from .errors import HypothesisNotMet, Uncertified
+from .errors import HypothesisNotMet, Uncertified, tick
 from .kernels import Holder, Observable
 
 TWO_PI = 2.0 * math.pi
@@ -209,7 +209,7 @@ def build_lacunary(cf: ContinuedFraction, weight) -> LacunaryObservable:
 
 
 def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
-                    N: int, check=None) -> float:
+                    N: int) -> float:
     """(1/N) S_N phi(x) by direct trigonometric summation along the orbit.
 
     Step j = a B + b (b < B) gives mode k the term cos alpha_a cos beta_b -
@@ -220,7 +220,7 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     is N up to 1024, else ceil(sqrt N), and the inner totals are kept on
     the series by (B, tail), so a call costs O(modes sqrt N), and a window
     family at one q_m only its start phases.  The tables run in blocks of
-    _SUB rows, calling check, if given, once per block; a block's sums
+    _SUB rows, calling tick() once per block; a block's sums
     take one np.sum, and the block totals and weighted modes are added in
     order.  omega must be phi.cf.omega, x of its width (ValueError).
     """
@@ -242,8 +242,7 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
             tot[:2] += np.sum(cs, axis=2, keepdims=True)
             if lo < tail:
                 tot[2:] += np.sum(cs[..., :tail - lo], axis=2, keepdims=True)
-            if check is not None:
-                check()
+            tick()
         phi._inner_totals[B, tail] = tot
     C, S, Ct, St = phi._inner_totals[B, tail]
     ph0 = [q * x.coords[0] & (one - 1) for q, _ in live]
@@ -261,8 +260,7 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
         if lo + _SUB >= A:  # the last row, of tail steps
             rows[:, -1:] = ca[:, -1:] * Ct - sa[:, -1:] * St
         mode_sums += np.sum(rows, axis=1)
-        if check is not None:
-            check()
+        tick()
     total = 0.0
     for (_, w), mode_sum in zip(live, mode_sums.tolist()):
         total += w * mode_sum
@@ -285,14 +283,12 @@ class SharpnessReport:
     identity_gap: float     # |sigma_m + sigma_gt + sigma_lt - lower_dev|
 
 
-def decompose(phi: LacunaryObservable, m: int, x: TorusPoint,
-              check=None) -> SharpnessReport:
+def decompose(phi: LacunaryObservable, m: int, x: TorusPoint) -> SharpnessReport:
     """Split (1/q_m) S_{q_m} phi(x) - mean into the resonant mode m, the
     higher modes and the lower modes; mode k's part is the geometric closed
     form w_k Re e(q_k x) E_{q_m}(q_k omega), and the total must reproduce
     the directly measured deviation exactly (up to roundoff) for the
-    truncated series; check goes to measure_average, and x must have the
-    series' width (ValueError)."""
+    truncated series; x must have the series' width (ValueError)."""
     bits, qm = phi.bits, phi.mode_q(m)
     if x.bits != bits:
         raise ValueError(f"a {x.bits}-bit point on a {bits}-bit series")
@@ -305,7 +301,7 @@ def decompose(phi: LacunaryObservable, m: int, x: TorusPoint,
     sigma_m = terms[m - 1]
     sigma_gt = sum(terms[m:])
     sigma_lt = sum(terms[:m - 1])
-    measured = measure_average(phi, phi.cf.omega, x, qm, check)
+    measured = measure_average(phi, phi.cf.omega, x, qm)
     return SharpnessReport(
         m=m,
         q_m=qm,
@@ -330,14 +326,12 @@ def start_points(phi: LacunaryObservable, m: int, ls: Sequence[int]) -> list:
     return [TorusPoint((l * step % one,), phi.bits) for l in ls]
 
 
-def verify_lower_bound(phi: LacunaryObservable, m: int,
-                       check=None) -> LowerBoundResult:
+def verify_lower_bound(phi: LacunaryObservable, m: int) -> LowerBoundResult:
     """Measure the q_m-step averages at x = l q_m omega across the admitted
     range of l and check they stay positive (the resonant mode dominates).
 
     Requires the gap q_{m+1} >= GAP_CONSTANT * m * q_m; raises
-    HypothesisNotMet otherwise so harnesses can report instead of assert;
-    check goes to every measure_average call."""
+    HypothesisNotMet otherwise so harnesses can report instead of assert."""
     qm = phi.mode_q(m)
     qm1 = phi.cf.q_at(m + 1)  # raises Uncertified beyond the certified prefix
     if qm1 < GAP_CONSTANT * m * qm:
@@ -345,7 +339,7 @@ def verify_lower_bound(phi: LacunaryObservable, m: int,
             f"q_{m + 1}={qm1} < {GAP_CONSTANT} * {m} * q_{m}={qm}"
         )
     ls = range(min(int(RANGE_CONSTANT * qm1 / qm), L_CAP) + 1)
-    entries = [(l, measure_average(phi, phi.cf.omega, x, qm, check))
+    entries = [(l, measure_average(phi, phi.cf.omega, x, qm))
                for l, x in zip(ls, start_points(phi, m, ls))]
     # np.min, not min: a NaN window makes min_ratio NaN and fails it
     min_ratio = float(np.min([math.inf] + [dev / phi.mode_weight(m)
@@ -365,13 +359,13 @@ class NmBoundResult:
     ratio: float            # lower_dev_Nm / w_m
 
 
-def verify_Nm_bound(phi: LacunaryObservable, lower: LowerBoundResult,
-                    check=None) -> NmBoundResult:
+def verify_Nm_bound(phi: LacunaryObservable,
+                    lower: LowerBoundResult) -> NmBoundResult:
     """Aggregate the passing windows of `lower` at its m: N_m = (l_bar + 1)
-    q_m and the ratio to w_m of the average at 0; check as measure_average."""
+    q_m and the ratio to w_m of the average at 0."""
     if lower.l_bar < 0:
         raise HypothesisNotMet(f"no positive window at m={lower.m}")
-    return _aggregate(phi, lower.m, lower.l_bar, check)
+    return _aggregate(phi, lower.m, lower.l_bar)
 
 
 def slow_rate_point(phi: LacunaryObservable, m: int) -> NmBoundResult:
@@ -384,14 +378,12 @@ def slow_rate_point(phi: LacunaryObservable, m: int) -> NmBoundResult:
     return _aggregate(phi, m, l_bar)
 
 
-def _aggregate(phi: LacunaryObservable, m: int, l_bar: int,
-               check=None) -> NmBoundResult:
+def _aggregate(phi: LacunaryObservable, m: int, l_bar: int) -> NmBoundResult:
     """The measured N_m-step average at 0, N_m = (l_bar + 1) q_m, and its
     ratio to w_m."""
     qm = phi.mode_q(m)
     N_m = (l_bar + 1) * qm
-    dev = measure_average(phi, phi.cf.omega, TorusPoint.zero(1, phi.bits), N_m,
-                          check)
+    dev = measure_average(phi, phi.cf.omega, TorusPoint.zero(1, phi.bits), N_m)
     return NmBoundResult(
         q_m=qm, N_m=N_m, lower_dev_Nm=dev, ratio=dev / phi.mode_weight(m),
     )

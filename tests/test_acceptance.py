@@ -45,6 +45,21 @@ def test_criterion(number, name, headline):
     )
 
 
+def test_a_spent_budget_stops_and_fails_a_scenario(monkeypatch):
+    # sharpness ticks inside the library, so it stops before its first
+    # check; cf_suite does not, so the final tick fails it after its checks
+    for name in ("sharpness", "cf_suite"):
+        monkeypatch.setitem(SCENARIOS, name, (SCENARIOS[name][0], 1e-9))
+    verdict = run_scenario("sharpness")
+    assert verdict["checks"] == [{"label": "sharpness scenario exceeded "
+                                  "budget of 1e-09s", "ok": False, "value": None}]
+    assert not verdict["passed"] and not verdict["within_budget"]
+    *ran, last = run_scenario("cf_suite")["checks"]
+    assert ran and all(c["ok"] for c in ran)
+    assert last["label"] == "cf_suite scenario exceeded budget of 1e-09s"
+    assert not last["ok"]
+
+
 def test_every_scenario_is_registered():
     assert {name for _, name, _ in CRITERIA} == set(SCENARIOS)
 

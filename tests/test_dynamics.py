@@ -484,10 +484,10 @@ class TestGridSweep:
                 sup_deviation(*args, sweep)
         assert sweep.j == 0
 
-    def test_budget_check_runs_per_chunk(self, rot):
+    def test_budget_check_runs_per_chunk(self, rot, monkeypatch):
         calls = []
-        sweep = GridSweep(rot, make_dist_pow(0.5), 1024,
-                          check=lambda: calls.append(sweep.j))
+        sweep = GridSweep(rot, make_dist_pow(0.5), 1024)
+        monkeypatch.setattr(dynamics, "tick", lambda: calls.append(sweep.j))
         c = sweep.chunk
         sup_deviation(rot, sweep.phi, 3 * c + 7, 1024, sweep)
         assert calls == [c, 2 * c, 3 * c]
@@ -592,10 +592,11 @@ class TestGridSweepEverySystem:
             flat = np.ravel_multi_index(cell, (G,) * 3)
             assert list(sweep._offsets[0][:, flat]) == want
 
-    def test_budget_check_runs_per_chunk(self):
+    def test_budget_check_runs_per_chunk(self, monkeypatch):
         sys, phi = _pointwise_case("skew2")
         calls = []
-        sweep = GridSweep(sys, phi, 64, check=lambda: calls.append(sweep.j))
+        sweep = GridSweep(sys, phi, 64)
+        monkeypatch.setattr(dynamics, "tick", lambda: calls.append(sweep.j))
         c = sweep.chunk
         sup_deviation(sys, phi, 3 * c + 7, 64, sweep)
         assert calls == [c, 2 * c, 3 * c]
@@ -730,11 +731,12 @@ class TestSeparableAxisSweeps:
             assert np.array_equal(res.field, fresh.field)
             assert res.argmax_x == fresh.argmax_x
 
-    def test_axis_sweeps_take_the_budget_check(self):
+    def test_axis_sweeps_take_the_budget_check(self, monkeypatch):
         sys, phi = self._case()
         calls = []
-        sweep = GridSweep(sys, phi, 64, check=lambda: calls.append(sub.j))
+        sweep = GridSweep(sys, phi, 64)
         ((_, sub),) = sweep._axes
+        monkeypatch.setattr(dynamics, "tick", lambda: calls.append(sub.j))
         c = sub.chunk
         sup_deviation(sys, phi, 2 * c + 3, 64, sweep)
         assert calls == [c, 2 * c]
@@ -966,11 +968,13 @@ class TestCharSweep:
                 assert got == want
                 assert sweep.j == N // CharSweep.CHUNK * CharSweep.CHUNK
 
-    def test_the_check_is_called_once_per_chunk(self, golden, rng):
+    def test_the_check_is_called_once_per_chunk(self, golden, rng,
+                                                monkeypatch):
         # a skew run at N = 10^9 read no budget until the sweep was done
         x = TorusPoint.from_floats(rng.random(2), BITS)
         calls = []
-        sweep = CharSweep(golden, (1, 0), x, lambda: calls.append(sweep.j))
+        sweep = CharSweep(golden, (1, 0), x)
+        monkeypatch.setattr(dynamics, "tick", lambda: calls.append(sweep.j))
         got = char_birkhoff_skew(sweep, 3 * CharSweep.CHUNK + 5)
         assert calls == [CharSweep.CHUNK * i for i in (1, 2, 3)]
         assert got == char_birkhoff_skew(CharSweep(golden, (1, 0), x),

@@ -18,7 +18,7 @@ from ergorate import harness, sharpness
 from ergorate.arithmetic import CLASSIFY_MAX_K
 from ergorate.cli import main as cli_main
 from ergorate.dynamics import GridSweep
-from ergorate.errors import ConfigError, Timeout, Uncertified
+from ergorate.errors import ConfigError, Timeout, Uncertified, deadline, tick
 from ergorate.harness import (KERNEL_MAX_Q, ExperimentConfig, emit_csv,
                               json_text,
                               resolve_observable, resolve_schedule,
@@ -573,6 +573,33 @@ class TestSkewExperiment:
         assert math.isnan(out["scale"]) and math.isnan(out["tail_ratio"])
 
 
+class TestBudgetClock:
+    @pytest.mark.parametrize("budget", [{}, {"budget_s": 60}])
+    def test_a_run_keeps_an_earlier_outer_deadline(self, budget):
+        # a run inside a scenario stops at the scenario's end, with no
+        # budget of its own or a later one
+        with pytest.raises(Timeout, match="outer exceeded budget of 1e-09s"):
+            with deadline(1e-9, "outer"):
+                run_approx_experiment(ExperimentConfig({"n_values": [16],
+                                                        **budget}))
+
+    def test_the_outer_deadline_is_back_after_an_inner_timeout(self):
+        with deadline(0.3, "outer"):
+            with pytest.raises(Timeout, match="approx run"):
+                run_approx_experiment(ExperimentConfig(
+                    {"n_values": [16], "budget_s": 1e-9}))
+            time.sleep(0.3)
+            with pytest.raises(Timeout, match="outer exceeded budget of 0.3s"):
+                tick()
+
+    def test_tick_outside_every_deadline_never_raises(self):
+        with deadline(1e-9, "spent"):
+            time.sleep(0.01)
+            with pytest.raises(Timeout, match="spent"):
+                tick()
+        tick()
+
+
 class TestApproxExperiment:
     def test_the_budget_is_checked_once_per_degree(self, monkeypatch):
         # approx read no budget: a huge degree ran on past any budget_s
@@ -649,8 +676,8 @@ class TestSharpnessExperiment:
         (x1,) = sharpness.start_points(phi, 6, [1])
         real = sharpness.measure_average
 
-        def measure(phi, omega, x, N, check=None):
-            return math.nan if x == x1 else real(phi, omega, x, N, check)
+        def measure(phi, omega, x, N):
+            return math.nan if x == x1 else real(phi, omega, x, N)
 
         monkeypatch.setattr(sharpness, "measure_average", measure)
         out = run_sharpness_experiment(ExperimentConfig({

@@ -416,11 +416,12 @@ def test_a_kernel_table_takes_two_short_phase_tables(monkeypatch):
     assert sum(steps) <= 2 * (C + terms / C) + 2
 
 
-def test_the_kernel_table_checks_once_per_block():
+def test_the_kernel_table_checks_once_per_block(monkeypatch):
     cf = expand_cf(Frequency.parse("golden"), max_q=317811)
     terms = cf.q_at(cf.certified_len) - 1
     calls = []
-    table = kernel_table(cf, 1000, terms, lambda: calls.append(1))
+    monkeypatch.setattr(dynamics, "tick", lambda: calls.append(1))
+    table = kernel_table(cf, 1000, terms)
     assert len(calls) >= terms // dynamics._BLOCK_CELLS
     assert table.mags.tobytes() == kernel_table(cf, 1000, terms).mags.tobytes()
 

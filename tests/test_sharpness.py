@@ -320,14 +320,14 @@ class TestDecompose:
         phi = dataclasses.replace(golden_lac)
         x = TorusPoint.from_floats([0.43], BITS)
         calls = []
-        first = measure_average(phi, golden, x, 1025, lambda: calls.append(1))
+        monkeypatch.setattr(sharpness, "tick", lambda: calls.append(1))
+        first = measure_average(phi, golden, x, 1025)
         assert len(calls) == 5 + 5
         calls.clear()
-        assert first == measure_average(phi, golden, x, 1025,
-                                        lambda: calls.append(1))
+        assert first == measure_average(phi, golden, x, 1025)
         assert len(calls) == 5
         calls.clear()
-        measure_average(phi, golden, x, 13, lambda: calls.append(1))
+        measure_average(phi, golden, x, 13)
         assert len(calls) == 2 + 1  # B = N = 13: one row
 
     def test_the_series_keeps_no_inner_table(self, golden, golden_deep_cf,
