@@ -704,8 +704,10 @@ class CharSweep:
         self.degree, self.leading_num = d - first, k[first]
         self.leading_den = math.factorial(self.degree)
         # forward differences at j = 0: the r-th is k . (chain shifted r places)
-        self._regs = limbs_from_ints([sum(ki * c for ki, c in zip(k, chain[r:])) % one
-                                      for r in range(self.degree + 1)], bits)
+        self.diffs = tuple(sum(ki * c for ki, c in zip(k, chain[r:])) % one
+                           for r in range(self.degree + 1))
+        self.bits = bits
+        self._regs = limbs_from_ints(self.diffs, bits)
         self.j = 0
         self._total = 0.0 + 0.0j
 
@@ -729,13 +731,68 @@ class CharSweep:
         return complex(np.sum(np.exp(2j * math.pi * phase)))
 
 
+def _quadratic_table(c: tuple, start: int, m: int, bits: int) -> np.ndarray:
+    """e(c0 + n c1 + C(n, 2) c2) for n in [start, start + m) and fixed-point
+    c = (c0, c1, c2): the chain's registers at n = start are formed in
+    integers, then advanced exactly by _phase_table, _SUB steps at a time."""
+    one, (c0, c1, c2) = 1 << bits, c
+    regs = limbs_from_ints([(c0 + start * c1 + start * (start - 1) // 2 * c2) % one,
+                            (c1 + start * c2) % one, c2 % one], bits)
+    out = np.empty(m, complex)
+    for lo in range(0, m, _SUB):
+        out.real[lo:lo + _SUB], out.imag[lo:lo + _SUB] = _phase_table(
+            regs, min(_SUB, m - lo), TWO_PI)
+    return out
+
+
+# Cap on the row length B of the chirp route, and its rows per correlation
+_CHIRP_ROW = 1 << 16
+_CHIRP_BLOCK = 1 << 16
+
+
+def _chirp_sum(diffs: tuple, bits: int, N: int) -> complex:
+    """sum_{j<N} e(D0 + j D1 + C(j, 2) D2), diffs = (D0, D1, D2) in fixed
+    point, in O(sqrt(N) log N) by Bluestein's chirp.
+
+    For j = a B + b, b < B = min(ceil(sqrt N), _CHIRP_ROW), beta = B D2 mod 1
+    and a b = C(a+b, 2) - C(a, 2) - C(b, 2), row a sums to e(P_a - C(a, 2)
+    beta) sum_b u_b w_{a+b}, u_b = e(b D1 + C(b, 2) (D2 - beta)) and w_n =
+    e(C(n, 2) beta): one FFT correlation per block of _CHIRP_BLOCK rows,
+    with one tick() each, and a dot product for the partial last row.
+    Every table is a quadratic chain, exact and rounded once.
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    one, (d0, d1, d2) = 1 << bits, diffs
+    B = min(math.isqrt(max(N - 1, 0)) + 1, _CHIRP_ROW)
+    beta = B * d2 % one
+    A, rem = divmod(N, B)
+    outer_c = (d0, B * d1 + B * (B - 1) // 2 * d2, B * B * d2 - beta)
+    u = _quadratic_table((0, d1, d2 - beta), 0, B, bits)
+    total = 0j
+    for a0 in range(0, A, _CHIRP_BLOCK):
+        R = min(_CHIRP_BLOCK, A - a0)
+        w = _quadratic_table((0, 0, beta), a0, R + B - 1, bits)
+        outer = _quadratic_table(outer_c, a0, R + 1, bits)
+        size = 1 << (R + B - 2).bit_length()  # a power of two >= R + B - 1
+        corr = np.fft.ifft(np.fft.fft(w, size) * np.fft.fft(u[::-1], size))
+        total += (outer[:R] * corr[B - 1:B - 1 + R]).sum()
+        tick()
+    if rem:  # row A, after the last block: its w and outer are in the tables
+        total += outer[R] * (u[:rem] * w[R:R + rem]).sum()
+    return complex(total)
+
+
 def char_birkhoff_skew(sweep: CharSweep, N: int) -> CharSumResult:
-    """sum_{j<N} e(k . S^j x) via exact finite differences of the phase,
+    """sum_{j<N} e(k . S^j x) from exact finite differences of the phase,
     with the polynomial degree and leading coefficient of the sweep.
 
-    The sum is sweep.value(N): a rising schedule of N resumes where the
-    last call stopped, bit for bit equal to a fresh sweep; a sweep already
-    past N raises ValueError.
+    A phase of degree 2 is summed by _chirp_sum, fresh for each N.  Any
+    other is sweep.value(N), the direct sum: a rising schedule of N resumes
+    where the last call stopped, bit for bit equal to a fresh sweep, and a
+    sweep already past N raises ValueError.
     """
-    return CharSumResult(sweep.value(N), sweep.degree, sweep.leading_num,
+    value = (_chirp_sum(sweep.diffs, sweep.bits, N) if sweep.degree == 2
+             else sweep.value(N))
+    return CharSumResult(value, sweep.degree, sweep.leading_num,
                          sweep.leading_den, N)

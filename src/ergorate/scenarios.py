@@ -109,6 +109,7 @@ def scenario_cf_suite(v: _Verdict) -> None:
         best_ok = gap_ok = True
         margin = math.inf  # min of ||j w|| * 2 q_n; 2 at q_n = 1, with no j
         for n in range(1, M + 1):
+            tick()
             q = cf.q_at(n)
             closest = closest_return(omega, q)
             at_q = q * w % one
@@ -119,6 +120,7 @@ def scenario_cf_suite(v: _Verdict) -> None:
         v.check(f"{label}: exhaustive best-approximation minimality", best_ok)
         v.check(f"{label}: gap ||j w|| > 1/(2 q_n) for 1 <= j < q_n", gap_ok,
                 margin)
+        tick()
 
 
 def scenario_denjoy_koksma(v: _Verdict) -> None:
@@ -270,6 +272,7 @@ def scenario_skew_exactness(v: _Verdict) -> None:
         sys = SystemSpec.skew(d, omega)
         ok = True
         for s in range(100):
+            tick()
             x = TorusPoint.from_floats(rng.random(d), sys.bits)
             z = x
             for j in range(1, 1001):

@@ -10,7 +10,8 @@ system by one exact orbit per grid point, the closed-form grid field with
 every mode phase formed afresh, the lacunary direct sum one mode at a time
 (by the library's factored row sums, by its terms one at a time, by one
 libm cosine per term, and in mpmath), the kernel sums (by kernel_table's angle addition one term at a
-time, by two libm sines per term, and in mpmath), the lacunary seminorm
+time, by two libm sines per term, and in mpmath), a skew character sum in
+mpmath along the exact orbit of `step`, the lacunary seminorm
 bound by a scalar loop, one Fourier coefficient by its own quadrature sum,
 and the integer that Ostrowski digits encode.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from ergorate.arithmetic import ContinuedFraction, Frequency
 from ergorate.dynamics import (_KERNEL_ROW, SystemSpec, TorusPoint,
                                birkhoff_sum, exp_sum_avg_fp, grid_point,
-                               orbit_floats)
+                               orbit_floats, step)
 from ergorate import sharpness
 from ergorate.kernels import Observable, TrigPoly
 from ergorate.sharpness import TWO_PI, LacunaryObservable
@@ -251,6 +252,20 @@ def measure_average_mpmath(phi: LacunaryObservable, omega: Frequency,
                 for j in range(N))
             total += mpmath.mpf(w) * mode_sum
         return float(total / N)
+
+
+def char_sum_mpmath(sys: SystemSpec, k: Sequence[int], x: TorusPoint,
+                    N: int) -> complex:
+    """sum_{j<N} e(k . S^j x) in mpmath at 80 bits: each phase k . S^j x
+    mod 1 is an exact fixed-point integer along the orbit of `step`."""
+    one = 1 << x.bits
+    terms = []
+    with mpmath.workprec(80):
+        for _ in range(N):
+            t = sum(ki * c for ki, c in zip(k, x.coords)) % one
+            terms.append(mpmath.expjpi(mpmath.ldexp(t, 1 - x.bits)))
+            x = step(sys, x)
+        return complex(mpmath.fsum(terms))
 
 
 def kernel_rung(mags: np.ndarray, q: int, N: int) -> tuple:

@@ -47,8 +47,10 @@ def test_criterion(number, name, headline):
 
 def test_a_spent_budget_stops_and_fails_a_scenario(monkeypatch):
     # sharpness ticks inside the library, so it stops before its first
-    # check; cf_suite does not, so the final tick fails it after its checks
-    for name in ("sharpness", "cf_suite"):
+    # check; cf_suite ticks once per q_n of its scans, so it stops after
+    # the first frequency's cheap checks; skew_exactness ticks once per
+    # start point of its step/iterate scan, which ran about 1.8 s untimed
+    for name in ("sharpness", "cf_suite", "skew_exactness"):
         monkeypatch.setitem(SCENARIOS, name, (SCENARIOS[name][0], 1e-9))
     verdict = run_scenario("sharpness")
     assert verdict["checks"] == [{"label": "sharpness scenario exceeded "
@@ -58,6 +60,10 @@ def test_a_spent_budget_stops_and_fails_a_scenario(monkeypatch):
     assert ran and all(c["ok"] for c in ran)
     assert last["label"] == "cf_suite scenario exceeded budget of 1e-09s"
     assert not last["ok"]
+    verdict = run_scenario("skew_exactness")
+    assert verdict["checks"] == [{"label": "skew_exactness scenario exceeded "
+                                  "budget of 1e-09s", "ok": False, "value": None}]
+    assert not verdict["passed"] and verdict["elapsed_s"] < 0.3
 
 
 def test_every_scenario_is_registered():

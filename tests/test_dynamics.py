@@ -31,8 +31,9 @@ from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
                               make_cos, make_dist_pow, make_weierstrass,
                               random_real_trigpoly)
 from ergorate.sharpness import decompose, measure_average
-from oracles import (dist_to_Z_mod, float_value, grid_sums_one_pass,
-                     grid_sums_per_point, spectral_sums_per_N)
+from oracles import (char_sum_mpmath, dist_to_Z_mod, float_value,
+                     grid_sums_one_pass, grid_sums_per_point,
+                     spectral_sums_per_N)
 
 BITS = 192
 ONE = 1 << BITS
@@ -954,7 +955,58 @@ class TestCharSums:
         assert (res.leading_num, res.leading_den) == (2, math.factorial(3))
 
 
+# (d, k, bits) of the degree-2 phases that take the chirp route
+CHIRP_CASES = [(2, (1, 0), BITS), (2, (-3, 2), BITS), (3, (0, 1, 0), BITS),
+               (2, (1, 0), 1100)]
+
+
+class TestChirpSums:
+    def test_matches_an_mpmath_sum_of_the_exact_phases(self, golden, rng):
+        sys = SystemSpec.skew(2, golden)
+        x = TorusPoint.from_floats(rng.random(2), BITS)
+        res = char_birkhoff_skew(CharSweep(golden, (1, 0), x), 20000)
+        assert abs(res.value - char_sum_mpmath(sys, (1, 0), x, 20000)) < 1e-12
+
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("d,k,bits", CHIRP_CASES)
+    def test_matches_the_direct_sum(self, d, k, bits, capped, rng,
+                                    monkeypatch):
+        # B^2 - 1, B^2 and B^2 + 1 for B = 64, or for the capped B = 16,
+        # whose rows then fill several blocks of 16 with a partial last row
+        Ns = [1, 2, 3, 4095, 4096, 4097, 10 ** 5, 10 ** 6]
+        if capped:
+            monkeypatch.setattr(dynamics, "_CHIRP_ROW", 16)
+            monkeypatch.setattr(dynamics, "_CHIRP_BLOCK", 16)
+            Ns = [1, 2, 3, 255, 256, 257, 4097, 10 ** 5]
+        omega = Frequency.parse("golden", bits)
+        x = TorusPoint.from_floats(rng.random(d), bits)
+        sweep = CharSweep(omega, k, x)
+        for N in Ns:
+            res = char_birkhoff_skew(CharSweep(omega, k, x), N)
+            assert res.degree == 2
+            assert abs(res.value - sweep.value(N)) < 1e-10, N
+
+    def test_the_check_is_called_once_per_block(self, golden, rng,
+                                                monkeypatch):
+        # N = 4097 is 256 rows of B = 16 in 16 blocks, and one more step
+        monkeypatch.setattr(dynamics, "_CHIRP_ROW", 16)
+        monkeypatch.setattr(dynamics, "_CHIRP_BLOCK", 16)
+        calls = []
+        monkeypatch.setattr(dynamics, "tick", lambda: calls.append(1))
+        sweep = CharSweep(golden, (1, 0), TorusPoint.from_floats(rng.random(2), BITS))
+        char_birkhoff_skew(sweep, 4097)
+        assert len(calls) == 16 and sweep.j == 0
+
+    def test_n_below_0_is_refused(self, golden):
+        sweep = CharSweep(golden, (1, 0), TorusPoint.zero(2, BITS))
+        assert char_birkhoff_skew(sweep, 0).value == 0
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            char_birkhoff_skew(sweep, -1)
+
+
 class TestCharSweep:
+    # these pin the direct sum itself, so they call sweep.value(N): a phase
+    # of degree 2 reaches char_birkhoff_skew's chirp route instead
     @pytest.mark.parametrize("d,k", [(2, (1, 0)), (3, (1, 0, 0)),
                                      (3, (2, -1, 1))])
     def test_resumed_sums_equal_fresh_ones(self, d, k, golden, rng):
@@ -963,8 +1015,8 @@ class TestCharSweep:
                   TorusPoint.zero(d, BITS)):
             sweep = CharSweep(golden, k, x)
             for N in (1, 4095, 4096, 4097, 8192, 8192, 100000):
-                got = char_birkhoff_skew(sweep, N)
-                want = char_birkhoff_skew(CharSweep(golden, k, x), N)
+                got = sweep.value(N)
+                want = CharSweep(golden, k, x).value(N)
                 assert got == want
                 assert sweep.j == N // CharSweep.CHUNK * CharSweep.CHUNK
 
@@ -975,19 +1027,18 @@ class TestCharSweep:
         calls = []
         sweep = CharSweep(golden, (1, 0), x)
         monkeypatch.setattr(dynamics, "tick", lambda: calls.append(sweep.j))
-        got = char_birkhoff_skew(sweep, 3 * CharSweep.CHUNK + 5)
+        got = sweep.value(3 * CharSweep.CHUNK + 5)
         assert calls == [CharSweep.CHUNK * i for i in (1, 2, 3)]
-        assert got == char_birkhoff_skew(CharSweep(golden, (1, 0), x),
-                                         3 * CharSweep.CHUNK + 5)
+        assert got == CharSweep(golden, (1, 0), x).value(3 * CharSweep.CHUNK + 5)
 
     def test_a_sweep_past_n_or_for_another_sum_is_refused(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(2), BITS)
         sweep = CharSweep(golden, (1, 0), x)
-        char_birkhoff_skew(sweep, 5000)
+        sweep.value(5000)
         with pytest.raises(ValueError, match="past N"):
-            char_birkhoff_skew(sweep, 4095)
+            sweep.value(4095)
         # behind the open chunk, not behind the sweep
-        char_birkhoff_skew(sweep, 4500)
+        sweep.value(4500)
 
     @pytest.mark.parametrize("k", [(1, 0, 0), (1,), (0, 0), (0, 0, 0)])
     def test_a_k_of_another_length_or_of_zeros_is_refused(self, golden, k):

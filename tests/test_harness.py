@@ -520,16 +520,18 @@ class TestKernelExperiment:
 
 class TestSkewExperiment:
     def test_golden_bytes_of_the_resumed_sums(self, tmp_path, monkeypatch):
-        # recorded while every N summed from j = 0
+        # re-recorded when degree 2 moved to the chirp route: max_char_sum
+        # moved by at most 3.8e-12 (at N = 10^5, the direct sum's drift),
+        # scale by 5.6e-16 and tail_ratio by 7.1e-15
         monkeypatch.chdir(tmp_path)
         run_skew_experiment(ExperimentConfig(dict(SKEW_RUN, out_dir="out")))
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in (tmp_path / "out").iterdir()}
         assert digests == {
             "skew-621cbfd272c7bff4.csv":
-                "92534dfd3f23d362a4f19b7af944a855091edcc63b7ec2b34ac2e435c1d1ed40",
+                "a70943fc7f7e42201e8078c3fa1083782941be560f6a1ec4a693b6c0fa9308f1",
             "skew-621cbfd272c7bff4-manifest.json":
-                "c8e79bac2b3d86d9282c1662256b38f1d20aa9f2e2e63673c74d272207f02ab1",
+                "e4851183031c08ee9b8cfcfda3b0b91a3ef7bc0988785534b2bb00966d57929a",
         }
 
     @pytest.mark.parametrize("n_values", [[0, 1000], [1000, -5], []])
@@ -538,13 +540,22 @@ class TestSkewExperiment:
             run_skew_experiment(ExperimentConfig(dict(SKEW_RUN, n_values=n_values)))
 
     def test_the_budget_stops_a_single_huge_n(self):
-        # the sweeps check the budget once per chunk: N = 10^9 ran past 15 s
-        # under budget_s = 2
-        t0 = time.monotonic()
-        with pytest.raises(Timeout, match="skew"):
-            run_skew_experiment(ExperimentConfig(dict(
-                SKEW_RUN, n_values=[10 ** 9], budget_s=0.5)))
-        assert time.monotonic() - t0 < 2.0
+        # the chirp route of degree 2 ticks once per block of 2^16 rows, and
+        # the direct sum of degree 3 once per chunk: N = 10^9 ran past 15 s
+        # under budget_s = 2 before either ticked, and the chirp now sums
+        # N = 10^9 in well under a second, so d = 2 takes N = 10^15
+        for d, k, N in ((2, [1, 0], 10 ** 15), (3, [1, 0, 0], 10 ** 9)):
+            t0 = time.monotonic()
+            tracemalloc.start()
+            try:
+                with pytest.raises(Timeout, match="skew"):
+                    run_skew_experiment(ExperimentConfig(dict(
+                        SKEW_RUN, d=d, k=k, n_values=[N], budget_s=0.5)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.monotonic() - t0 < 2.0, d
+            assert peak < 64 * 2 ** 20, d
 
     def test_a_schedule_that_steps_back_restarts_its_sweeps(self):
         back = run_skew_experiment(ExperimentConfig(dict(

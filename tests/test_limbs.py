@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from ergorate.arithmetic import Frequency, expand_cf
 from ergorate import dynamics
 from ergorate.dynamics import (_KERNEL_ROW, CharSweep, SystemSpec, TorusPoint,
-                               char_birkhoff_skew, iterate, kernel_sum,
-                               kernel_table, limbs_advance, limbs_from_ints,
-                               limbs_mul, limbs_to_float, orbit_floats)
+                               iterate, kernel_sum, kernel_table,
+                               limbs_advance, limbs_from_ints, limbs_mul,
+                               limbs_to_float, orbit_floats)
 from ergorate.harness import resolve_observable, resolve_system
 from oracles import (kernel_rung, kernel_sum_mpmath, kernel_sum_oracle,
                      kernel_table_oracle)
@@ -366,11 +366,13 @@ class TestAgainstBigIntOracles:
     @pytest.mark.parametrize("d,k", [(2, (1, 0)), (3, (1, 0, 0)),
                                      (3, (2, -1, 1)), (4, (0, 1, 0, 2))])
     def test_char_sum(self, ftext, d, k):
+        # the direct sum, bit for bit: char_birkhoff_skew sums degree 2 by
+        # a chirp, which tests/test_dynamics.py checks against this one
         omega = Frequency.parse(ftext)
         for x in start_points(d, 192, seed=d):
             for N in (1, 4096, 6000, 9000):
-                res = char_birkhoff_skew(CharSweep(omega, k, x), N)
-                assert res.value == char_sum_oracle(d, omega, k, x, N, 192)
+                value = CharSweep(omega, k, x).value(N)
+                assert value == char_sum_oracle(d, omega, k, x, N, 192)
 
 
 @pytest.mark.parametrize("ftext,idx,N", [
