@@ -21,9 +21,7 @@ import numpy as np
 
 from .arithmetic import ContinuedFraction, Frequency, fp_from_float, fp_signed
 from .errors import DimensionTooLarge, Uncertified, tick
-from .kernels import Observable, SeparableObservable
-
-TWO_PI = 2.0 * math.pi
+from .kernels import TWO_PI, Observable, SeparableObservable
 
 # Grid sweeps refuse to enumerate more than this many points.
 GRID_POINT_BUDGET = 1 << 18
@@ -154,23 +152,25 @@ def step(sys: SystemSpec, x: TorusPoint) -> TorusPoint:
     return TorusPoint._reduced(tuple(out), x.bits)
 
 
+def _shift(chain: tuple, j: int, bits: int) -> tuple:
+    """The register chain j >= 0 steps on, in closed form: register r
+    becomes sum_l C(j, l) * register r+l, mod 2**bits."""
+    out = []
+    for r in range(len(chain)):
+        acc, b = chain[r], 1
+        for l in range(1, len(chain) - r):
+            b = b * (j - l + 1) // l  # C(j, l): exact, and 0 once l > j
+            acc += b * chain[r + l]
+        out.append(acc % (1 << bits))
+    return tuple(out)
+
+
 def iterate(sys: SystemSpec, x: TorusPoint, j: int) -> TorusPoint:
-    """Closed-form j-th iterate: register r of each chain becomes
-    sum_l C(j, l) * register r+l."""
+    """Closed-form j-th iterate: each chain of sys.chains(x) j steps on."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    one = 1 << sys.bits
-    out = []
-    for chain in sys.chains(x):
-        n = len(chain)
-        for r in range(n - 1):
-            acc = chain[r]
-            b = 1
-            for l in range(1, n - r):
-                b = b * (j - l + 1) // l  # C(j, l): exact, and 0 once l > j
-                acc += b * chain[r + l]
-            out.append(acc % one)
-    return TorusPoint._reduced(tuple(out), x.bits)
+    coords = [v for c in sys.chains(x) for v in _shift(c, j, sys.bits)[:-1]]
+    return TorusPoint._reduced(tuple(coords), x.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,8 @@ def iterate(sys: SystemSpec, x: TorusPoint, j: int) -> TorusPoint:
 # 32 bits, most significant first, one uint64 per limb: limb products and
 # sums of up to 2**31 limbs cannot overflow.  Dropping the carry out of the
 # top limb is reduction mod 1, so every operation below is exact.  Arrays
-# have shape (L, ...): axis 0 runs over the limbs of each value.
+# have shape (L, ...): axis 0 runs over the limbs of each value.  Register
+# chains stay int tuples at step 0: a table builds its limbs from _shift.
 # ---------------------------------------------------------------------------
 
 _MASK = np.uint64(0xFFFFFFFF)
@@ -205,24 +206,22 @@ def _carry(a: np.ndarray) -> np.ndarray:
 
 
 def limbs_advance(regs: np.ndarray, m: int) -> np.ndarray:
-    """Run regs[r] += regs[r + 1] for r < R-1 (pre-step values) m steps.
-
-    regs has shape (L, R), or (L, R, K) for K chains at once, and is left
-    at step m.  Returns the (L, R-1, [K,] m) values of registers 0..R-2 at
-    steps 0..m-1: register r is its start value plus the exclusive running
-    sum of register r+1.
+    """The (L, R-1, [K,] m) values of registers 0..R-2 at steps 0..m-1 of
+    regs[r] += regs[r + 1] for r < R-1 (pre-step values), from regs of
+    shape (L, R), or (L, R, K) for K chains at once, which it leaves as
+    they are: register r is its start value plus the exclusive running sum
+    of register r+1, and the last register, which stays fixed, is only
+    broadcast.
     """
-    R = regs.shape[1]
-    seq = np.empty(regs.shape + (m + 1,), dtype=np.uint64)
-    seq[:, R - 1] = regs[:, R - 1, ..., None]
-    for r in range(R - 2, -1, -1):
+    seq = np.empty(regs[:, 1:].shape + (m,), dtype=np.uint64)
+    nxt = np.broadcast_to(regs[:, -1, ..., None], seq[:, 0].shape)
+    for r in range(regs.shape[1] - 2, -1, -1):
         s = seq[:, r]
         s[..., 0] = regs[:, r]
-        np.cumsum(seq[:, r + 1, ..., :m], axis=-1, out=s[..., 1:])
+        np.cumsum(nxt[..., :m - 1], axis=-1, out=s[..., 1:])
         s[..., 1:] += regs[:, r, ..., None]
-        _carry(s)
-    regs[:] = seq[..., m]
-    return seq[:, :R - 1, ..., :m]
+        nxt = _carry(s)
+    return seq
 
 
 def _lanes_advance(lanes: np.ndarray, m: int, grid: int) -> np.ndarray:
@@ -280,25 +279,42 @@ def limbs_to_float(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain_floats(chains: list, out: np.ndarray) -> None:
+def _chain_limbs(chains: list, start: int, n: int, bits: int):
+    """Yield (lo, seq) for steps start + lo.. of K int register chains of
+    one length R, in blocks of m <= _SUB steps: seq is limbs_advance's
+    (L, R-1, K, m), from the chains _shift-ed to the block's first step."""
+    R, K = len(chains[0]), len(chains)
+    for lo in range(0, n, _SUB):
+        shifted = zip(*(_shift(c, start + lo, bits) for c in chains))
+        regs = limbs_from_ints([v for reg in shifted for v in reg], bits)
+        yield lo, limbs_advance(regs.reshape(-1, R, K), min(_SUB, n - lo))
+
+
+def _chain_floats(chains: list, start: int, out: np.ndarray, bits: int):
     """Fill out (m, d) with the correctly rounded coordinates at steps
-    0..m-1 of the (L, R) limb register chains, left at step m."""
-    col = 0
-    for regs in chains:
-        width = regs.shape[1] - 1
-        for lo in range(0, len(out), _SUB):
-            seq = limbs_advance(regs, min(_SUB, len(out) - lo))
-            out[lo:lo + seq.shape[2], col:col + width] = limbs_to_float(seq).T
-        col += width
+    start..start+m-1 of the int register chains of SystemSpec.chains."""
+    for lo, seq in _chain_limbs(chains, start, len(out), bits):
+        out[lo:lo + _SUB] = limbs_to_float(seq).reshape(out.shape[1], -1).T
 
 
-def _phase_table(regs: np.ndarray, n: int, factor: float) -> tuple:
-    """cos and sin of factor (phase mod 1) at the next n steps of (L, 2, K)
-    limbs of K phases and steps, as (K, n) arrays, leaving regs at step n:
-    each phase is reduced exactly and rounded once before it is scaled."""
-    t = limbs_to_float(limbs_advance(regs, n)[:, 0])
+def _phase_table(chains: list, n: int, bits: int, start: int = 0,
+                 factor: float = TWO_PI) -> tuple:
+    """cos and sin of factor (register 0 mod 1) of K int register chains
+    of one length at steps start..start+n-1, as (K, n) arrays: each phase
+    is exact on the limbs and rounded once, and only then scaled."""
+    t = np.empty((len(chains), n))
+    for lo, seq in _chain_limbs(chains, start, n, bits):
+        t[:, lo:lo + _SUB] = limbs_to_float(seq[:, 0])
     t *= factor
     return np.cos(t), np.sin(t)
+
+
+def _exp_table(chain: tuple, n: int, bits: int, start: int = 0) -> np.ndarray:
+    """e(register 0) of one int chain at steps start..start+n-1."""
+    (c,), (s,) = _phase_table([chain], n, bits, start)
+    out = np.empty(n, complex)
+    out.real, out.imag = c, s
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +333,9 @@ def orbit_floats(sys: SystemSpec, x: TorusPoint, N: int,
     """
     if chunk is None:
         chunk = 1 << 14 if sys.kind == "skew" else 1 << 15
-    chains = [limbs_from_ints(c, sys.bits) for c in sys.chains(x)]
-    produced = 0
-    while produced < N:
-        m = min(chunk, N - produced)
-        buf = np.empty((m, sys.dim), dtype=float)
-        _chain_floats(chains, buf)
-        produced += m
+    for lo in range(0, N, chunk):
+        buf = np.empty((min(chunk, N - lo), sys.dim), dtype=float)
+        _chain_floats(sys.chains(x), lo, buf, sys.bits)
         yield buf[:, 0] if sys.dim == 1 else buf
 
 
@@ -454,13 +466,12 @@ class GridSweep:
         self._sums = None  # the G**d pointwise state, built by the first sums
 
     def _start(self) -> None:
-        """Build the pointwise state: the orbit registers, the cell offsets
-        and the Kahan sums of every cell."""
+        """Build the pointwise state: the orbit's register chains, the cell
+        offsets and the Kahan sums of every cell."""
         sys, grid = self.sys, self.grid
         d = sys.dim
         cells = grid ** d
-        chains = sys.chains(TorusPoint.zero(d, sys.bits))
-        self._chains = [limbs_from_ints(c, sys.bits) for c in chains]
+        self._chains = chains = sys.chains(TorusPoint.zero(d, sys.bits))
         index = np.indices((grid,) * d).reshape(d, cells)
         # per chain, (R - 1, cells) lanes of its coordinates' grid indices
         cuts = np.cumsum([len(c) - 1 for c in chains])[:-1]
@@ -496,7 +507,7 @@ class GridSweep:
         while self.j < N:
             m = min(N, (self.j // self.chunk + 1) * self.chunk) - self.j
             orbit = np.empty((m, 1, d))
-            _chain_floats(self._chains, orbit[:, 0])
+            _chain_floats(self._chains, self.j, orbit[:, 0], self.sys.bits)
             fresh = self._open is None
             if fresh:
                 self._open = np.empty(cells)
@@ -621,12 +632,10 @@ def kernel_table(cf: ContinuedFraction, N: int, terms: int) -> KernelTable:
     and k > terms are never divided.
     """
     w, bits = cf.omega.fixed_point(), cf.omega.fractional_bits
-    steps = limbs_from_ints([w, N * w % (1 << bits)], bits)
     C = min(_KERNEL_ROW, terms + 1)
-    zero = np.zeros_like(steps)
-    cb, sb = _phase_table(np.stack([zero, steps], axis=1), C, math.pi)
-    ca, sa = _phase_table(np.stack([zero, limbs_mul(steps, C)], axis=1),
-                          terms // C + 1, math.pi)
+    cb, sb = _phase_table([(0, w), (0, N * w)], C, bits, factor=math.pi)
+    ca, sa = _phase_table([(0, C * w), (0, C * N * w)], terms // C + 1, bits,
+                          factor=math.pi)
     mags = np.empty(terms)
     rows = max(1, _BLOCK_CELLS // (2 * C))
     for a in range(0, terms // C + 1, rows):
@@ -672,22 +681,20 @@ def kernel_sum(table: KernelTable, q_index: int) -> KernelSumResult:
 @dataclass
 class CharSumResult:
     value: complex
-    degree: int
-    leading_num: int      # leading coefficient = leading_num * omega / leading_den
-    leading_den: int
     N: int
 
 
 class CharSweep:
     """The resumable state of sum_{j<N} e(k . S^j x) for one start point x
-    of the skew product of dimension d = len(k) = x.dim: the phase
-    registers at step j, the end of the completed chunks and their total.
+    of the skew product of dimension d = len(k) = x.dim: the phase's
+    chain of forward differences at j = 0, the end j of the completed
+    chunks and their total.
 
     The phase is a polynomial in j of degree d - i at the first nonzero k_i
-    (i from 0), leading coefficient (k_i / (d-i)!) * omega; degree+1
-    fixed-point registers advance it with degree exact additions per step.
-    Each chunk of 2**12 steps adds one exp-sum to the total, which fixes
-    the summation order; tick() is called once per chunk.
+    (i from 0), leading coefficient (leading_num / leading_den) * omega =
+    (k_i / (d-i)!) * omega.  Each chunk of 2**12 steps adds one exp-sum of
+    a phase table from its first step, which fixes the summation order;
+    tick() is called once per whole chunk.
     """
 
     CHUNK = 1 << 12
@@ -707,42 +714,22 @@ class CharSweep:
         self.diffs = tuple(sum(ki * c for ki, c in zip(k, chain[r:])) % one
                            for r in range(self.degree + 1))
         self.bits = bits
-        self._regs = limbs_from_ints(self.diffs, bits)
         self.j = 0
         self._total = 0.0 + 0.0j
 
     def value(self, N: int) -> complex:
         """The sum to N, in the summation order of a fresh sweep: whole
-        chunks advance the sweep, and the open one is summed on a copy of
-        the registers."""
+        chunks advance the sweep, and the open one only adds to the value."""
         if N < self.j:
             raise ValueError(f"the sweep is at step {self.j}, past N = {N}")
-        while N - self.j >= self.CHUNK:
-            self._total += self._chunk(self._regs, self.CHUNK)
-            self.j += self.CHUNK
-            tick()
-        if N == self.j:
-            return self._total
-        return self._total + self._chunk(self._regs.copy(), N - self.j)
-
-    @staticmethod
-    def _chunk(regs: np.ndarray, m: int) -> complex:
-        phase = limbs_to_float(limbs_advance(regs, m)[:, 0])
-        return complex(np.sum(np.exp(2j * math.pi * phase)))
-
-
-def _quadratic_table(c: tuple, start: int, m: int, bits: int) -> np.ndarray:
-    """e(c0 + n c1 + C(n, 2) c2) for n in [start, start + m) and fixed-point
-    c = (c0, c1, c2): the chain's registers at n = start are formed in
-    integers, then advanced exactly by _phase_table, _SUB steps at a time."""
-    one, (c0, c1, c2) = 1 << bits, c
-    regs = limbs_from_ints([(c0 + start * c1 + start * (start - 1) // 2 * c2) % one,
-                            (c1 + start * c2) % one, c2 % one], bits)
-    out = np.empty(m, complex)
-    for lo in range(0, m, _SUB):
-        out.real[lo:lo + _SUB], out.imag[lo:lo + _SUB] = _phase_table(
-            regs, min(_SUB, m - lo), TWO_PI)
-    return out
+        total = self._total
+        for lo in range(self.j, N, self.CHUNK):
+            m = min(self.CHUNK, N - lo)
+            total += complex(np.sum(_exp_table(self.diffs, m, self.bits, lo)))
+            if m == self.CHUNK:
+                self._total, self.j = total, lo + m
+                tick()
+        return total
 
 
 # Cap on the row length B of the chirp route, and its rows per correlation
@@ -759,7 +746,8 @@ def _chirp_sum(diffs: tuple, bits: int, N: int) -> complex:
     beta) sum_b u_b w_{a+b}, u_b = e(b D1 + C(b, 2) (D2 - beta)) and w_n =
     e(C(n, 2) beta): one FFT correlation per block of _CHIRP_BLOCK rows,
     with one tick() each, and a dot product for the partial last row.
-    Every table is a quadratic chain, exact and rounded once.
+    Every table is a quadratic chain started at its first step by _shift,
+    exact and rounded once.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -768,12 +756,12 @@ def _chirp_sum(diffs: tuple, bits: int, N: int) -> complex:
     beta = B * d2 % one
     A, rem = divmod(N, B)
     outer_c = (d0, B * d1 + B * (B - 1) // 2 * d2, B * B * d2 - beta)
-    u = _quadratic_table((0, d1, d2 - beta), 0, B, bits)
+    u = _exp_table((0, d1, d2 - beta), B, bits)
     total = 0j
     for a0 in range(0, A, _CHIRP_BLOCK):
         R = min(_CHIRP_BLOCK, A - a0)
-        w = _quadratic_table((0, 0, beta), a0, R + B - 1, bits)
-        outer = _quadratic_table(outer_c, a0, R + 1, bits)
+        w = _exp_table((0, 0, beta), R + B - 1, bits, a0)
+        outer = _exp_table(outer_c, R + 1, bits, a0)
         size = 1 << (R + B - 2).bit_length()  # a power of two >= R + B - 1
         corr = np.fft.ifft(np.fft.fft(w, size) * np.fft.fft(u[::-1], size))
         total += (outer[:R] * corr[B - 1:B - 1 + R]).sum()
@@ -784,8 +772,7 @@ def _chirp_sum(diffs: tuple, bits: int, N: int) -> complex:
 
 
 def char_birkhoff_skew(sweep: CharSweep, N: int) -> CharSumResult:
-    """sum_{j<N} e(k . S^j x) from exact finite differences of the phase,
-    with the polynomial degree and leading coefficient of the sweep.
+    """sum_{j<N} e(k . S^j x) from exact finite differences of the phase.
 
     A phase of degree 2 is summed by _chirp_sum, fresh for each N.  Any
     other is sweep.value(N), the direct sum: a rising schedule of N resumes
@@ -794,5 +781,4 @@ def char_birkhoff_skew(sweep: CharSweep, N: int) -> CharSumResult:
     """
     value = (_chirp_sum(sweep.diffs, sweep.bits, N) if sweep.degree == 2
              else sweep.value(N))
-    return CharSumResult(value, sweep.degree, sweep.leading_num,
-                         sweep.leading_den, N)
+    return CharSumResult(value, N)

@@ -25,9 +25,7 @@ from .arithmetic import ContinuedFraction, Frequency, fp_from_float
 from .dynamics import (_SUB, TorusPoint, _phase_table, exp_sum_avg_fp,
                        limbs_from_ints, limbs_mul, limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified, tick
-from .kernels import Holder, Observable
-
-TWO_PI = 2.0 * math.pi
+from .kernels import TWO_PI, Holder, Observable
 
 # The constants of the sharpness construction; no config sets them.
 GAP_CONSTANT = 10.0     # gap law: q_{m+1} >= GAP_CONSTANT * m * q_m
@@ -113,14 +111,13 @@ class LacunaryObservable(Observable):
     @functools.cached_property
     def _steps(self) -> tuple:
         """Each mode's exact step (q_k omega) mod 1 in fixed point, the live
-        (nonzero-weight) modes as (q, w) and their steps as (L, K) limbs:
-        once per instance, and not a field, so dataclasses.replace derives
-        them afresh."""
+        (nonzero-weight) modes as (q, w) and their steps: once per instance,
+        and not a field, so dataclasses.replace derives them afresh."""
         one, w_fp = 1 << self.bits, self.cf.omega.fixed_point()
         steps = [q * w_fp % one for q in self.qs]
         live = [k for k, w in enumerate(self.weights) if w != 0.0]
         return (steps, [(self.qs[k], self.weights[k]) for k in live],
-                limbs_from_ints([steps[k] for k in live], self.bits))
+                [steps[k] for k in live])
 
     @functools.cached_property
     def _inner_totals(self) -> dict:  # (B, tail) -> measure_average's totals
@@ -216,13 +213,14 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     sin alpha_a sin beta_b (alpha_a = (q_k x + a B s_k) mod 1, beta_b = (b
     s_k) mod 1, s_k in phi._steps), so row a sums to cos alpha_a C_k - sin
     alpha_a S_k, C_k and S_k the totals of cos and sin beta_b over the row.
-    Both phase tables are reduced exactly on the limbs and rounded once.  B
-    is N up to 1024, else ceil(sqrt N), and the inner totals are kept on
+    Both phase tables come from _phase_table, of the int chains (0, s_k)
+    and (q_k x, B s_k) from each block's first row, exact and rounded once.
+    B is N up to 1024, else ceil(sqrt N), and the inner totals are kept on
     the series by (B, tail), so a call costs O(modes sqrt N), and a window
     family at one q_m only its start phases.  The tables run in blocks of
-    _SUB rows, calling tick() once per block; a block's sums
-    take one np.sum, and the block totals and weighted modes are added in
-    order.  omega must be phi.cf.omega, x of its width (ValueError).
+    _SUB rows, calling tick() once per block; a block's sums take one
+    np.sum, and the block totals and weighted modes are added in order.
+    omega must be phi.cf.omega, x of its width (ValueError).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -232,13 +230,15 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
         raise ValueError(f"a {x.bits}-bit point on a {phi.bits}-bit series")
     one = 1 << omega.fractional_bits
     _, live, steps = phi._steps
+    if not live:  # every weight is zero
+        return 0.0
     B = N if N <= 1024 else math.isqrt(N - 1) + 1
     A, tail = -(-N // B), (N - 1) % B + 1  # rows, and steps in the last
     if (B, tail) not in phi._inner_totals:
-        regs = np.stack([np.zeros_like(steps), steps], axis=1)
+        inner = [(0, s) for s in steps]
         tot = np.zeros((4, len(live), 1))  # C, S; C, S over the tail
         for lo in range(0, B, _SUB):
-            cs = np.array(_phase_table(regs, min(_SUB, B - lo), TWO_PI))
+            cs = np.array(_phase_table(inner, min(_SUB, B - lo), phi.bits, lo))
             tot[:2] += np.sum(cs, axis=2, keepdims=True)
             if lo < tail:
                 tot[2:] += np.sum(cs[..., :tail - lo], axis=2, keepdims=True)
@@ -250,9 +250,8 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
         t = TWO_PI * np.array([p / one for p in ph0])[:, None]
         blocks = [(np.cos(t), np.sin(t))]
     else:
-        regs = np.stack([limbs_from_ints(ph0, phi.bits), limbs_mul(steps, B)],
-                        axis=1)
-        blocks = (_phase_table(regs, min(_SUB, A - lo), TWO_PI)
+        outer = [(p, B * s) for p, s in zip(ph0, steps)]
+        blocks = (_phase_table(outer, min(_SUB, A - lo), phi.bits, lo)
                   for lo in range(0, A, _SUB))
     mode_sums = np.zeros(len(live))
     for lo, (ca, sa) in zip(range(0, A, _SUB), blocks):

@@ -28,8 +28,8 @@ from ergorate.dynamics import (_KERNEL_ROW, SystemSpec, TorusPoint,
                                birkhoff_sum, exp_sum_avg_fp, grid_point,
                                orbit_floats, step)
 from ergorate import sharpness
-from ergorate.kernels import Observable, TrigPoly
-from ergorate.sharpness import TWO_PI, LacunaryObservable
+from ergorate.kernels import TWO_PI, Observable, TrigPoly
+from ergorate.sharpness import LacunaryObservable
 
 
 def fp_dist_to_Z(value: int, bits: int) -> float:

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from ergorate.arithmetic import Frequency, expand_cf
 from ergorate import dynamics
 from ergorate.dynamics import (_KERNEL_ROW, CharSweep, SystemSpec, TorusPoint,
-                               iterate, kernel_sum, kernel_table,
-                               limbs_advance, limbs_from_ints, limbs_mul,
-                               limbs_to_float, orbit_floats)
+                               _chain_floats, _phase_table, _shift, iterate,
+                               kernel_sum, kernel_table, limbs_advance,
+                               limbs_from_ints, limbs_mul, limbs_to_float,
+                               orbit_floats)
 from ergorate.harness import resolve_observable, resolve_system
 from oracles import (kernel_rung, kernel_sum_mpmath, kernel_sum_oracle,
                      kernel_table_oracle)
@@ -106,13 +107,14 @@ class TestLimbHelper:
         m = data.draw(st.integers(1, 300))
         limbs = limbs_from_ints(regs, bits)
         seq = limbs_advance(limbs, m)
+        assert seq.shape[1:] == (len(regs) - 1, m)
+        assert ints_from_limbs(limbs, bits) == regs  # left as they were
         cur = list(regs)
         for j in range(m):
             assert [ints_from_limbs(seq[:, r, j:j + 1], bits)[0]
                     for r in range(len(cur) - 1)] == cur[:-1]
             for r in range(len(cur) - 1):
                 cur[r] = (cur[r] + cur[r + 1]) % one
-        assert ints_from_limbs(limbs, bits) == cur
 
     @pytest.mark.parametrize("bits", BIT_WIDTHS)
     @given(data=st.data())
@@ -139,6 +141,71 @@ class TestLimbHelper:
         seq = limbs_advance(limbs_from_ints([one - 1, w], bits), 4096)
         got = ints_from_limbs(seq[:, 0], bits)
         assert got == [(one - 1 + j * w) % one for j in range(4096)]
+
+
+class TestRegisterChains:
+    """Every limb table is a function of (chain, start, length): a chain of
+    ints at step 0, moved to any step by the closed form _shift."""
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS + (1100,))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shifts_compose(self, bits, data):
+        chain = tuple(data.draw(st.lists(fixed_values(bits), min_size=1,
+                                         max_size=5)))
+        a, b = (data.draw(st.one_of(st.integers(0, 9), st.integers(0, 1 << 70)))
+                for _ in range(2))
+        assert (_shift(_shift(chain, a, bits), b, bits)
+                == _shift(chain, a + b, bits))
+        assert _shift(chain, 0, bits) == chain
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS + (1100,))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_shift_of_one_is_one_step(self, bits, data):
+        one = 1 << bits
+        chain = tuple(data.draw(st.lists(fixed_values(bits), min_size=1,
+                                         max_size=5)))
+        stepped = tuple((v + w) % one for v, w in zip(chain, chain[1:]))
+        assert _shift(chain, 1, bits) == stepped + chain[-1:]
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS + (1100,))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_a_phase_table_from_any_start(self, bits, data):
+        # columns s..s+n-1 of a table from 0, bit for bit, across the
+        # _SUB-step blocks of both tables
+        R = data.draw(st.integers(2, 4))
+        chains = data.draw(st.lists(
+            st.tuples(*[fixed_values(bits)] * R), min_size=1, max_size=3))
+        s = data.draw(st.one_of(st.integers(0, 50),
+                                st.integers(dynamics._SUB - 3, 9000)))
+        n = data.draw(st.one_of(st.integers(1, 50),
+                                st.integers(dynamics._SUB - 3, 5000)))
+        factor = data.draw(st.sampled_from([dynamics.TWO_PI, math.pi]))
+        whole = _phase_table(chains, s + n, bits, factor=factor)
+        part = _phase_table(chains, n, bits, start=s, factor=factor)
+        for w, p in zip(whole, part):
+            assert p.shape == (len(chains), n)
+            assert p.tobytes() == w[:, s:].tobytes()
+
+    @pytest.mark.parametrize("system", ["rotation1d:golden",
+                                        "rotationd:golden,sqrt2m1",
+                                        "skew:2:golden", "skew:4:sqrt3m1"])
+    @pytest.mark.parametrize("bits", BIT_WIDTHS + (1100,))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_chain_floats_from_any_start(self, system, bits, data):
+        sys = resolve_system(system, bits)
+        one = 1 << bits
+        x = TorusPoint(tuple(data.draw(st.lists(
+            st.integers(0, one - 1), min_size=sys.dim, max_size=sys.dim))), bits)
+        start = data.draw(st.integers(0, 9000))
+        m = data.draw(st.integers(1, 5000))
+        (orbit,) = orbit_floats(sys, x, start + m, chunk=start + m)
+        out = np.empty((m, sys.dim))
+        _chain_floats(sys.chains(x), start, out, bits)
+        assert out.tobytes() == orbit.reshape(-1, sys.dim)[start:].tobytes()
 
 
 # ---------------------------------------------------------------------------
