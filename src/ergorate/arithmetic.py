@@ -129,12 +129,34 @@ def _rule_exp_gap(m, q_hist, m0):
     q_prev2 = q_hist[-2] if len(q_hist) >= 2 else 0
     if q_prev > 4000:
         return None  # e^{q_prev} would not be storable
-    import mpmath
+    return max(1, _round_div(_exp_nint(q_prev) - q_prev2, q_prev))
 
-    with mpmath.workdps(int(q_prev / math.log(10)) + 30):
-        target = int(mpmath.nint(mpmath.e ** q_prev))
-    a = _round_div(target - q_prev2, q_prev)
-    return max(1, a)
+
+def _e_floor(bits: int) -> int:
+    """lo with lo <= e * 2^bits < lo + 2 (the enclosure of _exp_nint)."""
+    s, f, k = 1, 1, 0  # s = sum_{j<=k} k!/j!, f = k!
+    while f < 1 << bits:
+        k += 1
+        s, f = s * k + 1, f * k
+    return (s << bits) // f
+
+
+def _exp_nint(q: int) -> int:
+    """round(e^q) for an integer q >= 1, certified by integer bounds: with
+    K! >= 2^P and S = sum_{k<=K} K!/k!, lo = floor(S 2^P / K!) loses less
+    than 1 and the tail sum_{k>K} 1/k! < 1/(K K!) adds less than
+    2^P/(K K!) <= 1, so lo <= e 2^P < lo + 2.  Squaring with floor products
+    below and ceiling products above gives a <= e^q 2^P <= b; P starts at
+    3q/2 + 64 bits (e^q < 2^(1.5 q)) and grows by 64 until a, b round alike."""
+    for bits in itertools.count(3 * q // 2 + 64, 64):
+        lo, a, b = _e_floor(bits), 1 << bits, 1 << bits
+        for bit in bin(q)[2:]:
+            a, b = a * a >> bits, -(-b * b >> bits)
+            if bit == "1":
+                a, b = a * lo >> bits, -(-b * (lo + 2) >> bits)
+        n = (a + (1 << bits - 1)) >> bits
+        if n == (b + (1 << bits - 1)) >> bits:
+            return n
 
 
 # name -> (rule, number of integer parameters).  A rule maps (m, q_hist,

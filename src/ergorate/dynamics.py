@@ -81,11 +81,10 @@ class TorusPoint:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One of the three measured systems.
+    """A measured system: a rotation of a torus or a skew product.
 
-    rotation1d: x -> x + omega on the circle
-    rotationd:  x -> x + (omega_1, ..., omega_d) on the d-torus
-    skew:       (x_1, ..., x_d) -> (x_1 + x_2, ..., x_{d-1} + x_d, x_d + omega)
+    rotation: x -> x + (omega_1, ..., omega_d) on the d-torus
+    skew:     (x_1, ..., x_d) -> (x_1 + x_2, ..., x_{d-1} + x_d, x_d + omega)
 
     The fixed-point width is the frequencies' own, which they must share.
     """
@@ -95,12 +94,10 @@ class SystemSpec:
     dim: int
 
     def __post_init__(self):
-        if self.kind not in ("rotation1d", "rotationd", "skew"):
+        if self.kind not in ("rotation", "skew"):
             raise ValueError(f"unknown system kind {self.kind!r}")
-        if self.kind == "rotation1d" and (self.dim != 1 or len(self.freqs) != 1):
-            raise ValueError("rotation1d is one-dimensional")
-        if self.kind == "rotationd" and len(self.freqs) != self.dim:
-            raise ValueError("rotationd needs one frequency per axis")
+        if self.kind == "rotation" and len(self.freqs) != self.dim:
+            raise ValueError("a rotation needs one frequency per axis")
         if self.kind == "skew" and (self.dim < 2 or len(self.freqs) != 1):
             raise ValueError("skew product needs dim >= 2 and a single frequency")
         if len({f.fractional_bits for f in self.freqs}) > 1:
@@ -131,11 +128,11 @@ class SystemSpec:
 
     @staticmethod
     def rotation(omega: Frequency) -> "SystemSpec":
-        return SystemSpec("rotation1d", (omega,), 1)
+        return SystemSpec("rotation", (omega,), 1)
 
     @staticmethod
     def rotation_d(omegas: Sequence[Frequency]) -> "SystemSpec":
-        return SystemSpec("rotationd", tuple(omegas), len(tuple(omegas)))
+        return SystemSpec("rotation", tuple(omegas), len(tuple(omegas)))
 
     @staticmethod
     def skew(dim: int, omega: Frequency) -> "SystemSpec":

@@ -135,7 +135,7 @@ def scenario_denjoy_koksma(v: _Verdict) -> None:
     qs = [int(q) for q in cf.q]
     for alpha in (0.3, 0.5, 1.0):
         phi = make_dist_pow(alpha)
-        norm = 0.5 ** alpha + 1.0  # analytic Holder norm of ||x||^alpha
+        norm = phi.norm_est  # analytic Holder norm of ||x||^alpha
         sweep = GridSweep(sys, phi, 1024)
         scaled, gaps = [], []
         for q in qs:

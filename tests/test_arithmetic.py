@@ -7,7 +7,12 @@ independent oracle (mpmath at 80 digits, brute-force scans, greedy replay).
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -297,6 +302,43 @@ class TestExpansionDigest:
                          if q[k - 2] * q[k - 1] >= stop)
             cf = expand_cf(f, None, stop_product=stop)
             assert cf.certified_len == first
+
+
+class TestExpNint:
+    """exp_gap's round(e^q) from integer bounds, against mpmath."""
+
+    def test_matches_mpmath_rounding(self):
+        # the rounding exp_gap took from mpmath, at the same precision
+        for q in range(1, 4001):
+            with mpmath.workdps(int(q / math.log(10)) + 30):
+                want = int(mpmath.nint(mpmath.e ** q))
+            assert arithmetic._exp_nint(q) == want, q
+
+    def test_the_enclosure_of_e(self):
+        with mpmath.workprec(4600):
+            for bits in range(64, 4501):
+                lo = arithmetic._e_floor(bits)
+                assert lo <= mpmath.ldexp(mpmath.e, bits) < lo + 2, bits
+
+    def test_runs_need_no_mpmath(self, tmp_path):
+        # mpmath is a test dependency only: with it blocked, exp_gap's runs
+        # still exit 0
+        code = textwrap.dedent(f"""
+            import sys
+            sys.modules["mpmath"] = None
+            from ergorate.cli import main
+            out = {str(tmp_path)!r}
+            print(main(["--out-dir", out, "sharp", "--weight", "analytic",
+                        "--frequency", "pq:rule:exp_gap:5",
+                        "--m-values", "3,4,5"]),
+                  main(["--out-dir", out, "scenario", "liouville_slow_rate"]))
+        """)
+        src = str(Path(arithmetic.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=300,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split()[-2:] == ["0", "0"], run.stdout
 
 
 @pytest.fixture(scope="module", params=["golden", "sqrt2m1", "index", "decimal"])

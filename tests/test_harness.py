@@ -159,9 +159,9 @@ class TestConfig:
 class TestResolvers:
     def test_systems(self):
         s1 = resolve_system("rotation1d:golden")
-        assert s1.kind == "rotation1d" and s1.dim == 1
+        assert s1.kind == "rotation" and s1.dim == 1
         s2 = resolve_system("rotationd:sqrt2m1,sqrt3m1")
-        assert s2.dim == 2
+        assert s2.kind == "rotation" and s2.dim == 2
         s3 = resolve_system("skew:3:golden")
         assert s3.kind == "skew" and s3.dim == 3
         with pytest.raises(ConfigError):

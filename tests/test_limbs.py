@@ -215,7 +215,7 @@ class TestRegisterChains:
 
 def iterate_oracle(sys, x, j):
     one = 1 << sys.bits
-    if sys.kind in ("rotation1d", "rotationd"):
+    if sys.kind == "rotation":
         ws = sys.omega_fp
         return TorusPoint(
             tuple((c + j * w) % one for c, w in zip(x.coords, ws)), x.bits
