@@ -170,6 +170,20 @@ def iterate(sys: SystemSpec, x: TorusPoint, j: int) -> TorusPoint:
     return TorusPoint._reduced(tuple(coords), x.bits)
 
 
+def _phase_chain(sys: SystemSpec, k: Sequence[int], x: TorusPoint) -> tuple:
+    """The forward differences at j = 0 of the phase k . T^j x mod 1, exact,
+    through its degree (at least 1): a chain whose register 0 is the phase
+    at step j.  The coordinate at register r of a chain of sys.chains(x)
+    has its m-th difference at register r + m."""
+    diffs = [0, 0]
+    for ki, tail in zip(k, [c[r:] for c in sys.chains(x) for r in range(len(c) - 1)]):
+        if ki:
+            diffs += [0] * (len(tail) - len(diffs))
+            for m, v in enumerate(tail):
+                diffs[m] += ki * v
+    return tuple([v % (1 << sys.bits) for v in diffs])
+
+
 # ---------------------------------------------------------------------------
 # fixed-point registers in uint64 limbs
 #
@@ -379,56 +393,43 @@ def grid_point(indices, grid: int, bits: int) -> TorusPoint:
     )
 
 
-def _spectral_sums(sys, modes: list, N, grid):
-    """S_N phi on the grid for phi = Re sum_k c_k e(k . x), in closed form.
-
-    Each mode of `modes` is (t, cell, c_k), as GridSweep forms it once: its
-    exact phase t = k . omega mod 1 in fixed point and its grid cell k mod
-    grid.  Its orbit sum is c_k A_k e(k . x), A_k = N E_N(k . omega) from
-    exp_sum_avg_fp.  One inverse FFT synthesizes the grid field, exact because
-    on x_g = g / grid the character e(k . x_g) depends only on k mod grid.
-    """
-    d = sys.dim
-    spec = np.zeros((grid,) * d, dtype=complex)
-    for t, cell, c in modes:
-        A = N * exp_sum_avg_fp(t, sys.bits, N)
-        spec[cell] += c * A
-    return np.real(np.fft.ifftn(spec)) * grid ** d
-
-
 class GridSweep:
-    """S_N phi on a uniform grid of any system, by the one exact route
-    chosen when the sweep is built:
+    """S_N phi on a uniform grid of any system, by exact routes chosen from
+    the observable when the sweep is built.  Each map is affine with an
+    integer linear part A, so the grid point g / grid has the orbit T^j(0) +
+    (A^j g mod grid) / grid, and e(k . T^j x) = e(k . T^j 0) e((A^T)^j k . x).
 
-    - a rotation whose phi.fourier is set takes the closed form of
-      _spectral_sums, O(modes + grid**d log grid) whatever N, from each
-      mode's exact phase k . omega and grid cell, formed once here;
-    - a SeparableObservable on a rotation takes the closed form of its
-      trig part, plus each axis term from that term's own 1-d sweep on
-      its axis;
-    - every other field is summed pointwise along the one orbit of 0,
-      O(j * grid**d), resumable in j.
-
-    Each map is affine with an integer linear part A, so the grid point
-    g / grid has the orbit T^j(0) + (A^j g mod grid) / grid.  The cell
-    offsets A^j g mod grid run the chains of SystemSpec.chains without
-    their frequencies, as integers mod grid, one lane per cell; a
-    rotation's never move.  phi.fn gets their sum in double, unreduced in
-    [0, 2)^d: the orbit point, rounded once from its registers, plus the offset.
+    - A finite spectrum (phi.fourier, or a SeparableObservable's trig part)
+      is one inverse FFT of sum_k c_k sum_{j<N} e(k . T^j 0) at cell
+      (A^T)^j k mod grid.  A fixed mode (phase of degree <= 1: every
+      rotation mode, and a skew mode of the last axis alone) keeps its cell
+      k mod grid and adds c_k N E_N(D1), O(1) whatever N.  A moving mode's
+      cell follows the dual map (A^T k)_i = k_i + k_{i-1}, and np.bincount
+      adds its terms, from the exact phase table of _phase_chain(sys, k,
+      0), into one running spectrum: O(N) per mode, resumable in j.
+    - A SeparableObservable's axis terms are summed pointwise: on a
+      rotation each on a 1-d sweep of its axis, on a skew product all on
+      one sweep of the whole system.
+    - Every other field is summed pointwise, O(j * grid**d), resumable in j:
+      the cell offsets A^j g mod grid run the chains of SystemSpec.chains
+      without their frequencies, as integers mod grid, one lane per cell (a
+      rotation's never move), and phi.fn gets the orbit point, rounded once
+      from its registers, plus the offset, unreduced in [0, 2)^d.
 
     sup_deviation advances the sweep from its step j to each N it is given,
     so a rising schedule walks the orbit once, in the summation order of
-    one fresh pass to N: chunks of at most 2**15 rows and 2**22 cells are
-    summed row after row (numpy's order along axis 0 of a C-ordered array)
-    and Kahan-accumulated.  The chunk fixes the order; changing it moves
-    strongly cancelling sums at large N by up to ~1e-8 relative.  Rows are
-    evaluated in blocks within a budget of _BLOCK_CELLS values: as many
-    whole rows as fit, or, when one row is larger, column tiles of one row.
-    A block carries its cells' running total of the open chunk in through
-    its first row, so phi.fn must return a fresh array, and each cell's
-    sum is formed in the same order whatever the block shape.  tick() is
-    called once per completed chunk, so a wall-clock budget can stop a
-    single long N there.
+    one fresh pass to N.  Pointwise, chunks of at most 2**15 rows and 2**22
+    cells are summed row after row (numpy's order along axis 0 of a
+    C-ordered array) and Kahan-accumulated.  The chunk fixes the order;
+    changing it moves strongly cancelling sums at large N by up to ~1e-8
+    relative.  Rows are evaluated in blocks within a budget of _BLOCK_CELLS
+    values: as many whole rows as fit, or, when one row is larger, column
+    tiles of one row.  A block carries its cells' running total of the open
+    chunk in through its first row, so phi.fn must return a fresh array,
+    and each cell's sum is formed in the same order whatever the block
+    shape.  The moving modes go in chunks of _SUB steps, of which the open
+    one only adds to a copy.  tick() is called once per completed chunk, so
+    a wall-clock budget can stop a single long N there.
     """
 
     def __init__(self, sys: SystemSpec, phi: Observable, grid: int):
@@ -441,26 +442,62 @@ class GridSweep:
             raise DimensionTooLarge(f"{d} * log2({grid}) exceeds the grid budget "
                                     f"(d <= 3, at most {GRID_POINT_BUDGET} points)")
         self.sys, self.phi, self.grid = sys, phi, grid
-        # the route: the spectrum a rotation sums in closed form (None for
-        # the pointwise route) and, for a separable observable, one 1-d
-        # sweep per axis term, on that term's axis
-        spectrum, terms = None, ()
-        if sys.kind != "skew":
-            if phi.fourier is not None:
-                spectrum = phi.fourier
-            elif isinstance(phi, SeparableObservable):
-                spectrum = phi.trig.coeffs if phi.trig else {}
-                terms = phi.axis_terms
-        # per mode, the exact phase k . omega mod 1 and the cell k mod grid
-        self._modes = None if spectrum is None else [
-            (sum(ki * wi for ki, wi in zip(k, sys.omega_fp)) % (1 << sys.bits),
-             tuple(ki % grid for ki in k), c) for k, c in spectrum.items()]
-        self._axes = [(axis, GridSweep(SystemSpec.rotation(sys.freqs[axis]),
-                                       sub, grid))
-                      for axis, sub in terms]
+        # the route: the spectrum in closed form (None: pointwise), axis terms
+        spectrum, terms = phi.fourier, ()
+        if spectrum is None and isinstance(phi, SeparableObservable):
+            spectrum = phi.trig.coeffs if phi.trig else {}
+            terms = phi.axis_terms
+        if sys.kind == "rotation":
+            self._axes = [(axis, GridSweep(SystemSpec.rotation(sys.freqs[axis]),
+                                           sub, grid)) for axis, sub in terms]
+        else:  # axis None: all axis terms on one sweep of sys (reads only fn)
+            together = Observable(d, lambda x: sum(sub.fn(x[..., axis])
+                                                   for axis, sub in terms),
+                                  phi.modulus, phi.norm_est, phi.mean_hint)
+            self._axes = [(None, GridSweep(sys, together, grid))] if terms else []
+        # per fixed mode its step D1 and cell; per moving mode its phase chain,
+        # zero-padded, and its cell reversed, so the dual map is _lanes_advance
+        self._modes = None if spectrum is None else []
+        moving, zero = [], TorusPoint.zero(d, sys.bits)
+        for k, c in (spectrum or {}).items():
+            chain = _phase_chain(sys, k, zero)
+            if len(chain) == 2:
+                self._modes.append((chain[1], tuple(ki % grid for ki in k), c))
+            else:
+                moving.append((chain + (0,) * (d + 1 - len(chain)), k[::-1], c))
+        self._phases = [chain for chain, _, _ in moving]
+        if moving:
+            self._lanes = np.array([cell for _, cell, _ in moving]).T % grid
+            self._coeffs = np.array([c for _, _, c in moving], complex)[:, None]
+            self._spec = np.zeros((grid,) * d, dtype=complex)  # whole chunks
+            # modes per block: a limb table of at most 2**20 uint64 (8 MB)
+            self._block = max(1, (1 << 20) // (-(-sys.bits // 32) * d * _SUB))
         self.chunk = max(256, min(1 << 15, (1 << 22) // grid ** d))
         self.j = 0
         self._sums = None  # the G**d pointwise state, built by the first sums
+
+    def _dual_spectrum(self, N: int) -> np.ndarray:
+        """The moving modes' spectrum to N, fresh: per chunk of _SUB steps
+        and block of modes, an np.bincount of the terms at their cells."""
+        spec, lanes = self._spec, self._lanes
+        for lo in range(self.j, N, _SUB):
+            m = min(_SUB, N - lo)
+            if m < _SUB:  # the open chunk moves copies
+                spec, lanes = spec.copy(), lanes.copy()
+            flat = spec.reshape(-1)
+            for first in range(0, len(self._phases), self._block):
+                cut = slice(first, first + self._block)
+                cells = _lanes_advance(lanes[:, cut], m, self.grid)[:, ::-1]
+                idx = np.ravel_multi_index(cells.transpose(1, 2, 0),
+                                           spec.shape).ravel()
+                cos, sin = _phase_table(self._phases[cut], m, self.sys.bits, lo)
+                terms = (self._coeffs[cut] * (cos + 1j * sin)).ravel()
+                flat.real += np.bincount(idx, terms.real, flat.size)
+                flat.imag += np.bincount(idx, terms.imag, flat.size)
+            if m == _SUB:
+                self.j = lo + m
+                tick()
+        return spec.copy() if spec is self._spec else spec
 
     def _start(self) -> None:
         """Build the pointwise state: the orbit's register chains, the cell
@@ -492,10 +529,13 @@ class GridSweep:
             raise ValueError(f"the sweep is at step {self.j}, past N = {N}")
         d, grid = self.sys.dim, self.grid
         if self._modes is not None:
-            out = _spectral_sums(self.sys, self._modes, N, grid)
+            spec = (self._dual_spectrum(N) if self._phases
+                    else np.zeros((grid,) * d, dtype=complex))
+            for t, cell, c in self._modes:
+                spec[cell] += c * (N * exp_sum_avg_fp(t, self.sys.bits, N))
+            out = np.real(np.fft.ifftn(spec)) * grid ** d
             for axis, sub in self._axes:
-                shape = [1] * d
-                shape[axis] = grid
+                shape = [grid if axis in (None, i) else 1 for i in range(d)]
                 out = out + sub.sums(N).reshape(shape)
             return out
         if self._sums is None:
@@ -684,8 +724,8 @@ class CharSumResult:
 class CharSweep:
     """The resumable state of sum_{j<N} e(k . S^j x) for one start point x
     of the skew product of dimension d = len(k) = x.dim: the phase's
-    chain of forward differences at j = 0, the end j of the completed
-    chunks and their total.
+    chain of forward differences at j = 0 (_phase_chain), the end j of the
+    completed chunks and their total.
 
     The phase is a polynomial in j of degree d - i at the first nonzero k_i
     (i from 0), leading coefficient (leading_num / leading_den) * omega =
@@ -701,16 +741,11 @@ class CharSweep:
         if len(k) != x.dim or not any(k):
             raise ValueError("k must have one entry per coordinate of x "
                              "and a nonzero entry")
-        d, bits = len(k), omega.fractional_bits
-        one = 1 << bits
-        (chain,) = SystemSpec.skew(d, omega).chains(x)
-        first = next(i for i, ki in enumerate(k) if ki)
-        self.degree, self.leading_num = d - first, k[first]
+        self.diffs = _phase_chain(SystemSpec.skew(len(k), omega), k, x)
+        self.degree = len(self.diffs) - 1
+        self.leading_num = k[len(k) - self.degree]
         self.leading_den = math.factorial(self.degree)
-        # forward differences at j = 0: the r-th is k . (chain shifted r places)
-        self.diffs = tuple(sum(ki * c for ki, c in zip(k, chain[r:])) % one
-                           for r in range(self.degree + 1))
-        self.bits = bits
+        self.bits = omega.fractional_bits
         self.j = 0
         self._total = 0.0 + 0.0j
 
@@ -771,11 +806,18 @@ def _chirp_sum(diffs: tuple, bits: int, N: int) -> complex:
 def char_birkhoff_skew(sweep: CharSweep, N: int) -> CharSumResult:
     """sum_{j<N} e(k . S^j x) from exact finite differences of the phase.
 
-    A phase of degree 2 is summed by _chirp_sum, fresh for each N.  Any
-    other is sweep.value(N), the direct sum: a rising schedule of N resumes
-    where the last call stopped, bit for bit equal to a fresh sweep, and a
-    sweep already past N raises ValueError.
+    A phase D0 + j D1 of degree 1 sums to N E_N(D1) e(D0) (0 at N = 0), one
+    of degree 2 by _chirp_sum, fresh for each N.  Any other is
+    sweep.value(N), the direct sum and the oracle of both: a rising schedule
+    of N resumes where the last call stopped, bit for bit equal to a fresh
+    sweep, and a sweep already past N raises ValueError.
     """
-    value = (_chirp_sum(sweep.diffs, sweep.bits, N) if sweep.degree == 2
-             else sweep.value(N))
+    if sweep.degree == 1:
+        turn = TWO_PI * (sweep.diffs[0] / (1 << sweep.bits))
+        value = (N * exp_sum_avg_fp(sweep.diffs[1], sweep.bits, N)
+                 * complex(math.cos(turn), math.sin(turn)) if N else 0j)
+    elif sweep.degree == 2:
+        value = _chirp_sum(sweep.diffs, sweep.bits, N)
+    else:
+        value = sweep.value(N)
     return CharSumResult(value, N)

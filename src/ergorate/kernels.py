@@ -186,21 +186,30 @@ def make_weierstrass(modulus: Holder, base: int = 2,
         x = np.asarray(x, dtype=float)
         return np.cos(TWO_PI * np.multiply.outer(x, freqs)) @ weights
 
-    # rigorous per-h bound sum_m w_m min(2, 2 pi b^m h), maximized over a
-    # log grid of offsets; the sup norm adds sum w_m
-    semi = 0.0
-    for k in range(2, 40):
-        h = 2.0 ** -k
-        semi = max(semi, float(np.minimum(2.0, TWO_PI * freqs * h) @ weights)
-                   / modulus(h))
     fourier = {(s * base ** m,): float(w) / 2.0
                for m, w in enumerate(weights, start=1) for s in (1, -1)}
     return Observable(
         dim=1, fn=fn, modulus=modulus,
-        norm_est=float(weights.sum()) + semi,
+        norm_est=float(weights.sum()) + seminorm_bound(freqs, weights, modulus),
         mean_hint=0.0,
         fourier=fourier,
     )
+
+
+def seminorm_bound(freqs: np.ndarray, weights: np.ndarray,
+                   modulus: Holder) -> float:
+    """An upper bound of the seminorm of sum_m w_m cos(2 pi f_m x), w_m >= 0:
+    B(h) = sum_m w_m min(2, 2 pi f_m h) (left to right) bounds |phi(x + h) -
+    phi(x)| and grows with h, so B(h) / w(h) <= B(2^-k) / w(2^-k-1) on
+    [2^-k-1, 2^-k], for k = 1.. until the largest f is linear (2 pi f h <=
+    2); below, B(h) / h^alpha shrinks with h.  NaN if any scale is NaN."""
+    semi, h, top = 0.0, 0.5, float(np.max(freqs))
+    while True:
+        bound = np.cumsum(weights * np.minimum(2.0, TWO_PI * freqs * h))[-1]
+        semi = float(np.max([semi, bound / modulus(h / 2)]))
+        if TWO_PI * top * h <= 2.0:
+            return semi
+        h /= 2
 
 
 def make_observable(key: str, dim: int = 1) -> Observable:

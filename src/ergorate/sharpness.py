@@ -25,7 +25,7 @@ from .arithmetic import ContinuedFraction, Frequency, fp_from_float
 from .dynamics import (_SUB, TorusPoint, _phase_table, exp_sum_avg_fp,
                        limbs_from_ints, limbs_mul, limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified, tick
-from .kernels import TWO_PI, Holder, Observable
+from .kernels import TWO_PI, Holder, Observable, seminorm_bound
 
 # The constants of the sharpness construction; no config sets them.
 GAP_CONSTANT = 10.0     # gap law: q_{m+1} >= GAP_CONSTANT * m * q_m
@@ -177,19 +177,13 @@ def build_lacunary(cf: ContinuedFraction, weight) -> LacunaryObservable:
 
     alpha = weight.alpha if isinstance(weight, HolderWeight) else None
     modulus = Holder(alpha or 1.0)
-    # rigorous seminorm bound: |phi(x+h)-phi(x)| <= sum w_k min(2, 2 pi q_k h),
-    # summed left to right (np.max, not max: a NaN at any scale makes it NaN)
-    q_f, w_f = np.array([float(min(q, 10 ** 200)) for q in qs]), np.array(weights)
-    semi = 0.0
-    for j in range(2, 60):
-        h = 2.0 ** -j
-        bound = np.cumsum(w_f * np.minimum(2.0, TWO_PI * q_f * h))[-1]
-        semi = float(np.max([semi, bound / modulus(h)]))
+    q_f = np.array([float(min(q, 10 ** 200)) for q in qs])
     return LacunaryObservable(
         dim=1,
         fn=_lacunary_fn(qs, weights, bits),
         modulus=modulus,
-        norm_est=float(sum(weights)) + semi,
+        norm_est=float(sum(weights)) + seminorm_bound(q_f, np.array(weights),
+                                                      modulus),
         mean_hint=0.0,
         # w cos(2 pi q x) = Re (w/2)(e(qx) + e(-qx)); the qs are distinct
         fourier={(s * q,): w / 2 for q, w in zip(qs, weights) for s in (1, -1)},

@@ -338,17 +338,30 @@ def kernel_sum_mpmath(omega: Frequency, cf: ContinuedFraction, q_index: int,
 
 def lacunary_seminorm(phi: LacunaryObservable) -> float:
     """The Holder seminorm bound of a lacunary series by a scalar loop: at
-    each dyadic h = 2**-j, j = 2..59, sum_k w_k min(2, 2 pi q_k h) is added
-    one mode at a time, left to right, and divided by phi.modulus(h); the
-    bound is the largest quotient, NaN if any quotient is NaN."""
-    semi = 0.0
-    for j in range(2, 60):
-        h = 2.0 ** -j
+    each dyadic h = 2**-j from j = 1, sum_k w_k min(2, 2 pi q_k h) is added
+    one mode at a time, left to right, and divided by phi.modulus(h / 2),
+    until 2 pi q h <= 2 for the largest q; the bound is the largest
+    quotient, NaN if any quotient is NaN."""
+    qs = [float(min(q, 10 ** 200)) for q in phi.qs]
+    semi, h = 0.0, 0.5
+    while True:
         bound = 0.0
-        for q, w in zip(phi.qs, phi.weights):
-            bound += w * min(2.0, TWO_PI * float(min(q, 10 ** 200)) * h)
-        semi = float(np.max([semi, bound / phi.modulus(h)]))
-    return semi
+        for q, w in zip(qs, phi.weights):
+            bound += w * min(2.0, TWO_PI * q * h)
+        semi = float(np.max([semi, bound / phi.modulus(h / 2)]))
+        if TWO_PI * max(qs) * h <= 2.0:
+            return semi
+        h /= 2
+
+
+def dense_seminorm(freqs, weights, alpha: float, points: int = 10 ** 4) -> float:
+    """The largest sum_m w_m min(2, 2 pi f_m h) / h**alpha over `points`
+    log-spaced h in [2**-4 / max f, 1/2]: the quotient the dyadic bound of
+    kernels.seminorm_bound must dominate at every h."""
+    freqs, weights = np.asarray(freqs, float), np.asarray(weights, float)
+    h = np.logspace(math.log10(1 / 16 / freqs.max()), math.log10(0.5), points)
+    bound = np.minimum(2.0, TWO_PI * np.multiply.outer(h, freqs)) @ weights
+    return float(np.max(bound / h ** alpha))
 
 
 def fourier_coefficient(phi: Observable, k, quad_points: Optional[int] = None) -> complex:

@@ -621,15 +621,21 @@ class TestGridSweepEverySystem:
         assert np.array_equal(sweep.sums(sweep.j),
                               GridSweep(sys, dist, 16).sums(sweep.j))
 
-    @pytest.mark.parametrize("key", ["cos", "poly_plus_dist:1:0.5:3"])
-    def test_trig_fields_on_a_skew_product_match_per_point_orbits(self, key):
-        # cos and the trig part see x + 1 where a cell's sum passed 1
-        sys = resolve_system("skew:2:golden")
-        phi = resolve_observable(key, sys)
+    @pytest.mark.parametrize("name, key", [
+        ("skew:2:golden", "cos"), ("skew:2:golden", "poly_plus_dist:1:0.5:3"),
+        ("skew:2:golden", "degree4"), ("skew:3:golden", "poly_plus_dist:2:0.5:3")])
+    def test_trig_fields_on_a_skew_product_match_per_point_orbits(self, name,
+                                                                  key):
+        # the closed form against one orbit per point, at N on both sides
+        # of the 4096-step chunk of the moving modes and of the pointwise
+        # chunk of the axis term
+        sys = resolve_system(name)
+        phi = (random_real_trigpoly(2, 4, seed=4).to_observable()
+               if key == "degree4" else resolve_observable(key, sys))
         sweep = GridSweep(sys, phi, 16)
         c = sweep.chunk
-        cells = _sampled_cells(16, 2)
-        for N in [c - 1, c + 1]:
+        cells = _sampled_cells(16, sys.dim)
+        for N in sorted({4095, 4097, c - 1, c + 1}):
             res = sup_deviation(sys, phi, N, 16, sweep)
             expect = grid_sums_per_point(sys, phi, N, 16, cells) / N - phi.mean()
             got = np.array([res.field[idx] for idx in cells])
@@ -641,15 +647,53 @@ class TestGridSweepEverySystem:
         with pytest.raises(ValueError, match="dimension"):
             GridSweep(sys, make_weierstrass(Holder(0.5)), 16)
 
-    def test_closed_forms_stay_rotation_only(self, golden):
-        # a finite spectrum on a skew product is summed pointwise
+    def test_closed_forms_serve_skew_products(self, golden):
+        # a finite spectrum on a skew product takes the closed form, never
+        # phi.fn: the constant mode and a mode of the last axis alone are
+        # fixed, and every other mode moves by the dual map
         sys = SystemSpec.skew(2, golden)
-        phi = make_cos(2)
+        phi = TrigPoly(2, {(0, 0): 0.25, (0, 3): 0.2 - 0.1j, (0, -3): 0.2 + 0.1j,
+                           (1, 0): 0.5, (-1, 2): 0.3j, (1, -2): -0.3j}
+                       ).to_observable()
+        sweep = GridSweep(sys, dataclasses.replace(phi, fn=_boom), 16)
+        assert [cell for _, cell, _ in sweep._modes] == [(0, 0), (0, 3), (0, 13)]
+        assert len(sweep._phases) == 3 and sweep._axes == []
+        field = sweep.sums(50)
+        assert sweep.j == 0  # the open chunk only adds to a copy
+        expect = grid_sums_per_point(sys, phi, 50, 16)
+        assert np.max(np.abs(field - expect)) / 50 <= 1e-12
+
+    @pytest.mark.parametrize("name", ["skew:2:golden", "skew:3:golden"])
+    def test_resumed_closed_forms_equal_fresh_ones(self, name):
+        # a rising schedule across two chunk boundaries, repeating an N
+        sys = resolve_system(name)
+        phi = random_real_trigpoly(sys.dim, 2, seed=6).to_observable()
         sweep = GridSweep(sys, phi, 16)
-        res = sup_deviation(sys, phi, 50, 16, sweep)
-        assert sweep.j == 50
-        expect = grid_sums_per_point(sys, phi, 50, 16) / 50 - phi.mean()
-        assert np.max(np.abs(res.field - expect)) <= 1e-12
+        for N in [1, 4095, 4096, 4097, 4097, 8191, 8192, 8193, 9000]:
+            got = sweep.sums(N)
+            assert sweep.j == N // 4096 * 4096
+            assert np.array_equal(got, GridSweep(sys, phi, 16).sums(N))
+
+    def test_closed_forms_tick_once_per_whole_chunk(self, monkeypatch):
+        sys = resolve_system("skew:2:golden")
+        sweep = GridSweep(sys, make_cos(2), 16)
+        calls = []
+        monkeypatch.setattr(dynamics, "tick", lambda: calls.append(sweep.j))
+        sweep.sums(3 * 4096 + 5)
+        assert calls == [4096, 2 * 4096, 3 * 4096]
+
+    def test_closed_forms_bound_their_memory(self):
+        # 720 moving modes: one table of all of them per chunk peaked at
+        # 586 MB; blocks of modes keep each limb table at 8 MB
+        sys = resolve_system("skew:3:golden")
+        phi = resolve_observable("poly_plus_dist:4:0.5:3", sys)
+        tracemalloc.start()
+        try:
+            GridSweep(sys, phi, 16).sums(5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestBlockBudget:
@@ -742,13 +786,18 @@ class TestSeparableAxisSweeps:
         sup_deviation(sys, phi, 2 * c + 3, 64, sweep)
         assert calls == [c, 2 * c]
 
-    def test_skew_products_sum_the_whole_observable(self, golden):
+    def test_skew_products_sum_axis_terms_together(self, golden,
+                                                    monkeypatch):
+        # the trig part goes by the closed form; the axis terms share one
+        # pointwise sweep of the whole system, which never evaluates it
         sys = SystemSpec.skew(2, golden)
         phi = resolve_observable("poly_plus_dist:2:0.5:5", sys)
         sweep = GridSweep(sys, phi, 16)
-        assert sweep._axes == []
+        ((axis, sub),) = sweep._axes
+        assert axis is None and sub.sys is sys and sub._modes is None
+        monkeypatch.setattr(phi.trig, "eval", _boom)
         sup_deviation(sys, phi, 10, 16, sweep)
-        assert sweep.j == 10
+        assert sub.j == 10 and sweep.j == 0
 
 
 def _floor_case(name):
@@ -948,6 +997,17 @@ class TestCharSums:
             acc += cmath.exp(2j * math.pi * float(kv @ z.to_floats()))
             z = step(sys, z)
         assert abs(res.value - acc) < 1e-9
+
+    @pytest.mark.parametrize("d,k", [(2, (0, 1)), (2, (0, -3)), (3, (0, 0, 2))])
+    def test_degree_one_matches_the_direct_sum(self, d, k, golden, rng):
+        x = TorusPoint.from_floats(rng.random(d), BITS)
+        sweep = CharSweep(golden, k, x)
+        assert sweep.degree == 1
+        assert char_birkhoff_skew(sweep, 0).value == 0
+        for N in [1, 2, 4095, 4097, 10 ** 5]:
+            res = char_birkhoff_skew(sweep, N)
+            assert abs(res.value - sweep.value(N)) < 1e-10, N
+        assert sweep.j == 10 ** 5 // CharSweep.CHUNK * CharSweep.CHUNK
 
     def test_degree_classification(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(4), BITS)

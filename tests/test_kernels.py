@@ -12,7 +12,7 @@ from ergorate.kernels import (Holder, Observable, _fft_values, _grid_spectrum,
                               make_observable, make_separable,
                               make_weierstrass, random_real_trigpoly)
 from ergorate.harness import resolve_observable, resolve_system
-from oracles import (fourier_coefficient, is_hermitian,
+from oracles import (dense_seminorm, fourier_coefficient, is_hermitian,
                      sampled_holder_quotient)
 
 
@@ -289,6 +289,15 @@ class TestObservableRegistry:
         assert phi.norm_est == pytest.approx(1.0 + 0.5 ** 0.5)
         q = sampled_holder_quotient(phi, 0.5)
         assert q <= phi.norm_est
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_weierstrass_norm_bounds_a_dense_h_maximum(self, alpha):
+        # the dyadic maximum alone (from h = 1/4) fell up to 1.2% short
+        phi = make_weierstrass(Holder(alpha))
+        pairs = [(k, 2 * c) for (k,), c in phi.fourier.items() if k > 0]
+        freqs, weights = zip(*pairs)
+        semi = phi.norm_est - sum(weights)
+        assert semi >= dense_seminorm(freqs, weights, alpha)
 
     def test_periodicity(self, rng):
         for key in ("dist_pow:0.3", "cos", "weierstrass_w:0.5"):

@@ -19,7 +19,7 @@ from ergorate.sharpness import (AnalyticWeight, HolderWeight,
                                 measure_average, slow_rate_point,
                                 start_points, verify_Nm_bound,
                                 verify_lower_bound)
-from oracles import (fourier_coefficient, lacunary_seminorm,
+from oracles import (dense_seminorm, fourier_coefficient, lacunary_seminorm,
                      measure_average_libm, measure_average_mpmath,
                      measure_average_per_mode, measure_average_per_term,
                      sampled_holder_quotient)
@@ -113,6 +113,15 @@ class TestBuild:
                                  resolve_system(f"rotation1d:{frequency}"))
         assert phi.n_modes >= 3
         assert phi.norm_est == float(sum(phi.weights)) + lacunary_seminorm(phi)
+
+    @pytest.mark.parametrize("frequency", ["golden", "pq:rule:index",
+                                           "pq:rule:spike:7,1000"])
+    def test_norm_estimate_bounds_a_dense_h_maximum(self, frequency):
+        phi = resolve_observable("lacunary:holder:0.5",
+                                 resolve_system(f"rotation1d:{frequency}"))
+        semi = phi.norm_est - float(sum(phi.weights))
+        assert semi >= dense_seminorm([float(q) for q in phi.qs],
+                                      phi.weights, 0.5)
 
     def test_log_holder_tail_diverges(self, golden_deep_cf):
         # 400 doublings shrink q^-0.1 only by 2^-40, far above the 1e-30 stop
