@@ -170,18 +170,21 @@ def iterate(sys: SystemSpec, x: TorusPoint, j: int) -> TorusPoint:
     return TorusPoint._reduced(tuple(coords), x.bits)
 
 
-def _phase_chain(sys: SystemSpec, k: Sequence[int], x: TorusPoint) -> tuple:
-    """The forward differences at j = 0 of the phase k . T^j x mod 1, exact,
-    through its degree (at least 1): a chain whose register 0 is the phase
-    at step j.  The coordinate at register r of a chain of sys.chains(x)
-    has its m-th difference at register r + m."""
+def _tails(chains: list) -> list:
+    """Tail i, c[r:] of SystemSpec.chains, is coordinate i's differences."""
+    return [c[r:] for c in chains for r in range(len(c) - 1)]
+
+
+def _phase_chain(tails: list, k: Sequence[int], bits: int) -> tuple:
+    """The forward differences at j = 0, through its degree (at least 1), of
+    the phase k . T^j x mod 1, exact, from the _tails of sys.chains(x)."""
     diffs = [0, 0]
-    for ki, tail in zip(k, [c[r:] for c in sys.chains(x) for r in range(len(c) - 1)]):
+    for ki, tail in zip(k, tails):
         if ki:
             diffs += [0] * (len(tail) - len(diffs))
             for m, v in enumerate(tail):
                 diffs[m] += ki * v
-    return tuple([v % (1 << sys.bits) for v in diffs])
+    return tuple([v % (1 << bits) for v in diffs])
 
 
 # ---------------------------------------------------------------------------
@@ -216,29 +219,46 @@ def _carry(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def limbs_advance(regs: np.ndarray, m: int) -> np.ndarray:
-    """The (L, R-1, [K,] m) values of registers 0..R-2 at steps 0..m-1 of
-    regs[r] += regs[r + 1] for r < R-1 (pre-step values), from regs of
-    shape (L, R), or (L, R, K) for K chains at once, which it leaves as
-    they are: register r is its start value plus the exclusive running sum
-    of register r+1, and the last register, which stays fixed, is only
-    broadcast.
-    """
-    seq = np.empty(regs[:, 1:].shape + (m,), dtype=np.uint64)
-    nxt = np.broadcast_to(regs[:, -1, ..., None], seq[:, 0].shape)
-    for r in range(regs.shape[1] - 2, -1, -1):
-        s = seq[:, r]
-        s[..., 0] = regs[:, r]
-        np.cumsum(nxt[..., :m - 1], axis=-1, out=s[..., 1:])
-        s[..., 1:] += regs[:, r, ..., None]
-        nxt = _carry(s)
-    return seq
+@functools.cache
+def _binomials(l: int) -> np.ndarray:
+    """The (pieces, _SUB) 32-bit pieces of C(i, l), i < _SUB, low first."""
+    col = [math.comb(i, l) for i in range(_SUB)]
+    out = limbs_from_ints(col, -(-col[-1].bit_length() // 32) * 32)[::-1]
+    out.flags.writeable = False
+    return out
+
+
+def _chain_heads(chains: list, start: int, n: int, bits: int):
+    """Yield (lo, heads) for steps start + lo.. of K int register chains,
+    zero-filled to R registers, in blocks of m <= _SUB steps: heads (L, K, m)
+    is register 0, sum_{l<R} C(i, l) * register l, of the chains _shift-ed to
+    the block's first step.  A limb times a 32-bit piece of C(i, l) adds at
+    its place less the piece's: whole if a top piece below 2**(31 -
+    R.bit_length()) (R - 1 such sum below 2**63), else in halves."""
+    R, K, L = max(map(len, chains)), len(chains), -(-bits // 32)
+    chains = [c + (0,) * (R - len(c)) for c in chains]  # a 0 stays 0
+    for lo in range(0, n, _SUB):
+        m = min(_SUB, n - lo)
+        shifted = list(zip(*(_shift(c, start + lo, bits) for c in chains)))
+        regs = limbs_from_ints(sum(shifted, ()), bits).reshape(L, R, K, 1)
+        out = regs[:, 1] * _binomials(1)[0, :m]  # C(i, 1) = i
+        out += regs[:, 0]
+        for l in range(2, R):  # chains past the last nonzero register l add 0
+            k = max((i + 1 for i, v in enumerate(shifted[l]) if v), default=0)
+            top = math.comb(m - 1, l)  # the largest C(i, l), i < m
+            for p, piece in enumerate(_binomials(l)[:L, :m]):
+                pr = regs[p:, l, :k] * piece
+                if top >> 32 * p >> 31 - R.bit_length():  # not whole
+                    out[:L - p - 1, :k] += pr[1:] >> 32
+                    pr &= _MASK
+                out[:L - p, :k] += pr
+        yield lo, _carry(out)
 
 
 def _lanes_advance(lanes: np.ndarray, m: int, grid: int) -> np.ndarray:
-    """limbs_advance for (R, cells) lanes of integers mod grid, each cell a
-    chain whose last register stays fixed: returns the (m, R, cells) values
-    at steps 0..m-1 and leaves lanes at step m."""
+    """The (m, R, cells) running sums at steps 0..m-1 of (R, cells) lanes
+    mod grid, each cell a chain of lane[r] += lane[r + 1] whose last
+    register stays fixed; leaves lanes at step m."""
     R = lanes.shape[0]
     seq = np.empty((m,) + lanes.shape, dtype=lanes.dtype)
     seq[:, R - 1] = lanes[R - 1]
@@ -290,32 +310,21 @@ def limbs_to_float(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain_limbs(chains: list, start: int, n: int, bits: int):
-    """Yield (lo, seq) for steps start + lo.. of K int register chains of
-    one length R, in blocks of m <= _SUB steps: seq is limbs_advance's
-    (L, R-1, K, m), from the chains _shift-ed to the block's first step."""
-    R, K = len(chains[0]), len(chains)
-    for lo in range(0, n, _SUB):
-        shifted = zip(*(_shift(c, start + lo, bits) for c in chains))
-        regs = limbs_from_ints([v for reg in shifted for v in reg], bits)
-        yield lo, limbs_advance(regs.reshape(-1, R, K), min(_SUB, n - lo))
-
-
 def _chain_floats(chains: list, start: int, out: np.ndarray, bits: int):
     """Fill out (m, d) with the correctly rounded coordinates at steps
     start..start+m-1 of the int register chains of SystemSpec.chains."""
-    for lo, seq in _chain_limbs(chains, start, len(out), bits):
-        out[lo:lo + _SUB] = limbs_to_float(seq).reshape(out.shape[1], -1).T
+    for lo, heads in _chain_heads(_tails(chains), start, len(out), bits):
+        out[lo:lo + _SUB] = limbs_to_float(heads).T
 
 
 def _phase_table(chains: list, n: int, bits: int, start: int = 0,
                  factor: float = TWO_PI) -> tuple:
-    """cos and sin of factor (register 0 mod 1) of K int register chains
-    of one length at steps start..start+n-1, as (K, n) arrays: each phase
-    is exact on the limbs and rounded once, and only then scaled."""
+    """cos and sin of factor (register 0 mod 1) of K int register chains at
+    steps start..start+n-1, as (K, n) arrays: each phase is exact on the
+    limbs and rounded once, and only then scaled."""
     t = np.empty((len(chains), n))
-    for lo, seq in _chain_limbs(chains, start, n, bits):
-        t[:, lo:lo + _SUB] = limbs_to_float(seq[:, 0])
+    for lo, heads in _chain_heads(chains, start, n, bits):
+        t[:, lo:lo + _SUB] = limbs_to_float(heads)
     t *= factor
     return np.cos(t), np.sin(t)
 
@@ -405,8 +414,8 @@ class GridSweep:
       rotation mode, and a skew mode of the last axis alone) keeps its cell
       k mod grid and adds c_k N E_N(D1), O(1) whatever N.  A moving mode's
       cell follows the dual map (A^T k)_i = k_i + k_{i-1}, and np.bincount
-      adds its terms, from the exact phase table of _phase_chain(sys, k,
-      0), into one running spectrum: O(N) per mode, resumable in j.
+      adds its terms, from the exact phase table of its _phase_chain (of
+      _tails built once), into one running spectrum: O(N) per mode.
     - A SeparableObservable's axis terms are summed pointwise: on a
       rotation each on a 1-d sweep of its axis, on a skew product all on
       one sweep of the whole system.
@@ -414,7 +423,7 @@ class GridSweep:
       the cell offsets A^j g mod grid run the chains of SystemSpec.chains
       without their frequencies, as integers mod grid, one lane per cell (a
       rotation's never move), and phi.fn gets the orbit point, rounded once
-      from its registers, plus the offset, unreduced in [0, 2)^d.
+      by _chain_floats, plus the offset, unreduced in [0, 2)^d.
 
     sup_deviation advances the sweep from its step j to each N it is given,
     so a rising schedule walks the orbit once, in the summation order of
@@ -455,22 +464,22 @@ class GridSweep:
                                                    for axis, sub in terms),
                                   phi.modulus, phi.norm_est, phi.mean_hint)
             self._axes = [(None, GridSweep(sys, together, grid))] if terms else []
-        # per fixed mode its step D1 and cell; per moving mode its phase chain,
-        # zero-padded, and its cell reversed, so the dual map is _lanes_advance
+        # per fixed mode its step D1 and cell; per moving mode its phase chain
+        # and its cell reversed, so the dual map is _lanes_advance
         self._modes = None if spectrum is None else []
-        moving, zero = [], TorusPoint.zero(d, sys.bits)
+        moving, tails = [], _tails(sys.chains(TorusPoint.zero(d, sys.bits)))
         for k, c in (spectrum or {}).items():
-            chain = _phase_chain(sys, k, zero)
+            chain = _phase_chain(tails, k, sys.bits)
             if len(chain) == 2:
                 self._modes.append((chain[1], tuple(ki % grid for ki in k), c))
             else:
-                moving.append((chain + (0,) * (d + 1 - len(chain)), k[::-1], c))
+                moving.append((chain, k[::-1], c))
         self._phases = [chain for chain, _, _ in moving]
         if moving:
             self._lanes = np.array([cell for _, cell, _ in moving]).T % grid
             self._coeffs = np.array([c for _, _, c in moving], complex)[:, None]
             self._spec = np.zeros((grid,) * d, dtype=complex)  # whole chunks
-            # modes per block: a limb table of at most 2**20 uint64 (8 MB)
+            # modes per block: limb arrays of at most 2**20 / d uint64 each
             self._block = max(1, (1 << 20) // (-(-sys.bits // 32) * d * _SUB))
         self.chunk = max(256, min(1 << 15, (1 << 22) // grid ** d))
         self.j = 0
@@ -741,7 +750,8 @@ class CharSweep:
         if len(k) != x.dim or not any(k):
             raise ValueError("k must have one entry per coordinate of x "
                              "and a nonzero entry")
-        self.diffs = _phase_chain(SystemSpec.skew(len(k), omega), k, x)
+        chains = SystemSpec.skew(len(k), omega).chains(x)
+        self.diffs = _phase_chain(_tails(chains), k, omega.fractional_bits)
         self.degree = len(self.diffs) - 1
         self.leading_num = k[len(k) - self.degree]
         self.leading_den = math.factorial(self.degree)

@@ -841,9 +841,29 @@ class TestFieldsUnderTheModOracle:
 
 
 def _direct_field(sys, phi, N, G):
-    """S_N phi / N - mean on the grid, summed pointwise along the orbit."""
+    """S_N phi / N - mean on the grid, summed along the orbit at every cell:
+    a TrigPoly's fn on d <= 2 axes as sum_k c_k prod_i e(k_i (x_i + g_i / G))
+    over the coefficients it evaluates, from per-axis tables of the factors;
+    any other phi.fn pointwise."""
     d = sys.dim
     orbit = np.concatenate(list(orbit_floats(sys, TorusPoint.zero(d, BITS), N)))
+    poly = getattr(phi.fn, "__self__", None)
+    if isinstance(poly, kernels.TrigPoly) and d <= 2:
+        modes = np.array(list(poly.coeffs), dtype=float).reshape(-1, d)
+        coeffs = np.array(list(poly.coeffs.values()), dtype=complex)
+        total = np.zeros((G,) * d, dtype=complex)
+        for lo in range(0, N, 64):
+            xs = orbit[lo:lo + 64].reshape(-1, d)
+            # table i: the (rows, G, n) factors e(k_i (x_i + g / G))
+            tables = [np.exp(2j * np.pi * modes[:, i] * (
+                xs[:, i, None, None] + np.arange(G)[:, None] / G))
+                for i in range(d)]
+            terms = tables[0] * coeffs
+            if d == 1:
+                total += terms.sum(axis=(0, 2))
+            else:  # the sum over rows and modes of each cell (g_0, g_1)
+                total += np.tensordot(terms, tables[1], axes=([0, 2], [0, 2]))
+        return total.real / N - phi.mean()
     axes = np.meshgrid(*([np.arange(G) / G] * d), indexing="ij")
     pts = np.stack(axes, axis=-1) if d > 1 else axes[0]
     total = np.zeros((G,) * d)

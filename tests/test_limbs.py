@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from ergorate.arithmetic import Frequency, expand_cf
 from ergorate import dynamics
 from ergorate.dynamics import (_KERNEL_ROW, CharSweep, SystemSpec, TorusPoint,
-                               _chain_floats, _phase_table, _shift, iterate,
-                               kernel_sum, kernel_table, limbs_advance,
-                               limbs_from_ints, limbs_mul, limbs_to_float,
-                               orbit_floats)
+                               _chain_floats, _chain_heads, _phase_table,
+                               _shift, _tails, iterate, kernel_sum,
+                               kernel_table, limbs_from_ints, limbs_mul,
+                               limbs_to_float, orbit_floats)
 from ergorate.harness import resolve_observable, resolve_system
 from oracles import (kernel_rung, kernel_sum_mpmath, kernel_sum_oracle,
                      kernel_table_oracle)
@@ -42,6 +42,23 @@ def ints_from_limbs(a, bits):
     L = a.shape[0]
     return [sum(int(a[i, j]) << (32 * (L - 1 - i)) for i in range(L))
             >> (32 * L - bits) for j in range(a.shape[1])]
+
+
+def heads(chains, n, bits, start=0):
+    """The (L, K, n) limbs of _chain_heads, its blocks joined."""
+    return np.concatenate([h.copy() for _, h in
+                           _chain_heads(chains, start, n, bits)], axis=-1)
+
+
+def register_loop(chain, n, bits):
+    """The registers of an int chain at steps 0..n-1 of reg[r] += reg[r+1],
+    one big-integer step at a time."""
+    one, cur, out = 1 << bits, list(chain), []
+    for _ in range(n):
+        out.append(list(cur))
+        for r in range(len(cur) - 1):
+            cur[r] = (cur[r] + cur[r + 1]) % one
+    return out
 
 
 @st.composite
@@ -102,13 +119,12 @@ class TestLimbHelper:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_advance_matches_register_loop(self, bits, data):
+        # registers 0..R-2 are the heads of the chain's tails
         one = 1 << bits
         regs = data.draw(st.lists(fixed_values(bits), min_size=2, max_size=5))
         m = data.draw(st.integers(1, 300))
-        limbs = limbs_from_ints(regs, bits)
-        seq = limbs_advance(limbs, m)
+        seq = heads(_tails([tuple(regs)]), m, bits)
         assert seq.shape[1:] == (len(regs) - 1, m)
-        assert ints_from_limbs(limbs, bits) == regs  # left as they were
         cur = list(regs)
         for j in range(m):
             assert [ints_from_limbs(seq[:, r, j:j + 1], bits)[0]
@@ -120,27 +136,39 @@ class TestLimbHelper:
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_advance_of_chains_side_by_side(self, bits, data):
-        # (L, R, K) registers advance as K separate (L, R) chains
-        R = data.draw(st.integers(2, 4))
-        chains = data.draw(st.lists(
-            st.lists(fixed_values(bits), min_size=R, max_size=R),
-            min_size=1, max_size=4))
+        # K chains side by side, of any lengths, advance as K separate ones
+        chains = data.draw(st.lists(st.lists(fixed_values(bits), min_size=2,
+                                             max_size=4).map(tuple),
+                                    min_size=1, max_size=4))
         m = data.draw(st.integers(1, 300))
-        side = np.stack([limbs_from_ints(c, bits) for c in chains], axis=2)
-        seq = limbs_advance(side, m)
+        seq = heads(chains, m, bits)
         for k, c in enumerate(chains):
-            alone = limbs_from_ints(c, bits)
-            assert np.array_equal(seq[:, :, k], limbs_advance(alone, m))
-            assert np.array_equal(side[:, :, k], alone)
+            assert np.array_equal(seq[:, k], heads([c], m, bits)[:, 0])
 
     def test_advance_long_block_carries(self):
         # 4096 steps of a register just below 1: every limb column carries
         bits = 192
         one = 1 << bits
         w = one - 3
-        seq = limbs_advance(limbs_from_ints([one - 1, w], bits), 4096)
+        seq = heads([(one - 1, w)], 4096, bits)
         got = ints_from_limbs(seq[:, 0], bits)
         assert got == [(one - 1 + j * w) % one for j in range(4096)]
+
+    @pytest.mark.parametrize("bits", BIT_WIDTHS + (1100,))
+    @pytest.mark.parametrize("R", range(2, 9))
+    @pytest.mark.parametrize("start", [0, (1 << 40) + 12345])
+    def test_heads_of_all_ones_chains(self, bits, R, start):
+        # every register 2**bits - 1: each limb product is the largest, and
+        # C(i, l) takes up to three 32-bit pieces; the tails' heads are the
+        # registers of one chain, from the register loop after _shift
+        chain = ((1 << bits) - 1,) * R
+        want = register_loop(_shift(chain, start, bits), 4096, bits)
+        for m in (1, 2, 4095, 4096):
+            seq = heads(_tails([chain]), m, bits, start)
+            assert seq.shape == (-(-bits // 32), R - 1, m)
+            for r in range(R - 1):
+                exact = limbs_from_ints([regs[r] for regs in want[:m]], bits)
+                assert np.array_equal(seq[:, r], exact)
 
 
 class TestRegisterChains:
@@ -472,11 +500,12 @@ def test_a_kernel_table_takes_two_short_phase_tables(monkeypatch):
     # two phase tables: C + terms // C + 1 steps of each of the two chains
     steps = []
 
-    def counted(regs, m):
-        steps.append(m * regs[0, 0].size)
-        return limbs_advance(regs, m)
+    def counted(chains, start, n, bits):
+        steps.append(n * len(chains))
+        return heads_of(chains, start, n, bits)
 
-    monkeypatch.setattr(dynamics, "limbs_advance", counted)
+    heads_of = dynamics._chain_heads
+    monkeypatch.setattr(dynamics, "_chain_heads", counted)
     cf = expand_cf(Frequency.parse("golden"), max_q=317811)
     terms = cf.q_at(cf.certified_len) - 1
     assert terms == 317810
