@@ -107,9 +107,6 @@ def cmd_cf(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.k_max > CLASSIFY_MAX_K:
-        raise ConfigError(f"--k-max must be <= CLASSIFY_MAX_K = "
-                          f"{CLASSIFY_MAX_K}, got {args.k_max}")
     omega = Frequency.parse(args.frequency, args.precision_bits or DEFAULT_BITS)
     cf = expand_cf(omega, max_q=args.max_q)
     rep = classify(cf, k_max=args.k_max)
@@ -171,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="Diophantine classification report")
     p.add_argument("--frequency", required=True)
     _add_int_flag(p, "--max-q", "int in [1, inf)", default=10 ** 6)
-    _add_int_flag(p, "--k-max", "int in [2, inf)", default=10 ** 4)
+    _add_int_flag(p, "--k-max", f"int in [2, {CLASSIFY_MAX_K}]", default=10 ** 4)
     p.set_defaults(fn=cmd_classify)
 
     for run, (help_text, _, _) in _RUNS.items():

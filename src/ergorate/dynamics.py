@@ -514,14 +514,11 @@ class GridSweep:
         sys, grid = self.sys, self.grid
         d = sys.dim
         cells = grid ** d
-        self._chains = chains = sys.chains(TorusPoint.zero(d, sys.bits))
-        index = np.indices((grid,) * d).reshape(d, cells)
-        # per chain, (R - 1, cells) lanes of its coordinates' grid indices
-        cuts = np.cumsum([len(c) - 1 for c in chains])[:-1]
-        self._offsets = [part.copy() for part in np.split(index, cuts)]
-        # chains of one coordinate (rotations) never move their lanes
-        self._xs = (index / grid if all(len(c) == 2 for c in chains)
-                    else None)
+        self._chains = sys.chains(TorusPoint.zero(d, sys.bits))
+        # the (d, cells) lanes of the grid indices: a rotation's never move,
+        # and a skew product's are the lanes of its one chain
+        self._offsets = np.indices((grid,) * d).reshape(d, cells)
+        self._xs = self._offsets / grid if sys.kind == "rotation" else None
         # a block of n rows and t cells holds n * t * d values in its points
         # and, when the lanes move, in their table
         self._tile = min(cells, _BLOCK_CELLS // d)
@@ -563,9 +560,7 @@ class GridSweep:
                 for lo in range(0, m, rows):
                     n = min(rows, m - lo)
                     if self._xs is None:  # (n, d, t) offsets of moving lanes
-                        xs = np.concatenate([_lanes_advance(o[:, cut], n, grid)
-                                             for o in self._offsets],
-                                            axis=1) / grid
+                        xs = _lanes_advance(self._offsets[:, cut], n, grid) / grid
                     else:
                         xs = self._xs[:, cut]
                     # one coordinate at a time, so every loop runs over cells

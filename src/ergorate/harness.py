@@ -243,10 +243,10 @@ def resolve_observable(key: str, sys: SystemSpec) -> Observable:
             if not 0 < alpha <= 1:
                 raise ConfigError(f"Holder exponent must be in (0, 1], got {alpha}")
             # a tail ~ C q^-alpha below TAIL_TOL/4 leaves the doubling bound room
-            geo = 1.0 / (1.0 - 2.0 ** -alpha)
             try:
+                geo = 1.0 / (1.0 - 2.0 ** -alpha)
                 target = int((8 * geo / sharpness.TAIL_TOL) ** (1 / alpha)) + 10
-            except OverflowError:
+            except (OverflowError, ZeroDivisionError):  # 2^-alpha rounds to 1
                 raise ConfigError(f"Holder exponent {alpha} is too small: the series"
                                   f" would need modes beyond any double") from None
             weight = HolderWeight(alpha)

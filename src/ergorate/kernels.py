@@ -198,18 +198,20 @@ def make_weierstrass(modulus: Holder, base: int = 2,
 
 def seminorm_bound(freqs: np.ndarray, weights: np.ndarray,
                    modulus: Holder) -> float:
-    """An upper bound of the seminorm of sum_m w_m cos(2 pi f_m x), w_m >= 0:
-    B(h) = sum_m w_m min(2, 2 pi f_m h) (left to right) bounds |phi(x + h) -
-    phi(x)| and grows with h, so B(h) / w(h) <= B(2^-k) / w(2^-k-1) on
-    [2^-k-1, 2^-k], for k = 1.. until the largest f is linear (2 pi f h <=
-    2); below, B(h) / h^alpha shrinks with h.  NaN if any scale is NaN."""
-    semi, h, top = 0.0, 0.5, float(np.max(freqs))
-    while True:
-        bound = np.cumsum(weights * np.minimum(2.0, TWO_PI * freqs * h))[-1]
-        semi = float(np.max([semi, bound / modulus(h / 2)]))
-        if TWO_PI * top * h <= 2.0:
-            return semi
-        h /= 2
+    """The Holder seminorm bound of sum_m w_m cos(2 pi f_m x), w_m >= 0 and
+    f_m > 0: the largest B(h) / h^alpha over 0 < h <= 1/2, where B(h) =
+    sum_m w_m min(2, 2 pi f_m h) bounds |phi(x + h) - phi(x)|.  Between the
+    kinks h_m = 1 / (pi f_m) the quotient is a h^-alpha + b h^(1 - alpha),
+    a, b >= 0, whose only stationary point is a minimum, so the largest
+    value lies at a kink or at 1/2: one (M + 1) x M product.  It is rounded
+    up by M + 8 ulps, past the rounding of its M-term sums.  NaN if any
+    quotient is NaN."""
+    h = np.minimum(np.append(1.0 / (np.pi * freqs), 0.5), 0.5)
+    terms = np.multiply.outer(h, TWO_PI * freqs)  # one (M + 1, M) array
+    np.minimum(terms, 2.0, out=terms)
+    terms *= weights
+    semi = float(np.max(np.sum(terms, axis=1) / h ** modulus.alpha))
+    return math.nextafter(semi * (1 + (len(freqs) + 8) * 2.0 ** -53), math.inf)
 
 
 def make_observable(key: str, dim: int = 1) -> Observable:

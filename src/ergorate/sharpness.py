@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +42,14 @@ _SLOW_RATE_L_CAP = 64
 # ---------------------------------------------------------------------------
 
 
+def _exp_up(a: float, b: float) -> float:
+    """e^(a + b) rounded up.  Each term errs by a few ulps of itself, so the
+    exponent is raised by 8 ulps of 1 + |a| + |b|; the result is never 0.0,
+    and inf where e^(a + b) nears the double range."""
+    y = a + b + 8 * 2.0 ** -53 * (1 + abs(a) + abs(b))
+    return math.inf if y > 709 else math.nextafter(math.exp(y), math.inf)
+
+
 @dataclass(frozen=True)
 class HolderWeight:
     alpha: float
@@ -49,28 +57,23 @@ class HolderWeight:
     def __call__(self, q: int) -> float:
         return float(q) ** -self.alpha if q < 10 ** 300 else 0.0
 
+    def tail(self, q: int) -> float:
+        """sum_j w(2^j q) = q^-alpha / (1 - 2^-alpha), rounded up."""
+        return _exp_up(-self.alpha * math.log(q),
+                       -math.log(-math.expm1(-self.alpha * math.log(2))))
+
 
 @dataclass(frozen=True)
 class AnalyticWeight:
     def __call__(self, q: int) -> float:
         return math.exp(-q) if q < 700 else 0.0
 
-
-def _tail_bound(weight, q_next: int, q_next2: Optional[int]) -> float:
-    """Rigorous bound on sum_{k > L} w(q_k) from q_{L+1}, q_{L+2} and the
-    doubling law q_{k+2} >= 2 q_k; raises if the chain does not converge."""
-    total = 0.0
-    for q0 in (q_next, q_next2 or 2 * q_next):
-        q = q0
-        for j in range(400):
-            t = weight(q)
-            total += t
-            if t < 1e-30:
-                break
-            q *= 2
-        else:
-            raise Uncertified("weight tail does not converge fast enough")
-    return total
+    def tail(self, q: int) -> float:
+        """sum_j w(2^j q) <= sum_j e^-(j + 1) q = e^-q / (1 - e^-q), as
+        2^j >= j + 1, rounded up; past q = 2048 the bound at 2048, which
+        rounds up to the least double."""
+        q = min(q, 2048)
+        return _exp_up(-q, -math.log(-math.expm1(-q)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +145,21 @@ def _lacunary_fn(qs, weights, bits):
 def build_lacunary(cf: ContinuedFraction, weight) -> LacunaryObservable:
     """Truncate the series so the dropped tail is provably below TAIL_TOL.
 
-    The certified prefix must reach far enough for the doubling-law tail
-    bound, and the frequency's width must certify every kept phase: the
-    phase q * omega errs by up to q * 2^-(bits+1), so a kept q needs at most
-    bits - 64 bits.  Raises Uncertified otherwise.
+    Past the certified prefix q_1..q_L, q_{k+2} >= 2 q_k, so two doubling
+    chains from q_{L+1} >= q_L + q_{L-1} and q_{L+2} >= 2 q_L dominate the
+    uncomputed tail: weight.tail of each, a geometric series q^-alpha /
+    (1 - 2^-alpha) or e^-q / (1 - e^-q), rounded up.  The prefix must reach
+    far enough for that bound, and the frequency's width must certify every
+    kept phase: the phase q * omega errs by up to q * 2^-(bits+1), so a kept
+    q needs at most bits - 64 bits.  Raises Uncertified otherwise.
     """
     L = cf.certified_len
     if L < 3:
         raise Uncertified("need at least three certified convergents")
     ws = [weight(cf.q_at(k)) for k in range(1, L + 1)]
-    if cf.terminated:
-        beyond = 0.0
-    else:
-        # q_{L+1} >= q_L + q_{L-1} and q_{L+2} >= 2 q_L seed the two doubling
-        # chains that dominate the uncomputed tail
-        beyond = _tail_bound(weight, cf.q_at(L) + cf.q_at(L - 1), 2 * cf.q_at(L))
+    q_L, q_L1 = cf.q_at(L), cf.q_at(L - 1)
+    beyond = (0.0 if cf.terminated
+              else weight.tail(q_L + q_L1) + weight.tail(2 * q_L))
     if beyond > TAIL_TOL:
         raise Uncertified(f"certified prefix cannot meet tail tolerance "
                           f"{TAIL_TOL}")
@@ -177,7 +180,8 @@ def build_lacunary(cf: ContinuedFraction, weight) -> LacunaryObservable:
 
     alpha = weight.alpha if isinstance(weight, HolderWeight) else None
     modulus = Holder(alpha or 1.0)
-    q_f = np.array([float(min(q, 10 ** 200)) for q in qs])
+    # both weights are 0.0 from q = 10^300 on, so the clip moves no live mode
+    q_f = np.array([float(min(q, 10 ** 300)) for q in qs])
     return LacunaryObservable(
         dim=1,
         fn=_lacunary_fn(qs, weights, bits),

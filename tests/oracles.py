@@ -12,8 +12,9 @@ every mode phase formed afresh, the lacunary direct sum one mode at a time
 libm cosine per term, and in mpmath), the kernel sums (by kernel_table's angle addition one term at a
 time, by two libm sines per term, and in mpmath), a skew character sum in
 mpmath along the exact orbit of `step`, the lacunary seminorm
-bound by a scalar loop, one Fourier coefficient by its own quadrature sum,
-and the integer that Ostrowski digits encode.
+bound by a scalar loop, the seminorm quotients at the kinks and the
+doubling-chain tails of the weights in mpmath, one Fourier coefficient by
+its own quadrature sum, and the integer that Ostrowski digits encode.
 """
 
 import itertools
@@ -338,25 +339,46 @@ def kernel_sum_mpmath(omega: Frequency, cf: ContinuedFraction, q_index: int,
 
 def lacunary_seminorm(phi: LacunaryObservable) -> float:
     """The Holder seminorm bound of a lacunary series by a scalar loop: at
-    each dyadic h = 2**-j from j = 1, sum_k w_k min(2, 2 pi q_k h) is added
-    one mode at a time, left to right, and divided by phi.modulus(h / 2),
-    until 2 pi q h <= 2 for the largest q; the bound is the largest
-    quotient, NaN if any quotient is NaN."""
-    qs = [float(min(q, 10 ** 200)) for q in phi.qs]
-    semi, h = 0.0, 0.5
-    while True:
+    each kink h = 1 / (pi q_k) (at most 1/2) and at h = 1/2, sum_k w_k
+    min(2, 2 pi q_k h) is added one mode at a time, left to right, and
+    divided by h**alpha; the bound is the largest quotient, NaN if any
+    quotient is NaN."""
+    qs = [float(min(q, 10 ** 300)) for q in phi.qs]
+    semi = 0.0
+    for h in [min(1 / (math.pi * q), 0.5) for q in qs] + [0.5]:
         bound = 0.0
         for q, w in zip(qs, phi.weights):
-            bound += w * min(2.0, TWO_PI * q * h)
-        semi = float(np.max([semi, bound / phi.modulus(h / 2)]))
-        if TWO_PI * max(qs) * h <= 2.0:
-            return semi
-        h /= 2
+            bound += w * min(2.0, h * (TWO_PI * q))
+        semi = float(np.max([semi, bound / h ** phi.modulus.alpha]))
+    return semi
+
+
+def kink_quotients_mpmath(freqs, weights, alpha: float) -> mpmath.mpf:
+    """The largest sum_m w_m min(2, 2 pi f_m h) / h**alpha in mpmath over
+    the exact kinks h = 1 / (pi f_m) and h = 1/2, from the exact integer
+    frequencies and the weights' doubles."""
+    with mpmath.workprec(128):
+        ws = [mpmath.mpf(float(w)) for w in weights]
+        hs = [1 / (mpmath.pi * int(f)) for f in freqs] + [mpmath.mpf(0.5)]
+        return max(mpmath.fsum(w * min(2, 2 * mpmath.pi * int(f) * h)
+                               for f, w in zip(freqs, ws))
+                   / h ** mpmath.mpf(alpha)
+                   for h in hs if h <= 0.5)
+
+
+def weight_tail_mpmath(weight, q: int) -> mpmath.mpf:
+    """sum_{j < 400} w(2^j q) in mpmath: a Holder weight's (2^j q)**-alpha
+    or the analytic e**-(2^j q), for the exact integer q."""
+    with mpmath.workprec(128):
+        alpha = getattr(weight, "alpha", None)
+        return mpmath.fsum(
+            mpmath.mpf(q << j) ** -mpmath.mpf(alpha) if alpha is not None
+            else mpmath.exp(-(q << j)) for j in range(400))
 
 
 def dense_seminorm(freqs, weights, alpha: float, points: int = 10 ** 4) -> float:
     """The largest sum_m w_m min(2, 2 pi f_m h) / h**alpha over `points`
-    log-spaced h in [2**-4 / max f, 1/2]: the quotient the dyadic bound of
+    log-spaced h in [2**-4 / max f, 1/2]: the quotient
     kernels.seminorm_bound must dominate at every h."""
     freqs, weights = np.asarray(freqs, float), np.asarray(weights, float)
     h = np.logspace(math.log10(1 / 16 / freqs.max()), math.log10(0.5), points)

@@ -591,7 +591,7 @@ class TestGridSweepEverySystem:
             want = [((a - b) % ONE) // (ONE // G)
                     for a, b in zip(x.coords, base.coords)]
             flat = np.ravel_multi_index(cell, (G,) * 3)
-            assert list(sweep._offsets[0][:, flat]) == want
+            assert list(sweep._offsets[:, flat]) == want
 
     def test_budget_check_runs_per_chunk(self, monkeypatch):
         sys, phi = _pointwise_case("skew2")
@@ -842,16 +842,22 @@ class TestFieldsUnderTheModOracle:
 
 def _direct_field(sys, phi, N, G):
     """S_N phi / N - mean on the grid, summed along the orbit at every cell:
-    a TrigPoly's fn on d <= 2 axes as sum_k c_k prod_i e(k_i (x_i + g_i / G))
-    over the coefficients it evaluates, from per-axis tables of the factors;
-    any other phi.fn pointwise."""
+    on d <= 2 axes, a TrigPoly's fn, or a SeparableObservable's trig part,
+    as sum_k c_k prod_i e(k_i (x_i + g_i / G)) over the coefficients it
+    evaluates, from per-axis tables of the factors; a separable's axis
+    terms, and any other phi.fn, pointwise."""
     d = sys.dim
     orbit = np.concatenate(list(orbit_floats(sys, TorusPoint.zero(d, BITS), N)))
-    poly = getattr(phi.fn, "__self__", None)
-    if isinstance(poly, kernels.TrigPoly) and d <= 2:
+    poly, pointwise = getattr(phi.fn, "__self__", None), None
+    if isinstance(phi, kernels.SeparableObservable):
+        poly, axis_terms = phi.trig, phi.axis_terms
+        pointwise = lambda x: sum(sub.fn(x[..., axis]) for axis, sub in axis_terms)
+    if not isinstance(poly, kernels.TrigPoly) or d > 2:
+        poly, pointwise = None, phi.fn
+    total = np.zeros((G,) * d, dtype=complex)
+    if poly is not None:
         modes = np.array(list(poly.coeffs), dtype=float).reshape(-1, d)
         coeffs = np.array(list(poly.coeffs.values()), dtype=complex)
-        total = np.zeros((G,) * d, dtype=complex)
         for lo in range(0, N, 64):
             xs = orbit[lo:lo + 64].reshape(-1, d)
             # table i: the (rows, G, n) factors e(k_i (x_i + g / G))
@@ -863,14 +869,13 @@ def _direct_field(sys, phi, N, G):
                 total += terms.sum(axis=(0, 2))
             else:  # the sum over rows and modes of each cell (g_0, g_1)
                 total += np.tensordot(terms, tables[1], axes=([0, 2], [0, 2]))
-        return total.real / N - phi.mean()
-    axes = np.meshgrid(*([np.arange(G) / G] * d), indexing="ij")
-    pts = np.stack(axes, axis=-1) if d > 1 else axes[0]
-    total = np.zeros((G,) * d)
-    for lo in range(0, N, 64):
-        xs = orbit[lo:lo + 64].reshape((-1,) + (1,) * d + orbit.shape[1:])
-        total += phi.fn(np.mod(pts + xs, 1.0)).sum(axis=0)
-    return total / N - phi.mean()
+    if pointwise is not None:
+        axes = np.meshgrid(*([np.arange(G) / G] * d), indexing="ij")
+        pts = np.stack(axes, axis=-1) if d > 1 else axes[0]
+        for lo in range(0, N, 64):
+            xs = orbit[lo:lo + 64].reshape((-1,) + (1,) * d + orbit.shape[1:])
+            total += pointwise(np.mod(pts + xs, 1.0)).sum(axis=0)
+    return total.real / N - phi.mean()
 
 
 def _direct_lacunary_field(sys, phi, N, G):

@@ -921,7 +921,7 @@ class TestCli:
         (["classify", "--freq", "golden", "--max-q", "0"],
          "--max-q must be int in [1, inf), got 0"),
         (["classify", "--freq", "golden", "--k-max", "1"],
-         "--k-max must be int in [2, inf), got 1"),
+         f"--k-max must be int in [2, {CLASSIFY_MAX_K}], got 1"),
         (["ostrowski", "--freq", "golden", "-n", "0"],
          "-n must be int in [1, inf), got 0"),
     ])
@@ -942,7 +942,7 @@ class TestCli:
                          str(CLASSIFY_MAX_K + 1)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            f"error: --k-max must be <= CLASSIFY_MAX_K = {CLASSIFY_MAX_K}, "
+            f"error: --k-max must be int in [2, {CLASSIFY_MAX_K}], "
             f"got {CLASSIFY_MAX_K + 1}\n")
 
     def test_decimal_fixed_point_refusal_exit_code(self, capsys):
@@ -1165,6 +1165,10 @@ class TestCli:
                     "lacunary:holder:0.5:x", "lacunary:holder:0.5:1e-300",
                     "lacunary:analytic:0",
                     "lacunary:analytic:-1e-12")
+    ] + [  # too small: q^-alpha / (1 - 2^-alpha) overflows or divides by 0
+        (["rate", "--system", "rotation1d:golden", "--observable",
+          f"lacunary:holder:{alpha}", "--schedule", "list:100"], "exponent")
+        for alpha in ("1e-10", "1e-17")
     ])
     def test_zero_valued_flags_exit_code(self, capsys, argv, needle):
         # 0 and 1 are explicit values, not "flag absent"; a missing or zero

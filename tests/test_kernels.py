@@ -10,10 +10,11 @@ from ergorate.kernels import (Holder, Observable, _fft_values, _grid_spectrum,
                               dirichlet, fejer, fejer_coeffs, jackson_coeffs,
                               jackson_closed_form, make_cos, make_dist_pow,
                               make_observable, make_separable,
-                              make_weierstrass, random_real_trigpoly)
+                              make_weierstrass, random_real_trigpoly,
+                              seminorm_bound)
 from ergorate.harness import resolve_observable, resolve_system
 from oracles import (dense_seminorm, fourier_coefficient, is_hermitian,
-                     sampled_holder_quotient)
+                     kink_quotients_mpmath, sampled_holder_quotient)
 
 
 def dirichlet_coeff_sum(n, x):
@@ -298,6 +299,19 @@ class TestObservableRegistry:
         freqs, weights = zip(*pairs)
         semi = phi.norm_est - sum(weights)
         assert semi >= dense_seminorm(freqs, weights, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    def test_weierstrass_seminorm_is_tight_and_bounds_mpmath(self, alpha):
+        # the largest quotient sits at a kink: the bound is at least its
+        # mpmath value there, and within 0.1% of a dense-h maximum (the
+        # dyadic scan, times 2^alpha, read 1.18-1.66x)
+        phi = make_weierstrass(Holder(alpha))
+        freqs = [2 ** m for m in range(1, 25)]
+        weights = [2.0 * phi.fourier[(f,)] for f in freqs]
+        semi = seminorm_bound(np.array(freqs, dtype=float), np.array(weights),
+                              Holder(alpha))
+        assert semi >= kink_quotients_mpmath(freqs, weights, alpha)
+        assert semi <= 1.001 * dense_seminorm(freqs, weights, alpha)
 
     def test_periodicity(self, rng):
         for key in ("dist_pow:0.3", "cos", "weierstrass_w:0.5"):

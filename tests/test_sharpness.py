@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,16 +14,17 @@ from ergorate.dynamics import (_BLOCK_CELLS, SystemSpec, TorusPoint,
 from ergorate.errors import HypothesisNotMet, Uncertified
 from ergorate import sharpness
 from ergorate.harness import resolve_observable, resolve_system
-from ergorate.kernels import Holder
+from ergorate.kernels import Holder, seminorm_bound
 from ergorate.sharpness import (AnalyticWeight, HolderWeight,
                                 LacunaryObservable, build_lacunary, decompose,
                                 measure_average, slow_rate_point,
                                 start_points, verify_Nm_bound,
                                 verify_lower_bound)
-from oracles import (dense_seminorm, fourier_coefficient, lacunary_seminorm,
+from oracles import (dense_seminorm, fourier_coefficient,
+                     kink_quotients_mpmath, lacunary_seminorm,
                      measure_average_libm, measure_average_mpmath,
                      measure_average_per_mode, measure_average_per_term,
-                     sampled_holder_quotient)
+                     sampled_holder_quotient, weight_tail_mpmath)
 
 BITS = 192
 
@@ -90,14 +92,19 @@ class TestBuild:
 
     def test_nan_at_one_seminorm_scale_fails_closed(self, golden_deep_cf,
                                                     monkeypatch):
-        # a NaN weight also makes sum(weights) NaN; a NaN modulus at one
-        # scale of the seminorm bound, after finite ones, reaches only the
-        # bound, where max() would drop it
-        class Gappy(Holder):
-            def __call__(self, h):
-                return math.nan if h == 2.0 ** -10 else super().__call__(h)
+        # a NaN weight also makes sum(weights) NaN; a NaN quotient at one
+        # kink of the seminorm bound, among finite ones, reaches only the
+        # bound, where max() would drop it.  A zero-weight mode at an
+        # infinite frequency has its kink at h = 0, where its term
+        # 0 * min(2, inf * 0) is NaN; at every h > 0 it adds 0.
+        bound = sharpness.seminorm_bound
 
-        monkeypatch.setattr(sharpness, "Holder", Gappy)
+        def with_a_nan_kink(freqs, weights, modulus):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return bound(np.append(freqs, np.inf),
+                             np.append(weights, 0.0), modulus)
+
+        monkeypatch.setattr(sharpness, "seminorm_bound", with_a_nan_kink)
         monkeypatch.setattr(sharpness, "TAIL_TOL", 1e-6)
         phi = build_lacunary(golden_deep_cf, HolderWeight(0.5))
         assert math.isfinite(sum(phi.weights))
@@ -107,12 +114,14 @@ class TestBuild:
                                            "pq:rule:spike:7,1000"])
     @pytest.mark.parametrize("weight", ["holder:0.5", "analytic"])
     def test_norm_estimate_equals_the_scalar_loop(self, frequency, weight):
-        # the seminorm bound sums each scale over mode arrays, in the order
-        # of the loop that adds one mode at a time
+        # the seminorm bound is the scalar loop's largest quotient over the
+        # kinks, rounded up: at or above it, and within its margin (the
+        # product may sum its modes in another order)
         phi = resolve_observable(f"lacunary:{weight}",
                                  resolve_system(f"rotation1d:{frequency}"))
         assert phi.n_modes >= 3
-        assert phi.norm_est == float(sum(phi.weights)) + lacunary_seminorm(phi)
+        want = float(sum(phi.weights)) + lacunary_seminorm(phi)
+        assert want <= phi.norm_est <= want * (1 + 2.0 ** -40)
 
     @pytest.mark.parametrize("frequency", ["golden", "pq:rule:index",
                                            "pq:rule:spike:7,1000"])
@@ -123,10 +132,41 @@ class TestBuild:
         assert semi >= dense_seminorm([float(q) for q in phi.qs],
                                       phi.weights, 0.5)
 
-    def test_log_holder_tail_diverges(self, golden_deep_cf):
-        # 400 doublings shrink q^-0.1 only by 2^-40, far above the 1e-30 stop
-        with pytest.raises(Uncertified, match="weight tail does not converge"):
+    @pytest.mark.parametrize("frequency", ["golden", "pq:rule:index"])
+    def test_seminorm_is_tight_and_bounds_mpmath(self, frequency):
+        # the largest quotient sits at a kink: the bound is at least its
+        # mpmath value there, and within 0.1% of a dense-h maximum (the
+        # dyadic scan, times 2^alpha, read 1.41x on the golden mean)
+        phi = resolve_observable("lacunary:holder:0.5",
+                                 resolve_system(f"rotation1d:{frequency}"))
+        qs, ws = [float(q) for q in phi.qs], phi.weights
+        semi = seminorm_bound(np.array(qs), np.array(ws), Holder(0.5))
+        assert semi >= kink_quotients_mpmath(phi.qs, ws, 0.5)
+        assert semi <= 1.001 * dense_seminorm(qs, ws, 0.5)
+
+    def test_log_holder_tail_needs_a_deep_prefix(self, golden_deep_cf):
+        # the tail q^-0.1 / (1 - 2^-0.1) converges, but not below TAIL_TOL
+        # from q ~ 10^27; at 600 bits the prefix reaches q ~ 10^133
+        with pytest.raises(Uncertified, match="certified prefix cannot meet "
+                                              "tail tolerance"):
             build_lacunary(golden_deep_cf, HolderWeight(0.1))
+        phi = resolve_observable("lacunary:holder:0.1",
+                                 resolve_system("rotation1d:golden", 600))
+        assert phi.tail_bound <= 1e-12
+
+    @pytest.mark.parametrize("q", [1, 5, 700, 10 ** 400],
+                             ids=["1", "5", "700", "1e400"])
+    @pytest.mark.parametrize("weight", [HolderWeight(0.1), HolderWeight(0.5),
+                                        HolderWeight(1.0), AnalyticWeight(),
+                                        HolderWeight(1e-310)],
+                             ids=["holder0.1", "holder0.5", "holder1",
+                                  "analytic", "holder1e-310"])
+    def test_tail_bounds_400_doublings(self, weight, q):
+        # each tail is an upper bound in floating point, never 0.0; at alpha
+        # = 1e-310 the factor 1 / (1 - 2^-alpha) passes the double range, and
+        # the tail is inf, not an OverflowError
+        assert 0.0 < weight.tail(q)
+        assert mpmath.mpf(weight.tail(q)) >= weight_tail_mpmath(weight, q)
 
     def test_mode_coefficient_is_half_weight(self, golden, monkeypatch):
         # small truncation so quadrature sees no aliasing from far modes
