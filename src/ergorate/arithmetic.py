@@ -267,20 +267,17 @@ class PartialQuotients:
 
 @dataclass(frozen=True)
 class DecimalString:
-    """A frequency given by >= min_digits certified decimal digits."""
+    """A frequency given by >= 80 certified decimal digits."""
 
     digits: str
-    min_digits: int = 80
 
     def __post_init__(self):
         if not re.fullmatch(r"0?\.\d+", self.digits):
             raise ValueError("expected a decimal string like '0.6180...'")
         frac = self.digits.split(".")[1]
         significant = len(frac.lstrip("0"))
-        if significant < self.min_digits:
-            raise ValueError(
-                f"need >= {self.min_digits} significant digits, got {significant}"
-            )
+        if significant < 80:
+            raise ValueError(f"need >= 80 significant digits, got {significant}")
 
     def interval(self, bits: int = 0):
         """[lo, hi] containing the true value (digits correct to half an

@@ -733,12 +733,10 @@ class CharSweep:
 
     The phase is a polynomial in j of degree d - i at the first nonzero k_i
     (i from 0), leading coefficient (leading_num / leading_den) * omega =
-    (k_i / (d-i)!) * omega.  Each chunk of 2**12 steps adds one exp-sum of
+    (k_i / (d-i)!) * omega.  Each chunk of _SUB steps adds one exp-sum of
     a phase table from its first step, which fixes the summation order;
     tick() is called once per whole chunk.
     """
-
-    CHUNK = 1 << 12
 
     def __init__(self, omega: Frequency, k: Sequence[int], x: TorusPoint):
         k = tuple(int(v) for v in k)
@@ -760,10 +758,10 @@ class CharSweep:
         if N < self.j:
             raise ValueError(f"the sweep is at step {self.j}, past N = {N}")
         total = self._total
-        for lo in range(self.j, N, self.CHUNK):
-            m = min(self.CHUNK, N - lo)
+        for lo in range(self.j, N, _SUB):
+            m = min(_SUB, N - lo)
             total += complex(np.sum(_exp_table(self.diffs, m, self.bits, lo)))
-            if m == self.CHUNK:
+            if m == _SUB:
                 self._total, self.j = total, lo + m
                 tick()
         return total

@@ -281,11 +281,13 @@ def resolve_schedule(text: str, sys: SystemSpec) -> list[int]:
     if kind == "geometric":
         lo_s, hi_s, f_s = body.split(",")
         lo, hi, f = float(lo_s), float(hi_s), float(f_s)
-        if not (lo >= 1 and hi >= lo and f > 1):
-            raise ConfigError(f"bad geometric schedule {text!r}")
+        top = hi * (1 + 1e-9)  # x steps past top, so top must be finite
+        if not (lo >= 1 and hi >= lo and f > 1 and math.isfinite(top)):
+            raise ConfigError(f"bad geometric schedule {text!r}: need 1 <= lo "
+                              f"<= hi, hi well inside the doubles, factor > 1")
         out = []
         x = lo
-        while x <= hi * (1 + 1e-9):
+        while x <= top:
             n = int(round(x))
             if not out or n > out[-1]:
                 out.append(n)
@@ -515,15 +517,16 @@ def run_skew_experiment(cfg: ExperimentConfig) -> dict:
         for N in N_list:
             if N < sweeps[0].j:
                 sweeps = [CharSweep(omega, k, x) for x in xs]
-            # np.max, unlike max, propagates a NaN, so the gates below fail on it
-            best = float(np.max([abs(char_birkhoff_skew(sweep, N).value)
-                                 for sweep in sweeps]))
+            sums = []
+            for sweep in sweeps:  # degree 1 never ticks, >= 3 per chunk
+                sums.append(abs(char_birkhoff_skew(sweep, N).value))
+                tick()
             _, q = find_convergent_at_scale(lead_cf, N)
+            # np.max, unlike max, propagates a NaN, so the gates below fail on it
             rows.append({
-                "N": N, "q": q, "max_char_sum": best,
+                "N": N, "q": q, "max_char_sum": float(np.max(sums)),
                 "weyl_shape": weyl_bound(d, q, N, eps),
             })
-            tick()
         shapes = [r["max_char_sum"] / r["weyl_shape"] for r in rows]
         scale = float(np.max(shapes))
         tail = float(np.max(shapes[-max(1, len(shapes) // 3):])) / scale

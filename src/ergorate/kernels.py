@@ -117,10 +117,9 @@ def make_separable(dim: int, trig: Optional["TrigPoly"],
     for _, sub in axis_terms:
         mean += sub.mean()
         norm += sub.norm_est
-    fourier = None if axis_terms else dict(trig.coeffs if trig else {})
     return SeparableObservable(
         dim=dim, fn=fn, modulus=modulus, norm_est=norm, mean_hint=mean,
-        fourier=fourier, trig=trig, axis_terms=axis_terms,
+        trig=trig, axis_terms=axis_terms,
     )
 
 
@@ -144,12 +143,9 @@ def make_dist_pow(alpha: float, dim: int = 1) -> Observable:
 
 
 def make_cos(dim: int = 1) -> Observable:
-    if dim == 1:
-        def fn(x):
-            return np.cos(TWO_PI * np.asarray(x, dtype=float))
-    else:
-        def fn(x):
-            return np.cos(TWO_PI * np.asarray(x, dtype=float)[..., 0])
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.cos(TWO_PI * (x if dim == 1 else x[..., 0]))
 
     return Observable(
         dim=dim, fn=fn, modulus=Holder(1.0), norm_est=1.0 + TWO_PI,
@@ -175,22 +171,23 @@ def make_coboundary(omega_value: float = 0.5 * (5 ** 0.5 - 1)) -> Observable:
     )
 
 
-def make_weierstrass(modulus: Holder, base: int = 2,
-                     terms: int = 24) -> Observable:
-    """phi(x) = sum_m w(b^-m) cos(2 pi b^m x), the classical rough test function."""
+def make_weierstrass(modulus: Holder) -> Observable:
+    """phi(x) = sum_{m=1}^{24} w(2^-m) cos(2 pi 2^m x), the classical rough
+    test function."""
 
-    weights = np.array([modulus(base ** -m) for m in range(1, terms + 1)])
-    freqs = np.array([base ** m for m in range(1, terms + 1)], dtype=float)
+    weights = np.array([modulus(2 ** -m) for m in range(1, 25)])
+    freqs = np.array([2 ** m for m in range(1, 25)], dtype=float)
 
     def fn(x):
         x = np.asarray(x, dtype=float)
         return np.cos(TWO_PI * np.multiply.outer(x, freqs)) @ weights
 
-    fourier = {(s * base ** m,): float(w) / 2.0
+    fourier = {(s * 2 ** m,): float(w) / 2.0
                for m, w in enumerate(weights, start=1) for s in (1, -1)}
     return Observable(
         dim=1, fn=fn, modulus=modulus,
-        norm_est=float(weights.sum()) + seminorm_bound(freqs, weights, modulus),
+        norm_est=round_up(float(weights.sum()) + seminorm_bound(
+            freqs, weights, modulus), len(weights) + 1),
         mean_hint=0.0,
         fourier=fourier,
     )
@@ -203,15 +200,20 @@ def seminorm_bound(freqs: np.ndarray, weights: np.ndarray,
     sum_m w_m min(2, 2 pi f_m h) bounds |phi(x + h) - phi(x)|.  Between the
     kinks h_m = 1 / (pi f_m) the quotient is a h^-alpha + b h^(1 - alpha),
     a, b >= 0, whose only stationary point is a minimum, so the largest
-    value lies at a kink or at 1/2: one (M + 1) x M product.  It is rounded
-    up by M + 8 ulps, past the rounding of its M-term sums.  NaN if any
-    quotient is NaN."""
+    value lies at a kink or at 1/2: one (M + 1) x M product, its M-term sums
+    rounded up by round_up.  NaN if any quotient is NaN."""
     h = np.minimum(np.append(1.0 / (np.pi * freqs), 0.5), 0.5)
     terms = np.multiply.outer(h, TWO_PI * freqs)  # one (M + 1, M) array
     np.minimum(terms, 2.0, out=terms)
     terms *= weights
     semi = float(np.max(np.sum(terms, axis=1) / h ** modulus.alpha))
-    return math.nextafter(semi * (1 + (len(freqs) + 8) * 2.0 ** -53), math.inf)
+    return round_up(semi, len(freqs))
+
+
+def round_up(total: float, n: int) -> float:
+    """total, the float sum of n terms >= 0, raised by n + 8 ulps past the
+    rounding of its additions (and of one division), then one ulp more."""
+    return math.nextafter(total * (1 + (n + 8) * 2.0 ** -53), math.inf)
 
 
 def make_observable(key: str, dim: int = 1) -> Observable:
@@ -249,15 +251,11 @@ class TrigPoly:
         return self.coeffs.get(tuple(int(i) for i in k), 0.0 + 0.0j)
 
     def eval(self, x):
-        """Direct coefficient-sum evaluation; x is scalar/array (dim 1) or
-        (..., dim)."""
-        if self.dim == 1:
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(np.shape(x), dtype=complex)
-            for (k,), c in self.coeffs.items():
-                out = out + c * np.exp(2j * math.pi * k * x)
-            return np.real(out)
+        """Direct coefficient-sum evaluation; x is (..., dim), and in dim 1
+        a scalar or array of positions, read as (..., 1)."""
         x = np.asarray(x, dtype=float)
+        if self.dim == 1:
+            x = x[..., None]
         out = np.zeros(x.shape[:-1], dtype=complex)
         for k, c in self.coeffs.items():
             phase = np.tensordot(x, np.array(k, dtype=float), axes=([-1], [0]))

@@ -25,7 +25,7 @@ from .arithmetic import ContinuedFraction, Frequency, fp_from_float
 from .dynamics import (_SUB, TorusPoint, _phase_table, exp_sum_avg_fp,
                        limbs_from_ints, limbs_mul, limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified, tick
-from .kernels import TWO_PI, Holder, Observable, seminorm_bound
+from .kernels import TWO_PI, Holder, Observable, round_up, seminorm_bound
 
 # The constants of the sharpness construction; no config sets them.
 GAP_CONSTANT = 10.0     # gap law: q_{m+1} >= GAP_CONSTANT * m * q_m
@@ -112,15 +112,11 @@ class LacunaryObservable(Observable):
         return self.qs[self._mode(m)]
 
     @functools.cached_property
-    def _steps(self) -> tuple:
-        """Each mode's exact step (q_k omega) mod 1 in fixed point, the live
-        (nonzero-weight) modes as (q, w) and their steps: once per instance,
-        and not a field, so dataclasses.replace derives them afresh."""
+    def _steps(self) -> list:
+        """Each mode's exact step (q_k omega) mod 1 in fixed point, once per
+        instance: not a field, so dataclasses.replace derives them afresh."""
         one, w_fp = 1 << self.bits, self.cf.omega.fixed_point()
-        steps = [q * w_fp % one for q in self.qs]
-        live = [k for k, w in enumerate(self.weights) if w != 0.0]
-        return (steps, [(self.qs[k], self.weights[k]) for k in live],
-                [steps[k] for k in live])
+        return [q * w_fp % one for q in self.qs]
 
     @functools.cached_property
     def _inner_totals(self) -> dict:  # (B, tail) -> measure_average's totals
@@ -151,7 +147,8 @@ def build_lacunary(cf: ContinuedFraction, weight) -> LacunaryObservable:
     (1 - 2^-alpha) or e^-q / (1 - e^-q), rounded up.  The prefix must reach
     far enough for that bound, and the frequency's width must certify every
     kept phase: the phase q * omega errs by up to q * 2^-(bits+1), so a kept
-    q needs at most bits - 64 bits.  Raises Uncertified otherwise.
+    q needs at most bits - 64 bits.  Raises Uncertified otherwise.  The
+    sums in norm_est and tail_bound are rounded up by kernels.round_up.
     """
     L = cf.certified_len
     if L < 3:
@@ -176,25 +173,22 @@ def build_lacunary(cf: ContinuedFraction, weight) -> LacunaryObservable:
                           f"mode q = {qs[-1]} ({q_bits} bits); "
                           f"precision_bits >= {q_bits + 64} would")
     weights = tuple(ws[:K])
-    total_tail = sum(ws[K:]) + beyond
-
-    alpha = weight.alpha if isinstance(weight, HolderWeight) else None
-    modulus = Holder(alpha or 1.0)
+    modulus = Holder(getattr(weight, "alpha", 1.0))
     # both weights are 0.0 from q = 10^300 on, so the clip moves no live mode
     q_f = np.array([float(min(q, 10 ** 300)) for q in qs])
+    semi = seminorm_bound(q_f, np.array(weights), modulus)
     return LacunaryObservable(
         dim=1,
         fn=_lacunary_fn(qs, weights, bits),
         modulus=modulus,
-        norm_est=float(sum(weights)) + seminorm_bound(q_f, np.array(weights),
-                                                      modulus),
+        norm_est=round_up(sum(weights) + semi, K + 1),
         mean_hint=0.0,
         # w cos(2 pi q x) = Re (w/2)(e(qx) + e(-qx)); the qs are distinct
         fourier={(s * q,): w / 2 for q, w in zip(qs, weights) for s in (1, -1)},
         cf=cf,
         qs=qs,
         weights=weights,
-        tail_bound=total_tail,
+        tail_bound=round_up(sum(ws[K:]) + beyond, L - K + 1),
     )
 
 
@@ -226,15 +220,12 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
         raise ValueError("omega is not the frequency of the series")
     if x.bits != phi.bits:
         raise ValueError(f"a {x.bits}-bit point on a {phi.bits}-bit series")
-    one = 1 << omega.fractional_bits
-    _, live, steps = phi._steps
-    if not live:  # every weight is zero
-        return 0.0
+    one, steps = 1 << omega.fractional_bits, phi._steps
     B = N if N <= 1024 else math.isqrt(N - 1) + 1
     A, tail = -(-N // B), (N - 1) % B + 1  # rows, and steps in the last
     if (B, tail) not in phi._inner_totals:
         inner = [(0, s) for s in steps]
-        tot = np.zeros((4, len(live), 1))  # C, S; C, S over the tail
+        tot = np.zeros((4, len(steps), 1))  # C, S; C, S over the tail
         for lo in range(0, B, _SUB):
             cs = np.array(_phase_table(inner, min(_SUB, B - lo), phi.bits, lo))
             tot[:2] += np.sum(cs, axis=2, keepdims=True)
@@ -243,7 +234,7 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
             tick()
         phi._inner_totals[B, tail] = tot
     C, S, Ct, St = phi._inner_totals[B, tail]
-    ph0 = [q * x.coords[0] & (one - 1) for q, _ in live]
+    ph0 = [q * x.coords[0] & (one - 1) for q in phi.qs]
     if A == 1:  # the start phases are the outer table, rounded as int / int
         t = TWO_PI * np.array([p / one for p in ph0])[:, None]
         blocks = [(np.cos(t), np.sin(t))]
@@ -251,7 +242,7 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
         outer = [(p, B * s) for p, s in zip(ph0, steps)]
         blocks = (_phase_table(outer, min(_SUB, A - lo), phi.bits, lo)
                   for lo in range(0, A, _SUB))
-    mode_sums = np.zeros(len(live))
+    mode_sums = np.zeros(len(steps))
     for lo, (ca, sa) in zip(range(0, A, _SUB), blocks):
         rows = ca * C - sa * S
         if lo + _SUB >= A:  # the last row, of tail steps
@@ -259,7 +250,7 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
         mode_sums += np.sum(rows, axis=1)
         tick()
     total = 0.0
-    for (_, w), mode_sum in zip(live, mode_sums.tolist()):
+    for w, mode_sum in zip(phi.weights, mode_sums.tolist()):
         total += w * mode_sum
     return total / N
 
@@ -291,7 +282,7 @@ def decompose(phi: LacunaryObservable, m: int, x: TorusPoint) -> SharpnessReport
         raise ValueError(f"a {x.bits}-bit point on a {bits}-bit series")
     one = 1 << bits
     terms = []
-    for q, w, t_fp in zip(phi.qs, phi.weights, phi._steps[0]):
+    for q, w, t_fp in zip(phi.qs, phi.weights, phi._steps):
         ph = ((q * x.coords[0]) % one) / one
         e = exp_sum_avg_fp(t_fp, bits, qm)
         terms.append(w * (e * np.exp(2j * math.pi * ph)).real)
@@ -319,7 +310,7 @@ class LowerBoundResult:
 
 
 def start_points(phi: LacunaryObservable, m: int, ls: Sequence[int]) -> list:
-    one, step = 1 << phi.bits, phi._steps[0][phi._mode(m)]
+    one, step = 1 << phi.bits, phi._steps[phi._mode(m)]
     return [TorusPoint((l * step % one,), phi.bits) for l in ls]
 
 

@@ -376,6 +376,13 @@ def weight_tail_mpmath(weight, q: int) -> mpmath.mpf:
             else mpmath.exp(-(q << j)) for j in range(400))
 
 
+def exact_sum_mpmath(values) -> mpmath.mpf:
+    """The exact sum of doubles in mpmath: 2200 bits hold every double's
+    bits, from 2**-1074 to 2**1024, with room for the carries."""
+    with mpmath.workprec(2200):
+        return mpmath.fsum(mpmath.mpf(float(v)) for v in values)
+
+
 def dense_seminorm(freqs, weights, alpha: float, points: int = 10 ** 4) -> float:
     """The largest sum_m w_m min(2, 2 pi f_m h) / h**alpha over `points`
     log-spaced h in [2**-4 / max f, 1/2]: the quotient

@@ -1032,7 +1032,7 @@ class TestCharSums:
         for N in [1, 2, 4095, 4097, 10 ** 5]:
             res = char_birkhoff_skew(sweep, N)
             assert abs(res.value - sweep.value(N)) < 1e-10, N
-        assert sweep.j == 10 ** 5 // CharSweep.CHUNK * CharSweep.CHUNK
+        assert sweep.j == 10 ** 5 // dynamics._SUB * dynamics._SUB
 
     def test_degree_classification(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(4), BITS)
@@ -1105,7 +1105,7 @@ class TestCharSweep:
                 got = sweep.value(N)
                 want = CharSweep(golden, k, x).value(N)
                 assert got == want
-                assert sweep.j == N // CharSweep.CHUNK * CharSweep.CHUNK
+                assert sweep.j == N // dynamics._SUB * dynamics._SUB
 
     def test_the_check_is_called_once_per_chunk(self, golden, rng,
                                                 monkeypatch):
@@ -1114,9 +1114,9 @@ class TestCharSweep:
         calls = []
         sweep = CharSweep(golden, (1, 0), x)
         monkeypatch.setattr(dynamics, "tick", lambda: calls.append(sweep.j))
-        got = sweep.value(3 * CharSweep.CHUNK + 5)
-        assert calls == [CharSweep.CHUNK * i for i in (1, 2, 3)]
-        assert got == CharSweep(golden, (1, 0), x).value(3 * CharSweep.CHUNK + 5)
+        got = sweep.value(3 * dynamics._SUB + 5)
+        assert calls == [dynamics._SUB * i for i in (1, 2, 3)]
+        assert got == CharSweep(golden, (1, 0), x).value(3 * dynamics._SUB + 5)
 
     def test_a_sweep_past_n_or_for_another_sum_is_refused(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(2), BITS)

@@ -215,6 +215,13 @@ class TestRefusedAtParse:
         _refused(capsys, ["--config", str(cfg), "kernel"],
                  "line 4: config key max_q given twice")
 
+    @pytest.mark.parametrize("bound", ["inf", "1e400"])
+    def test_geometric_schedule_past_the_double_range(self, capsys, bound):
+        # the steps ran to inf: OverflowError, exit code 1
+        _refused(capsys, RATE[:3] + ["--schedule", f"geometric:100,{bound},2",
+                                     "--observable", "cos", "--grid", "16"],
+                 "inside the doubles")
+
     def test_sharp_empty_witness_schedule(self, capsys):
         # golden has no a_{m+1} >= m with m >= 2: the run measured nothing
         _refused(capsys, ["sharp", "--frequency", "golden", "--alpha", "0.5"],

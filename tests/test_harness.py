@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ergorate
-from ergorate import harness, sharpness
+from ergorate import errors, harness, sharpness
 from ergorate.arithmetic import CLASSIFY_MAX_K
 from ergorate.cli import main as cli_main
 from ergorate.dynamics import GridSweep
@@ -180,6 +180,10 @@ class TestResolvers:
         # no convergent denominator is <= 0: this exited 0 with no points
         with pytest.raises(ConfigError, match="schedule"):
             resolve_schedule("convergents:0", sys)
+        # the steps ran to inf, and int(inf) ended in OverflowError
+        for bound in ("inf", "1e400", "1.7976931348623157e308"):
+            with pytest.raises(ConfigError, match="inside the doubles"):
+                resolve_schedule(f"geometric:100,{bound},2", sys)
 
     def test_observables(self):
         sys = resolve_system("rotation1d:golden")
@@ -556,6 +560,25 @@ class TestSkewExperiment:
                 tracemalloc.stop()
             assert time.monotonic() - t0 < 2.0, d
             assert peak < 64 * 2 ** 20, d
+
+    def test_the_budget_is_checked_once_per_start_point(self, monkeypatch):
+        # a sum of degree 1 never ticks, and the run ticked once per N: with
+        # 20,000 start points a run overran a 0.5 s budget by seconds
+        real = harness.char_birkhoff_skew
+        late = []
+
+        def slow(sweep, N):
+            res = real(sweep, N)
+            time.sleep(0.005)
+            late.append(time.monotonic() > errors._DEADLINE.get()[0])
+            return res
+
+        monkeypatch.setattr(harness, "char_birkhoff_skew", slow)
+        with pytest.raises(Timeout, match="skew"):
+            run_skew_experiment(ExperimentConfig(dict(
+                SKEW_RUN, k=[0, 1], n_values=[1000], x_batch=40,
+                budget_s=0.05)))
+        assert late.count(True) <= 1 and len(late) < 41
 
     def test_a_schedule_that_steps_back_restarts_its_sweeps(self):
         back = run_skew_experiment(ExperimentConfig(dict(

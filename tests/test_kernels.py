@@ -1,5 +1,6 @@
 """Kernels, Fourier coefficients and trigonometric approximation."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,9 @@ from ergorate.kernels import (Holder, Observable, _fft_values, _grid_spectrum,
                               make_weierstrass, random_real_trigpoly,
                               seminorm_bound)
 from ergorate.harness import resolve_observable, resolve_system
-from oracles import (dense_seminorm, fourier_coefficient, is_hermitian,
-                     kink_quotients_mpmath, sampled_holder_quotient)
+from oracles import (dense_seminorm, exact_sum_mpmath, fourier_coefficient,
+                     is_hermitian, kink_quotients_mpmath,
+                     sampled_holder_quotient)
 
 
 def dirichlet_coeff_sum(n, x):
@@ -263,7 +265,7 @@ class TestDecay:
         assert max(hi) < 1e-8
 
     def test_weierstrass_ratio_bounded(self):
-        phi = make_weierstrass(Holder(0.5), base=2, terms=20)
+        phi = make_weierstrass(Holder(0.5))
         assert _decay_ratio(phi, 256) <= 0.5
 
 
@@ -312,6 +314,8 @@ class TestObservableRegistry:
                               Holder(alpha))
         assert semi >= kink_quotients_mpmath(freqs, weights, alpha)
         assert semi <= 1.001 * dense_seminorm(freqs, weights, alpha)
+        # and the norm rounds its sum up, past the exact one
+        assert mpmath.mpf(phi.norm_est) >= exact_sum_mpmath(weights + [semi])
 
     def test_periodicity(self, rng):
         for key in ("dist_pow:0.3", "cos", "weierstrass_w:0.5"):

@@ -23,8 +23,9 @@ from ergorate.sharpness import (AnalyticWeight, HolderWeight,
 from oracles import (dense_seminorm, fourier_coefficient,
                      kink_quotients_mpmath, lacunary_seminorm,
                      measure_average_libm, measure_average_mpmath,
-                     measure_average_per_mode, measure_average_per_term,
-                     sampled_holder_quotient, weight_tail_mpmath)
+                     exact_sum_mpmath, measure_average_per_mode,
+                     measure_average_per_term, sampled_holder_quotient,
+                     weight_tail_mpmath)
 
 BITS = 192
 
@@ -143,6 +144,28 @@ class TestBuild:
         semi = seminorm_bound(np.array(qs), np.array(ws), Holder(0.5))
         assert semi >= kink_quotients_mpmath(phi.qs, ws, 0.5)
         assert semi <= 1.001 * dense_seminorm(qs, ws, 0.5)
+
+    @pytest.mark.parametrize("frequency", ["golden", "pq:rule:index",
+                                           "pq:rule:spike:7,1000"])
+    @pytest.mark.parametrize("weight", [HolderWeight(0.5), HolderWeight(1.0),
+                                        AnalyticWeight()],
+                             ids=["holder0.5", "holder1", "analytic"])
+    def test_norm_and_tail_bound_their_exact_sums(self, frequency, weight):
+        # both sums were rounded to nearest, up to half an ulp short: the
+        # kept weights plus the seminorm bound, and the dropped weights plus
+        # the two doubling-chain tails past the certified prefix
+        cf = expand_cf(Frequency.parse(frequency, BITS), max_q=10 ** 27)
+        phi = build_lacunary(cf, weight)
+        semi = seminorm_bound(np.array([float(q) for q in phi.qs]),
+                              np.array(phi.weights), phi.modulus)
+        assert (mpmath.mpf(phi.norm_est)
+                >= exact_sum_mpmath(phi.weights + (semi,)))
+        L, K = cf.certified_len, phi.n_modes
+        dropped = [weight(cf.q_at(k)) for k in range(K + 1, L + 1)]
+        q_L, q_L1 = cf.q_at(L), cf.q_at(L - 1)
+        tails = [weight.tail(q_L + q_L1), weight.tail(2 * q_L)]
+        assert (mpmath.mpf(phi.tail_bound)
+                >= exact_sum_mpmath(dropped + tails))
 
     def test_log_holder_tail_needs_a_deep_prefix(self, golden_deep_cf):
         # the tail q^-0.1 / (1 - 2^-0.1) converges, but not below TAIL_TOL
@@ -308,6 +331,25 @@ class TestDecompose:
             assert (measure_average(series, golden, x, N)
                     == measure_average_per_mode(series, golden, x, N))
 
+    # N = 89 sums one row, N = 4181 and 2^20 + 12345 many rows of B = 65
+    # and 1031 steps; the hole is the first mode, an inner one and the last
+    @pytest.mark.parametrize("N", [89, 4181, (1 << 20) + 12345])
+    @pytest.mark.parametrize("hole", [0, 2, -1])
+    def test_a_zero_weight_adds_nothing(self, golden, golden_lac, N, hole):
+        # every mode is summed, and the zero-weight one adds exactly 0.0 to
+        # the ordered total: bit for bit the series without that mode
+        k = hole % golden_lac.n_modes
+        qs, ws = list(golden_lac.qs), list(golden_lac.weights)
+        holed = dataclasses.replace(
+            golden_lac, weights=tuple(ws[:k] + [0.0] + ws[k + 1:]))
+        without = dataclasses.replace(golden_lac,
+                                      qs=tuple(qs[:k] + qs[k + 1:]),
+                                      weights=tuple(ws[:k] + ws[k + 1:]))
+        x = TorusPoint.from_floats([0.43], BITS)
+        got = measure_average(holed, golden, x, N)
+        assert got == measure_average(without, golden, x, N)
+        assert got != measure_average(golden_lac, golden, x, N)
+
     def test_a_replaced_series_derives_its_own_steps(self, golden,
                                                       golden_deep_cf):
         # the mode steps are kept per instance, out of the fields: a series
@@ -323,11 +365,7 @@ class TestDecompose:
         assert (89, 89) in phi._inner_totals
         for series in (single, holed):
             assert "_inner_totals" not in vars(series)
-            steps, live, live_steps = series._steps
-            assert steps == [q * w_fp % one for q in series.qs]
-            assert live == [(q, w) for q, w in zip(series.qs, series.weights)
-                            if w != 0.0]
-            assert live_steps == [q * w_fp % one for q, _ in live]
+            assert series._steps == [q * w_fp % one for q in series.qs]
             (x3,) = start_points(series, 1, [3])
             assert x3.coords == (3 * series.qs[0] * w_fp % one,)
             for N in (1, 89, 4181):
@@ -386,7 +424,7 @@ class TestDecompose:
         x = TorusPoint.from_floats([0.61], BITS)
         for N in (1, 89, 1025, 4181, (1 << 20) + 12345):
             measure_average(phi, golden, x, N)
-        K = len(phi._steps[1])
+        K = phi.n_modes
         assert sorted(phi._inner_totals) == [
             (1, 1), (33, 2), (65, 21), (89, 89), (1031, 22)]
         assert all(t.shape == (4, K, 1) for t in phi._inner_totals.values())
