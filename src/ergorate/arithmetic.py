@@ -42,20 +42,19 @@ _MAX_TERMS = 5000
 CLASSIFY_MAX_K = 10 ** 6  # classify's scan takes about 1 us per k
 
 
-def dist_to_Z(t):
-    """Distance from t to the nearest integer, in [0, 1/2]; elementwise.
+def dist_to_Z(t, out=None):
+    """Distance from t to the nearest integer, in [0, 1/2]; elementwise,
+    into `out` when given (and returned), else into a new array.
 
-    The fractional part is t - floor(t), which equals np.mod(t, 1.0) bit
-    for bit on every double at about a tenth of its cost: fmod(t, 1) is
-    exact, np.mod adds 1 to a negative remainder with one rounding, and
-    t - floor(t) is that same real number under one rounding.  Both give
-    +0.0 on integers (-0.0 included) and NaN on NaN and +-inf.
+    It is |t - rint(t)|, exact for every double: t and rint(t) are
+    multiples of ulp(t) at most 1/2 apart, so their difference is a double.
+    On t >= 0 it equals min(f, 1 - f) with f = np.mod(t, 1.0) bit for bit,
+    since 1 - f is exact for f >= 1/2.  +-0.0 and integers give +0.0, NaN
+    and +-inf give NaN.
     """
-    f = np.floor(t)
-    # a new float array takes the result; scalars and integers are promoted
-    out = f if isinstance(f, np.ndarray) and f.dtype.kind == "f" else None
-    f = np.subtract(t, f, out=out)
-    return np.minimum(f, 1.0 - f, out=out)
+    r = np.rint(t, out=out)
+    buf = r if isinstance(r, np.ndarray) else None  # scalars stay np.float64
+    return np.abs(np.subtract(t, r, out=buf), out=buf)
 
 
 def fp_signed(value: int, bits: int) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arithmetic import ContinuedFraction, Frequency, fp_from_float, fp_signed
 from .errors import DimensionTooLarge, Uncertified, tick
-from .kernels import TWO_PI, Observable, SeparableObservable
+from .kernels import TWO_PI, Observable, SeparableObservable, make_separable
 
 # Grid sweeps refuse to enumerate more than this many points.
 GRID_POINT_BUDGET = 1 << 18
@@ -433,12 +433,14 @@ class GridSweep:
     changing it moves strongly cancelling sums at large N by up to ~1e-8
     relative.  Rows are evaluated in blocks within a budget of _BLOCK_CELLS
     values: as many whole rows as fit, or, when one row is larger, column
-    tiles of one row.  A block carries its cells' running total of the open
-    chunk in through its first row, so phi.fn must return a fresh array,
-    and each cell's sum is formed in the same order whatever the block
-    shape.  The moving modes go in chunks of _SUB steps, of which the open
-    one only adds to a copy.  tick() is called once per completed chunk, so
-    a wall-clock budget can stop a single long N there.
+    tiles of one row.  A block's points go into the sweep's one points
+    buffer, and phi.fn(points, out=values) writes their values into its one
+    values buffer.  The block carries its cells' running total of the open
+    chunk in through the first row of what fn returns, so each cell's sum is
+    formed in the same order whatever the block shape.  The moving modes go
+    in chunks of _SUB steps, of which the open one only adds to a copy.
+    tick() is called once per completed chunk, so a wall-clock budget can
+    stop a single long N there.
     """
 
     def __init__(self, sys: SystemSpec, phi: Observable, grid: int):
@@ -460,8 +462,7 @@ class GridSweep:
             self._axes = [(axis, GridSweep(SystemSpec.rotation(sys.freqs[axis]),
                                            sub, grid)) for axis, sub in terms]
         else:  # axis None: all axis terms on one sweep of sys (reads only fn)
-            together = Observable(d, lambda x: sum(sub.fn(x[..., axis])
-                                                   for axis, sub in terms),
+            together = Observable(d, make_separable(d, None, terms).fn,
                                   phi.modulus, phi.norm_est, phi.mean_hint)
             self._axes = [(None, GridSweep(sys, together, grid))] if terms else []
         # per fixed mode its step D1 and cell; per moving mode its phase chain
@@ -524,6 +525,7 @@ class GridSweep:
         self._tile = min(cells, _BLOCK_CELLS // d)
         self._rows = max(1, _BLOCK_CELLS // (self._tile * d))
         self._pts = np.empty(self._rows * self._tile * d)  # one block's points
+        self._vals = np.empty(self._rows * self._tile)  # and their values
         self._sums = np.zeros(cells)  # Kahan state of the completed chunks
         self._carry = np.zeros(cells)
         self._open = None  # row total of the open chunk, once it has rows
@@ -563,13 +565,19 @@ class GridSweep:
                         xs = _lanes_advance(self._offsets[:, cut], n, grid) / grid
                     else:
                         xs = self._xs[:, cut]
-                    # one coordinate at a time, so every loop runs over cells
-                    pts = self._pts[:n * len(total) * d].reshape(n, -1, d)
-                    for i in range(d):
-                        np.add(orbit[lo:lo + n, :, i], xs[..., i, :],
-                               out=pts[..., i])
-                    vals = np.asarray(self.phi.fn(pts if d > 1 else pts[..., 0]),
-                                      dtype=float)
+                    size = n * len(total)
+                    pts = self._pts[:size * d].reshape(n, -1, d)
+                    vals = self._vals[:size].reshape(n, -1)
+                    if d == 1:  # copies, then an add of equal shapes: an add
+                        # that broadcasts would take a 64 KB numpy buffer
+                        vals[...] = xs[..., 0, :]
+                        pts[...] = orbit[lo:lo + n]
+                        pts[..., 0] += vals
+                    else:  # one coordinate at a time, over cells
+                        for i in range(d):
+                            np.add(orbit[lo:lo + n, :, i], xs[..., i, :],
+                                   out=pts[..., i])
+                    vals = self.phi.fn(pts if d > 1 else pts[..., 0], out=vals)
                     if lo or not fresh:
                         vals[0] += total
                     np.add.reduce(vals, axis=0, out=total)

@@ -50,9 +50,11 @@ class Observable:
 
     `fn` must be vectorized and 1-periodic (grid sweeps pass coordinates in
     [0, 2)): for dim == 1 it maps an ndarray of positions to values; for
-    dim >= 2 it takes an ndarray of shape (..., dim).  `norm_est` is an
-    upper bound on the w-Holder norm when known analytically, otherwise
-    a sampled lower-bound estimate.  `mean_hint` is the declared exact mean
+    dim >= 2 it takes an ndarray of shape (..., dim).  An fn that GridSweep
+    sums pointwise (phi has no finite spectrum) takes numpy's `out`: given
+    it, fn writes its values there and returns it, else a new array; it
+    never writes into x.  `norm_est` is an upper bound on the w-Holder norm
+    when known analytically, otherwise a sampled lower-bound estimate.  `mean_hint` is the declared exact mean
     over the torus, which `mean` returns.  `fourier`, when set, is the finite
     spectrum {k: c_k} (k an integer tuple of length dim) with
     fn(x) = Re sum_k c_k e(k . x).
@@ -99,13 +101,17 @@ def make_separable(dim: int, trig: Optional["TrigPoly"],
     axis_terms = tuple(axis_terms)
     modulus = axis_terms[0][1].modulus if axis_terms else Holder(1.0)
 
-    def fn(x):
+    def fn(x, out=None):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
+        cols = x[..., None] if dim == 1 else x  # positions, read as (..., 1)
+        if out is None:
+            out = np.zeros(cols.shape[:-1])
+        else:
+            out.fill(0.0)
         if trig is not None:
-            out = out + trig.eval(x)
+            out += trig.eval(x)
         for axis, sub in axis_terms:
-            out = out + sub.fn(x[..., axis])
+            out += sub.fn(cols[..., axis])
         return out
 
     mean = 0.0
@@ -126,9 +132,10 @@ def make_separable(dim: int, trig: Optional["TrigPoly"],
 def make_dist_pow(alpha: float, dim: int = 1) -> Observable:
     """phi(x) = ||x||**alpha (distance to the nearest integer, first axis)."""
 
-    def fn(x):
+    def fn(x, out=None):
         x = np.asarray(x, dtype=float)
-        u = dist_to_Z(x if dim == 1 else x[..., 0])  # new, so powered in place
+        # out or a new array, so powered in place
+        u = dist_to_Z(x if dim == 1 else x[..., 0], out=out)
         if alpha == 0.5:
             return np.sqrt(u, out=u if u.ndim else None)
         u **= alpha

@@ -2,7 +2,8 @@
 
 Each is a direct, unoptimised computation that tests compare library
 output against or build inputs from: the distance to the nearest integer
-from an exact fixed-point numerator and from a double by np.mod,
+from an exact fixed-point numerator, from a double by np.mod and from a
+double exactly in Fractions,
 ||k omega||, a frequency as a double, a sampled Holder quotient, the
 Hermitian symmetry of trigonometric-polynomial coefficients, the pointwise
 grid field of a 1-d rotation in one fresh pass, the grid field of any
@@ -19,6 +20,7 @@ its own quadrature sum, and the integer that Ostrowski digits encode.
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
@@ -52,6 +54,12 @@ def dist_to_Z_mod(t):
     taken by np.mod, elementwise."""
     f = np.mod(t, 1.0)
     return np.minimum(f, 1.0 - f)
+
+
+def dist_to_Z_exact(t: float) -> Fraction:
+    """The exact distance from the finite double t to the nearest integer."""
+    f = Fraction(t)
+    return abs(f - round(f))
 
 
 def norm_k_omega(omega: Frequency, k: int) -> float:

@@ -28,8 +28,8 @@ from ergorate.arithmetic import (CLASSIFY_MAX_K, DecimalString, Frequency,
                                  golden_mean, ostrowski_digits,
                                  sqrt2_minus_1)
 from ergorate.errors import (NotIrrational, PrecisionExhausted, Uncertified)
-from oracles import (dist_to_Z_mod, float_value, fp_from_float_double,
-                     norm_k_omega, ostrowski_value)
+from oracles import (dist_to_Z_exact, dist_to_Z_mod, float_value,
+                     fp_from_float_double, norm_k_omega, ostrowski_value)
 
 PI100 = ("0.1415926535897932384626433832795028841971693993751"
          "058209749445923078164062862089986280348253421170679")
@@ -86,43 +86,45 @@ def _assert_same_doubles(got, want):
 EDGES = [s * v for v in (0.0, 1e-20, 2.0 ** 52 - 0.5, 2.0 ** 52 + 0.5,
                          2.0 ** 53, 1e300, math.inf) for s in (1.0, -1.0)]
 EDGES += [1.0 - 2.0 ** -53, 0.5, math.nan]
+NON_NEGATIVE_EDGES = [t for t in EDGES if not t < 0]  # -0.0 and NaN stay
 
 
 class TestDistToZMatchesMod:
-    """dist_to_Z takes the fractional part as t - floor(t); it equals the
-    np.mod form of tests/oracles.py bit for bit, sign bit included."""
+    """dist_to_Z is |t - rint(t)|; on t >= 0, every input a sweep passes, it
+    equals the np.mod form of tests/oracles.py bit for bit, sign bit
+    included."""
 
-    @given(st.floats(allow_nan=True, allow_infinity=True,
+    @given(st.floats(min_value=0.0, allow_infinity=True,
                      allow_subnormal=True))
-    def test_every_double(self, t):
+    def test_every_non_negative_double(self, t):
         with np.errstate(invalid="ignore"):
             _assert_same_doubles(dist_to_Z(t), dist_to_Z_mod(t))
 
-    @given(st.lists(st.floats(allow_subnormal=True), min_size=1,
-                    max_size=40))
+    @given(st.lists(st.floats(min_value=0.0, allow_subnormal=True),
+                    min_size=1, max_size=40))
     def test_column_arrays(self, ts):
         t = np.array(ts).reshape(-1, 1)
         with np.errstate(invalid="ignore"):
             _assert_same_doubles(dist_to_Z(t), dist_to_Z_mod(t))
 
     def test_edges(self):
-        t = np.array(EDGES)
+        t = np.array(NON_NEGATIVE_EDGES)
         with np.errstate(invalid="ignore"):
             got = dist_to_Z(t)
             _assert_same_doubles(got, dist_to_Z_mod(t))
         assert not np.signbit(got[:2]).any()  # +-0.0 give +0.0
 
     def test_random_bit_patterns(self):
-        bits = np.random.default_rng(5).integers(0, 2 ** 64, size=1 << 16,
+        bits = np.random.default_rng(5).integers(0, 2 ** 63, size=1 << 16,
                                                  dtype=np.uint64)
-        t = bits.view(np.float64)
+        t = bits.view(np.float64)  # the sign bit cleared
         with np.errstate(invalid="ignore"):
             _assert_same_doubles(dist_to_Z(t), dist_to_Z_mod(t))
 
     def test_strided_first_coordinate(self):
         # the skew route's input: the first coordinate of a (rows, cells, d)
-        # block, a view with a stride of d doubles
-        x = np.random.default_rng(9).uniform(-3.0, 3.0, size=(5, 64, 3))
+        # block in [0, 2), a view with a stride of d doubles
+        x = np.random.default_rng(9).uniform(0.0, 2.0, size=(5, 64, 3))
         t = x[..., 0]
         assert not t.flags.contiguous
         _assert_same_doubles(dist_to_Z(t), dist_to_Z_mod(t))
@@ -132,6 +134,48 @@ class TestDistToZMatchesMod:
         got, want = dist_to_Z(t), dist_to_Z_mod(t)
         assert type(got) is type(want) is np.float64
         _assert_same_doubles(got, want)
+
+
+class TestDistToZIsExact:
+    """dist_to_Z(t) is the exact distance from t to Z on every finite double,
+    negatives included (tests/oracles.py's Fraction form)."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False,
+                     allow_subnormal=True))
+    def test_every_finite_double(self, t):
+        got = dist_to_Z(t)
+        assert type(got) is np.float64 and not np.signbit(got)
+        assert Fraction(float(got)) == dist_to_Z_exact(t)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(6).integers(0, 2 ** 64, size=1 << 14,
+                                                 dtype=np.uint64)
+        t = bits.view(np.float64)
+        t = t[np.isfinite(t)]
+        got = dist_to_Z(t)
+        assert not np.signbit(got).any()
+        assert [Fraction(v) for v in got.tolist()] == \
+            [dist_to_Z_exact(v) for v in t.tolist()]
+
+    def test_a_negative_input_is_not_rounded(self):
+        # the np.mod form rounds 1 + t, so it errs on a small negative t
+        t = -0.000189093653352984
+        assert dist_to_Z(t) == 0.000189093653352984
+        assert dist_to_Z_mod(t) != 0.000189093653352984
+
+    def test_zeros_infinities_and_nan(self):
+        with np.errstate(invalid="ignore"):
+            got = dist_to_Z(np.array([0.0, -0.0, math.inf, -math.inf,
+                                      math.nan]))
+        assert got[:2].tolist() == [0.0, 0.0] and not np.signbit(got[:2]).any()
+        assert np.isnan(got[2:]).all()
+
+    def test_out_is_written_and_returned(self):
+        t = np.array([-0.75, 0.3, 1.6, 2.0])
+        out = np.full(4, np.nan)
+        assert dist_to_Z(t, out=out) is out
+        assert t.tolist() == [-0.75, 0.3, 1.6, 2.0]
+        assert out.tolist() == dist_to_Z(t).tolist()
 
 
 class TestExpandCf:

@@ -393,7 +393,7 @@ class TestThreeGapStructure:
 
 class TestSupDeviation:
     def test_zero_observable(self, rot):
-        phi = Observable(dim=1, fn=lambda x: np.zeros(np.shape(x)),
+        phi = Observable(dim=1, fn=lambda x, out=None: np.zeros(np.shape(x)),
                          modulus=Holder(1.0), norm_est=0.0, mean_hint=0.0)
         assert sup_deviation(rot, phi, 100, 64).sup_dev == 0.0
 
@@ -426,7 +426,7 @@ class TestSupDeviation:
 
     def test_grid_budget(self, golden, sqrt2m1):
         sys = SystemSpec.rotation_d([golden, sqrt2m1, golden])
-        phi = Observable(dim=3, fn=lambda x: x[..., 0] * 0.0,
+        phi = Observable(dim=3, fn=lambda x, out=None: x[..., 0] * 0.0,
                          modulus=Holder(1.0), norm_est=0.0, mean_hint=0.0)
         with pytest.raises(DimensionTooLarge):
             sup_deviation(sys, phi, 10, 1024)
@@ -441,7 +441,8 @@ class TestSupDeviation:
     def test_skew_small_grid_runs(self, golden):
         sys = SystemSpec.skew(2, golden)
         phi = Observable(
-            dim=2, fn=lambda x: np.cos(2 * np.pi * np.asarray(x)[..., 0]),
+            dim=2,
+            fn=lambda x, out=None: np.cos(2 * np.pi * x[..., 0], out=out),
             modulus=Holder(1.0), norm_est=1 + 2 * np.pi, mean_hint=0.0)
         res = sup_deviation(sys, phi, 50, 16)
         assert 0 <= res.sup_dev <= 2.0
@@ -467,6 +468,28 @@ class TestGridSweep:
             assert res.argmax_x == fresh.argmax_x
             assert np.array_equal(grid_sums_one_pass(rot, phi, N, G) / N
                                   - phi.mean(), res.field)
+
+    def test_a_block_allocates_nothing(self, rot, monkeypatch):
+        # once the chunk's orbit is converted (its limb arrays are not
+        # counted), the blocks work in the sweep's point and value buffers
+        sweep = GridSweep(rot, make_dist_pow(0.5), 1024)
+        c = sweep.chunk  # 4096 rows of 1024 cells, in blocks of 16 rows
+        sweep.sums(c)
+        orbit_floats = dynamics._chain_floats
+
+        def then_reset_the_peak(*args):
+            orbit_floats(*args)
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(dynamics, "_chain_floats", then_reset_the_peak)
+        tracemalloc.start()
+        try:
+            sweep.sums(2 * c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep.j == 2 * c
+        assert peak < c * 8 + (64 << 10)  # the orbit array plus 64 KB
 
     def test_resuming_behind_the_sweep_fails_closed(self, rot):
         phi = make_dist_pow(0.5)
@@ -609,9 +632,9 @@ class TestGridSweepEverySystem:
         dist = make_dist_pow(0.5, 2)
         seen = []
 
-        def record(x):
+        def record(x, out=None):
             seen.append((x.min(), x.max()))
-            return dist.fn(x)
+            return dist.fn(x, out=out)
 
         phi = dataclasses.replace(dist, fn=record)
         sweep = GridSweep(sys, phi, 16)
@@ -811,8 +834,8 @@ def _floor_case(name):
 
 
 class TestFieldsUnderTheModOracle:
-    """dist_to_Z takes the fractional part as t - floor(t); with the np.mod
-    form in its place every pointwise field is the same bit for bit."""
+    """dist_to_Z is |t - rint(t)|; with the np.mod form in its place every
+    pointwise field is the same bit for bit, as a sweep passes t >= 0."""
 
     @pytest.mark.parametrize("name", ["rotation1d", "skew2", "poly_plus_dist2"])
     def test_fields_equal_np_mod_fields(self, name, monkeypatch):
@@ -829,7 +852,7 @@ class TestFieldsUnderTheModOracle:
         floor_fields = fields()
         calls = []
 
-        def oracle(t):
+        def oracle(t, out=None):
             calls.append(1)
             return dist_to_Z_mod(t)
 
@@ -910,7 +933,7 @@ def _spectral_case(name):
     return sys, resolve_observable("poly_plus_dist:1:0.5:5", sys)
 
 
-def _boom(x):
+def _boom(x, out=None):
     raise AssertionError("the spectral route evaluated phi pointwise")
 
 

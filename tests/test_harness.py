@@ -272,7 +272,8 @@ class TestRateExperiment:
 
         sys = SystemSpec.skew(2, golden)
         phi = Observable(
-            dim=2, fn=lambda x: np.cos(2 * np.pi * np.asarray(x)[..., 0]),
+            dim=2,
+            fn=lambda x, out=None: np.cos(2 * np.pi * x[..., 0], out=out),
             modulus=Holder(1.0), norm_est=1 + 2 * np.pi, mean_hint=0.0)
         N, G = 400, 16
         res = sup_deviation(sys, phi, N, G)

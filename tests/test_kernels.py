@@ -342,6 +342,30 @@ class TestObservableRegistry:
             assert xs.tolist() == [[0.3, 1.3], [1.75, 0.5]]
             assert not np.shares_memory(got, xs)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.7])
+    def test_dist_pow_writes_into_out(self, alpha):
+        xs = np.array([[0.3, 1.3], [1.75, 0.5]])
+        for dim in (1, 2):
+            phi = make_dist_pow(alpha, dim)
+            out = np.full(xs.shape[:3 - dim], np.nan)
+            assert phi.fn(xs, out=out) is out
+            assert out.tolist() == phi.fn(xs).tolist()
+            assert xs.tolist() == [[0.3, 1.3], [1.75, 0.5]]
+
+    def test_separable_reads_1d_positions(self):
+        # each term at every position of a 1-d array, not the first one's
+        # axis term broadcast to all
+        phi = resolve_observable("poly_plus_dist:2:0.5:3",
+                                 resolve_system("rotation1d:golden"))
+        ((_, dist),) = phi.axis_terms
+        xs = np.array([0.1, 0.2, 0.3])
+        want = phi.trig.eval(xs) + dist.fn(xs)
+        assert np.max(np.abs(phi.fn(xs) - want)) < 1e-15
+        assert np.round(want, 4).tolist() == [-0.2458, -0.557, 0.23]
+        out = np.full(3, np.nan)
+        assert phi.fn(xs, out=out) is out
+        assert out.tolist() == phi.fn(xs).tolist()
+
     def test_separable_mean_and_eval(self):
         tp = random_real_trigpoly(2, 2, seed=13)
         dist = make_dist_pow(0.5)
