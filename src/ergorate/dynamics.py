@@ -412,10 +412,11 @@ class GridSweep:
       is one inverse FFT of sum_k c_k sum_{j<N} e(k . T^j 0) at cell
       (A^T)^j k mod grid.  A fixed mode (phase of degree <= 1: every
       rotation mode, and a skew mode of the last axis alone) keeps its cell
-      k mod grid and adds c_k N E_N(D1), O(1) whatever N.  A moving mode's
-      cell follows the dual map (A^T k)_i = k_i + k_{i-1}, and np.bincount
-      adds its terms, from the exact phase table of its _phase_chain (of
-      _tails built once), into one running spectrum: O(N) per mode.
+      k mod grid and adds c_k N E_N(D1), O(1) whatever N: one exp_sums_fp
+      per N, np.add.at in mode order.  A moving mode's cell follows the
+      dual map (A^T k)_i = k_i + k_{i-1}, and np.bincount adds its terms, of
+      the exact phase table of its _phase_chain (of _tails built once), into
+      one running spectrum: O(N) per mode.
     - A SeparableObservable's axis terms are summed pointwise: on a
       rotation each on a 1-d sweep of its axis, on a skew product all on
       one sweep of the whole system.
@@ -465,16 +466,21 @@ class GridSweep:
             together = Observable(d, make_separable(d, None, terms).fn,
                                   phi.modulus, phi.norm_est, phi.mean_hint)
             self._axes = [(None, GridSweep(sys, together, grid))] if terms else []
-        # per fixed mode its step D1 and cell; per moving mode its phase chain
-        # and its cell reversed, so the dual map is _lanes_advance
-        self._modes = None if spectrum is None else []
-        moving, tails = [], _tails(sys.chains(TorusPoint.zero(d, sys.bits)))
+        # per fixed mode its signed step D1, flat cell, c and sin(pi D1); per
+        # moving mode its chain and cell reversed, for _lanes_advance
+        self._closed, fixed, moving = spectrum is not None, [], []
+        tails = _tails(sys.chains(TorusPoint.zero(d, sys.bits)))
         for k, c in (spectrum or {}).items():
             chain = _phase_chain(tails, k, sys.bits)
             if len(chain) == 2:
-                self._modes.append((chain[1], tuple(ki % grid for ki in k), c))
+                fixed.append((fp_signed(chain[1], sys.bits), np.ravel_multi_index(
+                    [ki % grid for ki in k], (grid,) * d), c))
             else:
                 moving.append((chain, k[::-1], c))
+        self._ts, cells, coeffs = [*zip(*fixed)] or [(), (), ()]
+        self._cells, self._c = np.array(cells, np.intp), np.array(coeffs, complex)
+        self._sines = np.array([math.sin(math.pi * (t / (1 << sys.bits)))
+                                for t in self._ts])
         self._phases = [chain for chain, _, _ in moving]
         if moving:
             self._lanes = np.array([cell for _, cell, _ in moving]).T % grid
@@ -536,11 +542,14 @@ class GridSweep:
         if N < self.j:
             raise ValueError(f"the sweep is at step {self.j}, past N = {N}")
         d, grid = self.sys.dim, self.grid
-        if self._modes is not None:
+        if self._closed:
             spec = (self._dual_spectrum(N) if self._phases
                     else np.zeros((grid,) * d, dtype=complex))
-            for t, cell, c in self._modes:
-                spec[cell] += c * (N * exp_sum_avg_fp(t, self.sys.bits, N))
+            # c (N E_N) by real parts: numpy's complex * can move the last bit
+            re, im = exp_sums_fp(self._ts, self._sines, self.sys.bits, N)
+            cr, ci, flat = self._c.real, self._c.imag, spec.reshape(-1)
+            np.add.at(flat.real, self._cells, cr * re - ci * im)
+            np.add.at(flat.imag, self._cells, cr * im + ci * re)
             out = np.real(np.fft.ifftn(spec)) * grid ** d
             for axis, sub in self._axes:
                 shape = [grid if axis in (None, i) else 1 for i in range(d)]
@@ -648,6 +657,23 @@ def exp_sum_avg_fp(t_fp: int, bits: int, N: int) -> complex:
     ratio = max(-1.0, min(1.0, ratio))
     theta = math.pi * ((((N - 1) * t + one) % (2 * one) - one) / one)
     return complex(ratio * math.cos(theta), ratio * math.sin(theta))
+
+
+def exp_sums_fp(ts: Sequence[int], sines: np.ndarray, bits: int, N: int):
+    """N * exp_sum_avg_fp(t, bits, N) for each signed step t of ts, as real
+    and imaginary arrays, given sines = sin(pi ts / 2**bits): exact steps in
+    ints as there, the rest in arrays, and a zero sine masked to ratio 1."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    one, half, fN = 1 << bits, 1 << bits - 1, float(N)
+    steps = [divmod(N * t + half, one) for t in ts]
+    num = np.sin(np.pi * np.array([(r - half) / one for _, r in steps]))
+    num *= [1 - 2 * (n & 1) for n, _ in steps]  # sin(pi N t) = (-1)**n sin(pi r)
+    ratio = np.divide(num, fN * sines, out=np.ones(len(ts)), where=sines != 0)
+    np.clip(ratio, -1.0, 1.0, out=ratio)
+    theta = np.pi * np.array([(((N - 1) * t + one) % (2 * one) - one) / one
+                              for t in ts])
+    return fN * (ratio * np.cos(theta)), fN * (ratio * np.sin(theta))
 
 
 @dataclass

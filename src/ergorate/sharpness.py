@@ -54,8 +54,9 @@ def _exp_up(a: float, b: float) -> float:
 class HolderWeight:
     alpha: float
 
-    def __call__(self, q: int) -> float:
-        return float(q) ** -self.alpha if q < 10 ** 300 else 0.0
+    def __call__(self, q: int) -> float:  # rounded up past 10^300, never 0.0
+        return (float(q) ** -self.alpha if q < 10 ** 300
+                else _exp_up(-self.alpha * math.log(q), 0.0))
 
     def tail(self, q: int) -> float:
         """sum_j w(2^j q) = q^-alpha / (1 - 2^-alpha), rounded up."""
@@ -65,8 +66,8 @@ class HolderWeight:
 
 @dataclass(frozen=True)
 class AnalyticWeight:
-    def __call__(self, q: int) -> float:
-        return math.exp(-q) if q < 700 else 0.0
+    def __call__(self, q: int) -> float:  # rounded up past 700, never 0.0
+        return math.exp(-q) if q < 700 else _exp_up(-min(q, 2048), 0.0)
 
     def tail(self, q: int) -> float:
         """sum_j w(2^j q) <= sum_j e^-(j + 1) q = e^-q / (1 - e^-q), as
@@ -172,10 +173,11 @@ def build_lacunary(cf: ContinuedFraction, weight) -> LacunaryObservable:
         raise Uncertified(f"{bits}-bit fixed point cannot certify the lacunary "
                           f"mode q = {qs[-1]} ({q_bits} bits); "
                           f"precision_bits >= {q_bits + 64} would")
+    if qs[-1] >= 10 ** 300:  # seminorm_bound takes each q as a double
+        raise Uncertified(f"kept mode q = {qs[-1]} is past 10^300")
     weights = tuple(ws[:K])
     modulus = Holder(getattr(weight, "alpha", 1.0))
-    # both weights are 0.0 from q = 10^300 on, so the clip moves no live mode
-    q_f = np.array([float(min(q, 10 ** 300)) for q in qs])
+    q_f = np.array([float(q) for q in qs])
     semi = seminorm_bound(q_f, np.array(weights), modulus)
     return LacunaryObservable(
         dim=1,

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -19,12 +20,12 @@ from hypothesis import strategies as st
 
 from ergorate import dynamics, kernels
 from ergorate.arithmetic import (Frequency, PartialQuotients, expand_cf,
-                                 golden_mean, sqrt2_minus_1)
+                                 fp_signed, golden_mean, sqrt2_minus_1)
 from ergorate.dynamics import (CharSweep, GridSweep, SystemSpec, TorusPoint,
                                birkhoff_sum, char_birkhoff_skew,
-                               exp_sum_avg_fp, grid_point, iterate,
-                               kernel_sum, kernel_table, orbit_floats, step,
-                               sup_deviation)
+                               exp_sum_avg_fp, exp_sums_fp, grid_point,
+                               iterate, kernel_sum, kernel_table,
+                               orbit_floats, step, sup_deviation)
 from ergorate.errors import DimensionTooLarge
 from ergorate.harness import resolve_observable, resolve_system
 from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
@@ -341,6 +342,56 @@ class TestExpSumAccuracy:
         for N in (1, 7, 10 ** 6):
             for t_fp in (0, ONE, 5 * ONE):
                 assert N * exp_sum_avg_fp(t_fp, BITS, N) == N
+
+
+class TestExpSumsArray:
+    """exp_sums_fp, the fixed modes' N E_N as arrays, against the scalar
+    oracle N * exp_sum_avg_fp, value for value."""
+
+    @pytest.mark.parametrize("bits", [64, 192, 1100])
+    @pytest.mark.parametrize("N", [1, 2, 7, 10 ** 6, 2 ** 53 + 1, 10 ** 18])
+    def test_equals_the_scalar_oracle(self, bits, N):
+        # float(N) rounds as Python's int * float does, past 2^53 too
+        one = 1 << bits
+        w = Frequency.parse("golden", bits).fixed_point()
+        cf = expand_cf(Frequency.parse("golden", bits), max_q=10 ** 12)
+        ts = [0, one >> 1, 1, one - 1, w, one - w, 12345 * w % one]
+        ts += [cf.q_at(n) * w % one for n in (5, 20, cf.certified_len)]
+        # resonant: N t within a few ulp of an integer
+        ts += [(m * one // N + e) % one for m in (1, 3) for e in (-1, 0, 1)]
+        ts = [fp_signed(t, bits) for t in ts]
+        sines = [math.sin(math.pi * (t / one)) for t in ts]
+        # at 1100 bits t = +-1 has the sine 0.0 (see below)
+        ts, sines = zip(*[(t, s) for t, s in zip(ts, sines) if s or not t])
+        sines = np.array(sines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            re, im = exp_sums_fp(ts, sines, bits, N)
+        # the two clamps differ on NaN alone, which the ratio never is: its
+        # numerator sin(pi r) is finite, and its denominator N sin(pi t) is
+        # nonzero wherever the sine is, as |sin(pi t)| >= sin(pi 2^-1074)
+        assert max(-1.0, min(1.0, math.nan)) == 1.0
+        assert np.isnan(np.clip(math.nan, -1.0, 1.0))
+        assert not np.isnan(re).any() and not np.isnan(im).any()
+        for t, a, b in zip(ts, re, im):
+            want = N * exp_sum_avg_fp(t % one, bits, N)
+            # == ignores the sign of a zero, which can differ where N t is an
+            # integer; a spectrum starts at +0.0, so it never holds -0.0
+            assert (a, b) == (want.real, want.imag), t
+
+    def test_a_sine_below_the_double_range_is_masked(self):
+        # at 1100 bits t = 2^-1100 has the sine 0.0: the scalar divides by
+        # it, the array form takes its limit, the ratio 1
+        with pytest.raises(ZeroDivisionError):
+            exp_sum_avg_fp(1, 1100, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            re, im = exp_sums_fp([0, 1, -1], np.zeros(3), 1100, 7)
+        assert list(re) == [7.0] * 3 and abs(im).max() < 1e-300
+
+    def test_n_below_1_is_refused(self):
+        with pytest.raises(ValueError, match="N must be"):
+            exp_sums_fp([1], np.ones(1), BITS, 0)
 
 
 class TestKernelSum:
@@ -679,7 +730,8 @@ class TestGridSweepEverySystem:
                            (1, 0): 0.5, (-1, 2): 0.3j, (1, -2): -0.3j}
                        ).to_observable()
         sweep = GridSweep(sys, dataclasses.replace(phi, fn=_boom), 16)
-        assert [cell for _, cell, _ in sweep._modes] == [(0, 0), (0, 3), (0, 13)]
+        cells = np.unravel_index(sweep._cells, (16, 16))
+        assert list(zip(*map(list, cells))) == [(0, 0), (0, 3), (0, 13)]
         assert len(sweep._phases) == 3 and sweep._axes == []
         field = sweep.sums(50)
         assert sweep.j == 0  # the open chunk only adds to a copy
@@ -817,7 +869,7 @@ class TestSeparableAxisSweeps:
         phi = resolve_observable("poly_plus_dist:2:0.5:5", sys)
         sweep = GridSweep(sys, phi, 16)
         ((axis, sub),) = sweep._axes
-        assert axis is None and sub.sys is sys and sub._modes is None
+        assert axis is None and sub.sys is sys and not sub._closed
         monkeypatch.setattr(phi.trig, "eval", _boom)
         sup_deviation(sys, phi, 10, 16, sweep)
         assert sub.j == 10 and sweep.j == 0

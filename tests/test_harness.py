@@ -411,6 +411,30 @@ class TestRateExperiment:
                 "c01b60c1ee75e180226531bda1963b334da539407da7753068eb32e4e3170354",
         }
 
+    @pytest.mark.parametrize("run, digests", [
+        ({"system": "rotation1d:golden", "observable": "lacunary:holder:0.5",
+          "schedule": "geometric:100,100000,2", "grid": 1024},
+         {"rate-f845a1f276a6cfe6.csv":
+          "71800ad093e138b06751c31933f119e755556d8fc88f57dcc0a5106e49ce3b90",
+          "rate-f845a1f276a6cfe6-manifest.json":
+          "6c1ba8043fb130bed08ebc6109611f08fe6118eef2926d8832435e8046b781e9"}),
+        ({"system": "rotationd:sqrt2m1,sqrt3m1",
+          "observable": "poly_plus_dist:8:0.5:5",
+          "schedule": "geometric:100,10000,3.1622776601683795", "grid": 64},
+         {"rate-f35db98a5a0e4c7c.csv":
+          "fe2e491ceed2778dcc1cb271dc8fc5742fbdfe665ffe6547aa3c10a1b0c64897",
+          "rate-f35db98a5a0e4c7c-manifest.json":
+          "62ad5670b646d94bc4c8821e2cda21324e753d48cb7c962e13d4837d20aad9d9"}),
+    ], ids=["lacunary", "poly_plus_dist"])
+    def test_golden_bytes_of_the_closed_form_route(self, tmp_path, monkeypatch,
+                                                   run, digests):
+        # recorded while each fixed mode still had its own exp_sum_avg_fp
+        # call: the array form of the fixed modes keeps every byte
+        monkeypatch.chdir(tmp_path)
+        run_rate_experiment(ExperimentConfig(dict(run, out_dir="out")))
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in (tmp_path / "out").iterdir()} == digests
+
 
 class TestKernelExperiment:
     def test_q2_exact_single_pair(self):

@@ -191,6 +191,30 @@ class TestBuild:
         assert 0.0 < weight.tail(q)
         assert mpmath.mpf(weight.tail(q)) >= weight_tail_mpmath(weight, q)
 
+    @pytest.mark.parametrize("weight, q", [
+        (HolderWeight(0.5), 10 ** 300), (HolderWeight(0.5), 10 ** 400),
+        (HolderWeight(0.1), 10 ** 400), (HolderWeight(1e-310), 10 ** 400),
+        (AnalyticWeight(), 700), (AnalyticWeight(), 2000),
+        (AnalyticWeight(), 10 ** 400)],
+        ids=["holder0.5-1e300", "holder0.5-1e400", "holder0.1-1e400",
+             "holder1e-310-1e400", "analytic-700", "analytic-2000",
+             "analytic-1e400"])
+    def test_a_weight_past_the_double_range_is_an_upper_bound(self, weight, q):
+        # these weights were 0.0, below the true q^-alpha and e^-q
+        assert 0.0 < weight(q)
+        with mpmath.workprec(128):
+            alpha = getattr(weight, "alpha", None)
+            true = (mpmath.mpf(q) ** -mpmath.mpf(alpha) if alpha is not None
+                    else mpmath.exp(-q))
+            assert mpmath.mpf(weight(q)) >= true
+
+    def test_a_mode_past_10_to_the_300_is_refused(self):
+        # seminorm_bound takes the frequencies as doubles; at alpha = 0.04 the
+        # weights stay above TAIL_TOL past q = 10^300, so such modes are kept
+        cf = expand_cf(Frequency.parse("golden", 2600), max_q=10 ** 380)
+        with pytest.raises(Uncertified, match="past 10\\^300"):
+            build_lacunary(cf, HolderWeight(0.04))
+
     def test_mode_coefficient_is_half_weight(self, golden, monkeypatch):
         # small truncation so quadrature sees no aliasing from far modes
         cf = expand_cf(golden, max_q=1000)
