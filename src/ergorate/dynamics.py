@@ -479,8 +479,7 @@ class GridSweep:
                 moving.append((chain, k[::-1], c))
         self._ts, cells, coeffs = [*zip(*fixed)] or [(), (), ()]
         self._cells, self._c = np.array(cells, np.intp), np.array(coeffs, complex)
-        self._sines = np.array([math.sin(math.pi * (t / (1 << sys.bits)))
-                                for t in self._ts])
+        self._sines = _step_sines(self._ts, sys.bits)
         self._phases = [chain for chain, _, _ in moving]
         if moving:
             self._lanes = np.array([cell for _, cell, _ in moving]).T % grid
@@ -547,6 +546,8 @@ class GridSweep:
                     else np.zeros((grid,) * d, dtype=complex))
             # c (N E_N) by real parts: numpy's complex * can move the last bit
             re, im = exp_sums_fp(self._ts, self._sines, self.sys.bits, N)
+            re *= float(N)
+            im *= float(N)
             cr, ci, flat = self._c.real, self._c.imag, spec.reshape(-1)
             np.add.at(flat.real, self._cells, cr * re - ci * im)
             np.add.at(flat.imag, self._cells, cr * im + ci * re)
@@ -632,37 +633,23 @@ def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int,
 # ---------------------------------------------------------------------------
 
 
-def exp_sum_avg_fp(t_fp: int, bits: int, N: int) -> complex:
-    """(1/N) sum_{j<N} e(jt) for t = t_fp / 2**bits, in the sine-ratio form
-    e((N-1)t/2) sin(pi N t) / (N sin(pi t)).
-
-    t is taken as its signed representative in (-1/2, 1/2].  N t is split
-    exactly into n + r with r centred in [-1/2, 1/2), so sin(pi N t) =
-    (-1)**n sin(pi r), and (N-1) t is reduced mod 2 for the phase.  No step
-    subtracts nearly equal doubles, so the relative error stays at a few
-    ulp even at resonance, where t or N t sits close to an integer.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    one = 1 << bits
-    half = one >> 1
-    t = fp_signed(t_fp, bits)
-    if t == 0:
-        return 1.0 + 0.0j
-    n, r = divmod(N * t + half, one)
-    ratio = (math.sin(math.pi * ((r - half) / one))
-             / (N * math.sin(math.pi * (t / one))))
-    if n & 1:
-        ratio = -ratio
-    ratio = max(-1.0, min(1.0, ratio))
-    theta = math.pi * ((((N - 1) * t + one) % (2 * one) - one) / one)
-    return complex(ratio * math.cos(theta), ratio * math.sin(theta))
+def _step_sines(ts: Sequence[int], bits: int) -> np.ndarray:
+    """sin(pi t / 2**bits) for each signed step t of ts, one libm sine each:
+    the sines that exp_sums_fp divides by."""
+    return np.array([math.sin(math.pi * (t / (1 << bits))) for t in ts])
 
 
 def exp_sums_fp(ts: Sequence[int], sines: np.ndarray, bits: int, N: int):
-    """N * exp_sum_avg_fp(t, bits, N) for each signed step t of ts, as real
-    and imaginary arrays, given sines = sin(pi ts / 2**bits): exact steps in
-    ints as there, the rest in arrays, and a zero sine masked to ratio 1."""
+    """E_N(t) = (1/N) sum_{j<N} e(jt) for each signed step t of ts, as real
+    and imaginary arrays, given sines = _step_sines(ts, bits), in the
+    sine-ratio form e((N-1)t/2) sin(pi N t) / (N sin(pi t)).
+
+    N t is split exactly, in ints, into n + r with r centred in [-1/2, 1/2),
+    so sin(pi N t) = (-1)**n sin(pi r), and (N-1) t is reduced mod 2 for the
+    phase: no step cancels, so the relative error stays at a few ulp even
+    at resonance.  A zero sine (t = 0, or t / 2**bits rounding to 0.0 past
+    1074 bits) is masked to its limit, the ratio 1.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     one, half, fN = 1 << bits, 1 << bits - 1, float(N)
@@ -673,7 +660,15 @@ def exp_sums_fp(ts: Sequence[int], sines: np.ndarray, bits: int, N: int):
     np.clip(ratio, -1.0, 1.0, out=ratio)
     theta = np.pi * np.array([(((N - 1) * t + one) % (2 * one) - one) / one
                               for t in ts])
-    return fN * (ratio * np.cos(theta)), fN * (ratio * np.sin(theta))
+    return ratio * np.cos(theta), ratio * np.sin(theta)
+
+
+def exp_sum_avg_fp(t_fp: int, bits: int, N: int) -> complex:
+    """E_N(t) = (1/N) sum_{j<N} e(jt) for t = t_fp / 2**bits, by exp_sums_fp
+    at its signed representative."""
+    t = fp_signed(t_fp, bits)
+    re, im = exp_sums_fp([t], _step_sines([t], bits), bits, N)
+    return complex(re[0], im[0])
 
 
 @dataclass

@@ -25,7 +25,8 @@ from .envelopes import Envelope, fit_scale
 from .errors import ErgorateError, Timeout, deadline, tick
 from .harness import (ExperimentConfig, resolve_observable, resolve_schedule,
                       resolve_system, run_kernel_experiment,
-                      run_sharpness_experiment, run_skew_experiment)
+                      run_rate_experiment, run_sharpness_experiment,
+                      run_skew_experiment)
 from .kernels import (_grid_spectrum, approximation_error, coeff_sum,
                       dirichlet, fejer, fejer_coeffs, jackson_closed_form,
                       jackson_coeffs, make_dist_pow)
@@ -164,8 +165,6 @@ def scenario_rate_envelope(v: _Verdict) -> None:
         "grid": 1024,
         "envelope": "sdc:alpha=0.5",
     })
-    from .harness import run_rate_experiment
-
     series = run_rate_experiment(cfg)
     v.details["points"] = series.points
     v.details["slope"] = series.fitted_slope

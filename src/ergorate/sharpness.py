@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .arithmetic import ContinuedFraction, Frequency, fp_from_float
-from .dynamics import (_SUB, TorusPoint, _phase_table, exp_sum_avg_fp,
-                       limbs_from_ints, limbs_mul, limbs_to_float)
+from .arithmetic import ContinuedFraction, Frequency, fp_from_float, fp_signed
+from .dynamics import (_SUB, TorusPoint, _phase_table, _step_sines,
+                       exp_sums_fp, limbs_from_ints, limbs_mul, limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified, tick
 from .kernels import TWO_PI, Holder, Observable, round_up, seminorm_bound
 
@@ -283,11 +283,12 @@ def decompose(phi: LacunaryObservable, m: int, x: TorusPoint) -> SharpnessReport
     if x.bits != bits:
         raise ValueError(f"a {x.bits}-bit point on a {bits}-bit series")
     one = 1 << bits
+    ts = [fp_signed(t, bits) for t in phi._steps]
+    res, ims = exp_sums_fp(ts, _step_sines(ts, bits), bits, qm)
     terms = []
-    for q, w, t_fp in zip(phi.qs, phi.weights, phi._steps):
+    for q, w, re, im in zip(phi.qs, phi.weights, res.tolist(), ims.tolist()):
         ph = ((q * x.coords[0]) % one) / one
-        e = exp_sum_avg_fp(t_fp, bits, qm)
-        terms.append(w * (e * np.exp(2j * math.pi * ph)).real)
+        terms.append(w * (complex(re, im) * np.exp(2j * math.pi * ph)).real)
     sigma_m = terms[m - 1]
     sigma_gt = sum(terms[m:])
     sigma_lt = sum(terms[:m - 1])

@@ -7,8 +7,9 @@ double exactly in Fractions,
 ||k omega||, a frequency as a double, a sampled Holder quotient, the
 Hermitian symmetry of trigonometric-polynomial coefficients, the pointwise
 grid field of a 1-d rotation in one fresh pass, the grid field of any
-system by one exact orbit per grid point, the closed-form grid field with
-every mode phase formed afresh, the lacunary direct sum one mode at a time
+system by one exact orbit per grid point, the averaged exponential sum
+E_N(t) in its sine-ratio form one Python float at a time, the closed-form
+grid field with every mode phase formed afresh, the lacunary direct sum one mode at a time
 (by the library's factored row sums, by its terms one at a time, by one
 libm cosine per term, and in mpmath), the kernel sums (by kernel_table's angle addition one term at a
 time, by two libm sines per term, and in mpmath), a skew character sum in
@@ -26,10 +27,9 @@ from typing import Optional, Sequence
 import mpmath
 import numpy as np
 
-from ergorate.arithmetic import ContinuedFraction, Frequency
+from ergorate.arithmetic import ContinuedFraction, Frequency, fp_signed
 from ergorate.dynamics import (_KERNEL_ROW, SystemSpec, TorusPoint,
-                               birkhoff_sum, exp_sum_avg_fp, grid_point,
-                               orbit_floats, step)
+                               birkhoff_sum, grid_point, orbit_floats, step)
 from ergorate import sharpness
 from ergorate.kernels import TWO_PI, Observable, TrigPoly
 from ergorate.sharpness import LacunaryObservable
@@ -135,6 +135,31 @@ def grid_sums_per_point(sys: SystemSpec, phi: Observable, N: int, grid: int,
     return sums.reshape((grid,) * sys.dim) if whole else sums
 
 
+def exp_sum_avg(t_fp: int, bits: int, N: int) -> complex:
+    """(1/N) sum_{j<N} e(jt) for t = t_fp / 2**bits, in the sine-ratio form
+    e((N-1)t/2) sin(pi N t) / (N sin(pi t)), one Python float at a time.
+
+    t is taken as its signed representative in (-1/2, 1/2].  N t is split
+    exactly into n + r with r centred in [-1/2, 1/2), so sin(pi N t) =
+    (-1)**n sin(pi r), and (N-1) t is reduced mod 2 for the phase.  A sine
+    that underflows to 0.0 for t != 0 (past 1074 bits) raises
+    ZeroDivisionError.
+    """
+    one = 1 << bits
+    half = one >> 1
+    t = fp_signed(t_fp, bits)
+    if t == 0:
+        return 1.0 + 0.0j
+    n, r = divmod(N * t + half, one)
+    ratio = (math.sin(math.pi * ((r - half) / one))
+             / (N * math.sin(math.pi * (t / one))))
+    if n & 1:
+        ratio = -ratio
+    ratio = max(-1.0, min(1.0, ratio))
+    theta = math.pi * ((((N - 1) * t + one) % (2 * one) - one) / one)
+    return complex(ratio * math.cos(theta), ratio * math.sin(theta))
+
+
 def spectral_sums_per_N(sys: SystemSpec, spectrum: dict, N: int,
                         grid: int) -> np.ndarray:
     """S_N phi on the grid x = g / grid for phi = Re sum_k c_k e(k . x) on a
@@ -146,7 +171,8 @@ def spectral_sums_per_N(sys: SystemSpec, spectrum: dict, N: int,
     spec = np.zeros((grid,) * sys.dim, dtype=complex)
     for k, c in spectrum.items():
         t = sum(ki * wi for ki, wi in zip(k, ws)) % one
-        spec[tuple(ki % grid for ki in k)] += c * (N * exp_sum_avg_fp(t, sys.bits, N))
+        cell = tuple(ki % grid for ki in k)
+        spec[cell] += c * (N * exp_sum_avg(t, sys.bits, N))
     return np.real(np.fft.ifftn(spec)) * grid ** sys.dim
 
 

@@ -32,7 +32,7 @@ from ergorate.kernels import (Holder, Observable, TrigPoly, make_coboundary,
                               make_cos, make_dist_pow, make_weierstrass,
                               random_real_trigpoly)
 from ergorate.sharpness import decompose, measure_average
-from oracles import (char_sum_mpmath, dist_to_Z_mod, float_value,
+from oracles import (char_sum_mpmath, dist_to_Z_mod, exp_sum_avg, float_value,
                      grid_sums_one_pass, grid_sums_per_point,
                      spectral_sums_per_N)
 
@@ -345,8 +345,8 @@ class TestExpSumAccuracy:
 
 
 class TestExpSumsArray:
-    """exp_sums_fp, the fixed modes' N E_N as arrays, against the scalar
-    oracle N * exp_sum_avg_fp, value for value."""
+    """exp_sums_fp, E_N as arrays, against the scalar oracle exp_sum_avg,
+    value for value."""
 
     @pytest.mark.parametrize("bits", [64, 192, 1100])
     @pytest.mark.parametrize("N", [1, 2, 7, 10 ** 6, 2 ** 53 + 1, 10 ** 18])
@@ -367,6 +367,7 @@ class TestExpSumsArray:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             re, im = exp_sums_fp(ts, sines, bits, N)
+        assert list(sines) == list(dynamics._step_sines(ts, bits))
         # the two clamps differ on NaN alone, which the ratio never is: its
         # numerator sin(pi r) is finite, and its denominator N sin(pi t) is
         # nonzero wherever the sine is, as |sin(pi t)| >= sin(pi 2^-1074)
@@ -374,20 +375,19 @@ class TestExpSumsArray:
         assert np.isnan(np.clip(math.nan, -1.0, 1.0))
         assert not np.isnan(re).any() and not np.isnan(im).any()
         for t, a, b in zip(ts, re, im):
-            want = N * exp_sum_avg_fp(t % one, bits, N)
+            want = exp_sum_avg(t % one, bits, N)
             # == ignores the sign of a zero, which can differ where N t is an
             # integer; a spectrum starts at +0.0, so it never holds -0.0
             assert (a, b) == (want.real, want.imag), t
 
     def test_a_sine_below_the_double_range_is_masked(self):
-        # at 1100 bits t = 2^-1100 has the sine 0.0: the scalar divides by
-        # it, the array form takes its limit, the ratio 1
-        with pytest.raises(ZeroDivisionError):
-            exp_sum_avg_fp(1, 1100, 7)
+        # at 1100 bits t = 2^-1100 has the sine 0.0: it is masked to its
+        # limit, the ratio 1
+        assert exp_sum_avg_fp(1, 1100, 7) == 1 + 0j
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             re, im = exp_sums_fp([0, 1, -1], np.zeros(3), 1100, 7)
-        assert list(re) == [7.0] * 3 and abs(im).max() < 1e-300
+        assert list(re) == [1.0] * 3 and abs(im).max() < 1e-300
 
     def test_n_below_1_is_refused(self):
         with pytest.raises(ValueError, match="N must be"):
@@ -1108,6 +1108,28 @@ class TestCharSums:
             res = char_birkhoff_skew(sweep, N)
             assert abs(res.value - sweep.value(N)) < 1e-10, N
         assert sweep.j == 10 ** 5 // dynamics._SUB * dynamics._SUB
+
+    @pytest.mark.parametrize("at_zero", [True, False])
+    def test_a_step_below_the_double_range_sums_to_n_e_d0(self, at_zero, rng):
+        # omega = (sqrt5 - 1) / 2^1091 is about 633 / 2^1100, whose sine is
+        # 0.0: E_N takes its limit 1, so the sum is N e(D0)
+        bits = 1100
+        omega = Frequency.parse(f"surd:(-1,1,5,{2 ** 1091})", bits)
+        x = (TorusPoint.zero(2, bits) if at_zero
+             else TorusPoint.from_floats(rng.random(2), bits))
+        sweep = CharSweep(omega, (0, 1), x)
+        assert sweep.degree == 1 and 0 < sweep.diffs[1] < 1 << 10
+        assert math.sin(math.pi * (sweep.diffs[1] / (1 << bits))) == 0.0
+        turn = 2 * math.pi * (sweep.diffs[0] / (1 << bits))
+        e_d0 = complex(math.cos(turn), math.sin(turn))
+        for N in (1, 7):
+            assert char_birkhoff_skew(sweep, N).value == N * e_d0, N
+        assert e_d0 == 1 or not at_zero
+        # at N = 10^6 the phase (N - 1) D1 / 2 is a subnormal, not 0.0
+        value = char_birkhoff_skew(sweep, 10 ** 6).value
+        assert abs(value - 10 ** 6 * e_d0) < 1e-300
+        # the direct sum of the exact phases agrees
+        assert abs(char_birkhoff_skew(sweep, 7).value - sweep.value(7)) < 1e-12
 
     def test_degree_classification(self, golden, rng):
         x = TorusPoint.from_floats(rng.random(4), BITS)

@@ -439,7 +439,7 @@ class TestRateExperiment:
 class TestKernelExperiment:
     def test_q2_exact_single_pair(self):
         from ergorate.arithmetic import Frequency
-        from ergorate.dynamics import exp_sum_avg_fp
+        from oracles import exp_sum_avg
 
         cfg = ExperimentConfig({
             "frequencies": ["sqrt2m1"],
@@ -450,7 +450,7 @@ class TestKernelExperiment:
         assert len(out["rows"]) == 1
         row = out["rows"][0]
         f = Frequency.parse("sqrt2m1")
-        expect = 2 * abs(exp_sum_avg_fp(f.fixed_point(), 192, 50))
+        expect = 2 * abs(exp_sum_avg(f.fixed_point(), 192, 50))
         assert row["sum"] == pytest.approx(expect, abs=1e-12)
 
     def test_cap_holds_small_sweep(self):
@@ -1173,6 +1173,19 @@ class TestCli:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'a'" in err
+
+    def test_skew_step_below_the_double_range_exit_code(self, capsys,
+                                                         tmp_path):
+        # omega = (sqrt5 - 1) / 2^1091 has a 1100-bit step whose sine is
+        # 0.0: the degree-1 closed form divided by it and died with a
+        # ZeroDivisionError traceback
+        rc = cli_main(["--out-dir", str(tmp_path), "--precision-bits", "1100",
+                       "skew", "--frequency", f"surd:(-1,1,5,{2 ** 1091})",
+                       "--d", "2", "--k", "0,1", "--n-values", "7"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_mode_index_past_the_series_exit_code(self, capsys):
         rc = cli_main(["sharp", "--frequency", "golden", "--alpha", "0.5",

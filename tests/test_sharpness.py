@@ -20,7 +20,7 @@ from ergorate.sharpness import (AnalyticWeight, HolderWeight,
                                 measure_average, slow_rate_point,
                                 start_points, verify_Nm_bound,
                                 verify_lower_bound)
-from oracles import (dense_seminorm, fourier_coefficient,
+from oracles import (dense_seminorm, exp_sum_avg, fourier_coefficient,
                      kink_quotients_mpmath, lacunary_seminorm,
                      measure_average_libm, measure_average_mpmath,
                      exact_sum_mpmath, measure_average_per_mode,
@@ -537,8 +537,6 @@ class TestLowerBounds:
 
     def test_single_mode_matches_formula(self, spike_freq, spike_cf):
         # truncate to one mode: the window average IS the resonant term
-        from ergorate.dynamics import exp_sum_avg_fp
-
         full = build_lacunary(spike_cf, HolderWeight(0.5))
         m = 6
         q = full.mode_q(m)
@@ -552,7 +550,7 @@ class TestLowerBounds:
         for l in (0, 3, 11):
             x = TorusPoint(((l * q * w_fp) % one,), BITS)
             measured = measure_average(solo, spike_freq, x, q)
-            e = exp_sum_avg_fp((q * w_fp) % one, BITS, q)
+            e = exp_sum_avg((q * w_fp) % one, BITS, q)
             phase = ((q * x.coords[0]) % one) / one
             expect = w * (e * np.exp(2j * np.pi * phase)).real
             assert measured == pytest.approx(expect, abs=1e-12)
