@@ -40,6 +40,18 @@ _KERNEL_ROW = 1 << 10
 # ---------------------------------------------------------------------------
 
 
+def _fp_floats(values: Sequence[int], bits: int) -> np.ndarray:
+    """The doubles v / 2**bits of fixed-point ints |v| <= 2**bits, each
+    rounded once to nearest, as int / int rounds it.  Up to 1022 bits every
+    nonzero quotient is normal, so rounding v to a double and scaling by the
+    power of two gives the same double without a big-int division; past
+    that a quotient can be subnormal, and int / int rounds it."""
+    if bits <= 1022:
+        return np.array(values, dtype=float) * 2.0 ** -bits
+    one = 1 << bits
+    return np.array([v / one for v in values])
+
+
 @dataclass(frozen=True)
 class TorusPoint:
     """Point on the d-torus in fixed point: coordinate i is coords[i]/2**bits."""
@@ -75,8 +87,7 @@ class TorusPoint:
         return TorusPoint((0,) * dim, bits)
 
     def to_floats(self) -> np.ndarray:
-        one = 1 << self.bits
-        return np.array([c / one for c in self.coords])
+        return _fp_floats(self.coords, self.bits)
 
 
 @dataclass(frozen=True)
@@ -636,7 +647,7 @@ def sup_deviation(sys: SystemSpec, phi: Observable, N: int, grid: int,
 def _step_sines(ts: Sequence[int], bits: int) -> np.ndarray:
     """sin(pi t / 2**bits) for each signed step t of ts, one libm sine each:
     the sines that exp_sums_fp divides by."""
-    return np.array([math.sin(math.pi * (t / (1 << bits))) for t in ts])
+    return np.array([math.sin(math.pi * t) for t in _fp_floats(ts, bits).tolist()])
 
 
 def exp_sums_fp(ts: Sequence[int], sines: np.ndarray, bits: int, N: int):
@@ -654,12 +665,12 @@ def exp_sums_fp(ts: Sequence[int], sines: np.ndarray, bits: int, N: int):
         raise ValueError("N must be >= 1")
     one, half, fN = 1 << bits, 1 << bits - 1, float(N)
     steps = [divmod(N * t + half, one) for t in ts]
-    num = np.sin(np.pi * np.array([(r - half) / one for _, r in steps]))
+    num = np.sin(np.pi * _fp_floats([r - half for _, r in steps], bits))
     num *= [1 - 2 * (n & 1) for n, _ in steps]  # sin(pi N t) = (-1)**n sin(pi r)
     ratio = np.divide(num, fN * sines, out=np.ones(len(ts)), where=sines != 0)
     np.clip(ratio, -1.0, 1.0, out=ratio)
-    theta = np.pi * np.array([(((N - 1) * t + one) % (2 * one) - one) / one
-                              for t in ts])
+    theta = np.pi * _fp_floats([((N - 1) * t + one) % (2 * one) - one
+                                for t in ts], bits)
     return ratio * np.cos(theta), ratio * np.sin(theta)
 
 

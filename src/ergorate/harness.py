@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -547,17 +548,25 @@ def _format_cell(v) -> str:
     return str(v)
 
 
+def _write_in_place(path, text: str) -> None:
+    """Write text over path's old bytes, then cut the file to its length.
+    Truncating first, as Path.write_text does, can make a rewrite wait on
+    the disk, on filesystems that discard the blocks a truncation frees."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode())
+        f.truncate()
+
+
 def emit_csv(rows: Sequence[dict], path) -> None:
     """Deterministic CSV: column order from the first row, repr floats."""
-    path = Path(path)
     if not rows:
-        path.write_text("")
+        _write_in_place(path, "")
         return
     cols = list(rows[0].keys())
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join(_format_cell(row[c]) for c in cols))
-    path.write_text("\n".join(lines) + "\n")
+    _write_in_place(path, "\n".join(lines) + "\n")
 
 
 def json_text(obj) -> str:
@@ -578,7 +587,7 @@ def json_text(obj) -> str:
 
 
 def emit_json(obj, path) -> None:
-    Path(path).write_text(json_text(obj) + "\n")
+    _write_in_place(path, json_text(obj) + "\n")
 
 
 def _maybe_emit(cfg: ExperimentConfig, kind: str, rows, extra: dict) -> None:

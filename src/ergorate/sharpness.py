@@ -22,8 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .arithmetic import ContinuedFraction, Frequency, fp_from_float, fp_signed
-from .dynamics import (_SUB, TorusPoint, _phase_table, _step_sines,
-                       exp_sums_fp, limbs_from_ints, limbs_mul, limbs_to_float)
+from .dynamics import (_SUB, TorusPoint, _fp_floats, _phase_table,
+                       _step_sines, exp_sums_fp, limbs_from_ints, limbs_mul,
+                       limbs_to_float)
 from .errors import HypothesisNotMet, Uncertified, tick
 from .kernels import TWO_PI, Holder, Observable, round_up, seminorm_bound
 
@@ -211,9 +212,11 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
     and (q_k x, B s_k) from each block's first row, exact and rounded once.
     B is N up to 1024, else ceil(sqrt N), and the inner totals are kept on
     the series by (B, tail), so a call costs O(modes sqrt N), and a window
-    family at one q_m only its start phases.  The tables run in blocks of
-    _SUB rows, calling tick() once per block; a block's sums take one
-    np.sum, and the block totals and weighted modes are added in order.
+    family at one q_m only its start phases.  Up to N = 1024 the window is
+    one row, summed from the start phases q_k x mod 1 alone (_fp_floats);
+    above, the outer tables run in blocks of _SUB rows, calling tick() once
+    per block, and a block's sums take one np.sum.  The weighted modes are
+    added in order.
     omega must be phi.cf.omega, x of its width (ValueError).
     """
     if N < 1:
@@ -237,20 +240,20 @@ def measure_average(phi: LacunaryObservable, omega: Frequency, x: TorusPoint,
         phi._inner_totals[B, tail] = tot
     C, S, Ct, St = phi._inner_totals[B, tail]
     ph0 = [q * x.coords[0] & (one - 1) for q in phi.qs]
-    if A == 1:  # the start phases are the outer table, rounded as int / int
-        t = TWO_PI * np.array([p / one for p in ph0])[:, None]
-        blocks = [(np.cos(t), np.sin(t))]
+    if A == 1:  # one row, of tail = N steps, from the start phases alone
+        t = TWO_PI * _fp_floats(ph0, phi.bits)[:, None]
+        mode_sums = (np.cos(t) * Ct - np.sin(t) * St)[:, 0]
+        tick()
     else:
         outer = [(p, B * s) for p, s in zip(ph0, steps)]
-        blocks = (_phase_table(outer, min(_SUB, A - lo), phi.bits, lo)
-                  for lo in range(0, A, _SUB))
-    mode_sums = np.zeros(len(steps))
-    for lo, (ca, sa) in zip(range(0, A, _SUB), blocks):
-        rows = ca * C - sa * S
-        if lo + _SUB >= A:  # the last row, of tail steps
-            rows[:, -1:] = ca[:, -1:] * Ct - sa[:, -1:] * St
-        mode_sums += np.sum(rows, axis=1)
-        tick()
+        mode_sums = np.zeros(len(steps))
+        for lo in range(0, A, _SUB):
+            ca, sa = _phase_table(outer, min(_SUB, A - lo), phi.bits, lo)
+            rows = ca * C - sa * S
+            if lo + _SUB >= A:  # the last row, of tail steps
+                rows[:, -1:] = ca[:, -1:] * Ct - sa[:, -1:] * St
+            mode_sums += np.sum(rows, axis=1)
+            tick()
     total = 0.0
     for w, mode_sum in zip(phi.weights, mode_sums.tolist()):
         total += w * mode_sum
@@ -285,9 +288,9 @@ def decompose(phi: LacunaryObservable, m: int, x: TorusPoint) -> SharpnessReport
     one = 1 << bits
     ts = [fp_signed(t, bits) for t in phi._steps]
     res, ims = exp_sums_fp(ts, _step_sines(ts, bits), bits, qm)
+    phs = _fp_floats([q * x.coords[0] % one for q in phi.qs], bits).tolist()
     terms = []
-    for q, w, re, im in zip(phi.qs, phi.weights, res.tolist(), ims.tolist()):
-        ph = ((q * x.coords[0]) % one) / one
+    for w, re, im, ph in zip(phi.weights, res.tolist(), ims.tolist(), phs):
         terms.append(w * (complex(re, im) * np.exp(2j * math.pi * ph)).real)
     sigma_m = terms[m - 1]
     sigma_gt = sum(terms[m:])

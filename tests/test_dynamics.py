@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -342,6 +343,36 @@ class TestExpSumAccuracy:
         for N in (1, 7, 10 ** 6):
             for t_fp in (0, ONE, 5 * ONE):
                 assert N * exp_sum_avg_fp(t_fp, BITS, N) == N
+
+
+class TestFpFloats:
+    """dynamics._fp_floats against int / int, the correctly rounded
+    quotient, on both sides of its 1022-bit rule."""
+
+    @pytest.mark.parametrize("bits", [64, 192, 1022, 1023, 1100])
+    def test_equals_int_division(self, bits):
+        one = 1 << bits
+        vals = [0, 1, one - 1, one >> 1, 12345, 3 << bits - 2]
+        # halfway between two doubles, (2m + 1) 2^s with m of 53 bits, rounds
+        # to the even neighbour: m even, then m odd; and one unit either side
+        for m in (1 << 52, (1 << 53) - 1):
+            for s in (1, bits // 2 - 27, bits - 54):  # below 2^bits
+                vals += [(2 * m + 1 << s) + e for e in (-1, 0, 1)]
+        # below 2^(bits - 1022) a quotient is subnormal, or rounds to 0.0
+        tiny = [1 << 25, 1 << 26, 3 << 25, (1 << 77) + 1, (1 << 78) - 1]
+        if bits > 1022:
+            vals += [v >> 1100 - bits for v in tiny]
+        gen = random.Random(bits)
+        vals += [gen.getrandbits(gen.randrange(1, bits)) for _ in range(200)]
+        vals += [-v for v in vals]
+        want = [v / one for v in vals]
+        got = dynamics._fp_floats(vals, bits).tolist()
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+        if bits == 1100:  # the subnormal quotients are there
+            assert any(0 < w < sys.float_info.min for w in want)
+
+    def test_empty(self):
+        assert dynamics._fp_floats([], BITS).shape == (0,)
 
 
 class TestExpSumsArray:

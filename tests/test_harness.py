@@ -20,7 +20,7 @@ from ergorate.cli import main as cli_main
 from ergorate.dynamics import GridSweep
 from ergorate.errors import ConfigError, Timeout, Uncertified, deadline, tick
 from ergorate.harness import (KERNEL_MAX_Q, ExperimentConfig, emit_csv,
-                              json_text,
+                              emit_json, json_text,
                               resolve_observable, resolve_schedule,
                               resolve_system, run_approx_experiment,
                               run_kernel_experiment, run_rate_experiment,
@@ -889,6 +889,17 @@ class TestEmission:
         emit_csv([{"gap": np.float64(2.5e-16), "n": np.int64(3), "x": 0.1}],
                  path)
         assert path.read_text() == "gap,n,x\n2.5e-16,3,0.1\n"
+
+    def test_a_rewrite_leaves_only_the_new_bytes(self, tmp_path):
+        # the writers overwrite in place and then cut the file to length
+        path = tmp_path / "t.out"
+        path.write_text("x" * 1000)
+        emit_csv([{"a": 1}], path)
+        assert path.read_bytes() == b"a\n1\n"
+        emit_json({"b": [2]}, path)
+        assert path.read_bytes() == b'{\n  "b": [\n    2\n  ]\n}\n'
+        emit_csv([], path)
+        assert path.read_bytes() == b""
 
     def test_json_text_maps_non_finite_to_null(self):
         obj = {"a": [np.float64("nan"), np.float32("inf"), (1.5, -math.inf)],

@@ -1,6 +1,7 @@
 """Lacunary lower-bound constructions and the three-part decomposition."""
 
 import dataclasses
+import functools
 import math
 
 import mpmath
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from ergorate.arithmetic import (Frequency, PartialQuotients,
-                                 borel_bernstein_schedule, expand_cf)
+                                 borel_bernstein_schedule, expand_cf,
+                                 golden_mean)
 from ergorate.dynamics import (_BLOCK_CELLS, SystemSpec, TorusPoint,
                                birkhoff_sum)
 from ergorate.errors import HypothesisNotMet, Uncertified
@@ -38,6 +40,12 @@ def golden_deep_cf(golden):
 @pytest.fixture(scope="module")
 def golden_lac(golden_deep_cf):
     return build_lacunary(golden_deep_cf, HolderWeight(0.5))
+
+
+@functools.cache
+def _golden_lac(bits):
+    return build_lacunary(expand_cf(golden_mean(bits), max_q=10 ** 27),
+                          HolderWeight(0.5))
 
 
 @pytest.fixture(scope="module")
@@ -306,12 +314,17 @@ class TestDecompose:
         assert rep.identity_gap < 1e-15
 
     @pytest.mark.parametrize("N", [1, 13, 4181])
-    def test_direct_sum_equals_the_per_mode_oracle(self, golden_lac, golden, N):
+    @pytest.mark.parametrize("bits", [BITS, 1022, 1023, 1100])
+    def test_direct_sum_equals_the_per_mode_oracle(self, bits, N):
         # limb phase tables for every mode at once and blocks of several
-        # modes keep every mode's sum bit for bit
-        for x in (TorusPoint.zero(1, BITS), TorusPoint.from_floats([0.37], BITS)):
-            assert (measure_average(golden_lac, golden, x, N)
-                    == measure_average_per_mode(golden_lac, golden, x, N))
+        # modes keep every mode's sum bit for bit; N = 1 and 13 are one row,
+        # summed from start phases converted on either side of _fp_floats'
+        # 1022-bit rule
+        phi = _golden_lac(bits)
+        omega = phi.cf.omega
+        for x in (TorusPoint.zero(1, bits), TorusPoint.from_floats([0.37], bits)):
+            assert (measure_average(phi, omega, x, N)
+                    == measure_average_per_mode(phi, omega, x, N))
 
     def test_direct_sum_across_a_chunk_boundary(self, golden, golden_deep_cf,
                                                 monkeypatch):
